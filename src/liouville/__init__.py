@@ -58,10 +58,12 @@ from .nonlinearity import (
 )
 from .quadrature import (
     DEFAULT_TOLERANCE,
+    PanelResults,
     QuadratureResult,
     Tolerance,
     dyadic_shell_integrals,
     integrate,
+    integrate_panels,
     integrate_to_infinity,
 )
 from .verify import (
@@ -89,8 +91,8 @@ __all__ = [
     "QuadratureError", "DivergentIntegralError", "CriterionUndecidedError",
     "DeltaSearchError", "CliConfigError",
     # quadrature
-    "Tolerance", "DEFAULT_TOLERANCE", "QuadratureResult",
-    "integrate", "integrate_to_infinity", "dyadic_shell_integrals",
+    "Tolerance", "DEFAULT_TOLERANCE", "QuadratureResult", "PanelResults",
+    "integrate", "integrate_panels", "integrate_to_infinity", "dyadic_shell_integrals",
     # nonlinearities
     "Nonlinearity", "Power", "PowerLog", "Expression", "Shifted", "Floored",
     "parse_nonlinearity", "shift", "floor_by_power",

@@ -227,7 +227,7 @@ def _make_f(cfg: RunConfig, q: float) -> Nonlinearity:
     return parse_nonlinearity(cfg.expr)
 
 
-def _describe_f(cfg: RunConfig, f: Nonlinearity) -> Dict[str, object]:
+def _describe_f(f: Nonlinearity) -> Dict[str, object]:
     if isinstance(f, Power):
         return {"kind": "power", "exponent": f.exponent}
     if isinstance(f, PowerLog):
@@ -271,7 +271,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "schema": "classify-report/v1",
         "command": "classify",
         "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-        "nonlinearity": _describe_f(cfg, f),
+        "nonlinearity": _describe_f(f),
         "critical_exponent": q,
         "verdict": verdict.verdict.value,
         "method": verdict.method,
@@ -316,7 +316,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 # construct / verify share the setup
 
 
-def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance) -> Optional[CriterionVerdict]:
+def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance) -> CriterionVerdict:
     opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone)
     return classify(f, params, opts, tol)
 
@@ -360,7 +360,7 @@ def cmd_construct(cfg: RunConfig) -> int:
             "schema": "construct-report/v1",
             "command": "construct",
             "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-            "nonlinearity": _describe_f(cfg, f),
+            "nonlinearity": _describe_f(f),
             "critical_exponent": q,
             "delta": delta,
             "rows": [
@@ -393,7 +393,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         "schema": "verify-report/v1",
         "command": "verify",
         "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-        "nonlinearity": _describe_f(cfg, f),
+        "nonlinearity": _describe_f(f),
         "critical_exponent": q,
         "delta": delta,
         "tolerance": {"rel": tol.rel, "absolute": tol.absolute},

@@ -39,6 +39,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .nonlinearity import (
+    _LOG_MAX,
     Expression,
     Floored,
     Nonlinearity,
@@ -66,8 +67,6 @@ __all__ = [
     "classify",
     "criterion_value",
 ]
-
-_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 @dataclass(frozen=True)
@@ -290,10 +289,17 @@ def _fit_tail(vals: Sequence[float]) -> Tuple[float, float, str]:
     shifted power law a_k = A * (k + c)**-beta (which captures the
     polynomial shell decay of critical-power-times-log integrands).
     The model with the smaller log-space residual wins.  Returns
-    (tail, error estimate, model label).  Requires strictly positive
-    window values; raises :class:`CriterionUndecidedError` if neither
-    model certifies a finite tail.
+    (tail, error estimate, model label).  Deep shells that underflowed
+    to zero carry no decay information, so only the positive shells
+    before the first zero are fitted; when fewer than eight remain, the
+    tail is taken as zero with the last positive shell as its error
+    bound.  Raises :class:`CriterionUndecidedError` if neither model
+    certifies a finite tail.
     """
+    first_zero = next((i for i, v in enumerate(vals) if v <= 0.0), len(vals))
+    vals = vals[:first_zero]
+    if len(vals) < 8:
+        return 0.0, (vals[-1] if vals else 0.0), "last-shell"
     K = len(vals)
     w0 = K - K // 2
     win = list(vals[w0:])

@@ -38,6 +38,8 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .errors import DomainError, EvalOverflow, ParseError
 
 __all__ = [
@@ -491,6 +493,35 @@ class Nonlinearity:
             raise DomainError(f"negative value {v!r} at z={z!r}; right-hand sides must be >= 0")
         return v
 
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        # families without an array rule evaluate point by point
+        return np.array([self(x) for x in z.ravel().tolist()], dtype=float).reshape(z.shape)
+
+    def values(self, z: np.ndarray) -> np.ndarray:
+        """Array form of calling f: elementwise values of f at ``z``.
+
+        Applies the checks of a call to every element and raises the
+        same package errors.
+        """
+        z = np.asarray(z, dtype=float)
+        bad = np.flatnonzero(np.isnan(z) | (z < 0.0))
+        if bad.size:
+            raise DomainError(f"argument must be >= 0, got {float(z.flat[bad[0]])!r}")
+        with np.errstate(all="ignore"):
+            v = self._values(z)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            i = bad[0]
+            raise EvalOverflow(f"value at z={float(z.flat[i])!r} is {float(v.flat[i])!r}")
+        bad = np.flatnonzero(v < 0.0)
+        if bad.size:
+            i = bad[0]
+            raise DomainError(
+                f"negative value {float(v.flat[i])!r} at z={float(z.flat[i])!r}; "
+                "right-hand sides must be >= 0"
+            )
+        return v
+
 
 @dataclass(frozen=True)
 class Power(Nonlinearity):
@@ -509,6 +540,11 @@ class Power(Nonlinearity):
             raise DomainError(f"0 cannot be raised to the power {self.exponent!r}") from None
         except OverflowError:
             raise EvalOverflow(f"{z!r}^{self.exponent!r} exceeds double range") from None
+
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        if self.exponent < 0.0 and np.any(z == 0.0):
+            raise DomainError(f"0 cannot be raised to the power {self.exponent!r}")
+        return np.power(z, self.exponent)
 
 
 @dataclass(frozen=True)
@@ -537,6 +573,12 @@ class PowerLog(Nonlinearity):
             return math.pow(z, self.power) * math.pow(log_factor, self.mu)
         except OverflowError:
             raise EvalOverflow(f"value at z={z!r} exceeds double range") from None
+
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        pos = z > 0.0
+        zp = np.where(pos, z, 1.0)
+        log_factor = np.log1p(math.e * zp) - np.log(zp)
+        return np.where(pos, np.power(zp, self.power) * np.power(log_factor, self.mu), 0.0)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,20 @@ class TestConstruct:
         )
         assert code == EXIT_INCONCLUSIVE
 
+    def test_fast_decaying_expression_matches_power(self, capsys):
+        # deep criterion shells of z^5.86 underflow to zero; the tail fit
+        # must skip them rather than take their log
+        argv = ["construct", "--n", "3", "--p", "2", "--format", "json", "--grid-points", "12"]
+        code, out, err = run(capsys, argv + ["--expr", "z^5.86"])
+        assert code == EXIT_OK, err
+        code_ref, out_ref, _ = run(capsys, argv + ["--power", "5.86"])
+        assert code_ref == EXIT_OK
+        got, ref = json.loads(out), json.loads(out_ref)
+        assert got["delta"] == pytest.approx(ref["delta"], rel=1e-12)
+        assert [row["w"] for row in got["rows"]] == pytest.approx(
+            [row["w"] for row in ref["rows"]], rel=1e-12
+        )
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(

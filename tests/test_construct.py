@@ -26,10 +26,12 @@ from liouville import (
     PowerLog,
     RadialProfile,
     StructureParams,
+    Tolerance,
     change_of_variables_check,
     decay_bound,
     envelope,
     find_delta,
+    integrate,
     parse_nonlinearity,
     sup_profile,
 )
@@ -89,6 +91,15 @@ class TestMonoCubic:
     def test_rejects_non_increasing_xs(self):
         with pytest.raises(ValueError):
             MonoCubic([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_array_values_match_calls(self):
+        xs = np.cumsum(np.linspace(0.1, 1.0, 40))
+        m = MonoCubic(list(xs), list(np.log1p(xs) + np.sin(xs) / 4.0))
+        pts = np.concatenate((xs, np.linspace(xs[0], xs[-1], 301)))
+        # same arithmetic in the same order: equal to the last bit
+        assert m.values(pts).tolist() == [m(float(x)) for x in pts]
+        with pytest.raises(ValueError):
+            m.values(np.array([xs[1], xs[-1] + 1e-9]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +245,53 @@ class TestProfile:
 
 
 # ---------------------------------------------------------------------------
+# batched panels against the scalar quadrature they replace
+
+_SEG_TOL = Tolerance(rel=1e-12, absolute=0.0)
+_BATCHED_CASES = [
+    (Power(4.0), StructureParams(3, 2.0), 1.0),
+    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 0.5),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0), 1.0),
+]
+
+
+@pytest.fixture(scope="module", params=_BATCHED_CASES, ids=lambda c: repr(c[0]))
+def batched_profile(request):
+    f, params, delta = request.param
+    return RadialProfile(f, params, delta)
+
+
+def test_cache_fill_matches_scalar_segments(batched_profile):
+    prof = batched_profile
+    zs = prof._zs
+    acc = integrate(prof._source, 0.0, zs[0], _SEG_TOL).value
+    ref = [acc]
+    for a, b in zip(zs, zs[1:]):
+        acc += integrate(prof._source, a, b, _SEG_TOL).value
+        ref.append(acc)
+    assert prof._cum == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        list(np.geomspace(1e-6, 1e6, 200)),
+        [0.0] + list(np.geomspace(1e-10, 1e10, 40)),  # past both cache ends
+        [0.3, 7.0],
+    ],
+    ids=["default-grid", "beyond-cache", "one-segment"],
+)
+def test_values_on_grid_matches_scalar_segments(batched_profile, radii):
+    prof = batched_profile
+    rs = [float(r) * prof.delta for r in radii]
+    ref = [0.0] * len(rs)
+    ref[-1] = prof.profile_value(rs[-1])
+    for i in range(len(rs) - 2, -1, -1):
+        ref[i] = ref[i + 1] + integrate(prof._outer_integrand, rs[i], rs[i + 1], _SEG_TOL).value
+    assert prof.values_on_grid(rs) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # change of variables identity
 
 
@@ -321,6 +379,25 @@ class TestFindDelta:
         d = find_delta(Power(lam), params)
         d_half = find_delta(Power(lam), params, DeltaSearchOptions(delta0=d / 2.0))
         assert d_half == pytest.approx(d / 2.0)
+
+    @pytest.mark.parametrize(
+        "f, n, p, delta0, expected",
+        [
+            (Power(3.5), 3, 2.0, 1.0, 0.5),
+            (Power(2.5), 4, 2.0, 1.0, 1.0),
+            (Power(3.0), 4, 2.0, 1.0, 1.0),
+            (Power(5.5), 5, 3.0, 1.0, 0.5),
+            (Power(2.5), 5, 2.0, 1.0, 1.0),
+            (PowerLog(-2.0, 3.0), 3, 2.0, 1.0, 0.5),
+            (Power(4.0), 3, 2.0, 0.5, 0.5),
+            (Power(3.0), 4, 2.0, 0.5, 0.5),
+            (Power(5.5), 5, 3.0, 0.25, 0.25),
+        ],
+    )
+    def test_delta_unchanged_by_batched_panels(self, f, n, p, delta0, expected):
+        # the scales the scalar quadrature found for the suite's cases
+        d = find_delta(f, StructureParams(n, p), DeltaSearchOptions(delta0=delta0))
+        assert d == expected
 
     def test_custom_delta0(self, params32):
         d = find_delta(Power(4.0), params32, DeltaSearchOptions(delta0=0.125))

@@ -34,6 +34,7 @@ from liouville import (
     floor_by_power,
     parse_nonlinearity,
 )
+from liouville.criterion import _fit_tail
 
 K_MU_M2 = 1.189883970344349580
 K_MU_M3 = 0.556776080278639509
@@ -262,6 +263,20 @@ class TestCriterionValue:
     def test_expression_route_agrees(self, params32):
         res = criterion_value(parse_nonlinearity("z^3 * log(e + 1/z)^(-2)"), params32)
         assert res.value == pytest.approx(K_MU_M2, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [5.86, 6.5, 20.0])
+    def test_expression_with_underflowing_deep_shells(self, params32, lam):
+        # shells past about 1074 / (lam - q) underflow to zero; the tail
+        # fit uses the positive ones (or bounds the tail by the last one)
+        res = criterion_value(parse_nonlinearity(f"z^{lam}"), params32)
+        assert res.value == pytest.approx(1.0 / (lam - 3.0), rel=1e-9)
+        assert res.converged
+
+    def test_tail_fit_ignores_shells_after_first_zero(self):
+        geometric = [0.5**k for k in range(30)]
+        assert _fit_tail(geometric + [0.0] * 10) == _fit_tail(geometric)
+        tail, err, label = _fit_tail(geometric[:5] + [0.0] * 35)
+        assert (tail, err, label) == (0.0, geometric[4], "last-shell")
 
     def test_divergent_raises(self, params32):
         with pytest.raises(DivergentIntegralError):

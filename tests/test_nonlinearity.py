@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -242,6 +243,52 @@ def test_power_log_huge_argument_factor():
     f = PowerLog(2.0, 1.0)
     v = f(1e-300)
     assert v == pytest.approx(1e-300 * math.log(1e300) ** 2, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the array form of a call
+
+_ARRAY_CASES = [
+    (Power(4.0), 0.0),
+    (Power(0.0), 0.0),
+    (Power(-1.5), 1e-100),
+    (Power(5.86), 0.0),
+    (PowerLog(-2.0, 3.0), 0.0),
+    (PowerLog(1.5, 0.8), 0.0),
+    (parse_nonlinearity("z^3 * log(e + 1/z)^(-2)"), 1e-300),
+    (shift(Power(2.0), 0.5), 0.0),
+    (Floored(parse_nonlinearity("0"), 4.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("f, z_min", _ARRAY_CASES, ids=repr)
+def test_array_values_match_calls(f, z_min):
+    zs = np.concatenate(([z_min], np.geomspace(1e-200, 1e30, 97), [1.0]))
+    got = f.values(zs.reshape(3, -1)).ravel()
+    want = [f(float(z)) for z in zs]
+    # numpy's power and log may differ from libm's in the last bits
+    assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "f, z, error",
+    [
+        (Power(2.0), -1.0, DomainError),
+        (PowerLog(-2.0, 3.0), math.nan, DomainError),
+        (Power(-1.0), 0.0, DomainError),
+        (Power(2.0), 1e200, EvalOverflow),
+        (PowerLog(1.0, 2.0), 1e200, EvalOverflow),
+        (parse_nonlinearity("z - 10"), 1.0, DomainError),
+        (parse_nonlinearity("exp(exp(z))"), 10.0, EvalOverflow),
+        (Floored(Power(2.0), -1.0), 0.0, DomainError),
+    ],
+    ids=repr,
+)
+def test_array_values_raise_like_calls(f, z, error):
+    with pytest.raises(error):
+        f(z)
+    with pytest.raises(error):
+        f.values(np.array([0.5, z]))
 
 
 def test_shift_identity():

@@ -12,6 +12,7 @@ Closed forms used below:
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from liouville import (
     Tolerance,
     dyadic_shell_integrals,
     integrate,
+    integrate_panels,
     integrate_to_infinity,
 )
 
@@ -117,6 +119,59 @@ class TestIntegrate:
         combined = integrate(lambda z: a * g(z) + b * h(z), 0.0, 2.0, TOL)
         parts = a * integrate(g, 0.0, 2.0, TOL).value + b * integrate(h, 0.0, 2.0, TOL).value
         assert abs(combined.value - parts) <= 1e-9 * (1.0 + abs(parts))
+
+
+class TestIntegratePanels:
+    """The batched kernel against the scalar engine it stands in for."""
+
+    @given(
+        amp=st.floats(min_value=-5.0, max_value=5.0),
+        rate=st.floats(min_value=-2.0, max_value=2.0),
+        freq=st.floats(min_value=0.0, max_value=6.0),
+        phase=st.floats(min_value=0.0, max_value=3.0),
+        quad=st.floats(min_value=-1.0, max_value=1.0),
+        points=st.lists(
+            st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=12, unique=True
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_scalar_within_reported_error(
+        self, amp, rate, freq, phase, quad, points
+    ):
+        def g(x):
+            return amp * math.exp(rate * x) * math.cos(freq * x + phase) + quad * x * x
+
+        def g_vec(x):
+            return amp * np.exp(rate * x) * np.cos(freq * x + phase) + quad * x * x
+
+        edges = sorted(points)
+        batched = integrate_panels(g_vec, edges, TOL)
+        for i, (a, b) in enumerate(zip(edges, edges[1:])):
+            scalar = integrate(g, a, b, TOL)
+            budget = batched.abs_errors[i] + scalar.abs_error
+            assert abs(batched.values[i] - scalar.value) <= budget
+
+    def test_endpoint_singularity_falls_back_to_scalar(self):
+        res = integrate_panels(lambda x: x**-0.5, [0.0, 1.0, 1.25], TOL)
+        assert res.fallbacks == 1
+        scalar = integrate(lambda z: z**-0.5, 0.0, 1.0, TOL)
+        assert res.values[0] == pytest.approx(scalar.value, rel=1e-14)
+        assert res.abs_errors[0] == pytest.approx(scalar.abs_error, rel=1e-6)
+        assert res.converged == scalar.converged
+        assert res.values[1] == pytest.approx(2.0 * (math.sqrt(1.25) - 1.0), rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        def g_vec(x):
+            return np.where(x > 1.5, bad, x)
+
+        with pytest.raises(QuadratureError):
+            integrate_panels(g_vec, [0.0, 1.0, 2.0], TOL)
+
+    @pytest.mark.parametrize("edges", [[0.0], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf]])
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValueError):
+            integrate_panels(lambda x: x, edges, TOL)
 
 
 class TestInfiniteTail:

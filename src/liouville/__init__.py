@@ -64,6 +64,7 @@ from .quadrature import (
     dyadic_shell_integrals,
     integrate,
     integrate_panels,
+    integrate_segments,
     integrate_to_infinity,
 )
 from .verify import (
@@ -92,7 +93,8 @@ __all__ = [
     "DeltaSearchError", "CliConfigError",
     # quadrature
     "Tolerance", "DEFAULT_TOLERANCE", "QuadratureResult", "PanelResults",
-    "integrate", "integrate_panels", "integrate_to_infinity", "dyadic_shell_integrals",
+    "integrate", "integrate_panels", "integrate_segments", "integrate_to_infinity",
+    "dyadic_shell_integrals",
     # nonlinearities
     "Nonlinearity", "Power", "PowerLog", "Expression", "Shifted", "Floored",
     "parse_nonlinearity", "shift", "floor_by_power",

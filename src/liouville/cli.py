@@ -332,13 +332,12 @@ def _setup_profile(cfg: RunConfig):
     if verdict.verdict is Verdict.INCONCLUSIVE:
         return None, verdict, None, None, tol, f, params
     if cfg.delta is not None:
-        delta = cfg.delta
+        profile = RadialProfile(f, params, cfg.delta, tol)
     else:
-        delta = find_delta(
-            f, params, DeltaSearchOptions(delta0=cfg.delta0), tol
-        )
-    profile = RadialProfile(f, params, delta, tol)
-    return profile, verdict, delta, q, tol, f, params
+        # the gate above has classified f, with this command's monotonicity setting
+        opts = DeltaSearchOptions(delta0=cfg.delta0, assume_convergent=True)
+        profile = find_delta(f, params, opts, tol)
+    return profile, verdict, profile.delta, q, tol, f, params
 
 
 def cmd_construct(cfg: RunConfig) -> int:
@@ -458,8 +457,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             row["verdict"] = verdict.verdict.value
             if verdict.verdict is Verdict.CONVERGES:
                 row["value"] = verdict.value
-                delta = find_delta(f, params, DeltaSearchOptions(delta0=cfg.delta0), tol)
-                row["sup_w"] = sup_profile(RadialProfile(f, params, delta, tol))
+                opts = DeltaSearchOptions(delta0=cfg.delta0, assume_convergent=True)
+                row["sup_w"] = sup_profile(find_delta(f, params, opts, tol))
         except LiouvilleError as exc:
             row["verdict"] = "error"
             row["error"] = str(exc)

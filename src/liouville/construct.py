@@ -59,6 +59,7 @@ from .quadrature import (
     Tolerance,
     integrate,
     integrate_panels,
+    integrate_segments,
     integrate_to_infinity,
 )
 
@@ -430,14 +431,8 @@ class RadialProfile:
         out[-1] = self.profile_value(rs[-1])
         if len(rs) == 1:
             return out
-        grid = np.array(rs)
-        knots = self._knots[(self._knots > grid[0]) & (self._knots < grid[-1])]
-        # sort and drop repeats by hand: np.union1d would import numpy.ma
-        edges = np.sort(np.concatenate((grid, knots)))
-        edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
-        pieces = integrate_panels(self._outer_array, edges, seg_tol)
-        segment = np.searchsorted(grid, edges[:-1], side="right") - 1
-        segs = np.bincount(segment, weights=pieces.values, minlength=len(rs) - 1).tolist()
+        segs, _ = integrate_segments(self._outer_array, rs, self._knots, seg_tol)
+        segs = segs.tolist()
         for i in range(len(rs) - 2, -1, -1):
             out[i] = out[i + 1] + segs[i]
         return out
@@ -533,8 +528,10 @@ class DeltaSearchOptions:
     ``max_halvings`` times.  Candidate scales are screened on a log
     grid of ``grid_points`` radii spanning ``[grid_lo*delta,
     grid_hi*delta]`` with absolute comparison slack ``slack``.
-    ``assume_convergent`` skips the classifier gate (for nonlinearities
-    the classifier cannot decide but the caller trusts)."""
+    ``assume_convergent`` skips the classifier gate: for callers that
+    have classified f already (the CLI does, with its own monotonicity
+    setting), and for nonlinearities the classifier cannot decide but
+    the caller trusts."""
 
     delta0: float = 1.0
     max_halvings: int = 60
@@ -562,8 +559,12 @@ def find_delta(
     params: StructureParams,
     opts: Optional[DeltaSearchOptions] = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
-    """Smallest-effort admissible scale delta0 * 2**-j.
+) -> RadialProfile:
+    """Profile at the smallest-effort admissible scale delta0 * 2**-j.
+
+    The profile built to test the accepted candidate is returned, so
+    callers read the scale from its ``delta`` and need not build it
+    again.
 
     A candidate is admissible when three certificates hold together:
 
@@ -622,7 +623,7 @@ def find_delta(
         tail_ok = tail_coeff <= threshold * delta**k + opts.slack
 
         if grid_ok and sup_ok and tail_ok:
-            return delta
+            return prof
         last_report = (
             f"delta={delta!r}: grid gap {worst_gap:.3e}, sup w {sup_w:.6e} "
             f"vs {threshold:.6e}, tail coeff {tail_coeff:.6e} vs "

@@ -23,11 +23,15 @@ Expression grammar (whitespace is insignificant)::
 (``2.5e-3``).  ``^`` binds tighter than unary minus on the left, so
 ``-z^2`` is ``-(z^2)`` while ``z^-2`` is a valid power.
 
-Two evaluators are provided.  The plain one computes f(z) directly in
-doubles.  The signed-log one propagates (sign, log-magnitude) pairs
-through the tree, which keeps deep power/log compositions meaningful
-far below the double underflow threshold; the integral classifier
-relies on it when probing shells at z around 1e-100 and smaller.
+Three evaluators are provided.  The plain one computes f(z) directly
+in doubles.  The array one computes the same tree over a whole numpy
+array of z in one pass, for the batched quadratures; it marks every
+point the plain rules would reject and redoes those points with the
+plain evaluator, so it raises exactly what calling f raises.  The
+signed-log one propagates (sign, log-magnitude) pairs through the
+tree, which keeps deep power/log compositions meaningful far below
+the double underflow threshold; the integral classifier relies on it
+when probing shells at z around 1e-100 and smaller.
 """
 
 from __future__ import annotations
@@ -352,6 +356,47 @@ def _eval_plain(node: ExprNode, z: float) -> float:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _eval_array(node: ExprNode, z: np.ndarray, bad: np.ndarray):
+    """Array form of :func:`_eval_plain`, one pass over the whole array.
+
+    Sets ``bad`` wherever a log, an exp or a binary operation comes out
+    non-finite.  That covers every element the scalar evaluator
+    rejects: a log of 0 or of a negative value (-inf, NaN), a division
+    by 0 (inf, NaN), 0**negative (inf), a negative base with a
+    fractional power (NaN) and overflow (inf).  Constant subtrees stay
+    numpy scalars.
+    """
+    if isinstance(node, Num):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Euler):
+        return np.float64(math.e)
+    if isinstance(node, Neg):
+        return -_eval_array(node.arg, z, bad)
+    if isinstance(node, Call):
+        a = _eval_array(node.arg, z, bad)
+        v = np.log(a) if node.fn == "log" else np.exp(a)
+    elif isinstance(node, Bin):
+        a = _eval_array(node.left, z, bad)
+        b = _eval_array(node.right, z, bad)
+        op = node.op
+        if op == "^":
+            v = np.power(a, b)
+        elif op == "/":
+            v = np.divide(a, b)
+        elif op == "+":
+            v = a + b
+        elif op == "-":
+            v = a - b
+        else:
+            v = a * b
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    bad |= ~np.isfinite(v)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # signed-log evaluation
 
@@ -596,6 +641,16 @@ class Expression(Nonlinearity):
 
     def _value(self, z: float) -> float:
         return _eval_plain(self.root, z)
+
+    def _values(self, z: np.ndarray) -> np.ndarray:
+        bad = np.zeros(z.shape, dtype=bool)
+        v = np.full(z.shape, _eval_array(self.root, z, bad))
+        bad |= v < 0.0
+        # redo the marked points by calls, in order: the first one the
+        # scalar rules reject raises there, as a loop of calls would
+        for i in np.flatnonzero(bad):
+            v.flat[i] = self(float(z.flat[i]))
+        return v
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ alone already exceeds the tolerance and further work is pointless.  The
 estimate to many fixed panels at once, as numpy array operations over
 blocks of panels with one vectorized integrand call per block.  Only
 the panels whose estimate misses the tolerance are redone, one by one,
-by the scalar adaptive :func:`integrate`.
+by the scalar adaptive :func:`integrate`.  :func:`integrate_segments`
+builds on it: integrals over consecutive segments, each cut into
+panels at given break points.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "PanelResults",
     "integrate",
     "integrate_panels",
+    "integrate_segments",
     "integrate_to_infinity",
     "dyadic_shell_integrals",
 ]
@@ -296,6 +299,32 @@ def integrate_panels(
             err[i] = res.abs_error
             converged = converged and res.converged
     return PanelResults(high, err, int(redo.size), converged)
+
+
+def integrate_segments(
+    g_vec: Callable[[np.ndarray], np.ndarray],
+    bounds: Sequence[float],
+    breaks: Sequence[float],
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> Tuple[np.ndarray, PanelResults]:
+    """Integrals of ``g_vec`` over ``[bounds[i], bounds[i + 1]]`` for each i.
+
+    Every segment is cut at the ``breaks`` inside it (points where the
+    integrand is not smooth), all pieces are integrated in one
+    :func:`integrate_panels` pass, and the pieces are summed per
+    segment.  ``bounds`` must be non-decreasing; a segment of zero
+    width integrates to 0.  Returns the sums and the per-piece results.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    breaks = np.asarray(breaks, dtype=float)
+    inner = breaks[(breaks > bounds[0]) & (breaks < bounds[-1])]
+    # sort and drop repeats by hand: np.union1d would import numpy.ma
+    edges = np.sort(np.concatenate((bounds, inner)))
+    edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
+    pieces = integrate_panels(g_vec, edges, tol)
+    segment = np.searchsorted(bounds, edges[:-1], side="right") - 1
+    sums = np.bincount(segment, weights=pieces.values, minlength=bounds.size - 1)
+    return sums, pieces
 
 
 def integrate_to_infinity(

@@ -39,7 +39,7 @@ import numpy as np
 from .construct import MonoCubic, RadialProfile, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate, integrate_segments
 
 __all__ = [
     "CheckResult",
@@ -305,9 +305,23 @@ def energy_diagnostic(
     radii: Optional[Sequence[float]] = None,
     bound_factor: float = 1e3,
 ) -> EnergyDiagnostic:
+    """Energies and ratios of :class:`EnergyDiagnostic` at ``radii``.
+
+    w is sampled on a 512-point log grid by ``values_on_grid`` and
+    interpolated log-log by a monotone cubic, held constant below and
+    above the sampled range.  The interpolant is only C1 at its knots,
+    so the energy integral is cut into panels at every knot inside
+    (0, radii[-1]) as well as at the radii, and all panels are
+    integrated in one batch
+    (:func:`~liouville.quadrature.integrate_segments`).  If a panel the
+    batched rule could not certify also fails to converge on its scalar
+    redo, ``detail`` says so.
+    """
     if radii is None:
         radii = _geom(profile.delta, 1e3 * profile.delta, 64)
     rs = list(radii)
+    if any(b < a for a, b in zip(rs, rs[1:])):
+        raise ValueError("radii must be non-decreasing")
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
@@ -332,33 +346,29 @@ def energy_diagnostic(
     # log-log interpolant of w over the positive part of the grid
     pos = [(g, w) for g, w in zip(grid, ws) if w > 0.0]
     interp = MonoCubic([math.log(g) for g, _ in pos], [math.log(w) for _, w in pos])
-    lo = pos[0][0]
-    cutoff = pos[-1][0]
+    knots = np.array([g for g, _ in pos])
+    w_lo, w_hi = pos[0][1], pos[-1][1]
 
-    def w_tilde(rho: float) -> float:
-        if rho <= lo:
-            return pos[0][1]
-        if rho >= cutoff:
-            return pos[-1][1]
-        return math.exp(interp(math.log(rho)))
+    def w_tilde(rho: np.ndarray) -> np.ndarray:
+        # np.log may put a knot one ulp past its math.log value
+        inside = np.exp(interp.values(np.clip(np.log(rho), interp.xs[0], interp.xs[-1])))
+        return np.where(rho <= knots[0], w_lo, np.where(rho >= knots[-1], w_hi, inside))
 
-    def e_density(rho: float) -> float:
+    def e_density(rho: np.ndarray) -> np.ndarray:
         wv = w_tilde(rho)
-        if wv >= eps:
-            return 0.0
-        return rho ** (n - 1) * f(wv)
+        small = wv < eps
+        out = np.zeros_like(rho)
+        out[small] = rho[small] ** (n - 1) * f.values(wv[small])
+        return out
 
-    seg_tol = Tolerance(rel=1e-10, absolute=0.0)
-    energies: List[float] = []
-    acc = integrate(e_density, 0.0, rs[0], seg_tol).value
-    energies.append(omega * acc)
-    for a, b in zip(rs, rs[1:]):
-        acc += integrate(e_density, a, b, seg_tol).value
-        energies.append(omega * acc)
+    shells, pieces = integrate_segments(
+        e_density, [0.0] + rs, knots, Tolerance(rel=1e-10, absolute=0.0)
+    )
+    energies = (omega * np.cumsum(shells)).tolist()
 
     ratios: List[float] = []
-    for r, en in zip(rs, energies):
-        u = min(w_tilde(r), eps)
+    for r, en, w in zip(rs, energies, w_tilde(np.array(rs)).tolist()):
+        u = min(w, eps)
         ratios.append(en * r ** (p - n) / u ** (p - 1.0))
 
     nondecreasing = all(
@@ -386,6 +396,7 @@ def energy_diagnostic(
         detail=(
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
+            + ("" if pieces.converged else "; quadrature did not converge")
         ),
     )
 

@@ -16,7 +16,6 @@ import pytest
 from liouville import (
     Power,
     PowerLog,
-    RadialProfile,
     StructureParams,
     Tolerance,
     change_of_variables_check,
@@ -85,9 +84,8 @@ def test_criterion_3_closed_form_instance(acceptance, instance_profile):
 
 def test_criterion_4_supersolution_certificate(acceptance, params32):
     with acceptance(4, "supersolution certificate on the instance", budget=5.0):
-        delta = find_delta(Power(4.0), params32)
-        assert delta == 1.0
-        profile = RadialProfile(Power(4.0), params32, delta)
+        profile = find_delta(Power(4.0), params32)
+        assert profile.delta == 1.0
         sup = supersolution_check(profile)
         assert sup.grid_size == 200
         assert sup.passed
@@ -104,8 +102,8 @@ def test_criterion_5_decay_bound(acceptance):
         for n, p, lam in cases:
             params = StructureParams(n, p)
             assert lam > critical_exponent(params)
-            delta = find_delta(Power(lam), params)
-            profile = RadialProfile(Power(lam), params, delta)
+            profile = find_delta(Power(lam), params)
+            delta = profile.delta
             radii = [float(r) for r in np.geomspace(1e-6 * delta, 1e6 * delta, 50)]
             for r, w in zip(radii, profile.values_on_grid(radii)):
                 assert w <= decay_bound(profile, r), (n, p, lam, r)

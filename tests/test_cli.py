@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from liouville import RadialProfile
 from liouville.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -176,6 +177,16 @@ class TestConstruct:
             [row["w"] for row in ref["rows"]], rel=1e-12
         )
 
+    def test_allow_nonmonotone_reaches_the_delta_search(self, capsys):
+        # z^5 exp(-10z) peaks at z = 1/2, inside (0, eps]
+        argv = ["construct", "--n", "3", "--p", "2", "--expr", "z^5*exp(-10*z)",
+                "--grid-points", "4"]
+        code, _, err = run(capsys, argv + ["--allow-nonmonotone"])
+        assert code == EXIT_OK, err
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_CONFIG
+        assert "f decreases on (0, eps]" in err
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
         code, out, _ = run(
@@ -247,6 +258,33 @@ class TestVerify:
     def test_divergent_input(self, capsys):
         code, _, _ = run(capsys, ["verify", "--n", "4", "--p", "2", "--power", "2"])
         assert code == EXIT_FAIL
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "3", "--p", "2", "--power", "4"],
+        ["construct", "--n", "3", "--p", "2", "--power", "4", "--delta", "0.5",
+         "--grid-points", "4"],
+        ["sweep", "--n", "4", "--p", "2", "--family", "power",
+         "--start", "2.5", "--stop", "2.5", "--step", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_profile_build_per_command(capsys, monkeypatch, argv):
+    # the delta search accepts its first candidate here and hands that
+    # profile on; nothing builds it again
+    builds = []
+    init = RadialProfile.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadialProfile, "__init__", counted)
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------------------

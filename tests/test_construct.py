@@ -350,7 +350,7 @@ class TestDecayBound:
 
 class TestFindDelta:
     def test_closed_instance_first_candidate(self, params32):
-        assert find_delta(Power(4.0), params32) == 1.0
+        assert find_delta(Power(4.0), params32).delta == 1.0
 
     def test_divergent_input_refused(self, params32):
         with pytest.raises(DivergentIntegralError):
@@ -361,9 +361,9 @@ class TestFindDelta:
             find_delta(parse_nonlinearity("z^2.005"), params42)
 
     def test_powerlog_constructs(self, params32):
-        d = find_delta(PowerLog(-2.0, 3.0), params32)
+        prof = find_delta(PowerLog(-2.0, 3.0), params32)
+        d = prof.delta
         assert d > 0.0
-        prof = RadialProfile(PowerLog(-2.0, 3.0), params32, d)
         env = envelope(params32, d)
         for r in np.geomspace(d * 1e-5, d * 1e5, 64):
             assert prof.profile_value(float(r)) <= env(float(r)) + 1e-12
@@ -376,8 +376,8 @@ class TestFindDelta:
         """If delta certifies, any smaller delta0 still certifies: the
         search from delta0 = found/2 must succeed as well."""
         params = StructureParams(n, p)
-        d = find_delta(Power(lam), params)
-        d_half = find_delta(Power(lam), params, DeltaSearchOptions(delta0=d / 2.0))
+        d = find_delta(Power(lam), params).delta
+        d_half = find_delta(Power(lam), params, DeltaSearchOptions(delta0=d / 2.0)).delta
         assert d_half == pytest.approx(d / 2.0)
 
     @pytest.mark.parametrize(
@@ -396,11 +396,11 @@ class TestFindDelta:
     )
     def test_delta_unchanged_by_batched_panels(self, f, n, p, delta0, expected):
         # the scales the scalar quadrature found for the suite's cases
-        d = find_delta(f, StructureParams(n, p), DeltaSearchOptions(delta0=delta0))
+        d = find_delta(f, StructureParams(n, p), DeltaSearchOptions(delta0=delta0)).delta
         assert d == expected
 
     def test_custom_delta0(self, params32):
-        d = find_delta(Power(4.0), params32, DeltaSearchOptions(delta0=0.125))
+        d = find_delta(Power(4.0), params32, DeltaSearchOptions(delta0=0.125)).delta
         assert d == 0.125
 
     def test_options_validation(self):

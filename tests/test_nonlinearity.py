@@ -23,6 +23,7 @@ from liouville import (
     shift,
 )
 from liouville.nonlinearity import (
+    _LOG_MAX,
     Bin,
     Call,
     Euler,
@@ -258,13 +259,23 @@ _ARRAY_CASES = [
     (parse_nonlinearity("z^3 * log(e + 1/z)^(-2)"), 1e-300),
     (shift(Power(2.0), 0.5), 0.0),
     (Floored(parse_nonlinearity("0"), 4.0), 0.0),
+    # each rule the array evaluator checks, on points where it holds
+    (parse_nonlinearity("1/z"), 1e-300),
+    (parse_nonlinearity("log(z + 1)"), 0.0),
+    (parse_nonlinearity("(z + 1)^0.5"), 0.0),
+    (parse_nonlinearity("z^-1"), 1e-300),
+    (parse_nonlinearity("z * 1e270"), 0.0),
+    (parse_nonlinearity("z^10"), 0.0),
+    (parse_nonlinearity("2"), 0.0),
 ]
 
 
 @pytest.mark.parametrize("f, z_min", _ARRAY_CASES, ids=repr)
 def test_array_values_match_calls(f, z_min):
     zs = np.concatenate(([z_min], np.geomspace(1e-200, 1e30, 97), [1.0]))
-    got = f.values(zs.reshape(3, -1)).ravel()
+    got = f.values(zs.reshape(3, -1))
+    assert got.shape == (3, 33)
+    got = got.ravel()
     want = [f(float(z)) for z in zs]
     # numpy's power and log may differ from libm's in the last bits
     assert got.tolist() == pytest.approx(want, rel=1e-14, abs=0.0)
@@ -281,14 +292,179 @@ def test_array_values_match_calls(f, z_min):
         (parse_nonlinearity("z - 10"), 1.0, DomainError),
         (parse_nonlinearity("exp(exp(z))"), 10.0, EvalOverflow),
         (Floored(Power(2.0), -1.0), 0.0, DomainError),
+        (parse_nonlinearity("1/z"), 0.0, DomainError),
+        (parse_nonlinearity("log(z - 1)"), 0.5, DomainError),
+        (parse_nonlinearity("(z - 1)^0.5"), 0.5, DomainError),
+        (parse_nonlinearity("z^-1"), 0.0, DomainError),
+        (parse_nonlinearity("z * 1e300"), 1e10, EvalOverflow),
+        (parse_nonlinearity("z^400"), 1e10, EvalOverflow),
     ],
     ids=repr,
 )
 def test_array_values_raise_like_calls(f, z, error):
-    with pytest.raises(error):
-        f(z)
-    with pytest.raises(error):
-        f.values(np.array([0.5, z]))
+    zs = [3.0, z]
+    with pytest.raises(error) as by_call:
+        for x in zs:
+            f(x)
+    with pytest.raises(error) as by_array:
+        f.values(np.array(zs))
+    if isinstance(f, Expression):
+        # an expression redoes rejected points by calls: same message
+        assert str(by_array.value) == str(by_call.value)
+
+
+# numpy's exp, log and power differ from libm's by one ulp on about 5% of
+# arguments.  Where a tree amplifies that, for instance log(exp(z)) - z,
+# the array and the plain evaluator may differ beyond 1e-12, or land on
+# different sides of a domain check.  _spread carries a first-order bound
+# on the difference through the tree, along the plain evaluation, and
+# raises _Unstable at points where either could happen.
+
+_ULP_DIFF = 2  # ulps between the two evaluators per exp, log or power
+
+
+class _Unstable(Exception):
+    pass
+
+
+class _Rejected(Exception):
+    pass
+
+
+def _decided(x, e):
+    if e > 0.0 and abs(x) <= 4.0 * e:
+        raise _Unstable
+
+
+def _no_overflow_flip(ln_mag, e):
+    if abs(ln_mag - _LOG_MAX) <= 4.0 * e + 1e-12:
+        raise _Unstable
+
+
+def _spread(node, z):
+    """(value, bound on |array - plain|) of ``node`` at z."""
+    if isinstance(node, Num):
+        return node.value, 0.0
+    if isinstance(node, Var):
+        return z, 0.0
+    if isinstance(node, Euler):
+        return math.e, 0.0
+    if isinstance(node, Neg):
+        v, e = _spread(node.arg, z)
+        return -v, e
+    if isinstance(node, Call):
+        a, ea = _spread(node.arg, z)
+        if node.fn == "log":
+            _decided(a, ea)
+            if a <= 0.0:
+                raise _Rejected
+            v = math.log(a)
+            return v, ea / a + _ULP_DIFF * math.ulp(v)
+        _no_overflow_flip(a, ea)
+        if a > _LOG_MAX:
+            raise _Rejected
+        v = math.exp(a)
+        return v, v * ea + _ULP_DIFF * math.ulp(v)
+    a, ea = _spread(node.left, z)
+    b, eb = _spread(node.right, z)
+    op = node.op
+    if op == "^":
+        _decided(a, ea)
+        if a == 0.0:
+            _decided(b, eb)
+            if b < 0.0:
+                raise _Rejected
+            return math.pow(a, b), 0.0
+        if a < 0.0:
+            if eb > 0.0 and abs(b - round(b)) <= 4.0 * eb:
+                raise _Unstable
+            if b != math.floor(b):
+                raise _Rejected
+        ln_a = math.log(abs(a))
+        rel = abs(b) * ea / abs(a) + abs(ln_a) * eb
+        _no_overflow_flip(b * ln_a, rel)
+        if b * ln_a > _LOG_MAX:
+            raise _Rejected
+        v = math.pow(a, b)
+        return v, abs(v) * rel + _ULP_DIFF * math.ulp(v)
+    if op == "/":
+        _decided(b, eb)
+        if b == 0.0:
+            raise _Rejected
+        v = a / b
+        e = (ea + abs(v) * eb) / abs(b)
+    elif op == "*":
+        v = a * b
+        e = abs(b) * ea + abs(a) * eb
+    else:
+        v = a + b if op == "+" else a - b
+        e = ea + eb
+    if e > 0.0 and not abs(v) < 1e300:
+        # near or past overflow, on inputs that may differ
+        if op in "*/":
+            ln_mag = math.log(abs(a)) + (1.0 if op == "*" else -1.0) * math.log(abs(b))
+            _no_overflow_flip(ln_mag, ea / abs(a) + eb / abs(b))
+        else:
+            half = 0.5 * a + (0.5 * b if op == "+" else -0.5 * b)
+            _no_overflow_flip(math.log(2.0 * abs(half)), e / abs(2.0 * half))
+    if not math.isfinite(v):
+        raise _Rejected
+    return v, e + (math.ulp(v) if e > 0.0 else 0.0)
+
+
+def _stable(node, z):
+    """False where the two evaluators may legitimately disagree at z."""
+    try:
+        v, e = _spread(node, z)
+    except _Rejected:
+        return True
+    except _Unstable:
+        return False
+    if e > 0.0 and abs(v) <= 4.0 * e:
+        return False  # the sign check of a call
+    return e <= 1e-13 * abs(v) + 1e-300
+
+
+def _trees_upto(depth):
+    leaf = st.one_of(
+        st.builds(Num, st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 50.0)),
+        st.just(Var()),
+        st.just(Euler()),
+    )
+    if depth == 0:
+        return leaf
+    sub = _trees_upto(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Neg, sub),
+        st.builds(Call, st.sampled_from(["log", "exp"]), sub),
+        st.builds(Bin, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+    )
+
+
+_ZS = st.lists(st.floats(0.0, 1e30), max_size=8).flatmap(
+    lambda zs: st.permutations(zs + [0.0, 1e-300, 1e30])
+)
+
+
+@given(tree=_trees_upto(4), zs=_ZS)
+@settings(max_examples=300, deadline=None)
+def test_array_values_property(tree, zs):
+    """The array evaluator gives what calls give, point by point: the
+    values to 1e-12, or the first call's error, type and message."""
+    f = Expression(tree)
+    zs = [z for z in zs if _stable(tree, z)]
+    want = []
+    try:
+        for z in zs:
+            want.append(f(z))
+    except (DomainError, EvalOverflow) as exc:
+        with pytest.raises(type(exc)) as by_array:
+            f.values(np.array(zs))
+        assert str(by_array.value) == str(exc)
+    else:
+        got = f.values(np.array(zs))
+        assert got.tolist() == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 def test_shift_identity():

@@ -24,6 +24,7 @@ from liouville import (
     dyadic_shell_integrals,
     integrate,
     integrate_panels,
+    integrate_segments,
     integrate_to_infinity,
 )
 
@@ -172,6 +173,17 @@ class TestIntegratePanels:
     def test_bad_edges_rejected(self, edges):
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, edges, TOL)
+
+
+def test_segments_split_at_breaks_and_sum_per_segment():
+    # |x - 0.3| has a kink at the break; outside breaks are ignored and
+    # the repeated bound makes an empty segment
+    sums, pieces = integrate_segments(
+        lambda x: np.abs(x - 0.3), [0.0, 0.5, 0.5, 1.0], [0.3, 2.0], TOL
+    )
+    assert sums.tolist() == pytest.approx([0.065, 0.0, 0.225], rel=1e-13)
+    assert pieces.values.size == 3
+    assert pieces.fallbacks == 0
 
 
 class TestInfiniteTail:

@@ -7,21 +7,26 @@ Oracle values (mpmath, 40 digits, frozen before the tests were written):
     ratio(1000) = 0.09692093221050432935   (E(r) r^(p-n) / w(r)^(p-1))
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import liouville.verify as verify_module
 from liouville import (
+    MonoCubic,
     Power,
     PowerLog,
     RadialProfile,
     StructureParams,
+    Tolerance,
     delta_limit_check,
     energy_diagnostic,
     flux_identity_check,
     flux_residual_at,
     gradient_decay_check,
+    integrate,
     normalization_check,
     parse_nonlinearity,
     supersolution_check,
@@ -165,6 +170,96 @@ class TestEnergy:
         chk = energy_diagnostic(instance_profile).as_check()
         assert chk.name == "energy"
         assert chk.passed
+
+
+def _scalar_energy(profile):
+    """The energy diagnostic on the default radii, one adaptive scalar
+    quadrature per ball shell: energies, ratios and pass/fail."""
+    rs = [float(r) for r in np.geomspace(profile.delta, 1e3 * profile.delta, 64)]
+    n, p, eps = profile.params.n, profile.params.p, profile.params.eps
+    grid = [float(g) for g in np.geomspace(1e-6 * rs[0], rs[-1], 512)]
+    ws = profile.values_on_grid(grid)
+    if ws[0] == 0.0:
+        return [0.0] * 64, [0.0] * 64, True
+    pos = [(g, w) for g, w in zip(grid, ws) if w > 0.0]
+    interp = MonoCubic([math.log(g) for g, _ in pos], [math.log(w) for _, w in pos])
+
+    def w_tilde(rho):
+        if rho <= pos[0][0]:
+            return pos[0][1]
+        if rho >= pos[-1][0]:
+            return pos[-1][1]
+        return math.exp(interp(math.log(rho)))
+
+    def density(rho):
+        wv = w_tilde(rho)
+        return 0.0 if wv >= eps else rho ** (n - 1) * profile.f(wv)
+
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    tol = Tolerance(rel=1e-10, absolute=0.0)
+    acc, energies = 0.0, []
+    for a, b in zip([0.0] + rs, rs):
+        acc += integrate(density, a, b, tol).value
+        energies.append(omega * acc)
+    ratios = [
+        en * r ** (p - n) / min(w_tilde(r), eps) ** (p - 1.0) for r, en in zip(rs, energies)
+    ]
+    grows = all(b >= a * (1.0 - 1e-12) - 1e-300 for a, b in zip(energies, energies[1:]))
+    if all(x > 0.0 for x in ratios):
+        med = sorted(ratios)[32]
+        spread = max(max(ratios) / med, med / min(ratios))
+    else:
+        spread = 1.0 if not any(ratios) else math.inf
+    return energies, ratios, grows and spread <= 1e3
+
+
+@pytest.mark.parametrize(
+    "f, n, p, delta",
+    [
+        (Power(4.0), 3, 2.0, 1.0),
+        (Power(4.0), 3, 2.0, 1e6),
+        (parse_nonlinearity("0"), 3, 2.0, 1.0),
+        (Power(5.5), 5, 3.0, 0.5),
+        (PowerLog(-2.0, 3.0), 3, 2.0, 0.5),
+        (parse_nonlinearity("z^3 * log(e + 1/z)^-2"), 4, 2.0, 0.5),
+    ],
+    ids=repr,
+)
+def test_energy_matches_scalar_quadrature(f, n, p, delta, monkeypatch):
+    prof = RadialProfile(f, StructureParams(n, p), delta)
+    energies, ratios, passed = _scalar_energy(prof)
+    batched = verify_module.integrate_segments
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        sums, pieces = batched(*args, **kwargs)
+        fallbacks.append(pieces.fallbacks)
+        return sums, pieces
+
+    monkeypatch.setattr(verify_module, "integrate_segments", counted)
+    ed = energy_diagnostic(prof)
+    # cut at the interpolant's knots, every panel is smooth enough for
+    # the batched rule
+    assert sum(fallbacks) == 0
+    assert list(ed.energies) == pytest.approx(energies, rel=1e-8, abs=0.0)
+    assert list(ed.ratios) == pytest.approx(ratios, rel=1e-8, abs=0.0)
+    assert ed.passed == passed
+    assert "did not converge" not in ed.detail
+
+
+def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
+    honest = energy_diagnostic(instance_profile)
+    batched = verify_module.integrate_segments
+
+    def unconverged(*args, **kwargs):
+        sums, pieces = batched(*args, **kwargs)
+        return sums, dataclasses.replace(pieces, converged=False)
+
+    monkeypatch.setattr(verify_module, "integrate_segments", unconverged)
+    flagged = energy_diagnostic(instance_profile)
+    assert flagged.detail == honest.detail + "; quadrature did not converge"
+    assert flagged.passed == honest.passed
+    assert flagged.energies == honest.energies
 
 
 # ---------------------------------------------------------------------------

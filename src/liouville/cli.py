@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .construct import _GRID_HI, _GRID_LO, _GRID_POINTS
 from .construct import (
     DeltaSearchOptions,
     RadialProfile,
@@ -61,7 +62,7 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .nonlinearity import Nonlinearity, Power, PowerLog, parse_nonlinearity
-from .quadrature import Tolerance
+from .quadrature import DEFAULT_TOLERANCE, Tolerance
 from .verify import verify_profile
 
 __all__ = ["main", "build_parser"]
@@ -93,23 +94,26 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one invocation needs, validated and immutable."""
+    """Everything one invocation needs, validated and immutable.  Its
+    defaults are the command line's: options left unset are None in the
+    parsed namespace and take them here."""
 
     command: str
     n: int
     p: float
-    eps: float
+    eps: float = StructureParams.eps
     power: Optional[float] = None
     powerlog: Optional[float] = None
     expr: Optional[str] = None
     allow_nonmonotone: bool = False
-    delta0: float = 1.0
+    delta0: float = DeltaSearchOptions.delta0
     delta: Optional[float] = None
-    grid_lo: float = 1e-6
-    grid_hi: float = 1e6
-    grid_points: int = 200
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
+    # the table of construct defaults to the delta search's screening grid
+    grid_lo: float = _GRID_LO
+    grid_hi: float = _GRID_HI
+    grid_points: int = _GRID_POINTS
+    rel_tol: float = DEFAULT_TOLERANCE.rel
+    abs_tol: float = DEFAULT_TOLERANCE.absolute
     fmt: str = "text"
     out: Optional[str] = None
     family: Optional[str] = None
@@ -121,9 +125,9 @@ class RunConfig:
 def _add_structure(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True, help="space dimension")
     sp.add_argument("--p", type=float, required=True, help="operator exponent, p > 1")
-    sp.add_argument("--eps", type=float, default=1.0, help="criterion endpoint (default 1)")
-    sp.add_argument("--rel-tol", type=float, default=1e-10, help="relative tolerance")
-    sp.add_argument("--abs-tol", type=float, default=1e-14, help="absolute tolerance floor")
+    sp.add_argument("--eps", type=float, help=f"criterion endpoint (default {RunConfig.eps:g})")
+    sp.add_argument("--rel-tol", type=float, help="relative tolerance")
+    sp.add_argument("--abs-tol", type=float, help="absolute tolerance floor")
 
 
 def _add_family(sp: argparse.ArgumentParser) -> None:
@@ -139,22 +143,22 @@ def _add_family(sp: argparse.ArgumentParser) -> None:
 
 def _add_output(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                    default="text", help="output format (default text)")
+                    help=f"output format (default {RunConfig.fmt})")
     sp.add_argument("--out", type=str, default=None,
                     help="write output to this file instead of stdout")
 
 
 def _add_grid(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--delta0", type=float, default=1.0,
-                    help="starting scale for the halving search (default 1)")
+    sp.add_argument("--delta0", type=float,
+                    help=f"starting scale for the halving search (default {RunConfig.delta0:g})")
     sp.add_argument("--delta", type=float, default=None,
                     help="skip the search and use this scale directly")
-    sp.add_argument("--grid-min", dest="grid_lo", type=float, default=1e-6,
-                    help="grid start, in units of delta (default 1e-6)")
-    sp.add_argument("--grid-max", dest="grid_hi", type=float, default=1e6,
-                    help="grid end, in units of delta (default 1e6)")
-    sp.add_argument("--grid-points", type=int, default=200,
-                    help="number of grid radii (default 200)")
+    sp.add_argument("--grid-min", dest="grid_lo", type=float,
+                    help=f"grid start, in units of delta (default {RunConfig.grid_lo:g})")
+    sp.add_argument("--grid-max", dest="grid_hi", type=float,
+                    help=f"grid end, in units of delta (default {RunConfig.grid_hi:g})")
+    sp.add_argument("--grid-points", type=int,
+                    help=f"number of grid radii (default {RunConfig.grid_points})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,10 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", type=float, required=True)
     sp.add_argument("--stop", type=float, required=True)
     sp.add_argument("--step", type=float, required=True)
-    sp.add_argument("--delta0", type=float, default=1.0)
+    sp.add_argument("--delta0", type=float)
     _add_output(sp)
 
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # one per process: building it costs more than a numeric classify
+    return build_parser()
 
 
 def _config(ns: argparse.Namespace) -> RunConfig:
@@ -493,9 +503,8 @@ _DISPATCH: Dict[str, Callable[[RunConfig], int]] = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         cfg = _config(ns)
         return _DISPATCH[cfg.command](cfg)
     except UnsupportedRegimeError as exc:

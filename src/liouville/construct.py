@@ -25,8 +25,9 @@ I on a log-log monotone cubic spline over sixteen decades around delta
 against a cheap interpolant instead of a nested double integral.  The
 cache fill and the profile on a grid evaluate their quadrature panels
 in batches (:func:`~liouville.quadrature.integrate_panels`).  Scaling
-in delta is exact (I_delta(z) = delta**n * I_1(z/delta)), which the
-tests exploit.
+in delta is exact (I_delta(z) = delta**n * I_1(z/delta)), so one cache
+serves every scale: :meth:`RadialProfile.rescaled` reads the profile at
+another delta off it, and the delta search builds a single profile.
 """
 
 from __future__ import annotations
@@ -167,6 +168,15 @@ class MonoCubic:
         h11 = t3 - t2
         return h00 * ys[i] + h10 * h * ms[i] + h01 * ys[i + 1] + h11 * h * ms[i + 1]
 
+    def shifted(self, dx: float, dy: float) -> "MonoCubic":
+        """The interpolant through the knots (x + dx, y + dy).  A translate
+        has the same slopes, so nothing is refitted."""
+        xs, ys, ms = self._arrays
+        out = object.__new__(MonoCubic)
+        out._arrays = (xs + dx, ys + dy, ms)
+        out.xs, out.ys, out.ms = out._arrays[0].tolist(), out._arrays[1].tolist(), self.ms
+        return out
+
 
 def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
     """Closure for env(r) = eps * (1 + r/delta)**-k with k = (n-p)/(p-1)."""
@@ -184,6 +194,11 @@ def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
     return env
 
 
+# The inner-integral cache: log-spaced nodes over [delta/span, delta*span].
+_CACHE_NODES = 4096
+_CACHE_SPAN = 1e8
+
+
 class RadialProfile:
     """The constructed profile for one (f, params, delta) triple.
 
@@ -193,7 +208,8 @@ class RadialProfile:
     cubic through (log z, log I).  Off-cache queries fall back to the
     exact limiting behaviour: I grows like z**n below the cache (the
     envelope is flat there) and saturates at the full-line limit above
-    it.
+    it.  :meth:`rescaled` gives the profile at any other delta from the
+    same cache, without a second fill.
     """
 
     def __init__(
@@ -202,42 +218,20 @@ class RadialProfile:
         params: StructureParams,
         delta: float,
         tol: Tolerance = DEFAULT_TOLERANCE,
-        cache_nodes: int = 4096,
-        cache_span: float = 1e8,
     ):
-        if not (math.isfinite(delta) and delta > 0.0):
-            raise ValueError(f"delta must be finite and positive, got {delta!r}")
-        if cache_nodes < 16:
-            raise ValueError(f"cache_nodes must be >= 16, got {cache_nodes!r}")
-        if cache_span < 1e2:
-            raise ValueError(f"cache_span must be >= 100, got {cache_span!r}")
         self.f = f
         self.params = params
         self.delta = float(delta)
         self.tol = tol
         self.q = critical_exponent(params)
         self.decay = (params.n - params.p) / (params.p - 1.0)
-        self._env = envelope(params, self.delta)
+        self._env = envelope(params, self.delta)  # validates delta
         self._inner_limit: Optional[float] = None
-        self._criterion: Optional[QuadratureResult] = None
-
-        n = params.n
-        env = self._env  # not self: a cycle would keep dead profiles for the gc
-
-        def source(xi: float) -> float:
-            # xi**(n-1) * f(env(xi)), in logs to survive large xi
-            fv = f(env(xi))
-            if fv == 0.0 or xi == 0.0:
-                return 0.0
-            out = (n - 1) * math.log(xi) + math.log(fv)
-            if out > _LOG_MAX:
-                raise EvalOverflow(f"source term exceeds double range at xi={xi!r}")
-            return math.exp(out)
-
-        self._source = source
+        # shared with every rescaled view: the criterion does not depend on delta
+        self._criterion: List[Optional[QuadratureResult]] = [None]
 
         seg_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
-        zs = np.geomspace(self.delta / cache_span, self.delta * cache_span, cache_nodes)
+        zs = np.geomspace(self.delta / _CACHE_SPAN, self.delta * _CACHE_SPAN, _CACHE_NODES)
         segments = integrate_panels(self._source_array, np.concatenate(([0.0], zs)), seg_tol)
         cum = np.cumsum(segments.values).tolist()
         zs = zs.tolist()
@@ -257,14 +251,53 @@ class RadialProfile:
             self._z_hi = zs[-1]
             self._knots = np.array(zs[first_pos:])
 
+    def rescaled(self, delta: float) -> "RadialProfile":
+        """The profile at scale ``delta``, read off this one's cache.
+
+        Scaling is exact: with c = delta / self.delta, I_delta(z) =
+        c**n * I(z/c).  So the cache knots scale by c, the sums and I(inf)
+        (computed here once: at small delta its tail quadrature would
+        meet the absolute tolerance floor) by c**n, and the log-log
+        interpolant shifts by (ln c, n ln c).  The criterion cache is
+        shared.  Returns ``self`` at this profile's own scale; raises
+        what :meth:`inner_limit` raises.
+        """
+        env = envelope(self.params, delta)  # validates delta
+        if delta == self.delta:
+            return self
+        c = delta / self.delta
+        n = self.params.n
+        view = object.__new__(RadialProfile)
+        view.__dict__.update(self.__dict__)
+        view.delta = float(delta)
+        view._env = env
+        view._zs = (c * np.array(self._zs)).tolist()
+        view._cum = (c**n * np.array(self._cum)).tolist()
+        view._knots = c * self._knots
+        if self._interp is not None:
+            view._interp = self._interp.shifted(math.log(c), n * math.log(c))
+            view._z_lo, view._z_hi = c * self._z_lo, c * self._z_hi
+        view._inner_limit = c**n * self.inner_limit()
+        return view
+
     def __repr__(self) -> str:
         return (
             f"RadialProfile(f={self.f!r}, n={self.params.n}, p={self.params.p}, "
             f"eps={self.params.eps}, delta={self.delta})"
         )
 
+    def _source(self, xi: float) -> float:
+        # xi**(n-1) * f(env(xi)), in logs to survive large xi
+        fv = self.f(self._env(xi))
+        if fv == 0.0 or xi == 0.0:
+            return 0.0
+        out = (self.params.n - 1) * math.log(xi) + math.log(fv)
+        if out > _LOG_MAX:
+            raise EvalOverflow(f"source term exceeds double range at xi={xi!r}")
+        return math.exp(out)
+
     def _source_array(self, xi: np.ndarray) -> np.ndarray:
-        # array form of the scalar source term of __init__: same logs, same check
+        # array form of _source: same logs, same check
         env = self.params.eps * np.exp(-self.decay * np.log1p(xi / self.delta))
         fv = self.f.values(env)
         pos = (fv > 0.0) & (xi > 0.0)
@@ -349,8 +382,14 @@ class RadialProfile:
         if z < self._z_lo:
             return integrate(self._source, 0.0, z, self.tol).value
         if z <= self._z_hi:
-            return math.exp(self._interp(math.log(z)))
+            return self._cached(z)
         return self._cum[-1] + integrate(self._source, self._z_hi, z, self.tol).value
+
+    def _cached(self, z: float) -> float:
+        # I(z) for z_lo <= z <= z_hi.  A rescaled view's knots are
+        # shifted logs, so log z may fall an ulp outside them at the ends.
+        xs = self._interp.xs
+        return math.exp(self._interp(min(max(math.log(z), xs[0]), xs[-1])))
 
     def _inner_model(self, z: float) -> float:
         # Fast path backing the outer quadrature: limiting power model
@@ -358,10 +397,9 @@ class RadialProfile:
         if z <= 0.0 or self._interp is None:
             return 0.0
         if z < self._z_lo:
-            first = math.exp(self._interp(math.log(self._z_lo)))
-            return first * (z / self._z_lo) ** self.params.n
+            return math.exp(self._interp.ys[0]) * (z / self._z_lo) ** self.params.n
         if z <= self._z_hi:
-            return math.exp(self._interp(math.log(z)))
+            return self._cached(z)
         return self.inner_limit()
 
     # -- the profile -------------------------------------------------------
@@ -445,9 +483,9 @@ class RadialProfile:
 
     def criterion_result(self) -> QuadratureResult:
         """Cached numeric value of the criterion integral of f."""
-        if self._criterion is None:
-            self._criterion = criterion_value(self.f, self.params, self.tol)
-        return self._criterion
+        if self._criterion[0] is None:
+            self._criterion[0] = criterion_value(self.f, self.params, self.tol)
+        return self._criterion[0]
 
 
 def sup_profile(profile: RadialProfile) -> float:
@@ -522,36 +560,30 @@ def decay_bound(profile: RadialProfile, r: float) -> float:
     return c * r**-profile.decay
 
 
+# The delta search halves delta at most _MAX_HALVINGS times and screens
+# each candidate on a log grid of _GRID_POINTS radii spanning
+# [_GRID_LO, _GRID_HI] * delta, with absolute comparison slack _SLACK.
+_MAX_HALVINGS = 60
+_GRID_LO = 1e-6
+_GRID_HI = 1e6
+_GRID_POINTS = 200
+_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class DeltaSearchOptions:
-    """Halving search controls: start at ``delta0`` and halve at most
-    ``max_halvings`` times.  Candidate scales are screened on a log
-    grid of ``grid_points`` radii spanning ``[grid_lo*delta,
-    grid_hi*delta]`` with absolute comparison slack ``slack``.
-    ``assume_convergent`` skips the classifier gate: for callers that
-    have classified f already (the CLI does, with its own monotonicity
-    setting), and for nonlinearities the classifier cannot decide but
-    the caller trusts."""
+    """Delta search controls: the first candidate ``delta0``, and
+    ``assume_convergent``, which skips the classifier gate: for callers
+    that have classified f already (the CLI does, with its own
+    monotonicity setting), and for nonlinearities the classifier cannot
+    decide but the caller trusts."""
 
     delta0: float = 1.0
-    max_halvings: int = 60
-    grid_lo: float = 1e-6
-    grid_hi: float = 1e6
-    grid_points: int = 200
-    slack: float = 1e-12
     assume_convergent: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
             raise ValueError(f"delta0 must be finite and positive, got {self.delta0!r}")
-        if self.max_halvings < 0:
-            raise ValueError(f"max_halvings must be >= 0, got {self.max_halvings!r}")
-        if not 0.0 < self.grid_lo < self.grid_hi:
-            raise ValueError("need 0 < grid_lo < grid_hi")
-        if self.grid_points < 2:
-            raise ValueError(f"grid_points must be >= 2, got {self.grid_points!r}")
-        if self.slack < 0.0:
-            raise ValueError(f"slack must be >= 0, got {self.slack!r}")
 
 
 def find_delta(
@@ -561,10 +593,6 @@ def find_delta(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> RadialProfile:
     """Profile at the smallest-effort admissible scale delta0 * 2**-j.
-
-    The profile built to test the accepted candidate is returned, so
-    callers read the scale from its ``delta`` and need not build it
-    again.
 
     A candidate is admissible when three certificates hold together:
 
@@ -580,12 +608,18 @@ def find_delta(
     not the looser closed-form criterion constant; the loose constant
     can reject scales that are in fact admissible.
 
+    One profile is built, at delta0: at delta = c * delta0 the profile
+    is exactly c**(p/(p-1)) * w(r/c) and the source limit c**n * I(inf),
+    and the envelope on the grid (fixed in units of delta) does not
+    change, so every candidate is tested on scaled numbers.  The
+    accepted profile is returned (:meth:`RadialProfile.rescaled`), so
+    callers read the scale from its ``delta`` and build nothing again.
+
     Divergent f raises :class:`DivergentIntegralError`; an undecided
     classifier verdict raises :class:`CriterionUndecidedError` unless
     ``opts.assume_convergent`` is set.
     """
     opts = opts or DeltaSearchOptions()
-    q = critical_exponent(params)
 
     if not opts.assume_convergent:
         verdict = classify(f, params, tol=tol)
@@ -600,30 +634,34 @@ def find_delta(
                 f"set assume_convergent to search anyway ({verdict.detail})"
             )
 
-    k = (params.n - params.p) / (params.p - 1.0)
-    a = (params.p - 1.0) / (params.n - params.p)
-    eps = params.eps
-    threshold = eps * 2.0**-k
+    n, p = params.n, params.p
+    k = (n - p) / (p - 1.0)
+    a = (p - 1.0) / (n - p)
+    threshold = params.eps * 2.0**-k
     last_report = ""
 
-    for j in range(opts.max_halvings + 1):
-        delta = opts.delta0 * 2.0**-j
-        prof = RadialProfile(f, params, delta, tol)
-        radii = [float(r) for r in np.geomspace(opts.grid_lo * delta, opts.grid_hi * delta, opts.grid_points)]
-        ws = prof.values_on_grid(radii)
-        envs = [prof.envelope_value(r) for r in radii]
-        worst_gap = min(e - w for e, w in zip(envs, ws))
-        grid_ok = worst_gap >= -opts.slack
+    prof = RadialProfile(f, params, opts.delta0, tol)
+    radii = [float(r) for r in np.geomspace(_GRID_LO * opts.delta0, _GRID_HI * opts.delta0, _GRID_POINTS)]
+    ws = np.array(prof.values_on_grid(radii))
+    envs = np.array([prof.envelope_value(r) for r in radii])
+    sup_w0 = ws[0] + integrate(prof._outer_integrand, 0.0, radii[0], tol).value
+    limit = prof.inner_limit()
 
-        head = integrate(prof._outer_integrand, 0.0, radii[0], tol).value
-        sup_w = ws[0] + head
-        sup_ok = sup_w <= threshold + opts.slack
+    for j in range(_MAX_HALVINGS + 1):
+        c = 2.0**-j
+        delta = opts.delta0 * c
+        scale = c ** (p / (p - 1.0))
+        worst_gap = float(np.min(envs - scale * ws))
+        grid_ok = worst_gap >= -_SLACK
 
-        tail_coeff = a * prof.inner_limit() ** (1.0 / (params.p - 1.0))
-        tail_ok = tail_coeff <= threshold * delta**k + opts.slack
+        sup_w = scale * sup_w0
+        sup_ok = sup_w <= threshold + _SLACK
+
+        tail_coeff = a * (c**n * limit) ** (1.0 / (p - 1.0))
+        tail_ok = tail_coeff <= threshold * delta**k + _SLACK
 
         if grid_ok and sup_ok and tail_ok:
-            return prof
+            return prof.rescaled(delta)
         last_report = (
             f"delta={delta!r}: grid gap {worst_gap:.3e}, sup w {sup_w:.6e} "
             f"vs {threshold:.6e}, tail coeff {tail_coeff:.6e} vs "
@@ -631,6 +669,6 @@ def find_delta(
         )
 
     raise DeltaSearchError(
-        f"no admissible scale within {opts.max_halvings} halvings of "
+        f"no admissible scale within {_MAX_HALVINGS} halvings of "
         f"{opts.delta0!r}; last candidate: {last_report}"
     )

@@ -373,6 +373,13 @@ def _shell_tolerance(tol: Tolerance) -> Tolerance:
     return Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
 
 
+def _check_shell_depth(eps: float, count: int) -> None:
+    # The lower edge of the deepest shell, computed as _dyadic_shells
+    # computes it, must not underflow to 0: the integrand is NaN there.
+    if not 0.5 * (eps * 0.5 ** (count - 1)) > 0.0:
+        raise ValueError(f"eps={eps!r} is too small: {count} dyadic shells below it reach z = 0")
+
+
 def _classify_numeric(
     f: Nonlinearity,
     params: StructureParams,
@@ -381,6 +388,7 @@ def _classify_numeric(
 ) -> Tuple[List[QuadratureResult], CriterionVerdict]:
     """The ``opts.shell_count`` outermost shells and the verdict on them."""
     g = criterion_integrand(f, params)
+    _check_shell_depth(params.eps, opts.shell_count)
     try:
         results = _dyadic_shells(g, params.eps, opts.shell_count, _shell_tolerance(tol))
     except EvaluationError as exc:
@@ -487,7 +495,6 @@ def criterion_value(
     f: Nonlinearity,
     params: StructureParams,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    shell_count: Optional[int] = None,
 ) -> QuadratureResult:
     """Numeric value of the criterion integral over (0, eps].
 
@@ -518,7 +525,8 @@ def criterion_value(
             raise DivergentIntegralError(
                 f"log exponent {f.mu!r} >= -1 at the critical power: the integral diverges"
             )
-        K = shell_count or 40
+        K = 40
+        _check_shell_depth(eps, K)
         results = _dyadic_shells(g, eps, K, stol)
     else:
         # Decide on the classifier's shells, the outermost ones here at
@@ -531,10 +539,9 @@ def criterion_value(
             raise CriterionUndecidedError(
                 f"cannot certify convergence before valuing the integral: {verdict.detail}"
             )
-        K = shell_count or 400
-        if K > len(results):
-            results += _dyadic_shells(g, eps * 0.5 ** len(results), K - len(results), stol)
-        results = results[:K]
+        K = 400
+        _check_shell_depth(eps, K)
+        results += _dyadic_shells(g, eps * 0.5 ** len(results), K - len(results), stol)
 
     vals = [r.value for r in results]
     partial = math.fsum(vals)

@@ -12,12 +12,13 @@ oscillation on the panel, so smooth panels are not absurdly optimistic
 and rough panels are not punished twice.
 
 Subdivision is globally adaptive: the panel with the largest error
-estimate is split first.  Panels that reach the depth cap (or that can
-no longer be split in floating point) are moved to a locked pool; the
-loop stops when the combined error of active and locked panels meets
-the tolerance, when nothing splittable remains, or when the locked pool
-alone already exceeds the tolerance and further work is pointless.  The
-``converged`` flag reports honestly which of these happened.
+estimate is split first.  Panels that reach the depth cap (or that are
+too narrow, in floating point, for their halves to have distinct nodes)
+are moved to a locked pool; the loop stops when the combined error of
+active and locked panels meets the tolerance, when nothing splittable
+remains, or when the locked pool alone already exceeds the tolerance
+and further work is pointless.  The ``converged`` flag reports honestly
+which of these happened.
 
 :func:`integrate_panels` applies the same rule and the same damped
 estimate to many fixed panels at once, as numpy array operations over
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+_NARROW = 256 * _EPS
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,7 +149,6 @@ def integrate(
     a: float,
     b: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    max_depth: int = 60,
     max_intervals: int = 1_000_000,
 ) -> QuadratureResult:
     """Adaptively integrate ``g`` over the finite interval ``[a, b]``.
@@ -176,15 +177,26 @@ def integrate(
         total = act_v + lok_v
         eps_now = tol.bound(total)
         if act_e + lok_e <= eps_now:
-            converged = True
-            break
+            # The running sums drift once large panel errors are taken
+            # out of them: accept only what exact sums confirm.
+            act_v = math.fsum(item[4] for item in active)
+            act_e = math.fsum(item[5] for item in active)
+            lok_v = math.fsum(v for v, _ in locked)
+            lok_e = math.fsum(e for _, e in locked)
+            total = act_v + lok_v
+            eps_now = tol.bound(total)
+            if act_e + lok_e <= eps_now:
+                converged = True
+                break
         if not active or lok_e > eps_now or count + 2 > max_intervals:
             break
         _, _, pa, pb, pv, pe, depth = heappop(active)
         act_v -= pv
         act_e -= pe
         m = 0.5 * (pa + pb)
-        if depth >= max_depth or m <= pa or m >= pb:
+        # Halves narrower than about 128 ulps would evaluate coinciding
+        # nodes, which may land on a point singularity.
+        if depth >= _MAX_LEVEL or m <= pa or m >= pb or pb - pa <= _NARROW * max(abs(pa), abs(pb)):
             locked.append((pv, pe))
             lok_v += pv
             lok_e += pe
@@ -372,8 +384,6 @@ def integrate_to_infinity(
     g: Callable[[float], float],
     a: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    max_depth: int = 60,
-    max_intervals: int = 1_000_000,
 ) -> QuadratureResult:
     """Integrate ``g`` over ``[a, infinity)``.
 
@@ -394,7 +404,7 @@ def integrate_to_infinity(
             return 0.0
         return gv / (t * t)
 
-    return integrate(h, 0.0, 1.0, tol, max_depth, max_intervals)
+    return integrate(h, 0.0, 1.0, tol)
 
 
 def _dyadic_shells(

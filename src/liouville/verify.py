@@ -23,9 +23,9 @@ The five profile checks:
   median across two decades of radii.
 
 :func:`delta_limit_check` is a family-level check (it builds its own
-profiles): sup w must decrease strictly under halvings of delta and
-fall below a threshold, witnessing that small data force small
-supersolutions.
+profile, once, and reads the other scales off it): sup w must decrease
+strictly under halvings of delta and fall below a threshold, witnessing
+that small data force small supersolutions.
 """
 
 from __future__ import annotations
@@ -434,15 +434,17 @@ def delta_limit_check(
     delta0: float = 1.0,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> DeltaLimitReport:
-    """Build profiles at delta0 * 2**-j for j = 0 .. j_count and track
-    sup w.  The sups must decrease strictly and end below ``threshold``
-    (an identically zero profile passes trivially)."""
+    """Track sup w at delta0 * 2**-j for j = 0 .. j_count.  The sups
+    must decrease strictly and end below ``threshold`` (an identically
+    zero profile passes trivially).  One profile is built, at delta0;
+    the other scales are its rescaled views
+    (:meth:`~liouville.construct.RadialProfile.rescaled`), each
+    evaluated by its own quadrature of sup w."""
     if j_count < 1:
         raise ValueError(f"j_count must be >= 1, got {j_count!r}")
     deltas = tuple(delta0 * 2.0**-j for j in range(j_count + 1))
-    sups = tuple(
-        sup_profile(RadialProfile(f, params, d, tol)) for d in deltas
-    )
+    base = RadialProfile(f, params, delta0, tol)
+    sups = tuple(sup_profile(base.rescaled(d)) for d in deltas)
     if all(s == 0.0 for s in sups):
         return DeltaLimitReport(
             deltas=deltas,
@@ -472,20 +474,14 @@ def delta_limit_check(
 # the full profile report
 
 
-def verify_profile(
-    profile: RadialProfile,
-    flux_target: float = 1e-6,
-    supersolution_slack: float = 1e-10,
-    gradient_tol: float = 1e-6,
-    normalization_tol: float = 1e-3,
-    energy_bound: float = 1e3,
-) -> VerificationReport:
-    """Run the five profile checks and fold them into one report."""
+def verify_profile(profile: RadialProfile) -> VerificationReport:
+    """Run the five profile checks, each at its own default threshold,
+    and fold them into one report."""
     checks = (
-        flux_identity_check(profile, target=flux_target),
-        supersolution_check(profile, slack=supersolution_slack),
-        gradient_decay_check(profile, tol_value=gradient_tol),
-        normalization_check(profile, tol_value=normalization_tol),
-        energy_diagnostic(profile, bound_factor=energy_bound).as_check(),
+        flux_identity_check(profile),
+        supersolution_check(profile),
+        gradient_decay_check(profile),
+        normalization_check(profile),
+        energy_diagnostic(profile).as_check(),
     )
     return VerificationReport(checks=checks, overall=all(c.passed for c in checks))

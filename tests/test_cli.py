@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from liouville import RadialProfile
+from liouville import RadialProfile, cli
 from liouville.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -268,12 +269,18 @@ class TestVerify:
          "--grid-points", "4"],
         ["sweep", "--n", "4", "--p", "2", "--family", "power",
          "--start", "2.5", "--stop", "2.5", "--step", "1"],
+        # these accept delta = 0.25 and 0.5, below delta0
+        pytest.param(["verify", "--n", "3", "--p", "2", "--power", "3.2"], id="verify-halving"),
+        pytest.param(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--grid-points", "4"],
+                     id="construct-halving"),
+        pytest.param(["sweep", "--n", "4", "--p", "2", "--family", "power",
+                      "--start", "2.2", "--stop", "2.2", "--step", "1"], id="sweep-halving"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_one_profile_build_per_command(capsys, monkeypatch, argv):
-    # the delta search accepts its first candidate here and hands that
-    # profile on; nothing builds it again
+    # the delta search builds one profile, at delta0, and hands on that
+    # profile or a rescaled view of it; nothing builds it again
     builds = []
     init = RadialProfile.__init__
 
@@ -285,6 +292,37 @@ def test_one_profile_build_per_command(capsys, monkeypatch, argv):
     code, _, err = run(capsys, argv)
     assert code == EXIT_OK, err
     assert len(builds) == 1
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        argv = ["classify", "--n", "4", "--p", "2", "--expr", "z^3*log(e+1/z)^-2"]
+        first, second = run(capsys, argv), run(capsys, argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert first == second and first[0] == EXIT_CONVERGES
+
+
+def test_tiny_eps_fails_cleanly(capsys):
+    # 400 criterion shells below eps = 1e-300 would reach z = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--expr", "z^4",
+                                      "--eps", "1e-300", "--grid-points", "3"])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert "eps" in err
+    assert "nan" not in (out + err).lower()
 
 
 # ---------------------------------------------------------------------------

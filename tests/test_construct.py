@@ -10,6 +10,7 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -91,6 +92,15 @@ class TestMonoCubic:
     def test_rejects_non_increasing_xs(self):
         with pytest.raises(ValueError):
             MonoCubic([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_shifted_matches_refit(self):
+        xs = np.cumsum(np.linspace(0.1, 1.0, 40))
+        ys = np.log1p(xs) + np.sin(xs) / 4.0
+        moved = MonoCubic(list(xs), list(ys)).shifted(-3.0, 7.5)
+        refit = MonoCubic(list(xs - 3.0), list(ys + 7.5))
+        pts = np.linspace(xs[0] - 3.0, xs[-1] - 3.0, 301)
+        assert moved.values(pts) == pytest.approx(refit.values(pts), rel=1e-13, abs=0.0)
+        assert [moved(float(x)) for x in pts] == moved.values(pts).tolist()
 
     def test_array_values_match_calls(self):
         xs = np.cumsum(np.linspace(0.1, 1.0, 40))
@@ -292,6 +302,62 @@ def test_values_on_grid_matches_scalar_segments(batched_profile, radii):
 
 
 # ---------------------------------------------------------------------------
+# rescaled views against fresh builds
+
+# No absolute floor, so that fresh builds at small delta stay accurate.
+_NO_FLOOR = Tolerance(rel=1e-10, absolute=0.0)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (Power(5.5), StructureParams(5, 3.0)),
+        (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0)),
+        (Power(3.5), StructureParams(8, 3.0)),
+    ],
+    ids=lambda c: f"{c[0]!r}-n{c[1].n}",
+)
+def unit_profile(request):
+    f, params = request.param
+    return RadialProfile(f, params, 1.0, _NO_FLOOR)
+
+
+@pytest.mark.parametrize("j", [1, 6, 13, 20])
+def test_rescaled_view_matches_fresh_build(unit_profile, j):
+    delta = 2.0**-j
+    view = unit_profile.rescaled(delta)
+    fresh = RadialProfile(unit_profile.f, unit_profile.params, delta, _NO_FLOOR)
+    assert view.delta == delta
+    radii = [float(r) for r in np.geomspace(1e-6 * delta, 1e6 * delta, 200)]
+    assert view.values_on_grid(radii) == pytest.approx(
+        fresh.values_on_grid(radii), rel=1e-11, abs=0.0
+    )
+    assert view.inner_limit() == pytest.approx(fresh.inner_limit(), rel=1e-9)
+    # below the cache, inside it, and above it
+    for z in (1e-10 * delta, 3.0 * delta, 1e10 * delta):
+        assert view.inner_integral(z) == pytest.approx(fresh.inner_integral(z), rel=1e-9)
+    assert view.envelope_value(delta) == fresh.envelope_value(delta)
+    assert view.gradient_magnitude(delta) == pytest.approx(
+        fresh.gradient_magnitude(delta), rel=1e-11
+    )
+
+
+def test_rescaled_view_shares_and_frees(params32):
+    base = RadialProfile(Power(4.0), params32, 1.0)
+    assert base.rescaled(1.0) is base
+    view = base.rescaled(0.25)
+    assert view.f is base.f and view.tol is base.tol
+    assert view.criterion_result() is base.criterion_result()
+    assert sup_profile(view) == pytest.approx(0.25**2 / 6.0, rel=1e-9)
+    # neither holds a reference cycle: each is freed as soon as it is dropped
+    gone = [weakref.ref(base), weakref.ref(view)]
+    del base, view
+    assert [r() for r in gone] == [None, None]
+    with pytest.raises(ValueError):
+        RadialProfile(Power(4.0), params32, 1.0).rescaled(0.0)
+
+
+# ---------------------------------------------------------------------------
 # change of variables identity
 
 
@@ -406,8 +472,6 @@ class TestFindDelta:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             DeltaSearchOptions(delta0=0.0)
-        with pytest.raises(ValueError):
-            DeltaSearchOptions(grid_points=1)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,18 @@ class TestIntegrate:
         assert res.abs_error <= TOL.bound(res.value)
         assert abs(res.value - 2.0) <= TOL.bound(2.0)
 
+    def test_interior_singularity_is_not_reported_converged(self):
+        # Taking large panel errors out of the running error sum leaves
+        # it drifting; convergence must not be accepted from the drift.
+        tol = Tolerance(rel=1e-12, absolute=0.0)
+        res = integrate(lambda t: (abs(t - 0.7) + 1e-300) ** -0.5, 0.5, 1.0, tol)
+        assert not res.converged or res.abs_error <= tol.bound(res.value)
+        exact = 2.0 * (math.sqrt(0.2) + math.sqrt(0.3))
+        assert abs(res.value - exact) <= res.abs_error
+        # a log singularity at the edge cannot converge at all
+        res = integrate(lambda t: ((t - 0.5) ** 2 + 1e-300) ** -0.5, 0.25, 0.5, tol)
+        assert not res.converged
+
     def test_endpoints_never_evaluated(self):
         def g(z):
             if z in (0.0, 1.0):

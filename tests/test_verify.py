@@ -277,6 +277,19 @@ class TestDeltaLimit:
         for j, s in enumerate(rep.sups):
             assert s == pytest.approx(4.0**-j / 6.0, rel=1e-6)
 
+    def test_builds_one_profile(self, params32, monkeypatch):
+        builds = []
+        init = RadialProfile.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RadialProfile, "__init__", counted)
+        rep = delta_limit_check(Power(4.0), params32, j_count=4)
+        assert len(builds) == 1
+        assert rep.deltas == (1.0, 0.5, 0.25, 0.125, 0.0625)
+
     def test_powerlog_instance(self, params32):
         rep = delta_limit_check(PowerLog(-2.0, 3.0), params32, j_count=6)
         assert rep.strictly_decreasing

@@ -59,6 +59,7 @@ from .quadrature import (
     Tolerance,
     dyadic_shell_integrals,
     integrate,
+    integrate_intervals,
     integrate_panels,
     integrate_segments,
     integrate_to_infinity,
@@ -89,7 +90,8 @@ __all__ = [
     "DeltaSearchError", "CliConfigError",
     # quadrature
     "Tolerance", "DEFAULT_TOLERANCE", "QuadratureResult", "PanelResults",
-    "integrate", "integrate_panels", "integrate_segments", "integrate_to_infinity",
+    "integrate", "integrate_intervals", "integrate_panels", "integrate_segments",
+    "integrate_to_infinity",
     "dyadic_shell_integrals",
     # nonlinearities
     "Nonlinearity", "Power", "PowerLog", "Expression", "parse_nonlinearity",

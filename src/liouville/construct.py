@@ -21,12 +21,14 @@ search certifies.
 
 :class:`RadialProfile` freezes one (f, params, delta) triple and caches
 I on a log-log monotone cubic spline over sixteen decades around delta
-(eight on each side), so profile evaluations cost one outer quadrature
-against a cheap interpolant instead of a nested double integral.  The
-cache fill and the profile on a grid evaluate their quadrature panels
-in batches (:func:`~liouville.quadrature.integrate_panels`).  Scaling
-in delta is exact (I_delta(z) = delta**n * I_1(z/delta)), so one cache
-serves every scale: :meth:`RadialProfile.rescaled` reads the profile at
+(eight on each side), and w itself at the same knots, so a profile
+value costs one quadrature panel against a cheap interpolant (or a
+closed form off the cache) instead of a nested double integral.  The
+cache fills and the profile on a grid evaluate their quadrature panels
+in batches (:func:`~liouville.quadrature.integrate_intervals`).
+Scaling in delta is exact (I_delta(z) = delta**n * I_1(z/delta) and
+w_delta(r) = delta**(p/(p-1)) * w_1(r/delta)), so one cache serves
+every scale: :meth:`RadialProfile.rescaled` reads the profile at
 another delta off it, and the delta search builds a single profile.
 """
 
@@ -59,8 +61,8 @@ from .quadrature import (
     QuadratureResult,
     Tolerance,
     integrate,
+    integrate_intervals,
     integrate_panels,
-    integrate_segments,
     integrate_to_infinity,
 )
 
@@ -199,6 +201,14 @@ _CACHE_NODES = 4096
 _CACHE_SPAN = 1e8
 
 
+def _exp_checked(x: np.ndarray, what: str, at: np.ndarray) -> np.ndarray:
+    # exp of a log-domain array, refusing what would overflow a double
+    over = np.flatnonzero(x > _LOG_MAX)
+    if over.size:
+        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[over[0]])!r}")
+    return np.exp(x)
+
+
 class RadialProfile:
     """The constructed profile for one (f, params, delta) triple.
 
@@ -208,8 +218,9 @@ class RadialProfile:
     cubic through (log z, log I).  Off-cache queries fall back to the
     exact limiting behaviour: I grows like z**n below the cache (the
     envelope is flat there) and saturates at the full-line limit above
-    it.  :meth:`rescaled` gives the profile at any other delta from the
-    same cache, without a second fill.
+    it.  The first profile value fills the outer cache, w at the same
+    knots.  :meth:`rescaled` gives the profile at any other delta from
+    the same caches, without a second fill.
     """
 
     def __init__(
@@ -227,12 +238,15 @@ class RadialProfile:
         self.decay = (params.n - params.p) / (params.p - 1.0)
         self._env = envelope(params, self.delta)  # validates delta
         self._inner_limit: Optional[float] = None
-        # shared with every rescaled view: the criterion does not depend on delta
+        # shared with every rescaled view: the criterion does not depend on
+        # delta, and the outer cache (the delta of its fill, w at the knots,
+        # the fill's converged flag) scales exactly
         self._criterion: List[Optional[QuadratureResult]] = [None]
+        self._outer: List[Optional[Tuple[float, np.ndarray, bool]]] = [None]
+        self._seg_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
 
-        seg_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
         zs = np.geomspace(self.delta / _CACHE_SPAN, self.delta * _CACHE_SPAN, _CACHE_NODES)
-        segments = integrate_panels(self._source_array, np.concatenate(([0.0], zs)), seg_tol)
+        segments = integrate_panels(self._source_array, np.concatenate(([0.0], zs)), self._seg_tol)
         cum = np.cumsum(segments.values).tolist()
         zs = zs.tolist()
         self._zs = zs
@@ -258,9 +272,10 @@ class RadialProfile:
         c**n * I(z/c).  So the cache knots scale by c, the sums and I(inf)
         (computed here once: at small delta its tail quadrature would
         meet the absolute tolerance floor) by c**n, and the log-log
-        interpolant shifts by (ln c, n ln c).  The criterion cache is
-        shared.  Returns ``self`` at this profile's own scale; raises
-        what :meth:`inner_limit` raises.
+        interpolant shifts by (ln c, n ln c).  The criterion cache and
+        the outer cache (w scales by c**(p/(p-1))) are shared.  Returns
+        ``self`` at this profile's own scale; raises what
+        :meth:`inner_limit` raises.
         """
         env = envelope(self.params, delta)  # validates delta
         if delta == self.delta:
@@ -297,18 +312,15 @@ class RadialProfile:
         return math.exp(out)
 
     def _source_array(self, xi: np.ndarray) -> np.ndarray:
-        # array form of _source: same logs, same check
-        env = self.params.eps * np.exp(-self.decay * np.log1p(xi / self.delta))
-        fv = self.f.values(env)
-        pos = (fv > 0.0) & (xi > 0.0)
-        with np.errstate(divide="ignore"):
-            out = (self.params.n - 1) * np.log(xi) + np.log(fv)
-        over = np.flatnonzero(pos & (out > _LOG_MAX))
-        if over.size:
-            raise EvalOverflow(
-                f"source term exceeds double range at xi={float(xi.flat[over[0]])!r}"
-            )
-        return np.where(pos, np.exp(out), 0.0)
+        # array form of _source for xi > 0, in logs throughout: far out
+        # f(env) underflows long before xi**(n-1) * f(env) does
+        ln_env = math.log(self.params.eps) - self.decay * np.log1p(xi / self.delta)
+        sign, ln_f = self.f.log_value(ln_env)
+        neg = np.flatnonzero(sign < 0)
+        if neg.size:
+            raise DomainError(f"source term is negative at xi={float(xi.flat[neg[0]])!r}")
+        out = _exp_checked((self.params.n - 1) * np.log(xi) + ln_f, "source term", xi)
+        return np.where(sign > 0, out, 0.0)
 
     # -- envelope ----------------------------------------------------------
 
@@ -392,8 +404,8 @@ class RadialProfile:
         return math.exp(self._interp(min(max(math.log(z), xs[0]), xs[-1])))
 
     def _inner_model(self, z: float) -> float:
-        # Fast path backing the outer quadrature: limiting power model
-        # below the cache, saturation above it.
+        # I as the outer integrand sees it: the cached interpolant, the
+        # limiting power model below the cache, saturation above it.
         if z <= 0.0 or self._interp is None:
             return 0.0
         if z < self._z_lo:
@@ -414,47 +426,74 @@ class RadialProfile:
         return math.exp(out)
 
     def _outer_array(self, zeta: np.ndarray) -> np.ndarray:
-        # array form of _outer_integrand for zeta > 0, in logs throughout
-        if self._interp is None:
-            return np.zeros_like(zeta)
+        # array form of _outer_integrand for z_lo <= zeta <= z_hi, in logs
         n, p = self.params.n, self.params.p
         ln_z = np.log(zeta)
-        below = zeta < self._z_lo
-        above = zeta > self._z_hi
-        inside = ~(below | above)
-        ln_i = np.empty_like(zeta)
         xs = self._interp.xs
         # np.log may put a knot one ulp past its math.log value
-        ln_i[inside] = self._interp.values(np.clip(ln_z[inside], xs[0], xs[-1]))
-        ln_i[below] = self._interp.ys[0] + n * np.log(zeta[below] / self._z_lo)
-        if above.any():
-            ln_i[above] = math.log(self.inner_limit())
-        out = (ln_i - (n - 1) * ln_z) / (p - 1.0)
-        over = np.flatnonzero(out > _LOG_MAX)
-        if over.size:
-            raise EvalOverflow(
-                f"outer integrand exceeds double range at zeta={float(zeta.flat[over[0]])!r}"
-            )
-        return np.exp(out)
+        ln_i = self._interp.values(np.clip(ln_z, xs[0], xs[-1]))
+        return _exp_checked((ln_i - (n - 1) * ln_z) / (p - 1.0), "outer integrand", zeta)
+
+    # The outer cache W holds w at the cache knots.  Above the cache I is
+    # saturated and below it a power of zeta, so w is closed form there.
+
+    def _w_above(self, r: np.ndarray) -> np.ndarray:
+        # w(r) for r >= z_hi: integral of (I(inf) / zeta**(n-1))**(1/(p-1))
+        k = self.decay
+        ln_w = math.log(self.inner_limit()) / (self.params.p - 1.0) - k * np.log(r)
+        return _exp_checked(ln_w, "profile", r) / k
+
+    def _w_below(self, r: np.ndarray) -> np.ndarray:
+        # w(r) - w(z_lo) for r <= z_lo, where I(zeta) = I(z_lo) (zeta/z_lo)**n
+        n, p, z_lo = self.params.n, self.params.p, self._z_lo
+        beta = p / (p - 1.0)
+        ln_scale = (self._interp.ys[0] - (n - p) * math.log(z_lo)) / (p - 1.0)
+        scale = _exp_checked(np.full(r.shape, ln_scale), "profile", r)
+        return scale / beta * (1.0 - (r / z_lo) ** beta)
+
+    def _outer_cache(self) -> Tuple[np.ndarray, bool]:
+        """W at this profile's knots, and whether its fill converged.
+
+        Filled once, on first use, by the profile or view that needs it
+        first; the others read it scaled by c**(p/(p-1)), c = delta /
+        delta of the fill.
+        """
+        if self._outer[0] is None:
+            self._outer[0] = (self.delta,) + self._fill_outer()
+        delta, ws, converged = self._outer[0]
+        if delta != self.delta:
+            p = self.params.p
+            ws = (self.delta / delta) ** (p / (p - 1.0)) * ws
+        return ws, converged
+
+    def _fill_outer(self) -> Tuple[np.ndarray, bool]:
+        # one panel per knot interval, summed down from the closed form at
+        # z_hi; that needs I(inf), so a divergent source raises before the panels
+        tail = self._w_above(self._knots[-1:])
+        panels = integrate_panels(self._outer_array, self._knots, self._seg_tol)
+        return np.cumsum(np.concatenate((tail, panels.values[::-1])))[::-1], panels.converged
+
+    def outer_converged(self) -> bool:
+        """Whether every panel of the outer cache fill met its tolerance
+        (True for an identically zero profile, which needs no fill)."""
+        return self._interp is None or self._outer_cache()[1]
 
     def profile_value(self, r: float) -> float:
-        """w(r) = integral_r^inf (I(zeta)/zeta**(n-1))**(1/(p-1)) d zeta."""
+        """w(r) = integral_r^inf (I(zeta)/zeta**(n-1))**(1/(p-1)) d zeta,
+        by :meth:`values_on_grid`."""
         if math.isnan(r) or r < 0.0:
             raise DomainError(f"radius must be >= 0, got {r!r}")
-        if math.isinf(r):
-            return 0.0
-        return integrate_to_infinity(self._outer_integrand, r, self.tol).value
+        return self.values_on_grid([r])[0]
 
     def values_on_grid(self, radii: Sequence[float]) -> List[float]:
         """Profile values on an increasing grid of radii.
 
-        One tail quadrature anchors the outermost point; the rest
-        accumulate backwards through per-segment integrals.  Each
-        segment is split at the cache knots it spans, between which the
-        outer integrand is smooth, and every piece is one panel of a
-        batched :func:`integrate_panels` pass: 200 radii over twelve
-        decades make about 3300 panels, evaluated in blocks of array
-        operations instead of 200 scalar adaptive quadratures.
+        Inside the cache, w(r) is the outer cache's value at the first
+        knot at or above r plus the integral from r to that knot, one
+        panel per radius, all in one batched :func:`integrate_intervals`
+        pass.  Off the cache w is closed form.  After the one-time fill
+        of the outer cache (about 4100 panels, shared with every
+        rescaled view), 200 radii cost at most 200 panels.
         """
         rs = [float(r) for r in radii]
         if not rs:
@@ -464,16 +503,19 @@ class RadialProfile:
         for a, b in zip(rs, rs[1:]):
             if not b > a:
                 raise ValueError("radii must be strictly increasing")
-        seg_tol = Tolerance(rel=min(self.tol.rel, 1e-12), absolute=0.0)
-        out = [0.0] * len(rs)
-        out[-1] = self.profile_value(rs[-1])
-        if len(rs) == 1:
-            return out
-        segs, _ = integrate_segments(self._outer_array, rs, self._knots, seg_tol)
-        segs = segs.tolist()
-        for i in range(len(rs) - 2, -1, -1):
-            out[i] = out[i + 1] + segs[i]
-        return out
+        if self._interp is None:
+            return [0.0] * len(rs)
+        ws, _ = self._outer_cache()
+        rs = np.array(rs)
+        out = np.empty_like(rs)
+        below, above = rs < self._z_lo, rs > self._z_hi
+        inside = ~(below | above)
+        out[below] = ws[0] + self._w_below(rs[below])
+        out[above] = self._w_above(rs[above])
+        j = np.searchsorted(self._knots, rs[inside])
+        gaps = integrate_intervals(self._outer_array, rs[inside], self._knots[j], self._seg_tol)
+        out[inside] = ws[j] + gaps.values
+        return out.tolist()
 
     def gradient_magnitude(self, r: float) -> float:
         """|w'(r)| = (I(r)/r**(n-1))**(1/(p-1)) for r > 0."""
@@ -611,9 +653,12 @@ def find_delta(
     One profile is built, at delta0: at delta = c * delta0 the profile
     is exactly c**(p/(p-1)) * w(r/c) and the source limit c**n * I(inf),
     and the envelope on the grid (fixed in units of delta) does not
-    change, so every candidate is tested on scaled numbers.  The
-    accepted profile is returned (:meth:`RadialProfile.rescaled`), so
-    callers read the scale from its ``delta`` and build nothing again.
+    change, so every candidate is tested on scaled numbers: the grid
+    values and sup w are read once, at delta0, off the profile's outer
+    cache.  The accepted profile is returned
+    (:meth:`RadialProfile.rescaled`); it shares that cache, so callers
+    read the scale from its ``delta`` and neither build nor fill
+    anything again.
 
     Divergent f raises :class:`DivergentIntegralError`; an undecided
     classifier verdict raises :class:`CriterionUndecidedError` unless
@@ -644,7 +689,7 @@ def find_delta(
     radii = [float(r) for r in np.geomspace(_GRID_LO * opts.delta0, _GRID_HI * opts.delta0, _GRID_POINTS)]
     ws = np.array(prof.values_on_grid(radii))
     envs = np.array([prof.envelope_value(r) for r in radii])
-    sup_w0 = ws[0] + integrate(prof._outer_integrand, 0.0, radii[0], tol).value
+    sup_w0 = prof.profile_value(0.0)
     limit = prof.inner_limit()
 
     for j in range(_MAX_HALVINGS + 1):

@@ -20,13 +20,14 @@ remains, or when the locked pool alone already exceeds the tolerance
 and further work is pointless.  The ``converged`` flag reports honestly
 which of these happened.
 
-:func:`integrate_panels` applies the same rule and the same damped
-estimate to many fixed panels at once, as numpy array operations over
-blocks of panels with one vectorized integrand call per block.  Only
-the panels whose estimate misses the tolerance are redone, one by one,
-by the scalar adaptive :func:`integrate`.  :func:`integrate_segments`
-builds on it: integrals over consecutive segments, each cut into
-panels at given break points.  The dyadic shells are refined together,
+:func:`integrate_intervals` applies the same rule and the same damped
+estimate to many fixed intervals at once, one panel each, as numpy
+array operations over blocks of panels with one vectorized integrand
+call per block.  Only the intervals whose estimate misses the tolerance
+are redone, one by one, by the scalar adaptive :func:`integrate`.
+:func:`integrate_panels` is its case of consecutive panels, and
+:func:`integrate_segments` builds on that: integrals over consecutive
+segments, each cut into panels at given break points.  The dyadic shells are refined together,
 level by level, each level one such array pass (see :func:`_bisect`).
 """
 
@@ -48,6 +49,7 @@ __all__ = [
     "QuadratureResult",
     "PanelResults",
     "integrate",
+    "integrate_intervals",
     "integrate_panels",
     "integrate_segments",
     "integrate_to_infinity",
@@ -218,12 +220,13 @@ def integrate(
 
 @dataclass(frozen=True, slots=True)
 class PanelResults:
-    """Per-panel outcome of :func:`integrate_panels`.
+    """Per-interval outcome of :func:`integrate_intervals`.
 
-    ``values[i]`` and ``abs_errors[i]`` belong to the panel
-    ``[edges[i], edges[i + 1]]``.  ``fallbacks`` counts the panels that
+    ``values[i]`` and ``abs_errors[i]`` belong to the interval
+    ``[lo[i], hi[i]]`` (the panel ``[edges[i], edges[i + 1]]`` of
+    :func:`integrate_panels`).  ``fallbacks`` counts the intervals that
     the batched rule could not certify and the scalar :func:`integrate`
-    redid; ``converged`` is False when any of those redone panels did
+    redid; ``converged`` is False when any of those redone intervals did
     not converge either.
     """
 
@@ -327,31 +330,49 @@ def _bisect(
     return values, errors, panels, converged, int(redo.size)
 
 
+def integrate_intervals(
+    g_vec: Callable[[np.ndarray], np.ndarray],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> PanelResults:
+    """One panel over each interval ``[lo[i], hi[i]]``, all at once.
+
+    ``g_vec`` maps an array of abscissae (of any shape) to the integrand
+    values, elementwise.  Every interval gets the rule and the damped
+    error estimate of a single :func:`integrate` step, computed with
+    array operations over blocks of intervals; an interval whose
+    estimate exceeds ``tol.bound`` of its value is redone by
+    :func:`integrate` on a scalar view of ``g_vec``.  The intervals may
+    overlap; one of zero width integrates to 0 without evaluating
+    ``g_vec``.  The ends themselves are never evaluated.  A NaN or
+    infinity at any node raises :class:`QuadratureError`.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("lo and hi must be flat sequences of equal length")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("interval ends must be finite")
+    if not np.all(hi >= lo):
+        raise ValueError("intervals must have hi >= lo")
+    values, errors, _, converged, redone = _bisect(g_vec, lo, hi, tol, levels=0)
+    return PanelResults(values, errors, redone, bool(converged.all()))
+
+
 def integrate_panels(
     g_vec: Callable[[np.ndarray], np.ndarray],
     edges: Sequence[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> PanelResults:
-    """Integrate over each panel ``[edges[i], edges[i + 1]]`` at once.
-
-    ``g_vec`` maps an array of abscissae (of any shape) to the integrand
-    values, elementwise.  Every panel gets the rule and the damped error
-    estimate of a single :func:`integrate` step, computed with array
-    operations over blocks of panels; a panel whose estimate exceeds
-    ``tol.bound`` of its value is redone by :func:`integrate` on a
-    scalar view of ``g_vec``.  The edges themselves are never
-    evaluated.  A NaN or infinity at any node raises
-    :class:`QuadratureError`.
-    """
+    """:func:`integrate_intervals` on the consecutive panels
+    ``[edges[i], edges[i + 1]]`` of strictly increasing ``edges``."""
     e = np.asarray(edges, dtype=float)
     if e.ndim != 1 or e.size < 2:
         raise ValueError("need a flat sequence of at least two edges")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("panel edges must be finite")
     if not np.all(e[1:] > e[:-1]):
         raise ValueError("panel edges must be strictly increasing")
-    values, errors, _, converged, redone = _bisect(g_vec, e[:-1], e[1:], tol, levels=0)
-    return PanelResults(values, errors, redone, bool(converged.all()))
+    return integrate_intervals(g_vec, e[:-1], e[1:], tol)
 
 
 def integrate_segments(

@@ -22,6 +22,11 @@ The five profile checks:
   its natural normalization must stay within a bounded factor of its
   median across two decades of radii.
 
+The three checks that read w on a grid (supersolution, normalization,
+energy) append "quadrature did not converge" to their detail when the
+profile's outer cache fill, which those values rest on, did not
+converge.
+
 :func:`delta_limit_check` is a family-level check (it builds its own
 profile, once, and reads the other scales off it): sup w must decrease
 strictly under halvings of delta and fall below a threshold, witnessing
@@ -81,6 +86,13 @@ class VerificationReport:
 
 def _geom(lo: float, hi: float, num: int) -> List[float]:
     return [float(x) for x in np.geomspace(lo, hi, num)]
+
+
+def _unconverged_note(profile: RadialProfile, converged: bool = True) -> str:
+    # the profile's grid values rest on its outer cache fill
+    if converged and profile.outer_converged():
+        return ""
+    return "; quadrature did not converge"
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +197,7 @@ def supersolution_check(
             worst_r = r
     passed = dominated and worst >= -slack
     note = "" if dominated else "; envelope fails to dominate the profile"
+    note += _unconverged_note(profile)
     return CheckResult(
         name="supersolution",
         grid_size=len(rs),
@@ -257,6 +270,7 @@ def normalization_check(
     )
     passed = non_increasing and ws[-1] <= tol_value
     note = "" if non_increasing else "; profile fails to be non-increasing"
+    note += _unconverged_note(profile)
     return CheckResult(
         name="normalization",
         grid_size=points,
@@ -315,7 +329,8 @@ def energy_diagnostic(
     integrated in one batch
     (:func:`~liouville.quadrature.integrate_segments`).  If a panel the
     batched rule could not certify also fails to converge on its scalar
-    redo, ``detail`` says so.
+    redo, or the profile's outer cache fill did not converge, ``detail``
+    says so.
     """
     if radii is None:
         radii = _geom(profile.delta, 1e3 * profile.delta, 64)
@@ -396,7 +411,7 @@ def energy_diagnostic(
         detail=(
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
-            + ("" if pieces.converged else "; quadrature did not converge")
+            + _unconverged_note(profile, pieces.converged)
         ),
     )
 
@@ -438,8 +453,10 @@ def delta_limit_check(
     must decrease strictly and end below ``threshold`` (an identically
     zero profile passes trivially).  One profile is built, at delta0;
     the other scales are its rescaled views
-    (:meth:`~liouville.construct.RadialProfile.rescaled`), each
-    evaluated by its own quadrature of sup w."""
+    (:meth:`~liouville.construct.RadialProfile.rescaled`).  All of them
+    read sup w = w(0) off one shared outer cache, filled once, in
+    closed form below the cache, so the sups cost no further
+    quadrature."""
     if j_count < 1:
         raise ValueError(f"j_count must be >= 1, got {j_count!r}")
     deltas = tuple(delta0 * 2.0**-j for j in range(j_count + 1))

@@ -178,6 +178,19 @@ class TestConstruct:
             [row["w"] for row in ref["rows"]], rel=1e-12
         )
 
+    def test_far_field_below_the_absolute_floor(self, capsys):
+        # w(5e5) is about 7e-17, below the stock 1e-14 absolute tolerance;
+        # a build with no absolute floor gives 7.2191844602e-17
+        code, out, err = run(
+            capsys, ["construct", "--n", "8", "--p", "3", "--power", "3.5", "--format", "json"]
+        )
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert report["delta"] == 0.5
+        last = report["rows"][-1]
+        assert last["r"] == pytest.approx(5e5, rel=1e-12)
+        assert last["w"] == pytest.approx(7.2191844602e-17, rel=1e-9, abs=0.0)
+
     def test_allow_nonmonotone_reaches_the_delta_search(self, capsys):
         # z^5 exp(-10z) peaks at z = 1/2, inside (0, eps]
         argv = ["construct", "--n", "3", "--p", "2", "--expr", "z^5*exp(-10*z)",
@@ -261,23 +274,22 @@ class TestVerify:
         assert code == EXIT_FAIL
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--n", "3", "--p", "2", "--power", "4"],
-        ["construct", "--n", "3", "--p", "2", "--power", "4", "--delta", "0.5",
-         "--grid-points", "4"],
-        ["sweep", "--n", "4", "--p", "2", "--family", "power",
-         "--start", "2.5", "--stop", "2.5", "--step", "1"],
-        # these accept delta = 0.25 and 0.5, below delta0
-        pytest.param(["verify", "--n", "3", "--p", "2", "--power", "3.2"], id="verify-halving"),
-        pytest.param(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--grid-points", "4"],
-                     id="construct-halving"),
-        pytest.param(["sweep", "--n", "4", "--p", "2", "--family", "power",
-                      "--start", "2.2", "--stop", "2.2", "--step", "1"], id="sweep-halving"),
-    ],
-    ids=lambda argv: argv[0],
-)
+_ONE_BUILD_COMMANDS = [
+    ["verify", "--n", "3", "--p", "2", "--power", "4"],
+    ["construct", "--n", "3", "--p", "2", "--power", "4", "--delta", "0.5",
+     "--grid-points", "4"],
+    ["sweep", "--n", "4", "--p", "2", "--family", "power",
+     "--start", "2.5", "--stop", "2.5", "--step", "1"],
+    # these accept delta = 0.25 and 0.5, below delta0
+    pytest.param(["verify", "--n", "3", "--p", "2", "--power", "3.2"], id="verify-halving"),
+    pytest.param(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--grid-points", "4"],
+                 id="construct-halving"),
+    pytest.param(["sweep", "--n", "4", "--p", "2", "--family", "power",
+                  "--start", "2.2", "--stop", "2.2", "--step", "1"], id="sweep-halving"),
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_BUILD_COMMANDS, ids=lambda argv: argv[0])
 def test_one_profile_build_per_command(capsys, monkeypatch, argv):
     # the delta search builds one profile, at delta0, and hands on that
     # profile or a rescaled view of it; nothing builds it again
@@ -292,6 +304,23 @@ def test_one_profile_build_per_command(capsys, monkeypatch, argv):
     code, _, err = run(capsys, argv)
     assert code == EXIT_OK, err
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("argv", _ONE_BUILD_COMMANDS, ids=lambda argv: argv[0])
+def test_one_outer_fill_per_command(capsys, monkeypatch, argv):
+    # the profile and its views share one outer cache: the delta search
+    # fills it, and the grids, sups and checks after it only read it
+    fills = []
+    fill = RadialProfile._fill_outer
+
+    def counted(self):
+        fills.append(self.delta)
+        return fill(self)
+
+    monkeypatch.setattr(RadialProfile, "_fill_outer", counted)
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    assert len(fills) == 1
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -10,6 +10,7 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -33,9 +34,11 @@ from liouville import (
     envelope,
     find_delta,
     integrate,
+    integrate_to_infinity,
     parse_nonlinearity,
     sup_profile,
 )
+from liouville.verify import delta_limit_check
 
 from conftest import grad_exact, inner_exact, w_exact
 
@@ -258,17 +261,30 @@ class TestProfile:
 # batched panels against the scalar quadrature they replace
 
 _SEG_TOL = Tolerance(rel=1e-12, absolute=0.0)
+# (f, params, delta of the build, delta of a rescaled view or None)
 _BATCHED_CASES = [
-    (Power(4.0), StructureParams(3, 2.0), 1.0),
-    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 0.5),
-    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0), 1.0),
+    (Power(4.0), StructureParams(3, 2.0), 1.0, None),
+    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 0.5, None),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0), 1.0, None),
+    # the critical log form again, read through a view of a filled cache
+    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 0.5, 2.0**-6),
 ]
 
 
-@pytest.fixture(scope="module", params=_BATCHED_CASES, ids=lambda c: repr(c[0]))
+@pytest.fixture(
+    scope="module",
+    params=_BATCHED_CASES,
+    ids=lambda c: repr(c[0]) + ("" if c[3] is None else f"-view{c[3]}"),
+)
 def batched_profile(request):
-    f, params, delta = request.param
-    return RadialProfile(f, params, delta)
+    f, params, delta, view_delta = request.param
+    prof = RadialProfile(f, params, delta)
+    if view_delta is None:
+        return prof
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof.profile_value(0.0)  # fill the outer cache at the build's scale
+    return prof.rescaled(view_delta)
 
 
 def test_cache_fill_matches_scalar_segments(batched_profile):
@@ -291,14 +307,107 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
     ],
     ids=["default-grid", "beyond-cache", "one-segment"],
 )
+@pytest.mark.filterwarnings("error")
 def test_values_on_grid_matches_scalar_segments(batched_profile, radii):
+    # the scalar route the cached one replaces: a tail quadrature at the
+    # outermost radius, then segment integrals down to the innermost
     prof = batched_profile
     rs = [float(r) * prof.delta for r in radii]
     ref = [0.0] * len(rs)
-    ref[-1] = prof.profile_value(rs[-1])
+    ref[-1] = integrate_to_infinity(prof._outer_integrand, rs[-1], _SEG_TOL).value
     for i in range(len(rs) - 2, -1, -1):
         ref[i] = ref[i + 1] + integrate(prof._outer_integrand, rs[i], rs[i + 1], _SEG_TOL).value
     assert prof.values_on_grid(rs) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_far_field_has_no_absolute_floor():
+    # w at large r is far below the stock tolerance's absolute floor; the
+    # stock build must still agree with a build that has no floor
+    radii = [float(r) for r in np.geomspace(1e-6, 1e6, 200)]
+    cases = ((Power(2.6), StructureParams(4, 2.0)), (Power(1.5), StructureParams(4, 1.5)))
+    for f, params in cases:
+        stock = RadialProfile(f, params, 1.0).values_on_grid(radii)
+        exact = RadialProfile(f, params, 1.0, _NO_FLOOR).values_on_grid(radii)
+        assert stock == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_source_far_below_underflow_builds():
+    # n=6, p=1.5, f = z^(q+4): f(env) underflows inside the cache, where
+    # the source term xi^5 f(env) is still resolvable in logs;
+    # I(inf) = delta^n eps^lambda B(n, k lambda - n)
+    params = StructureParams(6, 1.5)
+    lam = 4.666667
+    prof = RadialProfile(Power(lam), params, 1.0)
+    kl = prof.decay * lam
+    exact = math.gamma(6) * math.gamma(kl - 6.0) / math.gamma(kl)
+    assert prof.inner_limit() == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def test_negative_source_is_refused(params32):
+    # z^4 - z^3 < 0 on (0, 1), where the envelope lives
+    with pytest.raises(DomainError, match="negative"):
+        RadialProfile(parse_nonlinearity("z^4-z^3"), params32, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the outer cache: work counts
+
+
+def _count_fills(monkeypatch):
+    fills = []
+    fill = RadialProfile._fill_outer
+
+    def counted(self):
+        fills.append(self.delta)
+        return fill(self)
+
+    monkeypatch.setattr(RadialProfile, "_fill_outer", counted)
+    return fills
+
+
+def test_values_on_grid_costs_one_panel_per_radius(monkeypatch, params32):
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    fills = _count_fills(monkeypatch)
+    # every outer-integrand point evaluated through this profile; a panel
+    # is 15 points, batched or redone by the scalar rule alike
+    points = []
+    outer = prof._outer_array
+    monkeypatch.setattr(
+        prof, "_outer_array", lambda zeta: points.append(np.size(zeta)) or outer(zeta)
+    )
+    prof.profile_value(0.0)  # below the cache: closed form, after the fill
+    assert fills == [1.0]
+    assert 4000 * 15 <= sum(points) <= 5000 * 15
+    points.clear()
+    prof.values_on_grid(np.geomspace(1e-6, 1e6, 200))  # all inside the cache
+    assert 0 < sum(points) <= 200 * 15
+    # a view reads the same fill, scaled; off the cache w is closed form
+    points.clear()
+    view = prof.rescaled(0.25)
+    assert sup_profile(view) == pytest.approx(0.25**2 * prof.profile_value(0.0), rel=1e-14)
+    # w(r) = I(inf) / r above the cache, I(inf) = delta^3 / 3
+    assert view.profile_value(1e20) == pytest.approx(0.25**3 / 3e20, rel=1e-9, abs=0.0)
+    assert fills == [1.0] and points == []
+
+
+def test_delta_limit_check_fills_the_outer_cache_once(monkeypatch, params32):
+    fills = _count_fills(monkeypatch)
+    rep = delta_limit_check(Power(4.0), params32, j_count=10)
+    assert rep.passed
+    assert fills == [1.0]
+
+
+def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
+    # below the cache w(r) - w(z_lo) is far below the rounding of w itself,
+    # so the closed form is checked on its own
+    prof = batched_profile
+    z_lo, z_hi = prof._z_lo, prof._z_hi
+    rs = [0.0, 1e-3 * z_lo, 0.5 * z_lo]
+    ref = [integrate(prof._outer_integrand, r, z_lo, _SEG_TOL).value for r in rs]
+    assert prof._w_below(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
+    rs = [z_hi, 3.0 * z_hi]
+    ref = [integrate_to_infinity(prof._outer_integrand, r, _SEG_TOL).value for r in rs]
+    assert prof._w_above(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from liouville import (
     Tolerance,
     dyadic_shell_integrals,
     integrate,
+    integrate_intervals,
     integrate_panels,
     integrate_segments,
     integrate_to_infinity,
@@ -186,6 +187,40 @@ class TestIntegratePanels:
     def test_bad_edges_rejected(self, edges):
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, edges, TOL)
+
+
+class TestIntegrateIntervals:
+    def test_overlapping_and_empty_intervals(self):
+        # int_a^b x^2 = (b^3 - a^3) / 3; the empty interval is never evaluated
+        calls = []
+
+        def g_vec(x):
+            calls.append(x.shape[0])
+            return x * x
+
+        lo, hi = [0.0, 0.5, 2.0, 0.25], [1.0, 2.0, 2.0, 0.75]
+        res = integrate_intervals(g_vec, lo, hi, TOL)
+        exact = [(b**3 - a**3) / 3.0 for a, b in zip(lo, hi)]
+        assert res.values.tolist() == pytest.approx(exact, rel=1e-14, abs=0.0)
+        assert res.abs_errors[2] == 0.0
+        assert (res.fallbacks, res.converged) == (0, True)
+        assert calls == [3]
+
+    def test_panels_are_the_consecutive_case(self):
+        edges = [0.0, 0.3, 1.0, 4.0]
+        panels = integrate_panels(np.exp, edges, TOL)
+        intervals = integrate_intervals(np.exp, edges[:-1], edges[1:], TOL)
+        assert panels.values.tolist() == intervals.values.tolist()
+        assert panels.abs_errors.tolist() == intervals.abs_errors.tolist()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([0.0, 1.0], [1.0]), ([1.0], [0.5]), ([0.0], [math.inf]), ([math.nan], [1.0]),
+         ([[0.0]], [[1.0]])],
+    )
+    def test_bad_intervals_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            integrate_intervals(lambda x: x, lo, hi, TOL)
 
 
 def test_segments_split_at_breaks_and_sum_per_segment():

@@ -262,6 +262,19 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     assert flagged.energies == honest.energies
 
 
+def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
+    checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
+    honest = [check(RadialProfile(Power(4.0), params32, 1.0)) for check in checks]
+    fill = RadialProfile._fill_outer
+    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: (fill(self)[0], False))
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    assert not prof.outer_converged()
+    for check, ok in zip(checks, honest):
+        flagged = check(prof)
+        assert flagged.detail == ok.detail + "; quadrature did not converge"
+        assert (flagged.passed, flagged.worst_residual) == (ok.passed, ok.worst_residual)
+
+
 # ---------------------------------------------------------------------------
 # vanishing-sup limit
 

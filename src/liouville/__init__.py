@@ -11,7 +11,6 @@ checks the witness numerically.
 
 from .construct import (
     DeltaSearchOptions,
-    MonoCubic,
     RadialProfile,
     change_of_variables_check,
     decay_bound,
@@ -100,7 +99,7 @@ __all__ = [
     "StructureParams", "critical_exponent", "Verdict", "CriterionVerdict",
     "ClassifyOptions", "classify", "criterion_value", "criterion_integrand",
     # construction
-    "envelope", "RadialProfile", "MonoCubic", "sup_profile",
+    "envelope", "RadialProfile", "sup_profile",
     "change_of_variables_check", "decay_bound",
     "DeltaSearchOptions", "find_delta",
     # verification

@@ -19,23 +19,25 @@ divergence-form inequality with equality; it is a supersolution of the
 original problem once it stays below the envelope, which the delta
 search certifies.
 
-:class:`RadialProfile` freezes one (f, params, delta) triple and caches
-I on a log-log monotone cubic spline over sixteen decades around delta
-(eight on each side), and w itself at the same knots, so a profile
-value costs one quadrature panel against a cheap interpolant (or a
-closed form off the cache) instead of a nested double integral.  The
-cache fills and the profile on a grid evaluate their quadrature panels
-in batches (:func:`~liouville.quadrature.integrate_intervals`).
-Scaling in delta is exact (I_delta(z) = delta**n * I_1(z/delta) and
-w_delta(r) = delta**(p/(p-1)) * w_1(r/delta)), so one cache serves
-every scale: :meth:`RadialProfile.rescaled` reads the profile at
-another delta off it, and the delta search builds a single profile.
+Scaling in delta is exact: I_delta(z) = delta**n * I_1(z/delta) and
+w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  So the cache is one
+delta-free table in s = xi/delta, built at delta = 1 over sixteen
+decades (eight on each side of s = 1), and a :class:`RadialProfile` is
+that table plus its delta.  The table holds ln I_1 at the knots and its
+exact slopes s * source(s) / I_1(s) (I' is the source term), so ln I
+between knots is a cubic Hermite with no estimated slopes; and, filled
+on first use, I_1(inf) and w_1 at the same knots.  A profile value then
+costs one quadrature panel against the interpolant (or a closed form
+off the cache) instead of a nested double integral.  The cache fills
+and the profile on a grid evaluate their quadrature panels in batches
+(:func:`~liouville.quadrature.integrate_intervals`).
+:meth:`RadialProfile.rescaled` gives the profile at another delta on
+the same table, and the delta search builds a single profile.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -67,7 +69,6 @@ from .quadrature import (
 )
 
 __all__ = [
-    "MonoCubic",
     "RadialProfile",
     "envelope",
     "sup_profile",
@@ -76,108 +77,6 @@ __all__ = [
     "DeltaSearchOptions",
     "find_delta",
 ]
-
-
-class MonoCubic:
-    """Monotone piecewise-cubic interpolant (Fritsch-Carlson).
-
-    Given strictly increasing abscissae and monotone ordinates, the
-    interpolant preserves monotonicity: no overshoot between knots.
-    Derivatives at interior knots are weighted harmonic means of the
-    neighbouring secant slopes, zeroed where the secants change sign;
-    endpoint derivatives use a one-sided three-point formula clamped
-    to at most three times the boundary secant.
-    """
-
-    __slots__ = ("xs", "ys", "ms", "_arrays")
-
-    def __init__(self, xs: Sequence[float], ys: Sequence[float]):
-        if len(xs) != len(ys):
-            raise ValueError("xs and ys must have equal length")
-        if len(xs) < 2:
-            raise ValueError("need at least two knots")
-        for a, b in zip(xs, xs[1:]):
-            if not b > a:
-                raise ValueError("abscissae must be strictly increasing")
-        n = len(xs)
-        h = [xs[i + 1] - xs[i] for i in range(n - 1)]
-        d = [(ys[i + 1] - ys[i]) / h[i] for i in range(n - 1)]
-        ms = [0.0] * n
-        for i in range(1, n - 1):
-            if d[i - 1] * d[i] <= 0.0:
-                ms[i] = 0.0
-            else:
-                w1 = 2.0 * h[i] + h[i - 1]
-                w2 = h[i] + 2.0 * h[i - 1]
-                ms[i] = (w1 + w2) / (w1 / d[i - 1] + w2 / d[i])
-        ms[0] = self._edge(h[0], h[1], d[0], d[1]) if n > 2 else d[0]
-        ms[-1] = self._edge(h[-1], h[-2], d[-1], d[-2]) if n > 2 else d[-1]
-        self.xs = list(map(float, xs))
-        self.ys = list(map(float, ys))
-        self.ms = ms
-        self._arrays = (np.array(self.xs), np.array(self.ys), np.array(ms))
-
-    @staticmethod
-    def _edge(h0: float, h1: float, d0: float, d1: float) -> float:
-        m = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-        if m * d0 <= 0.0:
-            return 0.0
-        if d0 * d1 <= 0.0 and abs(m) > 3.0 * abs(d0):
-            return 3.0 * d0
-        return m
-
-    def __call__(self, x: float) -> float:
-        xs = self.xs
-        if x < xs[0] or x > xs[-1]:
-            raise ValueError(f"{x!r} outside interpolation range [{xs[0]!r}, {xs[-1]!r}]")
-        i = bisect_right(xs, x) - 1
-        if i == len(xs) - 1:
-            i -= 1
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return (
-            h00 * self.ys[i]
-            + h10 * h * self.ms[i]
-            + h01 * self.ys[i + 1]
-            + h11 * h * self.ms[i + 1]
-        )
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Array form of calling the interpolant, elementwise, with the
-        same arithmetic and the same out-of-range ``ValueError``."""
-        xs, ys, ms = self._arrays
-        x = np.asarray(x, dtype=float)
-        bad = np.flatnonzero((x < xs[0]) | (x > xs[-1]))
-        if bad.size:
-            raise ValueError(
-                f"{float(x.flat[bad[0]])!r} outside interpolation range "
-                f"[{self.xs[0]!r}, {self.xs[-1]!r}]"
-            )
-        i = np.minimum(np.searchsorted(xs, x, side="right") - 1, len(xs) - 2)
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        t2 = t * t
-        t3 = t2 * t
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + t
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        return h00 * ys[i] + h10 * h * ms[i] + h01 * ys[i + 1] + h11 * h * ms[i + 1]
-
-    def shifted(self, dx: float, dy: float) -> "MonoCubic":
-        """The interpolant through the knots (x + dx, y + dy).  A translate
-        has the same slopes, so nothing is refitted."""
-        xs, ys, ms = self._arrays
-        out = object.__new__(MonoCubic)
-        out._arrays = (xs + dx, ys + dy, ms)
-        out.xs, out.ys, out.ms = out._arrays[0].tolist(), out._arrays[1].tolist(), self.ms
-        return out
 
 
 def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
@@ -196,31 +95,88 @@ def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
     return env
 
 
-# The inner-integral cache: log-spaced nodes over [delta/span, delta*span].
+# The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta.
 _CACHE_NODES = 4096
 _CACHE_SPAN = 1e8
 
 
 def _exp_checked(x: np.ndarray, what: str, at: np.ndarray) -> np.ndarray:
     # exp of a log-domain array, refusing what would overflow a double
-    over = np.flatnonzero(x > _LOG_MAX)
-    if over.size:
-        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[over[0]])!r}")
+    if (x > _LOG_MAX).any():
+        i = np.flatnonzero(x > _LOG_MAX)[0]
+        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[i])!r}")
     return np.exp(x)
+
+
+def _hermite(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
+
+    Each point takes the cubic of its knot interval.  The interval index
+    is clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
+    """
+    i = np.searchsorted(xs[1:-1], x, side="right")
+    h = xs[i + 1] - xs[i]
+    u = (x - xs[i]) / h
+    d = ys[i + 1] - ys[i]
+    a, b = h * ms[i], h * ms[i + 1]
+    return ys[i] + u * (a + u * (3.0 * d - 2.0 * a - b + u * (a + b - 2.0 * d)))
+
+
+def _ln_source(f: Nonlinearity, params: StructureParams, s: np.ndarray) -> np.ndarray:
+    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0
+    # (-inf where f vanishes); in logs throughout, because far out f(env)
+    # underflows long before the source term does
+    k = (params.n - params.p) / (params.p - 1.0)
+    sign, ln_f = f.log_value(math.log(params.eps) - k * np.log1p(s))
+    neg = np.flatnonzero(sign < 0)
+    if neg.size:
+        raise DomainError(f"source term is negative at xi/delta={float(s.flat[neg[0]])!r}")
+    return np.where(sign > 0, (params.n - 1) * np.log(s) + ln_f, -np.inf)
+
+
+class _UnitTable:
+    """The inner integral at delta = 1, shared by every scale.
+
+    I_delta(z) = delta**n * I_1(z/delta), so one table in s = xi/delta
+    serves every delta.  It holds the knots s (from the first one where
+    I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
+    s * source(s) / I_1(s), and I_1 at the last knot.  Filled on first
+    use: I_1(inf), the outer cache W_1 (w at delta = 1 at the knots)
+    with the converged flag of its fill, and the criterion result.
+    """
+
+    def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
+        s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
+
+        def source(x: np.ndarray) -> np.ndarray:
+            return _exp_checked(_ln_source(f, params, x), "source term", x)
+
+        cum = np.cumsum(integrate_panels(source, np.concatenate(([0.0], s)), tol).values)
+        keep = cum > 0.0  # the sums never decrease, so this drops a prefix
+        self.last = float(cum[-1])
+        self.s = s[keep]
+        self.ln_s = np.log(self.s)
+        self.ln_i = np.log(cum[keep])
+        self.slopes = np.exp(self.ln_s + _ln_source(f, params, self.s) - self.ln_i)
+        self.limit: Optional[float] = None
+        self.outer: Optional[Tuple[np.ndarray, bool]] = None
+        self.criterion: Optional[QuadratureResult] = None
 
 
 class RadialProfile:
     """The constructed profile for one (f, params, delta) triple.
 
-    Building the object immediately fills the inner-integral cache:
-    4096 log-spaced nodes spanning eight decades on each side of delta,
-    cumulative quadrature increments between nodes, and a monotone
-    cubic through (log z, log I).  Off-cache queries fall back to the
-    exact limiting behaviour: I grows like z**n below the cache (the
-    envelope is flat there) and saturates at the full-line limit above
-    it.  The first profile value fills the outer cache, w at the same
-    knots.  :meth:`rescaled` gives the profile at any other delta from
-    the same caches, without a second fill.
+    A profile is a :class:`_UnitTable` plus its delta.  Building one
+    fills the table: I at delta = 1 at 4096 log-spaced knots spanning
+    eight decades on each side of s = xi/delta = 1, by cumulative
+    quadrature increments, with the exact slopes of ln I in ln s (I' is
+    the source term).  Inside the cache ln I is the cubic Hermite through
+    those values and slopes; off it I follows its exact limiting
+    behaviour: it grows like z**n below the cache (the envelope is flat
+    there) and saturates at the full-line limit above it.  The first
+    profile value fills the outer cache, w at the same knots.
+    :meth:`rescaled` gives the profile at any other delta on the same
+    table, which it neither copies nor fills again.
     """
 
     def __init__(
@@ -237,62 +193,24 @@ class RadialProfile:
         self.q = critical_exponent(params)
         self.decay = (params.n - params.p) / (params.p - 1.0)
         self._env = envelope(params, self.delta)  # validates delta
-        self._inner_limit: Optional[float] = None
-        # shared with every rescaled view: the criterion does not depend on
-        # delta, and the outer cache (the delta of its fill, w at the knots,
-        # the fill's converged flag) scales exactly
-        self._criterion: List[Optional[QuadratureResult]] = [None]
-        self._outer: List[Optional[Tuple[float, np.ndarray, bool]]] = [None]
         self._seg_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
-
-        zs = np.geomspace(self.delta / _CACHE_SPAN, self.delta * _CACHE_SPAN, _CACHE_NODES)
-        segments = integrate_panels(self._source_array, np.concatenate(([0.0], zs)), self._seg_tol)
-        cum = np.cumsum(segments.values).tolist()
-        zs = zs.tolist()
-        self._zs = zs
-        self._cum = cum
-
-        first_pos = next((i for i, v in enumerate(cum) if v > 0.0), None)
-        if first_pos is None:
-            self._interp = None
-            self._z_lo = self._z_hi = None
-            self._knots = np.empty(0)
-        else:
-            xs = [math.log(z) for z in zs[first_pos:]]
-            ys = [math.log(v) for v in cum[first_pos:]]
-            self._interp = MonoCubic(xs, ys)
-            self._z_lo = zs[first_pos]
-            self._z_hi = zs[-1]
-            self._knots = np.array(zs[first_pos:])
+        self._table = _UnitTable(f, params, self._seg_tol)
 
     def rescaled(self, delta: float) -> "RadialProfile":
-        """The profile at scale ``delta``, read off this one's cache.
+        """The profile at scale ``delta``, on this one's table.
 
-        Scaling is exact: with c = delta / self.delta, I_delta(z) =
-        c**n * I(z/c).  So the cache knots scale by c, the sums and I(inf)
-        (computed here once: at small delta its tail quadrature would
-        meet the absolute tolerance floor) by c**n, and the log-log
-        interpolant shifts by (ln c, n ln c).  The criterion cache and
-        the outer cache (w scales by c**(p/(p-1))) are shared.  Returns
-        ``self`` at this profile's own scale; raises what
-        :meth:`inner_limit` raises.
+        Scaling is exact: I_delta(z) = delta**n * I_1(z/delta) and
+        w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  The view shares
+        the table, with everything filled in it so far, and copies
+        nothing.  Returns ``self`` at this profile's own scale.
         """
         env = envelope(self.params, delta)  # validates delta
         if delta == self.delta:
             return self
-        c = delta / self.delta
-        n = self.params.n
         view = object.__new__(RadialProfile)
         view.__dict__.update(self.__dict__)
         view.delta = float(delta)
         view._env = env
-        view._zs = (c * np.array(self._zs)).tolist()
-        view._cum = (c**n * np.array(self._cum)).tolist()
-        view._knots = c * self._knots
-        if self._interp is not None:
-            view._interp = self._interp.shifted(math.log(c), n * math.log(c))
-            view._z_lo, view._z_hi = c * self._z_lo, c * self._z_hi
-        view._inner_limit = c**n * self.inner_limit()
         return view
 
     def __repr__(self) -> str:
@@ -310,17 +228,6 @@ class RadialProfile:
         if out > _LOG_MAX:
             raise EvalOverflow(f"source term exceeds double range at xi={xi!r}")
         return math.exp(out)
-
-    def _source_array(self, xi: np.ndarray) -> np.ndarray:
-        # array form of _source for xi > 0, in logs throughout: far out
-        # f(env) underflows long before xi**(n-1) * f(env) does
-        ln_env = math.log(self.params.eps) - self.decay * np.log1p(xi / self.delta)
-        sign, ln_f = self.f.log_value(ln_env)
-        neg = np.flatnonzero(sign < 0)
-        if neg.size:
-            raise DomainError(f"source term is negative at xi={float(xi.flat[neg[0]])!r}")
-        out = _exp_checked((self.params.n - 1) * np.log(xi) + ln_f, "source term", xi)
-        return np.where(sign > 0, out, 0.0)
 
     # -- envelope ----------------------------------------------------------
 
@@ -360,10 +267,11 @@ class RadialProfile:
             )
         return integrate_to_infinity(self._source, z_from, self.tol)
 
-    def inner_limit(self) -> float:
-        """I(inf), the total source mass over the half line."""
-        if self._inner_limit is None:
-            res = self._source_tail(self._zs[-1])
+    def _unit_limit(self) -> float:
+        # I_1(inf), computed once per table, at delta = 1
+        t = self._table
+        if t.limit is None:
+            res = self.rescaled(1.0)._source_tail(_CACHE_SPAN)
             # A genuinely divergent source stalls at >= 22% relative
             # error even in the mildest (logarithmic) case, because the
             # endpoint panel of the tail transform never shrinks.  A
@@ -377,106 +285,100 @@ class RadialProfile:
                     "the source integral does not converge; the criterion integral "
                     "diverges for this nonlinearity (run classify first)"
                 )
-            self._inner_limit = self._cum[-1] + res.value
-        return self._inner_limit
+            t.limit = t.last + res.value
+        return t.limit
+
+    def inner_limit(self) -> float:
+        """I(inf), the total source mass over the half line."""
+        return self.delta**self.params.n * self._unit_limit()
 
     def inner_integral(self, z: float) -> float:
-        """I(z), computed exactly: cached in range, direct quadrature
-        off range, and the full limit at z = inf."""
+        """I(z): the cache's Hermite in range, direct quadrature off
+        range, and the full limit at z = inf."""
         if math.isnan(z):
             raise DomainError(f"z must be a real number, got {z!r}")
         if z <= 0.0:
             return 0.0
         if math.isinf(z):
             return self.inner_limit()
-        if self._interp is None:
+        t = self._table
+        if not t.s.size:
             return 0.0
-        if z < self._z_lo:
+        s = z / self.delta
+        if s < t.s[0]:
             return integrate(self._source, 0.0, z, self.tol).value
-        if z <= self._z_hi:
-            return self._cached(z)
-        return self._cum[-1] + integrate(self._source, self._z_hi, z, self.tol).value
+        if s <= t.s[-1]:
+            return math.exp(self._ln_inner(np.float64(z)))
+        edge = self.delta * t.s[-1]
+        return self.delta**self.params.n * t.last + integrate(self._source, edge, z, self.tol).value
 
-    def _cached(self, z: float) -> float:
-        # I(z) for z_lo <= z <= z_hi.  A rescaled view's knots are
-        # shifted logs, so log z may fall an ulp outside them at the ends.
-        xs = self._interp.xs
-        return math.exp(self._interp(min(max(math.log(z), xs[0]), xs[-1])))
-
-    def _inner_model(self, z: float) -> float:
-        # I as the outer integrand sees it: the cached interpolant, the
-        # limiting power model below the cache, saturation above it.
-        if z <= 0.0 or self._interp is None:
-            return 0.0
-        if z < self._z_lo:
-            return math.exp(self._interp.ys[0]) * (z / self._z_lo) ** self.params.n
-        if z <= self._z_hi:
-            return self._cached(z)
-        return self.inner_limit()
+    def _ln_inner(self, z: np.ndarray) -> np.ndarray:
+        # ln I(z) for z > 0: the Hermite inside the cache, the limiting
+        # power law z**n below it, saturation at I(inf) above it
+        t, n = self._table, self.params.n
+        s = z / self.delta
+        ln_s = np.log(s)
+        below = t.ln_i[0] + n * (ln_s - t.ln_s[0])
+        out = np.where(s < t.s[0], below, _hermite(ln_s, t.ln_s, t.ln_i, t.slopes))
+        if (s > t.s[-1]).any():
+            out = np.where(s > t.s[-1], math.log(self._unit_limit()), out)
+        return out + n * math.log(self.delta)
 
     # -- the profile -------------------------------------------------------
 
-    def _outer_integrand(self, zeta: float) -> float:
-        iv = self._inner_model(zeta)
-        if iv == 0.0:
-            return 0.0
-        out = (math.log(iv) - (self.params.n - 1) * math.log(zeta)) / (self.params.p - 1.0)
-        if out > _LOG_MAX:
-            raise EvalOverflow(f"outer integrand exceeds double range at zeta={zeta!r}")
-        return math.exp(out)
-
     def _outer_array(self, zeta: np.ndarray) -> np.ndarray:
-        # array form of _outer_integrand for z_lo <= zeta <= z_hi, in logs
+        # |w'(zeta)| = (I(zeta) / zeta**(n-1))**(1/(p-1)) for zeta > 0, in logs
+        if not self._table.s.size:
+            return np.zeros_like(zeta)
         n, p = self.params.n, self.params.p
-        ln_z = np.log(zeta)
-        xs = self._interp.xs
-        # np.log may put a knot one ulp past its math.log value
-        ln_i = self._interp.values(np.clip(ln_z, xs[0], xs[-1]))
-        return _exp_checked((ln_i - (n - 1) * ln_z) / (p - 1.0), "outer integrand", zeta)
+        ln_w1 = (self._ln_inner(zeta) - (n - 1) * np.log(zeta)) / (p - 1.0)
+        return _exp_checked(ln_w1, "outer integrand", zeta)
 
     # The outer cache W holds w at the cache knots.  Above the cache I is
     # saturated and below it a power of zeta, so w is closed form there.
 
     def _w_above(self, r: np.ndarray) -> np.ndarray:
-        # w(r) for r >= z_hi: integral of (I(inf) / zeta**(n-1))**(1/(p-1))
+        # w(r) for r at or above the cache: the integral of
+        # (I(inf) / zeta**(n-1))**(1/(p-1))
         k = self.decay
         ln_w = math.log(self.inner_limit()) / (self.params.p - 1.0) - k * np.log(r)
         return _exp_checked(ln_w, "profile", r) / k
 
     def _w_below(self, r: np.ndarray) -> np.ndarray:
         # w(r) - w(z_lo) for r <= z_lo, where I(zeta) = I(z_lo) (zeta/z_lo)**n
-        n, p, z_lo = self.params.n, self.params.p, self._z_lo
+        t, n, p = self._table, self.params.n, self.params.p
+        z_lo = self.delta * t.s[0]
         beta = p / (p - 1.0)
-        ln_scale = (self._interp.ys[0] - (n - p) * math.log(z_lo)) / (p - 1.0)
+        ln_scale = (n * math.log(self.delta) + t.ln_i[0] - (n - p) * math.log(z_lo)) / (p - 1.0)
         scale = _exp_checked(np.full(r.shape, ln_scale), "profile", r)
         return scale / beta * (1.0 - (r / z_lo) ** beta)
 
     def _outer_cache(self) -> Tuple[np.ndarray, bool]:
         """W at this profile's knots, and whether its fill converged.
 
-        Filled once, on first use, by the profile or view that needs it
-        first; the others read it scaled by c**(p/(p-1)), c = delta /
-        delta of the fill.
+        The table's W_1, filled once, on first use, at delta = 1, and
+        scaled by delta**(p/(p-1)).
         """
-        if self._outer[0] is None:
-            self._outer[0] = (self.delta,) + self._fill_outer()
-        delta, ws, converged = self._outer[0]
-        if delta != self.delta:
-            p = self.params.p
-            ws = (self.delta / delta) ** (p / (p - 1.0)) * ws
-        return ws, converged
+        t = self._table
+        if t.outer is None:
+            t.outer = self.rescaled(1.0)._fill_outer()
+        ws, converged = t.outer
+        p = self.params.p
+        return self.delta ** (p / (p - 1.0)) * ws, converged
 
     def _fill_outer(self) -> Tuple[np.ndarray, bool]:
         # one panel per knot interval, summed down from the closed form at
-        # z_hi; that needs I(inf), so a divergent source raises before the panels
-        tail = self._w_above(self._knots[-1:])
-        panels = integrate_panels(self._outer_array, self._knots, self._seg_tol)
+        # the last knot; that needs I(inf), so a divergent source raises
+        # before the panels
+        knots = self.delta * self._table.s
+        tail = self._w_above(knots[-1:])
+        panels = integrate_panels(self._outer_array, knots, self._seg_tol)
         return np.cumsum(np.concatenate((tail, panels.values[::-1])))[::-1], panels.converged
 
     def outer_converged(self) -> bool:
         """Whether every panel of the outer cache fill met its tolerance
         (True for an identically zero profile, which needs no fill)."""
-        return self._interp is None or self._outer_cache()[1]
+        return not self._table.s.size or self._outer_cache()[1]
 
     def profile_value(self, r: float) -> float:
         """w(r) = integral_r^inf (I(zeta)/zeta**(n-1))**(1/(p-1)) d zeta,
@@ -503,17 +405,21 @@ class RadialProfile:
         for a, b in zip(rs, rs[1:]):
             if not b > a:
                 raise ValueError("radii must be strictly increasing")
-        if self._interp is None:
+        t = self._table
+        if not t.s.size:
             return [0.0] * len(rs)
         ws, _ = self._outer_cache()
         rs = np.array(rs)
+        s = rs / self.delta
         out = np.empty_like(rs)
-        below, above = rs < self._z_lo, rs > self._z_hi
+        below, above = s < t.s[0], s > t.s[-1]
         inside = ~(below | above)
         out[below] = ws[0] + self._w_below(rs[below])
         out[above] = self._w_above(rs[above])
-        j = np.searchsorted(self._knots, rs[inside])
-        gaps = integrate_intervals(self._outer_array, rs[inside], self._knots[j], self._seg_tol)
+        j = np.searchsorted(t.s, s[inside])
+        # delta * s may round an ulp below a radius that sits on a knot
+        ends = np.maximum(self.delta * t.s[j], rs[inside])
+        gaps = integrate_intervals(self._outer_array, rs[inside], ends, self._seg_tol)
         out[inside] = ws[j] + gaps.values
         return out.tolist()
 
@@ -521,13 +427,14 @@ class RadialProfile:
         """|w'(r)| = (I(r)/r**(n-1))**(1/(p-1)) for r > 0."""
         if math.isnan(r) or r <= 0.0:
             raise DomainError(f"radius must be > 0, got {r!r}")
-        return self._outer_integrand(r)
+        return float(self._outer_array(np.float64(r)))
 
     def criterion_result(self) -> QuadratureResult:
         """Cached numeric value of the criterion integral of f."""
-        if self._criterion[0] is None:
-            self._criterion[0] = criterion_value(self.f, self.params, self.tol)
-        return self._criterion[0]
+        t = self._table
+        if t.criterion is None:
+            t.criterion = criterion_value(self.f, self.params, self.tol)
+        return t.criterion
 
 
 def sup_profile(profile: RadialProfile) -> float:

@@ -18,11 +18,11 @@ integrands that underflow doubles at zeta around 1e-100 are still
 resolved.  A shell whose quadrature did not converge makes the verdict
 inconclusive.
 
-Honest limits of the numeric route, with default options: a pure power
-within about 1.5e-3 of the critical exponent is reported as divergent
-even though an integral with exponent gap d > 0 technically converges,
-and gaps up to a few times 1e-2 come back inconclusive.  The analytic
-route has no such blur; prefer the family types when they apply.
+Honest limits of the numeric route: a pure power within about 1.5e-3
+of the critical exponent is reported as divergent even though an
+integral with exponent gap d > 0 technically converges, and gaps up to
+a few times 1e-2 come back inconclusive.  The analytic route has no
+such blur; prefer the family types when they apply.
 """
 
 from __future__ import annotations
@@ -130,32 +130,22 @@ class CriterionVerdict:
 
 @dataclass(frozen=True)
 class ClassifyOptions:
-    """Knobs for the numeric classifier.
+    """Options of :func:`classify`: ``check_monotonicity=False`` waives
+    the sampled non-decrease check."""
 
-    ``shell_count`` dyadic shells are probed; decisions look at the
-    deeper half.  ``ratio_cutoff`` and ``slope_cut`` separate "no
-    decay" from "clear decay"; between them the verdict is
-    inconclusive.  A convergent verdict additionally requires the
-    geometric tail bound to be at most ``tail_fraction`` of the partial
-    sum, so the unseen remainder cannot flip the conclusion.
-    ``check_monotonicity=False`` waives the sampled non-decrease check.
-    """
-
-    shell_count: int = 40
-    ratio_cutoff: float = 0.999
-    slope_cut: float = 0.01
-    tail_fraction: float = 0.25
     check_monotonicity: bool = True
 
-    def __post_init__(self) -> None:
-        if self.shell_count < 8:
-            raise ValueError(f"shell_count must be >= 8, got {self.shell_count!r}")
-        if not 0.0 < self.ratio_cutoff < 1.0:
-            raise ValueError(f"ratio_cutoff must lie in (0, 1), got {self.ratio_cutoff!r}")
-        if self.slope_cut <= 0.0:
-            raise ValueError(f"slope_cut must be positive, got {self.slope_cut!r}")
-        if not 0.0 < self.tail_fraction < 1.0:
-            raise ValueError(f"tail_fraction must lie in (0, 1), got {self.tail_fraction!r}")
+
+# The numeric classifier probes _SHELL_COUNT dyadic shells and decides on
+# the deeper half.  _RATIO_CUTOFF and _SLOPE_CUT separate "no decay" from
+# "clear decay"; between them the verdict is inconclusive.  A convergent
+# verdict also needs the geometric tail bound to be at most
+# _TAIL_FRACTION of the partial sum, so the unseen remainder cannot flip
+# the conclusion.
+_SHELL_COUNT = 40
+_RATIO_CUTOFF = 0.999
+_SLOPE_CUT = 0.01
+_TAIL_FRACTION = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +354,7 @@ def classify(
             detail=f"log exponent {f.mu!r} < -1 at the critical power",
         )
 
-    return _classify_numeric(f, params, opts, tol)[1]
+    return _classify_numeric(f, params, tol)[1]
 
 
 def _shell_tolerance(tol: Tolerance) -> Tolerance:
@@ -383,24 +373,23 @@ def _check_shell_depth(eps: float, count: int) -> None:
 def _classify_numeric(
     f: Nonlinearity,
     params: StructureParams,
-    opts: ClassifyOptions,
     tol: Tolerance,
 ) -> Tuple[List[QuadratureResult], CriterionVerdict]:
-    """The ``opts.shell_count`` outermost shells and the verdict on them."""
+    """The ``_SHELL_COUNT`` outermost shells and the verdict on them."""
     g = criterion_integrand(f, params)
-    _check_shell_depth(params.eps, opts.shell_count)
+    _check_shell_depth(params.eps, _SHELL_COUNT)
     try:
-        results = _dyadic_shells(g, params.eps, opts.shell_count, _shell_tolerance(tol))
+        results = _dyadic_shells(g, params.eps, _SHELL_COUNT, _shell_tolerance(tol))
     except EvaluationError as exc:
         return [], CriterionVerdict(
             Verdict.INCONCLUSIVE,
             "numeric",
             detail=f"integrand evaluation failed while probing shells: {exc}",
         )
-    return results, _decide(results, opts)
+    return results, _decide(results)
 
 
-def _decide(results: Sequence[QuadratureResult], opts: ClassifyOptions) -> CriterionVerdict:
+def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
     """Verdict of the numeric classifier on the shell integrals ``results``."""
     vals = [r.value for r in results]
     err_sum = math.fsum(r.abs_error for r in results)
@@ -437,7 +426,7 @@ def _decide(results: Sequence[QuadratureResult], opts: ClassifyOptions) -> Crite
     _, slope, _ = _ls_line(xs, [math.log(v) for v in win])
     ratios = [win[i + 1] / win[i] for i in range(len(win) - 1)]
 
-    if min(ratios) >= opts.ratio_cutoff and slope >= -opts.slope_cut:
+    if min(ratios) >= _RATIO_CUTOFF and slope >= -_SLOPE_CUT:
         return CriterionVerdict(
             Verdict.DIVERGES,
             "numeric",
@@ -449,11 +438,11 @@ def _decide(results: Sequence[QuadratureResult], opts: ClassifyOptions) -> Crite
             ),
         )
 
-    if slope <= -opts.slope_cut and max(ratios) < 1.0:
+    if slope <= -_SLOPE_CUT and max(ratios) < 1.0:
         rho = max(ratios)
         partial = math.fsum(vals)
         geo_bound = vals[-1] * rho / (1.0 - rho)
-        if geo_bound <= opts.tail_fraction * partial:
+        if geo_bound <= _TAIL_FRACTION * partial:
             tail, tail_err, label = _fit_tail(vals)
             return CriterionVerdict(
                 Verdict.CONVERGES,
@@ -531,8 +520,7 @@ def criterion_value(
     else:
         # Decide on the classifier's shells, the outermost ones here at
         # the same tolerance, then integrate only the deeper ones.
-        opts = ClassifyOptions(check_monotonicity=False)
-        results, verdict = _classify_numeric(f, params, opts, tol)
+        results, verdict = _classify_numeric(f, params, tol)
         if verdict.verdict is Verdict.DIVERGES:
             raise DivergentIntegralError(f"the criterion integral diverges: {verdict.detail}")
         if verdict.verdict is Verdict.INCONCLUSIVE:

@@ -22,10 +22,11 @@ The five profile checks:
   its natural normalization must stay within a bounded factor of its
   median across two decades of radii.
 
-The three checks that read w on a grid (supersolution, normalization,
-energy) append "quadrature did not converge" to their detail when the
-profile's outer cache fill, which those values rest on, did not
-converge.
+A check appends "quadrature did not converge" to its detail when a
+quadrature it rests on did not converge: the flux check its source-side
+quadratures, and the three checks that read w on a grid (supersolution,
+normalization, energy) the profile's outer cache fill, which those
+values rest on.
 
 :func:`delta_limit_check` is a family-level check (it builds its own
 profile, once, and reads the other scales off it): sup w must decrease
@@ -41,7 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .construct import MonoCubic, RadialProfile, sup_profile
+from .construct import RadialProfile, _hermite, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate, integrate_segments
@@ -88,23 +89,38 @@ def _geom(lo: float, hi: float, num: int) -> List[float]:
     return [float(x) for x in np.geomspace(lo, hi, num)]
 
 
-def _unconverged_note(profile: RadialProfile, converged: bool = True) -> str:
-    # the profile's grid values rest on its outer cache fill
-    if converged and profile.outer_converged():
-        return ""
-    return "; quadrature did not converge"
+def _unconverged_note(converged: bool) -> str:
+    return "" if converged else "; quadrature did not converge"
 
 
 # ---------------------------------------------------------------------------
 # flux identity
 
 
-def _flux(profile: RadialProfile, r: float) -> float:
-    gm = profile.gradient_magnitude(r)
-    if gm == 0.0:
-        return 0.0
+def _flux(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
+    # the radial flux r**(n-1) |w'(r)|**(p-1), in logs
     n, p = profile.params.n, profile.params.p
-    return math.exp((n - 1) * math.log(r) + (p - 1.0) * math.log(gm))
+    with np.errstate(divide="ignore"):
+        return np.exp((n - 1) * np.log(r) + (p - 1.0) * np.log(profile._outer_array(r)))
+
+
+def _flux_defects(
+    profile: RadialProfile, r: np.ndarray, h: np.ndarray
+) -> Tuple[np.ndarray, bool]:
+    # flux_residual_at for each pair (r[i], h[i]), and whether every
+    # source quadrature converged
+    bad = np.flatnonzero(~((0.0 < h) & (h < r)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"need 0 < h < r, got h={float(h[i])!r}, r={float(r[i])!r}")
+    lhs = _flux(profile, r + h) - _flux(profile, r - h)
+    tol = Tolerance(rel=1e-13, absolute=0.0)
+    rhs = [integrate(profile._source, a - b, a + b, tol) for a, b in zip(r.tolist(), h.tolist())]
+    values = np.array([x.value for x in rhs])
+    den = np.maximum(np.abs(lhs), np.abs(values))
+    with np.errstate(invalid="ignore"):
+        defects = np.where(den == 0.0, 0.0, np.abs(lhs - values) / den)
+    return defects, all(x.converged for x in rhs)
 
 
 def flux_residual_at(profile: RadialProfile, r: float, h: float) -> float:
@@ -116,16 +132,8 @@ def flux_residual_at(profile: RadialProfile, r: float, h: float) -> float:
     integrands, so halving h should shrink it about fourfold until
     quadrature noise takes over.
     """
-    if not 0.0 < h < r:
-        raise ValueError(f"need 0 < h < r, got h={h!r}, r={r!r}")
-    lhs = _flux(profile, r + h) - _flux(profile, r - h)
-    rhs = integrate(
-        profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0)
-    ).value
-    den = max(abs(lhs), abs(rhs))
-    if den == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / den
+    defects, _ = _flux_defects(profile, np.array([r], dtype=float), np.array([h], dtype=float))
+    return float(defects[0])
 
 
 def flux_identity_check(
@@ -139,26 +147,23 @@ def flux_identity_check(
     The window half-width adapts: each factor of ``h_factors`` times r
     is tried and the smallest residual kept, so the check is not fooled
     by windows too wide (curvature) or too narrow (cancellation).
+    ``detail`` says so when a source quadrature did not converge.
     """
     if radii is None:
         radii = _geom(0.01 * profile.delta, 100.0 * profile.delta, 13)
-    worst = 0.0
-    worst_r = None
-    for r in radii:
-        best = math.inf
-        for fac in h_factors:
-            res = flux_residual_at(profile, r, fac * r)
-            if res < best:
-                best = res
-        if best > worst:
-            worst = best
-            worst_r = r
+    radii = list(radii)
+    rs = np.repeat(np.array(radii, dtype=float), len(h_factors))
+    defects, converged = _flux_defects(profile, rs, rs * np.tile(h_factors, len(radii)))
+    best = defects.reshape(len(radii), len(h_factors)).min(axis=1)
+    i = int(np.argmax(best))
+    worst, worst_r = (float(best[i]), radii[i]) if best[i] > 0.0 else (0.0, None)
     return CheckResult(
         name="flux_identity",
-        grid_size=len(list(radii)),
+        grid_size=len(radii),
         worst_residual=worst,
         passed=worst <= target,
-        detail=f"worst relative flux defect {worst:.3e} at r={worst_r!r}",
+        detail=f"worst relative flux defect {worst:.3e} at r={worst_r!r}"
+        + _unconverged_note(converged),
     )
 
 
@@ -197,7 +202,7 @@ def supersolution_check(
             worst_r = r
     passed = dominated and worst >= -slack
     note = "" if dominated else "; envelope fails to dominate the profile"
-    note += _unconverged_note(profile)
+    note += _unconverged_note(profile.outer_converged())
     return CheckResult(
         name="supersolution",
         grid_size=len(rs),
@@ -226,7 +231,7 @@ def gradient_decay_check(
     if levels < 4:
         raise ValueError(f"levels must be >= 4, got {levels!r}")
     rs = [profile.delta * 2.0**-j for j in range(levels + 1)]
-    vs = [profile.gradient_magnitude(r) for r in rs]
+    vs = profile._outer_array(np.array(rs)).tolist()
     peak = max(range(len(vs)), key=lambda i: vs[i])
     monotone = all(
         vs[i + 1] <= vs[i] * (1.0 + 1e-12) + 1e-300 for i in range(peak, len(vs) - 1)
@@ -270,7 +275,7 @@ def normalization_check(
     )
     passed = non_increasing and ws[-1] <= tol_value
     note = "" if non_increasing else "; profile fails to be non-increasing"
-    note += _unconverged_note(profile)
+    note += _unconverged_note(profile.outer_converged())
     return CheckResult(
         name="normalization",
         grid_size=points,
@@ -322,8 +327,9 @@ def energy_diagnostic(
     """Energies and ratios of :class:`EnergyDiagnostic` at ``radii``.
 
     w is sampled on a 512-point log grid by ``values_on_grid`` and
-    interpolated log-log by a monotone cubic, held constant below and
-    above the sampled range.  The interpolant is only C1 at its knots,
+    interpolated log-log by the cubic Hermite with the exact slopes
+    d ln w / d ln r = -r |w'(r)| / w(r), held constant below and above
+    the sampled range.  The interpolant is only C1 at its knots,
     so the energy integral is cut into panels at every knot inside
     (0, radii[-1]) as well as at the radii, and all panels are
     integrated in one batch
@@ -358,16 +364,16 @@ def energy_diagnostic(
             detail="profile vanishes identically; energy is zero at every radius",
         )
 
-    # log-log interpolant of w over the positive part of the grid
-    pos = [(g, w) for g, w in zip(grid, ws) if w > 0.0]
-    interp = MonoCubic([math.log(g) for g, _ in pos], [math.log(w) for _, w in pos])
-    knots = np.array([g for g, _ in pos])
-    w_lo, w_hi = pos[0][1], pos[-1][1]
+    # log-log Hermite of w over the positive part of the grid, with the
+    # exact slopes d ln w / d ln r = -r |w'| / w
+    keep = np.array(ws) > 0.0
+    knots, w_k = np.array(grid)[keep], np.array(ws)[keep]
+    ln_r, ln_w = np.log(knots), np.log(w_k)
+    slopes = -knots * profile._outer_array(knots) / w_k
 
     def w_tilde(rho: np.ndarray) -> np.ndarray:
-        # np.log may put a knot one ulp past its math.log value
-        inside = np.exp(interp.values(np.clip(np.log(rho), interp.xs[0], interp.xs[-1])))
-        return np.where(rho <= knots[0], w_lo, np.where(rho >= knots[-1], w_hi, inside))
+        inside = np.exp(_hermite(np.log(rho), ln_r, ln_w, slopes))
+        return np.where(rho <= knots[0], w_k[0], np.where(rho >= knots[-1], w_k[-1], inside))
 
     def e_density(rho: np.ndarray) -> np.ndarray:
         wv = w_tilde(rho)
@@ -411,7 +417,7 @@ def energy_diagnostic(
         detail=(
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
-            + _unconverged_note(profile, pieces.converged)
+            + _unconverged_note(pieces.converged and profile.outer_converged())
         ),
     )
 

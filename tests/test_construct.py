@@ -10,9 +10,11 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
 import math
+import tracemalloc
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,6 @@ from liouville import (
     DeltaSearchOptions,
     DivergentIntegralError,
     DomainError,
-    MonoCubic,
     Power,
     PowerLog,
     RadialProfile,
@@ -38,81 +39,10 @@ from liouville import (
     parse_nonlinearity,
     sup_profile,
 )
+from liouville.construct import _hermite
 from liouville.verify import delta_limit_check
 
 from conftest import grad_exact, inner_exact, w_exact
-
-
-# ---------------------------------------------------------------------------
-# monotone cubic
-
-
-class TestMonoCubic:
-    def test_interpolates_knots(self):
-        xs = [0.0, 1.0, 2.5, 4.0]
-        ys = [1.0, 2.0, 2.2, 7.0]
-        m = MonoCubic(xs, ys)
-        for x, y in zip(xs, ys):
-            assert m(x) == pytest.approx(y, abs=1e-15)
-
-    def test_monotone_between_knots(self):
-        m = MonoCubic([0.0, 1.0, 2.0, 3.0], [0.0, 0.1, 5.0, 5.05])
-        grid = np.linspace(0.0, 3.0, 400)
-        vals = [m(x) for x in grid]
-        assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
-
-    @given(
-        ys=st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=3, max_size=12)
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_for_random_increasing_data(self, ys):
-        cum = list(np.cumsum(ys))
-        xs = list(range(len(cum)))
-        m = MonoCubic(xs, cum)
-        grid = np.linspace(0, len(cum) - 1, 257)
-        vals = [m(float(x)) for x in grid]
-        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_matches_scipy_pchip_flavor(self):
-        # not identical algorithms, but both are C1 monotone cubics;
-        # on smooth monotone data they agree to interpolation accuracy
-        from scipy.interpolate import PchipInterpolator
-
-        xs = np.linspace(0.0, 3.0, 31)
-        ys = np.log1p(np.exp(xs))
-        ours = MonoCubic(list(xs), list(ys))
-        ref = PchipInterpolator(xs, ys)
-        for x in np.linspace(0.05, 2.95, 97):
-            assert ours(float(x)) == pytest.approx(float(ref(x)), abs=5e-5)
-
-    def test_out_of_range_raises(self):
-        m = MonoCubic([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            m(-0.1)
-        with pytest.raises(ValueError):
-            m(1.1)
-
-    def test_rejects_non_increasing_xs(self):
-        with pytest.raises(ValueError):
-            MonoCubic([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
-
-    def test_shifted_matches_refit(self):
-        xs = np.cumsum(np.linspace(0.1, 1.0, 40))
-        ys = np.log1p(xs) + np.sin(xs) / 4.0
-        moved = MonoCubic(list(xs), list(ys)).shifted(-3.0, 7.5)
-        refit = MonoCubic(list(xs - 3.0), list(ys + 7.5))
-        pts = np.linspace(xs[0] - 3.0, xs[-1] - 3.0, 301)
-        assert moved.values(pts) == pytest.approx(refit.values(pts), rel=1e-13, abs=0.0)
-        assert [moved(float(x)) for x in pts] == moved.values(pts).tolist()
-
-    def test_array_values_match_calls(self):
-        xs = np.cumsum(np.linspace(0.1, 1.0, 40))
-        m = MonoCubic(list(xs), list(np.log1p(xs) + np.sin(xs) / 4.0))
-        pts = np.concatenate((xs, np.linspace(xs[0], xs[-1], 301)))
-        # same arithmetic in the same order: equal to the last bit
-        assert m.values(pts).tolist() == [m(float(x)) for x in pts]
-        with pytest.raises(ValueError):
-            m.values(np.array([xs[1], xs[-1] + 1e-9]))
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +219,37 @@ def batched_profile(request):
 
 def test_cache_fill_matches_scalar_segments(batched_profile):
     prof = batched_profile
-    zs = prof._zs
+    table = prof._table
+    zs = (prof.delta * table.s).tolist()
     acc = integrate(prof._source, 0.0, zs[0], _SEG_TOL).value
     ref = [acc]
     for a, b in zip(zs, zs[1:]):
         acc += integrate(prof._source, a, b, _SEG_TOL).value
         ref.append(acc)
-    assert prof._cum == pytest.approx(ref, rel=1e-10, abs=0.0)
+    cached = prof.delta**prof.params.n * np.exp(table.ln_i)
+    assert cached.tolist() == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+_KNOT_INTEGRALS = {}
+
+
+def _knot_split_integral(prof, a, b):
+    """Scalar quadrature of |w'| over [a, b] within the cache, split at
+    the cache knots: |w'| is only C1 there, and an unsplit adaptive
+    quadrature can claim an accuracy it lacks.  Whole knot intervals are
+    integrated once per profile."""
+    knots = prof.delta * prof._table.s
+    whole = _KNOT_INTEGRALS.setdefault(prof, {})
+    lo, hi = np.searchsorted(knots, a, side="right"), np.searchsorted(knots, b, side="left")
+    if lo >= hi:  # no knot inside (a, b)
+        return integrate(prof.gradient_magnitude, a, b, _SEG_TOL).value
+    parts = [integrate(prof.gradient_magnitude, a, knots[lo], _SEG_TOL).value]
+    for i in range(lo, hi - 1):
+        if i not in whole:
+            whole[i] = integrate(prof.gradient_magnitude, knots[i], knots[i + 1], _SEG_TOL).value
+        parts.append(whole[i])
+    parts.append(integrate(prof.gradient_magnitude, knots[hi - 1], b, _SEG_TOL).value)
+    return math.fsum(parts)
 
 
 @pytest.mark.parametrize(
@@ -310,13 +264,27 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
 @pytest.mark.filterwarnings("error")
 def test_values_on_grid_matches_scalar_segments(batched_profile, radii):
     # the scalar route the cached one replaces: a tail quadrature at the
-    # outermost radius, then segment integrals down to the innermost
+    # outermost radius, then segment integrals down to the innermost,
+    # split at the cache ends and, inside the cache, at its knots
     prof = batched_profile
+    gm = prof.gradient_magnitude
+    z_lo, z_hi = (prof.delta * prof._table.s[[0, -1]]).tolist()
+
+    def segment(a, b):
+        cuts = [a] + [z for z in (z_lo, z_hi) if a < z < b] + [b]
+        return math.fsum(
+            _knot_split_integral(prof, x, y)
+            if z_lo <= x and y <= z_hi
+            else integrate(gm, x, y, _SEG_TOL).value
+            for x, y in zip(cuts, cuts[1:])
+        )
+
     rs = [float(r) * prof.delta for r in radii]
+    top = max(rs[-1], z_hi)
     ref = [0.0] * len(rs)
-    ref[-1] = integrate_to_infinity(prof._outer_integrand, rs[-1], _SEG_TOL).value
+    ref[-1] = segment(rs[-1], top) + integrate_to_infinity(gm, top, _SEG_TOL).value
     for i in range(len(rs) - 2, -1, -1):
-        ref[i] = ref[i + 1] + integrate(prof._outer_integrand, rs[i], rs[i + 1], _SEG_TOL).value
+        ref[i] = ref[i + 1] + segment(rs[i], rs[i + 1])
     assert prof.values_on_grid(rs) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
@@ -347,6 +315,75 @@ def test_negative_source_is_refused(params32):
     # z^4 - z^3 < 0 on (0, 1), where the envelope lives
     with pytest.raises(DomainError, match="negative"):
         RadialProfile(parse_nonlinearity("z^4-z^3"), params32, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact-slope Hermite between the cache knots
+
+class TestHermite:
+    # ln(1 + e**x) and its exact slope, the logistic function
+    xs = np.linspace(-3.0, 3.0, 25)
+    ys = np.log1p(np.exp(xs))
+    ms = 1.0 / (1.0 + np.exp(-xs))
+
+    def test_interpolates_knots(self):
+        assert _hermite(self.xs, self.xs, self.ys, self.ms) == pytest.approx(self.ys, abs=1e-15)
+
+    def test_monotone_between_knots(self):
+        # uneven knots, but each interval's end slopes within three times
+        # its secant slope: the exact slopes keep the cubics increasing
+        xs = np.array([-3.0, -1.0, 0.0, 2.0, 3.0])
+        ys, ms = np.log1p(np.exp(xs)), 1.0 / (1.0 + np.exp(-xs))
+        vals = _hermite(np.linspace(-3.0, 3.0, 4001), xs, ys, ms)
+        assert np.all(np.diff(vals) >= -1e-14)
+
+    def test_out_of_range_takes_end_cubic(self):
+        # the interval index is clamped: no error, the end cubics extend
+        xs, ys, ms = self.xs, self.ys, self.ms
+        out = _hermite(np.array([xs[0] - 1e-9, xs[-1] + 1e-9]), xs, ys, ms)
+        assert out == pytest.approx([ys[0] - 1e-9 * ms[0], ys[-1] + 1e-9 * ms[-1]], abs=1e-15)
+
+    def test_scalar_matches_array(self):
+        pts = np.linspace(self.xs[0], self.xs[-1], 301)
+        vals = _hermite(pts, self.xs, self.ys, self.ms)
+        # the same arithmetic on a 0-d array: equal to the last bit
+        assert [float(_hermite(np.float64(x), self.xs, self.ys, self.ms)) for x in pts] == vals.tolist()
+        # and a cubic Hermite reproduces the cubic it was fitted to
+        cubic = lambda x: x**3 - 2.0 * x  # noqa: E731
+        assert _hermite(pts, self.xs, cubic(self.xs), 3.0 * self.xs**2 - 2.0) == pytest.approx(
+            cubic(pts), abs=1e-12
+        )
+
+
+# (n, p, lambda): at eps = delta = 1, I(z) = B(z/(1+z); n, k lambda - n)
+_BETA_CASES = [(3, 2.0, 4.0), (3, 2.0, 5.96543), (8, 3.0, 4.35671), (8, 3.0, 6.29058)]
+
+
+@pytest.fixture(scope="module", params=_BETA_CASES, ids=lambda c: f"n{c[0]}-p{c[1]:g}-z^{c[2]}")
+def beta_profile(request):
+    n, p, lam = request.param
+    return RadialProfile(Power(lam), StructureParams(n, p), 1.0)
+
+
+def test_inner_integral_between_knots_matches_incomplete_beta(beta_profile):
+    prof = beta_profile
+    n, b = prof.params.n, prof.decay * prof.f.exponent - prof.params.n
+    ln_s = prof._table.ln_s
+    # the quarter and mid points of every knot interval, in ln s
+    zs = np.exp(ln_s[:-1, None] + np.diff(ln_s)[:, None] * [0.25, 0.5]).ravel().tolist()
+    ours = np.array([prof.inner_integral(z) for z in zs])
+    # mpmath's double-precision context, within 3e-12 of its arbitrary-
+    # precision one here and four times faster
+    exact = np.array([mpmath.fp.betainc(n, b, 0, z / (1.0 + z)) for z in zs])
+    assert np.max(np.abs(ours / exact - 1.0)) <= 1e-10
+
+
+def test_hermite_of_ln_inner_is_monotone(beta_profile):
+    table = beta_profile._table
+    x = np.linspace(table.ln_s[0], table.ln_s[-1], 200_001)
+    y = _hermite(x, table.ln_s, table.ln_i, table.slopes)
+    # rounding of ln I aside, which is about an ulp of it
+    assert np.all(np.diff(y) >= -2.0 * np.spacing(np.abs(y[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +438,13 @@ def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
     # below the cache w(r) - w(z_lo) is far below the rounding of w itself,
     # so the closed form is checked on its own
     prof = batched_profile
-    z_lo, z_hi = prof._z_lo, prof._z_hi
+    gm = prof.gradient_magnitude
+    z_lo, z_hi = (prof.delta * prof._table.s[[0, -1]]).tolist()
     rs = [0.0, 1e-3 * z_lo, 0.5 * z_lo]
-    ref = [integrate(prof._outer_integrand, r, z_lo, _SEG_TOL).value for r in rs]
+    ref = [integrate(gm, r, z_lo, _SEG_TOL).value for r in rs]
     assert prof._w_below(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
     rs = [z_hi, 3.0 * z_hi]
-    ref = [integrate_to_infinity(prof._outer_integrand, r, _SEG_TOL).value for r in rs]
+    ref = [integrate_to_infinity(gm, r, _SEG_TOL).value for r in rs]
     assert prof._w_above(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -454,7 +492,13 @@ def test_rescaled_view_matches_fresh_build(unit_profile, j):
 def test_rescaled_view_shares_and_frees(params32):
     base = RadialProfile(Power(4.0), params32, 1.0)
     assert base.rescaled(1.0) is base
+    tracemalloc.start()
     view = base.rescaled(0.25)
+    allocated = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # the view shares the table and copies none of its 4096-knot arrays
+    assert view._table is base._table
+    assert allocated < 8192
     assert view.f is base.f and view.tol is base.tol
     assert view.criterion_result() is base.criterion_result()
     assert sup_profile(view) == pytest.approx(0.25**2 / 6.0, rel=1e-9)

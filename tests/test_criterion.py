@@ -515,9 +515,9 @@ def test_unconverged_shell_makes_the_verdict_inconclusive(params32):
     # the same shell values give a verdict only while every shell converged
     g = criterion_integrand(parse_nonlinearity("z^4 * exp(z^2)"), params32)
     results = _dyadic_shells(g, 1.0, 40, Tolerance(rel=1e-12, absolute=0.0))
-    assert _decide(results, ClassifyOptions()).verdict is Verdict.CONVERGES
+    assert _decide(results).verdict is Verdict.CONVERGES
     starved = [QuadratureResult(r.value, r.abs_error, r.subdivisions, k != 7) for k, r in enumerate(results)]
-    v = _decide(starved, ClassifyOptions())
+    v = _decide(starved)
     assert v.verdict is Verdict.INCONCLUSIVE
     assert v.detail == "a shell quadrature did not converge, so the shell values are not certified"
 

@@ -15,7 +15,6 @@ import pytest
 
 import liouville.verify as verify_module
 from liouville import (
-    MonoCubic,
     Power,
     PowerLog,
     RadialProfile,
@@ -23,6 +22,7 @@ from liouville import (
     Tolerance,
     delta_limit_check,
     energy_diagnostic,
+    find_delta,
     flux_identity_check,
     flux_residual_at,
     gradient_decay_check,
@@ -32,6 +32,7 @@ from liouville import (
     supersolution_check,
     verify_profile,
 )
+from liouville.construct import _hermite
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -68,6 +69,40 @@ class TestFlux:
         res = flux_identity_check(instance_profile, radii=[0.5, 1.0, 2.0])
         assert res.passed
         assert res.grid_size == 3
+
+    def test_check_reports_unconverged_quadrature(self, instance_profile, monkeypatch):
+        honest = flux_identity_check(instance_profile)
+        scalar = verify_module.integrate
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(scalar(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(verify_module, "integrate", unconverged)
+        flagged = flux_identity_check(instance_profile)
+        assert flagged.detail == honest.detail + "; quadrature did not converge"
+        assert (flagged.passed, flagged.worst_residual) == (honest.passed, honest.worst_residual)
+
+
+# Benchmark inputs whose flux check failed (defects 1.4e-6 to 4.8e-6 at
+# r = 46.4) while the cache interpolant estimated its slopes
+@pytest.mark.parametrize(
+    "f, n, p",
+    [
+        (Power(4.35671), 8, 3.0),
+        (Power(1.42567), 4, 1.5),
+        (Power(5.96543), 3, 2.0),
+        (parse_nonlinearity("z^3*log(e+1/z)^-2"), 4, 2.0),
+        (parse_nonlinearity("z^3.77888*log(e+1/z)^-2"), 8, 3.0),
+        (parse_nonlinearity("z^4.35824"), 8, 3.0),
+        (parse_nonlinearity("z^5.91857*log(e+1/z)^-2"), 3, 2.0),
+        (parse_nonlinearity("z^1.39049"), 4, 1.5),
+        (parse_nonlinearity("z^4.43176*log(e+1/z)^-2"), 8, 3.0),
+    ],
+    ids=repr,
+)
+def test_flux_identity_passes_on_benchmark_inputs(f, n, p):
+    res = flux_identity_check(find_delta(f, StructureParams(n, p)))
+    assert res.passed, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +217,17 @@ def _scalar_energy(profile):
     if ws[0] == 0.0:
         return [0.0] * 64, [0.0] * 64, True
     pos = [(g, w) for g, w in zip(grid, ws) if w > 0.0]
-    interp = MonoCubic([math.log(g) for g, _ in pos], [math.log(w) for _, w in pos])
+    ln_r = np.log([g for g, _ in pos])
+    ln_w = np.log([w for _, w in pos])
+    # d ln w / d ln r = -r |w'| / w
+    slopes = np.array([-g * profile.gradient_magnitude(g) / w for g, w in pos])
 
     def w_tilde(rho):
         if rho <= pos[0][0]:
             return pos[0][1]
         if rho >= pos[-1][0]:
             return pos[-1][1]
-        return math.exp(interp(math.log(rho)))
+        return math.exp(_hermite(np.float64(math.log(rho)), ln_r, ln_w, slopes))
 
     def density(rho):
         wv = w_tilde(rho)

@@ -22,13 +22,18 @@ search certifies.
 Scaling in delta is exact: I_delta(z) = delta**n * I_1(z/delta) and
 w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  So the cache is one
 delta-free table in s = xi/delta, built at delta = 1 over sixteen
-decades (eight on each side of s = 1), and a :class:`RadialProfile` is
-that table plus its delta.  The table holds ln I_1 at the knots and its
-exact slopes s * source(s) / I_1(s) (I' is the source term), so ln I
-between knots is a cubic Hermite with no estimated slopes; and, filled
-on first use, I_1(inf) and w_1 at the same knots.  A profile value then
-costs one quadrature panel against the interpolant (or a closed form
-off the cache) instead of a nested double integral.  The cache fills
+decades (eight on each side of s = 1) and on for 40 halvings of the
+envelope, and a :class:`RadialProfile` is that table plus its delta.
+The table holds ln I_1 at the knots and its exact slopes
+s * source(s) / I_1(s) (I' is the source term), so ln I between knots
+is a cubic Hermite with no estimated slopes; and, filled on first use,
+I_1(inf) and w_1 at the same knots.  Substituting zeta = env(xi) makes
+the source mass beyond the last knot a * eps**q (a = 1/k) times the
+criterion integral below env there, up to a weight within
+(n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
+A profile value then costs one quadrature panel against the
+interpolant (or a closed form off the cache) instead of a nested double
+integral.  The cache fills
 and the profile on a grid evaluate their quadrature panels in batches
 (:func:`~liouville.quadrature.integrate_intervals`).
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
@@ -46,6 +51,7 @@ import numpy as np
 from .criterion import (
     StructureParams,
     Verdict,
+    _integral_below,
     classify,
     criterion_value,
     critical_exponent,
@@ -57,7 +63,7 @@ from .errors import (
     DomainError,
     EvalOverflow,
 )
-from .nonlinearity import _LOG_MAX, Nonlinearity, PowerLog
+from .nonlinearity import _LOG_MAX, Nonlinearity
 from .quadrature import (
     DEFAULT_TOLERANCE,
     QuadratureResult,
@@ -95,9 +101,13 @@ def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
     return env
 
 
-# The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta.
+# The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta;
+# the table continues it for _EXTRA_OCTAVES halvings of the envelope.
 _CACHE_NODES = 4096
 _CACHE_SPAN = 1e8
+_EXTRA_OCTAVES = 40
+_LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
+_NOT_CONVERGED = "the source integral does not converge to tolerance"
 
 
 def _exp_checked(x: np.ndarray, what: str, at: np.ndarray) -> np.ndarray:
@@ -140,20 +150,30 @@ class _UnitTable:
     I_delta(z) = delta**n * I_1(z/delta), so one table in s = xi/delta
     serves every delta.  It holds the knots s (from the first one where
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
-    s * source(s) / I_1(s), and I_1 at the last knot.  Filled on first
-    use: I_1(inf), the outer cache W_1 (w at delta = 1 at the knots)
-    with the converged flag of its fill, and the criterion result.
+    s * source(s) / I_1(s), I_1 at the last knot with the fill's summed
+    error, and the envelope there.  Filled on first use: I_1(inf), the
+    outer cache W_1 (w at delta = 1 at the knots) with the converged flag
+    of its fill, and the criterion result.
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
-        s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
+        # past the cache ln(1 + s) steps by a ln 2 / 8: env = eps * (1 + s)**(-1/a)
+        # halves every 8 knots
+        a = (params.p - 1.0) / (params.n - params.p)
+        ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / 8.0 * np.arange(1, 8 * _EXTRA_OCTAVES + 1)
+        extra = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
+        s = np.concatenate((np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES), extra))
 
         def source(x: np.ndarray) -> np.ndarray:
-            return _exp_checked(_ln_source(f, params, x), "source term", x)
+            # a subnormal value has too few digits to resolve, and cannot move the sums
+            ln = _ln_source(f, params, x)
+            return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", x)
 
-        cum = np.cumsum(integrate_panels(source, np.concatenate(([0.0], s)), tol).values)
+        fill = integrate_panels(source, np.concatenate(([0.0], s)), tol)
+        cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
-        self.last = float(cum[-1])
+        self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
+        self.top = params.eps * math.exp(-math.log1p(s[-1]) / a)
         self.s = s[keep]
         self.ln_s = np.log(self.s)
         self.ln_i = np.log(cum[keep])
@@ -168,13 +188,15 @@ class RadialProfile:
 
     A profile is a :class:`_UnitTable` plus its delta.  Building one
     fills the table: I at delta = 1 at 4096 log-spaced knots spanning
-    eight decades on each side of s = xi/delta = 1, by cumulative
-    quadrature increments, with the exact slopes of ln I in ln s (I' is
-    the source term).  Inside the cache ln I is the cubic Hermite through
-    those values and slopes; off it I follows its exact limiting
-    behaviour: it grows like z**n below the cache (the envelope is flat
-    there) and saturates at the full-line limit above it.  The first
-    profile value fills the outer cache, w at the same knots.
+    eight decades on each side of s = xi/delta = 1, then 320 knots over
+    40 further halvings of the envelope, by cumulative quadrature
+    increments, with the exact slopes of ln I in ln s (I' is the source
+    term).  Inside the cache ln I is the cubic Hermite through those
+    values and slopes; off it I follows its limiting behaviour: it grows
+    like z**n below the cache (the envelope is flat there) and is taken
+    as saturated at I(inf) above it, where the envelope is 2**-40 of its
+    value at the last cache knot.  The first profile value fills the
+    outer cache, w at the same knots.
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
     """
@@ -236,60 +258,36 @@ class RadialProfile:
 
     # -- inner integral ----------------------------------------------------
 
-    def _source_tail(self, z_from: float) -> QuadratureResult:
-        """Source mass on [z_from, inf).
-
-        Critically-powered log corrections get an exact change of
-        variables (s = 1 + xi/delta, then u = ln s) because their raw
-        tail decays like 1/(xi * ln(xi)**-mu), which interval bisection
-        cannot resolve.  In the u variable the integrand is a plain
-        power u**mu and the standard tail transform handles it.
-        """
-        f = self.f
-        n, eps = self.params.n, self.params.eps
-        k, delta = self.decay, self.delta
-        if isinstance(f, PowerLog) and abs(f.power * k - n) <= 1e-12 * n:
-            mu, ln_eps = f.mu, math.log(eps)
-
-            def in_log_scale(u: float) -> float:
-                if u <= 0.0:
-                    return 0.0
-                shrink = -math.expm1(-u)
-                log_factor = k * u - ln_eps + math.log1p(math.e * eps * math.exp(-k * u))
-                if log_factor <= 0.0:
-                    return 0.0
-                return shrink ** (n - 1) * log_factor**mu
-
-            res = integrate_to_infinity(in_log_scale, math.log1p(z_from / delta), self.tol)
-            scale = delta**n * eps**f.power
-            return QuadratureResult(
-                scale * res.value, scale * res.abs_error, res.subdivisions, res.converged
-            )
-        return integrate_to_infinity(self._source, z_from, self.tol)
-
     def _unit_limit(self) -> float:
-        # I_1(inf), computed once per table, at delta = 1
+        # I_1(inf), once per table: the table's last sum plus the mass
+        # beyond its last knot.  With zeta = env_1(s) that mass is
+        # a * eps**q times the criterion integral below top = env_1(s_end),
+        # weighted by (1 - (zeta/eps)**a)**(n-1), which lies within
+        # [1 - (n-1)/(1+s_end), 1] there: take the midpoint.
         t = self._table
         if t.limit is None:
-            res = self.rescaled(1.0)._source_tail(_CACHE_SPAN)
-            # A genuinely divergent source stalls at >= 22% relative
-            # error even in the mildest (logarithmic) case, because the
-            # endpoint panel of the tail transform never shrinks.  A
-            # convergent source with a slow algebraic tail stalls too,
-            # but at <= 0.6% once the decay rate clears the critical
-            # one by 0.1 or so.  A 5% gate separates the two; sources
-            # within ~0.1 of critical decay are rejected conservatively.
-            stalled = res.abs_error > max(0.05 * abs(res.value), 1e3 * self.tol.absolute)
-            if not res.converged and stalled:
-                raise DivergentIntegralError(
-                    "the source integral does not converge; the criterion integral "
-                    "diverges for this nonlinearity (run classify first)"
+            n, tol = self.params.n, self.tol
+            scale = self.params.eps**self.q / self.decay
+            # the remainder needs only the accuracy of its share of I_1(inf)
+            floor = tol.rel * t.last / scale if scale > 0.0 else 0.0
+            try:
+                rest = _integral_below(self.f, self.params, t.top, Tolerance(tol.rel, floor))
+            except CriterionUndecidedError as exc:
+                raise CriterionUndecidedError(f"{_NOT_CONVERGED}: {exc}") from None
+            mass = scale * rest.value
+            half = 0.5 * (n - 1) * (t.top / self.params.eps) ** (1.0 / self.decay) * mass
+            value, error = t.last + mass - half, t.last_error + scale * rest.abs_error + half
+            if not (rest.converged and error <= tol.bound(value)):
+                raise CriterionUndecidedError(
+                    f"{_NOT_CONVERGED}: I(inf) = {value!r} +- {error!r} at delta = 1, "
+                    f"{mass!r} of it beyond the table"
                 )
-            t.limit = t.last + res.value
+            t.limit = value
         return t.limit
 
     def inner_limit(self) -> float:
-        """I(inf), the total source mass over the half line."""
+        """I(inf), the total source mass over the half line.  Raises
+        :class:`CriterionUndecidedError` when it misses the tolerance."""
         return self.delta**self.params.n * self._unit_limit()
 
     def inner_integral(self, z: float) -> float:
@@ -495,15 +493,16 @@ def decay_bound(profile: RadialProfile, r: float) -> float:
         C = a * (a * delta**n * eps**q * K)**(1/(p-1)),
         a = (p-1)/(n-p),
 
-    where K is the numeric value of the criterion integral of f; a
-    divergent f therefore raises before any bound is produced.
+    where K is the numeric value of the criterion integral of f plus its
+    error estimate, so an unconverged value widens the bound; a divergent
+    f raises before any bound is produced.
     """
     if math.isnan(r) or r <= 0.0:
         raise DomainError(f"radius must be > 0, got {r!r}")
     params = profile.params
     a = (params.p - 1.0) / (params.n - params.p)
-    kf = profile.criterion_result().value
-    c = a * (a * profile.delta ** params.n * params.eps**profile.q * kf) ** (
+    k = profile.criterion_result()
+    c = a * (a * profile.delta ** params.n * params.eps**profile.q * (k.value + k.abs_error)) ** (
         1.0 / (params.p - 1.0)
     )
     return c * r**-profile.decay

@@ -18,6 +18,10 @@ integrands that underflow doubles at zeta around 1e-100 are still
 resolved.  A shell whose quadrature did not converge makes the verdict
 inconclusive.
 
+One routine values the integral below any point, :func:`_integral_below`:
+:func:`criterion_value` is it at eps, and the profile's source limit
+I(inf) below the envelope's last tabulated value.
+
 Honest limits of the numeric route: a pure power within about 1.5e-3
 of the critical exponent is reported as divergent even though an
 integral with exponent gap d > 0 technically converges, and gaps up to
@@ -56,7 +60,6 @@ from .quadrature import (
     QuadratureResult,
     Tolerance,
     _dyadic_shells,
-    integrate_to_infinity,
 )
 
 __all__ = [
@@ -321,40 +324,28 @@ def classify(
                 "pass check_monotonicity=False to waive"
             )
 
+    analytic = _analytic(f, q)
+    if analytic is None:
+        return _classify_numeric(f, params, tol)[1]
+    converges, detail = analytic
+    if not converges:
+        return CriterionVerdict(Verdict.DIVERGES, "analytic", detail=detail)
+    res = _integral_below(f, params, params.eps, tol)
+    return CriterionVerdict(
+        Verdict.CONVERGES, "analytic", value=res.value, abs_error=res.abs_error, detail=detail
+    )
+
+
+def _analytic(f: Nonlinearity, q: float) -> Optional[Tuple[bool, str]]:
+    """Whether the criterion integral converges, and why, for the two
+    families decided analytically (None for any other f)."""
     if isinstance(f, Power):
-        lam = f.exponent
-        if lam <= q:
-            return CriterionVerdict(
-                Verdict.DIVERGES,
-                "analytic",
-                detail=f"power exponent {lam!r} <= critical exponent {q!r}",
-            )
-        value = params.eps ** (lam - q) / (lam - q)
-        return CriterionVerdict(
-            Verdict.CONVERGES,
-            "analytic",
-            value=value,
-            abs_error=4e-16 * abs(value),
-            detail=f"power exponent {lam!r} > critical exponent {q!r}",
-        )
-
+        c = f.exponent > q
+        return c, f"power exponent {f.exponent!r} {'>' if c else '<='} critical exponent {q!r}"
     if isinstance(f, PowerLog) and f.power == q:
-        if f.mu >= -1.0:
-            return CriterionVerdict(
-                Verdict.DIVERGES,
-                "analytic",
-                detail=f"log exponent {f.mu!r} >= -1 at the critical power",
-            )
-        res = criterion_value(f, params, tol)
-        return CriterionVerdict(
-            Verdict.CONVERGES,
-            "analytic",
-            value=res.value,
-            abs_error=res.abs_error,
-            detail=f"log exponent {f.mu!r} < -1 at the critical power",
-        )
-
-    return _classify_numeric(f, params, tol)[1]
+        c = f.mu < -1.0
+        return c, f"log exponent {f.mu!r} {'<' if c else '>='} -1 at the critical power"
+    return None
 
 
 def _shell_tolerance(tol: Tolerance) -> Tolerance:
@@ -363,11 +354,11 @@ def _shell_tolerance(tol: Tolerance) -> Tolerance:
     return Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
 
 
-def _check_shell_depth(eps: float, count: int) -> None:
-    # The lower edge of the deepest shell, computed as _dyadic_shells
-    # computes it, must not underflow to 0: the integrand is NaN there.
-    if not 0.5 * (eps * 0.5 ** (count - 1)) > 0.0:
-        raise ValueError(f"eps={eps!r} is too small: {count} dyadic shells below it reach z = 0")
+def _check_shell_depth(eps: float, top: float, count: int) -> None:
+    # The deepest shell's lower edge, as _dyadic_shells computes it, must
+    # not underflow to 0: the integrand is NaN there.
+    if not 0.5 * (top * 0.5 ** (count - 1)) > 0.0:
+        raise ValueError(f"eps={eps!r} is too small: {count} shells below z={top!r} reach z = 0")
 
 
 def _classify_numeric(
@@ -377,7 +368,7 @@ def _classify_numeric(
 ) -> Tuple[List[QuadratureResult], CriterionVerdict]:
     """The ``_SHELL_COUNT`` outermost shells and the verdict on them."""
     g = criterion_integrand(f, params)
-    _check_shell_depth(params.eps, _SHELL_COUNT)
+    _check_shell_depth(params.eps, params.eps, _SHELL_COUNT)
     try:
         results = _dyadic_shells(g, params.eps, _SHELL_COUNT, _shell_tolerance(tol))
     except EvaluationError as exc:
@@ -477,7 +468,72 @@ def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
 
 
 # ---------------------------------------------------------------------------
-# criterion value
+# the integral below a point, and the criterion value
+
+# The deepest shell below eps when _SHELL_COUNT shells miss the tolerance.
+_DEEP_SHELL_COUNT = 400
+
+
+def _integral_below(
+    f: Nonlinearity,
+    params: StructureParams,
+    top: float,
+    tol: Tolerance,
+    shells: Sequence[QuadratureResult] = (),
+) -> QuadratureResult:
+    """The integral of f(zeta) * zeta**-(1+q) over (0, top], with its error.
+
+    Pure powers are closed form.  Otherwise it is the dyadic shells
+    below ``top`` (``shells``, the outermost ones, if already computed)
+    plus the remainder below them: for the critical log family, in
+    u = ln(1/zeta), the integral of (u + ln(1 + e**(1-u)))**mu over
+    u > V = ln(2**K/top), which is V**(mu+1)/(-mu-1) within
+    |mu| V**(mu-1) e**(1-V); otherwise the fitted tail model.  That is
+    tried on _SHELL_COUNT shells, then, if it missed ``tol`` or no model
+    fitted, on shells down to eps * 2**-_DEEP_SHELL_COUNT, the depth of
+    the criterion value's own; ``converged`` says whether every shell
+    converged and the error is within ``tol``.  A divergent power or
+    critical log raises :class:`DivergentIntegralError`, and a tail that
+    fits no model at the deeper count :class:`CriterionUndecidedError`.
+    """
+    q = critical_exponent(params)
+    analytic = _analytic(f, q)
+    if analytic is not None and not analytic[0]:
+        raise DivergentIntegralError(f"{analytic[1]}: the integral diverges")
+    if isinstance(f, Power):
+        value = top ** (f.exponent - q) / (f.exponent - q)
+        return QuadratureResult(value, 4e-16 * abs(value), 0, True)
+    critical_log = analytic is not None
+
+    g = criterion_integrand(f, params)
+    results = list(shells)
+    deep = _DEEP_SHELL_COUNT + math.frexp(params.eps)[1] - math.frexp(top)[1]
+    for count in (_SHELL_COUNT, deep):
+        if len(results) < count:
+            _check_shell_depth(params.eps, top, count)
+            below = top * 0.5 ** len(results)
+            results += _dyadic_shells(g, below, count - len(results), _shell_tolerance(tol))
+        vals = [r.value for r in results]
+        v = count * math.log(2.0) - math.log(top)  # the remainder is u = ln(1/zeta) > v
+        if critical_log and v > 0.0:
+            tail = v ** (f.mu + 1.0) / (-f.mu - 1.0)
+            tail_err = -f.mu * v ** (f.mu - 1.0) * math.exp(1.0 - v)
+        elif critical_log:
+            tail, tail_err = 0.0, math.inf
+        elif all(x == 0.0 for x in vals[count // 2 :]):
+            tail, tail_err = 0.0, 0.0
+        else:
+            try:
+                tail, tail_err, _ = _fit_tail(vals)
+            except CriterionUndecidedError:
+                if count == deep:
+                    raise
+                continue
+        value, err = math.fsum(vals) + tail, math.fsum(r.abs_error for r in results) + tail_err
+        converged = all(r.converged for r in results) and err <= tol.bound(value)
+        if converged:
+            break
+    return QuadratureResult(value, err, sum(r.subdivisions for r in results), converged)
 
 
 def criterion_value(
@@ -485,74 +541,18 @@ def criterion_value(
     params: StructureParams,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> QuadratureResult:
-    """Numeric value of the criterion integral over (0, eps].
-
-    Raises :class:`DivergentIntegralError` for certifiably divergent
-    input and :class:`CriterionUndecidedError` when the classifier
-    cannot certify convergence.  Pure powers use the closed form.  The
-    critical power-log family splits off an exact substitution tail;
-    everything else sums shells and extrapolates a fitted tail model,
-    with the error estimate reflecting the model risk.
-    """
-    q = critical_exponent(params)
-    eps = params.eps
-
-    if isinstance(f, Power):
-        lam = f.exponent
-        if lam <= q:
-            raise DivergentIntegralError(
-                f"power exponent {lam!r} <= critical exponent {q!r}: the integral diverges"
-            )
-        value = eps ** (lam - q) / (lam - q)
-        return QuadratureResult(value, 4e-16 * abs(value), 0, True)
-
-    stol = _shell_tolerance(tol)
-    g = criterion_integrand(f, params)
-    critical_log = isinstance(f, PowerLog) and f.power == q
-    if critical_log:
-        if f.mu >= -1.0:
-            raise DivergentIntegralError(
-                f"log exponent {f.mu!r} >= -1 at the critical power: the integral diverges"
-            )
-        K = 40
-        _check_shell_depth(eps, K)
-        results = _dyadic_shells(g, eps, K, stol)
-    else:
-        # Decide on the classifier's shells, the outermost ones here at
-        # the same tolerance, then integrate only the deeper ones.
-        results, verdict = _classify_numeric(f, params, tol)
+    """Numeric value of the criterion integral over (0, eps]: the numeric
+    classifier's gate (the analytic families need none), then
+    :func:`_integral_below` at eps, on the classifier's shells.  Raises
+    :class:`DivergentIntegralError` for certifiably divergent input and
+    :class:`CriterionUndecidedError` when convergence is not certified."""
+    shells: List[QuadratureResult] = []
+    if _analytic(f, critical_exponent(params)) is None:
+        shells, verdict = _classify_numeric(f, params, tol)
         if verdict.verdict is Verdict.DIVERGES:
             raise DivergentIntegralError(f"the criterion integral diverges: {verdict.detail}")
         if verdict.verdict is Verdict.INCONCLUSIVE:
             raise CriterionUndecidedError(
                 f"cannot certify convergence before valuing the integral: {verdict.detail}"
             )
-        K = 400
-        _check_shell_depth(eps, K)
-        results += _dyadic_shells(g, eps * 0.5 ** len(results), K - len(results), stol)
-
-    vals = [r.value for r in results]
-    partial = math.fsum(vals)
-    err = math.fsum(r.abs_error for r in results)
-    subs = sum(r.subdivisions for r in results)
-    converged = all(r.converged for r in results)
-    if critical_log:
-        # Substituting u = log(eps / zeta) turns the remainder over
-        # (0, eps * 2**-K] into an integral of the log factor alone.
-        mu, ln_eps = f.mu, math.log(eps)
-
-        def log_factor_tail(u: float) -> float:
-            lf = u - ln_eps + math.log1p(eps * math.e * math.exp(-u))
-            return math.pow(lf, mu)
-
-        rest = integrate_to_infinity(log_factor_tail, K * math.log(2.0), stol)
-        tail, tail_err = rest.value, rest.abs_error
-        subs += rest.subdivisions
-        converged = converged and rest.converged
-    elif all(v == 0.0 for v in vals[K - K // 2 :]):
-        tail, tail_err = 0.0, 0.0
-    else:
-        tail, tail_err, _ = _fit_tail(vals)
-    value = partial + tail
-    err += tail_err
-    return QuadratureResult(value, err, subs, converged and err <= tol.bound(value))
+    return _integral_below(f, params, params.eps, tol, shells)

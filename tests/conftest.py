@@ -15,6 +15,7 @@ built once per session.
 import contextlib
 import time
 
+import mpmath
 import pytest
 
 from liouville import Power, RadialProfile, StructureParams
@@ -82,3 +83,30 @@ def inner_exact(z: float) -> float:
 
 def grad_exact(r: float) -> float:
     return r / (3.0 * (1.0 + r) ** 3)
+
+
+def source_limit(n: int, p: float, f) -> float:
+    """I(inf) at eps = delta = 1 for a ``Power`` (the Beta function
+    B(n, k lambda - n)) or a critical ``PowerLog`` (mpmath quadrature in
+    u = ln(1 + xi), where the source term is (1 - e**-u)**(n-1) times
+    ln(e + e**(k u))**mu, with the tail past u = 2000 in closed form)."""
+    k = (n - p) / (p - 1.0)
+    if isinstance(f, Power):
+        return float(mpmath.beta(n, k * f.exponent - n))
+    mu = f.mu
+    with mpmath.workdps(30):
+        top = mpmath.mpf(2000)
+        head = mpmath.quad(
+            lambda u: (-mpmath.expm1(-u)) ** (n - 1) * mpmath.log(mpmath.e + mpmath.exp(k * u)) ** mu,
+            [0, 1, 10, 100, 1000, top],
+        )
+        return float(head + (k * top) ** (mu + 1) / (k * (-mu - 1)))
+
+
+def critical_log_criterion(mu: float) -> float:
+    """The criterion integral of z^q log(e + 1/z)^mu over (0, 1]: in
+    v = ln(1/z) the integral of ln(e + e**v)**mu over v > 0."""
+    with mpmath.workdps(30):
+        top = mpmath.mpf(2000)
+        head = mpmath.quad(lambda v: mpmath.log(mpmath.e + mpmath.exp(v)) ** mu, [0, 1, 10, 100, 1000, top])
+        return float(head + top ** (mu + 1) / (-mu - 1))

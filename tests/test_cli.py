@@ -343,15 +343,63 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 
 def test_tiny_eps_fails_cleanly(capsys):
-    # 400 criterion shells below eps = 1e-300 would reach z = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--expr", "z^4",
-                                      "--eps", "1e-300", "--grid-points", "3"])
-    assert code in (EXIT_OK, EXIT_CONFIG)
-    if code == EXIT_CONFIG:
-        assert "eps" in err
-    assert "nan" not in (out + err).lower()
+    # at eps = 1e-300 the source integral's remainder starts at
+    # eps * 1e-8 * 2^-40, and 40 shells below it would reach z = 0; the
+    # power's remainder is closed form and needs no shells
+    argv = ["construct", "--n", "3", "--p", "2", "--eps", "1e-300", "--grid-points", "3"]
+    for spelling, want in ((["--expr", "z^4"], EXIT_CONFIG), (["--power", "4"], EXIT_OK)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv + spelling)
+        assert code == want, err
+        if code == EXIT_CONFIG:
+            assert "eps=1e-300 is too small" in err
+        assert "nan" not in (out + err).lower()
+
+
+# certify-power inputs of the inner-limit-stall class in perfbench/NOTES.md
+_STALLED_POWERS = [
+    ["--n", "4", "--p", "2", "--powerlog", "-1.02905"],
+    ["--n", "3", "--p", "2", "--power", "3.00104"],
+    ["--n", "8", "--p", "3", "--power", "3.20101"],
+]
+
+
+@pytest.mark.parametrize("args", _STALLED_POWERS, ids=" ".join)
+def test_near_critical_family_inputs_verify(capsys, args):
+    code, out, err = run(capsys, ["verify"] + args)
+    assert code == EXIT_OK, err
+    assert out.count(": PASS") == 6  # five checks and the overall line
+
+
+# the certify-expr inputs of that class: critical and near-critical log
+# forms spelled as expressions, whose fitted tail cannot certify the
+# source limit
+_UNCERTIFIED_EXPRESSIONS = [
+    ["--n", "4", "--p", "1.5", "--expr", "z^0.8*log(e+1/z)^-1.58652"],
+    ["--n", "5", "--p", "3", "--expr", "z^5.0*log(e+1/z)^-1.03081"],
+    ["--n", "4", "--p", "1.5", "--expr", "z^0.8*log(e+1/z)^-2.22664"],
+    ["--n", "3", "--p", "2", "--expr", "z^3.00097*log(e+1/z)^-2"],
+    ["--n", "5", "--p", "3", "--expr", "z^5.0*log(e+1/z)^-1.19054"],
+]
+
+
+@pytest.mark.parametrize("args", _UNCERTIFIED_EXPRESSIONS, ids=" ".join)
+def test_uncertified_source_limit_exits_1(capsys, args):
+    code, out, err = run(capsys, ["verify"] + args)
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert err.startswith("error: the source integral does not converge to tolerance: ")
+
+
+def test_instance_w_column_matches_closed_form(capsys):
+    code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--power", "4", "--format", "csv"])
+    assert code == EXIT_OK, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 200
+    for row in rows:
+        r = float(row["r"])
+        assert float(row["w"]) == pytest.approx((1.0 + 2.0 * r) / (6.0 * (1.0 + r) ** 2), rel=1e-11, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -42,7 +43,7 @@ from liouville import (
 from liouville.construct import _hermite
 from liouville.verify import delta_limit_check
 
-from conftest import grad_exact, inner_exact, w_exact
+from conftest import grad_exact, inner_exact, source_limit, w_exact
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +302,61 @@ def test_far_field_has_no_absolute_floor():
 
 def test_source_far_below_underflow_builds():
     # n=6, p=1.5, f = z^(q+4): f(env) underflows inside the cache, where
-    # the source term xi^5 f(env) is still resolvable in logs;
+    # the source term xi^5 f(env) is still resolvable in logs, and the
+    # table's extension reaches the subnormal range of the source term,
+    # where no panel can be resolved and none may be chased;
     # I(inf) = delta^n eps^lambda B(n, k lambda - n)
     params = StructureParams(6, 1.5)
     lam = 4.666667
+    t0 = time.perf_counter()
     prof = RadialProfile(Power(lam), params, 1.0)
     kl = prof.decay * lam
     exact = math.gamma(6) * math.gamma(kl - 6.0) / math.gamma(kl)
     assert prof.inner_limit() == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+# The certify-power inputs of the inner-limit-stall class in
+# perfbench/NOTES.md, and a slowly converging power
+_LIMIT_CASES = [
+    (4, 2.0, PowerLog(-1.02905, 2.0)),
+    (4, 2.0, Power(2.00103)),
+    (3, 2.0, Power(3.00104)),
+    (3, 2.0, Power(3.02893)),
+    (5, 3.0, PowerLog(-1.02896, 5.0)),
+    (4, 2.0, Power(2.03092)),
+    (8, 3.0, Power(3.20101)),
+    (4, 2.0, PowerLog(-1.00099, 2.0)),
+    (3, 2.0, Power(3.02943)),
+    (3, 2.0, PowerLog(-1.00102, 3.0)),
+    (3, 2.0, Power(3.2)),
+]
+
+
+@pytest.mark.parametrize("n, p, f", _LIMIT_CASES, ids=[f"n{n}-p{p:g}-{f!r}" for n, p, f in _LIMIT_CASES])
+def test_inner_limit_matches_beta_or_mpmath(n, p, f):
+    prof = RadialProfile(f, StructureParams(n, p), 1.0)
+    assert prof.inner_limit() == pytest.approx(source_limit(n, p, f), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [3.00104, 3.2])
+def test_far_field_matches_incomplete_beta(lam):
+    # n=3, p=2, eps = delta = 1: w(r) = I(r)/r + the integral of I'(xi)/xi
+    # over (r, inf), with I(r) = B(r/(1+r); 3, lam - 3) and I'(xi) =
+    # xi^2 (1+xi)^-lam
+    prof = RadialProfile(Power(lam), StructureParams(3, 2.0), 1.0)
+    rs = [1e4, 1e6, 1e9]
+    with mpmath.workdps(30):
+        lm = mpmath.mpf(lam)
+        ref = [
+            float(
+                mpmath.betainc(3, lm - 3, 0, r / (1 + r)) / r
+                + (1 + r) ** (2 - lm) / (lm - 2)
+                - (1 + r) ** (1 - lm) / (lm - 1)
+            )
+            for r in map(mpmath.mpf, rs)
+        ]
+    assert prof.values_on_grid(rs) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_negative_source_is_refused(params32):
@@ -443,8 +491,10 @@ def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
     rs = [0.0, 1e-3 * z_lo, 0.5 * z_lo]
     ref = [integrate(gm, r, z_lo, _SEG_TOL).value for r in rs]
     assert prof._w_below(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # above it, in x = z_hi * u: the map t = 1/(1 + x - z_hi) of
+    # integrate_to_infinity cannot resolve a tail that starts near 1e20
     rs = [z_hi, 3.0 * z_hi]
-    ref = [integrate_to_infinity(gm, r, _SEG_TOL).value for r in rs]
+    ref = [z_hi * integrate_to_infinity(lambda u: gm(z_hi * u), r / z_hi, _SEG_TOL).value for r in rs]
     assert prof._w_above(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -561,6 +611,14 @@ class TestDecayBound:
     def test_rejects_nonpositive_radius(self, instance_profile):
         with pytest.raises(DomainError):
             decay_bound(instance_profile, 0.0)
+
+    def test_unconverged_constant_widens_the_bound(self, params42):
+        # this K carries an error of 1.5e-5; the bound takes K + abs_error,
+        # C = a (a K)^(1/(p-1)) = K / 4 at n=4, p=2, eps = delta = 1
+        prof = RadialProfile(parse_nonlinearity("z^2.0*log(e+1/z)^-1.3"), params42, 1.0)
+        res = prof.criterion_result()
+        assert not res.converged and res.abs_error > 1e-5
+        assert decay_bound(prof, 2.0) == pytest.approx((res.value + res.abs_error) / 16.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ from liouville.criterion import _decide, _fit_tail
 from liouville.quadrature import _dyadic_shells
 from liouville.nonlinearity import signed_log_eval
 
+from conftest import critical_log_criterion
+
 K_MU_M2 = 1.189883970344349580
 K_MU_M3 = 0.556776080278639509
 
@@ -258,6 +260,14 @@ class TestCriterionValue:
         assert val + 1.0 / 2000.0 == pytest.approx(K_MU_M2, abs=1e-9)
         res = criterion_value(PowerLog(-2.0, 3.0), params32)
         assert res.value == pytest.approx(val + 1.0 / 2000.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n, p, mu", [(4, 2.0, -1.02905), (3, 2.0, -1.00102)])
+    def test_near_critical_log_is_exact(self, n, p, mu):
+        # the remainder below the shells is closed form: no quadrature to stall
+        params = StructureParams(n, p)
+        res = criterion_value(PowerLog(mu, critical_exponent(params)), params)
+        assert res.converged
+        assert res.value == pytest.approx(critical_log_criterion(mu), rel=1e-10, abs=0.0)
 
     def test_expression_route_agrees(self, params32):
         res = criterion_value(parse_nonlinearity("z^3 * log(e + 1/z)^(-2)"), params32)

@@ -151,9 +151,9 @@ class _UnitTable:
     serves every delta.  It holds the knots s (from the first one where
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
     s * source(s) / I_1(s), I_1 at the last knot with the fill's summed
-    error, and the envelope there.  Filled on first use: I_1(inf), the
-    outer cache W_1 (w at delta = 1 at the knots) with the converged flag
-    of its fill, and the criterion result.
+    error, and the log of the envelope there.  Filled on first use:
+    I_1(inf), the outer cache W_1 (w at delta = 1 at the knots) with the
+    converged flag of its fill, and the criterion result.
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
@@ -173,7 +173,7 @@ class _UnitTable:
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
-        self.top = params.eps * math.exp(-math.log1p(s[-1]) / a)
+        self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
         self.s = s[keep]
         self.ln_s = np.log(self.s)
         self.ln_i = np.log(cum[keep])
@@ -271,11 +271,12 @@ class RadialProfile:
             # the remainder needs only the accuracy of its share of I_1(inf)
             floor = tol.rel * t.last / scale if scale > 0.0 else 0.0
             try:
-                rest = _integral_below(self.f, self.params, t.top, Tolerance(tol.rel, floor))
+                rest = _integral_below(self.f, self.params, t.ln_top, Tolerance(tol.rel, floor))
             except CriterionUndecidedError as exc:
                 raise CriterionUndecidedError(f"{_NOT_CONVERGED}: {exc}") from None
             mass = scale * rest.value
-            half = 0.5 * (n - 1) * (t.top / self.params.eps) ** (1.0 / self.decay) * mass
+            weight = math.exp((t.ln_top - math.log(self.params.eps)) / self.decay)  # 1/(1+s_end)
+            half = 0.5 * (n - 1) * weight * mass
             value, error = t.last + mass - half, t.last_error + scale * rest.abs_error + half
             if not (rest.converged and error <= tol.bound(value)):
                 raise CriterionUndecidedError(

@@ -12,11 +12,12 @@ can be built explicitly (see :mod:`liouville.construct`).
 
 :func:`classify` decides the dichotomy, analytically for the two
 built-in families and numerically otherwise.  The numeric route probes
-dyadic shells near zero, all in one batched adaptive pass, on an
-integrand built in the log domain (:meth:`Nonlinearity.log_value`), so
-integrands that underflow doubles at zeta around 1e-100 are still
-resolved.  A shell whose quadrature did not converge makes the verdict
-inconclusive.
+dyadic shells near zero, all in one batched adaptive pass.  Each shell
+is integrated in v = ln(1/zeta), where the integrand is e**L with
+L = ln f + q v exact at any depth (:meth:`Nonlinearity.log_value`),
+scaled per shell, and comes back as a log-value: no shell underflows
+or overflows, however deep.  A shell whose quadrature did not converge
+makes the verdict inconclusive.
 
 One routine values the integral below any point, :func:`_integral_below`:
 :func:`criterion_value` is it at eps, and the profile's source limit
@@ -32,6 +33,7 @@ such blur; prefer the family types when they apply.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -56,10 +58,11 @@ from .nonlinearity import (
     signed_log_eval,  # noqa: F401  (patched by perfbench/tracing.py)
 )
 from .quadrature import (
+    _MAX_LEVEL,
     DEFAULT_TOLERANCE,
     QuadratureResult,
     Tolerance,
-    _dyadic_shells,
+    _bisect,
 )
 
 __all__ = [
@@ -118,8 +121,9 @@ class CriterionVerdict:
 
     ``value``/``abs_error`` are set for convergent verdicts (the value
     of the criterion integral).  ``slope`` and ``shells`` expose the
-    numeric evidence when the numeric route ran: per-shell integrals,
-    outermost first, and the fitted log-slope per shell.
+    numeric evidence when the numeric route ran: the logs of the
+    per-shell integrals, outermost first, and the fitted log-slope per
+    shell.
     """
 
     verdict: Verdict
@@ -149,6 +153,10 @@ _SHELL_COUNT = 40
 _RATIO_CUTOFF = 0.999
 _SLOPE_CUT = 0.01
 _TAIL_FRACTION = 0.25
+_LN2 = math.log(2.0)
+# A shell this far below the log of the shells' sum is below its last
+# binary digit, even as a subnormal: ln(2**1074).
+_LN_VANISHED = 1074 * _LN2
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +170,9 @@ def criterion_integrand(
 
     Computed in the log domain, so the product is evaluated correctly
     even where f(z) alone would underflow to zero (pure powers at
-    z ~ 1e-200, say).  Results are guaranteed non-negative; the first
-    point where f is negative raises :class:`DomainError`.
+    z ~ 1e-200, say); a product outside double range raises
+    :class:`EvalOverflow`.  Results are guaranteed non-negative; the
+    first point where f is negative raises :class:`DomainError`.
     """
     s = 1.0 + critical_exponent(params)
 
@@ -211,40 +220,32 @@ def _hurwitz_tail(beta: float, x: float) -> float:
     )
 
 
-def _fit_tail(vals: Sequence[float]) -> Tuple[float, float, str]:
-    """Extrapolate the remainder past the last dyadic shell.
+def _fit_tail(logs: Sequence[float]) -> Tuple[float, float, str]:
+    """Extrapolate the remainder past the last dyadic shell, from the
+    logs of the shell integrals.
 
     Two models are fitted on the deeper half of the shells: a geometric
     one (pure powers decay exactly geometrically per shell) and a
     shifted power law a_k = A * (k + c)**-beta (which captures the
     polynomial shell decay of critical-power-times-log integrands).
     The model with the smaller log-space residual wins.  Returns
-    (tail, error estimate, model label).  Deep shells that underflowed
-    to zero carry no decay information, so only the positive shells
-    before the first zero are fitted; when fewer than eight remain, the
-    tail is taken as zero with the last positive shell as its error
-    bound.  Raises :class:`CriterionUndecidedError` if neither model
-    certifies a finite tail.
+    (tail, error estimate, model label).  Raises
+    :class:`CriterionUndecidedError` if neither model certifies a
+    finite tail.
     """
-    first_zero = next((i for i, v in enumerate(vals) if v <= 0.0), len(vals))
-    vals = vals[:first_zero]
-    if len(vals) < 8:
-        return 0.0, (vals[-1] if vals else 0.0), "last-shell"
-    K = len(vals)
+    K = len(logs)
     w0 = K - K // 2
-    win = list(vals[w0:])
+    win = list(logs[w0:])
     xs = [float(w0 + i) for i in range(len(win))]
-    logs = [math.log(v) for v in win]
+    ds = [a - b for a, b in zip(win, win[1:])]  # the log-drop per shell
 
     tail_geo = err_geo = None
-    _, b1, r1 = _ls_line(xs, logs)
+    _, b1, r1 = _ls_line(xs, win)
     rho = math.exp(b1)
     if rho < 1.0:
-        last = vals[-1]
+        last = math.exp(logs[-1])
         tail_geo = last * rho / (1.0 - rho)
-        ratios = [win[i + 1] / win[i] for i in range(len(win) - 1)]
-        rhi = max(ratios)
-        rlo = min(ratios)
+        rhi, rlo = math.exp(-min(ds)), math.exp(-max(ds))
         if rhi < 1.0:
             spread = abs(last * rhi / (1.0 - rhi) - last * rlo / (1.0 - rlo))
             err_geo = max(spread, 1e-15 * tail_geo)
@@ -253,7 +254,6 @@ def _fit_tail(vals: Sequence[float]) -> Tuple[float, float, str]:
 
     tail_pow = err_pow = None
     r2 = math.inf
-    ds = [logs[i] - logs[i + 1] for i in range(len(logs) - 1)]
     if all(d > 0.0 for d in ds):
         ys = [1.0 / d for d in ds]
         a2, b2, _ = _ls_line(xs[:-1], ys)
@@ -265,12 +265,12 @@ def _fit_tail(vals: Sequence[float]) -> Tuple[float, float, str]:
             # 1/d_k is float noise; the model would overflow downstream.
             if 1.0001 < beta < 100.0 and K + c > 0.5 and w0 + c > 0.0:
                 ln_a = math.fsum(
-                    lg + beta * math.log(x + c) for lg, x in zip(logs, xs)
+                    lg + beta * math.log(x + c) for lg, x in zip(win, xs)
                 ) / len(win)
                 r2 = math.sqrt(
                     math.fsum(
                         (lg - (ln_a - beta * math.log(x + c))) ** 2
-                        for lg, x in zip(logs, xs)
+                        for lg, x in zip(win, xs)
                     )
                     / len(win)
                 )
@@ -330,7 +330,7 @@ def classify(
     converges, detail = analytic
     if not converges:
         return CriterionVerdict(Verdict.DIVERGES, "analytic", detail=detail)
-    res = _integral_below(f, params, params.eps, tol)
+    res = _integral_below(f, params, math.log(params.eps), tol)
     return CriterionVerdict(
         Verdict.CONVERGES, "analytic", value=res.value, abs_error=res.abs_error, detail=detail
     )
@@ -348,17 +348,69 @@ def _analytic(f: Nonlinearity, q: float) -> Optional[Tuple[bool, str]]:
     return None
 
 
-def _shell_tolerance(tol: Tolerance) -> Tolerance:
-    # Shells span many orders of magnitude, so each is resolved in pure
-    # relative terms; an absolute floor would let deep shells go slack.
-    return Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
+def _totals(results: Sequence[QuadratureResult]) -> Tuple[float, float, List[bool]]:
+    """The sum of the log-valued shells ``results`` and its error, and
+    which shells count as vanished: zeros of f, and shells more than
+    _LN_VANISHED below the log of the sum, under its last binary digit.
+    A sum past double range raises :class:`EvalOverflow`."""
+    logs = [r.value for r in results]
+    top = max(logs)
+    ln = top + math.log(math.fsum(math.exp(x - top) for x in logs)) if top > -math.inf else top
+    if ln > _LOG_MAX:
+        raise EvalOverflow(f"the criterion integral exp({ln:.6g}) exceeds double range")
+    err = math.fsum(math.exp(r.value) * r.abs_error for r in results)
+    return math.exp(ln), err, [x == -math.inf or x < ln - _LN_VANISHED for x in logs]
 
 
-def _check_shell_depth(eps: float, top: float, count: int) -> None:
-    # The deepest shell's lower edge, as _dyadic_shells computes it, must
-    # not underflow to 0: the integrand is NaN there.
-    if not 0.5 * (top * 0.5 ** (count - 1)) > 0.0:
-        raise ValueError(f"eps={eps!r} is too small: {count} shells below z={top!r} reach z = 0")
+def _log_shells(
+    f: Nonlinearity,
+    params: StructureParams,
+    ln_top: float,
+    count: int,
+    tol: Tolerance,
+    first: int = 0,
+) -> List[QuadratureResult]:
+    """Shells k = first .. first + count - 1 of the criterion integral
+    below top = e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
+
+    In v = ln(1/zeta), shell k is the integral of e**L, L = ln f(e**-v) + q v
+    (:meth:`Nonlinearity.log_value`), over [k ln 2 - ln_top, (k+1) ln 2 - ln_top],
+    taken as e**(L - r_k), r_k the largest L on its edges and midpoint, to
+    relative accuracy min(tol.rel, 1e-12), all shells in one batched pass.
+    ``value`` is r_k plus the log of that integral (-inf where it underflows
+    at every node, as where f vanishes), ``abs_error`` the error of that log.
+    A negative f raises :class:`DomainError`.
+    """
+    q = critical_exponent(params)
+
+    def ln_g(v: np.ndarray) -> np.ndarray:
+        sign, mag = f.log_value(-v)
+        if (sign < 0).any():
+            raise DomainError(f"expression is negative at z={math.exp(-v[sign < 0][0])!r}")
+        return mag + q * v
+
+    at = 0.5 * _LN2 * np.arange(2 * first, 2 * (first + count) + 1) - ln_top
+    edges, ln_at = at[::2], ln_g(at)
+    r = np.maximum(np.maximum(ln_at[:-1:2], ln_at[1::2]), ln_at[2::2])
+    r = np.where(r > -np.inf, r, 0.0)  # f vanishes at all three points
+
+    def g(v: np.ndarray) -> np.ndarray:
+        # a row holds one panel's nodes (a flat array, scalar-fallback abscissae);
+        # a node by an edge can round into the next shell, the panel's centre not
+        centre = v if v.ndim == 1 else 0.5 * (v[:, :1] + v[:, -1:])
+        out = ln_g(v) - r[np.clip(np.searchsorted(edges, centre, side="right") - 1, 0, count - 1)]
+        if (out > _LOG_MAX).any():
+            raise EvalOverflow("integrand exceeds double range within a shell")
+        return np.exp(out)
+
+    shell_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
+    values, errors, panels, converged, _ = _bisect(g, edges[:-1], edges[1:], shell_tol, _MAX_LEVEL)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = r + np.log(values)
+        # the relative quadrature error, plus the log's own rounding
+        errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)), 0.0)
+    columns = (logs.tolist(), errs.tolist(), panels.tolist(), converged.tolist())
+    return [QuadratureResult(*x) for x in zip(*columns)]
 
 
 def _classify_numeric(
@@ -366,100 +418,72 @@ def _classify_numeric(
     params: StructureParams,
     tol: Tolerance,
 ) -> Tuple[List[QuadratureResult], CriterionVerdict]:
-    """The ``_SHELL_COUNT`` outermost shells and the verdict on them."""
-    g = criterion_integrand(f, params)
-    _check_shell_depth(params.eps, params.eps, _SHELL_COUNT)
+    """The ``_SHELL_COUNT`` outermost log-valued shells and the verdict on them."""
     try:
-        results = _dyadic_shells(g, params.eps, _SHELL_COUNT, _shell_tolerance(tol))
+        results = _log_shells(f, params, math.log(params.eps), _SHELL_COUNT, tol)
+        return results, _decide(results)
     except EvaluationError as exc:
-        return [], CriterionVerdict(
-            Verdict.INCONCLUSIVE,
-            "numeric",
-            detail=f"integrand evaluation failed while probing shells: {exc}",
-        )
-    return results, _decide(results)
+        detail = f"integrand evaluation failed while probing shells: {exc}"
+        return [], CriterionVerdict(Verdict.INCONCLUSIVE, "numeric", detail=detail)
 
 
 def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
-    """Verdict of the numeric classifier on the shell integrals ``results``."""
-    vals = [r.value for r in results]
-    err_sum = math.fsum(r.abs_error for r in results)
-    shells = tuple(vals)
-    K = len(vals)
-    win = vals[K - K // 2 :]
+    """Verdict of the numeric classifier on the log-valued shells ``results``."""
+    partial, err_sum, vanished = _totals(results)
+    logs = [r.value for r in results]
+    K = len(logs)
+    win, gone = logs[K - K // 2 :], vanished[K - K // 2 :]
+    numeric = functools.partial(CriterionVerdict, method="numeric", shells=tuple(logs))
 
     if not all(r.converged for r in results):
-        return CriterionVerdict(
+        return numeric(
             Verdict.INCONCLUSIVE,
-            "numeric",
-            shells=shells,
             detail="a shell quadrature did not converge, so the shell values are not certified",
         )
-    if all(v == 0.0 for v in win):
-        partial = math.fsum(vals)
-        return CriterionVerdict(
+    if all(gone):
+        return numeric(
             Verdict.CONVERGES,
-            "numeric",
             value=partial,
             abs_error=err_sum,
-            shells=shells,
             detail="integrand vanishes on the deep shells; remainder taken as zero",
         )
-    if any(v <= 0.0 for v in win):
-        return CriterionVerdict(
-            Verdict.INCONCLUSIVE,
-            "numeric",
-            shells=shells,
-            detail="deep shell integrals are not eventually positive",
+    if any(gone):
+        return numeric(
+            Verdict.INCONCLUSIVE, detail="deep shell integrals are not eventually positive"
         )
 
     xs = [float(K - K // 2 + i) for i in range(len(win))]
-    _, slope, _ = _ls_line(xs, [math.log(v) for v in win])
-    ratios = [win[i + 1] / win[i] for i in range(len(win) - 1)]
+    _, slope, _ = _ls_line(xs, win)
+    ratios = [math.exp(b - a) for a, b in zip(win, win[1:])]
+    numeric = functools.partial(numeric, slope=slope)
 
     if min(ratios) >= _RATIO_CUTOFF and slope >= -_SLOPE_CUT:
-        return CriterionVerdict(
+        return numeric(
             Verdict.DIVERGES,
-            "numeric",
-            slope=slope,
-            shells=shells,
-            detail=(
-                f"no shell decay: min ratio {min(ratios):.6g}, "
-                f"log-slope {slope:.6g} per shell"
-            ),
+            detail=f"no shell decay: min ratio {min(ratios):.6g}, log-slope {slope:.6g} per shell",
         )
 
     if slope <= -_SLOPE_CUT and max(ratios) < 1.0:
         rho = max(ratios)
-        partial = math.fsum(vals)
-        geo_bound = vals[-1] * rho / (1.0 - rho)
+        geo_bound = math.exp(logs[-1]) * rho / (1.0 - rho)
         if geo_bound <= _TAIL_FRACTION * partial:
-            tail, tail_err, label = _fit_tail(vals)
-            return CriterionVerdict(
+            tail, tail_err, label = _fit_tail(logs)
+            return numeric(
                 Verdict.CONVERGES,
-                "numeric",
                 value=partial + tail,
                 abs_error=err_sum + tail_err,
-                slope=slope,
-                shells=shells,
                 detail=f"shells decay (log-slope {slope:.6g}); {label}-model tail",
             )
-        return CriterionVerdict(
+        return numeric(
             Verdict.INCONCLUSIVE,
-            "numeric",
-            slope=slope,
-            shells=shells,
             detail=(
                 f"shells decay but the geometric tail bound ({geo_bound:.6g}) "
                 f"is not small against the partial sum ({partial:.6g})"
             ),
         )
 
-    return CriterionVerdict(
+    return numeric(
         Verdict.INCONCLUSIVE,
-        "numeric",
-        slope=slope,
-        shells=shells,
         detail=(
             f"shell decay too shallow to certify either way "
             f"(log-slope {slope:.6g} per shell, min ratio {min(ratios):.6g})"
@@ -477,59 +501,61 @@ _DEEP_SHELL_COUNT = 400
 def _integral_below(
     f: Nonlinearity,
     params: StructureParams,
-    top: float,
+    ln_top: float,
     tol: Tolerance,
     shells: Sequence[QuadratureResult] = (),
 ) -> QuadratureResult:
-    """The integral of f(zeta) * zeta**-(1+q) over (0, top], with its error.
+    """The integral of f(zeta) * zeta**-(1+q) over (0, top], top = e**ln_top,
+    with its error.
 
-    Pure powers are closed form.  Otherwise it is the dyadic shells
-    below ``top`` (``shells``, the outermost ones, if already computed)
-    plus the remainder below them: for the critical log family, in
-    u = ln(1/zeta), the integral of (u + ln(1 + e**(1-u)))**mu over
-    u > V = ln(2**K/top), which is V**(mu+1)/(-mu-1) within
-    |mu| V**(mu-1) e**(1-V); otherwise the fitted tail model.  That is
-    tried on _SHELL_COUNT shells, then, if it missed ``tol`` or no model
-    fitted, on shells down to eps * 2**-_DEEP_SHELL_COUNT, the depth of
-    the criterion value's own; ``converged`` says whether every shell
-    converged and the error is within ``tol``.  A divergent power or
-    critical log raises :class:`DivergentIntegralError`, and a tail that
-    fits no model at the deeper count :class:`CriterionUndecidedError`.
+    Pure powers are closed form.  Otherwise it is the log-valued dyadic
+    shells below ``top`` (:func:`_log_shells`; ``shells``, the outermost
+    ones, if already computed) plus the remainder below them: for the
+    critical log family, in u = ln(1/zeta), the integral of
+    (u + ln(1 + e**(1-u)))**mu over u > V = ln(2**K/top), which is
+    V**(mu+1)/(-mu-1) within |mu| V**(mu-1) e**(1-V); zero when every
+    shell of the deeper half vanished (:func:`_totals`); otherwise the
+    fitted tail model.  That is tried on _SHELL_COUNT shells, then, if
+    it missed ``tol`` or no model fitted, on shells down to
+    eps * 2**-_DEEP_SHELL_COUNT, the depth of the criterion value's own;
+    ``converged`` says whether every shell converged and the error is
+    within ``tol``.  A divergent power or critical log raises
+    :class:`DivergentIntegralError`, and a tail that fits no model at
+    the deeper count :class:`CriterionUndecidedError`.
     """
     q = critical_exponent(params)
     analytic = _analytic(f, q)
     if analytic is not None and not analytic[0]:
         raise DivergentIntegralError(f"{analytic[1]}: the integral diverges")
+    ln_eps = math.log(params.eps)
     if isinstance(f, Power):
-        value = top ** (f.exponent - q) / (f.exponent - q)
+        d = f.exponent - q  # top**d / d, exactly eps**d / d at top = eps
+        value = params.eps**d * math.exp(d * (ln_top - ln_eps)) / d
         return QuadratureResult(value, 4e-16 * abs(value), 0, True)
     critical_log = analytic is not None
 
-    g = criterion_integrand(f, params)
     results = list(shells)
-    deep = _DEEP_SHELL_COUNT + math.frexp(params.eps)[1] - math.frexp(top)[1]
+    deep = _DEEP_SHELL_COUNT + round((ln_eps - ln_top) / _LN2)
     for count in (_SHELL_COUNT, deep):
         if len(results) < count:
-            _check_shell_depth(params.eps, top, count)
-            below = top * 0.5 ** len(results)
-            results += _dyadic_shells(g, below, count - len(results), _shell_tolerance(tol))
-        vals = [r.value for r in results]
-        v = count * math.log(2.0) - math.log(top)  # the remainder is u = ln(1/zeta) > v
+            results += _log_shells(f, params, ln_top, count - len(results), tol, len(results))
+        value, err, vanished = _totals(results)
+        v = count * _LN2 - ln_top  # the remainder is u = ln(1/zeta) > v
         if critical_log and v > 0.0:
             tail = v ** (f.mu + 1.0) / (-f.mu - 1.0)
             tail_err = -f.mu * v ** (f.mu - 1.0) * math.exp(1.0 - v)
         elif critical_log:
             tail, tail_err = 0.0, math.inf
-        elif all(x == 0.0 for x in vals[count // 2 :]):
+        elif all(vanished[count // 2 :]):
             tail, tail_err = 0.0, 0.0
         else:
             try:
-                tail, tail_err, _ = _fit_tail(vals)
+                tail, tail_err, _ = _fit_tail([r.value for r in results])
             except CriterionUndecidedError:
                 if count == deep:
                     raise
                 continue
-        value, err = math.fsum(vals) + tail, math.fsum(r.abs_error for r in results) + tail_err
+        value, err = value + tail, err + tail_err
         converged = all(r.converged for r in results) and err <= tol.bound(value)
         if converged:
             break
@@ -545,7 +571,8 @@ def criterion_value(
     classifier's gate (the analytic families need none), then
     :func:`_integral_below` at eps, on the classifier's shells.  Raises
     :class:`DivergentIntegralError` for certifiably divergent input and
-    :class:`CriterionUndecidedError` when convergence is not certified."""
+    :class:`CriterionUndecidedError` when convergence is not certified.
+    The shells are log-values, so no eps is too small for them."""
     shells: List[QuadratureResult] = []
     if _analytic(f, critical_exponent(params)) is None:
         shells, verdict = _classify_numeric(f, params, tol)
@@ -555,4 +582,4 @@ def criterion_value(
             raise CriterionUndecidedError(
                 f"cannot certify convergence before valuing the integral: {verdict.detail}"
             )
-    return _integral_below(f, params, params.eps, tol, shells)
+    return _integral_below(f, params, math.log(params.eps), tol, shells)

@@ -411,6 +411,13 @@ def _signed_to_float(s: int, m: float) -> float:
     return s * math.exp(m)
 
 
+def _literal(node: ExprNode) -> Optional[float]:
+    # a (negated) number, exact: from its signed log, exp(log(3.0)) != 3.0
+    if isinstance(node, Neg):
+        return None if (x := _literal(node.arg)) is None else -x
+    return node.value if isinstance(node, Num) else None
+
+
 def _signed_add(s1: int, m1: float, s2: int, m2: float) -> _Signed:
     if s1 == 0:
         return (s2, m2)
@@ -466,7 +473,8 @@ def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
         if op == "^":
             s, m = signed_log_eval(node.left, ln_z)
             es, em = signed_log_eval(node.right, ln_z)
-            e = _signed_to_float(es, em)
+            e = _literal(node.right)
+            e = _signed_to_float(es, em) if e is None else e
             if s == 0:
                 if e > 0:
                     return (0, _NEG_INF)
@@ -531,7 +539,8 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
         s2, m2 = _signed_log_array(node.right, ln_z, bad)
         op = node.op
         if op == "^":
-            e = s2 * np.exp(m2)
+            e = _literal(node.right)
+            e = s2 * np.exp(m2) if e is None else e
             zero = s1 == 0
             bad |= (m2 > _LOG_MAX) | (zero & (e < 0)) | ((s1 < 0) & (e != np.floor(e)))
             odd = (s1 < 0) & (np.fmod(e, 2.0) != 0.0)

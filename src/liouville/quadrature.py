@@ -27,7 +27,8 @@ call per block.  Only the intervals whose estimate misses the tolerance
 are redone, one by one, by the scalar adaptive :func:`integrate`.
 :func:`integrate_panels` is its case of consecutive panels, and
 :func:`integrate_segments` builds on that: integrals over consecutive
-segments, each cut into panels at given break points.  The dyadic shells are refined together,
+segments, each cut into panels at given break points.  Dyadic shells
+(in :mod:`liouville.criterion`, in v = ln(1/zeta) and as log-values) are refined together,
 level by level, each level one such array pass (see :func:`_bisect`).
 """
 
@@ -428,22 +429,6 @@ def integrate_to_infinity(
     return integrate(h, 0.0, 1.0, tol)
 
 
-def _dyadic_shells(
-    g_vec: Callable[[np.ndarray], np.ndarray],
-    eps: float,
-    count: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> List[QuadratureResult]:
-    # the shells of dyadic_shell_integrals as QuadratureResults, one pass
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    hi = eps * 0.5 ** np.arange(count)
-    shells = _bisect(g_vec, 0.5 * hi, hi, tol, _MAX_LEVEL)[:4]
-    return [QuadratureResult(*r) for r in zip(*(x.tolist() for x in shells))]
-
-
 def dyadic_shell_integrals(
     g: Callable[[float], float],
     eps: float,
@@ -455,5 +440,11 @@ def dyadic_shell_integrals(
     Returned outermost first, k = 0 .. count-1.  Together the shells
     cover (eps * 2**-count, eps]; summing them and adding a remainder
     over (0, eps * 2**-count] reproduces the integral over (0, eps].
+    The plain reference in zeta: a shell that underflows comes out as 0.
     """
-    return [r.value for r in _dyadic_shells(np.vectorize(g, otypes=[float]), eps, count, tol)]
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
+    hi = eps * 0.5 ** np.arange(count)
+    return _bisect(np.vectorize(g, otypes=[float]), 0.5 * hi, hi, tol, _MAX_LEVEL)[0].tolist()

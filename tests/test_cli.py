@@ -165,8 +165,8 @@ class TestConstruct:
         assert code == EXIT_INCONCLUSIVE
 
     def test_fast_decaying_expression_matches_power(self, capsys):
-        # deep criterion shells of z^5.86 underflow to zero; the tail fit
-        # must skip them rather than take their log
+        # deep criterion shells of z^5.86 would underflow in zeta; as
+        # log-values the tail fit sees them all
         argv = ["construct", "--n", "3", "--p", "2", "--format", "json", "--grid-points", "12"]
         code, out, err = run(capsys, argv + ["--expr", "z^5.86"])
         assert code == EXIT_OK, err
@@ -342,19 +342,21 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert first == second and first[0] == EXIT_CONVERGES
 
 
-def test_tiny_eps_fails_cleanly(capsys):
-    # at eps = 1e-300 the source integral's remainder starts at
-    # eps * 1e-8 * 2^-40, and 40 shells below it would reach z = 0; the
-    # power's remainder is closed form and needs no shells
-    argv = ["construct", "--n", "3", "--p", "2", "--eps", "1e-300", "--grid-points", "3"]
-    for spelling, want in ((["--expr", "z^4"], EXIT_CONFIG), (["--power", "4"], EXIT_OK)):
+@pytest.mark.parametrize("n, p", [("3", "2"), ("8", "3")])
+def test_tiny_eps_builds(capsys, n, p):
+    # at eps = 1e-300 the source integral's remainder starts below
+    # eps * 1e-8 * 2^-40 (ln top = -765 at n=8 p=3, under the smallest
+    # double); its shells are log-values, so the expression builds as the
+    # power does, with no warning
+    argv = ["construct", "--n", n, "--p", p, "--eps", "1e-300", "--grid-points", "3", "--format", "json"]
+    rows = []
+    for spelling in (["--expr", "z^4"], ["--power", "4"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, argv + spelling)
-        assert code == want, err
-        if code == EXIT_CONFIG:
-            assert "eps=1e-300 is too small" in err
-        assert "nan" not in (out + err).lower()
+        assert code == EXIT_OK, err
+        rows.append([row["w"] for row in json.loads(out)["rows"]])
+    assert rows[0] == rows[1]
 
 
 # certify-power inputs of the inner-limit-stall class in perfbench/NOTES.md

@@ -11,12 +11,14 @@ Numeric oracles, computed independently before being frozen here:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liouville import (
+    DEFAULT_TOLERANCE,
     ClassifyOptions,
     CriterionUndecidedError,
     DivergentIntegralError,
@@ -37,8 +39,7 @@ from liouville import (
     integrate,
     parse_nonlinearity,
 )
-from liouville.criterion import _decide, _fit_tail
-from liouville.quadrature import _dyadic_shells
+from liouville.criterion import _decide, _log_shells
 from liouville.nonlinearity import signed_log_eval
 
 from conftest import critical_log_criterion
@@ -275,17 +276,11 @@ class TestCriterionValue:
 
     @pytest.mark.parametrize("lam", [5.86, 6.5, 20.0])
     def test_expression_with_underflowing_deep_shells(self, params32, lam):
-        # shells past about 1074 / (lam - q) underflow to zero; the tail
-        # fit uses the positive ones (or bounds the tail by the last one)
+        # shells past about 1074 / (lam - q) would underflow in zeta; as
+        # log-values the tail fit sees them all
         res = criterion_value(parse_nonlinearity(f"z^{lam}"), params32)
         assert res.value == pytest.approx(1.0 / (lam - 3.0), rel=1e-9)
         assert res.converged
-
-    def test_tail_fit_ignores_shells_after_first_zero(self):
-        geometric = [0.5**k for k in range(30)]
-        assert _fit_tail(geometric + [0.0] * 10) == _fit_tail(geometric)
-        tail, err, label = _fit_tail(geometric[:5] + [0.0] * 35)
-        assert (tail, err, label) == (0.0, geometric[4], "last-shell")
 
     def test_divergent_raises(self, params32):
         with pytest.raises(DivergentIntegralError):
@@ -386,14 +381,74 @@ def test_array_integrand_matches_closures(f, n, p):
 
 @pytest.mark.parametrize("f, n, p", _SHELL_CASES, ids=repr)
 def test_batched_shells_match_scalar_reference(f, n, p):
+    # the log-valued shells against the zeta integrand, shell by shell,
+    # wherever the zeta shell is a normal double
     params = StructureParams(n, p)
     tol = Tolerance(rel=1e-12, absolute=0.0)
     g = criterion_integrand(f, params)
-    shells = _dyadic_shells(g, 1.0, 400, tol)
+    shells = _log_shells(f, params, 0.0, 400, tol)
+    assert len(shells) == 400 and all(r.converged for r in shells)
     for k in _SHELLS_CHECKED:
         ref = integrate(lambda t: float(g(t)), 2.0 ** -(k + 1), 2.0**-k, tol)
-        assert shells[k].converged and ref.converged
-        assert abs(shells[k].value - ref.value) <= shells[k].abs_error + ref.abs_error
+        if ref.value < np.finfo(float).tiny:
+            continue  # underflowed in zeta: see test_deep_shells_match_closed_form
+        assert ref.converged
+        value = math.exp(shells[k].value)
+        assert abs(value - ref.value) <= value * shells[k].abs_error + ref.abs_error
+
+
+@pytest.mark.parametrize("text, first", [("z^30", 42), ("z^6.5", 307)])
+def test_deep_shells_match_closed_form(text, first):
+    # where the zeta shells underflow, the log of shell k of z**(q+d) is
+    # -k d ln 2 + ln((1 - 2**-d) / d)
+    params = StructureParams(3, 2.0)
+    d = mpmath.mpf(text[2:]) - 3
+    shells = _log_shells(parse_nonlinearity(text), params, 0.0, 400, Tolerance(rel=1e-12, absolute=0.0))
+    with mpmath.workdps(30):
+        for k in range(first, 400):
+            exact = -k * d * mpmath.log(2) + mpmath.log((1 - mpmath.mpf(2) ** -d) / d)
+            assert shells[k].converged
+            assert abs(shells[k].value - float(exact)) <= 1e-12, k
+
+
+@pytest.mark.parametrize(
+    "text, p, detail",
+    [("((z - 0.3)^2 + 1e-300)^-2", 2.0, "integrand exceeds double range within a shell"),
+     ("1", 2.9, "the criterion integral exp(1576.33) exceeds double range")],
+)
+def test_overflow_is_inconclusive(text, p, detail):
+    # a rise past e**709 inside one shell, and a sum past double range
+    v = classify(parse_nonlinearity(text), StructureParams(3, p), ClassifyOptions(check_monotonicity=False))
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.detail == "integrand evaluation failed while probing shells: " + detail
+
+
+def test_log_shells_do_not_depend_on_their_neighbours(params32):
+    # the outermost shells of a long pass are those of a short one, and
+    # the rest are those of a pass that starts where the short one ends
+    f = parse_nonlinearity("z^3*log(e+1/z)^-2")
+    tol = Tolerance(rel=1e-12, absolute=0.0)
+    long = _log_shells(f, params32, 0.0, 100, tol)
+    assert _log_shells(f, params32, 0.0, 30, tol) == long[:30]
+    assert _log_shells(f, params32, 0.0, 70, tol, first=30) == long[30:]
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("z^60", 1.0 / 57.0), ("z^200", 1.0 / 197.0), ("exp(-1/z)", 5.0 / math.e),
+     ("z^4*exp(-1/(200*z))", None)],
+)
+def test_fast_decay_vanishes_on_the_deep_shells(params32, text, value):
+    # the deep shells fall more than ln(2**1074) below the partial sum:
+    # the remainder is zero, and no shell scale overflows on the way
+    f = parse_nonlinearity(text)
+    v = classify(f, params32)
+    assert v.verdict is Verdict.CONVERGES
+    assert v.detail == "integrand vanishes on the deep shells; remainder taken as zero"
+    if value is not None:
+        assert abs(v.value - value) <= v.abs_error + 1e-15 * value
+    res = criterion_value(f, params32)
+    assert res.converged and (res.value, res.abs_error) == (v.value, v.abs_error)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +578,7 @@ def test_criterion_value_decides_as_classify(params42, text):
 
 def test_unconverged_shell_makes_the_verdict_inconclusive(params32):
     # the same shell values give a verdict only while every shell converged
-    g = criterion_integrand(parse_nonlinearity("z^4 * exp(z^2)"), params32)
-    results = _dyadic_shells(g, 1.0, 40, Tolerance(rel=1e-12, absolute=0.0))
+    results = _log_shells(parse_nonlinearity("z^4 * exp(z^2)"), params32, 0.0, 40, DEFAULT_TOLERANCE)
     assert _decide(results).verdict is Verdict.CONVERGES
     starved = [QuadratureResult(r.value, r.abs_error, r.subdivisions, k != 7) for k, r in enumerate(results)]
     v = _decide(starved)

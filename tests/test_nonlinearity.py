@@ -214,6 +214,17 @@ def test_signed_log_survives_underflow():
     assert mag == pytest.approx(4.0 * math.log(1e-100), rel=1e-14)
 
 
+@pytest.mark.parametrize("exponent", [3.0, 30.0, 3.001, 6.5, -2.0])
+def test_literal_exponent_is_exact_in_logs(exponent):
+    # exp(log(3.0)) != 3.0: a literal exponent must not take that round
+    # trip, or z^a as an expression is an ulp of a ln z off the power
+    ln_zs = [-700.0, -5.0, 0.0, 1.5]
+    f = parse_nonlinearity(f"z^{exponent!r}")
+    sign, mag = f.log_value(np.array(ln_zs))
+    assert mag.tolist() == Power(exponent).log_value(np.array(ln_zs))[1].tolist()
+    assert [signed_log_eval(f.root, x) for x in ln_zs] == [(1, exponent * x) for x in ln_zs]
+
+
 def test_signed_log_exact_cancellation():
     sign, mag = signed_log_eval(parse_expression("z - z"), 0.0)
     assert sign == 0

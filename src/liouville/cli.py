@@ -31,7 +31,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -270,12 +270,17 @@ def _csv_text(header: List[str], rows: List[List[object]]) -> str:
 # classify
 
 
+def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance) -> CriterionVerdict:
+    # classify f with this command's monotonicity setting
+    opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone)
+    return classify(f, params, opts, tol)
+
+
 def cmd_classify(cfg: RunConfig) -> int:
     params = StructureParams(cfg.n, cfg.p, cfg.eps)
     q = critical_exponent(params)
     f = _make_f(cfg, q)
-    opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone)
-    verdict = classify(f, params, opts, _tolerance(cfg))
+    verdict = _gate(f, params, cfg, _tolerance(cfg))
 
     payload = {
         "schema": "classify-report/v1",
@@ -326,37 +331,34 @@ def cmd_classify(cfg: RunConfig) -> int:
 # construct / verify share the setup
 
 
-def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance) -> CriterionVerdict:
-    opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone)
-    return classify(f, params, opts, tol)
-
-
-def _setup_profile(cfg: RunConfig):
+def _setup_profile(cfg: RunConfig) -> Tuple[Optional[RadialProfile], CriterionVerdict]:
+    # the gate's verdict, and the profile (with its f, q, delta, tol) if f converges
     params = StructureParams(cfg.n, cfg.p, cfg.eps)
-    q = critical_exponent(params)
-    f = _make_f(cfg, q)
+    f = _make_f(cfg, critical_exponent(params))
     tol = _tolerance(cfg)
     verdict = _gate(f, params, cfg, tol)
-    if verdict.verdict is Verdict.DIVERGES:
-        return None, verdict, None, None, tol, f, params
-    if verdict.verdict is Verdict.INCONCLUSIVE:
-        return None, verdict, None, None, tol, f, params
+    if verdict.verdict is not Verdict.CONVERGES:
+        return None, verdict
     if cfg.delta is not None:
-        profile = RadialProfile(f, params, cfg.delta, tol)
-    else:
-        # the gate above has classified f, with this command's monotonicity setting
-        opts = DeltaSearchOptions(delta0=cfg.delta0, assume_convergent=True)
-        profile = find_delta(f, params, opts, tol)
-    return profile, verdict, profile.delta, q, tol, f, params
+        return RadialProfile(f, params, cfg.delta, tol), verdict
+    # the gate above has classified f, with this command's monotonicity setting
+    opts = DeltaSearchOptions(delta0=cfg.delta0, assume_convergent=True)
+    return find_delta(f, params, opts, tol), verdict
+
+
+def _refused(cfg: RunConfig, verdict: CriterionVerdict) -> int:
+    # the early exit of construct and verify when the gate does not converge
+    _emit(_MESSAGES[verdict.verdict] + "\n", cfg.out)
+    sys.stderr.write(f"classify: {verdict.detail}\n")
+    return EXIT_FAIL if verdict.verdict is Verdict.DIVERGES else EXIT_INCONCLUSIVE
 
 
 def cmd_construct(cfg: RunConfig) -> int:
-    profile, verdict, delta, q, tol, f, params = _setup_profile(cfg)
+    profile, verdict = _setup_profile(cfg)
     if profile is None:
-        _emit(_MESSAGES[verdict.verdict] + "\n", cfg.out)
-        sys.stderr.write(f"classify: {verdict.detail}\n")
-        return EXIT_FAIL if verdict.verdict is Verdict.DIVERGES else EXIT_INCONCLUSIVE
+        return _refused(cfg, verdict)
 
+    delta = profile.delta
     radii = [float(r) for r in np.geomspace(cfg.grid_lo * delta, cfg.grid_hi * delta, cfg.grid_points)]
     ws = profile.values_on_grid(radii)
     rows = [
@@ -369,8 +371,8 @@ def cmd_construct(cfg: RunConfig) -> int:
             "schema": "construct-report/v1",
             "command": "construct",
             "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-            "nonlinearity": _describe_f(f),
-            "critical_exponent": q,
+            "nonlinearity": _describe_f(profile.f),
+            "critical_exponent": profile.q,
             "delta": delta,
             "rows": [
                 {"r": r, "w": w, "envelope": e, "bound": b} for r, w, e, b in rows
@@ -386,11 +388,9 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    profile, verdict, delta, q, tol, f, params = _setup_profile(cfg)
+    profile, verdict = _setup_profile(cfg)
     if profile is None:
-        _emit(_MESSAGES[verdict.verdict] + "\n", cfg.out)
-        sys.stderr.write(f"classify: {verdict.detail}\n")
-        return EXIT_FAIL if verdict.verdict is Verdict.DIVERGES else EXIT_INCONCLUSIVE
+        return _refused(cfg, verdict)
 
     try:
         report = verify_profile(profile)
@@ -402,10 +402,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         "schema": "verify-report/v1",
         "command": "verify",
         "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-        "nonlinearity": _describe_f(f),
-        "critical_exponent": q,
-        "delta": delta,
-        "tolerance": {"rel": tol.rel, "absolute": tol.absolute},
+        "nonlinearity": _describe_f(profile.f),
+        "critical_exponent": profile.q,
+        "delta": profile.delta,
+        "tolerance": {"rel": profile.tol.rel, "absolute": profile.tol.absolute},
         "checks": [
             {
                 "name": c.name,
@@ -427,7 +427,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             [[c.name, c.grid_size, c.worst_residual, c.passed] for c in report.checks],
         )
     else:
-        lines = [f"delta = {delta!r}"]
+        lines = [f"delta = {profile.delta!r}"]
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
             lines.append(f"{c.name}: {status} (grid {c.grid_size}, worst {c.worst_residual!r})")

@@ -241,20 +241,23 @@ class RadialProfile:
             f"eps={self.params.eps}, delta={self.delta})"
         )
 
-    def _source(self, xi: float) -> float:
-        # xi**(n-1) * f(env(xi)), in logs to survive large xi
-        fv = self.f(self._env(xi))
-        if fv == 0.0 or xi == 0.0:
-            return 0.0
-        out = (self.params.n - 1) * math.log(xi) + math.log(fv)
-        if out > _LOG_MAX:
-            raise EvalOverflow(f"source term exceeds double range at xi={xi!r}")
-        return math.exp(out)
+    def _source(self, xi: np.ndarray) -> np.ndarray:
+        # xi**(n-1) * f(env(xi)) elementwise, by the plain evaluator
+        # f.values: a second route to the table's log-domain source term.
+        # The product is taken in logs to survive large xi.
+        xi = np.asarray(xi, dtype=float)
+        with np.errstate(divide="ignore"):
+            ln = (self.params.n - 1) * np.log(xi) + np.log(self.f.values(self._env_array(xi)))
+        return _exp_checked(ln, "source term", xi)
 
     # -- envelope ----------------------------------------------------------
 
     def envelope_value(self, r: float) -> float:
         return self._env(r)
+
+    def _env_array(self, r: np.ndarray) -> np.ndarray:
+        # env(r) = eps * (1 + r/delta)**-k, elementwise
+        return self.params.eps * np.exp(-self.decay * np.log1p(r / self.delta))
 
     # -- inner integral ----------------------------------------------------
 
@@ -441,20 +444,17 @@ def sup_profile(profile: RadialProfile) -> float:
     return profile.profile_value(0.0)
 
 
-def change_of_variables_check(
-    profile: RadialProfile,
-    tol: Optional[Tolerance] = None,
-) -> Tuple[QuadratureResult, QuadratureResult]:
+def change_of_variables_check(profile: RadialProfile) -> Tuple[QuadratureResult, QuadratureResult]:
     """Two computations of the same number that must agree.
 
     The source mass over the half line equals, after substituting the
     envelope value as the integration variable, a weighted integral of
     f over (0, eps] with an explicit algebraic weight.  Both sides are
-    returned so callers can compare at their own tolerance.  Exercises
-    the envelope, the source term, and the quadrature engine along two
-    completely different routes.
+    computed at the profile's tolerance and returned so callers can
+    compare at their own.  Exercises the envelope, the source term, and
+    the quadrature engine along two completely different routes.
     """
-    tol = tol or profile.tol
+    tol = profile.tol
     params = profile.params
     n, eps = params.n, params.eps
     delta = profile.delta

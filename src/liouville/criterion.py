@@ -362,6 +362,12 @@ def _totals(results: Sequence[QuadratureResult]) -> Tuple[float, float, List[boo
     return math.exp(ln), err, [x == -math.inf or x < ln - _LN_VANISHED for x in logs]
 
 
+def _vanished_tail(gone: Sequence[bool]) -> bool:
+    """Whether the flagged shells (outermost first) end in vanished ones,
+    with none alive below the first: then the remainder counts as zero."""
+    return bool(gone) and gone[-1] and all(b for a, b in zip(gone, gone[1:]) if a)
+
+
 def _log_shells(
     f: Nonlinearity,
     params: StructureParams,
@@ -440,7 +446,7 @@ def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
             Verdict.INCONCLUSIVE,
             detail="a shell quadrature did not converge, so the shell values are not certified",
         )
-    if all(gone):
+    if _vanished_tail(gone):
         return numeric(
             Verdict.CONVERGES,
             value=partial,
@@ -513,8 +519,8 @@ def _integral_below(
     ones, if already computed) plus the remainder below them: for the
     critical log family, in u = ln(1/zeta), the integral of
     (u + ln(1 + e**(1-u)))**mu over u > V = ln(2**K/top), which is
-    V**(mu+1)/(-mu-1) within |mu| V**(mu-1) e**(1-V); zero when every
-    shell of the deeper half vanished (:func:`_totals`); otherwise the
+    V**(mu+1)/(-mu-1) within |mu| V**(mu-1) e**(1-V); zero when the
+    deeper half ends in vanished shells (:func:`_vanished_tail`); otherwise the
     fitted tail model.  That is tried on _SHELL_COUNT shells, then, if
     it missed ``tol`` or no model fitted, on shells down to
     eps * 2**-_DEEP_SHELL_COUNT, the depth of the criterion value's own;
@@ -546,7 +552,7 @@ def _integral_below(
             tail_err = -f.mu * v ** (f.mu - 1.0) * math.exp(1.0 - v)
         elif critical_log:
             tail, tail_err = 0.0, math.inf
-        elif all(vanished[count // 2 :]):
+        elif _vanished_tail(vanished[count // 2 :]):
             tail, tail_err = 0.0, 0.0
         else:
             try:

@@ -753,36 +753,35 @@ class MonotonicityReport:
     value_hi: Optional[float] = None
 
 
-def check_monotone(
-    f: Nonlinearity,
-    eps: float,
-    samples: int = 256,
-    rel_slack: float = 1e-12,
-) -> MonotonicityReport:
+# check_monotone's grid size and relative slack
+_MONOTONE_SAMPLES = 256
+_MONOTONE_SLACK = 1e-12
+
+
+def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
     """Probe f for non-decrease on a log grid spanning (0, eps].
 
     The grid covers twelve decades below eps.  A decrease smaller than
-    ``rel_slack`` relative to the local magnitude is tolerated so that
-    constant functions pass despite rounding.  Evaluation errors
+    ``_MONOTONE_SLACK`` relative to the local magnitude is tolerated so
+    that constant functions pass despite rounding.  Evaluation errors
     propagate to the caller untouched.  The samples are evaluated in one
     array call; the pairs it flags (every pair, if it raises) are checked
     by calls, so the outcome is that of a loop of calls.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples!r}")
-    zs = [eps * 10.0 ** (-12.0 * (1.0 - i / (samples - 1))) for i in range(samples)]
+    last = _MONOTONE_SAMPLES - 1
+    zs = [eps * 10.0 ** (-12.0 * (1.0 - i / last)) for i in range(_MONOTONE_SAMPLES)]
     try:
         v = f.values(np.array(zs))
     except EvaluationError:
-        pairs = range(1, samples)
+        pairs = range(1, _MONOTONE_SAMPLES)
     else:
         # array values differ from calls by a few ulps, far inside half the slack
-        slack = 0.5 * rel_slack * np.maximum(np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 1.0)
+        slack = 0.5 * _MONOTONE_SLACK * np.maximum(np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 1.0)
         pairs = (np.flatnonzero(v[1:] < v[:-1] - slack) + 1).tolist()
     for i in pairs:
         lo, hi = f(zs[i - 1]), f(zs[i])
-        if hi < lo - rel_slack * max(abs(lo), abs(hi), 1.0):
+        if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):
             return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
     return MonotonicityReport(True)

@@ -3,24 +3,30 @@
 Every check here re-derives a property of the profile through a route
 different from the one used to build it, reports the worst residual it
 saw, and says pass or fail against an explicit threshold.  Nothing is
-asserted; callers (CLI, tests) decide what a failure means.
+asserted; callers (CLI, tests) decide what a failure means.  Grids and
+thresholds are fixed module constants, with radii in units of delta.
 
 The five profile checks:
 
-* flux identity: the windowed increment of the radial flux
-  r**(n-1) |w'(r)|**(p-1) must match a fresh quadrature of the source
-  term over the same window.  This confronts the cached inner integral
-  with direct integration.
-* supersolution: the envelope must dominate the profile and, through
-  monotonicity of f, the source f(env) must dominate f(w) pointwise.
-* gradient decay: |w'| along radii delta * 2**-j must peak early, then
-  decrease monotonically below tolerance; the source integral at the
-  smallest radius must be negligible too.
-* normalization: w must be non-increasing and small at the far end of
-  the grid.
-* energy: the ball-averaged source energy must grow monotonically and
-  its natural normalization must stay within a bounded factor of its
-  median across two decades of radii.
+* flux identity: on 13 log-spaced radii over [1e-2, 1e2] * delta, the
+  increment of the radial flux r**(n-1) |w'(r)|**(p-1) across the
+  window [r - h, r + h] must match a fresh quadrature of the source
+  term over the same window, the best of h = 1e-2, 1e-3, 1e-4 and 1e-5
+  times r within a relative defect of 1e-6.  The flux reads the cached
+  inner integral (log-domain source), the quadrature the plain
+  evaluator of f.
+* supersolution: on 200 log-spaced radii over [1e-6, 1e6] * delta the
+  envelope must dominate the profile to within 1e-12 and, through
+  monotonicity of f, f(env) - f(w) must stay above -1e-10.
+* gradient decay: |w'| along the 41 radii delta * 2**-j, j = 0 .. 40,
+  must peak by level 20, then decrease monotonically and end at most
+  1e-6; the source integral at the smallest radius must be at most
+  1e-6 too.
+* normalization: on 64 log-spaced radii over [1e-6, 1e6] * delta, w
+  must be non-increasing and at most 1e-3 at the far end.
+* energy: at 64 log-spaced radii over [1, 1e3] * delta, the
+  ball-averaged source energy must grow monotonically and its natural
+  normalization must stay within a factor 1e3 of its median.
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
@@ -29,23 +35,24 @@ normalization, energy) the profile's outer cache fill, which those
 values rest on.
 
 :func:`delta_limit_check` is a family-level check (it builds its own
-profile, once, and reads the other scales off it): sup w must decrease
-strictly under halvings of delta and fall below a threshold, witnessing
-that small data force small supersolutions.
+profile, once, at delta = 1, and reads the other scales off it): sup w
+must decrease strictly under ``j_count`` halvings of delta and fall to
+at most 1e-3, witnessing that small data force small supersolutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .construct import RadialProfile, _hermite, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate, integrate_segments
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate_intervals, integrate_segments
+from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
     "CheckResult",
@@ -85,12 +92,26 @@ class VerificationReport:
     overall: bool
 
 
-def _geom(lo: float, hi: float, num: int) -> List[float]:
-    return [float(x) for x in np.geomspace(lo, hi, num)]
-
-
 def _unconverged_note(converged: bool) -> str:
     return "" if converged else "; quadrature did not converge"
+
+
+# The checks' fixed grids, with radii in units of delta, and thresholds,
+# as the module docstring gives them.
+_FLUX_RADII = 13
+_FLUX_H_FACTORS = (1e-2, 1e-3, 1e-4, 1e-5)
+_FLUX_TARGET = 1e-6
+_SUPER_RADII = 200
+_ENVELOPE_SLACK = 1e-12
+_SUPER_SLACK = 1e-10
+_DECAY_LEVELS = 40
+_DECAY_TOL = 1e-6
+_NORM_POINTS = 64
+_NORM_TOL = 1e-3
+_ENERGY_RADII = 64
+_ENERGY_BOUND = 1e3
+_DELTA0 = 1.0
+_DELTA_THRESHOLD = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +128,18 @@ def _flux(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
 def _flux_defects(
     profile: RadialProfile, r: np.ndarray, h: np.ndarray
 ) -> Tuple[np.ndarray, bool]:
-    # flux_residual_at for each pair (r[i], h[i]), and whether every
-    # source quadrature converged
+    # flux_residual_at for each pair (r[i], h[i]), all source windows in
+    # one batched pass, and whether every source quadrature converged
     bad = np.flatnonzero(~((0.0 < h) & (h < r)))
     if bad.size:
         i = bad[0]
         raise ValueError(f"need 0 < h < r, got h={float(h[i])!r}, r={float(r[i])!r}")
     lhs = _flux(profile, r + h) - _flux(profile, r - h)
-    tol = Tolerance(rel=1e-13, absolute=0.0)
-    rhs = [integrate(profile._source, a - b, a + b, tol) for a, b in zip(r.tolist(), h.tolist())]
-    values = np.array([x.value for x in rhs])
-    den = np.maximum(np.abs(lhs), np.abs(values))
+    rhs = integrate_intervals(profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0))
+    den = np.maximum(np.abs(lhs), np.abs(rhs.values))
     with np.errstate(invalid="ignore"):
-        defects = np.where(den == 0.0, 0.0, np.abs(lhs - values) / den)
-    return defects, all(x.converged for x in rhs)
+        defects = np.where(den == 0.0, 0.0, np.abs(lhs - rhs.values) / den)
+    return defects, rhs.converged
 
 
 def flux_residual_at(profile: RadialProfile, r: float, h: float) -> float:
@@ -136,32 +155,25 @@ def flux_residual_at(profile: RadialProfile, r: float, h: float) -> float:
     return float(defects[0])
 
 
-def flux_identity_check(
-    profile: RadialProfile,
-    radii: Optional[Sequence[float]] = None,
-    target: float = 1e-6,
-    h_factors: Sequence[float] = (1e-2, 1e-3, 1e-4, 1e-5),
-) -> CheckResult:
+def flux_identity_check(profile: RadialProfile) -> CheckResult:
     """Windowed flux-balance check at each radius.
 
-    The window half-width adapts: each factor of ``h_factors`` times r
-    is tried and the smallest residual kept, so the check is not fooled
-    by windows too wide (curvature) or too narrow (cancellation).
+    The window half-width adapts: each factor of ``_FLUX_H_FACTORS``
+    times r is tried and the smallest residual kept, so the check is not
+    fooled by windows too wide (curvature) or too narrow (cancellation).
     ``detail`` says so when a source quadrature did not converge.
     """
-    if radii is None:
-        radii = _geom(0.01 * profile.delta, 100.0 * profile.delta, 13)
-    radii = list(radii)
-    rs = np.repeat(np.array(radii, dtype=float), len(h_factors))
-    defects, converged = _flux_defects(profile, rs, rs * np.tile(h_factors, len(radii)))
-    best = defects.reshape(len(radii), len(h_factors)).min(axis=1)
+    radii = np.geomspace(0.01 * profile.delta, 100.0 * profile.delta, _FLUX_RADII)
+    rs = np.repeat(radii, len(_FLUX_H_FACTORS))
+    defects, converged = _flux_defects(profile, rs, rs * np.tile(_FLUX_H_FACTORS, _FLUX_RADII))
+    best = defects.reshape(_FLUX_RADII, len(_FLUX_H_FACTORS)).min(axis=1)
     i = int(np.argmax(best))
-    worst, worst_r = (float(best[i]), radii[i]) if best[i] > 0.0 else (0.0, None)
+    worst, worst_r = (float(best[i]), float(radii[i])) if best[i] > 0.0 else (0.0, None)
     return CheckResult(
         name="flux_identity",
-        grid_size=len(radii),
+        grid_size=_FLUX_RADII,
         worst_residual=worst,
-        passed=worst <= target,
+        passed=worst <= _FLUX_TARGET,
         detail=f"worst relative flux defect {worst:.3e} at r={worst_r!r}"
         + _unconverged_note(converged),
     )
@@ -171,41 +183,29 @@ def flux_identity_check(
 # supersolution
 
 
-def supersolution_check(
-    profile: RadialProfile,
-    radii: Optional[Sequence[float]] = None,
-    slack: float = 1e-10,
-    envelope_slack: float = 1e-12,
-) -> CheckResult:
+def supersolution_check(profile: RadialProfile) -> CheckResult:
     """Pointwise certificate that the profile is a supersolution.
 
-    Two facts are verified on the grid: env(r) >= w(r) up to
-    ``envelope_slack``, and f(env(r)) - f(w(r)) >= -``slack``.  The
-    second is the quantity the differential inequality actually needs;
-    it is reported as the worst residual.
+    Two facts are verified on the grid, with f evaluated once on each of
+    the envelope and profile arrays: env(r) >= w(r) up to
+    ``_ENVELOPE_SLACK``, and f(env(r)) - f(w(r)) >= -``_SUPER_SLACK``.
+    The second is the quantity the differential inequality actually
+    needs; it is reported as the worst residual.
     """
-    if radii is None:
-        radii = _geom(1e-6 * profile.delta, 1e6 * profile.delta, 200)
-    rs = list(radii)
-    ws = profile.values_on_grid(rs)
+    rs = np.geomspace(1e-6 * profile.delta, 1e6 * profile.delta, _SUPER_RADII)
+    ws = np.array(profile.values_on_grid(rs))
+    env = profile._env_array(rs)
     f = profile.f
-    worst = math.inf
-    worst_r = None
-    dominated = True
-    for r, w in zip(rs, ws):
-        env = profile.envelope_value(r)
-        if env - w < -envelope_slack:
-            dominated = False
-        res = f(env) - f(w)
-        if res < worst:
-            worst = res
-            worst_r = r
-    passed = dominated and worst >= -slack
+    dominated = not (env - ws < -_ENVELOPE_SLACK).any()
+    res = f.values(env) - f.values(ws)
+    i = int(np.argmin(res))
+    worst, worst_r = float(res[i]), float(rs[i])
+    passed = dominated and worst >= -_SUPER_SLACK
     note = "" if dominated else "; envelope fails to dominate the profile"
     note += _unconverged_note(profile.outer_converged())
     return CheckResult(
         name="supersolution",
-        grid_size=len(rs),
+        grid_size=_SUPER_RADII,
         worst_residual=worst,
         passed=passed,
         detail=f"min of f(env)-f(w) is {worst:.3e} at r={worst_r!r}{note}",
@@ -216,36 +216,26 @@ def supersolution_check(
 # gradient decay
 
 
-def gradient_decay_check(
-    profile: RadialProfile,
-    levels: int = 40,
-    tol_value: float = 1e-6,
-) -> CheckResult:
-    """|w'| along the halving radii delta * 2**-j, j = 0 .. levels.
+def gradient_decay_check(profile: RadialProfile) -> CheckResult:
+    """|w'| along the halving radii delta * 2**-j, j = 0 .. _DECAY_LEVELS.
 
     The magnitude may rise at first (it typically peaks near delta/2)
     but must peak within the first half of the levels, decrease
-    monotonically afterwards, and end below ``tol_value``; the inner
-    integral at the smallest radius must be below ``tol_value`` too.
+    monotonically afterwards, and end below ``_DECAY_TOL``; the inner
+    integral at the smallest radius must be below ``_DECAY_TOL`` too.
     """
-    if levels < 4:
-        raise ValueError(f"levels must be >= 4, got {levels!r}")
-    rs = [profile.delta * 2.0**-j for j in range(levels + 1)]
+    rs = [profile.delta * 2.0**-j for j in range(_DECAY_LEVELS + 1)]
     vs = profile._outer_array(np.array(rs)).tolist()
     peak = max(range(len(vs)), key=lambda i: vs[i])
     monotone = all(
         vs[i + 1] <= vs[i] * (1.0 + 1e-12) + 1e-300 for i in range(peak, len(vs) - 1)
     )
     source_end = profile.inner_integral(rs[-1])
-    passed = (
-        peak <= levels // 2
-        and monotone
-        and vs[-1] <= tol_value
-        and source_end <= tol_value
-    )
+    passed = (peak <= _DECAY_LEVELS // 2 and monotone
+              and vs[-1] <= _DECAY_TOL and source_end <= _DECAY_TOL)
     return CheckResult(
         name="gradient_decay",
-        grid_size=levels + 1,
+        grid_size=_DECAY_LEVELS + 1,
         worst_residual=vs[-1],
         passed=passed,
         detail=(
@@ -259,26 +249,19 @@ def gradient_decay_check(
 # normalization
 
 
-def normalization_check(
-    profile: RadialProfile,
-    r_max: Optional[float] = None,
-    tol_value: float = 1e-3,
-    points: int = 64,
-) -> CheckResult:
-    """w must be non-increasing and fall below ``tol_value`` by r_max."""
-    if r_max is None:
-        r_max = 1e6 * profile.delta
-    rs = _geom(1e-6 * profile.delta, r_max, points)
+def normalization_check(profile: RadialProfile) -> CheckResult:
+    """w must be non-increasing and fall below ``_NORM_TOL`` by 1e6 * delta."""
+    rs = np.geomspace(1e-6 * profile.delta, 1e6 * profile.delta, _NORM_POINTS).tolist()
     ws = profile.values_on_grid(rs)
     non_increasing = all(
         ws[i + 1] <= ws[i] * (1.0 + 1e-12) + 1e-300 for i in range(len(ws) - 1)
     )
-    passed = non_increasing and ws[-1] <= tol_value
+    passed = non_increasing and ws[-1] <= _NORM_TOL
     note = "" if non_increasing else "; profile fails to be non-increasing"
     note += _unconverged_note(profile.outer_converged())
     return CheckResult(
         name="normalization",
-        grid_size=points,
+        grid_size=_NORM_POINTS,
         worst_residual=ws[-1],
         passed=passed,
         detail=f"w({rs[-1]:.6g}) = {ws[-1]:.6e}{note}",
@@ -319,36 +302,28 @@ class EnergyDiagnostic:
         )
 
 
-def energy_diagnostic(
-    profile: RadialProfile,
-    radii: Optional[Sequence[float]] = None,
-    bound_factor: float = 1e3,
-) -> EnergyDiagnostic:
-    """Energies and ratios of :class:`EnergyDiagnostic` at ``radii``.
+def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
+    """Energies and ratios of :class:`EnergyDiagnostic` at the radii.
 
     w is sampled on a 512-point log grid by ``values_on_grid`` and
     interpolated log-log by the cubic Hermite with the exact slopes
     d ln w / d ln r = -r |w'(r)| / w(r), held constant below and above
     the sampled range.  The interpolant is only C1 at its knots,
     so the energy integral is cut into panels at every knot inside
-    (0, radii[-1]) as well as at the radii, and all panels are
+    (0, 1e3 * delta) as well as at the radii, and all panels are
     integrated in one batch
     (:func:`~liouville.quadrature.integrate_segments`).  If a panel the
     batched rule could not certify also fails to converge on its scalar
     redo, or the profile's outer cache fill did not converge, ``detail``
     says so.
     """
-    if radii is None:
-        radii = _geom(profile.delta, 1e3 * profile.delta, 64)
-    rs = list(radii)
-    if any(b < a for a, b in zip(rs, rs[1:])):
-        raise ValueError("radii must be non-decreasing")
+    rs = np.geomspace(profile.delta, 1e3 * profile.delta, _ENERGY_RADII).tolist()
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     f = profile.f
 
-    grid = _geom(1e-6 * rs[0], rs[-1], 512)
+    grid = np.geomspace(1e-6 * rs[0], rs[-1], 512).tolist()
     ws = profile.values_on_grid(grid)
 
     if ws[0] == 0.0:
@@ -406,7 +381,7 @@ def energy_diagnostic(
     else:
         med = 0.0
         spread = math.inf
-    passed = nondecreasing and spread <= bound_factor
+    passed = nondecreasing and spread <= _ENERGY_BOUND
     return EnergyDiagnostic(
         radii=tuple(rs),
         energies=tuple(energies),
@@ -447,26 +422,19 @@ class DeltaLimitReport:
         )
 
 
-def delta_limit_check(
-    f: Nonlinearity,
-    params: StructureParams,
-    j_count: int = 10,
-    threshold: float = 1e-3,
-    delta0: float = 1.0,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> DeltaLimitReport:
-    """Track sup w at delta0 * 2**-j for j = 0 .. j_count.  The sups
-    must decrease strictly and end below ``threshold`` (an identically
-    zero profile passes trivially).  One profile is built, at delta0;
-    the other scales are its rescaled views
+def delta_limit_check(f: Nonlinearity, params: StructureParams, j_count: int = 10) -> DeltaLimitReport:
+    """Track sup w at delta = 2**-j for j = 0 .. j_count.  The sups must
+    decrease strictly and end at most ``_DELTA_THRESHOLD`` (an
+    identically zero profile passes trivially).  One profile is built,
+    at delta = 1; the other scales are its rescaled views
     (:meth:`~liouville.construct.RadialProfile.rescaled`).  All of them
     read sup w = w(0) off one shared outer cache, filled once, in
     closed form below the cache, so the sups cost no further
     quadrature."""
     if j_count < 1:
         raise ValueError(f"j_count must be >= 1, got {j_count!r}")
-    deltas = tuple(delta0 * 2.0**-j for j in range(j_count + 1))
-    base = RadialProfile(f, params, delta0, tol)
+    deltas = tuple(_DELTA0 * 2.0**-j for j in range(j_count + 1))
+    base = RadialProfile(f, params, _DELTA0, DEFAULT_TOLERANCE)
     sups = tuple(sup_profile(base.rescaled(d)) for d in deltas)
     if all(s == 0.0 for s in sups):
         return DeltaLimitReport(
@@ -479,7 +447,7 @@ def delta_limit_check(
         )
     strictly = all(b < a for a, b in zip(sups, sups[1:]))
     final = sups[-1]
-    passed = strictly and final <= threshold
+    passed = strictly and final <= _DELTA_THRESHOLD
     return DeltaLimitReport(
         deltas=deltas,
         sups=sups,
@@ -498,8 +466,8 @@ def delta_limit_check(
 
 
 def verify_profile(profile: RadialProfile) -> VerificationReport:
-    """Run the five profile checks, each at its own default threshold,
-    and fold them into one report."""
+    """Run the five profile checks, each on its fixed grid against its
+    fixed threshold, and fold them into one report."""
     checks = (
         flux_identity_check(profile),
         supersolution_check(profile),

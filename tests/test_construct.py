@@ -222,10 +222,16 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
     prof = batched_profile
     table = prof._table
     zs = (prof.delta * table.s).tolist()
-    acc = integrate(prof._source, 0.0, zs[0], _SEG_TOL).value
+    env, n = prof.envelope_value, prof.params.n
+
+    def source(xi):
+        # the source term by calls of f, the scalar reference
+        return xi ** (n - 1) * prof.f(env(xi))
+
+    acc = integrate(source, 0.0, zs[0], _SEG_TOL).value
     ref = [acc]
     for a, b in zip(zs, zs[1:]):
-        acc += integrate(prof._source, a, b, _SEG_TOL).value
+        acc += integrate(source, a, b, _SEG_TOL).value
         ref.append(acc)
     cached = prof.delta**prof.params.n * np.exp(table.ln_i)
     assert cached.tolist() == pytest.approx(ref, rel=1e-10, abs=0.0)

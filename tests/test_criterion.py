@@ -9,6 +9,7 @@ Numeric oracles, computed independently before being frozen here:
     K(mu=-3) likewise = 0.556776080278639509
 """
 
+import json
 import math
 
 import mpmath
@@ -37,6 +38,7 @@ from liouville import (
     criterion_value,
     critical_exponent,
     integrate,
+    cli,
     parse_nonlinearity,
 )
 from liouville.criterion import _decide, _log_shells
@@ -449,6 +451,44 @@ def test_fast_decay_vanishes_on_the_deep_shells(params32, text, value):
         assert abs(v.value - value) <= v.abs_error + 1e-15 * value
     res = criterion_value(f, params32)
     assert res.converged and (res.value, res.abs_error) == (v.value, v.abs_error)
+
+
+@pytest.mark.parametrize("lam", range(31, 57))
+def test_window_ending_in_vanished_shells_converges(params32, lam):
+    # from z^31 on the shells of the deciding window vanish partway
+    # through it; the vanished ones are its deep end, so the remainder is
+    # zero and the integral is 1/(lam - 3)
+    f = parse_nonlinearity(f"z^{lam}")
+    exact = 1.0 / (lam - 3)
+    v = classify(f, params32)
+    assert v.verdict is Verdict.CONVERGES
+    assert v.detail == "integrand vanishes on the deep shells; remainder taken as zero"
+    assert abs(v.value - exact) <= v.abs_error
+    res = criterion_value(f, params32)
+    assert res.converged and abs(res.value - exact) <= res.abs_error
+
+
+def test_window_with_a_live_shell_below_vanished_ones_is_inconclusive(params32):
+    # a shell that comes back below vanished ones leaves the remainder open
+    results = _log_shells(parse_nonlinearity("z^40"), params32, 0.0, 40, DEFAULT_TOLERANCE)
+    assert _decide(results).verdict is Verdict.CONVERGES
+    revived = results[:-1] + [results[20]]
+    v = _decide(revived)
+    assert v.verdict is Verdict.INCONCLUSIVE
+    assert v.detail == "deep shell integrals are not eventually positive"
+
+
+def test_construct_of_fast_decaying_expression_matches_power(capsys):
+    # z^40 at n=3 p=2 decides through its vanished deep shells
+    argv = ["construct", "--n", "3", "--p", "2", "--format", "json"]
+    assert cli.main(argv + ["--expr", "z^40"]) == cli.EXIT_OK
+    got = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + ["--power", "40"]) == cli.EXIT_OK
+    ref = json.loads(capsys.readouterr().out)
+    assert got["delta"] == ref["delta"]
+    assert [row["w"] for row in got["rows"]] == pytest.approx(
+        [row["w"] for row in ref["rows"]], rel=1e-12, abs=0.0
+    )
 
 
 # ---------------------------------------------------------------------------

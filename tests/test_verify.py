@@ -65,22 +65,51 @@ class TestFlux:
         assert res.worst_residual <= 1e-6
         assert res.name == "flux_identity"
 
-    def test_check_custom_radii(self, instance_profile):
-        res = flux_identity_check(instance_profile, radii=[0.5, 1.0, 2.0])
-        assert res.passed
-        assert res.grid_size == 3
-
     def test_check_reports_unconverged_quadrature(self, instance_profile, monkeypatch):
         honest = flux_identity_check(instance_profile)
-        scalar = verify_module.integrate
+        batched = verify_module.integrate_intervals
 
         def unconverged(*args, **kwargs):
-            return dataclasses.replace(scalar(*args, **kwargs), converged=False)
+            return dataclasses.replace(batched(*args, **kwargs), converged=False)
 
-        monkeypatch.setattr(verify_module, "integrate", unconverged)
+        monkeypatch.setattr(verify_module, "integrate_intervals", unconverged)
         flagged = flux_identity_check(instance_profile)
         assert flagged.detail == honest.detail + "; quadrature did not converge"
         assert (flagged.passed, flagged.worst_residual) == (honest.passed, honest.worst_residual)
+
+
+@pytest.mark.parametrize(
+    "f, n, p, delta",
+    [
+        (Power(4.0), 3, 2.0, 1.0),
+        (PowerLog(-2.0, 3.0), 3, 2.0, 0.5),
+        (parse_nonlinearity("z^3*log(e+1/z)^-2"), 4, 2.0, 1.0),
+        (Power(6.29058), 8, 3.0, 2.0**-4),
+    ],
+    ids=repr,
+)
+def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
+    # the flux check integrates all 13 x 4 source windows in one batched
+    # call; each agrees with an adaptive scalar quadrature of the window
+    # within the two error estimates
+    prof = RadialProfile(f, StructureParams(n, p), delta)
+    batched = verify_module.integrate_intervals
+    calls = []
+
+    def recorded(g, lo, hi, tol):
+        res = batched(g, lo, hi, tol)
+        calls.append((g, np.asarray(lo).tolist(), np.asarray(hi).tolist(), tol, res))
+        return res
+
+    monkeypatch.setattr(verify_module, "integrate_intervals", recorded)
+    flux_identity_check(prof)
+    assert len(calls) == 1
+    g, lo, hi, tol, res = calls[0]
+    assert len(lo) == 52 and res.fallbacks == 0 and res.converged
+    for a, b, value, error in zip(lo, hi, res.values.tolist(), res.abs_errors.tolist()):
+        ref = integrate(g, a, b, tol)
+        assert ref.converged
+        assert abs(value - ref.value) <= error + ref.abs_error, (a, b)
 
 
 # Benchmark inputs whose flux check failed (defects 1.4e-6 to 4.8e-6 at
@@ -149,14 +178,16 @@ class TestGradientDecay:
         assert res.worst_residual <= 1e-6
 
     def test_respects_level_budget(self, instance_profile):
-        res = gradient_decay_check(instance_profile, levels=12)
-        assert res.grid_size == 13
-        # the ladder halves inward from delta; 12 levels stop at
-        # r = 2^-12 where |w'| ~ r/3 ~ 8e-5 is still above tol_value,
+        # the ladder halves inward from delta = 2**28; its 40 levels stop
+        # at r = 2**-12, where |w'| ~ r/3 ~ 8.1e-5 is still above 1e-6,
         # so the check reports a failure rather than shrinking its claim
+        delta = 2.0**28
+        res = gradient_decay_check(instance_profile.rescaled(delta))
+        assert res.grid_size == 41
         assert not res.passed
-        r = 2.0**-12
-        assert res.worst_residual == pytest.approx(r / (3 * (1 + r) ** 3), rel=1e-6)
+        assert "peak at level 1," in res.detail
+        s = 2.0**-40  # |w'_delta(r)| = delta |w'_1(r/delta)|
+        assert res.worst_residual == pytest.approx(delta * s / (3 * (1 + s) ** 3), rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

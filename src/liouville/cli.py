@@ -292,7 +292,7 @@ def cmd_classify(cfg: RunConfig) -> int:
         "method": verdict.method,
         "value": verdict.value,
         "abs_error": verdict.abs_error,
-        "slope": verdict.slope,
+        "slope": None,  # classify-report/v1 keeps the key; no slope is fitted
         "detail": verdict.detail,
         "message": _MESSAGES[verdict.verdict],
     }

@@ -265,23 +265,36 @@ class RadialProfile:
         # I_1(inf), once per table: the table's last sum plus the mass
         # beyond its last knot.  With zeta = env_1(s) that mass is
         # a * eps**q times the criterion integral below top = env_1(s_end),
-        # weighted by (1 - (zeta/eps)**a)**(n-1), which lies within
-        # [1 - (n-1)/(1+s_end), 1] there: take the midpoint.
+        # weighted by (1 - x)**(n-1), x = (zeta/eps)**a <= w = 1/(1+s_end).
+        # The weight lies within [1 - (n-1) w, 1]: take the midpoint.  Where
+        # that half-width misses the tolerance (small a), subtract the
+        # first-order term (n-1) x instead, one more integral below top
+        # with exponent q - a; what is left lies within [0, C(n-1, 2) w**2].
         t = self._table
         if t.limit is None:
             n, tol = self.params.n, self.tol
             scale = self.params.eps**self.q / self.decay
             # the remainder needs only the accuracy of its share of I_1(inf)
             floor = tol.rel * t.last / scale if scale > 0.0 else 0.0
+            rest_tol = Tolerance(tol.rel, floor)
+            weight = math.exp((t.ln_top - math.log(self.params.eps)) / self.decay)  # 1/(1+s_end)
             try:
-                rest = _integral_below(self.f, self.params, t.ln_top, Tolerance(tol.rel, floor))
+                rest = _integral_below(self.f, self.params, t.ln_top, rest_tol)
+                mass, error = scale * rest.value, t.last_error + scale * rest.abs_error
+                half = 0.5 * (n - 1) * weight * mass
+                value, converged = t.last + mass - half, rest.converged
+                if converged and error + half > tol.bound(value):
+                    a = 1.0 / self.decay
+                    first = _integral_below(self.f, self.params, t.ln_top, rest_tol, q=self.q - a)
+                    linear = (n - 1) * self.params.eps**-a * scale
+                    half = 0.25 * (n - 1) * (n - 2) * weight**2 * mass
+                    value = t.last + mass - linear * first.value + half
+                    error += linear * first.abs_error
+                    converged = first.converged
             except CriterionUndecidedError as exc:
                 raise CriterionUndecidedError(f"{_NOT_CONVERGED}: {exc}") from None
-            mass = scale * rest.value
-            weight = math.exp((t.ln_top - math.log(self.params.eps)) / self.decay)  # 1/(1+s_end)
-            half = 0.5 * (n - 1) * weight * mass
-            value, error = t.last + mass - half, t.last_error + scale * rest.abs_error + half
-            if not (rest.converged and error <= tol.bound(value)):
+            error += half
+            if not (converged and error <= tol.bound(value)):
                 raise CriterionUndecidedError(
                     f"{_NOT_CONVERGED}: I(inf) = {value!r} +- {error!r} at delta = 1, "
                     f"{mass!r} of it beyond the table"
@@ -296,7 +309,7 @@ class RadialProfile:
 
     def inner_integral(self, z: float) -> float:
         """I(z): the cache's Hermite in range, direct quadrature off
-        range, and the full limit at z = inf."""
+        range (one batched panel below it), and the full limit at z = inf."""
         if math.isnan(z):
             raise DomainError(f"z must be a real number, got {z!r}")
         if z <= 0.0:
@@ -308,7 +321,7 @@ class RadialProfile:
             return 0.0
         s = z / self.delta
         if s < t.s[0]:
-            return integrate(self._source, 0.0, z, self.tol).value
+            return float(integrate_intervals(self._source, [0.0], [z], self.tol).values[0])
         if s <= t.s[-1]:
             return math.exp(self._ln_inner(np.float64(z)))
         edge = self.delta * t.s[-1]

@@ -10,8 +10,12 @@ solution of the associated differential inequality on the whole space
 is zero; convergence means a positive radial supersolution exists and
 can be built explicitly (see :mod:`liouville.construct`).
 
-:func:`classify` decides the dichotomy, analytically for the two
-built-in families and numerically otherwise.  The numeric route probes
+:func:`classify` decides the dichotomy from the leading term
+c z**a L1**b1 L2**b2 of f as z -> 0+ (L1 = ln(1/z), L2 = ln L1;
+:mod:`liouville._leading`), by limit comparison on the Bertrand scale:
+the integral converges iff a > q, or a = q and the first of b1, b2 that
+is not -1 is below -1.  Where the walk over an expression tree gives up
+(leading terms that cancel, as in exp(z) - 1), a numeric route probes
 dyadic shells near zero, all in one batched adaptive pass.  Each shell
 is integrated in v = ln(1/zeta), where the integrand is e**L with
 L = ln f + q v exact at any depth (:meth:`Nonlinearity.log_value`),
@@ -21,17 +25,28 @@ makes the verdict inconclusive.
 
 One routine values the integral below any point, :func:`_integral_below`:
 :func:`criterion_value` is it at eps, and the profile's source limit
-I(inf) below the envelope's last tabulated value.
+I(inf) below the envelope's last tabulated value.  Below the shells the
+remainder is the leading term's own integral, in closed form.
 
-Honest limits of the numeric route: a pure power within about 1.5e-3
-of the critical exponent is reported as divergent even though an
-integral with exponent gap d > 0 technically converges, and gaps up to
-a few times 1e-2 come back inconclusive.  The analytic route has no
-such blur; prefer the family types when they apply.
+Honest limits.  Exponents are compared exactly, so an exponent that is
+a float sum a few ulps away from its threshold (z^0.1 * z^0.7 against
+q = 0.8) comes back inconclusive rather than on the side its spelling
+meant.  The remainder's error is the deviation of the deepest shells
+from the leading term, on the assumption that it keeps shrinking below
+them (true eventually for these functions, and checked over the deeper
+half of the shells); a log-log factor deviates slowly, so such values
+carry errors near 1e-2.  Where the walk gives up, the shells alone can
+certify convergence (vanished deep shells, or a geometric tail bound
+within a quarter of the partial sum, itself a judgement on 40 shells)
+but never divergence.  Their remainder, and that of a term without a
+closed-form integral (a log-log factor off the critical power), fits
+only the exponent, from the two deepest shells, and a log factor it
+does not model is not in its error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import math
@@ -40,6 +55,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._leading import Term, leading_term, tail
 from .errors import (
     CriterionUndecidedError,
     DivergentIntegralError,
@@ -51,9 +67,8 @@ from .errors import (
 )
 from .nonlinearity import (
     _LOG_MAX,
+    Expression,
     Nonlinearity,
-    Power,
-    PowerLog,
     check_monotone,
     signed_log_eval,  # noqa: F401  (patched by perfbench/tracing.py)
 )
@@ -120,17 +135,15 @@ class CriterionVerdict:
     """Outcome of :func:`classify`.
 
     ``value``/``abs_error`` are set for convergent verdicts (the value
-    of the criterion integral).  ``slope`` and ``shells`` expose the
-    numeric evidence when the numeric route ran: the logs of the
-    per-shell integrals, outermost first, and the fitted log-slope per
-    shell.
+    of the criterion integral).  ``shells`` exposes the numeric evidence
+    when the numeric route ran: the logs of the per-shell integrals,
+    outermost first.
     """
 
     verdict: Verdict
     method: str  # "analytic" or "numeric"
     value: Optional[float] = None
     abs_error: Optional[float] = None
-    slope: Optional[float] = None
     shells: Optional[Tuple[float, ...]] = None
     detail: str = ""
 
@@ -143,15 +156,12 @@ class ClassifyOptions:
     check_monotonicity: bool = True
 
 
-# The numeric classifier probes _SHELL_COUNT dyadic shells and decides on
-# the deeper half.  _RATIO_CUTOFF and _SLOPE_CUT separate "no decay" from
-# "clear decay"; between them the verdict is inconclusive.  A convergent
-# verdict also needs the geometric tail bound to be at most
-# _TAIL_FRACTION of the partial sum, so the unseen remainder cannot flip
-# the conclusion.
+# The integral below a point is _SHELL_COUNT dyadic shells plus the
+# remainder below them; the numeric classifier decides on their deeper
+# half.  Its convergent verdict needs the geometric tail bound to be at
+# most _TAIL_FRACTION of the partial sum, so the unseen remainder cannot
+# flip the conclusion.
 _SHELL_COUNT = 40
-_RATIO_CUTOFF = 0.999
-_SLOPE_CUT = 0.01
 _TAIL_FRACTION = 0.25
 _LN2 = math.log(2.0)
 # A shell this far below the log of the shells' sum is below its last
@@ -193,103 +203,6 @@ def criterion_integrand(
 
 
 # ---------------------------------------------------------------------------
-# least squares helpers and tail models
-
-
-def _ls_line(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float, float]:
-    """Fit ys ~ a + b*xs; returns (a, b, rms residual)."""
-    m = len(ys)
-    xbar = math.fsum(xs) / m
-    ybar = math.fsum(ys) / m
-    sxx = math.fsum((x - xbar) ** 2 for x in xs)
-    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    b = sxy / sxx
-    a = ybar - b * xbar
-    rms = math.sqrt(math.fsum((y - a - b * x) ** 2 for x, y in zip(xs, ys)) / m)
-    return a, b, rms
-
-
-def _hurwitz_tail(beta: float, x: float) -> float:
-    # sum_{j >= 0} (x + j)**-beta for beta > 1, x > 0.5 (Euler-Maclaurin,
-    # three correction terms; relative error well below 1e-8 for x >= 20)
-    return (
-        x ** (1.0 - beta) / (beta - 1.0)
-        + 0.5 * x**-beta
-        + beta * x ** (-beta - 1.0) / 12.0
-        - beta * (beta + 1.0) * (beta + 2.0) * x ** (-beta - 3.0) / 720.0
-    )
-
-
-def _fit_tail(logs: Sequence[float]) -> Tuple[float, float, str]:
-    """Extrapolate the remainder past the last dyadic shell, from the
-    logs of the shell integrals.
-
-    Two models are fitted on the deeper half of the shells: a geometric
-    one (pure powers decay exactly geometrically per shell) and a
-    shifted power law a_k = A * (k + c)**-beta (which captures the
-    polynomial shell decay of critical-power-times-log integrands).
-    The model with the smaller log-space residual wins.  Returns
-    (tail, error estimate, model label).  Raises
-    :class:`CriterionUndecidedError` if neither model certifies a
-    finite tail.
-    """
-    K = len(logs)
-    w0 = K - K // 2
-    win = list(logs[w0:])
-    xs = [float(w0 + i) for i in range(len(win))]
-    ds = [a - b for a, b in zip(win, win[1:])]  # the log-drop per shell
-
-    tail_geo = err_geo = None
-    _, b1, r1 = _ls_line(xs, win)
-    rho = math.exp(b1)
-    if rho < 1.0:
-        last = math.exp(logs[-1])
-        tail_geo = last * rho / (1.0 - rho)
-        rhi, rlo = math.exp(-min(ds)), math.exp(-max(ds))
-        if rhi < 1.0:
-            spread = abs(last * rhi / (1.0 - rhi) - last * rlo / (1.0 - rlo))
-            err_geo = max(spread, 1e-15 * tail_geo)
-        else:
-            err_geo = tail_geo  # drifting ratios: no confidence
-
-    tail_pow = err_pow = None
-    r2 = math.inf
-    if all(d > 0.0 for d in ds):
-        ys = [1.0 / d for d in ds]
-        a2, b2, _ = _ls_line(xs[:-1], ys)
-        if b2 > 0.0:
-            beta = 1.0 / b2
-            c = a2 * beta - 0.5
-            # beta beyond ~100 means the per-shell drop is essentially
-            # constant, i.e. the sequence is geometric and the slope of
-            # 1/d_k is float noise; the model would overflow downstream.
-            if 1.0001 < beta < 100.0 and K + c > 0.5 and w0 + c > 0.0:
-                ln_a = math.fsum(
-                    lg + beta * math.log(x + c) for lg, x in zip(win, xs)
-                ) / len(win)
-                r2 = math.sqrt(
-                    math.fsum(
-                        (lg - (ln_a - beta * math.log(x + c))) ** 2
-                        for lg, x in zip(win, xs)
-                    )
-                    / len(win)
-                )
-                try:
-                    tail_pow = math.exp(ln_a) * _hurwitz_tail(beta, K + c)
-                except OverflowError:
-                    tail_pow = None
-                    r2 = math.inf
-                else:
-                    err_pow = tail_pow * max(4.0 / K**2, 4.0 * r2)
-
-    if tail_pow is not None and (tail_geo is None or r2 < r1):
-        return tail_pow, err_pow, "power"
-    if tail_geo is not None:
-        return tail_geo, err_geo, "geometric"
-    raise CriterionUndecidedError("shell decay fits neither a geometric nor a power model")
-
-
-# ---------------------------------------------------------------------------
 # classification
 
 
@@ -299,14 +212,16 @@ def classify(
     opts: Optional[ClassifyOptions] = None,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> CriterionVerdict:
-    """Decide whether the criterion integral diverges or converges.
+    """Decide whether the criterion integral diverges or converges, and
+    value it when it converges.
 
-    Pure powers and critically-powered log corrections are decided
-    analytically: a power diverges exactly when its exponent is <= q,
-    and the log correction at power q diverges exactly when its
-    exponent mu is >= -1.  Everything else runs the numeric shell
-    probe, which can also return an inconclusive verdict near the
-    analytic boundary.
+    The verdict is the leading term's (:func:`_verdict`) wherever the
+    walk of :mod:`liouville._leading` finds one; elsewhere the numeric
+    shell probe runs, which can certify convergence or come back
+    inconclusive, never divergent.  The method label names the input's
+    route as before: "analytic" for the two families, whose terms are
+    their definitions, and "numeric" for expressions.  A convergent
+    verdict whose value cannot be certified comes back without one.
 
     Unless waived in ``opts``, f is first probed for non-decrease on
     (0, eps]; a decreasing f raises :class:`MonotonicityError`.
@@ -324,28 +239,61 @@ def classify(
                 "pass check_monotonicity=False to waive"
             )
 
-    analytic = _analytic(f, q)
-    if analytic is None:
-        return _classify_numeric(f, params, tol)[1]
-    converges, detail = analytic
-    if not converges:
-        return CriterionVerdict(Verdict.DIVERGES, "analytic", detail=detail)
-    res = _integral_below(f, params, math.log(params.eps), tol)
-    return CriterionVerdict(
-        Verdict.CONVERGES, "analytic", value=res.value, abs_error=res.abs_error, detail=detail
-    )
+    term = leading_term(f)
+    if term is None:
+        shells, verdict = _classify_numeric(f, params, tol)
+    else:
+        decided, detail = _verdict(term, q)
+        method = "numeric" if isinstance(f, Expression) else "analytic"
+        shells, verdict = [], CriterionVerdict(decided, method, detail=detail)
+    if verdict.verdict is not Verdict.CONVERGES:
+        return verdict
+    try:
+        res = _integral_below(f, params, math.log(params.eps), tol, shells)
+    except (CriterionUndecidedError, EvaluationError) as exc:
+        return dataclasses.replace(verdict, detail=f"{verdict.detail}; no value: {exc}")
+    return dataclasses.replace(verdict, value=res.value, abs_error=res.abs_error)
 
 
-def _analytic(f: Nonlinearity, q: float) -> Optional[Tuple[bool, str]]:
-    """Whether the criterion integral converges, and why, for the two
-    families decided analytically (None for any other f)."""
-    if isinstance(f, Power):
-        c = f.exponent > q
-        return c, f"power exponent {f.exponent!r} {'>' if c else '<='} critical exponent {q!r}"
-    if isinstance(f, PowerLog) and f.power == q:
-        c = f.mu < -1.0
-        return c, f"log exponent {f.mu!r} {'<' if c else '>='} -1 at the critical power"
-    return None
+# a and q, or a b_i and -1, this close but not equal come from float sums
+# too coarse to tell the side
+_ULPS = 4
+
+
+def _verdict(term: Term, q: float) -> Tuple[Verdict, str]:
+    """The verdict of the leading term c z**a L1**b1 L2**b2 (c > 0), and
+    why: limit comparison on the Bertrand scale.  The integral converges
+    iff a > q, or a = q and the first of b1, b2 that is not -1 is below
+    -1; a beyond every power decides by its sign.  Equality counts only
+    exactly, and a gap of a few ulps is inconclusive."""
+    if math.isinf(term.a):
+        if term.a > 0.0:
+            return Verdict.CONVERGES, "f vanishes faster than every power of z"
+        return Verdict.DIVERGES, "f grows faster than every power of 1/z"
+    gap = term.a - q
+    if gap and abs(gap) <= _ULPS * math.ulp(q):
+        return Verdict.INCONCLUSIVE, (
+            f"power exponent {term.a!r} is {gap:.3g} from critical exponent {q!r}, "
+            "too close to tell in double precision"
+        )
+    if gap or term.b1 == term.b2 == 0.0:
+        c = gap > 0.0
+        return (Verdict.CONVERGES if c else Verdict.DIVERGES), (
+            f"power exponent {term.a!r} {'>' if c else '<='} critical exponent {q!r}"
+        )
+    for b, what in ((term.b1, "log exponent"), (term.b2, "log-log exponent")):
+        gap = b + 1.0
+        if gap and abs(gap) <= _ULPS * math.ulp(1.0):
+            return Verdict.INCONCLUSIVE, (
+                f"{what} {b!r} is {gap:.3g} from -1 at the critical power, "
+                "too close to tell in double precision"
+            )
+        if gap:
+            c = gap < 0.0
+            return (Verdict.CONVERGES if c else Verdict.DIVERGES), (
+                f"{what} {b!r} {'<' if c else '>='} -1 at the critical power"
+            )
+    return Verdict.DIVERGES, "log and log-log exponents -1 at the critical power"
 
 
 def _totals(results: Sequence[QuadratureResult]) -> Tuple[float, float, List[bool]]:
@@ -375,6 +323,7 @@ def _log_shells(
     count: int,
     tol: Tolerance,
     first: int = 0,
+    q: Optional[float] = None,
 ) -> List[QuadratureResult]:
     """Shells k = first .. first + count - 1 of the criterion integral
     below top = e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
@@ -385,9 +334,10 @@ def _log_shells(
     relative accuracy min(tol.rel, 1e-12), all shells in one batched pass.
     ``value`` is r_k plus the log of that integral (-inf where it underflows
     at every node, as where f vanishes), ``abs_error`` the error of that log.
-    A negative f raises :class:`DomainError`.
+    A negative f raises :class:`DomainError`.  ``q`` replaces the critical
+    exponent (the weight of the source limit's first-order term).
     """
-    q = critical_exponent(params)
+    q = critical_exponent(params) if q is None else q
 
     def ln_g(v: np.ndarray) -> np.ndarray:
         sign, mag = f.log_value(-v)
@@ -424,7 +374,8 @@ def _classify_numeric(
     params: StructureParams,
     tol: Tolerance,
 ) -> Tuple[List[QuadratureResult], CriterionVerdict]:
-    """The ``_SHELL_COUNT`` outermost log-valued shells and the verdict on them."""
+    """The ``_SHELL_COUNT`` outermost log-valued shells and the verdict on
+    them, for an f whose leading term the walk could not find."""
     try:
         results = _log_shells(f, params, math.log(params.eps), _SHELL_COUNT, tol)
         return results, _decide(results)
@@ -434,8 +385,12 @@ def _classify_numeric(
 
 
 def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
-    """Verdict of the numeric classifier on the log-valued shells ``results``."""
-    partial, err_sum, vanished = _totals(results)
+    """Verdict of the numeric classifier on the log-valued shells ``results``:
+    convergent when the deeper half ends in vanished shells, or when its
+    shell ratios stay below some rho < 1 and the geometric tail bound
+    last * rho / (1 - rho) is at most _TAIL_FRACTION of the partial sum;
+    inconclusive otherwise.  Shells alone never certify divergence."""
+    partial, _, vanished = _totals(results)
     logs = [r.value for r in results]
     K = len(logs)
     win, gone = logs[K - K // 2 :], vanished[K - K // 2 :]
@@ -447,52 +402,20 @@ def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
             detail="a shell quadrature did not converge, so the shell values are not certified",
         )
     if _vanished_tail(gone):
-        return numeric(
-            Verdict.CONVERGES,
-            value=partial,
-            abs_error=err_sum,
-            detail="integrand vanishes on the deep shells; remainder taken as zero",
-        )
+        return numeric(Verdict.CONVERGES, detail="integrand vanishes on the deep shells; remainder taken as zero")
     if any(gone):
         return numeric(
             Verdict.INCONCLUSIVE, detail="deep shell integrals are not eventually positive"
         )
-
-    xs = [float(K - K // 2 + i) for i in range(len(win))]
-    _, slope, _ = _ls_line(xs, win)
-    ratios = [math.exp(b - a) for a, b in zip(win, win[1:])]
-    numeric = functools.partial(numeric, slope=slope)
-
-    if min(ratios) >= _RATIO_CUTOFF and slope >= -_SLOPE_CUT:
-        return numeric(
-            Verdict.DIVERGES,
-            detail=f"no shell decay: min ratio {min(ratios):.6g}, log-slope {slope:.6g} per shell",
-        )
-
-    if slope <= -_SLOPE_CUT and max(ratios) < 1.0:
-        rho = max(ratios)
-        geo_bound = math.exp(logs[-1]) * rho / (1.0 - rho)
-        if geo_bound <= _TAIL_FRACTION * partial:
-            tail, tail_err, label = _fit_tail(logs)
-            return numeric(
-                Verdict.CONVERGES,
-                value=partial + tail,
-                abs_error=err_sum + tail_err,
-                detail=f"shells decay (log-slope {slope:.6g}); {label}-model tail",
-            )
-        return numeric(
-            Verdict.INCONCLUSIVE,
-            detail=(
-                f"shells decay but the geometric tail bound ({geo_bound:.6g}) "
-                f"is not small against the partial sum ({partial:.6g})"
-            ),
-        )
-
+    rho = max(math.exp(b - a) for a, b in zip(win, win[1:]))
+    bound = math.exp(logs[-1]) * rho / (1.0 - rho) if rho < 1.0 else math.inf
+    if bound <= _TAIL_FRACTION * partial:
+        return numeric(Verdict.CONVERGES, detail=f"shells decay geometrically (ratio at most {rho:.6g})")
     return numeric(
         Verdict.INCONCLUSIVE,
         detail=(
-            f"shell decay too shallow to certify either way "
-            f"(log-slope {slope:.6g} per shell, min ratio {min(ratios):.6g})"
+            f"the shells do not certify convergence: largest deep ratio {rho:.6g}, "
+            f"geometric tail bound {bound:.6g} against the partial sum {partial:.6g}"
         ),
     )
 
@@ -500,8 +423,58 @@ def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
 # ---------------------------------------------------------------------------
 # the integral below a point, and the criterion value
 
-# The deepest shell below eps when _SHELL_COUNT shells miss the tolerance.
-_DEEP_SHELL_COUNT = 400
+# The relative accuracy of ln_scaled_gamma on s in [-3, 2], x in [1e-4, 600]
+# (7e-15 against mpmath), with room.
+_GAMMA_ERROR = 2e-14
+
+
+def _remainder(
+    f: Nonlinearity, q: float, results: Sequence[QuadratureResult], ln_top: float, term: Optional[Term]
+) -> Tuple[float, float]:
+    """The criterion integral below the log-shells ``results``, the
+    outermost ones below top = e**ln_top, and its error.
+
+    In u = ln(1/zeta) it is the integral over u > V, the deepest shell's
+    inner edge, of e**L, L = ln f(e**-u) + q u.  The model is the leading
+    term's own integrand m(u) = c e**(-d u) u**b1 (ln u)**b2, d = a - q,
+    integrated in closed form (:func:`~liouville._leading.tail`).  Where
+    there is no term or no closed form (the walk gave up, f lies beyond
+    every power, or d > 0 with b2 != 0) only the exponent is fitted: m
+    is the power z**(q + d) whose shells repeat the ratio 2**-d of the
+    two deepest, through the deepest.  The error is rho times the
+    remainder, rho the largest relative deviation of e**L from m at the
+    three deepest shell edges.  A deviation that grows over the deeper
+    half of the shells refuses the remainder with
+    :class:`CriterionUndecidedError`.
+    """
+    K = len(results)
+    v = K * _LN2 - ln_top
+    value = None
+    if term is not None and math.isfinite(term.a) and v > 1.0:
+        d, b1, b2 = term.a - q, term.b1, term.b2
+        ln_m = math.log(term.c) - d * v + (b1 * math.log(v) if b1 else 0.0)
+        ln_m += b2 * math.log(math.log(v)) if b2 else 0.0
+        value = tail(ln_m, d, b1, b2, v)
+    if value is None:
+        drop = results[-2].value - results[-1].value
+        if not 0.0 < drop < math.inf:
+            raise CriterionUndecidedError("the deepest shells do not decay, so no remainder can be fitted")
+        d, b1, b2 = drop / _LN2, 0.0, 0.0
+        ln_m = results[-1].value + math.log(d) - drop - math.log(-math.expm1(-drop))
+        value = tail(ln_m, d, b1, b2, v)
+    u = _LN2 * np.array([K // 2, K - 2, K - 1, K], dtype=float) - ln_top
+    sign, ln_f = f.log_value(-u)
+    with np.errstate(all="ignore"):
+        ln_model = ln_m - d * (u - v) + (b1 * np.log(u / v) if b1 else 0.0)
+        ln_model = ln_model + (b2 * np.log(np.log(u) / math.log(v)) if b2 else 0.0)
+        dev = np.abs(np.expm1(np.where(sign > 0, ln_f + q * u, -np.inf) - ln_model))
+    rho = float(dev[1:].max())
+    if not rho <= max(float(dev[0]), 1e-12):
+        raise CriterionUndecidedError(
+            f"the integrand's deviation from its leading term grows over the deep shells "
+            f"(from {float(dev[0]):.3g} to {rho:.3g})"
+        )
+    return value, (rho + _GAMMA_ERROR) * value
 
 
 def _integral_below(
@@ -510,61 +483,42 @@ def _integral_below(
     ln_top: float,
     tol: Tolerance,
     shells: Sequence[QuadratureResult] = (),
+    q: Optional[float] = None,
 ) -> QuadratureResult:
     """The integral of f(zeta) * zeta**-(1+q) over (0, top], top = e**ln_top,
-    with its error.
+    with its error; ``q`` defaults to the critical exponent.
 
-    Pure powers are closed form.  Otherwise it is the log-valued dyadic
-    shells below ``top`` (:func:`_log_shells`; ``shells``, the outermost
-    ones, if already computed) plus the remainder below them: for the
-    critical log family, in u = ln(1/zeta), the integral of
-    (u + ln(1 + e**(1-u)))**mu over u > V = ln(2**K/top), which is
-    V**(mu+1)/(-mu-1) within |mu| V**(mu-1) e**(1-V); zero when the
-    deeper half ends in vanished shells (:func:`_vanished_tail`); otherwise the
-    fitted tail model.  That is tried on _SHELL_COUNT shells, then, if
-    it missed ``tol`` or no model fitted, on shells down to
-    eps * 2**-_DEEP_SHELL_COUNT, the depth of the criterion value's own;
+    Where f is exactly c * z**a (a ``Power``, or such an expression) it
+    is the term's closed form from top.  Otherwise it is the
+    ``_SHELL_COUNT`` log-valued dyadic shells below ``top``
+    (:func:`_log_shells`; ``shells``, if already computed) plus the
+    remainder below them: zero when the deeper half ends in vanished
+    shells (:func:`_vanished_tail`), else :func:`_remainder`.
     ``converged`` says whether every shell converged and the error is
-    within ``tol``.  A divergent power or critical log raises
-    :class:`DivergentIntegralError`, and a tail that fits no model at
-    the deeper count :class:`CriterionUndecidedError`.
+    within ``tol``.  A leading term that diverges raises
+    :class:`DivergentIntegralError`, and one too close to call, or a
+    refused remainder, :class:`CriterionUndecidedError`; an f without
+    a term is not decided here (see :func:`criterion_value`).
     """
-    q = critical_exponent(params)
-    analytic = _analytic(f, q)
-    if analytic is not None and not analytic[0]:
-        raise DivergentIntegralError(f"{analytic[1]}: the integral diverges")
-    ln_eps = math.log(params.eps)
-    if isinstance(f, Power):
-        d = f.exponent - q  # top**d / d, exactly eps**d / d at top = eps
-        value = params.eps**d * math.exp(d * (ln_top - ln_eps)) / d
-        return QuadratureResult(value, 4e-16 * abs(value), 0, True)
-    critical_log = analytic is not None
+    q = critical_exponent(params) if q is None else q
+    term = leading_term(f)
+    if term is not None:
+        verdict, detail = _verdict(term, q)
+        if verdict is Verdict.DIVERGES:
+            raise DivergentIntegralError(f"the criterion integral diverges: {detail}")
+        if verdict is Verdict.INCONCLUSIVE:
+            raise CriterionUndecidedError(detail)
+        if term.exact:
+            d, v = term.a - q, -ln_top
+            value = tail(math.log(term.c) - d * v, d, 0.0, 0.0, v)
+            return QuadratureResult(value, 4e-16 * abs(value), 0, True)
 
-    results = list(shells)
-    deep = _DEEP_SHELL_COUNT + round((ln_eps - ln_top) / _LN2)
-    for count in (_SHELL_COUNT, deep):
-        if len(results) < count:
-            results += _log_shells(f, params, ln_top, count - len(results), tol, len(results))
-        value, err, vanished = _totals(results)
-        v = count * _LN2 - ln_top  # the remainder is u = ln(1/zeta) > v
-        if critical_log and v > 0.0:
-            tail = v ** (f.mu + 1.0) / (-f.mu - 1.0)
-            tail_err = -f.mu * v ** (f.mu - 1.0) * math.exp(1.0 - v)
-        elif critical_log:
-            tail, tail_err = 0.0, math.inf
-        elif _vanished_tail(vanished[count // 2 :]):
-            tail, tail_err = 0.0, 0.0
-        else:
-            try:
-                tail, tail_err, _ = _fit_tail([r.value for r in results])
-            except CriterionUndecidedError:
-                if count == deep:
-                    raise
-                continue
-        value, err = value + tail, err + tail_err
-        converged = all(r.converged for r in results) and err <= tol.bound(value)
-        if converged:
-            break
+    results = list(shells) or _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q)
+    value, err, vanished = _totals(results)
+    if not _vanished_tail(vanished[len(results) // 2 :]):
+        rest, rest_err = _remainder(f, q, results, ln_top, term)
+        value, err = value + rest, err + rest_err
+    converged = all(r.converged for r in results) and err <= tol.bound(value)
     return QuadratureResult(value, err, sum(r.subdivisions for r in results), converged)
 
 
@@ -573,17 +527,15 @@ def criterion_value(
     params: StructureParams,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> QuadratureResult:
-    """Numeric value of the criterion integral over (0, eps]: the numeric
-    classifier's gate (the analytic families need none), then
-    :func:`_integral_below` at eps, on the classifier's shells.  Raises
+    """Numeric value of the criterion integral over (0, eps]:
+    :func:`_integral_below` at eps, after the numeric classifier's gate
+    where f has no leading term (on whose shells it then runs).  Raises
     :class:`DivergentIntegralError` for certifiably divergent input and
     :class:`CriterionUndecidedError` when convergence is not certified.
     The shells are log-values, so no eps is too small for them."""
     shells: List[QuadratureResult] = []
-    if _analytic(f, critical_exponent(params)) is None:
+    if leading_term(f) is None:
         shells, verdict = _classify_numeric(f, params, tol)
-        if verdict.verdict is Verdict.DIVERGES:
-            raise DivergentIntegralError(f"the criterion integral diverges: {verdict.detail}")
         if verdict.verdict is Verdict.INCONCLUSIVE:
             raise CriterionUndecidedError(
                 f"cannot certify convergence before valuing the integral: {verdict.detail}"

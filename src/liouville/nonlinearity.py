@@ -510,13 +510,21 @@ def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _positive(s) -> bool:
+    # a sign that is 1 at every point, kept as a numpy scalar
+    return not isinstance(s, np.ndarray) and s > 0
+
+
 def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
     """Array form of :func:`signed_log_eval`, one pass over the tree.
 
     Sets ``bad`` wherever a scalar rule raises or a pair is neither an
     exact zero ``(0, -inf)`` nor a nonzero sign with a finite magnitude
     (an overflow); elsewhere the scalar rules reduce to the arithmetic
-    below.  Constant subtrees stay numpy scalars.
+    below.  Constant subtrees stay numpy scalars, and so does a sign that
+    is 1 at every point: a log of values above 1, and a power with a
+    literal exponent or a sum of such positive operands, which then skip
+    the sign bookkeeping.
     """
     if isinstance(node, Num):
         return tuple(np.float64(x) for x in _signed_of(node.value))
@@ -531,7 +539,10 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
         s, m = _signed_log_array(node.arg, ln_z, bad)
         if node.fn == "log":
             bad |= s <= 0
-            s, m = np.sign(m), np.log(np.abs(m))
+            if (m > 0.0).all():
+                s, m = np.float64(1.0), np.log(m)
+            else:
+                s, m = np.sign(m), np.log(np.abs(m))
         else:
             s, m = np.float64(1.0), s * np.exp(m)
     elif isinstance(node, Bin):
@@ -540,12 +551,18 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
         op = node.op
         if op == "^":
             e = _literal(node.right)
-            e = s2 * np.exp(m2) if e is None else e
-            zero = s1 == 0
-            bad |= (m2 > _LOG_MAX) | (zero & (e < 0)) | ((s1 < 0) & (e != np.floor(e)))
-            odd = (s1 < 0) & (np.fmod(e, 2.0) != 0.0)
-            s = np.where(zero & (e > 0), 0.0, np.where(odd, -1.0, 1.0))
-            m = np.where(zero, np.where(e > 0, _NEG_INF, 0.0), m1 * e)
+            if e is not None and _positive(s1):
+                s, m = s1, m1 * e
+            else:
+                e = s2 * np.exp(m2) if e is None else e
+                zero = s1 == 0
+                bad |= (m2 > _LOG_MAX) | (zero & (e < 0)) | ((s1 < 0) & (e != np.floor(e)))
+                odd = (s1 < 0) & (np.fmod(e, 2.0) != 0.0)
+                s = np.where(zero & (e > 0), 0.0, np.where(odd, -1.0, 1.0))
+                m = np.where(zero, np.where(e > 0, _NEG_INF, 0.0), m1 * e)
+        elif op == "+" and _positive(s1) and _positive(s2):  # as _signed_add
+            bm = np.maximum(m1, m2)
+            s, m = s1, bm + np.log1p(np.exp(np.minimum(m1, m2) - bm))
         elif op in "+-":  # as _signed_add
             s2 = s2 if op == "+" else -s2
             bm = np.maximum(m1, m2)
@@ -558,7 +575,7 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
             s, m = s1 * s2, (m1 + m2 if op == "*" else m1 - m2)
     else:
         raise TypeError(f"not an expression node: {node!r}")
-    bad |= ~np.where(s == 0, m == _NEG_INF, np.isfinite(m))
+    bad |= ~np.isfinite(m) if _positive(s) else ~np.where(s == 0, m == _NEG_INF, np.isfinite(m))
     return s, m
 
 

@@ -46,8 +46,10 @@ class TestClassify:
         assert code == expected
 
     def test_inconclusive_exit(self, capsys):
+        # exp(z) - 1 has no leading term for the walk, and its growing
+        # shells certify nothing
         code, out, _ = run(
-            capsys, ["classify", "--n", "4", "--p", "2", "--expr", "z^2.005"]
+            capsys, ["classify", "--n", "4", "--p", "2", "--expr", "exp(z) - 1"]
         )
         assert code == EXIT_INCONCLUSIVE
         assert "Inconclusive" in out
@@ -160,13 +162,13 @@ class TestConstruct:
 
     def test_inconclusive_input(self, capsys):
         code, out, _ = run(
-            capsys, ["construct", "--n", "4", "--p", "2", "--expr", "z^2.005"]
+            capsys, ["construct", "--n", "4", "--p", "2", "--expr", "exp(z) - 1"]
         )
         assert code == EXIT_INCONCLUSIVE
 
     def test_fast_decaying_expression_matches_power(self, capsys):
-        # deep criterion shells of z^5.86 would underflow in zeta; as
-        # log-values the tail fit sees them all
+        # z^5.86 is exactly its leading term, so its criterion value is
+        # the power's closed form
         argv = ["construct", "--n", "3", "--p", "2", "--format", "json", "--grid-points", "12"]
         code, out, err = run(capsys, argv + ["--expr", "z^5.86"])
         assert code == EXIT_OK, err
@@ -375,14 +377,30 @@ def test_near_critical_family_inputs_verify(capsys, args):
 
 
 # the certify-expr inputs of that class: critical and near-critical log
-# forms spelled as expressions, whose fitted tail cannot certify the
-# source limit
-_UNCERTIFIED_EXPRESSIONS = [
+# forms spelled as expressions, which the leading term's closed-form
+# remainder now certifies
+_LOG_EXPRESSIONS = [
     ["--n", "4", "--p", "1.5", "--expr", "z^0.8*log(e+1/z)^-1.58652"],
     ["--n", "5", "--p", "3", "--expr", "z^5.0*log(e+1/z)^-1.03081"],
     ["--n", "4", "--p", "1.5", "--expr", "z^0.8*log(e+1/z)^-2.22664"],
     ["--n", "3", "--p", "2", "--expr", "z^3.00097*log(e+1/z)^-2"],
     ["--n", "5", "--p", "3", "--expr", "z^5.0*log(e+1/z)^-1.19054"],
+]
+
+
+@pytest.mark.parametrize("args", _LOG_EXPRESSIONS, ids=" ".join)
+def test_log_expressions_verify(capsys, args):
+    code, out, err = run(capsys, ["verify"] + args)
+    assert code == EXIT_OK, err
+    assert out.count(": PASS") == 6
+
+
+# convergent Bertrand forms: the log-log factor's deviation from its
+# leading term decays only like 1/(u ln u), so the remainder below the
+# table cannot reach the source limit's tolerance
+_UNCERTIFIED_EXPRESSIONS = [
+    ["--n", "3", "--p", "2", "--expr", "z^3*log(e+1/z)^-1*log(log(e+1/z)+e)^-2"],
+    ["--n", "4", "--p", "2", "--expr", "z^2*log(e+1/z)^-1*log(log(e+1/z)+e)^-1.5"],
 ]
 
 

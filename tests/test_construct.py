@@ -619,9 +619,11 @@ class TestDecayBound:
             decay_bound(instance_profile, 0.0)
 
     def test_unconverged_constant_widens_the_bound(self, params42):
-        # this K carries an error of 1.5e-5; the bound takes K + abs_error,
+        # a convergent Bertrand form: its remainder below the shells carries
+        # an error of about 1e-2; the bound takes K + abs_error,
         # C = a (a K)^(1/(p-1)) = K / 4 at n=4, p=2, eps = delta = 1
-        prof = RadialProfile(parse_nonlinearity("z^2.0*log(e+1/z)^-1.3"), params42, 1.0)
+        f = parse_nonlinearity("z^2*log(e+1/z)^-1*log(log(e+1/z)+e)^-2")
+        prof = RadialProfile(f, params42, 1.0)
         res = prof.criterion_result()
         assert not res.converged and res.abs_error > 1e-5
         assert decay_bound(prof, 2.0) == pytest.approx((res.value + res.abs_error) / 16.0, rel=1e-15)
@@ -641,7 +643,7 @@ class TestFindDelta:
 
     def test_inconclusive_input_refused(self, params42):
         with pytest.raises(CriterionUndecidedError):
-            find_delta(parse_nonlinearity("z^2.005"), params42)
+            find_delta(parse_nonlinearity("exp(z) - 1"), params42)
 
     def test_powerlog_constructs(self, params32):
         prof = find_delta(PowerLog(-2.0, 3.0), params32)

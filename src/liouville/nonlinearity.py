@@ -770,9 +770,12 @@ class MonotonicityReport:
     value_hi: Optional[float] = None
 
 
-# check_monotone's grid size and relative slack
+# check_monotone's grid size and relative slack, and its grid at eps = 1
 _MONOTONE_SAMPLES = 256
 _MONOTONE_SLACK = 1e-12
+_MONOTONE_GRID = np.array(
+    [10.0 ** (-12.0 * (1.0 - i / (_MONOTONE_SAMPLES - 1))) for i in range(_MONOTONE_SAMPLES)]
+)
 
 
 def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
@@ -787,16 +790,16 @@ def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    last = _MONOTONE_SAMPLES - 1
-    zs = [eps * 10.0 ** (-12.0 * (1.0 - i / last)) for i in range(_MONOTONE_SAMPLES)]
+    grid = eps * _MONOTONE_GRID
     try:
-        v = f.values(np.array(zs))
+        v = f.values(grid)
     except EvaluationError:
         pairs = range(1, _MONOTONE_SAMPLES)
     else:
         # array values differ from calls by a few ulps, far inside half the slack
         slack = 0.5 * _MONOTONE_SLACK * np.maximum(np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 1.0)
         pairs = (np.flatnonzero(v[1:] < v[:-1] - slack) + 1).tolist()
+    zs = grid.tolist()
     for i in pairs:
         lo, hi = f(zs[i - 1]), f(zs[i])
         if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):

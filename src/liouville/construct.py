@@ -31,11 +31,13 @@ I_1(inf) and w_1 at the same knots.  Substituting zeta = env(xi) makes
 the source mass beyond the last knot a * eps**q (a = 1/k) times the
 criterion integral below env there, up to a weight within
 (n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
-A profile value then costs one quadrature panel against the
-interpolant (or a closed form off the cache) instead of a nested double
-integral.  The cache fills
-and the profile on a grid evaluate their quadrature panels in batches
-(:func:`~liouville.quadrature.integrate_intervals`).
+The inner table fills in batched panels
+(:func:`~liouville.quadrature.integrate_panels`).  The outer integral
+is taken in x = ln zeta, where the quadrature nodes sit at the same
+fractions of every knot interval and ln I there is the interval's own
+cubic: one fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
+A profile value then costs one such panel (or a closed form off the
+cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
 the same table, and the delta search builds a single profile.
 """
@@ -65,9 +67,12 @@ from .errors import (
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity
 from .quadrature import (
+    _CHUNK,
+    _XA_HIGH,
     DEFAULT_TOLERANCE,
     QuadratureResult,
     Tolerance,
+    _rule,
     integrate,
     integrate_intervals,
     integrate_panels,
@@ -130,6 +135,19 @@ def _hermite(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray) -> n
     d = ys[i + 1] - ys[i]
     a, b = h * ms[i], h * ms[i + 1]
     return ys[i] + u * (a + u * (3.0 * d - 2.0 * a - b + u * (a + b - 2.0 * d)))
+
+
+def _hermite_basis(u: np.ndarray) -> np.ndarray:
+    # rows at the fractions u of a knot interval: the weights of y1 - y0,
+    # h * m0 and h * m1 in the cubic Hermite of _hermite less its value y0
+    # at u = 0, and u itself
+    u2 = u * u
+    return np.stack((u2 * (3.0 - 2.0 * u), u * (1.0 - u) ** 2, u2 * (u - 1.0), u))
+
+
+# The quadrature nodes as fractions of their panel, and the Hermite basis there
+_NODE_U = 0.5 * (1.0 + _XA_HIGH)
+_NODE_BASIS = _hermite_basis(_NODE_U)
 
 
 def _ln_source(f: Nonlinearity, params: StructureParams, s: np.ndarray) -> np.ndarray:
@@ -196,7 +214,9 @@ class RadialProfile:
     like z**n below the cache (the envelope is flat there) and is taken
     as saturated at I(inf) above it, where the envelope is 2**-40 of its
     value at the last cache knot.  The first profile value fills the
-    outer cache, w at the same knots.
+    outer cache, w at the same knots: one panel in ln zeta per knot
+    interval, on that interval's cubic, summed down from the closed
+    form at the last knot.
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
     """
@@ -382,13 +402,59 @@ class RadialProfile:
         return self.delta ** (p / (p - 1.0)) * ws, converged
 
     def _fill_outer(self) -> Tuple[np.ndarray, bool]:
-        # one panel per knot interval, summed down from the closed form at
-        # the last knot; that needs I(inf), so a divergent source raises
-        # before the panels
-        knots = self.delta * self._table.s
-        tail = self._w_above(knots[-1:])
-        panels = integrate_panels(self._outer_array, knots, self._seg_tol)
-        return np.cumsum(np.concatenate((tail, panels.values[::-1])))[::-1], panels.converged
+        # one panel per whole knot interval (u0 = 0, the fixed basis),
+        # summed down from the closed form at the last knot; that needs
+        # I(inf), so a divergent source raises before the panels
+        t = self._table
+        tail = self._w_above(self.delta * t.s[-1:])
+        spans = t.s.size - 1
+        panels, converged = self._outer_spans(np.arange(spans), np.zeros(spans))
+        return np.cumsum(np.concatenate((tail, panels[::-1])))[::-1], converged
+
+    def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, bool]:
+        """Integrals of |w'| over the spans [u0, 1] of the knot intervals i.
+
+        One panel per span, in x = ln zeta, where the integrand is
+        exp(psi), psi = (ln I - (n-1) x)/(p-1) + x.  Between two knots ln I
+        is exactly the Hermite of their interval, so psi is evaluated
+        there with no knot search: on a basis fixed for whole intervals
+        (u0 = 0), at the nodes' own fractions otherwise.  A span whose
+        error estimate misses the tolerance is redone by :func:`integrate`
+        on :meth:`_outer_array` over the same zeta interval.  Returns the
+        integrals and whether every redo converged.
+        """
+        t, p, tol = self._table, self.params.p, self._seg_tol
+        h = t.ln_s[i + 1] - t.ln_s[i]
+        # psi = base + the Hermite's rise over its interval / (p-1) - k h u
+        base = t.ln_i[i] / (p - 1.0) - self.decay * t.ln_s[i] + p / (p - 1.0) * math.log(self.delta)
+        rise = np.stack((t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1]), axis=1)
+        coef = np.concatenate((rise / (p - 1.0), -self.decay * h[:, None]), axis=1)
+        width = (1.0 - u0) * h
+        values, errors = np.empty(i.size), np.empty(i.size)
+        for c in range(0, i.size, _CHUNK):
+            part = slice(c, c + _CHUNK)
+            if u0[part].any():
+                u = u0[part, None] + (1.0 - u0[part, None]) * _NODE_U
+                psi = np.einsum("ik,kij->ij", coef[part], _hermite_basis(u))
+            else:
+                u = _NODE_U
+                psi = coef[part] @ _NODE_BASIS
+            psi += base[part, None]
+            if (psi > _LOG_MAX).any():
+                r, k = np.unravel_index(np.flatnonzero(psi > _LOG_MAX)[0], psi.shape)
+                x = t.ln_s[i[c + r]] + h[c + r] * np.broadcast_to(u, psi.shape)[r, k]
+                raise EvalOverflow(f"outer integrand exceeds double range at {self.delta * math.exp(x)!r}")
+            values[part], errors[part] = _rule(np.exp(psi), 0.5 * width[part], width[part])
+
+        def outer(zeta: float) -> float:
+            return float(self._outer_array(np.array([zeta]))[0])
+
+        converged = True
+        for k in np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values))):
+            lo, hi = (self.delta * t.s[i[k] : i[k] + 2]).tolist()
+            res = integrate(outer, lo * math.exp(u0[k] * h[k]), hi, tol)
+            values[k], converged = res.value, converged and res.converged
+        return values, converged
 
     def outer_converged(self) -> bool:
         """Whether every panel of the outer cache fill met its tolerance
@@ -406,36 +472,42 @@ class RadialProfile:
         """Profile values on an increasing grid of radii.
 
         Inside the cache, w(r) is the outer cache's value at the first
-        knot at or above r plus the integral from r to that knot, one
-        panel per radius, all in one batched :func:`integrate_intervals`
-        pass.  Off the cache w is closed form.  After the one-time fill
-        of the outer cache (about 4100 panels, shared with every
-        rescaled view), 200 radii cost at most 200 panels.
+        knot at or above r plus the integral from r to that knot, which
+        is a span of the knot interval below it: one panel per radius,
+        all in one :meth:`_outer_spans` pass on the table's own cubics.
+        Off the cache w is closed form.  After the one-time fill of the
+        outer cache (one panel per knot interval, about 4400, shared
+        with every rescaled view), 200 radii cost at most 200 panels.
         """
-        rs = [float(r) for r in radii]
-        if not rs:
+        rs = np.array(radii, dtype=float)
+        if not rs.size:
             return []
-        if any(math.isnan(r) or r < 0.0 for r in rs):
+        if np.isnan(rs).any() or (rs < 0.0).any():
             raise DomainError("radii must be >= 0")
-        for a, b in zip(rs, rs[1:]):
-            if not b > a:
-                raise ValueError("radii must be strictly increasing")
+        if not (rs[1:] > rs[:-1]).all():
+            raise ValueError("radii must be strictly increasing")
         t = self._table
         if not t.s.size:
-            return [0.0] * len(rs)
+            return [0.0] * rs.size
         ws, _ = self._outer_cache()
-        rs = np.array(rs)
         s = rs / self.delta
         out = np.empty_like(rs)
         below, above = s < t.s[0], s > t.s[-1]
         inside = ~(below | above)
         out[below] = ws[0] + self._w_below(rs[below])
         out[above] = self._w_above(rs[above])
-        j = np.searchsorted(t.s, s[inside])
-        # delta * s may round an ulp below a radius that sits on a knot
-        ends = np.maximum(self.delta * t.s[j], rs[inside])
-        gaps = integrate_intervals(self._outer_array, rs[inside], ends, self._seg_tol)
-        out[inside] = ws[j] + gaps.values
+        s = s[inside]
+        j = np.searchsorted(t.s, s)
+        # the gap [s, knot j] is the span [u0, 1] of knot interval j - 1,
+        # empty where s is knot j (or rounds onto it in ln s)
+        gap = np.flatnonzero(t.s[j] > s)
+        i = j[gap] - 1
+        u0 = np.maximum((np.log(s[gap]) - t.ln_s[i]) / (t.ln_s[i + 1] - t.ln_s[i]), 0.0)
+        keep = u0 < 1.0
+        gaps = np.zeros(s.size)
+        if keep.any():
+            gaps[gap[keep]] = self._outer_spans(i[keep], u0[keep])[0]
+        out[inside] = ws[j] + gaps
         return out.tolist()
 
     def gradient_magnitude(self, r: float) -> float:

@@ -778,28 +778,56 @@ _MONOTONE_GRID = np.array(
 )
 
 
+def _log_decreases(mag: np.ndarray) -> np.ndarray:
+    # indices i of the pairs (i-1, i) of samples exp(mag) (mag = -inf where
+    # f vanishes) with hi < lo - slack * max(lo, hi, 1), the test of
+    # check_monotone, in logs
+    m0, m1 = mag[:-1], mag[1:]
+    with np.errstate(all="ignore"):
+        fall = m0 + np.log(-np.expm1(m1 - m0))  # ln(lo - hi)
+    return np.flatnonzero((m0 > m1) & (fall > math.log(_MONOTONE_SLACK) + np.maximum(m0, 0.0))) + 1
+
+
 def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
     """Probe f for non-decrease on a log grid spanning (0, eps].
 
     The grid covers twelve decades below eps.  A decrease smaller than
     ``_MONOTONE_SLACK`` relative to the local magnitude is tolerated so
-    that constant functions pass despite rounding.  Evaluation errors
-    propagate to the caller untouched.  The samples are evaluated in one
-    array call; the pairs it flags (every pair, if it raises) are checked
-    by calls, so the outcome is that of a loop of calls.
+    that constant functions pass despite rounding.  The samples are
+    evaluated in one array call; the pairs it flags (every pair, if it
+    raises) are checked by calls, so the outcome is that of a loop of
+    calls, and evaluation errors propagate to the caller untouched.  The
+    one exception is an intermediate value past the double range, as
+    1/z at a tiny eps: then the same test runs on the samples' signed
+    logs (:meth:`Nonlinearity.log_value`), up to the first sample where
+    f itself is negative or past that range, whose call raises as in
+    the loop.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     grid = eps * _MONOTONE_GRID
+    zs = grid.tolist()
     try:
         v = f.values(grid)
+    except EvalOverflow:
+        sign, mag = f.log_value(np.log(grid))
+        bad = np.flatnonzero((sign < 0) | (mag > _LOG_MAX))
+        end = int(bad[0]) if bad.size else mag.size
+        mag = np.where(sign > 0, mag, -np.inf)[:end]
+        falls = _log_decreases(mag)
+        if falls.size:
+            i = int(falls[0])
+            lo, hi = (math.exp(m) for m in mag[i - 1 : i + 1].tolist())
+            return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
+        if end < len(zs):
+            f(zs[end])  # raises
+        return MonotonicityReport(True)
     except EvaluationError:
         pairs = range(1, _MONOTONE_SAMPLES)
     else:
         # array values differ from calls by a few ulps, far inside half the slack
         slack = 0.5 * _MONOTONE_SLACK * np.maximum(np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 1.0)
         pairs = (np.flatnonzero(v[1:] < v[:-1] - slack) + 1).tolist()
-    zs = grid.tolist()
     for i in pairs:
         lo, hi = f(zs[i - 1]), f(zs[i])
         if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):

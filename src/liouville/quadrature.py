@@ -268,10 +268,17 @@ def _panels(
     if bad.size:
         i = bad[0]
         raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(x.flat[i])!r}")
+    return _rule(fx, h, b - a)
+
+
+def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High-rule values and damped error estimates of panels of
+    half-width ``h`` (and width ``width``) from their integrand values
+    ``fx`` at the nodes ``_XA_HIGH``, one panel per row."""
     high = h * (fx * _WA_HIGH).sum(axis=1)
     low = h * (fx[:, _IA_LOW] * _WA_LOW).sum(axis=1)
     resabs = h * (np.abs(fx) * _WA_HIGH).sum(axis=1)
-    mean = high / (b - a)
+    mean = high / width
     resasc = h * (np.abs(fx - mean[:, None]) * _WA_HIGH).sum(axis=1)
     err = np.abs(high - low)
     damp = (resasc != 0.0) & (err != 0.0)

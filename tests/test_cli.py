@@ -361,6 +361,20 @@ def test_tiny_eps_builds(capsys, n, p):
     assert rows[0] == rows[1]
 
 
+def test_tiny_eps_log_form_classifies(capsys):
+    # at eps = 1e-300 the monotonicity probe's samples reach 1e-312, where
+    # 1/z overflows the plain evaluator; the probe then compares the
+    # samples' signed logs
+    argv = ["classify", "--n", "4", "--p", "2", "--expr", "z^3*log(e+1/z)^-2", "--eps", "1e-300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+        waived = run(capsys, argv + ["--allow-nonmonotone"])
+    assert code == EXIT_CONVERGES, err
+    assert "verdict = converges" in out
+    assert (code, out) == waived[:2]
+
+
 # certify-power inputs of the inner-limit-stall class in perfbench/NOTES.md
 _STALLED_POWERS = [
     ["--n", "4", "--p", "2", "--powerlog", "-1.02905"],

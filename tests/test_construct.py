@@ -9,6 +9,8 @@ and in general scaling is exact: I_delta(z) = delta^3 I_1(z/delta),
 w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
+import bisect
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -26,21 +28,27 @@ from liouville import (
     DeltaSearchOptions,
     DivergentIntegralError,
     DomainError,
+    EvalOverflow,
     Power,
     PowerLog,
     RadialProfile,
     StructureParams,
     Tolerance,
     change_of_variables_check,
+    critical_exponent,
     decay_bound,
     envelope,
     find_delta,
     integrate,
+    integrate_intervals,
+    integrate_panels,
     integrate_to_infinity,
     parse_nonlinearity,
     sup_profile,
 )
+import liouville.construct as construct_module
 from liouville.construct import _hermite
+from liouville.quadrature import _CHUNK
 from liouville.verify import delta_limit_check
 
 from conftest import grad_exact, inner_exact, source_limit, w_exact
@@ -240,22 +248,47 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
 _KNOT_INTEGRALS = {}
 
 
+def _scalar_gradient(prof):
+    """|w'| inside the cache as a function of one float, in math only: the
+    knot interval by bisect on the knot list, and the cubic Hermite in
+    ln s written out in its four basis functions, an independent check of
+    construct._hermite and of the fixed basis of the outer cache."""
+    t = prof._table
+    ln_s, ln_i, slopes = t.ln_s.tolist(), t.ln_i.tolist(), t.slopes.tolist()
+    n, p, ln_delta = prof.params.n, prof.params.p, math.log(prof.delta)
+
+    def gradient(zeta):
+        x = math.log(zeta)
+        i = min(max(bisect.bisect_right(ln_s, x - ln_delta) - 1, 0), len(ln_s) - 2)
+        h = ln_s[i + 1] - ln_s[i]
+        u = (x - ln_delta - ln_s[i]) / h
+        ln_inner = (
+            ln_i[i] * (2.0 * u**3 - 3.0 * u**2 + 1.0)
+            + ln_i[i + 1] * (3.0 * u**2 - 2.0 * u**3)
+            + h * slopes[i] * (u**3 - 2.0 * u**2 + u)
+            + h * slopes[i + 1] * (u**3 - u**2)
+        )
+        return math.exp((ln_inner + n * ln_delta - (n - 1) * x) / (p - 1.0))
+
+    return gradient
+
+
 def _knot_split_integral(prof, a, b):
     """Scalar quadrature of |w'| over [a, b] within the cache, split at
     the cache knots: |w'| is only C1 there, and an unsplit adaptive
     quadrature can claim an accuracy it lacks.  Whole knot intervals are
     integrated once per profile."""
     knots = prof.delta * prof._table.s
-    whole = _KNOT_INTEGRALS.setdefault(prof, {})
+    gm, whole = _KNOT_INTEGRALS.setdefault(prof, (_scalar_gradient(prof), {}))
     lo, hi = np.searchsorted(knots, a, side="right"), np.searchsorted(knots, b, side="left")
     if lo >= hi:  # no knot inside (a, b)
-        return integrate(prof.gradient_magnitude, a, b, _SEG_TOL).value
-    parts = [integrate(prof.gradient_magnitude, a, knots[lo], _SEG_TOL).value]
+        return integrate(gm, a, b, _SEG_TOL).value
+    parts = [integrate(gm, a, knots[lo], _SEG_TOL).value]
     for i in range(lo, hi - 1):
         if i not in whole:
-            whole[i] = integrate(prof.gradient_magnitude, knots[i], knots[i + 1], _SEG_TOL).value
+            whole[i] = integrate(gm, knots[i], knots[i + 1], _SEG_TOL).value
         parts.append(whole[i])
-    parts.append(integrate(prof.gradient_magnitude, knots[hi - 1], b, _SEG_TOL).value)
+    parts.append(integrate(gm, knots[hi - 1], b, _SEG_TOL).value)
     return math.fsum(parts)
 
 
@@ -456,11 +489,24 @@ def _count_fills(monkeypatch):
     return fills
 
 
+def _count_spans(monkeypatch):
+    # the panels of every outer-cache span pass, per call
+    spans = []
+    route = RadialProfile._outer_spans
+
+    def counted(self, i, u0):
+        spans.append(i.size)
+        return route(self, i, u0)
+
+    monkeypatch.setattr(RadialProfile, "_outer_spans", counted)
+    return spans
+
+
 def test_values_on_grid_costs_one_panel_per_radius(monkeypatch, params32):
     prof = RadialProfile(Power(4.0), params32, 1.0)
-    fills = _count_fills(monkeypatch)
-    # every outer-integrand point evaluated through this profile; a panel
-    # is 15 points, batched or redone by the scalar rule alike
+    fills, spans = _count_fills(monkeypatch), _count_spans(monkeypatch)
+    # no panel misses its bound here, so nothing reaches the scalar redo
+    # on the outer integrand
     points = []
     outer = prof._outer_array
     monkeypatch.setattr(
@@ -468,17 +514,17 @@ def test_values_on_grid_costs_one_panel_per_radius(monkeypatch, params32):
     )
     prof.profile_value(0.0)  # below the cache: closed form, after the fill
     assert fills == [1.0]
-    assert 4000 * 15 <= sum(points) <= 5000 * 15
-    points.clear()
+    assert spans == [prof._table.s.size - 1]
+    spans.clear()
     prof.values_on_grid(np.geomspace(1e-6, 1e6, 200))  # all inside the cache
-    assert 0 < sum(points) <= 200 * 15
+    assert len(spans) == 1 and 0 < spans[0] <= 200
     # a view reads the same fill, scaled; off the cache w is closed form
-    points.clear()
+    spans.clear()
     view = prof.rescaled(0.25)
     assert sup_profile(view) == pytest.approx(0.25**2 * prof.profile_value(0.0), rel=1e-14)
     # w(r) = I(inf) / r above the cache, I(inf) = delta^3 / 3
     assert view.profile_value(1e20) == pytest.approx(0.25**3 / 3e20, rel=1e-9, abs=0.0)
-    assert fills == [1.0] and points == []
+    assert fills == [1.0] and spans == [] and points == []
 
 
 def test_delta_limit_check_fills_the_outer_cache_once(monkeypatch, params32):
@@ -502,6 +548,97 @@ def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
     rs = [z_hi, 3.0 * z_hi]
     ref = [z_hi * integrate_to_infinity(lambda u: gm(z_hi * u), r / z_hi, _SEG_TOL).value for r in rs]
     assert prof._w_above(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the outer cache on the table's cubics against the panels in zeta it replaces
+
+_OUTER_CASES = [
+    (Power(4.0), StructureParams(3, 2.0)),
+    (Power(3.2), StructureParams(3, 2.0)),
+    (Power(40.0), StructureParams(3, 2.0)),
+    (Power(5.5), StructureParams(5, 3.0)),
+    (parse_nonlinearity("(z^5.5+z^6.5)*exp(z)"), StructureParams(5, 3.0)),
+    (PowerLog(-1.6, critical_exponent(StructureParams(4, 1.5))), StructureParams(4, 1.5)),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0)),
+    # small a: a long run of extra knots
+    (Power(0.81), StructureParams(8, 1.5)),
+]
+
+
+@pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
+@pytest.mark.filterwarnings("error")
+def test_outer_fill_matches_panels_in_zeta(f, params):
+    # one batched panel in zeta per knot interval on the array interpolant,
+    # summed down from the closed form at the last knot
+    prof = RadialProfile(f, params, 1.0)
+    ws, converged = prof._outer_cache()
+    knots = prof.delta * prof._table.s
+    panels = integrate_panels(prof._outer_array, knots, prof._seg_tol)
+    ref = np.cumsum(np.concatenate((prof._w_above(knots[-1:]), panels.values[::-1])))[::-1]
+    assert converged and panels.converged
+    assert ws.tolist() == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_values_on_grid_matches_intervals_in_zeta():
+    # a view of a filled cache: the cache value at the first knot at or
+    # above r plus one batched panel in zeta over [r, that knot]
+    prof = RadialProfile(PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 0.5)
+    prof.profile_value(0.0)
+    view = prof.rescaled(2.0**-6)
+    knots = view.delta * view._table.s  # exact: the scale is a power of two
+    on = knots[[0, 1, 700, 2048, 4095, -2, -1]]
+    between = np.sqrt(knots[[0, 3, 1500, 4094, -3]] * knots[[1, 4, 1501, 4095, -2]])
+    rs = np.sort(np.concatenate((on, between, knots[2000] * (1.0 + np.geomspace(1e-15, 1e-4, 5)))))
+    j = np.searchsorted(knots, rs)
+    gaps = integrate_intervals(view._outer_array, rs, np.maximum(knots[j], rs), view._seg_tol)
+    ref = view._outer_cache()[0][j] + gaps.values
+    assert gaps.converged
+    assert view.values_on_grid(rs) == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)
+    assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 700, 2048, 4095, -2, -1]].tolist()
+
+
+def test_outer_fill_redoes_missed_panels_by_scalar_integrate(monkeypatch, params32):
+    honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
+    rule = construct_module._rule
+
+    def missing(fx, h, width):
+        # the first two panels of every block miss their bound
+        values, errors = rule(fx, h, width)
+        errors[:2] = np.inf
+        return values, errors
+
+    scalar, redone = construct_module.integrate, []
+
+    def recorded(g, a, b, tol):
+        redone.append((a, b))
+        return scalar(g, a, b, tol)
+
+    monkeypatch.setattr(construct_module, "_rule", missing)
+    monkeypatch.setattr(construct_module, "integrate", recorded)
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    ws, converged = prof._outer_cache()
+    knots = prof._table.s.tolist()
+    firsts = [i for c in range(0, len(knots) - 1, _CHUNK) for i in (c, c + 1)]
+    assert redone == [(knots[i], knots[i + 1]) for i in firsts]
+    assert converged
+    assert ws.tolist() == pytest.approx(honest.tolist(), rel=1e-13, abs=0.0)
+    # an unconverged redo marks the fill unconverged
+    monkeypatch.setattr(
+        construct_module,
+        "integrate",
+        lambda g, a, b, tol: dataclasses.replace(scalar(g, a, b, tol), converged=False),
+    )
+    assert not RadialProfile(Power(4.0), params32, 1.0).outer_converged()
+
+
+def test_outer_integrand_overflow_raises():
+    # n=3 p=1.05 eps=1e20: (I / zeta**2)**20 exceeds the double range near 0
+    params = StructureParams(3, 1.05, 1e20)
+    prof = RadialProfile(Power(critical_exponent(params) + 1.0), params, 1.0)
+    with pytest.raises(EvalOverflow, match="outer integrand exceeds double range at "):
+        prof.profile_value(0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from liouville import (
 )
 from liouville.nonlinearity import (
     _LOG_MAX,
+    _MONOTONE_GRID,
+    _MONOTONE_SLACK,
+    _log_decreases,
     MonotonicityReport,
     Bin,
     Call,
@@ -749,6 +752,35 @@ def _check_monotone_by_calls(f, eps, samples=256, rel_slack=1e-12):
 )
 def test_check_monotone_matches_loop_of_calls(f, eps):
     assert check_monotone(f, eps) == _check_monotone_by_calls(f, eps)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1", "1/(1+z)", "z^5*exp(-10*z)", "(z - 0.3)^2", "z^3*log(e+1/z)^10", "exp(-1/z)", "3 - z"],
+)
+def test_log_decreases_is_the_plain_test(text):
+    # the probe's test on logs flags the pairs the plain test does
+    f, grid = parse_nonlinearity(text), 2.0 * _MONOTONE_GRID
+    v = f.values(grid).tolist()
+    plain = [i for i in range(1, len(v)) if v[i] < v[i - 1] - _MONOTONE_SLACK * max(abs(v[i - 1]), abs(v[i]), 1.0)]
+    sign, mag = f.log_value(np.log(grid))
+    assert _log_decreases(np.where(sign > 0, mag, -np.inf)).tolist() == plain
+
+
+def test_check_monotone_compares_logs_past_the_double_range():
+    # at eps = 1e-300 the samples reach 1e-312, where 1/z overflows
+    f = parse_nonlinearity("z^3*log(e+1/z)^-2")
+    with pytest.raises(EvalOverflow):
+        f.values(1e-300 * _MONOTONE_GRID)
+    assert check_monotone(f, 1e-300).monotone
+    # log(1/z) decreases from 718 to 691 there
+    rep = check_monotone(parse_nonlinearity("log(1/z)"), 1e-300)
+    assert not rep.monotone and rep.zeta_lo < rep.zeta_hi
+    assert rep.value_lo == pytest.approx(-math.log(rep.zeta_lo), rel=1e-14)
+    assert rep.value_hi == pytest.approx(-math.log(rep.zeta_hi), rel=1e-14)
+    # a sample where f itself is past the double range raises as its call does
+    with pytest.raises(EvalOverflow):
+        check_monotone(parse_nonlinearity("1/z"), 1e-300)
 
 
 @pytest.mark.parametrize("text", ["log(z - 0.5)", "z^3 + 0*log(0.5 - z)", "exp(1000*z)"])

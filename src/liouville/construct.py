@@ -40,6 +40,10 @@ A profile value then costs one such panel (or a closed form off the
 cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
 the same table, and the delta search builds a single profile.
+
+f is read one way, in logs (:meth:`Nonlinearity.log_value`): the source
+term of the table and of every scale, and f at the profile's own values,
+which go to 0, where plain evaluation of f can cancel or overflow.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._leading import leading_term
 from .criterion import (
     StructureParams,
     Verdict,
@@ -150,16 +155,28 @@ _NODE_U = 0.5 * (1.0 + _XA_HIGH)
 _NODE_BASIS = _hermite_basis(_NODE_U)
 
 
-def _ln_source(f: Nonlinearity, params: StructureParams, s: np.ndarray) -> np.ndarray:
-    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0
-    # (-inf where f vanishes); in logs throughout, because far out f(env)
-    # underflows long before the source term does
-    k = (params.n - params.p) / (params.p - 1.0)
-    sign, ln_f = f.log_value(math.log(params.eps) - k * np.log1p(s))
+def _ln_f(f: Nonlinearity, ln_z: np.ndarray) -> np.ndarray:
+    # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes
+    sign, ln_f = f.log_value(ln_z)
     neg = np.flatnonzero(sign < 0)
     if neg.size:
-        raise DomainError(f"source term is negative at xi/delta={float(s.flat[neg[0]])!r}")
-    return np.where(sign > 0, (params.n - 1) * np.log(s) + ln_f, -np.inf)
+        raise DomainError(f"f is negative at z={math.exp(float(ln_z.flat[neg[0]]))!r}")
+    return np.where(sign > 0, ln_f, -np.inf)
+
+
+def _ln_source(f: Nonlinearity, params: StructureParams, s: np.ndarray) -> np.ndarray:
+    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0;
+    # in logs throughout, because far out f(env) underflows long before
+    # the source term does
+    k = (params.n - params.p) / (params.p - 1.0)
+    return (params.n - 1) * np.log(s) + _ln_f(f, math.log(params.eps) - k * np.log1p(s))
+
+
+def _source_term(f: Nonlinearity, params: StructureParams, xi: np.ndarray, delta: float = 1.0) -> np.ndarray:
+    # the source term at scale delta, delta**(n-1) times its value at s = xi/delta;
+    # a subnormal value has too few digits to resolve, and cannot move a sum
+    ln = _ln_source(f, params, xi / delta) + (params.n - 1) * math.log(delta)
+    return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", xi)
 
 
 class _UnitTable:
@@ -169,7 +186,8 @@ class _UnitTable:
     serves every delta.  It holds the knots s (from the first one where
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
     s * source(s) / I_1(s), I_1 at the last knot with the fill's summed
-    error, and the log of the envelope there.  Filled on first use:
+    error, the log of the envelope there, and f's leading term (walked
+    once, for the source limit).  Filled on first use:
     I_1(inf), the outer cache W_1 (w at delta = 1 at the knots) with the
     converged flag of its fill, and the criterion result.
     """
@@ -181,13 +199,7 @@ class _UnitTable:
         ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / 8.0 * np.arange(1, 8 * _EXTRA_OCTAVES + 1)
         extra = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
         s = np.concatenate((np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES), extra))
-
-        def source(x: np.ndarray) -> np.ndarray:
-            # a subnormal value has too few digits to resolve, and cannot move the sums
-            ln = _ln_source(f, params, x)
-            return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", x)
-
-        fill = integrate_panels(source, np.concatenate(([0.0], s)), tol)
+        fill = integrate_panels(lambda x: _source_term(f, params, x), np.concatenate(([0.0], s)), tol)
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
@@ -196,6 +208,7 @@ class _UnitTable:
         self.ln_s = np.log(self.s)
         self.ln_i = np.log(cum[keep])
         self.slopes = np.exp(self.ln_s + _ln_source(f, params, self.s) - self.ln_i)
+        self.term = leading_term(f)
         self.limit: Optional[float] = None
         self.outer: Optional[Tuple[np.ndarray, bool]] = None
         self.criterion: Optional[QuadratureResult] = None
@@ -262,22 +275,21 @@ class RadialProfile:
         )
 
     def _source(self, xi: np.ndarray) -> np.ndarray:
-        # xi**(n-1) * f(env(xi)) elementwise, by the plain evaluator
-        # f.values: a second route to the table's log-domain source term.
-        # The product is taken in logs to survive large xi.
-        xi = np.asarray(xi, dtype=float)
-        with np.errstate(divide="ignore"):
-            ln = (self.params.n - 1) * np.log(xi) + np.log(self.f.values(self._env_array(xi)))
-        return _exp_checked(ln, "source term", xi)
+        # xi**(n-1) * f(env(xi)) elementwise for xi > 0, as the table reads it
+        return _source_term(self.f, self.params, np.asarray(xi, dtype=float), self.delta)
+
+    def _f_at(self, ln_z: np.ndarray) -> np.ndarray:
+        # f at z = e**ln_z, elementwise; z = 0 (ln_z = -inf) gives f(0+) = 0,
+        # the limit for every f whose criterion integral converges
+        pos = ln_z > -np.inf
+        ln_f = np.full(ln_z.shape, -np.inf)
+        ln_f[pos] = _ln_f(self.f, ln_z[pos])
+        return _exp_checked(ln_f, "f", np.exp(ln_z))
 
     # -- envelope ----------------------------------------------------------
 
     def envelope_value(self, r: float) -> float:
         return self._env(r)
-
-    def _env_array(self, r: np.ndarray) -> np.ndarray:
-        # env(r) = eps * (1 + r/delta)**-k, elementwise
-        return self.params.eps * np.exp(-self.decay * np.log1p(r / self.delta))
 
     # -- inner integral ----------------------------------------------------
 
@@ -299,13 +311,13 @@ class RadialProfile:
             rest_tol = Tolerance(tol.rel, floor)
             weight = math.exp((t.ln_top - math.log(self.params.eps)) / self.decay)  # 1/(1+s_end)
             try:
-                rest = _integral_below(self.f, self.params, t.ln_top, rest_tol)
+                rest = _integral_below(self.f, self.params, t.term, t.ln_top, rest_tol)
                 mass, error = scale * rest.value, t.last_error + scale * rest.abs_error
                 half = 0.5 * (n - 1) * weight * mass
                 value, converged = t.last + mass - half, rest.converged
                 if converged and error + half > tol.bound(value):
                     a = 1.0 / self.decay
-                    first = _integral_below(self.f, self.params, t.ln_top, rest_tol, q=self.q - a)
+                    first = _integral_below(self.f, self.params, t.term, t.ln_top, rest_tol, q=self.q - a)
                     linear = (n - 1) * self.params.eps**-a * scale
                     half = 0.25 * (n - 1) * (n - 2) * weight**2 * mass
                     value = t.last + mass - linear * first.value + half

@@ -249,7 +249,7 @@ def classify(
     if verdict.verdict is not Verdict.CONVERGES:
         return verdict
     try:
-        res = _integral_below(f, params, math.log(params.eps), tol, shells)
+        res = _integral_below(f, params, term, math.log(params.eps), tol, shells)
     except (CriterionUndecidedError, EvaluationError) as exc:
         return dataclasses.replace(verdict, detail=f"{verdict.detail}; no value: {exc}")
     return dataclasses.replace(verdict, value=res.value, abs_error=res.abs_error)
@@ -480,13 +480,16 @@ def _remainder(
 def _integral_below(
     f: Nonlinearity,
     params: StructureParams,
+    term: Optional[Term],
     ln_top: float,
     tol: Tolerance,
     shells: Sequence[QuadratureResult] = (),
     q: Optional[float] = None,
 ) -> QuadratureResult:
     """The integral of f(zeta) * zeta**-(1+q) over (0, top], top = e**ln_top,
-    with its error; ``q`` defaults to the critical exponent.
+    with its error; ``q`` defaults to the critical exponent, and ``term``
+    is f's leading term (:func:`~liouville._leading.leading_term`, walked
+    by the caller), None where the walk gave up.
 
     Where f is exactly c * z**a (a ``Power``, or such an expression) it
     is the term's closed form from top.  Otherwise it is the
@@ -501,7 +504,6 @@ def _integral_below(
     a term is not decided here (see :func:`criterion_value`).
     """
     q = critical_exponent(params) if q is None else q
-    term = leading_term(f)
     if term is not None:
         verdict, detail = _verdict(term, q)
         if verdict is Verdict.DIVERGES:
@@ -534,10 +536,11 @@ def criterion_value(
     :class:`CriterionUndecidedError` when convergence is not certified.
     The shells are log-values, so no eps is too small for them."""
     shells: List[QuadratureResult] = []
-    if leading_term(f) is None:
+    term = leading_term(f)
+    if term is None:
         shells, verdict = _classify_numeric(f, params, tol)
         if verdict.verdict is Verdict.INCONCLUSIVE:
             raise CriterionUndecidedError(
                 f"cannot certify convergence before valuing the integral: {verdict.detail}"
             )
-    return _integral_below(f, params, math.log(params.eps), tol, shells)
+    return _integral_below(f, params, term, math.log(params.eps), tol, shells)

@@ -13,8 +13,8 @@ The five profile checks:
   window [r - h, r + h] must match a fresh quadrature of the source
   term over the same window, the best of h = 1e-2, 1e-3, 1e-4 and 1e-5
   times r within a relative defect of 1e-6.  The flux reads the cached
-  inner integral (log-domain source), the quadrature the plain
-  evaluator of f.
+  inner integral, its Hermite through the table's sums; the quadrature
+  integrates the source term afresh over the window.
 * supersolution: on 200 log-spaced radii over [1e-6, 1e6] * delta the
   envelope must dominate the profile to within 1e-12 and, through
   monotonicity of f, f(env) - f(w) must stay above -1e-10.
@@ -186,18 +186,20 @@ def flux_identity_check(profile: RadialProfile) -> CheckResult:
 def supersolution_check(profile: RadialProfile) -> CheckResult:
     """Pointwise certificate that the profile is a supersolution.
 
-    Two facts are verified on the grid, with f evaluated once on each of
-    the envelope and profile arrays: env(r) >= w(r) up to
+    Two facts are verified on the grid, with f evaluated in logs, in one
+    pass over the envelope and profile arrays: env(r) >= w(r) up to
     ``_ENVELOPE_SLACK``, and f(env(r)) - f(w(r)) >= -``_SUPER_SLACK``.
     The second is the quantity the differential inequality actually
     needs; it is reported as the worst residual.
     """
     rs = np.geomspace(1e-6 * profile.delta, 1e6 * profile.delta, _SUPER_RADII)
     ws = np.array(profile.values_on_grid(rs))
-    env = profile._env_array(rs)
-    f = profile.f
-    dominated = not (env - ws < -_ENVELOPE_SLACK).any()
-    res = f.values(env) - f.values(ws)
+    ln_env = math.log(profile.params.eps) - profile.decay * np.log1p(rs / profile.delta)
+    dominated = not (np.exp(ln_env) - ws < -_ENVELOPE_SLACK).any()
+    with np.errstate(divide="ignore"):
+        ln_w = np.log(ws)
+    f_env, f_w = profile._f_at(np.stack((ln_env, ln_w)))
+    res = f_env - f_w
     i = int(np.argmin(res))
     worst, worst_r = float(res[i]), float(rs[i])
     passed = dominated and worst >= -_SUPER_SLACK
@@ -308,10 +310,10 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     w is sampled on a 512-point log grid by ``values_on_grid`` and
     interpolated log-log by the cubic Hermite with the exact slopes
     d ln w / d ln r = -r |w'(r)| / w(r), held constant below and above
-    the sampled range.  The interpolant is only C1 at its knots,
-    so the energy integral is cut into panels at every knot inside
-    (0, 1e3 * delta) as well as at the radii, and all panels are
-    integrated in one batch
+    the sampled range; the density reads f at the interpolant's logs.
+    The interpolant is only C1 at its knots, so the energy integral is
+    cut into panels at every knot inside (0, 1e3 * delta) as well as at
+    the radii, and all panels are integrated in one batch
     (:func:`~liouville.quadrature.integrate_segments`).  If a panel the
     batched rule could not certify also fails to converge on its scalar
     redo, or the profile's outer cache fill did not converge, ``detail``
@@ -321,7 +323,6 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    f = profile.f
 
     grid = np.geomspace(1e-6 * rs[0], rs[-1], 512).tolist()
     ws = profile.values_on_grid(grid)
@@ -346,15 +347,15 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     ln_r, ln_w = np.log(knots), np.log(w_k)
     slopes = -knots * profile._outer_array(knots) / w_k
 
-    def w_tilde(rho: np.ndarray) -> np.ndarray:
-        inside = np.exp(_hermite(np.log(rho), ln_r, ln_w, slopes))
-        return np.where(rho <= knots[0], w_k[0], np.where(rho >= knots[-1], w_k[-1], inside))
+    def ln_w_tilde(rho: np.ndarray) -> np.ndarray:
+        inside = _hermite(np.log(rho), ln_r, ln_w, slopes)
+        return np.where(rho <= knots[0], ln_w[0], np.where(rho >= knots[-1], ln_w[-1], inside))
 
     def e_density(rho: np.ndarray) -> np.ndarray:
-        wv = w_tilde(rho)
-        small = wv < eps
+        ln_wv = ln_w_tilde(rho)
+        small = ln_wv < math.log(eps)
         out = np.zeros_like(rho)
-        out[small] = rho[small] ** (n - 1) * f.values(wv[small])
+        out[small] = rho[small] ** (n - 1) * profile._f_at(ln_wv[small])
         return out
 
     shells, pieces = integrate_segments(
@@ -363,7 +364,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     energies = (omega * np.cumsum(shells)).tolist()
 
     ratios: List[float] = []
-    for r, en, w in zip(rs, energies, w_tilde(np.array(rs)).tolist()):
+    for r, en, w in zip(rs, energies, np.exp(ln_w_tilde(np.array(rs))).tolist()):
         u = min(w, eps)
         ratios.append(en * r ** (p - n) / u ** (p - 1.0))
 

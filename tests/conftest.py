@@ -13,6 +13,7 @@ built once per session.
 """
 
 import contextlib
+import signal
 import time
 
 import mpmath
@@ -56,6 +57,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise :class:`TimeoutError` inside the block once ``seconds`` of
+    wall time have passed, so that a hang fails its test instead of
+    stalling the run.  Built on the real-time interval timer and SIGALRM,
+    so it works in the main thread only."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"deadline of {seconds} s exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from liouville import RadialProfile, cli
+from liouville import RadialProfile, cli, construct, criterion
 from liouville.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -22,6 +22,8 @@ from liouville.cli import (
     EXIT_REGIME,
     main,
 )
+
+from conftest import deadline
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "verify_report.schema.json"
 
@@ -402,9 +404,23 @@ _LOG_EXPRESSIONS = [
 ]
 
 
-@pytest.mark.parametrize("args", _LOG_EXPRESSIONS, ids=" ".join)
+# inputs whose checks evaluate f at the profile's own values, where the
+# plain evaluator cancels (exp(z) - 1 and log(1 + z) at z near 1e-17) or
+# overflows (1/z below the envelope of eps = 1e-300); the checks read f
+# in logs, as the table does
+_LOG_DOMAIN_INPUTS = [
+    ["--n", "4", "--p", "2", "--expr", "(exp(z)-1)*z^2.2"],
+    ["--n", "4", "--p", "2", "--expr", "log(1+z)*z^2.2"],
+    ["--n", "8", "--p", "3", "--expr", "(exp(z)-1)*z^3.4"],
+    ["--n", "4", "--p", "2", "--expr", "z^3*log(e+1/z)^-2", "--eps", "1e-300"],
+]
+
+
+@pytest.mark.parametrize("args", _LOG_EXPRESSIONS + _LOG_DOMAIN_INPUTS, ids=" ".join)
 def test_log_expressions_verify(capsys, args):
-    code, out, err = run(capsys, ["verify"] + args)
+    with deadline(10.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["verify"] + args)
     assert code == EXIT_OK, err
     assert out.count(": PASS") == 6
 
@@ -424,6 +440,37 @@ def test_uncertified_source_limit_exits_1(capsys, args):
     assert code == EXIT_FAIL
     assert out == ""
     assert err.startswith("error: the source integral does not converge to tolerance: ")
+
+
+def test_cancelling_form_fails_only_the_flux(capsys):
+    # n=4 p=1.5 (exp(z)-1)*z^1.0 finishes; its flux defect at r = 100
+    # delta, 3.4e-4, is the saturated-flux class that --power 2 shows too
+    argv = ["verify", "--n", "4", "--p", "1.5", "--expr", "(exp(z)-1)*z^1.0"]
+    with deadline(10.0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == EXIT_FAIL, err
+    assert "flux_identity: FAIL" in out
+    assert out.count(": PASS") == 4 and "overall: FAIL" in out
+
+
+@pytest.mark.parametrize("command, walks", [("classify", 1), ("verify", 2), ("construct", 3)])
+def test_leading_term_walks_per_command(capsys, monkeypatch, command, walks):
+    # the gate walks the tree once, the profile's table once (for the
+    # source limit), and construct's decay bound once (for the criterion)
+    calls = []
+    walk = criterion.leading_term
+
+    def counted(f):
+        calls.append(f)
+        return walk(f)
+
+    monkeypatch.setattr(criterion, "leading_term", counted)
+    monkeypatch.setattr(construct, "leading_term", counted)
+    argv = [command, "--n", "4", "--p", "2", "--expr", "z^3*log(e+1/z)^-2"]
+    code, _, err = run(capsys, argv + (["--grid-points", "4"] if command == "construct" else []))
+    assert code == (EXIT_CONVERGES if command == "classify" else EXIT_OK), err
+    assert len(calls) == walks
 
 
 def test_instance_w_column_matches_closed_form(capsys):

@@ -15,11 +15,14 @@ import pytest
 
 import liouville.verify as verify_module
 from liouville import (
+    DeltaSearchOptions,
+    Nonlinearity,
     Power,
     PowerLog,
     RadialProfile,
     StructureParams,
     Tolerance,
+    decay_bound,
     delta_limit_check,
     energy_diagnostic,
     find_delta,
@@ -411,3 +414,28 @@ class TestVerifyProfile:
         assert not rep.overall
         failed = {c.name for c in rep.checks if not c.passed}
         assert "supersolution" in failed
+
+
+# one input of each family, the expression one with no leading term for
+# the walk (exp(z) - 1 cancels), so its criterion runs on the shells
+_FAMILIES = [
+    (Power(4.0), StructureParams(3, 2.0)),
+    (PowerLog(-2.0, 2.0), StructureParams(4, 2.0)),
+    (parse_nonlinearity("(exp(z)-1)*z^2.2"), StructureParams(4, 2.0)),
+]
+
+
+@pytest.mark.parametrize("f, params", _FAMILIES, ids=["power", "powerlog", "expression"])
+def test_after_the_gate_f_is_read_in_logs_only(monkeypatch, f, params):
+    # past the classifier gate, the profile and its checks evaluate f by
+    # the log-domain evaluator alone, as the table does
+    def refuse(self, *args):
+        raise AssertionError("the plain evaluator of f was called")
+
+    monkeypatch.setattr(Nonlinearity, "values", refuse)
+    monkeypatch.setattr(Nonlinearity, "__call__", refuse)
+    prof = find_delta(f, params, DeltaSearchOptions(assume_convergent=True))
+    assert verify_profile(prof).overall
+    assert decay_bound(prof, 2.0 * prof.delta) > 0.0
+    ws = prof.values_on_grid([0.5 * prof.delta, prof.delta, 2.0 * prof.delta])
+    assert ws[0] > ws[1] > ws[2] > 0.0

@@ -31,8 +31,11 @@ I_1(inf) and w_1 at the same knots.  Substituting zeta = env(xi) makes
 the source mass beyond the last knot a * eps**q (a = 1/k) times the
 criterion integral below env there, up to a weight within
 (n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
-The inner table fills in batched panels
-(:func:`~liouville.quadrature.integrate_panels`).  The outer integral
+The inner table fills one panel per knot interval, bit for bit as
+:func:`~liouville.quadrature.integrate_panels` would, but on node
+geometry shared by every table: ln x and ln(1 + x) at the quadrature
+nodes of the fixed panels, computed once per process on the first fill
+(:func:`_table_fill`).  The outer integral
 is taken in x = ln zeta, where the quadrature nodes sit at the same
 fractions of every knot interval and ln I there is the interval's own
 cubic: one fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
@@ -48,6 +51,7 @@ which go to 0, where plain evaluation of f can cancel or overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -75,12 +79,14 @@ from .quadrature import (
     _CHUNK,
     _XA_HIGH,
     DEFAULT_TOLERANCE,
+    PanelResults,
     QuadratureResult,
     Tolerance,
+    _finite_rule,
+    _nodes,
     _rule,
     integrate,
     integrate_intervals,
-    integrate_panels,
     integrate_to_infinity,
 )
 
@@ -120,10 +126,12 @@ _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _NOT_CONVERGED = "the source integral does not converge to tolerance"
 
 
-def _exp_checked(x: np.ndarray, what: str, at: np.ndarray) -> np.ndarray:
-    # exp of a log-domain array, refusing what would overflow a double
+def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
+    # exp of a log-domain array, refusing what would overflow a double; at
+    # is where x was taken, or a function that builds it for the message
     if (x > _LOG_MAX).any():
         i = np.flatnonzero(x > _LOG_MAX)[0]
+        at = at() if callable(at) else at
         raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[i])!r}")
     return np.exp(x)
 
@@ -164,26 +172,91 @@ def _ln_f(f: Nonlinearity, ln_z: np.ndarray) -> np.ndarray:
     return np.where(sign > 0, ln_f, -np.inf)
 
 
-def _ln_source(f: Nonlinearity, params: StructureParams, s: np.ndarray) -> np.ndarray:
-    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0;
-    # in logs throughout, because far out f(env) underflows long before
-    # the source term does
+def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray) -> np.ndarray:
+    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0, from
+    # ln s and ln(1 + s); in logs throughout, because far out f(env)
+    # underflows long before the source term does
     k = (params.n - params.p) / (params.p - 1.0)
-    return (params.n - 1) * np.log(s) + _ln_f(f, math.log(params.eps) - k * np.log1p(s))
+    return (params.n - 1) * ln_s + _ln_f(f, math.log(params.eps) - k * ln_1ps)
+
+
+def _exp_source(ln: np.ndarray, at) -> np.ndarray:
+    # the source term from its log (at as in _exp_checked); a subnormal
+    # value has too few digits to resolve, and cannot move a sum
+    return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", at)
 
 
 def _source_term(f: Nonlinearity, params: StructureParams, xi: np.ndarray, delta: float = 1.0) -> np.ndarray:
-    # the source term at scale delta, delta**(n-1) times its value at s = xi/delta;
-    # a subnormal value has too few digits to resolve, and cannot move a sum
-    ln = _ln_source(f, params, xi / delta) + (params.n - 1) * math.log(delta)
-    return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", xi)
+    # the source term at scale delta, delta**(n-1) times its value at s = xi/delta
+    s = xi / delta
+    return _exp_source(_ln_source(f, params, np.log(s), np.log1p(s)) + (params.n - 1) * math.log(delta), xi)
+
+
+def _node_logs(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    # ln x and ln(1 + x) at the quadrature nodes of the panels between
+    # consecutive edges, one panel per row
+    x = _nodes(edges[:-1], edges[1:])
+    return np.log(x), np.log1p(x, out=x)
+
+
+@functools.cache
+def _table_geometry() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # What every table shares, built on the first fill: the cache knots and
+    # the node logs of the panels [0, s_0], [s_0, s_1], ... up to the last
+    # cache knot (4096 panels, 1 MB).  Read-only, as one copy serves all.
+    s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
+    out = (s, *_node_logs(np.concatenate(([0.0], s))))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _table_fill(f: Nonlinearity, params: StructureParams, tol: Tolerance) -> Tuple[np.ndarray, PanelResults]:
+    """The knots s of the table at delta = 1 and the integrals of the
+    source term over the panels between 0 and them.
+
+    Bit for bit :func:`~liouville.quadrature.integrate_panels` of
+    :func:`_source_term` over the edges ``[0, *s]``, but with the node
+    logs of the fixed panels (up to the last cache knot) read off
+    :func:`_table_geometry`; only the panels past the cache, which depend
+    on a = (p-1)/(n-p), take theirs at each build.  Per node the source
+    term is then one multiply-add, f's log evaluator and one exp.  A panel
+    that misses ``tol`` is redone as ``integrate_panels`` redoes it, by
+    :func:`~liouville.quadrature.integrate_intervals` on that interval.
+    """
+    # past the cache ln(1 + s) steps by a ln 2 / 8: env = eps * (1 + s)**(-1/a)
+    # halves every 8 knots
+    a = (params.p - 1.0) / (params.n - params.p)
+    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / 8.0 * np.arange(1, 8 * _EXTRA_OCTAVES + 1)
+    knots, *fixed = _table_geometry()
+    s = np.concatenate((knots, np.expm1(ln_1ps[ln_1ps < _LOG_MAX])))
+    lo, hi = np.concatenate(([0.0], s[:-1])), s
+    values, errors = np.empty(s.size), np.empty(s.size)
+    row = 0
+    # in blocks of _CHUNK panels; the fixed panels fill whole blocks, so the
+    # blocks are those of integrate_panels, and a bad node raises the same error
+    for ln_x, ln_1px in (fixed, _node_logs(s[knots.size - 1 :])):
+        for c in range(0, ln_x.shape[0], _CHUNK):
+            part = slice(row + c, row + c + _CHUNK)
+            pa, pb = lo[part], hi[part]
+            ln = _ln_source(f, params, ln_x[c : c + _CHUNK], ln_1px[c : c + _CHUNK])
+            values[part], errors[part] = _finite_rule(_exp_source(ln, lambda: _nodes(pa, pb)), pa, pb)
+        row += ln_x.shape[0]
+    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
+    if not miss.size:
+        return s, PanelResults(values, errors, 0, True)
+    redo = integrate_intervals(lambda x: _source_term(f, params, x), lo[miss], hi[miss], tol)
+    values[miss], errors[miss] = redo.values, redo.abs_errors
+    return s, PanelResults(values, errors, redo.fallbacks, redo.converged)
 
 
 class _UnitTable:
     """The inner integral at delta = 1, shared by every scale.
 
     I_delta(z) = delta**n * I_1(z/delta), so one table in s = xi/delta
-    serves every delta.  It holds the knots s (from the first one where
+    serves every delta.  Its panels are filled by :func:`_table_fill`,
+    the fixed ones (up to the last cache knot) on the node logs that
+    every table shares.  It holds the knots s (from the first one where
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
     s * source(s) / I_1(s), I_1 at the last knot with the fill's summed
     error, the log of the envelope there, and f's leading term (walked
@@ -193,21 +266,16 @@ class _UnitTable:
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
-        # past the cache ln(1 + s) steps by a ln 2 / 8: env = eps * (1 + s)**(-1/a)
-        # halves every 8 knots
-        a = (params.p - 1.0) / (params.n - params.p)
-        ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / 8.0 * np.arange(1, 8 * _EXTRA_OCTAVES + 1)
-        extra = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
-        s = np.concatenate((np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES), extra))
-        fill = integrate_panels(lambda x: _source_term(f, params, x), np.concatenate(([0.0], s)), tol)
+        s, fill = _table_fill(f, params, tol)
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
+        a = (params.p - 1.0) / (params.n - params.p)
         self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
         self.s = s[keep]
         self.ln_s = np.log(self.s)
         self.ln_i = np.log(cum[keep])
-        self.slopes = np.exp(self.ln_s + _ln_source(f, params, self.s) - self.ln_i)
+        self.slopes = np.exp(self.ln_s + _ln_source(f, params, self.ln_s, np.log1p(self.s)) - self.ln_i)
         self.term = leading_term(f)
         self.limit: Optional[float] = None
         self.outer: Optional[Tuple[np.ndarray, bool]] = None
@@ -690,9 +758,9 @@ def find_delta(
     last_report = ""
 
     prof = RadialProfile(f, params, opts.delta0, tol)
-    radii = [float(r) for r in np.geomspace(_GRID_LO * opts.delta0, _GRID_HI * opts.delta0, _GRID_POINTS)]
+    radii = np.geomspace(_GRID_LO * opts.delta0, _GRID_HI * opts.delta0, _GRID_POINTS)
     ws = np.array(prof.values_on_grid(radii))
-    envs = np.array([prof.envelope_value(r) for r in radii])
+    envs = params.eps * np.exp(-k * np.log1p(radii / opts.delta0))
     sup_w0 = prof.profile_value(0.0)
     limit = prof.inner_limit()
 

@@ -24,7 +24,13 @@ which of these happened.
 estimate to many fixed intervals at once, one panel each, as numpy
 array operations over blocks of panels with one vectorized integrand
 call per block.  Only the intervals whose estimate misses the tolerance
-are redone, one by one, by the scalar adaptive :func:`integrate`.
+are redone, one by one, by the scalar adaptive :func:`integrate`.  The
+rule's sums over a block are einsum reductions (:func:`_rule`), which
+sum each row on its own, so a panel's value does not depend on the
+panels that share its block: a panel redone alone, or a dyadic shell
+next to other shells, gets the same bits.  A BLAS product (``@``,
+``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
+depends on the rest of the block.
 :func:`integrate_panels` is its case of consecutive panels, and
 :func:`integrate_segments` builds on that: integrals over consecutive
 segments, each cut into panels at given break points.  Dyadic shells
@@ -239,8 +245,10 @@ class PanelResults:
 
 _XA_HIGH = np.array(_X_HIGH)
 _WA_HIGH = np.array(_W_HIGH)
-_WA_LOW = np.array(_W_LOW)
-_IA_LOW = np.array(_LOW_AT)
+# the high rule (row 0) and the embedded low rule (row 1) at the 15 nodes
+_WA_PAIR = np.zeros((2, _XA_HIGH.size))
+_WA_PAIR[0] = _W_HIGH
+_WA_PAIR[1, list(_LOW_AT)] = _W_LOW
 # Panels per array pass: large enough to amortize numpy call overhead,
 # small enough that the temporaries stay in cache and out of peak memory.
 _CHUNK = 256
@@ -248,6 +256,13 @@ _CHUNK = 256
 # the most open panels of one pass; beyond either, integrate takes over.
 _MAX_LEVEL = 60
 _MAX_PANELS = 1 << 16
+
+
+def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 nodes of each panel ``[a[i], b[i]]``, one panel per row."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    return c[:, None] + h[:, None] * _XA_HIGH
 
 
 def _panels(
@@ -258,28 +273,38 @@ def _panels(
         cut = range(_CHUNK, a.size, _CHUNK)
         parts = [_panels(g_vec, x, y) for x, y in zip(np.split(a, cut), np.split(b, cut))]
         return tuple(np.concatenate(x) for x in zip(*parts))
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = c[:, None] + h[:, None] * _XA_HIGH
+    x = _nodes(a, b)
     fx = np.asarray(g_vec(x), dtype=float)
     if fx.shape != x.shape:
         raise ValueError(f"g_vec returned shape {fx.shape}, expected {x.shape}")
+    return _finite_rule(fx, a, b)
+
+
+def _finite_rule(fx: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_rule` for the panels ``[a[i], b[i]]`` from the integrand
+    values ``fx`` at their :func:`_nodes`; a NaN or infinity raises
+    :class:`QuadratureError`."""
     bad = np.flatnonzero(~np.isfinite(fx))
     if bad.size:
         i = bad[0]
-        raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(x.flat[i])!r}")
-    return _rule(fx, h, b - a)
+        raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(_nodes(a, b).flat[i])!r}")
+    return _rule(fx, 0.5 * (b - a), b - a)
 
 
 def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """High-rule values and damped error estimates of panels of
     half-width ``h`` (and width ``width``) from their integrand values
-    ``fx`` at the nodes ``_XA_HIGH``, one panel per row."""
-    high = h * (fx * _WA_HIGH).sum(axis=1)
-    low = h * (fx[:, _IA_LOW] * _WA_LOW).sum(axis=1)
-    resabs = h * (np.abs(fx) * _WA_HIGH).sum(axis=1)
+    ``fx`` at the nodes ``_XA_HIGH``, one panel per row.
+
+    Each sum is an einsum, which reduces every row on its own: a panel's
+    bits do not depend on the other rows of its block (see the module
+    docstring)."""
+    pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
+    high = h * pair[:, 0]
+    low = h * pair[:, 1]
+    resabs = h * np.einsum("ij,j->i", np.abs(fx), _WA_HIGH)
     mean = high / width
-    resasc = h * (np.abs(fx - mean[:, None]) * _WA_HIGH).sum(axis=1)
+    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WA_HIGH)
     err = np.abs(high - low)
     damp = (resasc != 0.0) & (err != 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -12,6 +12,9 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 import bisect
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -31,6 +34,7 @@ from liouville import (
     EvalOverflow,
     Power,
     PowerLog,
+    QuadratureError,
     RadialProfile,
     StructureParams,
     Tolerance,
@@ -243,6 +247,82 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
         ref.append(acc)
     cached = prof.delta**prof.params.n * np.exp(table.ln_i)
     assert cached.tolist() == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+# The table fill on node logs against the batched panels it mirrors
+_FILL_CASES = [
+    (Power(4.0), StructureParams(3, 2.0)),
+    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0)),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0)),
+    # small a: all 320 panels past the cache
+    (Power(0.81), StructureParams(8, 1.5)),
+]
+
+
+def _fill_by_panels(f, params, s, tol):
+    # integrate_panels of the source term over [0, *s], with the logs taken at every node
+    return integrate_panels(lambda x: construct_module._source_term(f, params, x), np.concatenate(([0.0], s)), tol)
+
+
+def _assert_fill_is_panels(f, params, tol):
+    s, fill = construct_module._table_fill(f, params, tol)
+    ref = _fill_by_panels(f, params, s, tol)
+    assert np.array_equal(fill.values, ref.values)
+    assert np.array_equal(fill.abs_errors, ref.abs_errors)
+    assert (fill.fallbacks, fill.converged) == (ref.fallbacks, ref.converged)
+    return fill
+
+
+@pytest.mark.parametrize("f, params", _FILL_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _FILL_CASES])
+def test_table_fill_is_integrate_panels_bit_for_bit(f, params):
+    assert _assert_fill_is_panels(f, params, _SEG_TOL).fallbacks == 0
+
+
+def test_table_fill_redoes_missed_panels_as_integrate_panels_does():
+    # a bump of width 1e-3 in f at z = 1/2 (s = 1) fits inside a knot
+    # interval, so the one-panel rule misses there
+    f = parse_nonlinearity("z^4*(1+exp(-1e6*(z-0.5)^2))")
+    assert _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL).fallbacks > 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _Spoiled(Power):
+    # z**exponent, with ln f replaced by `bad` where ln z < cut
+    bad: float = math.nan
+    cut: float = -10.0
+
+    def _log_value(self, ln_z):
+        sign, ln_f = super()._log_value(ln_z)
+        return sign, np.where(ln_z < self.cut, self.bad, ln_f)
+
+
+# at n=3, p=2 the envelope is 1/(1+s): ln z = -10 inside the cache, -30 past it
+@pytest.mark.parametrize("cut", [-10.0, -30.0])
+@pytest.mark.parametrize(
+    "bad, error, text",
+    [
+        (math.nan, QuadratureError, "integrand returned nan at x="),
+        (800.0, EvalOverflow, "source term exceeds double range at "),
+    ],
+)
+def test_table_fill_refuses_what_the_panels_refuse(params32, cut, bad, error, text):
+    f = _Spoiled(4.0, bad, cut)
+    s, _ = construct_module._table_fill(Power(4.0), params32, _SEG_TOL)
+    with pytest.raises(error, match=text) as ref:
+        _fill_by_panels(f, params32, s, _SEG_TOL)
+    with pytest.raises(error) as ours:
+        construct_module._table_fill(f, params32, _SEG_TOL)
+    assert str(ours.value) == str(ref.value)
+
+
+def test_importing_the_cli_builds_no_table_geometry():
+    # the geometry is built on the first table fill, not at import, whose
+    # cost every command pays
+    code = "import liouville.cli, liouville.construct as c; print(c._table_geometry.cache_info().currsize)"
+    src = os.path.dirname(os.path.dirname(construct_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
 
 
 _KNOT_INTEGRALS = {}
@@ -820,6 +900,13 @@ class TestFindDelta:
         # the scales the scalar quadrature found for the suite's cases
         d = find_delta(f, StructureParams(n, p), DeltaSearchOptions(delta0=delta0)).delta
         assert d == expected
+
+    def test_screening_envelope_is_one_array_expression(self, monkeypatch, params32):
+        def refuse(self, r):
+            raise AssertionError("one call per grid radius")
+
+        monkeypatch.setattr(RadialProfile, "envelope_value", refuse)
+        assert find_delta(Power(3.5), params32).delta == 0.5
 
     def test_custom_delta0(self, params32):
         d = find_delta(Power(4.0), params32, DeltaSearchOptions(delta0=0.125)).delta

@@ -28,7 +28,7 @@ from liouville import (
     integrate_segments,
     integrate_to_infinity,
 )
-from liouville.quadrature import _MAX_LEVEL, _bisect
+from liouville.quadrature import _EPS, _LOW_AT, _MAX_LEVEL, _W_HIGH, _W_LOW, _bisect, _nodes, _panel, _rule
 
 TOL = Tolerance(rel=1e-10, absolute=1e-14)
 
@@ -187,6 +187,46 @@ class TestIntegratePanels:
     def test_bad_edges_rejected(self, edges):
         with pytest.raises(ValueError):
             integrate_panels(lambda x: x, edges, TOL)
+
+
+def _random_rows(seed, sign_changing):
+    # 256 panels [a, b] and integrand values at their 15 nodes
+    rng = np.random.default_rng(seed)
+    fx = rng.lognormal(size=(256, 15))
+    if sign_changing:
+        fx *= rng.choice([-1.0, 1.0], size=fx.shape)
+    a = rng.uniform(-2.0, 2.0, 256)
+    return fx, a, a + rng.lognormal(size=256)
+
+
+class TestRule:
+    """The array rule of a block of panels against the scalar :func:`_panel`."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("sign_changing", [False, True])
+    def test_matches_the_scalar_panel(self, seed, sign_changing):
+        fx, a, b = _random_rows(seed, sign_changing)
+        high, err = _rule(fx, 0.5 * (b - a), b - a)
+        for i, (x, row) in enumerate(zip(_nodes(a, b).tolist(), fx.tolist())):
+            ref_high, ref_err = _panel(dict(zip(x, row)).__getitem__, float(a[i]), float(b[i]))
+            # a sum is good to a few ulps of the sum of its terms' sizes, and
+            # the estimate to a few ulps of its own sums, propagated through
+            # |high - low| and the damping's power 1.5
+            h = 0.5 * float(b[i] - a[i])
+            scale = h * math.fsum(w * abs(v) for w, v in zip(_W_HIGH, row))
+            raw = abs(ref_high - h * math.fsum(w * row[j] for w, j in zip(_W_LOW, _LOW_AT)))
+            assert abs(high[i] - ref_high) <= 4.0 * _EPS * scale
+            assert abs(err[i] - ref_err) <= 4.0 * _EPS * ref_err * (1.0 + 1.5 * scale / raw)
+
+    def test_rows_do_not_depend_on_their_block(self):
+        # bit for bit: a panel's value is the same whatever shares its block
+        # (a BLAS product, for one, sums a row differently in different blocks)
+        fx, a, b = _random_rows(2, True)
+        h, width = 0.5 * (b - a), b - a
+        block = _rule(fx, h, width)
+        rows = [_rule(fx[i : i + 1].copy(), h[i : i + 1], width[i : i + 1]) for i in range(fx.shape[0])]
+        assert block[0].tolist() == [float(v[0]) for v, _ in rows]
+        assert block[1].tolist() == [float(e[0]) for _, e in rows]
 
 
 class TestIntegrateIntervals:

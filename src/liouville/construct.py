@@ -46,7 +46,7 @@ the same table, and the delta search builds a single profile.
 
 f is read one way, in logs (:meth:`Nonlinearity.log_value`): the source
 term of the table and of every scale, and f at the profile's own values,
-which go to 0, where plain evaluation of f can cancel or overflow.
+which go to 0, where f in double arithmetic can cancel or overflow.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .errors import (
     DomainError,
     EvalOverflow,
 )
-from .nonlinearity import _LOG_MAX, Nonlinearity
+from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
 from .quadrature import (
     _CHUNK,
     _XA_HIGH,
@@ -126,16 +126,6 @@ _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _NOT_CONVERGED = "the source integral does not converge to tolerance"
 
 
-def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
-    # exp of a log-domain array, refusing what would overflow a double; at
-    # is where x was taken, or a function that builds it for the message
-    if (x > _LOG_MAX).any():
-        i = np.flatnonzero(x > _LOG_MAX)[0]
-        at = at() if callable(at) else at
-        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[i])!r}")
-    return np.exp(x)
-
-
 def _hermite(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray) -> np.ndarray:
     """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
 
@@ -163,21 +153,13 @@ _NODE_U = 0.5 * (1.0 + _XA_HIGH)
 _NODE_BASIS = _hermite_basis(_NODE_U)
 
 
-def _ln_f(f: Nonlinearity, ln_z: np.ndarray) -> np.ndarray:
-    # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes
-    sign, ln_f = f.log_value(ln_z)
-    neg = np.flatnonzero(sign < 0)
-    if neg.size:
-        raise DomainError(f"f is negative at z={math.exp(float(ln_z.flat[neg[0]]))!r}")
-    return np.where(sign > 0, ln_f, -np.inf)
-
-
 def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray) -> np.ndarray:
     # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0, from
     # ln s and ln(1 + s); in logs throughout, because far out f(env)
     # underflows long before the source term does
     k = (params.n - params.p) / (params.p - 1.0)
-    return (params.n - 1) * ln_s + _ln_f(f, math.log(params.eps) - k * ln_1ps)
+    ln_z = math.log(params.eps) - k * ln_1ps
+    return (params.n - 1) * ln_s + _ln_f(f, ln_z, lambda: np.exp(ln_z))
 
 
 def _exp_source(ln: np.ndarray, at) -> np.ndarray:
@@ -351,8 +333,8 @@ class RadialProfile:
         # the limit for every f whose criterion integral converges
         pos = ln_z > -np.inf
         ln_f = np.full(ln_z.shape, -np.inf)
-        ln_f[pos] = _ln_f(self.f, ln_z[pos])
-        return _exp_checked(ln_f, "f", np.exp(ln_z))
+        ln_f[pos] = _ln_f(self.f, ln_z[pos], lambda: np.exp(ln_z[pos]))
+        return _exp_checked(ln_f, "f", lambda: np.exp(ln_z))
 
     # -- envelope ----------------------------------------------------------
 
@@ -631,14 +613,13 @@ def change_of_variables_check(profile: RadialProfile) -> Tuple[QuadratureResult,
     ln_eps = math.log(eps)
 
     def transformed_integrand(zeta: float) -> float:
-        fv = f(zeta)
-        if fv == 0.0:
-            return 0.0
-        t = a * (ln_eps - math.log(zeta))
-        if t <= 0.0:
+        ln_zeta = math.log(zeta)
+        ln_f = float(_ln_f(f, np.array([ln_zeta]), np.array([zeta]))[0])
+        t = a * (ln_eps - ln_zeta)
+        if ln_f == -math.inf or t <= 0.0:
             return 0.0
         lex = t if t >= 700.0 else math.log(math.expm1(t))
-        out = (n - 1) * lex + (a + 1.0) / a * t + math.log(fv)
+        out = (n - 1) * lex + (a + 1.0) / a * t + ln_f
         if out > _LOG_MAX:
             raise EvalOverflow(f"transformed integrand exceeds double range at {zeta!r}")
         return math.exp(out)

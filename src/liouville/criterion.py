@@ -59,7 +59,6 @@ from ._leading import Term, leading_term, tail
 from .errors import (
     CriterionUndecidedError,
     DivergentIntegralError,
-    DomainError,
     EvalOverflow,
     EvaluationError,
     MonotonicityError,
@@ -69,6 +68,7 @@ from .nonlinearity import (
     _LOG_MAX,
     Expression,
     Nonlinearity,
+    _ln_f,
     check_monotone,
     signed_log_eval,  # noqa: F401  (patched by perfbench/tracing.py)
 )
@@ -181,22 +181,19 @@ def criterion_integrand(
     Computed in the log domain, so the product is evaluated correctly
     even where f(z) alone would underflow to zero (pure powers at
     z ~ 1e-200, say); a product outside double range raises
-    :class:`EvalOverflow`.  Results are guaranteed non-negative; the
-    first point where f is negative raises :class:`DomainError`.
+    :class:`EvalOverflow`.  Results are guaranteed non-negative: f is
+    checked for sign first, and its first negative point raises
+    :class:`DomainError`.
     """
     s = 1.0 + critical_exponent(params)
 
     def g(z):
         z = np.asarray(z, dtype=float)
         ln_z = np.log(z)
-        sign, mag = f.log_value(ln_z)
-        out = mag - s * ln_z
-        bad = np.flatnonzero((sign < 0) | (out > _LOG_MAX))
+        out = _ln_f(f, ln_z, z) - s * ln_z
+        bad = np.flatnonzero(out > _LOG_MAX)
         if bad.size:
-            i = bad[0]
-            if sign.flat[i] < 0:
-                raise DomainError(f"expression is negative at z={float(z.flat[i])!r}")
-            raise EvalOverflow(f"integrand exceeds double range at z={float(z.flat[i])!r}")
+            raise EvalOverflow(f"integrand exceeds double range at z={float(z.flat[bad[0]])!r}")
         return np.exp(out)
 
     return g
@@ -340,10 +337,7 @@ def _log_shells(
     q = critical_exponent(params) if q is None else q
 
     def ln_g(v: np.ndarray) -> np.ndarray:
-        sign, mag = f.log_value(-v)
-        if (sign < 0).any():
-            raise DomainError(f"expression is negative at z={math.exp(-v[sign < 0][0])!r}")
-        return mag + q * v
+        return _ln_f(f, -v, lambda: np.exp(-v)) + q * v
 
     at = 0.5 * _LN2 * np.arange(2 * first, 2 * (first + count) + 1) - ln_top
     edges, ln_at = at[::2], ln_g(at)

@@ -21,15 +21,14 @@ Expression grammar (whitespace is insignificant)::
 (``2.5e-3``).  ``^`` binds tighter than unary minus on the left, so
 ``-z^2`` is ``-(z^2)`` while ``z^-2`` is a valid power.
 
-Three evaluators are provided.  The plain one computes f(z) directly
-in doubles.  The signed-log one propagates (sign, log-magnitude) pairs
-through the tree, which keeps deep power/log compositions meaningful
-far below the double underflow threshold; the integral classifier
-relies on it when probing shells at z around 1e-100 and smaller.  Each
-has an array form, one pass over the tree on a whole numpy array, that
-marks every point the scalar rules reject (or where a value overflows)
-and redoes those points with the scalar form, so it raises exactly
-what the scalar form raises.
+f is evaluated in signed logs: (sign, log-magnitude) pairs from ln z,
+which keep deep power/log compositions meaningful far below the double
+underflow threshold, where the classifier probes shells.  The array
+form is one pass over the tree; the points the scalar rules reject (or
+where a pair overflows) are redone by the scalar form, so it raises what
+the scalar form raises.  ln z = -inf is z = 0.  A call f(z) is exp of
+the pair, exact to about |ln f(z)| ulps: ``Power(2.0)(3.0)`` is
+9.000000000000002.
 """
 
 from __future__ import annotations
@@ -301,97 +300,6 @@ def to_source(node: ExprNode) -> str:
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation
-
-
-def _eval_plain(node: ExprNode, z: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Euler):
-        return math.e
-    if isinstance(node, Neg):
-        return -_eval_plain(node.arg, z)
-    if isinstance(node, Call):
-        a = _eval_plain(node.arg, z)
-        if node.fn == "log":
-            if a <= 0.0:
-                raise DomainError(f"log of non-positive value {a!r}")
-            return math.log(a)
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise EvalOverflow(f"exp({a!r}) exceeds double range") from None
-    if isinstance(node, Bin):
-        a = _eval_plain(node.left, z)
-        b = _eval_plain(node.right, z)
-        op = node.op
-        if op == "^":
-            try:
-                v = math.pow(a, b)
-            except ValueError:
-                raise DomainError(f"cannot raise {a!r} to the power {b!r}") from None
-            except OverflowError:
-                raise EvalOverflow(f"{a!r}^{b!r} exceeds double range") from None
-        elif op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero")
-            v = a / b
-        elif op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        else:
-            v = a * b
-        if not math.isfinite(v):
-            raise EvalOverflow(f"intermediate value {v!r} in {op!r}")
-        return v
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _eval_array(node: ExprNode, z: np.ndarray, bad: np.ndarray):
-    """Array form of :func:`_eval_plain`, one pass over the whole array.
-
-    Sets ``bad`` wherever a log, an exp or a binary operation comes out
-    non-finite.  That covers every element the scalar evaluator
-    rejects: a log of 0 or of a negative value (-inf, NaN), a division
-    by 0 (inf, NaN), 0**negative (inf), a negative base with a
-    fractional power (NaN) and overflow (inf).  Constant subtrees stay
-    numpy scalars.
-    """
-    if isinstance(node, Num):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return z
-    if isinstance(node, Euler):
-        return np.float64(math.e)
-    if isinstance(node, Neg):
-        return -_eval_array(node.arg, z, bad)
-    if isinstance(node, Call):
-        a = _eval_array(node.arg, z, bad)
-        v = np.log(a) if node.fn == "log" else np.exp(a)
-    elif isinstance(node, Bin):
-        a = _eval_array(node.left, z, bad)
-        b = _eval_array(node.right, z, bad)
-        op = node.op
-        if op == "^":
-            v = np.power(a, b)
-        elif op == "/":
-            v = np.divide(a, b)
-        elif op == "+":
-            v = a + b
-        elif op == "-":
-            v = a - b
-        else:
-            v = a * b
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    bad |= ~np.isfinite(v)
-    return v
-
-
-# ---------------------------------------------------------------------------
 # signed-log evaluation
 
 _Signed = Tuple[int, float]  # sign in {-1, 0, 1}; value = sign * exp(mag)
@@ -401,14 +309,6 @@ def _signed_of(x: float) -> _Signed:
     if x == 0.0:
         return (0, _NEG_INF)
     return ((1 if x > 0 else -1), math.log(abs(x)))
-
-
-def _signed_to_float(s: int, m: float) -> float:
-    if s == 0:
-        return 0.0
-    if m > _LOG_MAX:
-        raise EvalOverflow(f"value of magnitude exp({m:.6g}) exceeds double range")
-    return s * math.exp(m)
 
 
 def _literal(node: ExprNode) -> Optional[float]:
@@ -438,14 +338,14 @@ def _signed_add(s1: int, m1: float, s2: int, m2: float) -> _Signed:
 def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
     """Evaluate at z = exp(ln_z), returning (sign, log of magnitude).
 
-    ``ln_z`` must be finite, so z is strictly positive.  The pair
-    ``(0, -inf)`` denotes an exact zero.  Magnitudes are unrestricted;
-    only converting back to a double can overflow.
+    The pair ``(0, -inf)`` denotes an exact zero, and ``ln_z = -inf``
+    is z = 0.  Magnitudes are unrestricted; only converting back to a
+    double can overflow.
     """
     if isinstance(node, Num):
         return _signed_of(node.value)
     if isinstance(node, Var):
-        return (1, ln_z)
+        return (1, ln_z) if ln_z > _NEG_INF else (0, _NEG_INF)
     if isinstance(node, Euler):
         return (1, 1.0)
     if isinstance(node, Neg):
@@ -474,7 +374,10 @@ def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
             s, m = signed_log_eval(node.left, ln_z)
             es, em = signed_log_eval(node.right, ln_z)
             e = _literal(node.right)
-            e = _signed_to_float(es, em) if e is None else e
+            if e is None:
+                if em > _LOG_MAX:
+                    raise EvalOverflow(f"value of magnitude exp({em:.6g}) exceeds double range")
+                e = es * math.exp(em)
             if s == 0:
                 if e > 0:
                     return (0, _NEG_INF)
@@ -527,7 +430,8 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
     the sign bookkeeping.
     """
     if isinstance(node, Num):
-        return tuple(np.float64(x) for x in _signed_of(node.value))
+        s, m = _signed_of(node.value)
+        return np.float64(s), np.float64(m)
     if isinstance(node, Var):
         return np.float64(1.0), ln_z
     if isinstance(node, Euler):
@@ -538,7 +442,8 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
     if isinstance(node, Call):
         s, m = _signed_log_array(node.arg, ln_z, bad)
         if node.fn == "log":
-            bad |= s <= 0
+            if not _positive(s):
+                bad |= s <= 0
             if (m > 0.0).all():
                 s, m = np.float64(1.0), np.log(m)
             else:
@@ -583,67 +488,78 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
 # nonlinearity families
 
 
+def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
+    # exp of a log-domain array, refusing what would overflow a double; at
+    # is where x was taken, or a function that builds it for the message
+    if (x > _LOG_MAX).any():
+        i = np.flatnonzero(x > _LOG_MAX)[0]
+        at = at() if callable(at) else at
+        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[i])!r}")
+    return np.exp(x)
+
+
+def _ln_f(f: "Nonlinearity", ln_z: np.ndarray, at) -> np.ndarray:
+    # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes;
+    # the first point where f is negative raises (at as in _exp_checked)
+    with np.errstate(all="ignore"):
+        sign, ln_f = f._log_value(np.asarray(ln_z, dtype=float))
+    if _positive(sign):
+        return ln_f
+    neg = np.flatnonzero(sign < 0)
+    if neg.size:
+        at = at() if callable(at) else at
+        raise DomainError(f"f is negative at z={float(at.flat[neg[0]])!r}; right-hand sides must be >= 0")
+    return np.where(sign > 0, ln_f, _NEG_INF)
+
+
 class Nonlinearity:
     """A function on [0, inf) with checked evaluation.
 
-    Calling an instance validates the argument, evaluates the family
-    rule, and rejects non-finite or negative results with a package
-    error instead of letting NaN or inf leak into quadrature.  A family
-    supplies the rules behind a call, :meth:`values` and :meth:`log_value`.
+    A family supplies ``_log_value``, :meth:`log_value` except that a
+    sign equal at every point may be a numpy scalar.  Calls and
+    :meth:`values` are exp of it; an argument below 0, a negative value
+    or one past the double range raises a package error instead of
+    letting NaN or inf leak into quadrature.
     """
 
     __slots__ = ()
 
-    def _value(self, z: float) -> float:
-        raise NotImplementedError
-
     def __call__(self, z: float) -> float:
         if isinstance(z, bool) or not isinstance(z, (int, float)):
             raise TypeError(f"argument must be a real number, got {type(z).__name__}")
-        z = float(z)
-        if math.isnan(z) or z < 0.0:
-            raise DomainError(f"argument must be >= 0, got {z!r}")
-        v = self._value(z)
-        if math.isnan(v) or math.isinf(v):
-            raise EvalOverflow(f"value at z={z!r} is {v!r}")
-        if v < 0.0:
-            raise DomainError(f"negative value {v!r} at z={z!r}; right-hand sides must be >= 0")
-        return v
+        return float(self.values(float(z)))
 
     def values(self, z: np.ndarray) -> np.ndarray:
         """Array form of calling f: elementwise values of f at ``z``.
 
-        Applies the checks of a call to every element and raises the
-        same package errors.
+        Applies the checks of a call to every element and raises what
+        the first failing call raises.
         """
         z = np.asarray(z, dtype=float)
-        bad = np.flatnonzero(np.isnan(z) | (z < 0.0))
-        if bad.size:
-            raise DomainError(f"argument must be >= 0, got {float(z.flat[bad[0]])!r}")
-        with np.errstate(all="ignore"):
-            v = self._values(z)
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            i = bad[0]
-            raise EvalOverflow(f"value at z={float(z.flat[i])!r} is {float(v.flat[i])!r}")
-        bad = np.flatnonzero(v < 0.0)
-        if bad.size:
-            i = bad[0]
-            raise DomainError(
-                f"negative value {float(v.flat[i])!r} at z={float(z.flat[i])!r}; "
-                "right-hand sides must be >= 0"
-            )
-        return v
+        try:
+            bad = np.flatnonzero(np.isnan(z) | (z < 0.0))
+            if bad.size:
+                raise DomainError(f"argument must be >= 0, got {float(z.flat[bad[0]])!r}")
+            with np.errstate(divide="ignore"):
+                ln_z = np.log(z)
+            ln_f = _ln_f(self, ln_z, z)
+        except EvaluationError:
+            if z.size > 1:  # an earlier point may fail another check: take the calls' order
+                for x in z.flat:
+                    self(float(x))
+            raise
+        return _exp_checked(ln_f, "f", z)
 
     def log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Sign (-1, 0 or 1) and log|f| at z = exp(ln_z), elementwise.
 
-        ``ln_z`` must be finite; both arrays have its shape.  log|f| is
-        -inf where f vanishes and stays exact far below the double
-        underflow threshold of f itself.
+        ``ln_z`` is finite, or -inf for z = 0; both arrays have its
+        shape.  log|f| is -inf where f vanishes and stays exact far below
+        the double underflow threshold of f itself.
         """
         with np.errstate(all="ignore"):
-            return self._log_value(np.asarray(ln_z, dtype=float))
+            sign, mag = self._log_value(np.asarray(ln_z, dtype=float))
+        return (np.full(mag.shape, sign) if np.ndim(sign) == 0 else sign), mag
 
 
 @dataclass(frozen=True)
@@ -656,21 +572,13 @@ class Power(Nonlinearity):
         if not math.isfinite(self.exponent):
             raise ValueError(f"exponent must be finite, got {self.exponent!r}")
 
-    def _value(self, z: float) -> float:
-        try:
-            return math.pow(z, self.exponent)
-        except ValueError:
-            raise DomainError(f"0 cannot be raised to the power {self.exponent!r}") from None
-        except OverflowError:
-            raise EvalOverflow(f"{z!r}^{self.exponent!r} exceeds double range") from None
-
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        if self.exponent < 0.0 and np.any(z == 0.0):
-            raise DomainError(f"0 cannot be raised to the power {self.exponent!r}")
-        return np.power(z, self.exponent)
-
     def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return np.ones(ln_z.shape), self.exponent * ln_z
+        mag = self.exponent * ln_z
+        if self.exponent <= 0.0 and (ln_z == _NEG_INF).any():  # 0**exponent
+            if self.exponent < 0.0:
+                raise DomainError(f"0 cannot be raised to the power {self.exponent!r}")
+            mag = np.where(ln_z == _NEG_INF, 0.0, mag)
+        return np.float64(1.0), mag
 
 
 @dataclass(frozen=True)
@@ -691,24 +599,10 @@ class PowerLog(Nonlinearity):
         if not math.isfinite(self.power):
             raise ValueError(f"power must be finite, got {self.power!r}")
 
-    def _value(self, z: float) -> float:
-        if z == 0.0:
-            return 0.0
-        log_factor = math.log1p(math.e * z) - math.log(z)
-        try:
-            return math.pow(z, self.power) * math.pow(log_factor, self.mu)
-        except OverflowError:
-            raise EvalOverflow(f"value at z={z!r} exceeds double range") from None
-
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        pos = z > 0.0
-        zp = np.where(pos, z, 1.0)
-        log_factor = np.log1p(math.e * zp) - np.log(zp)
-        return np.where(pos, np.power(zp, self.power) * np.power(log_factor, self.mu), 0.0)
-
     def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         log_factor = np.log1p(math.e * np.exp(ln_z)) - ln_z
-        return np.ones(ln_z.shape), self.power * ln_z + self.mu * np.log(log_factor)
+        mag = self.power * ln_z + self.mu * np.log(log_factor)
+        return np.float64(1.0), np.where(ln_z > _NEG_INF, mag, _NEG_INF)  # f(0) = 0
 
 
 @dataclass(frozen=True)
@@ -724,25 +618,17 @@ class Expression(Nonlinearity):
     def __repr__(self) -> str:  # the tree form is unreadable in test output
         return f"Expression({self.source!r})"
 
-    def _value(self, z: float) -> float:
-        return _eval_plain(self.root, z)
-
-    def _values(self, z: np.ndarray) -> np.ndarray:
-        bad = np.zeros(z.shape, dtype=bool)
-        v = np.full(z.shape, _eval_array(self.root, z, bad))
-        bad |= v < 0.0
-        # redo the marked points by calls, in order: the first one the
-        # scalar rules reject raises there, as a loop of calls would
-        for i in np.flatnonzero(bad):
-            v.flat[i] = self(float(z.flat[i]))
-        return v
-
     def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        bad = np.zeros(ln_z.shape, dtype=bool)
-        pair = _signed_log_array(self.root, ln_z, bad)
-        s, m = (np.array(np.broadcast_to(x, ln_z.shape)) for x in pair)
-        for i in np.flatnonzero(bad):  # in order, as in _values
-            s.flat[i], m.flat[i] = signed_log_eval(self.root, float(ln_z.flat[i]))
+        # z = 0 is redone by the scalar rules, as is every point the pass marks
+        bad = np.asarray(ln_z == _NEG_INF)
+        s, m = _signed_log_array(self.root, ln_z, bad)
+        if np.ndim(m) == 0 or m is ln_z:  # a constant, or z itself
+            m = np.full(ln_z.shape, m)
+        redo = np.flatnonzero(bad)
+        if redo.size:
+            s = np.full(ln_z.shape, s) if np.ndim(s) == 0 else s
+            for i in redo:  # in order: the first point the scalar rules reject raises
+                s.flat[i], m.flat[i] = signed_log_eval(self.root, float(ln_z.flat[i]))
         return s, m
 
 
@@ -793,43 +679,36 @@ def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
 
     The grid covers twelve decades below eps.  A decrease smaller than
     ``_MONOTONE_SLACK`` relative to the local magnitude is tolerated so
-    that constant functions pass despite rounding.  The samples are
-    evaluated in one array call; the pairs it flags (every pair, if it
-    raises) are checked by calls, so the outcome is that of a loop of
-    calls, and evaluation errors propagate to the caller untouched.  The
-    one exception is an intermediate value past the double range, as
-    1/z at a tiny eps: then the same test runs on the samples' signed
-    logs (:meth:`Nonlinearity.log_value`), up to the first sample where
-    f itself is negative or past that range, whose call raises as in
-    the loop.
+    that constant functions pass despite rounding.  The outcome, values
+    reported and errors raised are those of a loop of calls.  One pass
+    compares the samples' logs up to the first sample past the double
+    range, whose call then raises; if the pass raises, the loop of calls
+    runs, so a decrease before the failing sample is still reported.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     grid = eps * _MONOTONE_GRID
-    zs = grid.tolist()
     try:
-        v = f.values(grid)
-    except EvalOverflow:
-        sign, mag = f.log_value(np.log(grid))
-        bad = np.flatnonzero((sign < 0) | (mag > _LOG_MAX))
-        end = int(bad[0]) if bad.size else mag.size
-        mag = np.where(sign > 0, mag, -np.inf)[:end]
+        mag = _ln_f(f, np.log(grid), grid)
+    except EvaluationError:
+        zs = grid.tolist()
+        lo = f(zs[0])
+        for i in range(1, _MONOTONE_SAMPLES):
+            hi = f(zs[i])
+            if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):
+                return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
+            lo = hi
+        raise
+    end = _MONOTONE_SAMPLES
+    if mag.max() > _LOG_MAX:
+        end = int(np.argmax(mag > _LOG_MAX))
+        mag = mag[:end]
+    if (mag[1:] < mag[:-1]).any():
         falls = _log_decreases(mag)
         if falls.size:
             i = int(falls[0])
-            lo, hi = (math.exp(m) for m in mag[i - 1 : i + 1].tolist())
-            return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
-        if end < len(zs):
-            f(zs[end])  # raises
-        return MonotonicityReport(True)
-    except EvaluationError:
-        pairs = range(1, _MONOTONE_SAMPLES)
-    else:
-        # array values differ from calls by a few ulps, far inside half the slack
-        slack = 0.5 * _MONOTONE_SLACK * np.maximum(np.maximum(np.abs(v[:-1]), np.abs(v[1:])), 1.0)
-        pairs = (np.flatnonzero(v[1:] < v[:-1] - slack) + 1).tolist()
-    for i in pairs:
-        lo, hi = f(zs[i - 1]), f(zs[i])
-        if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):
-            return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
+            lo, hi = np.exp(mag[i - 1 : i + 1]).tolist()
+            return MonotonicityReport(False, float(grid[i - 1]), float(grid[i]), lo, hi)
+    if end < _MONOTONE_SAMPLES:
+        f(float(grid[end]))  # raises
     return MonotonicityReport(True)

@@ -13,13 +13,14 @@ built once per session.
 """
 
 import contextlib
+import math
 import signal
 import time
 
 import mpmath
 import pytest
 
-from liouville import Power, RadialProfile, StructureParams
+from liouville import Power, PowerLog, RadialProfile, StructureParams
 
 _ACCEPTANCE_LINES = []
 
@@ -103,6 +104,27 @@ def inner_exact(z: float) -> float:
 
 def grad_exact(r: float) -> float:
     return r / (3.0 * (1.0 + r) ** 3)
+
+
+def _log_factor(z: float) -> float:
+    return math.log1p(math.e * z) - math.log(z)
+
+
+# closed forms of the expressions the tests build profiles on, by source text
+_EXPRESSION_TWINS = {
+    "0.0": lambda z: 0.0,
+    "z^3.0*log(e+1.0/z)^-2.0": lambda z: z**3 * _log_factor(z) ** -2 if z > 0.0 else 0.0,
+}
+
+
+def math_twin(f):
+    """f as a closed form in ``math``, independent of the package's
+    evaluator: a reference for tests that integrate f point by point."""
+    if isinstance(f, Power):
+        return lambda z: z**f.exponent
+    if isinstance(f, PowerLog):
+        return lambda z: z**f.power * _log_factor(z) ** f.mu if z > 0.0 else 0.0
+    return _EXPRESSION_TWINS[f.source]
 
 
 def source_limit(n: int, p: float, f) -> float:

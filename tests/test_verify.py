@@ -37,6 +37,8 @@ from liouville import (
 )
 from liouville.construct import _hermite
 
+from conftest import math_twin
+
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
 
@@ -246,6 +248,7 @@ def _scalar_energy(profile):
     quadrature per ball shell: energies, ratios and pass/fail."""
     rs = [float(r) for r in np.geomspace(profile.delta, 1e3 * profile.delta, 64)]
     n, p, eps = profile.params.n, profile.params.p, profile.params.eps
+    f = math_twin(profile.f)
     grid = [float(g) for g in np.geomspace(1e-6 * rs[0], rs[-1], 512)]
     ws = profile.values_on_grid(grid)
     if ws[0] == 0.0:
@@ -265,7 +268,7 @@ def _scalar_energy(profile):
 
     def density(rho):
         wv = w_tilde(rho)
-        return 0.0 if wv >= eps else rho ** (n - 1) * profile.f(wv)
+        return 0.0 if wv >= eps else rho ** (n - 1) * f(wv)
 
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     tol = Tolerance(rel=1e-10, absolute=0.0)

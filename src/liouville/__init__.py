@@ -56,11 +56,8 @@ from .quadrature import (
     PanelResults,
     QuadratureResult,
     Tolerance,
-    dyadic_shell_integrals,
     integrate,
     integrate_intervals,
-    integrate_panels,
-    integrate_segments,
     integrate_to_infinity,
 )
 from .verify import (
@@ -71,7 +68,6 @@ from .verify import (
     delta_limit_check,
     energy_diagnostic,
     flux_identity_check,
-    flux_residual_at,
     gradient_decay_check,
     normalization_check,
     supersolution_check,
@@ -89,9 +85,7 @@ __all__ = [
     "DeltaSearchError", "CliConfigError",
     # quadrature
     "Tolerance", "DEFAULT_TOLERANCE", "QuadratureResult", "PanelResults",
-    "integrate", "integrate_intervals", "integrate_panels", "integrate_segments",
-    "integrate_to_infinity",
-    "dyadic_shell_integrals",
+    "integrate", "integrate_intervals", "integrate_to_infinity",
     # nonlinearities
     "Nonlinearity", "Power", "PowerLog", "Expression", "parse_nonlinearity",
     "check_monotone", "MonotonicityReport",
@@ -104,7 +98,7 @@ __all__ = [
     "DeltaSearchOptions", "find_delta",
     # verification
     "CheckResult", "VerificationReport", "verify_profile",
-    "flux_residual_at", "flux_identity_check", "supersolution_check",
+    "flux_identity_check", "supersolution_check",
     "gradient_decay_check", "normalization_check",
     "EnergyDiagnostic", "energy_diagnostic",
     "DeltaLimitReport", "delta_limit_check",

@@ -32,7 +32,7 @@ the source mass beyond the last knot a * eps**q (a = 1/k) times the
 criterion integral below env there, up to a weight within
 (n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
 The inner table fills one panel per knot interval, bit for bit as
-:func:`~liouville.quadrature.integrate_panels` would, but on node
+:func:`~liouville.quadrature.integrate_intervals` would, but on node
 geometry shared by every table: ln x and ln(1 + x) at the quadrature
 nodes of the fixed panels, computed once per process on the first fill
 (:func:`_table_fill`).  The outer integral
@@ -197,14 +197,14 @@ def _table_fill(f: Nonlinearity, params: StructureParams, tol: Tolerance) -> Tup
     """The knots s of the table at delta = 1 and the integrals of the
     source term over the panels between 0 and them.
 
-    Bit for bit :func:`~liouville.quadrature.integrate_panels` of
-    :func:`_source_term` over the edges ``[0, *s]``, but with the node
-    logs of the fixed panels (up to the last cache knot) read off
-    :func:`_table_geometry`; only the panels past the cache, which depend
-    on a = (p-1)/(n-p), take theirs at each build.  Per node the source
-    term is then one multiply-add, f's log evaluator and one exp.  A panel
-    that misses ``tol`` is redone as ``integrate_panels`` redoes it, by
-    :func:`~liouville.quadrature.integrate_intervals` on that interval.
+    Bit for bit :func:`~liouville.quadrature.integrate_intervals` of
+    :func:`_source_term` over the panels [0, s_0], [s_0, s_1], ..., but
+    with the node logs of the fixed panels (up to the last cache knot)
+    read off :func:`_table_geometry`; only the panels past the cache,
+    which depend on a = (p-1)/(n-p), take theirs at each build.  Per node
+    the source term is then one multiply-add, f's log evaluator and one
+    exp.  A panel that misses ``tol`` is redone by ``integrate_intervals``
+    on that interval alone, which redoes it as the full pass would.
     """
     # past the cache ln(1 + s) steps by a ln 2 / 8: env = eps * (1 + s)**(-1/a)
     # halves every 8 knots
@@ -216,7 +216,7 @@ def _table_fill(f: Nonlinearity, params: StructureParams, tol: Tolerance) -> Tup
     values, errors = np.empty(s.size), np.empty(s.size)
     row = 0
     # in blocks of _CHUNK panels; the fixed panels fill whole blocks, so the
-    # blocks are those of integrate_panels, and a bad node raises the same error
+    # blocks are those of integrate_intervals, and a bad node raises the same error
     for ln_x, ln_1px in (fixed, _node_logs(s[knots.size - 1 :])):
         for c in range(0, ln_x.shape[0], _CHUNK):
             part = slice(row + c, row + c + _CHUNK)
@@ -502,11 +502,10 @@ class RadialProfile:
                 u = _NODE_U
                 psi = coef[part] @ _NODE_BASIS
             psi += base[part, None]
-            if (psi > _LOG_MAX).any():
-                r, k = np.unravel_index(np.flatnonzero(psi > _LOG_MAX)[0], psi.shape)
-                x = t.ln_s[i[c + r]] + h[c + r] * np.broadcast_to(u, psi.shape)[r, k]
-                raise EvalOverflow(f"outer integrand exceeds double range at {self.delta * math.exp(x)!r}")
-            values[part], errors[part] = _rule(np.exp(psi), 0.5 * width[part], width[part])
+            fx = _exp_checked(  # an overflow names zeta at its node
+                psi, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[part], None] + h[part, None] * u)
+            )
+            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part])
 
         def outer(zeta: float) -> float:
             return float(self._outer_array(np.array([zeta]))[0])

@@ -184,6 +184,10 @@ def criterion_integrand(
     :class:`EvalOverflow`.  Results are guaranteed non-negative: f is
     checked for sign first, and its first negative point raises
     :class:`DomainError`.
+
+    The classifier itself integrates in v = ln(1/z), as log-values
+    (:func:`_log_shells`); this is the same integrand in z, kept public
+    as the reference those shells are checked against in the tests.
     """
     s = 1.0 + critical_exponent(params)
 

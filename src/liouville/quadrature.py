@@ -1,5 +1,9 @@
 """Globally adaptive quadrature on a nested pair of open rules.
 
+Three entry points: :func:`integrate` over one interval,
+:func:`integrate_intervals` over many intervals at once, and
+:func:`integrate_to_infinity` over a tail.
+
 The workhorse is a 15-node interpolatory rule of Fejer's second kind
 whose odd-indexed nodes form the embedded 7-node rule of the same
 family.  Both rules are open (they never evaluate the endpoints), so
@@ -31,11 +35,9 @@ panels that share its block: a panel redone alone, or a dyadic shell
 next to other shells, gets the same bits.  A BLAS product (``@``,
 ``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
 depends on the rest of the block.
-:func:`integrate_panels` is its case of consecutive panels, and
-:func:`integrate_segments` builds on that: integrals over consecutive
-segments, each cut into panels at given break points.  Dyadic shells
-(in :mod:`liouville.criterion`, in v = ln(1/zeta) and as log-values) are refined together,
-level by level, each level one such array pass (see :func:`_bisect`).
+Dyadic shells (in :mod:`liouville.criterion`, in v = ln(1/zeta) and as
+log-values) are refined together, level by level, each level one such
+array pass (see :func:`_bisect`).
 """
 
 from __future__ import annotations
@@ -57,10 +59,7 @@ __all__ = [
     "PanelResults",
     "integrate",
     "integrate_intervals",
-    "integrate_panels",
-    "integrate_segments",
     "integrate_to_infinity",
-    "dyadic_shell_integrals",
 ]
 
 _EPS = sys.float_info.epsilon
@@ -230,8 +229,7 @@ class PanelResults:
     """Per-interval outcome of :func:`integrate_intervals`.
 
     ``values[i]`` and ``abs_errors[i]`` belong to the interval
-    ``[lo[i], hi[i]]`` (the panel ``[edges[i], edges[i + 1]]`` of
-    :func:`integrate_panels`).  ``fallbacks`` counts the intervals that
+    ``[lo[i], hi[i]]``.  ``fallbacks`` counts the intervals that
     the batched rule could not certify and the scalar :func:`integrate`
     redid; ``converged`` is False when any of those redone intervals did
     not converge either.
@@ -393,47 +391,6 @@ def integrate_intervals(
     return PanelResults(values, errors, redone, bool(converged.all()))
 
 
-def integrate_panels(
-    g_vec: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> PanelResults:
-    """:func:`integrate_intervals` on the consecutive panels
-    ``[edges[i], edges[i + 1]]`` of strictly increasing ``edges``."""
-    e = np.asarray(edges, dtype=float)
-    if e.ndim != 1 or e.size < 2:
-        raise ValueError("need a flat sequence of at least two edges")
-    if not np.all(e[1:] > e[:-1]):
-        raise ValueError("panel edges must be strictly increasing")
-    return integrate_intervals(g_vec, e[:-1], e[1:], tol)
-
-
-def integrate_segments(
-    g_vec: Callable[[np.ndarray], np.ndarray],
-    bounds: Sequence[float],
-    breaks: Sequence[float],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> Tuple[np.ndarray, PanelResults]:
-    """Integrals of ``g_vec`` over ``[bounds[i], bounds[i + 1]]`` for each i.
-
-    Every segment is cut at the ``breaks`` inside it (points where the
-    integrand is not smooth), all pieces are integrated in one
-    :func:`integrate_panels` pass, and the pieces are summed per
-    segment.  ``bounds`` must be non-decreasing; a segment of zero
-    width integrates to 0.  Returns the sums and the per-piece results.
-    """
-    bounds = np.asarray(bounds, dtype=float)
-    breaks = np.asarray(breaks, dtype=float)
-    inner = breaks[(breaks > bounds[0]) & (breaks < bounds[-1])]
-    # sort and drop repeats by hand: np.union1d would import numpy.ma
-    edges = np.sort(np.concatenate((bounds, inner)))
-    edges = edges[np.concatenate(([True], edges[1:] > edges[:-1]))]
-    pieces = integrate_panels(g_vec, edges, tol)
-    segment = np.searchsorted(bounds, edges[:-1], side="right") - 1
-    sums = np.bincount(segment, weights=pieces.values, minlength=bounds.size - 1)
-    return sums, pieces
-
-
 def integrate_to_infinity(
     g: Callable[[float], float],
     a: float,
@@ -460,23 +417,3 @@ def integrate_to_infinity(
 
     return integrate(h, 0.0, 1.0, tol)
 
-
-def dyadic_shell_integrals(
-    g: Callable[[float], float],
-    eps: float,
-    count: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> List[float]:
-    """Integrals of ``g`` over the shells (eps/2^(k+1), eps/2^k].
-
-    Returned outermost first, k = 0 .. count-1.  Together the shells
-    cover (eps * 2**-count, eps]; summing them and adding a remainder
-    over (0, eps * 2**-count] reproduces the integral over (0, eps].
-    The plain reference in zeta: a shell that underflows comes out as 0.
-    """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
-    hi = eps * 0.5 ** np.arange(count)
-    return _bisect(np.vectorize(g, otypes=[float]), 0.5 * hi, hi, tol, _MAX_LEVEL)[0].tolist()

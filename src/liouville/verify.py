@@ -30,9 +30,9 @@ The five profile checks:
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
-quadratures, and the three checks that read w on a grid (supersolution,
-normalization, energy) the profile's outer cache fill, which those
-values rest on.
+quadratures, the energy check its redone panels, and the three checks
+that read w on a grid (supersolution, normalization, energy) the
+profile's outer cache fill, which those values rest on.
 
 :func:`delta_limit_check` is a family-level check (it builds its own
 profile, once, at delta = 1, and reads the other scales off it): sup w
@@ -50,14 +50,13 @@ import numpy as np
 
 from .construct import RadialProfile, _hermite, sup_profile
 from .criterion import StructureParams
-from .nonlinearity import Nonlinearity
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate_intervals, integrate_segments
+from .nonlinearity import Nonlinearity, _ln_f
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, _panels, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "flux_residual_at",
     "flux_identity_check",
     "supersolution_check",
     "gradient_decay_check",
@@ -109,6 +108,10 @@ _DECAY_TOL = 1e-6
 _NORM_POINTS = 64
 _NORM_TOL = 1e-3
 _ENERGY_RADII = 64
+# w's knots for the energy check: 63 a decade from 1e-6 * delta, so that
+# the radii are every 3rd knot from the 378th (delta) on
+_ENERGY_STRIDE = 3
+_ENERGY_BELOW = 378
 _ENERGY_BOUND = 1e3
 _DELTA0 = 1.0
 _DELTA_THRESHOLD = 1e-3
@@ -128,8 +131,12 @@ def _flux(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
 def _flux_defects(
     profile: RadialProfile, r: np.ndarray, h: np.ndarray
 ) -> Tuple[np.ndarray, bool]:
-    # flux_residual_at for each pair (r[i], h[i]), all source windows in
-    # one batched pass, and whether every source quadrature converged
+    # the relative defect of the flux identity over each window
+    # [r[i] - h[i], r[i] + h[i]]: the flux increment across it against a
+    # fresh quadrature of the source term, normalized by the larger of the
+    # two, all windows in one batched pass; and whether every source
+    # quadrature converged.  Second order in h for smooth integrands,
+    # until quadrature noise takes over.
     bad = np.flatnonzero(~((0.0 < h) & (h < r)))
     if bad.size:
         i = bad[0]
@@ -140,19 +147,6 @@ def _flux_defects(
     with np.errstate(invalid="ignore"):
         defects = np.where(den == 0.0, 0.0, np.abs(lhs - rhs.values) / den)
     return defects, rhs.converged
-
-
-def flux_residual_at(profile: RadialProfile, r: float, h: float) -> float:
-    """Relative defect of the flux identity over the window [r-h, r+h].
-
-    The increment of the flux across the window is compared with a
-    fresh quadrature of the source term; the defect is normalized by
-    the larger of the two.  Second-order accurate in h for smooth
-    integrands, so halving h should shrink it about fourfold until
-    quadrature noise takes over.
-    """
-    defects, _ = _flux_defects(profile, np.array([r], dtype=float), np.array([h], dtype=float))
-    return float(defects[0])
 
 
 def flux_identity_check(profile: RadialProfile) -> CheckResult:
@@ -307,31 +301,39 @@ class EnergyDiagnostic:
 def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     """Energies and ratios of :class:`EnergyDiagnostic` at the radii.
 
-    w is sampled on a 512-point log grid by ``values_on_grid`` and
-    interpolated log-log by the cubic Hermite with the exact slopes
-    d ln w / d ln r = -r |w'(r)| / w(r), held constant below and above
-    the sampled range; the density reads f at the interpolant's logs.
-    The interpolant is only C1 at its knots, so the energy integral is
-    cut into panels at every knot inside (0, 1e3 * delta) as well as at
-    the radii, and all panels are integrated in one batch
-    (:func:`~liouville.quadrature.integrate_segments`).  If a panel the
-    batched rule could not certify also fails to converge on its scalar
-    redo, or the profile's outer cache fill did not converge, ``detail``
-    says so.
+    w is sampled by ``values_on_grid`` on a log grid of 63 knots a
+    decade over [1e-6, 1e3] * delta, whose every 3rd knot from delta on
+    is a radius, and interpolated log-log by the cubic Hermite with the
+    exact slopes d ln w / d ln r = -r |w'(r)| / w(r), held constant
+    below and above the sampled range.  The energy density
+    rho**n f(w~) in x = ln rho reads f at the interpolant's logs; it is
+    integrated one panel per knot interval, so no panel straddles a
+    knot, where the interpolant is only C1, and below the first knot in
+    closed form.  Each ratio reads w at its radius's own knot.  A panel
+    whose estimate misses both 1e-10 of its own value and 1e-10 of the
+    smallest positive energy at the radii, shared evenly among the
+    panels, is redone by :func:`~liouville.quadrature.integrate_intervals`.
+    So every energy is held to about 2e-10, also where the density
+    underflows and no panel can meet 1e-10 of its own value.  If a
+    redone panel does not converge, or the profile's outer cache fill
+    did not, ``detail`` says so.
     """
-    rs = np.geomspace(profile.delta, 1e3 * profile.delta, _ENERGY_RADII).tolist()
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
-    grid = np.geomspace(1e-6 * rs[0], rs[-1], 512).tolist()
-    ws = profile.values_on_grid(grid)
+    rs = np.geomspace(profile.delta, 1e3 * profile.delta, _ENERGY_RADII)
+    radii = tuple(rs.tolist())
+    at_r = slice(_ENERGY_BELOW, None, _ENERGY_STRIDE)
+    grid = np.geomspace(1e-6 * profile.delta, rs[-1], _ENERGY_BELOW + _ENERGY_STRIDE * (rs.size - 1) + 1)
+    grid[at_r] = rs
+    ws = np.array(profile.values_on_grid(grid))
 
     if ws[0] == 0.0:
         # identically zero profile: zero energy at every radius
         zeros = tuple(0.0 for _ in rs)
         return EnergyDiagnostic(
-            radii=tuple(rs),
+            radii=radii,
             energies=zeros,
             ratios=zeros,
             nondecreasing=True,
@@ -342,29 +344,43 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
 
     # log-log Hermite of w over the positive part of the grid, with the
     # exact slopes d ln w / d ln r = -r |w'| / w
-    keep = np.array(ws) > 0.0
-    knots, w_k = np.array(grid)[keep], np.array(ws)[keep]
+    keep = ws > 0.0
+    knots, w_k = grid[keep], ws[keep]
     ln_r, ln_w = np.log(knots), np.log(w_k)
     slopes = -knots * profile._outer_array(knots) / w_k
+    ln_eps = math.log(eps)
 
-    def ln_w_tilde(rho: np.ndarray) -> np.ndarray:
-        inside = _hermite(np.log(rho), ln_r, ln_w, slopes)
-        return np.where(rho <= knots[0], ln_w[0], np.where(rho >= knots[-1], ln_w[-1], inside))
+    def density(x: np.ndarray) -> np.ndarray:
+        # rho**n f(w~(rho)) at rho = e**x where w~ < eps, else 0
+        ln_wv = _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes)
+        small = ln_wv < ln_eps
+        ln_d = np.full(x.shape, -np.inf)
+        ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], lambda: np.exp(ln_wv[small]))
+        return np.exp(ln_d)
 
-    def e_density(rho: np.ndarray) -> np.ndarray:
-        ln_wv = ln_w_tilde(rho)
-        small = ln_wv < math.log(eps)
-        out = np.zeros_like(rho)
-        out[small] = rho[small] ** (n - 1) * profile._f_at(ln_wv[small])
-        return out
+    # below the first knot w~ = w_k[0]: the integral of rho**(n-1) f(w_k[0])
+    head = density(ln_r[:1])[0] / n
 
-    shells, pieces = integrate_segments(
-        e_density, [0.0] + rs, knots, Tolerance(rel=1e-10, absolute=0.0)
-    )
-    energies = (omega * np.cumsum(shells)).tolist()
+    def at_radii(panels: np.ndarray) -> np.ndarray:
+        # the integrals up to the radii, whose knots end panels 377, 380, ...
+        return (head + np.cumsum(panels))[_ENERGY_BELOW - 1 :: _ENERGY_STRIDE]
 
+    x = np.log(grid)
+    values, errors = _panels(density, x[:-1], x[1:])
+    sums = at_radii(values)
+    smallest = sums[sums > 0.0][:1].sum()  # the first positive sum, or 0
+    tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / values.size)
+    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
+    converged = True
+    if miss.size:
+        redo = integrate_intervals(density, x[miss], x[miss + 1], tol)
+        values[miss], converged = redo.values, redo.converged
+    energies = (omega * at_radii(values)).tolist()
+
+    # w at the radii's own knots; past the positive part w~ holds its last value
+    w_r = np.where(ws[at_r] > 0.0, ws[at_r], w_k[-1])
     ratios: List[float] = []
-    for r, en, w in zip(rs, energies, np.exp(ln_w_tilde(np.array(rs))).tolist()):
+    for r, en, w in zip(radii, energies, w_r.tolist()):
         u = min(w, eps)
         ratios.append(en * r ** (p - n) / u ** (p - 1.0))
 
@@ -384,7 +400,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         spread = math.inf
     passed = nondecreasing and spread <= _ENERGY_BOUND
     return EnergyDiagnostic(
-        radii=tuple(rs),
+        radii=radii,
         energies=tuple(energies),
         ratios=tuple(ratios),
         nondecreasing=nondecreasing,
@@ -393,7 +409,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         detail=(
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
-            + _unconverged_note(pieces.converged and profile.outer_converged())
+            + _unconverged_note(converged and profile.outer_converged())
         ),
     )
 

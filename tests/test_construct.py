@@ -45,7 +45,6 @@ from liouville import (
     find_delta,
     integrate,
     integrate_intervals,
-    integrate_panels,
     integrate_to_infinity,
     parse_nonlinearity,
     sup_profile,
@@ -260,8 +259,10 @@ _FILL_CASES = [
 
 
 def _fill_by_panels(f, params, s, tol):
-    # integrate_panels of the source term over [0, *s], with the logs taken at every node
-    return integrate_panels(lambda x: construct_module._source_term(f, params, x), np.concatenate(([0.0], s)), tol)
+    # integrate_intervals of the source term over the panels between 0, s[0],
+    # s[1], ..., with the logs taken at every node
+    edges = np.concatenate(([0.0], s))
+    return integrate_intervals(lambda x: construct_module._source_term(f, params, x), edges[:-1], edges[1:], tol)
 
 
 def _assert_fill_is_panels(f, params, tol):
@@ -274,7 +275,7 @@ def _assert_fill_is_panels(f, params, tol):
 
 
 @pytest.mark.parametrize("f, params", _FILL_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _FILL_CASES])
-def test_table_fill_is_integrate_panels_bit_for_bit(f, params):
+def test_table_fill_is_integrate_intervals_bit_for_bit(f, params):
     assert _assert_fill_is_panels(f, params, _SEG_TOL).fallbacks == 0
 
 
@@ -654,7 +655,7 @@ def test_outer_fill_matches_panels_in_zeta(f, params):
     prof = RadialProfile(f, params, 1.0)
     ws, converged = prof._outer_cache()
     knots = prof.delta * prof._table.s
-    panels = integrate_panels(prof._outer_array, knots, prof._seg_tol)
+    panels = integrate_intervals(prof._outer_array, knots[:-1], knots[1:], prof._seg_tol)
     ref = np.cumsum(np.concatenate((prof._w_above(knots[-1:]), panels.values[::-1])))[::-1]
     assert converged and panels.converged
     assert ws.tolist() == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)

@@ -21,11 +21,8 @@ from liouville import (
     DEFAULT_TOLERANCE,
     QuadratureError,
     Tolerance,
-    dyadic_shell_integrals,
     integrate,
     integrate_intervals,
-    integrate_panels,
-    integrate_segments,
     integrate_to_infinity,
 )
 from liouville.quadrature import _EPS, _LOW_AT, _MAX_LEVEL, _W_HIGH, _W_LOW, _bisect, _nodes, _panel, _rule
@@ -136,8 +133,14 @@ class TestIntegrate:
         assert abs(combined.value - parts) <= 1e-9 * (1.0 + abs(parts))
 
 
+def _consecutive(g_vec, edges, tol):
+    # integrate_intervals on the panels between consecutive edges
+    return integrate_intervals(g_vec, edges[:-1], edges[1:], tol)
+
+
 class TestIntegratePanels:
-    """The batched kernel against the scalar engine it stands in for."""
+    """The batched kernel on consecutive panels against the scalar engine
+    it stands in for."""
 
     @given(
         amp=st.floats(min_value=-5.0, max_value=5.0),
@@ -160,14 +163,14 @@ class TestIntegratePanels:
             return amp * np.exp(rate * x) * np.cos(freq * x + phase) + quad * x * x
 
         edges = sorted(points)
-        batched = integrate_panels(g_vec, edges, TOL)
+        batched = _consecutive(g_vec, edges, TOL)
         for i, (a, b) in enumerate(zip(edges, edges[1:])):
             scalar = integrate(g, a, b, TOL)
             budget = batched.abs_errors[i] + scalar.abs_error
             assert abs(batched.values[i] - scalar.value) <= budget
 
     def test_endpoint_singularity_falls_back_to_scalar(self):
-        res = integrate_panels(lambda x: x**-0.5, [0.0, 1.0, 1.25], TOL)
+        res = _consecutive(lambda x: x**-0.5, [0.0, 1.0, 1.25], TOL)
         assert res.fallbacks == 1
         scalar = integrate(lambda z: z**-0.5, 0.0, 1.0, TOL)
         assert res.values[0] == pytest.approx(scalar.value, rel=1e-14)
@@ -181,12 +184,7 @@ class TestIntegratePanels:
             return np.where(x > 1.5, bad, x)
 
         with pytest.raises(QuadratureError):
-            integrate_panels(g_vec, [0.0, 1.0, 2.0], TOL)
-
-    @pytest.mark.parametrize("edges", [[0.0], [0.0, 0.0], [1.0, 0.0], [0.0, math.inf]])
-    def test_bad_edges_rejected(self, edges):
-        with pytest.raises(ValueError):
-            integrate_panels(lambda x: x, edges, TOL)
+            _consecutive(g_vec, [0.0, 1.0, 2.0], TOL)
 
 
 def _random_rows(seed, sign_changing):
@@ -247,11 +245,12 @@ class TestIntegrateIntervals:
         assert calls == [3]
 
     def test_panels_are_the_consecutive_case(self):
+        # consecutive panels in one pass get the bits of each panel alone
         edges = [0.0, 0.3, 1.0, 4.0]
-        panels = integrate_panels(np.exp, edges, TOL)
-        intervals = integrate_intervals(np.exp, edges[:-1], edges[1:], TOL)
-        assert panels.values.tolist() == intervals.values.tolist()
-        assert panels.abs_errors.tolist() == intervals.abs_errors.tolist()
+        panels = _consecutive(np.exp, edges, TOL)
+        alone = [integrate_intervals(np.exp, [a], [b], TOL) for a, b in zip(edges, edges[1:])]
+        assert panels.values.tolist() == [float(x.values[0]) for x in alone]
+        assert panels.abs_errors.tolist() == [float(x.abs_errors[0]) for x in alone]
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -261,17 +260,6 @@ class TestIntegrateIntervals:
     def test_bad_intervals_rejected(self, lo, hi):
         with pytest.raises(ValueError):
             integrate_intervals(lambda x: x, lo, hi, TOL)
-
-
-def test_segments_split_at_breaks_and_sum_per_segment():
-    # |x - 0.3| has a kink at the break; outside breaks are ignored and
-    # the repeated bound makes an empty segment
-    sums, pieces = integrate_segments(
-        lambda x: np.abs(x - 0.3), [0.0, 0.5, 0.5, 1.0], [0.3, 2.0], TOL
-    )
-    assert sums.tolist() == pytest.approx([0.065, 0.0, 0.225], rel=1e-13)
-    assert pieces.values.size == 3
-    assert pieces.fallbacks == 0
 
 
 class TestInfiniteTail:
@@ -298,42 +286,37 @@ class TestInfiniteTail:
         assert res.converged
 
 
+def _shells(g, eps, count, tol):
+    # the dyadic shells (eps/2^(k+1), eps/2^k] in one batched pass
+    hi = eps * 0.5 ** np.arange(count)
+    return _bisect(g, 0.5 * hi, hi, tol, _MAX_LEVEL)
+
+
 class TestDyadicShells:
     def test_scale_invariant_integrand(self):
-        shells = dyadic_shell_integrals(lambda z: 1.0 / z, 1.0, 3, TOL)
+        shells = _shells(lambda z: 1.0 / z, 1.0, 3, TOL)[0]
         assert len(shells) == 3
         for s in shells:
             assert abs(s - math.log(2.0)) < 1e-12
 
     def test_constant_integrand_interval_lengths(self):
         # entry k covers (eps/2^(k+1), eps/2^k], outermost first
-        shells = dyadic_shell_integrals(lambda z: 1.0, 1.0, 2, TOL)
+        shells = _shells(np.ones_like, 1.0, 2, TOL)[0]
         assert abs(shells[0] - 0.5) < 1e-13
         assert abs(shells[1] - 0.25) < 1e-13
 
     def test_inverse_power_antiderivative(self):
         # antiderivative of z^(-3/2) is -2 z^(-1/2)
-        shells = dyadic_shell_integrals(lambda z: z**-1.5, 1.0, 2, TOL)
+        shells = _shells(lambda z: z**-1.5, 1.0, 2, TOL)[0]
         assert abs(shells[0] - 2.0 * (math.sqrt(2.0) - 1.0)) < 1e-10
         assert abs(shells[1] - 2.0 * (2.0 - math.sqrt(2.0))) < 1e-10
 
     @given(k=st.integers(min_value=1, max_value=8))
     @settings(max_examples=20, deadline=None)
     def test_shells_sum_to_whole(self, k):
-        g = lambda z: z**-0.25  # noqa: E731
-        shells = dyadic_shell_integrals(g, 1.0, k, TOL)
-        whole = integrate(g, 2.0**-k, 1.0, TOL)
+        shells = _shells(lambda z: z**-0.25, 1.0, k, TOL)[0]
+        whole = integrate(lambda z: z**-0.25, 2.0**-k, 1.0, TOL)
         assert abs(math.fsum(shells) - whole.value) <= 1e-9
-
-    def test_requires_positive_eps(self):
-        with pytest.raises(ValueError):
-            dyadic_shell_integrals(lambda z: z, 0.0, 2, TOL)
-
-
-def _shells(g, eps, count, tol):
-    # the dyadic shells (eps/2^(k+1), eps/2^k] in one batched pass
-    hi = eps * 0.5 ** np.arange(count)
-    return _bisect(g, 0.5 * hi, hi, tol, _MAX_LEVEL)
 
 
 class TestBatchedShells:
@@ -365,7 +348,6 @@ class TestBatchedShells:
         values, _, _, converged, _ = _shells(lambda z: np.ones_like(z), 1e-323, 4, TOL)
         assert values[2:].tolist() == [0.0, 0.0]
         assert converged.all()
-        assert dyadic_shell_integrals(lambda z: 1.0, 1e-323, 4, TOL)[2:] == [0.0, 0.0]
 
     def test_open_intervals_are_redone_by_integrate(self):
         # without bisection levels, intervals the one-panel rule cannot
@@ -411,10 +393,4 @@ class TestBatchedShells:
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            dyadic_shell_integrals(lambda z: math.nan if z < 0.3 else 1.0, 1.0, 3, TOL)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            dyadic_shell_integrals(lambda z: z, 1.0, 0, TOL)
-        with pytest.raises(ValueError):
-            dyadic_shell_integrals(lambda z: z, math.inf, 2, TOL)
+            _shells(lambda z: np.where(z < 0.3, math.nan, 1.0), 1.0, 3, TOL)

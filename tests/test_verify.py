@@ -27,7 +27,6 @@ from liouville import (
     energy_diagnostic,
     find_delta,
     flux_identity_check,
-    flux_residual_at,
     gradient_decay_check,
     integrate,
     normalization_check,
@@ -37,7 +36,7 @@ from liouville import (
 )
 from liouville.construct import _hermite
 
-from conftest import math_twin
+from conftest import deadline, math_twin
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -47,22 +46,28 @@ RATIO_1000 = 0.09692093221050432935
 # flux identity
 
 
+def _flux_defect(profile, r, h):
+    # the flux check's relative defect over the one window [r - h, r + h]
+    defects, _ = verify_module._flux_defects(profile, np.array([r]), np.array([h]))
+    return float(defects[0])
+
+
 class TestFlux:
     def test_residual_small_at_moderate_window(self, instance_profile):
-        assert flux_residual_at(instance_profile, 1.0, 0.1) < 1e-7
+        assert _flux_defect(instance_profile, 1.0, 0.1) < 1e-7
 
     def test_residual_grows_as_window_shrinks(self, instance_profile):
         # the increment over a tiny window cancels to the cache noise
         # floor, so wider windows are syntactically *more* accurate here
-        wide = flux_residual_at(instance_profile, 1.0, 1e-1)
-        narrow = flux_residual_at(instance_profile, 1.0, 1e-4)
+        wide = _flux_defect(instance_profile, 1.0, 1e-1)
+        narrow = _flux_defect(instance_profile, 1.0, 1e-4)
         assert wide < narrow < 1e-4
 
     def test_window_validation(self, instance_profile):
         with pytest.raises(ValueError):
-            flux_residual_at(instance_profile, 1.0, 0.0)
+            _flux_defect(instance_profile, 1.0, 0.0)
         with pytest.raises(ValueError):
-            flux_residual_at(instance_profile, 1.0, 2.0)  # h >= r
+            _flux_defect(instance_profile, 1.0, 2.0)  # h >= r
 
     def test_check_passes_instance(self, instance_profile):
         res = flux_identity_check(instance_profile)
@@ -245,11 +250,15 @@ class TestEnergy:
 
 def _scalar_energy(profile):
     """The energy diagnostic on the default radii, one adaptive scalar
-    quadrature per ball shell: energies, ratios and pass/fail."""
+    quadrature in rho per knot interval of the interpolant of w:
+    energies, ratios and pass/fail."""
     rs = [float(r) for r in np.geomspace(profile.delta, 1e3 * profile.delta, 64)]
     n, p, eps = profile.params.n, profile.params.p, profile.params.eps
     f = math_twin(profile.f)
-    grid = [float(g) for g in np.geomspace(1e-6 * rs[0], rs[-1], 512)]
+    # 63 knots a decade from 1e-6 * delta; the radii are every 3rd from delta
+    grid = np.geomspace(1e-6 * rs[0], rs[-1], 568)
+    grid[378::3] = rs
+    grid = grid.tolist()
     ws = profile.values_on_grid(grid)
     if ws[0] == 0.0:
         return [0.0] * 64, [0.0] * 64, True
@@ -270,14 +279,21 @@ def _scalar_energy(profile):
         wv = w_tilde(rho)
         return 0.0 if wv >= eps else rho ** (n - 1) * f(wv)
 
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    # to delta at rel 1e-10, then with an absolute floor of 1e-10 of the
+    # energy at delta shared among the remaining intervals
+    edges = [0.0] + grid
     tol = Tolerance(rel=1e-10, absolute=0.0)
-    acc, energies = 0.0, []
-    for a, b in zip([0.0] + rs, rs):
-        acc += integrate(density, a, b, tol).value
-        energies.append(omega * acc)
+    inner = [integrate(density, a, b, tol).value for a, b in zip(edges[:379], edges[1:380])]
+    floor = 1e-10 * math.fsum(inner) / 567
+    if floor > 0.0:
+        tol = Tolerance(rel=1e-10, absolute=floor)
+    outer = [integrate(density, a, b, tol).value for a, b in zip(edges[379:-1], edges[380:])]
+    sums = np.cumsum(inner + outer)[378::3]
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    energies = [omega * x for x in sums.tolist()]
     ratios = [
-        en * r ** (p - n) / min(w_tilde(r), eps) ** (p - 1.0) for r, en in zip(rs, energies)
+        en * r ** (p - n) / min(w if w > 0.0 else pos[-1][1], eps) ** (p - 1.0)
+        for r, en, w in zip(rs, energies, ws[378::3])
     ]
     grows = all(b >= a * (1.0 - 1e-12) - 1e-300 for a, b in zip(energies, energies[1:]))
     if all(x > 0.0 for x in ratios):
@@ -297,41 +313,57 @@ def _scalar_energy(profile):
         (Power(5.5), 5, 3.0, 0.5),
         (PowerLog(-2.0, 3.0), 3, 2.0, 0.5),
         (parse_nonlinearity("z^3 * log(e + 1/z)^-2"), 4, 2.0, 0.5),
+        (Power(9.8), 4, 1.5, 1.0),
     ],
     ids=repr,
 )
 def test_energy_matches_scalar_quadrature(f, n, p, delta, monkeypatch):
     prof = RadialProfile(f, StructureParams(n, p), delta)
     energies, ratios, passed = _scalar_energy(prof)
-    batched = verify_module.integrate_segments
-    fallbacks = []
-
-    def counted(*args, **kwargs):
-        sums, pieces = batched(*args, **kwargs)
-        fallbacks.append(pieces.fallbacks)
-        return sums, pieces
-
-    monkeypatch.setattr(verify_module, "integrate_segments", counted)
+    redone = []
+    monkeypatch.setattr(verify_module, "integrate_intervals", lambda g, lo, hi, tol: redone.append(lo))
     ed = energy_diagnostic(prof)
-    # cut at the interpolant's knots, every panel is smooth enough for
-    # the batched rule
-    assert sum(fallbacks) == 0
+    # one panel per knot interval, every one within its bound at once
+    assert redone == []
     assert list(ed.energies) == pytest.approx(energies, rel=1e-8, abs=0.0)
     assert list(ed.ratios) == pytest.approx(ratios, rel=1e-8, abs=0.0)
     assert ed.passed == passed
     assert "did not converge" not in ed.detail
 
 
+@pytest.mark.parametrize("f, params", [(Power(12.8), StructureParams(4, 1.5)), (Power(40.0), StructureParams(3, 2.0))],
+                         ids=repr)
+def test_energy_of_a_fast_decaying_f_is_prompt(f, params):
+    # far out the density underflows, so no panel there can meet 1e-10 of
+    # its own value; the absolute floor lets it pass at once
+    prof = RadialProfile(f, params, 1.0)
+    prof.profile_value(0.0)  # the outer cache fill is not the check's
+    with deadline(5):
+        ed = energy_diagnostic(prof)
+    assert ed.passed
+    assert "did not converge" not in ed.detail
+
+
 def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     honest = energy_diagnostic(instance_profile)
-    batched = verify_module.integrate_segments
+    panels, batched = verify_module._panels, verify_module.integrate_intervals
+    redone = []
 
-    def unconverged(*args, **kwargs):
-        sums, pieces = batched(*args, **kwargs)
-        return sums, dataclasses.replace(pieces, converged=False)
+    def missing(g, a, b):
+        # the first two panels miss their bound
+        values, errors = panels(g, a, b)
+        errors[:2] = np.inf
+        return values, errors
 
-    monkeypatch.setattr(verify_module, "integrate_segments", unconverged)
+    def unconverged(g, lo, hi, tol):
+        redone.append((lo.tolist(), hi.tolist()))
+        return dataclasses.replace(batched(g, lo, hi, tol), converged=False)
+
+    monkeypatch.setattr(verify_module, "_panels", missing)
+    monkeypatch.setattr(verify_module, "integrate_intervals", unconverged)
     flagged = energy_diagnostic(instance_profile)
+    x = np.log(np.geomspace(1e-6, 1e3, 568)[:3]).tolist()
+    assert redone == [(x[:2], x[1:])]
     assert flagged.detail == honest.detail + "; quadrature did not converge"
     assert flagged.passed == honest.passed
     assert flagged.energies == honest.energies

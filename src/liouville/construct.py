@@ -31,14 +31,19 @@ I_1(inf) and w_1 at the same knots.  Substituting zeta = env(xi) makes
 the source mass beyond the last knot a * eps**q (a = 1/k) times the
 criterion integral below env there, up to a weight within
 (n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
-The inner table fills one panel per knot interval, bit for bit as
-:func:`~liouville.quadrature.integrate_intervals` would, but on node
-geometry shared by every table: ln x and ln(1 + x) at the quadrature
-nodes of the fixed panels, computed once per process on the first fill
-(:func:`_table_fill`).  The outer integral
-is taken in x = ln zeta, where the quadrature nodes sit at the same
-fractions of every knot interval and ln I there is the interval's own
-cubic: one fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
+Both caches fill one panel per knot interval on the 7-point
+Lobatto-Kronrod rule K7, with the 4-point Lobatto rule L4 embedded in it
+as the error estimate (Gander and Gautschi's pair; see
+:mod:`liouville.quadrature`).  Its end nodes are the knots, so each
+knot's value serves both intervals it bounds (and, in the inner table,
+the exact slope there), and each interval adds five interior nodes.  A
+panel whose estimate misses the tolerance is redone on the open 15-node
+rule.  The inner table takes ln x and ln(1 + x) at the nodes of its fixed
+panels from a geometry shared by every table, computed once per process
+on the first fill (:func:`_table_fill`).  The outer integral
+is taken in x = ln zeta, where the nodes sit at the same fractions of
+every knot interval and ln I there is the interval's own cubic: one
+fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
 A profile value then costs one such panel (or a closed form off the
 cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
@@ -76,13 +81,13 @@ from .errors import (
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
 from .quadrature import (
-    _CHUNK,
-    _XA_HIGH,
+    _WA_K7L4,
+    _XA_K7,
     DEFAULT_TOLERANCE,
     PanelResults,
     QuadratureResult,
     Tolerance,
-    _finite_rule,
+    _finite,
     _nodes,
     _rule,
     integrate,
@@ -118,10 +123,17 @@ def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
 
 
 # The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta;
-# the table continues it for _EXTRA_OCTAVES halvings of the envelope.
+# the table continues it for _EXTRA_OCTAVES halvings of the envelope, at
+# _HALVING_KNOTS knots a halving.
 _CACHE_NODES = 4096
 _CACHE_SPAN = 1e8
 _EXTRA_OCTAVES = 40
+_HALVING_KNOTS = 32
+# Panels per array pass of the K7 fills: enough to amortize numpy's call
+# overhead, few enough that f's log evaluator keeps its temporaries (48 KiB
+# each here) out of peak memory and under 128 KiB, past which malloc maps
+# fresh pages for every array.
+_BLOCK = 1024
 _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _NOT_CONVERGED = "the source integral does not converge to tolerance"
 
@@ -148,9 +160,10 @@ def _hermite_basis(u: np.ndarray) -> np.ndarray:
     return np.stack((u2 * (3.0 - 2.0 * u), u * (1.0 - u) ** 2, u2 * (u - 1.0), u))
 
 
-# The quadrature nodes as fractions of their panel, and the Hermite basis there
-_NODE_U = 0.5 * (1.0 + _XA_HIGH)
-_NODE_BASIS = _hermite_basis(_NODE_U)
+# The K7 nodes as fractions of their panel, and the Hermite basis at the
+# five interior ones
+_K7_U = 0.5 * (1.0 + _XA_K7)
+_K7_BASIS = _hermite_basis(_K7_U[1:-1])
 
 
 def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray) -> np.ndarray:
@@ -174,62 +187,82 @@ def _source_term(f: Nonlinearity, params: StructureParams, xi: np.ndarray, delta
     return _exp_source(_ln_source(f, params, np.log(s), np.log1p(s)) + (params.n - 1) * math.log(delta), xi)
 
 
-def _node_logs(edges: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    # ln x and ln(1 + x) at the quadrature nodes of the panels between
-    # consecutive edges, one panel per row
-    x = _nodes(edges[:-1], edges[1:])
-    return np.log(x), np.log1p(x, out=x)
+def _fill_nodes(knots: np.ndarray) -> np.ndarray:
+    # the K7 nodes but the left end of the panels [0, s_0], [s_0, s_1], ...
+    # between the knots s, one panel per row: the five interior ones, then
+    # the panel's right end, the knot itself
+    x = _nodes(np.concatenate(([0.0], knots[:-1])), knots, _XA_K7[1:])
+    x[:, -1] = knots
+    return x
 
 
 @functools.cache
 def _table_geometry() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # What every table shares, built on the first fill: the cache knots and
-    # the node logs of the panels [0, s_0], [s_0, s_1], ... up to the last
-    # cache knot (4096 panels, 1 MB).  Read-only, as one copy serves all.
+    # What every table shares, built on the first fill: the cache knots,
+    # and ln x and ln(1 + x) at the :func:`_fill_nodes` of the panels up to
+    # the last cache knot (4096 panels, 0.4 MB).  Read-only, as one copy
+    # serves all.
     s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
-    out = (s, *_node_logs(np.concatenate(([0.0], s))))
-    for x in out:
-        x.flags.writeable = False
+    x = _fill_nodes(s)
+    out = (s, np.log(x), np.log1p(x))
+    for a in out:
+        a.flags.writeable = False
     return out
 
 
-def _table_fill(f: Nonlinearity, params: StructureParams, tol: Tolerance) -> Tuple[np.ndarray, PanelResults]:
-    """The knots s of the table at delta = 1 and the integrals of the
-    source term over the panels between 0 and them.
+def _table_fill(
+    f: Nonlinearity, params: StructureParams, tol: Tolerance
+) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
+    """The knots s of the table at delta = 1, the log of the source term
+    at them, and the integrals of the source term over the panels between
+    0 and them.
 
-    Bit for bit :func:`~liouville.quadrature.integrate_intervals` of
-    :func:`_source_term` over the panels [0, s_0], [s_0, s_1], ..., but
-    with the node logs of the fixed panels (up to the last cache knot)
-    read off :func:`_table_geometry`; only the panels past the cache,
-    which depend on a = (p-1)/(n-p), take theirs at each build.  Per node
-    the source term is then one multiply-add, f's log evaluator and one
-    exp.  A panel that misses ``tol`` is redone by ``integrate_intervals``
-    on that interval alone, which redoes it as the full pass would.
+    One K7 panel per knot interval [0, s_0], [s_0, s_1], ..., with L4 as
+    its error estimate (:data:`~liouville.quadrature._WA_K7L4`).  A
+    panel's ends are knots, so the source term is taken once at each knot
+    (and is 0 at s = 0) and at five interior nodes per panel.  The node
+    logs of the fixed panels (up to the last cache knot) are read off
+    :func:`_table_geometry`; only the panels past the cache, which depend
+    on a = (p-1)/(n-p), take theirs at each build.  Per node the source
+    term is then one multiply-add, f's log evaluator and one exp.  A
+    panel whose estimate misses ``tol`` of both its own value and the
+    rounding of the running sum it joins is redone by
+    :func:`~liouville.quadrature.integrate_intervals` on that interval
+    alone, on its open 15-node rule.
     """
-    # past the cache ln(1 + s) steps by a ln 2 / 8: env = eps * (1 + s)**(-1/a)
-    # halves every 8 knots
+    # past the cache ln(1 + s) steps by a ln 2 / _HALVING_KNOTS: env =
+    # eps * (1 + s)**(-1/a) halves every _HALVING_KNOTS knots
     a = (params.p - 1.0) / (params.n - params.p)
-    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / 8.0 * np.arange(1, 8 * _EXTRA_OCTAVES + 1)
+    steps = np.arange(1, _HALVING_KNOTS * _EXTRA_OCTAVES + 1)
+    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / _HALVING_KNOTS * steps
     knots, *fixed = _table_geometry()
     s = np.concatenate((knots, np.expm1(ln_1ps[ln_1ps < _LOG_MAX])))
+    x = _fill_nodes(s[knots.size - 1 :])[1:]
     lo, hi = np.concatenate(([0.0], s[:-1])), s
-    values, errors = np.empty(s.size), np.empty(s.size)
-    row = 0
-    # in blocks of _CHUNK panels; the fixed panels fill whole blocks, so the
-    # blocks are those of integrate_intervals, and a bad node raises the same error
-    for ln_x, ln_1px in (fixed, _node_logs(s[knots.size - 1 :])):
-        for c in range(0, ln_x.shape[0], _CHUNK):
-            part = slice(row + c, row + c + _CHUNK)
-            pa, pb = lo[part], hi[part]
-            ln = _ln_source(f, params, ln_x[c : c + _CHUNK], ln_1px[c : c + _CHUNK])
-            values[part], errors[part] = _finite_rule(_exp_source(ln, lambda: _nodes(pa, pb)), pa, pb)
+    width = hi - lo
+    values, errors, ln_at_knots = np.empty(s.size), np.empty(s.size), np.empty(s.size)
+    left, row = np.zeros(1), 0  # the source term at the first panel's left end, s = 0
+    for ln_x, ln_1px in (fixed, (np.log(x), np.log1p(x))):
+        for c in range(0, ln_x.shape[0], _BLOCK):
+            ln = _ln_source(f, params, ln_x[c : c + _BLOCK], ln_1px[c : c + _BLOCK])
+            part = slice(row + c, row + c + ln.shape[0])
+            at = lambda: _fill_nodes(s)[part]  # noqa: E731  (where an error names x)
+            src = _finite(_exp_source(ln, at), at)
+            # each panel's left end is the right end of the one before
+            ends = np.concatenate((left, src[:-1, -1]))
+            fx = np.concatenate((ends[:, None], src), axis=1)
+            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part], _WA_K7L4)
+            ln_at_knots[part], left = ln[:, -1], src[-1:, -1]
         row += ln_x.shape[0]
-    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
+    # below the rounding of the running sum, as where the source term nears
+    # underflow, no panel's error can move the table, so none is chased there
+    floor = np.finfo(float).eps * np.cumsum(values)
+    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.maximum(np.abs(values), floor))))
     if not miss.size:
-        return s, PanelResults(values, errors, 0, True)
+        return s, ln_at_knots, PanelResults(values, errors, 0, True)
     redo = integrate_intervals(lambda x: _source_term(f, params, x), lo[miss], hi[miss], tol)
     values[miss], errors[miss] = redo.values, redo.abs_errors
-    return s, PanelResults(values, errors, redo.fallbacks, redo.converged)
+    return s, ln_at_knots, PanelResults(values, errors, redo.fallbacks, redo.converged)
 
 
 class _UnitTable:
@@ -240,15 +273,16 @@ class _UnitTable:
     the fixed ones (up to the last cache knot) on the node logs that
     every table shares.  It holds the knots s (from the first one where
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
-    s * source(s) / I_1(s), I_1 at the last knot with the fill's summed
-    error, the log of the envelope there, and f's leading term (walked
-    once, for the source limit).  Filled on first use:
+    s * source(s) / I_1(s) (the source term as the fill took it at the
+    knots, the panels' end nodes), I_1 at the last knot with the fill's
+    summed error, the log of the envelope there, and f's leading term
+    (walked once, for the source limit).  Filled on first use:
     I_1(inf), the outer cache W_1 (w at delta = 1 at the knots) with the
     converged flag of its fill, and the criterion result.
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
-        s, fill = _table_fill(f, params, tol)
+        s, ln_source, fill = _table_fill(f, params, tol)
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
@@ -257,7 +291,7 @@ class _UnitTable:
         self.s = s[keep]
         self.ln_s = np.log(self.s)
         self.ln_i = np.log(cum[keep])
-        self.slopes = np.exp(self.ln_s + _ln_source(f, params, self.ln_s, np.log1p(self.s)) - self.ln_i)
+        self.slopes = np.exp(self.ln_s + ln_source[keep] - self.ln_i)
         self.term = leading_term(f)
         self.limit: Optional[float] = None
         self.outer: Optional[Tuple[np.ndarray, bool]] = None
@@ -269,16 +303,16 @@ class RadialProfile:
 
     A profile is a :class:`_UnitTable` plus its delta.  Building one
     fills the table: I at delta = 1 at 4096 log-spaced knots spanning
-    eight decades on each side of s = xi/delta = 1, then 320 knots over
-    40 further halvings of the envelope, by cumulative quadrature
-    increments, with the exact slopes of ln I in ln s (I' is the source
-    term).  Inside the cache ln I is the cubic Hermite through those
-    values and slopes; off it I follows its limiting behaviour: it grows
-    like z**n below the cache (the envelope is flat there) and is taken
-    as saturated at I(inf) above it, where the envelope is 2**-40 of its
-    value at the last cache knot.  The first profile value fills the
-    outer cache, w at the same knots: one panel in ln zeta per knot
-    interval, on that interval's cubic, summed down from the closed
+    eight decades on each side of s = xi/delta = 1, then 1280 knots over
+    40 further halvings of the envelope (32 a halving), by cumulative
+    K7 increments, with the exact slopes of ln I in ln s (I' is the
+    source term).  Inside the cache ln I is the cubic Hermite through
+    those values and slopes; off it I follows its limiting behaviour: it
+    grows like z**n below the cache (the envelope is flat there) and is
+    taken as saturated at I(inf) above it, where the envelope is 2**-40
+    of its value at the last cache knot.  The first profile value fills
+    the outer cache, w at the same knots: one K7 panel in ln zeta per
+    knot interval, on that interval's cubic, summed down from the closed
     form at the last knot.
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
@@ -476,36 +510,54 @@ class RadialProfile:
     def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, bool]:
         """Integrals of |w'| over the spans [u0, 1] of the knot intervals i.
 
-        One panel per span, in x = ln zeta, where the integrand is
-        exp(psi), psi = (ln I - (n-1) x)/(p-1) + x.  Between two knots ln I
-        is exactly the Hermite of their interval, so psi is evaluated
-        there with no knot search: on a basis fixed for whole intervals
-        (u0 = 0), at the nodes' own fractions otherwise.  A span whose
-        error estimate misses the tolerance is redone by :func:`integrate`
-        on :meth:`_outer_array` over the same zeta interval.  Returns the
-        integrals and whether every redo converged.
+        One K7 panel per span, with L4 as its error estimate, in
+        x = ln zeta, where the integrand is exp(psi),
+        psi = (ln I - (n-1) x)/(p-1) + x.  Between two knots ln I is
+        exactly the Hermite of their interval, so psi is evaluated there
+        with no knot search.  Where every span is a whole interval
+        (u0 = 0), exp(psi) is taken once at each knot the spans end on,
+        and at the five interior nodes on a basis fixed for all
+        intervals; otherwise at all seven nodes, at their own fractions
+        of each span.  A span whose error estimate misses the tolerance
+        is redone by :func:`integrate` on :meth:`_outer_array` over the
+        same zeta interval.  Returns the integrals and whether every
+        redo converged.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
         h = t.ln_s[i + 1] - t.ln_s[i]
-        # psi = base + the Hermite's rise over its interval / (p-1) - k h u
-        base = t.ln_i[i] / (p - 1.0) - self.decay * t.ln_s[i] + p / (p - 1.0) * math.log(self.delta)
-        rise = np.stack((t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1]), axis=1)
-        coef = np.concatenate((rise / (p - 1.0), -self.decay * h[:, None]), axis=1)
         width = (1.0 - u0) * h
+        ln_delta = p / (p - 1.0) * math.log(self.delta)
+
+        def psi_at(k):  # psi at the knots k
+            return t.ln_i[k] / (p - 1.0) - self.decay * t.ln_s[k] + ln_delta
+
+        # psi = psi at knot i + (the Hermite's rise over the interval) / (p-1)
+        # - k h u: one column of coef per interval, on _hermite_basis
+        rise = (t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1])
+        coef = np.stack((*(x / (p - 1.0) for x in rise), -self.decay * h))
+        whole = not u0.any()
+        if whole:  # exp(psi) once per knot, read at both ends of its intervals
+            psi_k = psi_at(slice(None))
+            ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)
+            base, ends = psi_k[i], (ends[i], ends[i + 1])
+        else:
+            base = psi_at(i)
         values, errors = np.empty(i.size), np.empty(i.size)
-        for c in range(0, i.size, _CHUNK):
-            part = slice(c, c + _CHUNK)
-            if u0[part].any():
-                u = u0[part, None] + (1.0 - u0[part, None]) * _NODE_U
-                psi = np.einsum("ik,kij->ij", coef[part], _hermite_basis(u))
+        for c in range(0, i.size, _BLOCK):
+            part = slice(c, c + _BLOCK)
+            if whole:
+                u = _K7_U[1:-1]
+                psi = coef[:, part].T @ _K7_BASIS
             else:
-                u = _NODE_U
-                psi = coef[part] @ _NODE_BASIS
+                u = u0[part, None] + (1.0 - u0[part, None]) * _K7_U
+                psi = np.einsum("ki,kij->ij", coef[:, part], _hermite_basis(u))
             psi += base[part, None]
             fx = _exp_checked(  # an overflow names zeta at its node
                 psi, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[part], None] + h[part, None] * u)
             )
-            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part])
+            if whole:
+                fx = np.concatenate((ends[0][part, None], fx, ends[1][part, None]), axis=1)
+            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part], _WA_K7L4)
 
         def outer(zeta: float) -> float:
             return float(self._outer_array(np.array([zeta]))[0])
@@ -537,7 +589,7 @@ class RadialProfile:
         is a span of the knot interval below it: one panel per radius,
         all in one :meth:`_outer_spans` pass on the table's own cubics.
         Off the cache w is closed form.  After the one-time fill of the
-        outer cache (one panel per knot interval, about 4400, shared
+        outer cache (one panel per knot interval, about 5400, shared
         with every rescaled view), 200 radii cost at most 200 panels.
         """
         rs = np.array(radii, dtype=float)

@@ -317,6 +317,16 @@ def _vanished_tail(gone: Sequence[bool]) -> bool:
     return bool(gone) and gone[-1] and all(b for a, b in zip(gone, gone[1:]) if a)
 
 
+class _LogShells(List[QuadratureResult]):
+    """The log-valued shells of :func:`_log_shells`, outermost first, and
+    ``edges``: L at their count + 1 edges, as the pass evaluated it there
+    (:func:`_remainder` reads it again)."""
+
+    def __init__(self, shells: Sequence[QuadratureResult], edges: np.ndarray):
+        super().__init__(shells)
+        self.edges = edges
+
+
 def _log_shells(
     f: Nonlinearity,
     params: StructureParams,
@@ -325,7 +335,7 @@ def _log_shells(
     tol: Tolerance,
     first: int = 0,
     q: Optional[float] = None,
-) -> List[QuadratureResult]:
+) -> _LogShells:
     """Shells k = first .. first + count - 1 of the criterion integral
     below top = e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
 
@@ -364,7 +374,7 @@ def _log_shells(
         # the relative quadrature error, plus the log's own rounding
         errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)), 0.0)
     columns = (logs.tolist(), errs.tolist(), panels.tolist(), converged.tolist())
-    return [QuadratureResult(*x) for x in zip(*columns)]
+    return _LogShells([QuadratureResult(*x) for x in zip(*columns)], ln_at[::2])
 
 
 def _classify_numeric(
@@ -426,9 +436,7 @@ def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
 _GAMMA_ERROR = 2e-14
 
 
-def _remainder(
-    f: Nonlinearity, q: float, results: Sequence[QuadratureResult], ln_top: float, term: Optional[Term]
-) -> Tuple[float, float]:
+def _remainder(q: float, results: _LogShells, ln_top: float, term: Optional[Term]) -> Tuple[float, float]:
     """The criterion integral below the log-shells ``results``, the
     outermost ones below top = e**ln_top, and its error.
 
@@ -441,9 +449,9 @@ def _remainder(
     is the power z**(q + d) whose shells repeat the ratio 2**-d of the
     two deepest, through the deepest.  The error is rho times the
     remainder, rho the largest relative deviation of e**L from m at the
-    three deepest shell edges.  A deviation that grows over the deeper
-    half of the shells refuses the remainder with
-    :class:`CriterionUndecidedError`.
+    three deepest shell edges (L as the shells' pass evaluated it there).
+    A deviation that grows over the deeper half of the shells refuses the
+    remainder with :class:`CriterionUndecidedError`.
     """
     K = len(results)
     v = K * _LN2 - ln_top
@@ -460,12 +468,12 @@ def _remainder(
         d, b1, b2 = drop / _LN2, 0.0, 0.0
         ln_m = results[-1].value + math.log(d) - drop - math.log(-math.expm1(-drop))
         value = tail(ln_m, d, b1, b2, v)
-    u = _LN2 * np.array([K // 2, K - 2, K - 1, K], dtype=float) - ln_top
-    sign, ln_f = f.log_value(-u)
+    at = [K // 2, K - 2, K - 1, K]
+    u = _LN2 * np.array(at, dtype=float) - ln_top
     with np.errstate(all="ignore"):
         ln_model = ln_m - d * (u - v) + (b1 * np.log(u / v) if b1 else 0.0)
         ln_model = ln_model + (b2 * np.log(np.log(u) / math.log(v)) if b2 else 0.0)
-        dev = np.abs(np.expm1(np.where(sign > 0, ln_f + q * u, -np.inf) - ln_model))
+        dev = np.abs(np.expm1(results.edges[at] - ln_model))
     rho = float(dev[1:].max())
     if not rho <= max(float(dev[0]), 1e-12):
         raise CriterionUndecidedError(
@@ -513,10 +521,10 @@ def _integral_below(
             value = tail(math.log(term.c) - d * v, d, 0.0, 0.0, v)
             return QuadratureResult(value, 4e-16 * abs(value), 0, True)
 
-    results = list(shells) or _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q)
+    results = shells or _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q)
     value, err, vanished = _totals(results)
     if not _vanished_tail(vanished[len(results) // 2 :]):
-        rest, rest_err = _remainder(f, q, results, ln_top, term)
+        rest, rest_err = _remainder(q, results, ln_top, term)
         value, err = value + rest, err + rest_err
     converged = all(r.converged for r in results) and err <= tol.bound(value)
     return QuadratureResult(value, err, sum(r.subdivisions for r in results), converged)

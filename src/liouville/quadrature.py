@@ -10,6 +10,15 @@ family.  Both rules are open (they never evaluate the endpoints), so
 integrable endpoint singularities such as ``x**-0.5`` are handled by
 bisection alone, without special-casing.
 
+A second, closed pair serves callers that tile a smooth integrand with
+panels between fixed knots (the profile caches of
+:mod:`liouville.construct`): the 7-point Kronrod extension K7 of the
+4-point Lobatto rule L4 (Gander and Gautschi, BIT 40, 2000), whose end
+nodes are the panel's ends.  A knot's value then serves both panels it
+bounds, so each panel costs five new nodes, not fifteen.  Such callers
+evaluate the ends only at knots where the integrand is smooth, and hand
+a panel whose estimate misses to :func:`integrate_intervals`.
+
 Error estimation follows the classic damping recipe: the raw
 ``|high - low|`` difference is tempered by the scale of the integrand's
 oscillation on the panel, so smooth panels are not absurdly optimistic
@@ -29,10 +38,10 @@ estimate to many fixed intervals at once, one panel each, as numpy
 array operations over blocks of panels with one vectorized integrand
 call per block.  Only the intervals whose estimate misses the tolerance
 are redone, one by one, by the scalar adaptive :func:`integrate`.  The
-rule's sums over a block are einsum reductions (:func:`_rule`), which
-sum each row on its own, so a panel's value does not depend on the
-panels that share its block: a panel redone alone, or a dyadic shell
-next to other shells, gets the same bits.  A BLAS product (``@``,
+rule's sums over a block, for either pair, are einsum reductions
+(:func:`_rule`), which sum each row on its own, so a panel's value does
+not depend on the panels that share its block: a panel redone alone, or
+a dyadic shell next to other shells, gets the same bits.  A BLAS product (``@``,
 ``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
 depends on the rest of the block.
 Dyadic shells (in :mod:`liouville.criterion`, in v = ln(1/zeta) and as
@@ -242,7 +251,6 @@ class PanelResults:
 
 
 _XA_HIGH = np.array(_X_HIGH)
-_WA_HIGH = np.array(_W_HIGH)
 # the high rule (row 0) and the embedded low rule (row 1) at the 15 nodes
 _WA_PAIR = np.zeros((2, _XA_HIGH.size))
 _WA_PAIR[0] = _W_HIGH
@@ -256,11 +264,27 @@ _MAX_LEVEL = 60
 _MAX_PANELS = 1 << 16
 
 
-def _nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 15 nodes of each panel ``[a[i], b[i]]``, one panel per row."""
+# The Lobatto-Kronrod pair of Gander and Gautschi, "Adaptive quadrature -
+# revisited", BIT 40 (2000): the 7-point Kronrod extension K7 (degree 9)
+# of the 4-point Lobatto rule L4 (degree 5).  Both are closed: their nodes
+# +-1 are the panel's ends, shared with its neighbours.
+_XA_K7 = np.array(
+    [-1.0, -math.sqrt(2.0 / 3.0), -1.0 / math.sqrt(5.0), 0.0, 1.0 / math.sqrt(5.0), math.sqrt(2.0 / 3.0), 1.0]
+)
+_WA_K7L4 = np.array(
+    [
+        [11.0 / 210.0, 72.0 / 245.0, 125.0 / 294.0, 16.0 / 35.0, 125.0 / 294.0, 72.0 / 245.0, 11.0 / 210.0],
+        [1.0 / 6.0, 0.0, 5.0 / 6.0, 0.0, 5.0 / 6.0, 0.0, 1.0 / 6.0],
+    ]
+)
+
+
+def _nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray = _XA_HIGH) -> np.ndarray:
+    """The nodes ``x`` (on [-1, 1]; the 15 of the Fejer rule by default)
+    of each panel ``[a[i], b[i]]``, one panel per row."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    return c[:, None] + h[:, None] * _XA_HIGH
+    return c[:, None] + h[:, None] * x
 
 
 def _panels(
@@ -275,34 +299,39 @@ def _panels(
     fx = np.asarray(g_vec(x), dtype=float)
     if fx.shape != x.shape:
         raise ValueError(f"g_vec returned shape {fx.shape}, expected {x.shape}")
-    return _finite_rule(fx, a, b)
+    return _rule(_finite(fx, x), 0.5 * (b - a), b - a)
 
 
-def _finite_rule(fx: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_rule` for the panels ``[a[i], b[i]]`` from the integrand
-    values ``fx`` at their :func:`_nodes`; a NaN or infinity raises
-    :class:`QuadratureError`."""
+def _finite(fx: np.ndarray, at) -> np.ndarray:
+    """``fx``, the integrand values at the abscissae ``at`` (or at what a
+    callable ``at`` builds, for the message only); the first NaN or
+    infinity raises :class:`QuadratureError`."""
     bad = np.flatnonzero(~np.isfinite(fx))
     if bad.size:
         i = bad[0]
-        raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(_nodes(a, b).flat[i])!r}")
-    return _rule(fx, 0.5 * (b - a), b - a)
+        at = at() if callable(at) else at
+        raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(at.flat[i])!r}")
+    return fx
 
 
-def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _rule(
+    fx: np.ndarray, h: np.ndarray, width: np.ndarray, weights: np.ndarray = _WA_PAIR
+) -> Tuple[np.ndarray, np.ndarray]:
     """High-rule values and damped error estimates of panels of
     half-width ``h`` (and width ``width``) from their integrand values
-    ``fx`` at the nodes ``_XA_HIGH``, one panel per row.
+    ``fx``, one panel per row.  ``weights`` holds the high rule (row 0)
+    and the embedded low rule (row 1) at the columns' nodes: the Fejer
+    pair at ``_XA_HIGH`` by default, or ``_WA_K7L4`` at ``_XA_K7``.
 
     Each sum is an einsum, which reduces every row on its own: a panel's
     bits do not depend on the other rows of its block (see the module
     docstring)."""
-    pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
+    pair = np.einsum("ij,kj->ik", fx, weights)
     high = h * pair[:, 0]
     low = h * pair[:, 1]
-    resabs = h * np.einsum("ij,j->i", np.abs(fx), _WA_HIGH)
+    resabs = h * np.einsum("ij,j->i", np.abs(fx), weights[0])
     mean = high / width
-    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WA_HIGH)
+    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), weights[0])
     err = np.abs(high - low)
     damp = (resasc != 0.0) & (err != 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

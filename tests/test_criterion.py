@@ -42,7 +42,7 @@ from liouville import (
     parse_nonlinearity,
 )
 from liouville._leading import Term, leading_term, ln_scaled_gamma
-from liouville.criterion import _GAMMA_ERROR, _classify_numeric, _decide, _log_shells
+from liouville.criterion import _GAMMA_ERROR, _LN2, _classify_numeric, _decide, _log_shells
 from liouville.nonlinearity import signed_log_eval
 
 from conftest import critical_log_criterion
@@ -458,6 +458,29 @@ def test_convergent_verdict_without_a_value(params32):
     assert v.detail == (
         "power exponent 4.0 > critical exponent 3.0; no value: integrand exceeds double range within a shell"
     )
+
+
+@pytest.mark.parametrize(
+    "text, n, p, eps",
+    [
+        ("z^3*log(e+1/z)^-2", 3, 2.0, 1.0),
+        ("(exp(z) - 1)*z^2.2", 3, 2.0, 1.0),
+        ("log(1 + z)*z^1.2", 4, 1.5, 1.0),
+        ("z^0.8*log(e+1/z)^-2.2", 4, 1.5, 0.01),
+        ("exp(-1/z)", 3, 2.0, 1.0),
+    ],
+)
+def test_remainder_reads_the_shell_pass_at_its_edges(text, n, p, eps):
+    # the remainder compares its model with L = ln f + q u at four shell
+    # edges; the shells' own pass evaluated L there, and its values are the
+    # bits that f.log_value gives at those edges alone
+    f, params = parse_nonlinearity(text), StructureParams(n, p, eps)
+    q, ln_top = critical_exponent(params), math.log(eps)
+    shells = _log_shells(f, params, ln_top, 40, DEFAULT_TOLERANCE)
+    at = [20, 38, 39, 40]
+    u = _LN2 * np.array(at, dtype=float) - ln_top
+    sign, ln_f = f.log_value(-u)
+    assert shells.edges[at].tolist() == np.where(sign > 0, ln_f + q * u, -np.inf).tolist()
 
 
 def test_log_shells_do_not_depend_on_their_neighbours(params32):

@@ -25,7 +25,20 @@ from liouville import (
     integrate_intervals,
     integrate_to_infinity,
 )
-from liouville.quadrature import _EPS, _LOW_AT, _MAX_LEVEL, _W_HIGH, _W_LOW, _bisect, _nodes, _panel, _rule
+from liouville.quadrature import (
+    _EPS,
+    _LOW_AT,
+    _MAX_LEVEL,
+    _W_HIGH,
+    _W_LOW,
+    _WA_K7L4,
+    _WA_PAIR,
+    _XA_K7,
+    _bisect,
+    _nodes,
+    _panel,
+    _rule,
+)
 
 TOL = Tolerance(rel=1e-10, absolute=1e-14)
 
@@ -218,13 +231,60 @@ class TestRule:
 
     def test_rows_do_not_depend_on_their_block(self):
         # bit for bit: a panel's value is the same whatever shares its block
-        # (a BLAS product, for one, sums a row differently in different blocks)
+        # (a BLAS product, for one, sums a row differently in different blocks),
+        # on the Fejer pair and on the Lobatto-Kronrod pair alike
         fx, a, b = _random_rows(2, True)
         h, width = 0.5 * (b - a), b - a
-        block = _rule(fx, h, width)
-        rows = [_rule(fx[i : i + 1].copy(), h[i : i + 1], width[i : i + 1]) for i in range(fx.shape[0])]
-        assert block[0].tolist() == [float(v[0]) for v, _ in rows]
-        assert block[1].tolist() == [float(e[0]) for _, e in rows]
+        for fx, weights in ((fx, _WA_PAIR), (fx[:, :7].copy(), _WA_K7L4)):
+            block = _rule(fx, h, width, weights)
+            rows = [_rule(fx[i : i + 1].copy(), h[i : i + 1], width[i : i + 1], weights) for i in range(fx.shape[0])]
+            assert block[0].tolist() == [float(v[0]) for v, _ in rows]
+            assert block[1].tolist() == [float(e[0]) for _, e in rows]
+
+    @pytest.mark.parametrize("sign_changing", [False, True])
+    def test_fejer_default_is_the_fixed_rule(self, sign_changing):
+        # the default weights give the bits of the rule with the Fejer pair
+        # built in: its own einsums, and a separate copy of the high weights
+        fx, a, b = _random_rows(3, sign_changing)
+        h, width = 0.5 * (b - a), b - a
+        pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
+        high, low, w = h * pair[:, 0], h * pair[:, 1], np.array(_W_HIGH)
+        resabs = h * np.einsum("ij,j->i", np.abs(fx), w)
+        resasc = h * np.einsum("ij,j->i", np.abs(fx - (high / width)[:, None]), w)
+        err = np.abs(high - low)
+        damped = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+        value, estimate = _rule(fx, h, width)
+        assert value.tolist() == high.tolist()
+        assert estimate.tolist() == np.maximum(damped, 50.0 * _EPS * resabs).tolist()
+
+
+class TestLobattoKronrod:
+    """The pair of Gander and Gautschi: K7 of degree 9, its Lobatto L4 of degree 5."""
+
+    @pytest.mark.parametrize("row, degree", [(0, 9), (1, 5)])
+    def test_degree(self, row, degree):
+        # the rule on [-1, 1] against the integral of x**d: 2/(d+1), or 0
+        def moment_error(d):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            return abs(math.fsum(w * x**d for w, x in zip(_WA_K7L4[row], _XA_K7)) - exact)
+
+        assert all(moment_error(d) <= 4.0 * _EPS for d in range(degree + 1))
+        assert moment_error(degree + 1) > 1e-4
+
+    def test_ends_are_nodes_and_the_low_rule_is_embedded(self):
+        assert (_XA_K7[0], _XA_K7[-1]) == (-1.0, 1.0)
+        assert np.flatnonzero(_WA_K7L4[1]).tolist() == [0, 2, 4, 6]
+        assert _XA_K7[[2, 4]].tolist() == pytest.approx([-1.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)], abs=0.0)
+
+    def test_smooth_panels_meet_tight_tolerances(self):
+        # exp over panels of width 1/64: K7 within 1e-15 of the closed form,
+        # and the damped L4 estimate within 1e-12 of the value
+        a = np.linspace(-4.0, 4.0, 513)[:-1]
+        b = a + 1.0 / 64.0
+        value, estimate = _rule(np.exp(_nodes(a, b, _XA_K7)), 0.5 * (b - a), b - a, _WA_K7L4)
+        exact = np.exp(a) * np.expm1(b - a)
+        assert np.all(np.abs(value - exact) <= 1e-15 * exact)
+        assert np.all(estimate <= 1e-12 * value)
 
 
 class TestIntegrateIntervals:

@@ -38,12 +38,14 @@ as the error estimate (Gander and Gautschi's pair; see
 knot's value serves both intervals it bounds (and, in the inner table,
 the exact slope there), and each interval adds five interior nodes.  A
 panel whose estimate misses the tolerance is redone on the open 15-node
-rule.  The inner table takes ln x and ln(1 + x) at the nodes of its fixed
-panels from a geometry shared by every table, computed once per process
-on the first fill (:func:`_table_fill`).  The outer integral
-is taken in x = ln zeta, where the nodes sit at the same fractions of
-every knot interval and ln I there is the interval's own cubic: one
-fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
+rule.  From n = 7 on the table's first panel [0, s_0], where s**(n-1) is
+past L4's degree, takes a rule of the weight s**(n-1) on the same nodes
+(:func:`_origin_panel`).  The inner table takes ln x and ln(1 + x) at
+the nodes of its fixed panels from a geometry shared by every table,
+computed once per process on the first fill (:func:`_table_fill`).  The
+outer integral is taken in x = ln zeta, where the nodes sit at the same
+fractions of every knot interval and ln I there is the interval's own
+cubic: one fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
 A profile value then costs one such panel (or a closed form off the
 cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
@@ -210,6 +212,43 @@ def _table_geometry() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+@functools.cache
+def _origin_rule(n: int) -> np.ndarray:
+    # The panel [0, s_0] at the fractions u = s/s_0 of its K7 nodes but 0:
+    # row 0 the weights of the rule interpolating g on all six nodes for the
+    # integral over [0, 1] of u**(n-1) g(u), from the moments 1/(n + j) of
+    # u**(n-1) in u**j, and row 1 those of the rule on the three L4 nodes
+    # among them; both over u**(n-1), so that they read u**(n-1) g itself.
+    # Where u**-(n-1) overflows, u**(n-1) g underflows first: weight 0.
+    # Read-only, as one copy serves every table at this n.
+    u = _K7_U[1:]
+    rule = np.zeros((2, u.size))
+    for row, at in zip(rule, (np.arange(u.size), np.array([1, 3, 5]))):
+        j = np.arange(at.size)
+        row[at] = np.linalg.solve(u[at] ** j[:, None], 1.0 / (n + j))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rule *= np.exp(-(n - 1) * np.log(u))
+    rule = np.where(np.isfinite(rule), rule, 0.0)
+    rule.flags.writeable = False
+    return rule
+
+
+def _origin_panel(src: np.ndarray, s0: float, n: int) -> Tuple[float, float]:
+    """The integral of the source term over [0, s_0] and its error, from
+    the source term ``src`` at that panel's K7 nodes but 0.
+
+    There the source term is s**(n-1) g(s), with g = f(env) nearly
+    constant (z**a varies by a k s_0 over it, 1e-7 at a = 0.81, k = 13);
+    from n = 7 on s**(n-1) is past L4's degree 5, so L4 cannot confirm
+    the K7 panel.  This rule integrates g against the weight u**(n-1),
+    u = s/s_0, on the panel's own nodes (:func:`_origin_rule`), and its
+    estimate is the difference from the rule on L4's nodes: both follow
+    g up to its cubic term, some 1e-21 of it.
+    """
+    high, low = s0 * (_origin_rule(n) @ src)
+    return high, max(abs(high - low), 50.0 * np.finfo(float).eps * abs(high))
+
+
 def _table_fill(
     f: Nonlinearity, params: StructureParams, tol: Tolerance
 ) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
@@ -224,9 +263,10 @@ def _table_fill(
     logs of the fixed panels (up to the last cache knot) are read off
     :func:`_table_geometry`; only the panels past the cache, which depend
     on a = (p-1)/(n-p), take theirs at each build.  Per node the source
-    term is then one multiply-add, f's log evaluator and one exp.  A
-    panel whose estimate misses ``tol`` of both its own value and the
-    rounding of the running sum it joins is redone by
+    term is then one multiply-add, f's log evaluator and one exp.  From
+    n = 7 on, the panel [0, s_0] is valued by :func:`_origin_panel` on
+    the same nodes.  A panel whose estimate misses ``tol`` of both its
+    own value and the rounding of the running sum it joins is redone by
     :func:`~liouville.quadrature.integrate_intervals` on that interval
     alone, on its open 15-node rule.
     """
@@ -252,6 +292,8 @@ def _table_fill(
             ends = np.concatenate((left, src[:-1, -1]))
             fx = np.concatenate((ends[:, None], src), axis=1)
             values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part], _WA_K7L4)
+            if part.start == 0 and params.n >= 7:  # s**(n-1) past L4's degree 5
+                values[0], errors[0] = _origin_panel(src[0], s[0], params.n)
             ln_at_knots[part], left = ln[:, -1], src[-1:, -1]
         row += ln_x.shape[0]
     # below the rounding of the running sum, as where the source term nears
@@ -275,8 +317,9 @@ class _UnitTable:
     I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
     s * source(s) / I_1(s) (the source term as the fill took it at the
     knots, the panels' end nodes), I_1 at the last knot with the fill's
-    summed error, the log of the envelope there, and f's leading term
-    (walked once, for the source limit).  Filled on first use:
+    summed error, whether every panel of the fill met its tolerance, the
+    log of the envelope there, and f's leading term (walked once, for the
+    source limit).  Filled on first use:
     I_1(inf), the outer cache W_1 (w at delta = 1 at the knots) with the
     converged flag of its fill, and the criterion result.
     """
@@ -286,6 +329,7 @@ class _UnitTable:
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
+        self.converged = fill.converged
         a = (params.p - 1.0) / (params.n - params.p)
         self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
         self.s = s[keep]
@@ -570,9 +614,11 @@ class RadialProfile:
         return values, converged
 
     def outer_converged(self) -> bool:
-        """Whether every panel of the outer cache fill met its tolerance
-        (True for an identically zero profile, which needs no fill)."""
-        return not self._table.s.size or self._outer_cache()[1]
+        """Whether every panel that w rests on met its tolerance: those of
+        the table fill and of the outer cache fill (which an identically
+        zero profile does not need)."""
+        t = self._table
+        return t.converged and (not t.s.size or self._outer_cache()[1])
 
     def profile_value(self, r: float) -> float:
         """w(r) = integral_r^inf (I(zeta)/zeta**(n-1))**(1/(p-1)) d zeta,

@@ -51,7 +51,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -297,7 +297,18 @@ def _verdict(term: Term, q: float) -> Tuple[Verdict, str]:
     return Verdict.DIVERGES, "log and log-log exponents -1 at the critical power"
 
 
-def _totals(results: Sequence[QuadratureResult]) -> Tuple[float, float, List[bool]]:
+class _Shell(NamedTuple):
+    """One log-valued shell of :func:`_log_shells`, with the fields of a
+    :class:`~liouville.quadrature.QuadratureResult`: a plain tuple, which
+    costs a third of that frozen dataclass to build."""
+
+    value: float
+    abs_error: float
+    subdivisions: int
+    converged: bool
+
+
+def _totals(results: Sequence[_Shell]) -> Tuple[float, float, List[bool]]:
     """The sum of the log-valued shells ``results`` and its error, and
     which shells count as vanished: zeros of f, and shells more than
     _LN_VANISHED below the log of the sum, under its last binary digit.
@@ -317,12 +328,12 @@ def _vanished_tail(gone: Sequence[bool]) -> bool:
     return bool(gone) and gone[-1] and all(b for a, b in zip(gone, gone[1:]) if a)
 
 
-class _LogShells(List[QuadratureResult]):
+class _LogShells(List[_Shell]):
     """The log-valued shells of :func:`_log_shells`, outermost first, and
     ``edges``: L at their count + 1 edges, as the pass evaluated it there
     (:func:`_remainder` reads it again)."""
 
-    def __init__(self, shells: Sequence[QuadratureResult], edges: np.ndarray):
+    def __init__(self, shells: Iterable[_Shell], edges: np.ndarray):
         super().__init__(shells)
         self.edges = edges
 
@@ -374,14 +385,14 @@ def _log_shells(
         # the relative quadrature error, plus the log's own rounding
         errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)), 0.0)
     columns = (logs.tolist(), errs.tolist(), panels.tolist(), converged.tolist())
-    return _LogShells([QuadratureResult(*x) for x in zip(*columns)], ln_at[::2])
+    return _LogShells(map(_Shell._make, zip(*columns)), ln_at[::2])
 
 
 def _classify_numeric(
     f: Nonlinearity,
     params: StructureParams,
     tol: Tolerance,
-) -> Tuple[List[QuadratureResult], CriterionVerdict]:
+) -> Tuple[List[_Shell], CriterionVerdict]:
     """The ``_SHELL_COUNT`` outermost log-valued shells and the verdict on
     them, for an f whose leading term the walk could not find."""
     try:
@@ -392,7 +403,7 @@ def _classify_numeric(
         return [], CriterionVerdict(Verdict.INCONCLUSIVE, "numeric", detail=detail)
 
 
-def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
+def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
     """Verdict of the numeric classifier on the log-valued shells ``results``:
     convergent when the deeper half ends in vanished shells, or when its
     shell ratios stay below some rho < 1 and the geometric tail bound
@@ -489,7 +500,7 @@ def _integral_below(
     term: Optional[Term],
     ln_top: float,
     tol: Tolerance,
-    shells: Sequence[QuadratureResult] = (),
+    shells: Sequence[_Shell] = (),
     q: Optional[float] = None,
 ) -> QuadratureResult:
     """The integral of f(zeta) * zeta**-(1+q) over (0, top], top = e**ln_top,
@@ -541,7 +552,7 @@ def criterion_value(
     :class:`DivergentIntegralError` for certifiably divergent input and
     :class:`CriterionUndecidedError` when convergence is not certified.
     The shells are log-values, so no eps is too small for them."""
-    shells: List[QuadratureResult] = []
+    shells: List[_Shell] = []
     term = leading_term(f)
     if term is None:
         shells, verdict = _classify_numeric(f, params, tol)

@@ -12,12 +12,13 @@ bisection alone, without special-casing.
 
 A second, closed pair serves callers that tile a smooth integrand with
 panels between fixed knots (the profile caches of
-:mod:`liouville.construct`): the 7-point Kronrod extension K7 of the
-4-point Lobatto rule L4 (Gander and Gautschi, BIT 40, 2000), whose end
-nodes are the panel's ends.  A knot's value then serves both panels it
-bounds, so each panel costs five new nodes, not fifteen.  Such callers
-evaluate the ends only at knots where the integrand is smooth, and hand
-a panel whose estimate misses to :func:`integrate_intervals`.
+:mod:`liouville.construct`, the energy check of :mod:`liouville.verify`):
+the 7-point Kronrod extension K7 of the 4-point Lobatto rule L4 (Gander
+and Gautschi, BIT 40, 2000), whose end nodes are the panel's ends.  A
+knot's value then serves both panels it bounds, so each panel costs five
+new nodes, not fifteen.  Such callers evaluate the ends only at knots
+where the integrand is smooth, and hand a panel whose estimate misses to
+:func:`integrate_intervals`.
 
 Error estimation follows the classic damping recipe: the raw
 ``|high - low|`` difference is tempered by the scale of the integrand's

@@ -26,13 +26,16 @@ The five profile checks:
   must be non-increasing and at most 1e-3 at the far end.
 * energy: at 64 log-spaced radii over [1, 1e3] * delta, the
   ball-averaged source energy must grow monotonically and its natural
-  normalization must stay within a factor 1e3 of its median.
+  normalization must stay within a factor 1e3 of its median.  The
+  energy density is integrated one K7 panel per interval of a 568-knot
+  log grid, with shared ends: the density is taken once at each knot,
+  and at five interior nodes per panel on a fixed Hermite basis.
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
 quadratures, the energy check its redone panels, and the three checks
 that read w on a grid (supersolution, normalization, energy) the
-profile's outer cache fill, which those values rest on.
+profile's table and outer cache fills, which those values rest on.
 
 :func:`delta_limit_check` is a family-level check (it builds its own
 profile, once, at delta = 1, and reads the other scales off it): sup w
@@ -42,16 +45,17 @@ at most 1e-3, witnessing that small data force small supersolutions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .construct import RadialProfile, _hermite, sup_profile
+from .construct import _K7_BASIS, _K7_U, RadialProfile, _hermite, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, _panels, integrate_intervals
+from .quadrature import _WA_K7L4, DEFAULT_TOLERANCE, Tolerance, _finite, _rule, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
@@ -298,6 +302,18 @@ class EnergyDiagnostic:
         )
 
 
+@functools.cache
+def _unit_energy_grid() -> np.ndarray:
+    # the energy check's knots at delta = 1, which every scale multiplies:
+    # 63 a decade from 1e-6, with the 64 radii, log-spaced over [1, 1e3], as
+    # every 3rd knot from the 378th; read-only, as one copy serves all
+    rs = np.geomspace(1.0, 1e3, _ENERGY_RADII)
+    grid = np.geomspace(1e-6, rs[-1], _ENERGY_BELOW + _ENERGY_STRIDE * (rs.size - 1) + 1)
+    grid[_ENERGY_BELOW::_ENERGY_STRIDE] = rs
+    grid.flags.writeable = False
+    return grid
+
+
 def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     """Energies and ratios of :class:`EnergyDiagnostic` at the radii.
 
@@ -307,26 +323,32 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     exact slopes d ln w / d ln r = -r |w'(r)| / w(r), held constant
     below and above the sampled range.  The energy density
     rho**n f(w~) in x = ln rho reads f at the interpolant's logs; it is
-    integrated one panel per knot interval, so no panel straddles a
+    integrated one K7 panel per knot interval, with L4 as the error
+    estimate (see :mod:`liouville.quadrature`), so no panel straddles a
     knot, where the interpolant is only C1, and below the first knot in
-    closed form.  Each ratio reads w at its radius's own knot.  A panel
-    whose estimate misses both 1e-10 of its own value and 1e-10 of the
-    smallest positive energy at the radii, shared evenly among the
-    panels, is redone by :func:`~liouville.quadrature.integrate_intervals`.
-    So every energy is held to about 2e-10, also where the density
-    underflows and no panel can meet 1e-10 of its own value.  If a
-    redone panel does not converge, or the profile's outer cache fill
-    did not, ``detail`` says so.
+    closed form.  The panels' end nodes are the knots: the density is
+    taken once at each knot, where w~ is w itself, and serves both
+    panels that meet there.  At the five interior nodes of a panel
+    ln w~ is its interval's own cubic on a basis fixed for all
+    intervals, so there is no knot search, and f's log evaluator reads
+    the nodes where w~ < eps, at most 3403, in one call.  Each ratio
+    reads w at its radius's own knot.  A panel whose estimate misses
+    both 1e-10 of its own value and 1e-10 of the smallest positive
+    energy at the radii, shared evenly among the panels, is redone by
+    :func:`~liouville.quadrature.integrate_intervals` on the same
+    interpolant.  So every energy is held to about 2e-10, also where the
+    density underflows and no panel can meet 1e-10 of its own value.  If
+    a redone panel does not converge, or the profile's table or outer
+    cache fill did not, ``detail`` says so.
     """
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
-    rs = np.geomspace(profile.delta, 1e3 * profile.delta, _ENERGY_RADII)
-    radii = tuple(rs.tolist())
     at_r = slice(_ENERGY_BELOW, None, _ENERGY_STRIDE)
-    grid = np.geomspace(1e-6 * profile.delta, rs[-1], _ENERGY_BELOW + _ENERGY_STRIDE * (rs.size - 1) + 1)
-    grid[at_r] = rs
+    grid = profile.delta * _unit_energy_grid()
+    rs = grid[at_r]
+    radii = tuple(rs.tolist())
     ws = np.array(profile.values_on_grid(grid))
 
     if ws[0] == 0.0:
@@ -342,31 +364,49 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
             detail="profile vanishes identically; energy is zero at every radius",
         )
 
-    # log-log Hermite of w over the positive part of the grid, with the
-    # exact slopes d ln w / d ln r = -r |w'| / w
-    keep = ws > 0.0
-    knots, w_k = grid[keep], ws[keep]
-    ln_r, ln_w = np.log(knots), np.log(w_k)
+    # log-log Hermite of w over the positive knots, a prefix of the grid (w
+    # does not increase), with the exact slopes d ln w / d ln r = -r |w'| / w;
+    # past the last of them w~ holds its value there
+    x = np.log(grid)
+    pos = ws > 0.0
+    m = ws.size if pos.all() else int(pos.argmin())
+    knots, w_k = grid[:m], ws[:m]
+    ln_r, ln_w = x[:m], np.log(w_k)
     slopes = -knots * profile._outer_array(knots) / w_k
     ln_eps = math.log(eps)
 
-    def density(x: np.ndarray) -> np.ndarray:
-        # rho**n f(w~(rho)) at rho = e**x where w~ < eps, else 0
-        ln_wv = _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes)
+    def density_at(x: np.ndarray, ln_wv: np.ndarray) -> np.ndarray:
+        # rho**n f(w~) at rho = e**x, from ln w~, where w~ < eps, else 0
         small = ln_wv < ln_eps
         ln_d = np.full(x.shape, -np.inf)
         ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], lambda: np.exp(ln_wv[small]))
         return np.exp(ln_d)
 
+    def density(x: np.ndarray) -> np.ndarray:
+        # the same at any x, ln w~ by a knot search (for a redone panel)
+        return density_at(x, _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes))
+
+    # ln w~ at the knots, then at the interior K7 nodes of each interval:
+    # its left knot's value plus its cubic's rise, (Delta ln w, h m0, h m1)
+    # on the fixed basis, none past the last positive knot
+    h = np.diff(x)
+    ln_wk = np.concatenate((ln_w, np.full(x.size - m, ln_w[-1])))
+    rise = np.zeros((x.size - 1, 3))
+    rise[: m - 1] = np.stack((np.diff(ln_w), h[: m - 1] * slopes[:-1], h[: m - 1] * slopes[1:]), axis=1)
+    nodes = np.concatenate((x, (x[:-1, None] + h[:, None] * _K7_U[1:-1]).ravel()))
+    ln_wv = np.concatenate((ln_wk, (ln_wk[:-1, None] + rise @ _K7_BASIS[:3]).ravel()))
+    at_nodes = _finite(density_at(nodes, ln_wv), nodes)
+    ends, inner = at_nodes[: x.size], at_nodes[x.size :].reshape(h.size, -1)
+
     # below the first knot w~ = w_k[0]: the integral of rho**(n-1) f(w_k[0])
-    head = density(ln_r[:1])[0] / n
+    head = ends[0] / n
 
     def at_radii(panels: np.ndarray) -> np.ndarray:
         # the integrals up to the radii, whose knots end panels 377, 380, ...
         return (head + np.cumsum(panels))[_ENERGY_BELOW - 1 :: _ENERGY_STRIDE]
 
-    x = np.log(grid)
-    values, errors = _panels(density, x[:-1], x[1:])
+    fx = np.concatenate((ends[:-1, None], inner, ends[1:, None]), axis=1)
+    values, errors = _rule(fx, 0.5 * h, h, _WA_K7L4)
     sums = at_radii(values)
     smallest = sums[sums > 0.0][:1].sum()  # the first positive sum, or 0
     tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / values.size)
@@ -375,19 +415,14 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     if miss.size:
         redo = integrate_intervals(density, x[miss], x[miss + 1], tol)
         values[miss], converged = redo.values, redo.converged
-    energies = (omega * at_radii(values)).tolist()
+    en = omega * at_radii(values)
+    energies = en.tolist()
 
     # w at the radii's own knots; past the positive part w~ holds its last value
     w_r = np.where(ws[at_r] > 0.0, ws[at_r], w_k[-1])
-    ratios: List[float] = []
-    for r, en, w in zip(radii, energies, w_r.tolist()):
-        u = min(w, eps)
-        ratios.append(en * r ** (p - n) / u ** (p - 1.0))
+    ratios = (en * rs ** (p - n) / np.minimum(w_r, eps) ** (p - 1.0)).tolist()
 
-    nondecreasing = all(
-        energies[i + 1] >= energies[i] * (1.0 - 1e-12) - 1e-300
-        for i in range(len(energies) - 1)
-    )
+    nondecreasing = bool((en[1:] >= en[:-1] * (1.0 - 1e-12) - 1e-300).all())
     positive = [x for x in ratios if x > 0.0]
     if len(positive) == len(ratios):
         med = sorted(ratios)[len(ratios) // 2]

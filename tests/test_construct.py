@@ -305,11 +305,12 @@ def _record(monkeypatch, name):
 
 @pytest.mark.parametrize("f, params", _FILL_CASES, ids=_FILL_IDS)
 def test_table_fill_redoes_no_panel(monkeypatch, f, params):
-    # L4's estimate meets the tolerance on every panel but [0, s_0] from
-    # n = 7 on, where s**(n-1) is past its degree 5
+    # L4's estimate meets the tolerance on every panel, and from n = 7 on,
+    # where s**(n-1) is past its degree 5, the rule in u**(n-1) meets it on
+    # [0, s_0]
     redone = _record(monkeypatch, "integrate_intervals")
-    s, _, _ = construct_module._table_fill(f, params, _SEG_TOL)
-    assert redone == ([(0.0, s[0])] if params.n >= 7 else [])
+    construct_module._table_fill(f, params, _SEG_TOL)
+    assert redone == []
 
 
 @pytest.mark.parametrize("lam, n, p", [(40.0, 3, 2.0), (12.8, 4, 1.5), (6.8, 4, 1.5)])

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import liouville.construct as construct_module
 import liouville.verify as verify_module
 from liouville import (
     DeltaSearchOptions,
@@ -35,6 +36,8 @@ from liouville import (
     verify_profile,
 )
 from liouville.construct import _hermite
+from liouville.nonlinearity import _ln_f
+from liouville.quadrature import _panels, integrate_intervals
 
 from conftest import deadline, math_twin
 
@@ -346,12 +349,12 @@ def test_energy_of_a_fast_decaying_f_is_prompt(f, params):
 
 def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     honest = energy_diagnostic(instance_profile)
-    panels, batched = verify_module._panels, verify_module.integrate_intervals
+    rule, batched = verify_module._rule, verify_module.integrate_intervals
     redone = []
 
-    def missing(g, a, b):
+    def missing(fx, h, width, weights):
         # the first two panels miss their bound
-        values, errors = panels(g, a, b)
+        values, errors = rule(fx, h, width, weights)
         errors[:2] = np.inf
         return values, errors
 
@@ -359,14 +362,92 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
         redone.append((lo.tolist(), hi.tolist()))
         return dataclasses.replace(batched(g, lo, hi, tol), converged=False)
 
-    monkeypatch.setattr(verify_module, "_panels", missing)
+    monkeypatch.setattr(verify_module, "_rule", missing)
     monkeypatch.setattr(verify_module, "integrate_intervals", unconverged)
     flagged = energy_diagnostic(instance_profile)
     x = np.log(np.geomspace(1e-6, 1e3, 568)[:3]).tolist()
     assert redone == [(x[:2], x[1:])]
     assert flagged.detail == honest.detail + "; quadrature did not converge"
     assert flagged.passed == honest.passed
-    assert flagged.energies == honest.energies
+    # the two panels redone on the open 15-node rule agree with their K7 values
+    assert list(flagged.energies) == pytest.approx(honest.energies, rel=1e-14, abs=0.0)
+
+
+def _fejer_energies(profile):
+    """The energies of the diagnostic on the same interpolant w~ of w, one
+    open 15-node Fejer panel per knot interval, the panels that miss the
+    diagnostic's bound redone by integrate_intervals."""
+    n, eps = profile.params.n, profile.params.eps
+    rs = np.geomspace(profile.delta, 1e3 * profile.delta, 64)
+    grid = np.geomspace(1e-6 * profile.delta, rs[-1], 568)
+    grid[378::3] = rs
+    ws = np.array(profile.values_on_grid(grid))
+    if ws[0] == 0.0:
+        return [0.0] * 64
+    knots, w_k = grid[ws > 0.0], ws[ws > 0.0]
+    ln_r, ln_w = np.log(knots), np.log(w_k)
+    slopes = -knots * profile._outer_array(knots) / w_k
+
+    def density(x):
+        ln_wv = _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes)
+        small = ln_wv < math.log(eps)
+        ln_d = np.full(x.shape, -np.inf)
+        ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], np.exp(ln_wv[small]))
+        return np.exp(ln_d)
+
+    x = np.log(grid)
+    values, errors = _panels(density, x[:-1], x[1:])
+    head = density(x[:1])[0] / n
+    sums = (head + np.cumsum(values))[377::3]
+    tol = Tolerance(rel=1e-10, absolute=1e-10 * sums[sums > 0.0][:1].sum() / values.size)
+    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
+    if miss.size:
+        values[miss] = integrate_intervals(density, x[miss], x[miss + 1], tol).values
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    return (omega * (head + np.cumsum(values))[377::3]).tolist()
+
+
+@pytest.mark.parametrize(
+    "f, n, p, delta",
+    [
+        (Power(4.0), 3, 2.0, 1.0),
+        (Power(4.0), 3, 2.0, 1e6),
+        (parse_nonlinearity("0"), 3, 2.0, 1.0),
+        (Power(5.5), 5, 3.0, 0.5),
+        (PowerLog(-2.0, 3.0), 3, 2.0, 0.5),
+        (parse_nonlinearity("z^3 * log(e + 1/z)^-2"), 4, 2.0, 0.5),
+        (Power(9.8), 4, 1.5, 1.0),
+        (Power(40.0), 3, 2.0, 1.0),
+        (Power(12.8), 4, 1.5, 1.0),
+    ],
+    ids=repr,
+)
+def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
+    # the K7 panels on the knots against open 15-node panels over the same
+    # intervals of the same w~, with no panel redone
+    prof = RadialProfile(f, StructureParams(n, p), delta)
+    ref = _fejer_energies(prof)
+    redone = []
+    monkeypatch.setattr(verify_module, "integrate_intervals", lambda g, lo, hi, tol: redone.append(lo))
+    ed = energy_diagnostic(prof)
+    assert redone == []
+    assert list(ed.energies) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
+    # one K7 panel per knot interval: the density at the 568 knots and at
+    # five interior nodes of each of the 567 intervals, all in one call of
+    # f's log evaluator (w < eps = 1 everywhere)
+    instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
+    ln_f, sizes = verify_module._ln_f, []
+
+    def counted(f, ln_z, z):
+        sizes.append(ln_z.size)
+        return ln_f(f, ln_z, z)
+
+    monkeypatch.setattr(verify_module, "_ln_f", counted)
+    energy_diagnostic(instance_profile)
+    assert sizes == [568 + 5 * 567] == [3403]
 
 
 def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
@@ -375,6 +456,27 @@ def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
     fill = RadialProfile._fill_outer
     monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: (fill(self)[0], False))
     prof = RadialProfile(Power(4.0), params32, 1.0)
+    assert not prof.outer_converged()
+    for check, ok in zip(checks, honest):
+        flagged = check(prof)
+        assert flagged.detail == ok.detail + "; quadrature did not converge"
+        assert (flagged.passed, flagged.worst_residual) == (ok.passed, ok.worst_residual)
+
+
+def test_grid_checks_report_unconverged_table_fill(params32, monkeypatch):
+    # z^40 falls below the rounding of the table's running sum only past the
+    # steep panels where I still grows; those go to integrate_intervals
+    checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
+    honest = [check(RadialProfile(Power(40.0), params32, 1.0)) for check in checks]
+    batched, redone = construct_module.integrate_intervals, []
+
+    def unconverged(g, lo, hi, tol):
+        redone.append(len(lo))
+        return dataclasses.replace(batched(g, lo, hi, tol), converged=False)
+
+    monkeypatch.setattr(construct_module, "integrate_intervals", unconverged)
+    prof = RadialProfile(Power(40.0), params32, 1.0)
+    assert redone == [89]
     assert not prof.outer_converged()
     for check, ok in zip(checks, honest):
         flagged = check(prof)

@@ -36,16 +36,21 @@ Lobatto-Kronrod rule K7, with the 4-point Lobatto rule L4 embedded in it
 as the error estimate (Gander and Gautschi's pair; see
 :mod:`liouville.quadrature`).  Its end nodes are the knots, so each
 knot's value serves both intervals it bounds (and, in the inner table,
-the exact slope there), and each interval adds five interior nodes.  A
-panel whose estimate misses the tolerance is redone on the open 15-node
-rule.  From n = 7 on the table's first panel [0, s_0], where s**(n-1) is
-past L4's degree, takes a rule of the weight s**(n-1) on the same nodes
-(:func:`_origin_panel`).  The inner table takes ln x and ln(1 + x) at
-the nodes of its fixed panels from a geometry shared by every table,
-computed once per process on the first fill (:func:`_table_fill`).  The
-outer integral is taken in x = ln zeta, where the nodes sit at the same
-fractions of every knot interval and ln I there is the interval's own
-cubic: one fixed basis, no knot search (:meth:`RadialProfile._outer_spans`).
+the exact slope there), and each interval adds five interior nodes.  The
+panels go through :func:`~liouville.quadrature._k7` in blocks of
+``_BLOCK``, node-major: the values at the knots as the two end arrays and
+the interior values as five rows, never stacked into one array per
+panel.  A panel whose estimate misses the tolerance is redone on the
+open 15-node rule.  From n = 7 on the table's first panel [0, s_0], where
+s**(n-1) is past L4's degree, takes a rule of the weight s**(n-1) on the
+same nodes (:func:`_origin_panel`).  The inner table takes ln x and
+ln(1 + x) at the nodes of its panels, in node-major blocks, from a
+geometry computed on first use: once per process for the panels up to
+the last cache knot, once per a = (p-1)/(n-p) for those past it
+(:func:`_table_fill`).  The outer integral is taken in x = ln zeta,
+where the nodes sit at the same fractions of every knot interval and
+ln I there is the interval's own cubic: one fixed basis, no knot search
+(:meth:`RadialProfile._outer_spans`).
 A profile value then costs one such panel (or a closed form off the
 cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
@@ -83,15 +88,14 @@ from .errors import (
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
 from .quadrature import (
-    _WA_K7L4,
     _XA_K7,
     DEFAULT_TOLERANCE,
     PanelResults,
     QuadratureResult,
     Tolerance,
     _finite,
+    _k7,
     _nodes,
-    _rule,
     integrate,
     integrate_intervals,
     integrate_to_infinity,
@@ -198,18 +202,41 @@ def _fill_nodes(knots: np.ndarray) -> np.ndarray:
     return x
 
 
+def _node_logs(x: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    # ln x and ln(1 + x) at the fill nodes x (one panel per row), in
+    # node-major blocks of _BLOCK panels: one contiguous (6, panels) pair
+    # per block, each row one node.  Read-only, as one copy serves all.
+    blocks = []
+    for c in range(0, x.shape[0], _BLOCK):
+        xb = np.ascontiguousarray(x[c : c + _BLOCK].T)
+        pair = (np.log(xb), np.log1p(xb))
+        for a in pair:
+            a.flags.writeable = False
+        blocks.append(pair)
+    return tuple(blocks)
+
+
 @functools.cache
-def _table_geometry() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _table_geometry() -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
     # What every table shares, built on the first fill: the cache knots,
-    # and ln x and ln(1 + x) at the :func:`_fill_nodes` of the panels up to
-    # the last cache knot (4096 panels, 0.4 MB).  Read-only, as one copy
-    # serves all.
+    # and the :func:`_node_logs` of the panels up to the last cache knot
+    # (4096 panels, 0.4 MB).
     s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
-    x = _fill_nodes(s)
-    out = (s, np.log(x), np.log1p(x))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    s.flags.writeable = False
+    return s, _node_logs(_fill_nodes(s))
+
+
+@functools.lru_cache(maxsize=8)
+def _tail_geometry(a: float) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+    # What every table at a = (p-1)/(n-p) shares: the knots past the cache
+    # and the :func:`_node_logs` of their panels (1280 panels, 0.12 MB).
+    # There ln(1 + s) steps by a ln 2 / _HALVING_KNOTS: env =
+    # eps * (1 + s)**(-1/a) halves every _HALVING_KNOTS knots.
+    steps = np.arange(1, _HALVING_KNOTS * _EXTRA_OCTAVES + 1)
+    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / _HALVING_KNOTS * steps
+    s = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
+    s.flags.writeable = False
+    return s, _node_logs(_fill_nodes(np.concatenate((_table_geometry()[0][-1:], s)))[1:])
 
 
 @functools.cache
@@ -257,52 +284,47 @@ def _table_fill(
     0 and them.
 
     One K7 panel per knot interval [0, s_0], [s_0, s_1], ..., with L4 as
-    its error estimate (:data:`~liouville.quadrature._WA_K7L4`).  A
-    panel's ends are knots, so the source term is taken once at each knot
-    (and is 0 at s = 0) and at five interior nodes per panel.  The node
-    logs of the fixed panels (up to the last cache knot) are read off
-    :func:`_table_geometry`; only the panels past the cache, which depend
-    on a = (p-1)/(n-p), take theirs at each build.  Per node the source
-    term is then one multiply-add, f's log evaluator and one exp.  From
-    n = 7 on, the panel [0, s_0] is valued by :func:`_origin_panel` on
-    the same nodes.  A panel whose estimate misses ``tol`` of both its
-    own value and the rounding of the running sum it joins is redone by
+    its error estimate (:func:`~liouville.quadrature._k7`, once per block
+    of ``_BLOCK`` panels).  A panel's ends are knots, so the source term
+    is taken once at each knot (and is 0 at s = 0) and at five interior
+    nodes per panel.  The node logs come in node-major blocks, those of
+    the panels up to the last cache knot from :func:`_table_geometry`
+    and those past it, which depend on a = (p-1)/(n-p), from
+    :func:`_tail_geometry`.  Per node the source term is then one
+    multiply-add, f's log evaluator and one exp; each block is read
+    through its transpose, so a NaN, an overflow or a negative f names
+    the first spoiled node panel by panel.  From n = 7 on, the panel
+    [0, s_0] is valued by :func:`_origin_panel` on the same nodes.  A
+    panel whose estimate misses ``tol`` of both its own value and the
+    rounding of the running sum it joins is redone by
     :func:`~liouville.quadrature.integrate_intervals` on that interval
     alone, on its open 15-node rule.
     """
-    # past the cache ln(1 + s) steps by a ln 2 / _HALVING_KNOTS: env =
-    # eps * (1 + s)**(-1/a) halves every _HALVING_KNOTS knots
-    a = (params.p - 1.0) / (params.n - params.p)
-    steps = np.arange(1, _HALVING_KNOTS * _EXTRA_OCTAVES + 1)
-    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / _HALVING_KNOTS * steps
-    knots, *fixed = _table_geometry()
-    s = np.concatenate((knots, np.expm1(ln_1ps[ln_1ps < _LOG_MAX])))
-    x = _fill_nodes(s[knots.size - 1 :])[1:]
-    lo, hi = np.concatenate(([0.0], s[:-1])), s
-    width = hi - lo
+    knots, fixed = _table_geometry()
+    tail, past = _tail_geometry((params.p - 1.0) / (params.n - params.p))
+    s = np.concatenate((knots, tail))
+    half = 0.5 * np.diff(s, prepend=0.0)
     values, errors, ln_at_knots = np.empty(s.size), np.empty(s.size), np.empty(s.size)
     left, row = np.zeros(1), 0  # the source term at the first panel's left end, s = 0
-    for ln_x, ln_1px in (fixed, (np.log(x), np.log1p(x))):
-        for c in range(0, ln_x.shape[0], _BLOCK):
-            ln = _ln_source(f, params, ln_x[c : c + _BLOCK], ln_1px[c : c + _BLOCK])
-            part = slice(row + c, row + c + ln.shape[0])
-            at = lambda: _fill_nodes(s)[part]  # noqa: E731  (where an error names x)
-            src = _finite(_exp_source(ln, at), at)
-            # each panel's left end is the right end of the one before
-            ends = np.concatenate((left, src[:-1, -1]))
-            fx = np.concatenate((ends[:, None], src), axis=1)
-            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part], _WA_K7L4)
-            if part.start == 0 and params.n >= 7:  # s**(n-1) past L4's degree 5
-                values[0], errors[0] = _origin_panel(src[0], s[0], params.n)
-            ln_at_knots[part], left = ln[:, -1], src[-1:, -1]
-        row += ln_x.shape[0]
+    for ln_x, ln_1px in fixed + past:
+        part = slice(row, row + ln_x.shape[1])
+        at = lambda: _fill_nodes(s)[part]  # noqa: E731  (where an error names x)
+        ln = _ln_source(f, params, ln_x.T, ln_1px.T)
+        src = _finite(_exp_source(ln, at), at).T
+        # each panel's left end is the right end of the one before
+        right = src[-1]
+        values[part], errors[part] = _k7(np.concatenate((left, right[:-1])), src[:-1], right, half[part])
+        if row == 0 and params.n >= 7:  # s**(n-1) past L4's degree 5
+            values[0], errors[0] = _origin_panel(src[:, 0], s[0], params.n)
+        ln_at_knots[part], left, row = ln[:, -1], right[-1:], part.stop
     # below the rounding of the running sum, as where the source term nears
     # underflow, no panel's error can move the table, so none is chased there
     floor = np.finfo(float).eps * np.cumsum(values)
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.maximum(np.abs(values), floor))))
     if not miss.size:
         return s, ln_at_knots, PanelResults(values, errors, 0, True)
-    redo = integrate_intervals(lambda x: _source_term(f, params, x), lo[miss], hi[miss], tol)
+    lo = np.concatenate(([0.0], s[:-1]))
+    redo = integrate_intervals(lambda x: _source_term(f, params, x), lo[miss], s[miss], tol)
     values[miss], errors[miss] = redo.values, redo.abs_errors
     return s, ln_at_knots, PanelResults(values, errors, redo.fallbacks, redo.converged)
 
@@ -548,28 +570,32 @@ class RadialProfile:
         t = self._table
         tail = self._w_above(self.delta * t.s[-1:])
         spans = t.s.size - 1
-        panels, converged = self._outer_spans(np.arange(spans), np.zeros(spans))
+        panels, converged = self._outer_spans(np.arange(spans))
         return np.cumsum(np.concatenate((tail, panels[::-1])))[::-1], converged
 
-    def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Integrals of |w'| over the spans [u0, 1] of the knot intervals i.
+    def _outer_spans(self, i: np.ndarray, u0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, bool]:
+        """Integrals of |w'| over the spans [u0, 1] of the knot intervals i
+        (over the whole intervals when ``u0`` is None).
 
-        One K7 panel per span, with L4 as its error estimate, in
-        x = ln zeta, where the integrand is exp(psi),
+        One K7 panel per span, with L4 as its error estimate
+        (:func:`~liouville.quadrature._k7`, once per block of ``_BLOCK``
+        spans), in x = ln zeta, where the integrand is exp(psi),
         psi = (ln I - (n-1) x)/(p-1) + x.  Between two knots ln I is
         exactly the Hermite of their interval, so psi is evaluated there
-        with no knot search.  Where every span is a whole interval
-        (u0 = 0), exp(psi) is taken once at each knot the spans end on,
-        and at the five interior nodes on a basis fixed for all
-        intervals; otherwise at all seven nodes, at their own fractions
-        of each span.  A span whose error estimate misses the tolerance
-        is redone by :func:`integrate` on :meth:`_outer_array` over the
-        same zeta interval.  Returns the integrals and whether every
-        redo converged.
+        with no knot search, node-major.  For whole intervals exp(psi) is
+        taken once at each knot the spans end on, and at the five
+        interior nodes on the basis ``_K7_BASIS`` fixed for all
+        intervals; otherwise at all seven nodes, at their own fractions of
+        each span, summed elementwise over the four rows of
+        :func:`_hermite_basis`, so that a span's bits do not depend on
+        the other spans of the call.  A span whose error estimate misses
+        the tolerance is redone by :func:`integrate` on
+        :meth:`_outer_array` over the same zeta interval.  Returns the
+        integrals and whether every redo converged.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
         h = t.ln_s[i + 1] - t.ln_s[i]
-        width = (1.0 - u0) * h
+        width = h if u0 is None else (1.0 - u0) * h
         ln_delta = p / (p - 1.0) * math.log(self.delta)
 
         def psi_at(k):  # psi at the knots k
@@ -579,29 +605,28 @@ class RadialProfile:
         # - k h u: one column of coef per interval, on _hermite_basis
         rise = (t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1])
         coef = np.stack((*(x / (p - 1.0) for x in rise), -self.decay * h))
-        whole = not u0.any()
-        if whole:  # exp(psi) once per knot, read at both ends of its intervals
+        if u0 is None:  # exp(psi) once per knot, read at both ends of its intervals
             psi_k = psi_at(slice(None))
             ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)
-            base, ends = psi_k[i], (ends[i], ends[i + 1])
+            base, lo_end, hi_end = psi_k[i], ends[i], ends[i + 1]
         else:
             base = psi_at(i)
         values, errors = np.empty(i.size), np.empty(i.size)
         for c in range(0, i.size, _BLOCK):
             part = slice(c, c + _BLOCK)
-            if whole:
-                u = _K7_U[1:-1]
-                psi = coef[:, part].T @ _K7_BASIS
+            if u0 is None:
+                u = _K7_U[1:-1, None]
+                psi = _K7_BASIS.T @ coef[:, part]
             else:
-                u = u0[part, None] + (1.0 - u0[part, None]) * _K7_U
-                psi = np.einsum("ki,kij->ij", coef[:, part], _hermite_basis(u))
-            psi += base[part, None]
-            fx = _exp_checked(  # an overflow names zeta at its node
-                psi, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[part], None] + h[part, None] * u)
-            )
-            if whole:
-                fx = np.concatenate((ends[0][part, None], fx, ends[1][part, None]), axis=1)
-            values[part], errors[part] = _rule(fx, 0.5 * width[part], width[part], _WA_K7L4)
+                u = u0[part] + (1.0 - u0[part]) * _K7_U[:, None]
+                hb, cb = _hermite_basis(u), coef[:, part]
+                psi = cb[0] * hb[0] + cb[1] * hb[1] + cb[2] * hb[2] + cb[3] * hb[3]
+            psi += base[part]
+            fx = _exp_checked(  # an overflow names zeta at its node, panel by panel
+                psi.T, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[part]] + h[part] * u).T
+            ).T
+            nodes = (lo_end[part], fx, hi_end[part]) if u0 is None else (fx[0], fx[1:-1], fx[-1])
+            values[part], errors[part] = _k7(*nodes, 0.5 * width[part])
 
         def outer(zeta: float) -> float:
             return float(self._outer_array(np.array([zeta]))[0])
@@ -609,7 +634,7 @@ class RadialProfile:
         converged = True
         for k in np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values))):
             lo, hi = (self.delta * t.s[i[k] : i[k] + 2]).tolist()
-            res = integrate(outer, lo * math.exp(u0[k] * h[k]), hi, tol)
+            res = integrate(outer, lo if u0 is None else lo * math.exp(u0[k] * h[k]), hi, tol)
             values[k], converged = res.value, converged and res.converged
         return values, converged
 

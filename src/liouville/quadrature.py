@@ -10,15 +10,19 @@ family.  Both rules are open (they never evaluate the endpoints), so
 integrable endpoint singularities such as ``x**-0.5`` are handled by
 bisection alone, without special-casing.
 
-A second, closed pair serves callers that tile a smooth integrand with
-panels between fixed knots (the profile caches of
+A second, closed pair serves callers that tile a smooth, non-negative
+integrand with panels between fixed knots (the profile caches of
 :mod:`liouville.construct`, the energy check of :mod:`liouville.verify`):
 the 7-point Kronrod extension K7 of the 4-point Lobatto rule L4 (Gander
 and Gautschi, BIT 40, 2000), whose end nodes are the panel's ends.  A
 knot's value then serves both panels it bounds, so each panel costs five
-new nodes, not fifteen.  Such callers evaluate the ends only at knots
-where the integrand is smooth, and hand a panel whose estimate misses to
-:func:`integrate_intervals`.
+new nodes, not fifteen.  These panels go through :func:`_k7`, on
+node-major data: the end values of all panels as two arrays and their
+interior values as five rows.  Its sums are fixed sequences of
+elementwise operations over the mirrored node pairs, so they cost no
+per-panel reduction and no copy of the block into one array.  Such
+callers evaluate the ends only at knots where the integrand is smooth,
+and hand a panel whose estimate misses to :func:`integrate_intervals`.
 
 Error estimation follows the classic damping recipe: the raw
 ``|high - low|`` difference is tempered by the scale of the integrand's
@@ -39,12 +43,13 @@ estimate to many fixed intervals at once, one panel each, as numpy
 array operations over blocks of panels with one vectorized integrand
 call per block.  Only the intervals whose estimate misses the tolerance
 are redone, one by one, by the scalar adaptive :func:`integrate`.  The
-rule's sums over a block, for either pair, are einsum reductions
-(:func:`_rule`), which sum each row on its own, so a panel's value does
-not depend on the panels that share its block: a panel redone alone, or
-a dyadic shell next to other shells, gets the same bits.  A BLAS product (``@``,
-``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
-depends on the rest of the block.
+Fejer rule's sums over a block are einsum reductions (:func:`_rule`),
+which sum each row on its own; :func:`_k7` sums elementwise.  Either
+way a panel's value does not depend on the panels that share its
+block: a panel redone alone, or a dyadic shell next to other shells,
+gets the same bits.  A BLAS product (``@``, ``np.dot``) is faster but,
+under OpenBLAS, sums a row in an order that depends on the rest of the
+block.
 Dyadic shells (in :mod:`liouville.criterion`, in v = ln(1/zeta) and as
 log-values) are refined together, level by level, each level one such
 array pass (see :func:`_bisect`).
@@ -307,38 +312,65 @@ def _finite(fx: np.ndarray, at) -> np.ndarray:
     """``fx``, the integrand values at the abscissae ``at`` (or at what a
     callable ``at`` builds, for the message only); the first NaN or
     infinity raises :class:`QuadratureError`."""
-    bad = np.flatnonzero(~np.isfinite(fx))
-    if bad.size:
-        i = bad[0]
+    ok = np.isfinite(fx)
+    if not ok.all():
+        i = np.flatnonzero(~ok)[0]
         at = at() if callable(at) else at
         raise QuadratureError(f"integrand returned {float(fx.flat[i])!r} at x={float(at.flat[i])!r}")
     return fx
 
 
-def _rule(
-    fx: np.ndarray, h: np.ndarray, width: np.ndarray, weights: np.ndarray = _WA_PAIR
-) -> Tuple[np.ndarray, np.ndarray]:
-    """High-rule values and damped error estimates of panels of
-    half-width ``h`` (and width ``width``) from their integrand values
-    ``fx``, one panel per row.  ``weights`` holds the high rule (row 0)
-    and the embedded low rule (row 1) at the columns' nodes: the Fejer
-    pair at ``_XA_HIGH`` by default, or ``_WA_K7L4`` at ``_XA_K7``.
+def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """High-rule values and damped error estimates of the Fejer pair for
+    panels of half-width ``h`` (and width ``width``) from their integrand
+    values ``fx`` at the 15 nodes ``_XA_HIGH``, one panel per row.
 
     Each sum is an einsum, which reduces every row on its own: a panel's
     bits do not depend on the other rows of its block (see the module
     docstring)."""
-    pair = np.einsum("ij,kj->ik", fx, weights)
+    pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
     high = h * pair[:, 0]
     low = h * pair[:, 1]
-    resabs = h * np.einsum("ij,j->i", np.abs(fx), weights[0])
+    resabs = h * np.einsum("ij,j->i", np.abs(fx), _WA_PAIR[0])
     mean = high / width
-    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), weights[0])
+    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WA_PAIR[0])
     err = np.abs(high - low)
     damp = (resasc != 0.0) & (err != 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.maximum(np.where(damp, damped, err), 50.0 * _EPS * resabs)
     return high, err
+
+
+# K7's weights at the end pair, the pairs +-sqrt(2/3) and +-1/sqrt(5), and
+# the centre; L4's at the end pair and at +-1/sqrt(5)
+_K7_W = _WA_K7L4[0, :4].tolist()
+_L4_W = _WA_K7L4[1, [0, 2]].tolist()
+
+
+def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """K7 values and damped L4 error estimates of panels of half-width
+    ``h``, from their integrand values: ``f0`` and ``f6`` at the left and
+    right ends, ``inner`` (one row per node, one column per panel) at the
+    five interior nodes ``_XA_K7[1:-1]``.
+
+    The estimate is that of :func:`_rule` for the pair ``_WA_K7L4``, for
+    an integrand that is not negative: the mean is the rule's sum over
+    [-1, 1] halved, and the floor 50 eps times the value.  Every sum is a
+    fixed sequence of elementwise operations over the mirrored node pairs,
+    so a panel's bits do not depend on the other panels of its block."""
+    w0, w1, w2, w3 = _K7_W
+    l0, l2 = _L4_W
+    ends, mid = f0 + f6, inner[1] + inner[3]
+    s = w0 * ends + w1 * (inner[0] + inner[4]) + w2 * mid + w3 * inner[2]
+    mean = 0.5 * s
+    dev = np.abs(inner - mean)
+    asc = w0 * (np.abs(f0 - mean) + np.abs(f6 - mean)) + w1 * (dev[0] + dev[4]) + w2 * (dev[1] + dev[3]) + w3 * dev[2]
+    # r = min(1, 200 |K7 - L4| / asc), 0 where asc = 0: all seven values
+    # are the mean there, and |K7 - L4|, a few ulps of it, is below the floor
+    r = np.minimum(200.0 * np.abs(s - (l0 * ends + l2 * mid)), asc)
+    np.divide(r, asc, out=r, where=asc > 0.0)
+    return h * s, h * np.maximum(r * np.sqrt(r) * asc, 50.0 * _EPS * s)
 
 
 def _bisect(

@@ -29,7 +29,9 @@ The five profile checks:
   normalization must stay within a factor 1e3 of its median.  The
   energy density is integrated one K7 panel per interval of a 568-knot
   log grid, with shared ends: the density is taken once at each knot,
-  and at five interior nodes per panel on a fixed Hermite basis.
+  and at five interior nodes per panel on a fixed Hermite basis.  Where
+  w underflows to 0 on the grid, only the radii up to its last positive
+  knot are reported.
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
@@ -55,7 +57,7 @@ import numpy as np
 from .construct import _K7_BASIS, _K7_U, RadialProfile, _hermite, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
-from .quadrature import _WA_K7L4, DEFAULT_TOLERANCE, Tolerance, _finite, _rule, integrate_intervals
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
@@ -321,25 +323,31 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     decade over [1e-6, 1e3] * delta, whose every 3rd knot from delta on
     is a radius, and interpolated log-log by the cubic Hermite with the
     exact slopes d ln w / d ln r = -r |w'(r)| / w(r), held constant
-    below and above the sampled range.  The energy density
-    rho**n f(w~) in x = ln rho reads f at the interpolant's logs; it is
-    integrated one K7 panel per knot interval, with L4 as the error
-    estimate (see :mod:`liouville.quadrature`), so no panel straddles a
-    knot, where the interpolant is only C1, and below the first knot in
-    closed form.  The panels' end nodes are the knots: the density is
-    taken once at each knot, where w~ is w itself, and serves both
-    panels that meet there.  At the five interior nodes of a panel
-    ln w~ is its interval's own cubic on a basis fixed for all
+    below the sampled range.  The energy density rho**n f(w~) in
+    x = ln rho reads f at the interpolant's logs; it is integrated one
+    K7 panel per knot interval, with L4 as the error estimate
+    (:func:`~liouville.quadrature._k7`, one call for all panels), so no
+    panel straddles a knot, where the interpolant is only C1, and below
+    the first knot in closed form.  The panels' end nodes are the knots:
+    the density is taken once at each knot, where w~ is w itself, and
+    serves both panels that meet there.  At the five interior nodes of a
+    panel ln w~ is its interval's own cubic on a basis fixed for all
     intervals, so there is no knot search, and f's log evaluator reads
     the nodes where w~ < eps, at most 3403, in one call.  Each ratio
     reads w at its radius's own knot.  A panel whose estimate misses
     both 1e-10 of its own value and 1e-10 of the smallest positive
-    energy at the radii, shared evenly among the panels, is redone by
-    :func:`~liouville.quadrature.integrate_intervals` on the same
-    interpolant.  So every energy is held to about 2e-10, also where the
-    density underflows and no panel can meet 1e-10 of its own value.  If
-    a redone panel does not converge, or the profile's table or outer
-    cache fill did not, ``detail`` says so.
+    energy at the radii, shared evenly among the grid's 567 panels, is
+    redone by :func:`~liouville.quadrature.integrate_intervals` on the
+    same interpolant.  So every energy is held to about 2e-10, also
+    where the density underflows and no panel can meet 1e-10 of its own
+    value.  Where w underflows to 0 inside the grid (w does not
+    increase, so its positive knots are a prefix), w~ ends at the last
+    positive knot: only the radii up to it are reported, with energies
+    that do not depend on where w underflows, and ``detail`` says where
+    it does and how many radii are dropped; with no radius left there
+    is no ratio to bound, and the check fails.  If a redone panel does
+    not converge, or the profile's table or outer cache fill did not,
+    ``detail`` says so too.
     """
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
@@ -348,14 +356,13 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     at_r = slice(_ENERGY_BELOW, None, _ENERGY_STRIDE)
     grid = profile.delta * _unit_energy_grid()
     rs = grid[at_r]
-    radii = tuple(rs.tolist())
     ws = np.array(profile.values_on_grid(grid))
 
     if ws[0] == 0.0:
         # identically zero profile: zero energy at every radius
         zeros = tuple(0.0 for _ in rs)
         return EnergyDiagnostic(
-            radii=radii,
+            radii=tuple(rs.tolist()),
             energies=zeros,
             ratios=zeros,
             nondecreasing=True,
@@ -366,12 +373,12 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
 
     # log-log Hermite of w over the positive knots, a prefix of the grid (w
     # does not increase), with the exact slopes d ln w / d ln r = -r |w'| / w;
-    # past the last of them w~ holds its value there
-    x = np.log(grid)
+    # the radii kept are those up to the last positive knot
     pos = ws > 0.0
     m = ws.size if pos.all() else int(pos.argmin())
+    rs = rs[: max(0, (m - 1 - _ENERGY_BELOW) // _ENERGY_STRIDE + 1)]
     knots, w_k = grid[:m], ws[:m]
-    ln_r, ln_w = x[:m], np.log(w_k)
+    ln_r, ln_w = np.log(knots), np.log(w_k)
     slopes = -knots * profile._outer_array(knots) / w_k
     ln_eps = math.log(eps)
 
@@ -383,20 +390,20 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         return np.exp(ln_d)
 
     def density(x: np.ndarray) -> np.ndarray:
-        # the same at any x, ln w~ by a knot search (for a redone panel)
-        return density_at(x, _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes))
+        # the same at any x on the knots' span, ln w~ by a knot search (for
+        # a redone panel)
+        return density_at(x, _hermite(x, ln_r, ln_w, slopes))
 
-    # ln w~ at the knots, then at the interior K7 nodes of each interval:
-    # its left knot's value plus its cubic's rise, (Delta ln w, h m0, h m1)
-    # on the fixed basis, none past the last positive knot
-    h = np.diff(x)
-    ln_wk = np.concatenate((ln_w, np.full(x.size - m, ln_w[-1])))
-    rise = np.zeros((x.size - 1, 3))
-    rise[: m - 1] = np.stack((np.diff(ln_w), h[: m - 1] * slopes[:-1], h[: m - 1] * slopes[1:]), axis=1)
-    nodes = np.concatenate((x, (x[:-1, None] + h[:, None] * _K7_U[1:-1]).ravel()))
-    ln_wv = np.concatenate((ln_wk, (ln_wk[:-1, None] + rise @ _K7_BASIS[:3]).ravel()))
+    # ln w~ at the knots, then at the interior K7 nodes of each interval,
+    # one row per node: its left knot's value plus its cubic's rise,
+    # (Delta ln w, h m0, h m1) on the fixed basis, summed elementwise
+    h = np.diff(ln_r)
+    rise = (np.diff(ln_w), h * slopes[:-1], h * slopes[1:])
+    basis = _K7_BASIS[:3, :, None]
+    nodes = np.concatenate((ln_r, (ln_r[:-1] + h * _K7_U[1:-1, None]).ravel()))
+    ln_wv = np.concatenate((ln_w, (ln_w[:-1] + (basis[0] * rise[0] + basis[1] * rise[1] + basis[2] * rise[2])).ravel()))
     at_nodes = _finite(density_at(nodes, ln_wv), nodes)
-    ends, inner = at_nodes[: x.size], at_nodes[x.size :].reshape(h.size, -1)
+    ends, inner = at_nodes[:m], at_nodes[m:].reshape(_K7_BASIS.shape[1], -1)
 
     # below the first knot w~ = w_k[0]: the integral of rho**(n-1) f(w_k[0])
     head = ends[0] / n
@@ -405,26 +412,24 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         # the integrals up to the radii, whose knots end panels 377, 380, ...
         return (head + np.cumsum(panels))[_ENERGY_BELOW - 1 :: _ENERGY_STRIDE]
 
-    fx = np.concatenate((ends[:-1, None], inner, ends[1:, None]), axis=1)
-    values, errors = _rule(fx, 0.5 * h, h, _WA_K7L4)
+    values, errors = _k7(ends[:-1], inner, ends[1:], 0.5 * h)
     sums = at_radii(values)
     smallest = sums[sums > 0.0][:1].sum()  # the first positive sum, or 0
-    tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / values.size)
+    tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / (grid.size - 1))
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
     converged = True
     if miss.size:
-        redo = integrate_intervals(density, x[miss], x[miss + 1], tol)
+        redo = integrate_intervals(density, ln_r[miss], ln_r[miss + 1], tol)
         values[miss], converged = redo.values, redo.converged
     en = omega * at_radii(values)
-    energies = en.tolist()
-
-    # w at the radii's own knots; past the positive part w~ holds its last value
-    w_r = np.where(ws[at_r] > 0.0, ws[at_r], w_k[-1])
-    ratios = (en * rs ** (p - n) / np.minimum(w_r, eps) ** (p - 1.0)).tolist()
+    ratios = (en * rs ** (p - n) / np.minimum(ws[at_r][: rs.size], eps) ** (p - 1.0)).tolist()
 
     nondecreasing = bool((en[1:] >= en[:-1] * (1.0 - 1e-12) - 1e-300).all())
     positive = [x for x in ratios if x > 0.0]
-    if len(positive) == len(ratios):
+    if not ratios:  # w underflows before the first radius: no ratio to bound
+        med = 0.0
+        spread = math.inf
+    elif len(positive) == len(ratios):
         med = sorted(ratios)[len(ratios) // 2]
         spread = max(max(ratios) / med, med / min(ratios))
     elif not positive:
@@ -434,9 +439,15 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         med = 0.0
         spread = math.inf
     passed = nondecreasing and spread <= _ENERGY_BOUND
+    dropped = ""
+    if m < grid.size:
+        dropped = (
+            f"; w underflows to 0 past r={float(grid[m - 1]):.6g}, "
+            f"so {_ENERGY_RADII - rs.size} of {_ENERGY_RADII} radii are dropped"
+        )
     return EnergyDiagnostic(
-        radii=radii,
-        energies=tuple(energies),
+        radii=tuple(rs.tolist()),
+        energies=tuple(en.tolist()),
         ratios=tuple(ratios),
         nondecreasing=nondecreasing,
         spread=spread,
@@ -444,6 +455,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         detail=(
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
+            + dropped
             + _unconverged_note(converged and profile.outer_converged())
         ),
     )

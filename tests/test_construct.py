@@ -52,7 +52,8 @@ from liouville import (
 import liouville.construct as construct_module
 import liouville.quadrature as quadrature_module
 from liouville.construct import _hermite
-from liouville.verify import delta_limit_check
+import liouville.verify as verify_module
+from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
 
 from conftest import grad_exact, inner_exact, math_twin, source_limit, w_exact
 
@@ -651,7 +652,7 @@ def _count_spans(monkeypatch):
     spans = []
     route = RadialProfile._outer_spans
 
-    def counted(self, i, u0):
+    def counted(self, i, u0=None):
         spans.append(i.size)
         return route(self, i, u0)
 
@@ -758,15 +759,15 @@ def test_values_on_grid_matches_intervals_in_zeta():
 
 def test_outer_fill_redoes_missed_panels_by_scalar_integrate(monkeypatch, params32):
     honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
-    rule = construct_module._rule
+    kernel = construct_module._k7
 
-    def missing(fx, h, width, weights):
+    def missing(f0, inner, f6, h):
         # the first two panels of every block miss their bound
-        values, errors = rule(fx, h, width, weights)
+        values, errors = kernel(f0, inner, f6, h)
         errors[:2] = np.inf
         return values, errors
 
-    monkeypatch.setattr(construct_module, "_rule", missing)
+    monkeypatch.setattr(construct_module, "_k7", missing)
     prof = RadialProfile(Power(4.0), params32, 1.0)
     redone = _record(monkeypatch, "integrate")
     ws, converged = prof._outer_cache()
@@ -783,6 +784,50 @@ def test_outer_fill_redoes_missed_panels_by_scalar_integrate(monkeypatch, params
         lambda g, a, b, tol: dataclasses.replace(scalar(g, a, b, tol), converged=False),
     )
     assert not RadialProfile(Power(4.0), params32, 1.0).outer_converged()
+
+
+def _count_k7(monkeypatch, module):
+    # the panels of every _k7 call from module
+    sizes, kernel = [], module._k7
+
+    def counted(f0, inner, f6, h):
+        sizes.append(f0.size)
+        return kernel(f0, inner, f6, h)
+
+    monkeypatch.setattr(module, "_k7", counted)
+    return sizes
+
+
+def test_k7_work_per_stage(monkeypatch, params32):
+    # every closed K7 panel goes through _k7, once per block of _BLOCK
+    # panels: the build (4096 + 1280 panels), the outer fill (one fewer),
+    # one call per values_on_grid, and one for the energy check's 567
+    # panels; none through the Fejer pair's _rule
+    built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
+    rule = quadrature_module._rule
+    monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    assert (len(built), sum(built)) == (6, 5376)
+    built.clear()
+    prof._outer_cache()
+    assert (len(built), sum(built)) == (6, 5375)
+    for radii in ([0.5], np.geomspace(1e-3, 1e3, 200)):
+        built.clear()
+        prof.values_on_grid(radii)
+        assert len(built) == 1
+    built.clear()
+    energy_diagnostic(prof)
+    assert (len(built), checked) == (1, [567])
+    assert ruled == []
+
+
+def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
+    # bit for bit: each span is summed elementwise, so a radius alone gets
+    # the bits of its entry among the energy check's 568 radii
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    grid = _unit_energy_grid()
+    ws = prof.values_on_grid(grid)
+    assert [prof.values_on_grid([r])[0] for r in grid.tolist()] == ws
 
 
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])

@@ -17,9 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import liouville.construct as construct_module
 from liouville import (
     DEFAULT_TOLERANCE,
+    Power,
+    PowerLog,
     QuadratureError,
+    StructureParams,
     Tolerance,
     integrate,
     integrate_intervals,
@@ -35,6 +39,7 @@ from liouville.quadrature import (
     _WA_PAIR,
     _XA_K7,
     _bisect,
+    _k7,
     _nodes,
     _panel,
     _rule,
@@ -231,15 +236,13 @@ class TestRule:
 
     def test_rows_do_not_depend_on_their_block(self):
         # bit for bit: a panel's value is the same whatever shares its block
-        # (a BLAS product, for one, sums a row differently in different blocks),
-        # on the Fejer pair and on the Lobatto-Kronrod pair alike
+        # (a BLAS product, for one, sums a row differently in different blocks)
         fx, a, b = _random_rows(2, True)
         h, width = 0.5 * (b - a), b - a
-        for fx, weights in ((fx, _WA_PAIR), (fx[:, :7].copy(), _WA_K7L4)):
-            block = _rule(fx, h, width, weights)
-            rows = [_rule(fx[i : i + 1].copy(), h[i : i + 1], width[i : i + 1], weights) for i in range(fx.shape[0])]
-            assert block[0].tolist() == [float(v[0]) for v, _ in rows]
-            assert block[1].tolist() == [float(e[0]) for _, e in rows]
+        block = _rule(fx, h, width)
+        rows = [_rule(fx[i : i + 1].copy(), h[i : i + 1], width[i : i + 1]) for i in range(fx.shape[0])]
+        assert block[0].tolist() == [float(v[0]) for v, _ in rows]
+        assert block[1].tolist() == [float(e[0]) for _, e in rows]
 
     @pytest.mark.parametrize("sign_changing", [False, True])
     def test_fejer_default_is_the_fixed_rule(self, sign_changing):
@@ -275,16 +278,88 @@ class TestLobattoKronrod:
         assert (_XA_K7[0], _XA_K7[-1]) == (-1.0, 1.0)
         assert np.flatnonzero(_WA_K7L4[1]).tolist() == [0, 2, 4, 6]
         assert _XA_K7[[2, 4]].tolist() == pytest.approx([-1.0 / math.sqrt(5.0), 1.0 / math.sqrt(5.0)], abs=0.0)
+        # _k7 takes the ends as f0 and f6 and reads L4 off the nodes 0, 2, 4
+        # and 6: on x**4 + 1 both rules are exact, so the estimate is at its
+        # floor; on (x**2 - 1/5)**2 (1 - x**2), 0 at L4's nodes, it is not
+        x = _XA_K7[:, None]
+        exact = _k7(*_node_major(x**4 + 1.0), np.ones(1))
+        assert exact[0].tolist() == pytest.approx([2.4], rel=1e-15)
+        assert exact[1].tolist() == [50.0 * _EPS * exact[0][0]]
+        rough = _k7(*_node_major((x**2 - 0.2) ** 2 * (1.0 - x**2)), np.ones(1))
+        assert rough[1][0] > 1e-3 * rough[0][0]
 
     def test_smooth_panels_meet_tight_tolerances(self):
         # exp over panels of width 1/64: K7 within 1e-15 of the closed form,
         # and the damped L4 estimate within 1e-12 of the value
         a = np.linspace(-4.0, 4.0, 513)[:-1]
         b = a + 1.0 / 64.0
-        value, estimate = _rule(np.exp(_nodes(a, b, _XA_K7)), 0.5 * (b - a), b - a, _WA_K7L4)
+        value, estimate = _k7(*_node_major(np.exp(_nodes(a, b, _XA_K7).T)), 0.5 * (b - a))
         exact = np.exp(a) * np.expm1(b - a)
         assert np.all(np.abs(value - exact) <= 1e-15 * exact)
         assert np.all(estimate <= 1e-12 * value)
+
+
+def _node_major(fx):
+    # the end values and the interior rows of K7 values fx, one node per row
+    return fx[0], fx[1:-1], fx[-1]
+
+
+def _k7_reference(fx, h):
+    # the K7/L4 rule of _rule with the weight pair _WA_K7L4, on panel-major
+    # values fx (one panel per row, its 7 nodes in order): einsum sums per
+    # row, the mean as the value over the width, the damping's power 1.5
+    pair = np.einsum("ij,kj->ik", fx, _WA_K7L4)
+    high, low = h * pair[:, 0], h * pair[:, 1]
+    resabs = h * np.einsum("ij,j->i", np.abs(fx), _WA_K7L4[0])
+    resasc = h * np.einsum("ij,j->i", np.abs(fx - (high / (2.0 * h))[:, None]), _WA_K7L4[0])
+    err = np.abs(high - low)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        damped = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    return high, np.maximum(np.where((resasc != 0.0) & (err != 0.0), damped, err), 50.0 * _EPS * resabs)
+
+
+# the fixed blocks of these tables (their first 4096 panels) against the reference
+_K7_TABLES = [
+    (Power(4.0), StructureParams(3, 2.0)),
+    (Power(40.0), StructureParams(3, 2.0)),
+    (PowerLog(-1.2, 2.0), StructureParams(4, 2.0)),
+    (Power(4.5), StructureParams(8, 3.0)),
+    (Power(1.38), StructureParams(4, 1.5)),
+]
+
+
+class TestK7:
+    """The node-major kernel of the closed pair against the einsum reference."""
+
+    def test_panels_do_not_depend_on_their_block(self):
+        # bit for bit: a panel alone gets the bits of its column in a block
+        # of 1024 panels
+        rng = np.random.default_rng(4)
+        fx, h = rng.lognormal(size=(7, 1024)), rng.lognormal(size=1024)
+        block = _k7(*_node_major(fx), h)
+        for i in range(1024):
+            one = _k7(*_node_major(fx[:, i : i + 1].copy()), h[i : i + 1])
+            assert (one[0][0], one[1][0]) == (block[0][i], block[1][i])
+
+    @pytest.mark.parametrize("f, params", _K7_TABLES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _K7_TABLES])
+    def test_table_blocks_match_the_einsum_rule(self, monkeypatch, f, params):
+        blocks, kernel = [], construct_module._k7
+
+        def recorded(f0, inner, f6, h):
+            blocks.append((np.column_stack((f0, inner.T, f6)), h.copy(), kernel(f0, inner, f6, h)))
+            return blocks[-1][2]
+
+        monkeypatch.setattr(construct_module, "_k7", recorded)
+        construct_module._table_fill(f, params, Tolerance(rel=1e-12, absolute=0.0))
+        assert sum(fx.shape[0] for fx, _, _ in blocks[:4]) == 4096
+        for fx, h, (value, estimate) in blocks[:4]:
+            ref_value, ref_estimate = _k7_reference(fx, h)
+            # the values agree to rounding; the estimates, differences of
+            # nearly equal sums, to a few digits where they are not noise
+            assert np.all(np.abs(value - ref_value) <= 1e-15 * ref_value)
+            read = ref_estimate > 1e-14 * ref_value
+            assert np.all(np.abs(estimate - ref_estimate)[read] <= 1e-3 * ref_estimate[read])
+            assert ((estimate > 1e-12 * value) == (ref_estimate > 1e-12 * ref_value)).all()
 
 
 class TestIntegrateIntervals:

@@ -23,6 +23,7 @@ from liouville import (
     RadialProfile,
     StructureParams,
     Tolerance,
+    critical_exponent,
     decay_bound,
     delta_limit_check,
     energy_diagnostic,
@@ -349,12 +350,12 @@ def test_energy_of_a_fast_decaying_f_is_prompt(f, params):
 
 def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     honest = energy_diagnostic(instance_profile)
-    rule, batched = verify_module._rule, verify_module.integrate_intervals
+    kernel, batched = verify_module._k7, verify_module.integrate_intervals
     redone = []
 
-    def missing(fx, h, width, weights):
+    def missing(f0, inner, f6, h):
         # the first two panels miss their bound
-        values, errors = rule(fx, h, width, weights)
+        values, errors = kernel(f0, inner, f6, h)
         errors[:2] = np.inf
         return values, errors
 
@@ -362,7 +363,7 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
         redone.append((lo.tolist(), hi.tolist()))
         return dataclasses.replace(batched(g, lo, hi, tol), converged=False)
 
-    monkeypatch.setattr(verify_module, "_rule", missing)
+    monkeypatch.setattr(verify_module, "_k7", missing)
     monkeypatch.setattr(verify_module, "integrate_intervals", unconverged)
     flagged = energy_diagnostic(instance_profile)
     x = np.log(np.geomspace(1e-6, 1e3, 568)[:3]).tolist()
@@ -371,6 +372,39 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     assert flagged.passed == honest.passed
     # the two panels redone on the open 15-node rule agree with their K7 values
     assert list(flagged.energies) == pytest.approx(honest.energies, rel=1e-14, abs=0.0)
+
+
+def _underflowing_profile(n):
+    # eps=1e-10, p=1.05, f = z**(q+1): w underflows to 0 inside the grid
+    params = StructureParams(n, 1.05, 1e-10)
+    return RadialProfile(Power(critical_exponent(params) + 1.0), params, 1.0)
+
+
+@pytest.mark.parametrize("n, positive, kept", [(3, 404, 9), (4, 358, 0)])
+def test_energy_stops_at_the_last_positive_knot(n, positive, kept):
+    # only the radii up to the last positive knot are reported; with none
+    # left there is no ratio to bound, and the check fails
+    prof = _underflowing_profile(n)
+    grid = prof.delta * verify_module._unit_energy_grid()
+    assert (np.array(prof.values_on_grid(grid)) > 0.0).sum() == positive
+    ed = energy_diagnostic(prof)
+    assert ed.radii == tuple(grid[378:positive:3].tolist())
+    assert len(ed.energies) == len(ed.ratios) == ed.as_check().grid_size == kept
+    dropped = f"; w underflows to 0 past r={grid[positive - 1]:.6g}, so {64 - kept} of 64 radii are dropped"
+    assert ed.detail.endswith(dropped)
+    assert ed.passed == (kept > 0)
+
+
+def test_energy_at_the_kept_radii_does_not_depend_on_where_w_underflows(monkeypatch):
+    # n=3: 164 of the 568 knots are 0; w cut to 0 from knot 390 on keeps the
+    # first 4 of the 9 radii, bit for bit
+    prof = _underflowing_profile(3)
+    ed = energy_diagnostic(prof)
+    ws = np.array(prof.values_on_grid(prof.delta * verify_module._unit_energy_grid()))
+    monkeypatch.setattr(prof, "values_on_grid", lambda rs: np.where(np.arange(568) < 390, ws, 0.0).tolist())
+    cut = energy_diagnostic(prof)
+    assert cut.energies == ed.energies[:4]
+    assert cut.detail.endswith("so 60 of 64 radii are dropped")
 
 
 def _fejer_energies(profile):

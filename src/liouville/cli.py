@@ -29,13 +29,13 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .construct import _GRID_HI, _GRID_LO, _GRID_POINTS
 from .construct import (
     DeltaSearchOptions,
     RadialProfile,
@@ -77,6 +77,11 @@ EXIT_PARSE = 11
 EXIT_CHECK = 12
 EXIT_CONFIG = 13
 
+# construct's table: 200 log-spaced radii over [1e-6, 1e6] * delta
+_GRID_LO = 1e-6
+_GRID_HI = 1e6
+_GRID_POINTS = 200
+
 _MESSAGES = {
     Verdict.DIVERGES: "Liouville regime: every non-negative solution is identically zero",
     Verdict.CONVERGES: "Existence regime: a positive radial supersolution is constructible",
@@ -108,7 +113,6 @@ class RunConfig:
     allow_nonmonotone: bool = False
     delta0: float = DeltaSearchOptions.delta0
     delta: Optional[float] = None
-    # the table of construct defaults to the delta search's screening grid
     grid_lo: float = _GRID_LO
     grid_hi: float = _GRID_HI
     grid_points: int = _GRID_POINTS
@@ -254,7 +258,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON (RFC 8259): a non-finite float raises ValueError here
+    # instead of writing NaN or Infinity, which no strict parser reads
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_text(header: List[str], rows: List[List[object]]) -> str:
@@ -410,7 +416,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             {
                 "name": c.name,
                 "grid_size": c.grid_size,
-                "worst_residual": c.worst_residual,
+                # null where the residual is not finite (an infinite spread)
+                "worst_residual": c.worst_residual if math.isfinite(c.worst_residual) else None,
                 "passed": c.passed,
                 "detail": c.detail,
             }

@@ -144,13 +144,17 @@ _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _NOT_CONVERGED = "the source integral does not converge to tolerance"
 
 
-def _hermite(x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray) -> np.ndarray:
+def _hermite(
+    x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray, i: Optional[np.ndarray] = None
+) -> np.ndarray:
     """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
 
-    Each point takes the cubic of its knot interval.  The interval index
-    is clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
+    Each point takes the cubic of its knot interval, ``i`` where the
+    caller has found it, else by a knot search.  The interval index is
+    clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
     """
-    i = np.searchsorted(xs[1:-1], x, side="right")
+    if i is None:
+        i = np.searchsorted(xs[1:-1], x, side="right")
     h = xs[i + 1] - xs[i]
     u = (x - xs[i]) / h
     d = ys[i + 1] - ys[i]
@@ -342,8 +346,10 @@ class _UnitTable:
     summed error, whether every panel of the fill met its tolerance, the
     log of the envelope there, and f's leading term (walked once, for the
     source limit).  Filled on first use:
-    I_1(inf), the outer cache W_1 (w at delta = 1 at the knots) with the
-    converged flag of its fill, and the criterion result.
+    I_1(inf) with its error, the outer cache W_1 (w at delta = 1 at the
+    knots) with the converged flag of its fill and the summed error of
+    its panels, the criterion result, and w_1 and |w_1'| on one fixed
+    set of radii (:meth:`RadialProfile._sample`).
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
@@ -359,9 +365,10 @@ class _UnitTable:
         self.ln_i = np.log(cum[keep])
         self.slopes = np.exp(self.ln_s + ln_source[keep] - self.ln_i)
         self.term = leading_term(f)
-        self.limit: Optional[float] = None
-        self.outer: Optional[Tuple[np.ndarray, bool]] = None
+        self.limit: Optional[Tuple[float, float]] = None
+        self.outer: Optional[Tuple[np.ndarray, bool, float]] = None
         self.criterion: Optional[QuadratureResult] = None
+        self.sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 class RadialProfile:
@@ -443,8 +450,8 @@ class RadialProfile:
 
     # -- inner integral ----------------------------------------------------
 
-    def _unit_limit(self) -> float:
-        # I_1(inf), once per table: the table's last sum plus the mass
+    def _unit_limit(self) -> Tuple[float, float]:
+        # I_1(inf) and its error, once per table: the table's last sum plus the mass
         # beyond its last knot.  With zeta = env_1(s) that mass is
         # a * eps**q times the criterion integral below top = env_1(s_end),
         # weighted by (1 - x)**(n-1), x = (zeta/eps)**a <= w = 1/(1+s_end).
@@ -481,13 +488,13 @@ class RadialProfile:
                     f"{_NOT_CONVERGED}: I(inf) = {value!r} +- {error!r} at delta = 1, "
                     f"{mass!r} of it beyond the table"
                 )
-            t.limit = value
+            t.limit = value, error
         return t.limit
 
     def inner_limit(self) -> float:
         """I(inf), the total source mass over the half line.  Raises
         :class:`CriterionUndecidedError` when it misses the tolerance."""
-        return self.delta**self.params.n * self._unit_limit()
+        return self.delta**self.params.n * self._unit_limit()[0]
 
     def inner_integral(self, z: float) -> float:
         """I(z): the cache's Hermite in range, direct quadrature off
@@ -518,7 +525,7 @@ class RadialProfile:
         below = t.ln_i[0] + n * (ln_s - t.ln_s[0])
         out = np.where(s < t.s[0], below, _hermite(ln_s, t.ln_s, t.ln_i, t.slopes))
         if (s > t.s[-1]).any():
-            out = np.where(s > t.s[-1], math.log(self._unit_limit()), out)
+            out = np.where(s > t.s[-1], math.log(self._unit_limit()[0]), out)
         return out + n * math.log(self.delta)
 
     # -- the profile -------------------------------------------------------
@@ -550,30 +557,32 @@ class RadialProfile:
         scale = _exp_checked(np.full(r.shape, ln_scale), "profile", r)
         return scale / beta * (1.0 - (r / z_lo) ** beta)
 
-    def _outer_cache(self) -> Tuple[np.ndarray, bool]:
-        """W at this profile's knots, and whether its fill converged.
+    def _outer_cache(self) -> Tuple[np.ndarray, bool, float]:
+        """W at this profile's knots, whether its fill converged, and the
+        summed error of its panels.
 
         The table's W_1, filled once, on first use, at delta = 1, and
-        scaled by delta**(p/(p-1)).
+        scaled, with its error, by delta**(p/(p-1)).
         """
         t = self._table
         if t.outer is None:
             t.outer = self.rescaled(1.0)._fill_outer()
-        ws, converged = t.outer
+        ws, converged, error = t.outer
         p = self.params.p
-        return self.delta ** (p / (p - 1.0)) * ws, converged
+        scale = self.delta ** (p / (p - 1.0))
+        return scale * ws, converged, scale * error
 
-    def _fill_outer(self) -> Tuple[np.ndarray, bool]:
+    def _fill_outer(self) -> Tuple[np.ndarray, bool, float]:
         # one panel per whole knot interval (u0 = 0, the fixed basis),
         # summed down from the closed form at the last knot; that needs
-        # I(inf), so a divergent source raises before the panels
+        # I(inf), so a divergent source raises before the panels.  W[0]
+        # sums every panel, so their summed error bounds that of every W.
         t = self._table
         tail = self._w_above(self.delta * t.s[-1:])
-        spans = t.s.size - 1
-        panels, converged = self._outer_spans(np.arange(spans))
-        return np.cumsum(np.concatenate((tail, panels[::-1])))[::-1], converged
+        panels, errors, converged = self._outer_spans(np.arange(t.s.size - 1))
+        return np.cumsum(np.concatenate((tail, panels[::-1])))[::-1], converged, float(errors.sum())
 
-    def _outer_spans(self, i: np.ndarray, u0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, bool]:
+    def _outer_spans(self, i: np.ndarray, u0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, bool]:
         """Integrals of |w'| over the spans [u0, 1] of the knot intervals i
         (over the whole intervals when ``u0`` is None).
 
@@ -591,7 +600,7 @@ class RadialProfile:
         the other spans of the call.  A span whose error estimate misses
         the tolerance is redone by :func:`integrate` on
         :meth:`_outer_array` over the same zeta interval.  Returns the
-        integrals and whether every redo converged.
+        integrals, their errors and whether every redo converged.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
         h = t.ln_s[i + 1] - t.ln_s[i]
@@ -635,8 +644,8 @@ class RadialProfile:
         for k in np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values))):
             lo, hi = (self.delta * t.s[i[k] : i[k] + 2]).tolist()
             res = integrate(outer, lo if u0 is None else lo * math.exp(u0[k] * h[k]), hi, tol)
-            values[k], converged = res.value, converged and res.converged
-        return values, converged
+            values[k], errors[k], converged = res.value, res.abs_error, converged and res.converged
+        return values, errors, converged
 
     def outer_converged(self) -> bool:
         """Whether every panel that w rests on met its tolerance: those of
@@ -661,7 +670,7 @@ class RadialProfile:
         all in one :meth:`_outer_spans` pass on the table's own cubics.
         Off the cache w is closed form.  After the one-time fill of the
         outer cache (one panel per knot interval, about 5400, shared
-        with every rescaled view), 200 radii cost at most 200 panels.
+        with every rescaled view), m radii cost at most m panels.
         """
         rs = np.array(radii, dtype=float)
         if not rs.size:
@@ -670,10 +679,16 @@ class RadialProfile:
             raise DomainError("radii must be >= 0")
         if not (rs[1:] > rs[:-1]).all():
             raise ValueError("radii must be strictly increasing")
-        t = self._table
-        if not t.s.size:
+        if not self._table.s.size:
             return [0.0] * rs.size
-        ws, _ = self._outer_cache()
+        return self._on_grid(rs)[0].tolist()
+
+    def _on_grid(self, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # w at the increasing radii rs >= 0 (for a table that is not empty),
+        # which of them lie inside the cache, and for those the knot
+        # interval of their ln s, as _hermite's knot search would find it
+        t = self._table
+        ws = self._outer_cache()[0]
         s = rs / self.delta
         out = np.empty_like(rs)
         below, above = s < t.s[0], s > t.s[-1]
@@ -692,7 +707,48 @@ class RadialProfile:
         if keep.any():
             gaps[gap[keep]] = self._outer_spans(i[keep], u0[keep])[0]
         out[inside] = ws[j] + gaps
-        return out.tolist()
+        interval = np.minimum(j, t.s.size - 2)
+        interval[gap[keep]] = i[keep]
+        return out, inside, interval
+
+    def _sample(self, unit_radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """w and |w'| at the radii delta * unit_radii (increasing, > 0).
+
+        Read at delta = 1 once per table and scaled, as scaling is exact:
+        w_delta(r) = delta**(p/(p-1)) * w_1(r/delta) and |w_delta'(r)| =
+        delta**(1/(p-1)) * |w_1'(r/delta)|.  w takes one
+        :meth:`_outer_spans` pass, one panel per radius inside the cache,
+        as :meth:`values_on_grid` would.  |w'| is (I/r**(n-1))**(1/(p-1))
+        with ln I the Hermite of the interval that pass found, so no knot
+        search, bit for bit what :meth:`_outer_array` gives; off the cache
+        it is :meth:`_outer_array`.  The table keeps the sample of the last
+        array passed, by identity, so callers pass one read-only array.
+        """
+        t, n, p = self._table, self.params.n, self.params.p
+        if t.sample is None or t.sample[0] is not unit_radii:
+            unit = self.rescaled(1.0)
+            if not t.s.size:
+                w = dw = np.zeros(unit_radii.size)
+            else:
+                w, inside, i = unit._on_grid(unit_radii)
+                dw = np.empty_like(w)
+                r = unit_radii[inside]
+                x = np.log(r)
+                ln_w1 = (_hermite(x, t.ln_s, t.ln_i, t.slopes, i) - (n - 1) * x) / (p - 1.0)
+                dw[inside] = _exp_checked(ln_w1, "outer integrand", r)
+                if not inside.all():
+                    dw[~inside] = unit._outer_array(unit_radii[~inside])
+            t.sample = unit_radii, w, dw
+        _, w, dw = t.sample
+        return self.delta ** (p / (p - 1.0)) * w, self.delta ** (1.0 / (p - 1.0)) * dw
+
+    def _sup(self) -> Tuple[float, float]:
+        # sup w = w(0), closed form below the cache's first knot, and the
+        # summed error of the outer fill's panels, all of which it sums
+        if not self._table.s.size:
+            return 0.0, 0.0
+        ws, _, error = self._outer_cache()
+        return float(ws[0] + self._w_below(np.zeros(1))[0]), error
 
     def gradient_magnitude(self, r: float) -> float:
         """|w'(r)| = (I(r)/r**(n-1))**(1/(p-1)) for r > 0."""
@@ -709,8 +765,9 @@ class RadialProfile:
 
 
 def sup_profile(profile: RadialProfile) -> float:
-    """sup w = w(0), the profile's maximal value."""
-    return profile.profile_value(0.0)
+    """sup w = w(0), the profile's maximal value, in closed form off the
+    outer cache."""
+    return profile._sup()[0]
 
 
 def change_of_variables_check(profile: RadialProfile) -> Tuple[QuadratureResult, QuadratureResult]:
@@ -777,14 +834,8 @@ def decay_bound(profile: RadialProfile, r: float) -> float:
     return c * r**-profile.decay
 
 
-# The delta search halves delta at most _MAX_HALVINGS times and screens
-# each candidate on a log grid of _GRID_POINTS radii spanning
-# [_GRID_LO, _GRID_HI] * delta, with absolute comparison slack _SLACK.
+# The delta search halves delta at most _MAX_HALVINGS times.
 _MAX_HALVINGS = 60
-_GRID_LO = 1e-6
-_GRID_HI = 1e6
-_GRID_POINTS = 200
-_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -811,26 +862,30 @@ def find_delta(
 ) -> RadialProfile:
     """Profile at the smallest-effort admissible scale delta0 * 2**-j.
 
-    A candidate is admissible when three certificates hold together:
+    A candidate is admissible when the envelope dominates the profile at
+    every radius.  Two inequalities prove it, with k = (n-p)/(p-1) and
+    a = 1/k:
 
-    * the envelope dominates the profile on the screening grid,
-    * sup w = w(0) is at most env(delta) = eps * 2**-k, which extends
-      envelope domination to every radius below delta, and
-    * a * I(inf)**(1/(p-1)) <= eps * 2**-k * delta**k, which extends it
-      to every radius above delta, because w(r) is rigorously bounded
-      by a * I(inf)**(1/(p-1)) * r**-k while the envelope is bounded
-      below by eps * 2**-k * (delta/r)**k there.
+    * sup w = w(0) <= env(delta) = eps * 2**-k.  For r <= delta, w(r) <=
+      w(0) <= env(delta) <= env(r), as w and env both decrease.
+    * a * I(inf)**(1/(p-1)) <= eps * 2**-k * delta**k.  For r >= delta,
+      I(r) <= I(inf) bounds w(r) by a * I(inf)**(1/(p-1)) * r**-k, while
+      env(r) >= eps * 2**-k * (delta/r)**k.
 
-    The certificate constant uses the measured source limit I(inf),
-    not the looser closed-form criterion constant; the loose constant
-    can reject scales that are in fact admissible.
+    Each is tested on the computed number plus its error: w(0) plus the
+    summed error estimate of the outer cache fill's panels, which w(0)
+    sums, and I(inf) plus its error (the table fill's summed error and
+    that of the mass beyond the table).  So the certificate holds up to
+    those two errors as estimated, with ln I between the table's knots
+    taken as its cubic Hermite.  It uses the measured source limit
+    I(inf), not the looser closed-form criterion constant, which can
+    reject scales that are in fact admissible.
 
     One profile is built, at delta0: at delta = c * delta0 the profile
     is exactly c**(p/(p-1)) * w(r/c) and the source limit c**n * I(inf),
-    and the envelope on the grid (fixed in units of delta) does not
-    change, so every candidate is tested on scaled numbers: the grid
-    values and sup w are read once, at delta0, off the profile's outer
-    cache.  The accepted profile is returned
+    and so are their errors, so every candidate is tested on scaled
+    numbers: w(0), in closed form off the profile's outer cache, and
+    I(inf) are read once, at delta0.  The accepted profile is returned
     (:meth:`RadialProfile.rescaled`); it shares that cache, so callers
     read the scale from its ``delta`` and neither build nor fill
     anything again.
@@ -861,31 +916,20 @@ def find_delta(
     last_report = ""
 
     prof = RadialProfile(f, params, opts.delta0, tol)
-    radii = np.geomspace(_GRID_LO * opts.delta0, _GRID_HI * opts.delta0, _GRID_POINTS)
-    ws = np.array(prof.values_on_grid(radii))
-    envs = params.eps * np.exp(-k * np.log1p(radii / opts.delta0))
-    sup_w0 = prof.profile_value(0.0)
-    limit = prof.inner_limit()
+    # w(0) and I(inf) at delta0, each plus its error
+    sup_w0 = sum(prof._sup())
+    limit = opts.delta0**n * sum(prof._unit_limit())
 
     for j in range(_MAX_HALVINGS + 1):
         c = 2.0**-j
         delta = opts.delta0 * c
-        scale = c ** (p / (p - 1.0))
-        worst_gap = float(np.min(envs - scale * ws))
-        grid_ok = worst_gap >= -_SLACK
-
-        sup_w = scale * sup_w0
-        sup_ok = sup_w <= threshold + _SLACK
-
+        sup_w = c ** (p / (p - 1.0)) * sup_w0
         tail_coeff = a * (c**n * limit) ** (1.0 / (p - 1.0))
-        tail_ok = tail_coeff <= threshold * delta**k + _SLACK
-
-        if grid_ok and sup_ok and tail_ok:
+        if sup_w <= threshold and tail_coeff <= threshold * delta**k:
             return prof.rescaled(delta)
         last_report = (
-            f"delta={delta!r}: grid gap {worst_gap:.3e}, sup w {sup_w:.6e} "
-            f"vs {threshold:.6e}, tail coeff {tail_coeff:.6e} vs "
-            f"{threshold * delta**k:.6e}"
+            f"delta={delta!r}: sup w + error {sup_w:.6e} vs {threshold:.6e}, "
+            f"tail coeff {tail_coeff:.6e} vs {threshold * delta**k:.6e}"
         )
 
     raise DeltaSearchError(

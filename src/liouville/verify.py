@@ -33,6 +33,11 @@ The five profile checks:
   w underflows to 0 on the grid, only the radii up to its last positive
   knot are reported.
 
+The supersolution, normalization and energy checks read w (and the
+energy check |w'|) off one sample per profile table, taken at delta = 1
+on the union of their grids in one pass and scaled to the profile's
+delta (:func:`_sampled`).
+
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
 quadratures, the energy check its redone panels, and the three checks
@@ -147,7 +152,8 @@ def _flux_defects(
     if bad.size:
         i = bad[0]
         raise ValueError(f"need 0 < h < r, got h={float(h[i])!r}, r={float(r[i])!r}")
-    lhs = _flux(profile, r + h) - _flux(profile, r - h)
+    up, down = np.split(_flux(profile, np.concatenate((r + h, r - h))), 2)
+    lhs = up - down
     rhs = integrate_intervals(profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0))
     den = np.maximum(np.abs(lhs), np.abs(rhs.values))
     with np.errstate(invalid="ignore"):
@@ -180,6 +186,42 @@ def flux_identity_check(profile: RadialProfile) -> CheckResult:
 
 
 # ---------------------------------------------------------------------------
+# the sample of w that the grid checks read
+
+
+@functools.cache
+def _unit_sample() -> Tuple[np.ndarray, ...]:
+    # the radii at delta = 1 where the grid checks read w, in one sorted
+    # array: the union of the supersolution grid, the normalization grid
+    # and the energy knots, about 800 radii; then the positions of those
+    # three grids in it.  Read-only, as one copy serves all.  Sorted in
+    # Python: numpy's sort maps about 1 MB of code pages on first use.
+    grids = (
+        np.geomspace(1e-6, 1e6, _SUPER_RADII),
+        np.geomspace(1e-6, 1e6, _NORM_POINTS),
+        _unit_energy_grid(),
+    )
+    radii = np.array(sorted(set(np.concatenate(grids).tolist())))
+    out = (radii, *(np.searchsorted(radii, g) for g in grids))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+_SUPER, _NORM, _ENERGY = range(3)
+
+
+def _sampled(profile: RadialProfile, grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # one check's radii at the profile's delta, and w and |w'| there: its
+    # slice of the profile's sample, which is read once per table
+    # (:meth:`~liouville.construct.RadialProfile._sample`) for all three
+    radii, *at = _unit_sample()
+    w, dw = profile._sample(radii)
+    i = at[grid]
+    return profile.delta * radii[i], w[i], dw[i]
+
+
+# ---------------------------------------------------------------------------
 # supersolution
 
 
@@ -190,10 +232,10 @@ def supersolution_check(profile: RadialProfile) -> CheckResult:
     pass over the envelope and profile arrays: env(r) >= w(r) up to
     ``_ENVELOPE_SLACK``, and f(env(r)) - f(w(r)) >= -``_SUPER_SLACK``.
     The second is the quantity the differential inequality actually
-    needs; it is reported as the worst residual.
+    needs; it is reported as the worst residual.  w on the grid is its
+    slice of the profile's one sample of w (:func:`_sampled`).
     """
-    rs = np.geomspace(1e-6 * profile.delta, 1e6 * profile.delta, _SUPER_RADII)
-    ws = np.array(profile.values_on_grid(rs))
+    rs, ws, _ = _sampled(profile, _SUPER)
     ln_env = math.log(profile.params.eps) - profile.decay * np.log1p(rs / profile.delta)
     dominated = not (np.exp(ln_env) - ws < -_ENVELOPE_SLACK).any()
     with np.errstate(divide="ignore"):
@@ -252,21 +294,22 @@ def gradient_decay_check(profile: RadialProfile) -> CheckResult:
 
 
 def normalization_check(profile: RadialProfile) -> CheckResult:
-    """w must be non-increasing and fall below ``_NORM_TOL`` by 1e6 * delta."""
-    rs = np.geomspace(1e-6 * profile.delta, 1e6 * profile.delta, _NORM_POINTS).tolist()
-    ws = profile.values_on_grid(rs)
-    non_increasing = all(
-        ws[i + 1] <= ws[i] * (1.0 + 1e-12) + 1e-300 for i in range(len(ws) - 1)
-    )
-    passed = non_increasing and ws[-1] <= _NORM_TOL
+    """w must be non-increasing and fall below ``_NORM_TOL`` by 1e6 * delta.
+
+    w on the grid is its slice of the profile's one sample of w
+    (:func:`_sampled`)."""
+    rs, ws, _ = _sampled(profile, _NORM)
+    non_increasing = bool((ws[1:] <= ws[:-1] * (1.0 + 1e-12) + 1e-300).all())
+    end = float(ws[-1])
+    passed = non_increasing and end <= _NORM_TOL
     note = "" if non_increasing else "; profile fails to be non-increasing"
     note += _unconverged_note(profile.outer_converged())
     return CheckResult(
         name="normalization",
         grid_size=_NORM_POINTS,
-        worst_residual=ws[-1],
+        worst_residual=end,
         passed=passed,
-        detail=f"w({rs[-1]:.6g}) = {ws[-1]:.6e}{note}",
+        detail=f"w({rs[-1]:.6g}) = {end:.6e}{note}",
     )
 
 
@@ -319,11 +362,13 @@ def _unit_energy_grid() -> np.ndarray:
 def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     """Energies and ratios of :class:`EnergyDiagnostic` at the radii.
 
-    w is sampled by ``values_on_grid`` on a log grid of 63 knots a
-    decade over [1e-6, 1e3] * delta, whose every 3rd knot from delta on
-    is a radius, and interpolated log-log by the cubic Hermite with the
-    exact slopes d ln w / d ln r = -r |w'(r)| / w(r), held constant
-    below the sampled range.  The energy density rho**n f(w~) in
+    w is read on a log grid of 63 knots a decade over [1e-6, 1e3] *
+    delta, whose every 3rd knot from delta on is a radius, and
+    interpolated log-log by the cubic Hermite with the exact slopes
+    d ln w / d ln r = -r |w'(r)| / w(r), held constant below the sampled
+    range.  w and |w'| at the knots are the check's slice of the
+    profile's one sample (:func:`_sampled`), which takes both from one
+    pass.  The energy density rho**n f(w~) in
     x = ln rho reads f at the interpolant's logs; it is integrated one
     K7 panel per knot interval, with L4 as the error estimate
     (:func:`~liouville.quadrature._k7`, one call for all panels), so no
@@ -354,9 +399,8 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
     at_r = slice(_ENERGY_BELOW, None, _ENERGY_STRIDE)
-    grid = profile.delta * _unit_energy_grid()
+    grid, ws, gradients = _sampled(profile, _ENERGY)
     rs = grid[at_r]
-    ws = np.array(profile.values_on_grid(grid))
 
     if ws[0] == 0.0:
         # identically zero profile: zero energy at every radius
@@ -379,7 +423,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     rs = rs[: max(0, (m - 1 - _ENERGY_BELOW) // _ENERGY_STRIDE + 1)]
     knots, w_k = grid[:m], ws[:m]
     ln_r, ln_w = np.log(knots), np.log(w_k)
-    slopes = -knots * profile._outer_array(knots) / w_k
+    slopes = -knots * gradients[:m] / w_k
     ln_eps = math.log(eps)
 
     def density_at(x: np.ndarray, ln_wv: np.ndarray) -> np.ndarray:

@@ -79,6 +79,21 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def partial_span_passes(monkeypatch):
+    """The panel count of every pass of ``RadialProfile._outer_spans`` over
+    partial spans (w between knots), one entry per pass; the outer cache
+    fill's pass over whole knot intervals is not counted."""
+    route, passes = RadialProfile._outer_spans, []
+
+    def counted(self, i, u0=None):
+        if u0 is not None:
+            passes.append(i.size)
+        return route(self, i, u0)
+
+    monkeypatch.setattr(RadialProfile, "_outer_spans", counted)
+    return passes
+
+
 @pytest.fixture(scope="session")
 def params32():
     return StructureParams(3, 2.0)

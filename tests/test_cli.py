@@ -255,6 +255,26 @@ class TestVerify:
             "normalization", "energy",
         ]
 
+    def test_json_is_strict_where_a_residual_is_infinite(self, capsys):
+        # w underflows to 0 before the energy check's first radius, so its
+        # spread is infinite: the report writes null there, not Infinity
+        argv = ["verify", "--n", "4", "--p", "1.05", "--eps", "1e-10",
+                "--power", "1.0677966101694916", "--format", "json"]
+        code, out, _ = run(capsys, argv)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=refuse)
+        jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+        energy = payload["checks"][-1]
+        assert (energy["name"], energy["worst_residual"], energy["passed"]) == ("energy", None, False)
+        assert code == EXIT_FAIL
+
+    def test_json_text_refuses_non_finite_numbers(self):
+        with pytest.raises(ValueError):
+            cli._json_text({"value": float("nan")})
+
     def test_forced_bad_delta_fails(self, capsys):
         code, out, _ = run(
             capsys, ["verify", "--n", "3", "--p", "2", "--power", "4", "--delta", "1e6"]

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from liouville import (
     CriterionUndecidedError,
+    DeltaSearchError,
     DeltaSearchOptions,
     DivergentIntegralError,
     DomainError,
@@ -55,7 +56,7 @@ from liouville.construct import _hermite
 import liouville.verify as verify_module
 from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
 
-from conftest import grad_exact, inner_exact, math_twin, source_limit, w_exact
+from conftest import grad_exact, inner_exact, math_twin, partial_span_passes, source_limit, w_exact
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +731,7 @@ def test_outer_fill_matches_panels_in_zeta(f, params):
     # one batched panel in zeta per knot interval on the array interpolant,
     # summed down from the closed form at the last knot
     prof = RadialProfile(f, params, 1.0)
-    ws, converged = prof._outer_cache()
+    ws, converged, _ = prof._outer_cache()
     knots = prof.delta * prof._table.s
     panels = integrate_intervals(prof._outer_array, knots[:-1], knots[1:], prof._seg_tol)
     ref = np.cumsum(np.concatenate((prof._w_above(knots[-1:]), panels.values[::-1])))[::-1]
@@ -770,7 +771,7 @@ def test_outer_fill_redoes_missed_panels_by_scalar_integrate(monkeypatch, params
     monkeypatch.setattr(construct_module, "_k7", missing)
     prof = RadialProfile(Power(4.0), params32, 1.0)
     redone = _record(monkeypatch, "integrate")
-    ws, converged = prof._outer_cache()
+    ws, converged, _ = prof._outer_cache()
     knots = prof._table.s.tolist()
     firsts = [i for c in range(0, len(knots) - 1, construct_module._BLOCK) for i in (c, c + 1)]
     assert redone == [(knots[i], knots[i + 1]) for i in firsts]
@@ -801,8 +802,10 @@ def _count_k7(monkeypatch, module):
 def test_k7_work_per_stage(monkeypatch, params32):
     # every closed K7 panel goes through _k7, once per block of _BLOCK
     # panels: the build (4096 + 1280 panels), the outer fill (one fewer),
-    # one call per values_on_grid, and one for the energy check's 567
-    # panels; none through the Fejer pair's _rule
+    # one call per values_on_grid, one for the sample the grid checks read
+    # (one panel per radius of the 794 but the 30 that are table knots: in
+    # exact arithmetic every 16th energy knot is one), and one for the
+    # energy check's 567 panels; none through the Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
     rule = quadrature_module._rule
     monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
@@ -816,9 +819,52 @@ def test_k7_work_per_stage(monkeypatch, params32):
         prof.values_on_grid(radii)
         assert len(built) == 1
     built.clear()
+    prof._sample(verify_module._unit_sample()[0])
+    assert built == [764]
+    built.clear()
     energy_diagnostic(prof)
-    assert (len(built), checked) == (1, [567])
+    assert (built, checked) == ([], [567])
     assert ruled == []
+
+
+@pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
+@pytest.mark.filterwarnings("error")
+def test_sample_is_values_on_grid_and_outer_array(f, params):
+    # at delta = 1 bit for bit: w by the same spans as values_on_grid, |w'|
+    # on the cubic of the interval that pass found, as _outer_array's knot
+    # search finds it.  At delta = 2**-j the sample is the one at delta = 1
+    # scaled; the direct evaluation there rounds the logs of delta, zeta
+    # and I, which 1/(p-1) amplifies in |w'|
+    radii = verify_module._unit_sample()[0]
+    prof = RadialProfile(f, params, 1.0)
+    w, dw = prof._sample(radii)
+    assert w.tolist() == prof.values_on_grid(radii)
+    assert dw.tolist() == prof._outer_array(radii).tolist()
+    for j in (1, 5, 20):
+        view = prof.rescaled(2.0**-j)
+        rs = view.delta * radii
+        w, dw = view._sample(radii)
+        assert w.tolist() == pytest.approx(view.values_on_grid(rs), rel=1e-14, abs=0.0)
+        assert dw.tolist() == pytest.approx(view._outer_array(rs).tolist(), rel=5e-14 / (params.p - 1.0), abs=0.0)
+
+
+_VANISHING = [
+    (parse_nonlinearity("0.0"), StructureParams(3, 2.0)),
+    (Power(4.0), StructureParams(3, 2.0, 1e-300)),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0, 1e-300)),
+]
+
+
+@pytest.mark.parametrize("f, params", _VANISHING, ids=["zero", "power-eps1e-300", "log-eps1e-300"])
+@pytest.mark.filterwarnings("error")
+def test_sample_of_a_vanishing_profile(f, params):
+    # f(env) underflows everywhere, so the table is empty: w and |w'| are 0
+    # at every scale, with no floating-point warning
+    radii = verify_module._unit_sample()[0]
+    prof = RadialProfile(f, params, 1.0)
+    for view in (prof, prof.rescaled(2.0**-7)):
+        w, dw = view._sample(radii)
+        assert not w.any() and not dw.any()
 
 
 def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
@@ -1026,12 +1072,51 @@ class TestFindDelta:
         d = find_delta(f, StructureParams(n, p), DeltaSearchOptions(delta0=delta0)).delta
         assert d == expected
 
-    def test_screening_envelope_is_one_array_expression(self, monkeypatch, params32):
+    def test_search_reads_no_grid(self, monkeypatch, params32):
+        # the certificate is the sup test and the tail test alone: w(0) in
+        # closed form off the outer cache, and no w or envelope on a grid
         def refuse(self, r):
-            raise AssertionError("one call per grid radius")
+            raise AssertionError("the search reads a grid")
 
         monkeypatch.setattr(RadialProfile, "envelope_value", refuse)
+        monkeypatch.setattr(RadialProfile, "values_on_grid", refuse)
+        passes = partial_span_passes(monkeypatch)
         assert find_delta(Power(3.5), params32).delta == 0.5
+        assert passes == []
+
+    def test_sup_test_counts_the_outer_fill_error(self, monkeypatch, params32):
+        # w(0) = 1/6 passes eps 2**-k = 1/2 at delta = 1; with an error of
+        # 1/2 it does not, and at delta = 1/2, with a quarter of both, it does
+        sup = RadialProfile._sup
+        monkeypatch.setattr(RadialProfile, "_sup", lambda self: (sup(self)[0], 0.5))
+        assert find_delta(Power(4.0), params32).delta == 0.5
+
+    def test_tail_test_counts_the_source_limit_error(self, monkeypatch, params32):
+        # a I(inf)**(1/(p-1)) = 1/3 passes eps 2**-k delta**k = 1/2 at
+        # delta = 1 (a = 1, p = 2); with an error of 1/3 it does not, and at
+        # delta = 1/2, 2/3 / 8 against 1/4, it does
+        limit = RadialProfile._unit_limit
+        monkeypatch.setattr(RadialProfile, "_unit_limit", lambda self: (limit(self)[0], 1.0 / 3.0))
+        assert find_delta(Power(4.0), params32).delta == 0.5
+
+    @pytest.mark.parametrize("n, p, e", [(3, 2.0, 4.0), (4, 2.0, 3.0), (5, 3.0, 5.5), (4, 1.5, 2.0), (8, 3.0, 6.2)])
+    def test_certificate_errors(self, n, p, e):
+        # both are carried and small; I(inf)'s encloses the Beta function's value
+        prof = RadialProfile(Power(e), StructureParams(n, p), 1.0)
+        (w0, w0_error), (limit, limit_error) = prof._sup(), prof._unit_limit()
+        assert 0.0 < w0_error <= 1e-13 * w0
+        assert 0.0 < limit_error <= 1e-13 * limit
+        assert abs(limit - source_limit(n, p, Power(e))) <= limit_error
+
+    def test_no_admissible_scale_reports_both_tests(self, monkeypatch, params32):
+        monkeypatch.setattr(RadialProfile, "_sup", lambda self: (0.0, math.inf))
+        with pytest.raises(DeltaSearchError) as exc:
+            find_delta(Power(4.0), params32)
+        # the last candidate, delta = 2**-60, with both sides of both tests
+        assert str(exc.value).endswith(
+            "delta=8.673617379884035e-19: sup w + error inf vs 5.000000e-01, "
+            "tail coeff 2.175101e-55 vs 4.336809e-19"
+        )
 
     def test_custom_delta0(self, params32):
         d = find_delta(Power(4.0), params32, DeltaSearchOptions(delta0=0.125)).delta

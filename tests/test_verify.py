@@ -40,7 +40,7 @@ from liouville.construct import _hermite
 from liouville.nonlinearity import _ln_f
 from liouville.quadrature import _panels, integrate_intervals
 
-from conftest import deadline, math_twin
+from conftest import deadline, math_twin, partial_span_passes
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -90,6 +90,19 @@ class TestFlux:
         flagged = flux_identity_check(instance_profile)
         assert flagged.detail == honest.detail + "; quadrature did not converge"
         assert (flagged.passed, flagged.worst_residual) == (honest.passed, honest.worst_residual)
+
+    def test_both_window_ends_in_one_call(self, instance_profile, monkeypatch):
+        # the flux at r + h and at r - h in one _outer_array call, with the
+        # bits of one call per end: the evaluation is elementwise
+        r = np.repeat(np.geomspace(0.01, 100.0, 13), 4)
+        h = r * np.tile([1e-2, 1e-3, 1e-4, 1e-5], 13)
+        lhs = verify_module._flux(instance_profile, r + h) - verify_module._flux(instance_profile, r - h)
+        rhs = integrate_intervals(instance_profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0)).values
+        calls, outer = [], RadialProfile._outer_array
+        monkeypatch.setattr(RadialProfile, "_outer_array", lambda self, z: calls.append(z.size) or outer(self, z))
+        defects, _ = verify_module._flux_defects(instance_profile, r, h)
+        assert calls == [104]
+        assert defects.tolist() == (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))).tolist()
 
 
 @pytest.mark.parametrize(
@@ -400,8 +413,14 @@ def test_energy_at_the_kept_radii_does_not_depend_on_where_w_underflows(monkeypa
     # first 4 of the 9 radii, bit for bit
     prof = _underflowing_profile(3)
     ed = energy_diagnostic(prof)
-    ws = np.array(prof.values_on_grid(prof.delta * verify_module._unit_energy_grid()))
-    monkeypatch.setattr(prof, "values_on_grid", lambda rs: np.where(np.arange(568) < 390, ws, 0.0).tolist())
+    sample, energy_knots = prof._sample, verify_module._unit_sample()[3]
+
+    def cut_sample(radii):
+        w, dw = sample(radii)
+        w[energy_knots[390:]] = 0.0
+        return w, dw
+
+    monkeypatch.setattr(prof, "_sample", cut_sample)
     cut = energy_diagnostic(prof)
     assert cut.energies == ed.energies[:4]
     assert cut.detail.endswith("so 60 of 64 radii are dropped")
@@ -488,7 +507,7 @@ def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
     checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
     honest = [check(RadialProfile(Power(4.0), params32, 1.0)) for check in checks]
     fill = RadialProfile._fill_outer
-    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: (fill(self)[0], False))
+    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: (fill(self)[0], False, fill(self)[2]))
     prof = RadialProfile(Power(4.0), params32, 1.0)
     assert not prof.outer_converged()
     for check, ok in zip(checks, honest):
@@ -610,3 +629,34 @@ def test_after_the_gate_f_is_read_in_logs_only(monkeypatch, f, params):
     assert decay_bound(prof, 2.0 * prof.delta) > 0.0
     ws = prof.values_on_grid([0.5 * prof.delta, prof.delta, 2.0 * prof.delta])
     assert ws[0] > ws[1] > ws[2] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the one sample of w that the grid checks read
+
+
+def test_sample_radii_hold_every_grid():
+    # one strictly increasing array; each check's grid at delta = 1 is its
+    # slice, bit for bit
+    radii, at_super, at_norm, at_energy = verify_module._unit_sample()
+    assert radii.size == 794 and (np.diff(radii) > 0.0).all()
+    assert radii[at_super].tolist() == np.geomspace(1e-6, 1e6, 200).tolist()
+    assert radii[at_norm].tolist() == np.geomspace(1e-6, 1e6, 64).tolist()
+    assert radii[at_energy].tolist() == verify_module._unit_energy_grid().tolist()
+
+
+def test_verify_reads_w_in_one_partial_pass(monkeypatch, params32):
+    # a fresh profile: its outer cache fill, then one pass of partial spans
+    # for the sample that the supersolution, normalization and energy
+    # checks share (764 of its 794 radii lie between table knots)
+    passes = partial_span_passes(monkeypatch)
+    verify_profile(RadialProfile(Power(4.0), params32, 1.0))
+    assert passes == [764]
+
+
+def test_energy_reads_no_outer_array(monkeypatch, params32):
+    # the slopes of the log-log Hermite come with w in the sample
+    calls, outer = [], RadialProfile._outer_array
+    monkeypatch.setattr(RadialProfile, "_outer_array", lambda self, z: calls.append(np.size(z)) or outer(self, z))
+    energy_diagnostic(RadialProfile(Power(4.0), params32, 1.0))
+    assert calls == []

@@ -40,10 +40,12 @@ the exact slope there), and each interval adds five interior nodes.  The
 panels go through :func:`~liouville.quadrature._k7` in blocks of
 ``_BLOCK``, node-major: the values at the knots as the two end arrays and
 the interior values as five rows, never stacked into one array per
-panel.  A panel whose estimate misses the tolerance is redone on the
-open 15-node rule.  From n = 7 on the table's first panel [0, s_0], where
+panel.  From n = 7 on the table's first panel [0, s_0], where
 s**(n-1) is past L4's degree, takes a rule of the weight s**(n-1) on the
-same nodes (:func:`_origin_panel`).  The inner table takes ln x and
+same nodes (:func:`_origin_panel`).  Panels that miss the tolerance are
+halved together on K7 (:func:`~liouville.quadrature._bisect`), with the
+source term taken afresh in the table and on the interval's own cubic in
+the outer cache.  The inner table takes ln x and
 ln(1 + x) at the nodes of its panels, in node-major blocks, from a
 geometry computed on first use: once per process for the panels up to
 the last cache knot, once per a = (p-1)/(n-p) for those past it
@@ -93,6 +95,7 @@ from .quadrature import (
     PanelResults,
     QuadratureResult,
     Tolerance,
+    _bisect,
     _finite,
     _k7,
     _nodes,
@@ -174,6 +177,20 @@ def _hermite_basis(u: np.ndarray) -> np.ndarray:
 # five interior ones
 _K7_U = 0.5 * (1.0 + _XA_K7)
 _K7_BASIS = _hermite_basis(_K7_U[1:-1])
+
+
+def _k7_on_cubic(g: Callable, y0: np.ndarray, coef: np.ndarray, h: np.ndarray, i, a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """K7 values and L4 error estimates (:func:`~liouville.quadrature._k7`)
+    over the spans [a, b], as fractions, of the knot intervals i of width
+    h, of an integrand read off each interval's own cubic: y0 at its left
+    knot plus the rows ``coef`` (one column per interval) on
+    :func:`_hermite_basis`.  ``g(i, u, y)`` is the integrand at the nodes'
+    fractions u, where the cubic is y, one row per node and one column
+    per span.  No knot search, and every sum is elementwise, so a span's
+    bits do not depend on the others."""
+    u = a + (b - a) * _K7_U[:, None]
+    fx = g(i, u, sum(c * x for c, x in zip(coef[:, i], _hermite_basis(u))) + y0[i])
+    return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[i])
 
 
 def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray) -> np.ndarray:
@@ -300,9 +317,9 @@ def _table_fill(
     the first spoiled node panel by panel.  From n = 7 on, the panel
     [0, s_0] is valued by :func:`_origin_panel` on the same nodes.  A
     panel whose estimate misses ``tol`` of both its own value and the
-    rounding of the running sum it joins is redone by
-    :func:`~liouville.quadrature.integrate_intervals` on that interval
-    alone, on its open 15-node rule.
+    rounding of the running sum it joins is halved to ``tol`` of its own
+    value (:func:`~liouville.quadrature._bisect`), on K7 panels with the
+    source term taken afresh at all seven nodes (0 at s = 0).
     """
     knots, fixed = _table_geometry()
     tail, past = _tail_geometry((params.p - 1.0) / (params.n - params.p))
@@ -325,12 +342,18 @@ def _table_fill(
     # underflow, no panel's error can move the table, so none is chased there
     floor = np.finfo(float).eps * np.cumsum(values)
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.maximum(np.abs(values), floor))))
-    if not miss.size:
-        return s, ln_at_knots, PanelResults(values, errors, 0, True)
+
+    def halves(_, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        x = _nodes(a, b, _XA_K7)
+        x[:, 0], x[:, -1] = a, b
+        ln, inside = np.full(x.shape, -np.inf), x > 0.0
+        ln[inside] = _ln_source(f, params, np.log(x[inside]), np.log1p(x[inside]))
+        src = _finite(_exp_source(ln, x), x).T
+        return _k7(src[0], src[1:-1], src[-1], 0.5 * (b - a))
+
     lo = np.concatenate(([0.0], s[:-1]))
-    redo = integrate_intervals(lambda x: _source_term(f, params, x), lo[miss], s[miss], tol)
-    values[miss], errors[miss] = redo.values, redo.abs_errors
-    return s, ln_at_knots, PanelResults(values, errors, redo.fallbacks, redo.converged)
+    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], s[miss], tol)
+    return s, ln_at_knots, PanelResults(values, errors, bool(converged.all()))
 
 
 class _UnitTable:
@@ -586,66 +609,50 @@ class RadialProfile:
         """Integrals of |w'| over the spans [u0, 1] of the knot intervals i
         (over the whole intervals when ``u0`` is None).
 
-        One K7 panel per span, with L4 as its error estimate
+        One K7 panel per span, with L4 as its error estimate, in x = ln
+        zeta, where the integrand is exp(psi), psi = (ln I - (n-1) x)/(p-1)
+        + x.  Between two knots ln I is exactly the Hermite of their
+        interval, so psi is evaluated there with no knot search,
+        node-major.  For whole intervals exp(psi) is taken once at each
+        knot the spans end on, and at the five interior nodes on the basis
+        ``_K7_BASIS`` fixed for all intervals
         (:func:`~liouville.quadrature._k7`, once per block of ``_BLOCK``
-        spans), in x = ln zeta, where the integrand is exp(psi),
-        psi = (ln I - (n-1) x)/(p-1) + x.  Between two knots ln I is
-        exactly the Hermite of their interval, so psi is evaluated there
-        with no knot search, node-major.  For whole intervals exp(psi) is
-        taken once at each knot the spans end on, and at the five
-        interior nodes on the basis ``_K7_BASIS`` fixed for all
-        intervals; otherwise at all seven nodes, at their own fractions of
-        each span, summed elementwise over the four rows of
-        :func:`_hermite_basis`, so that a span's bits do not depend on
-        the other spans of the call.  A span whose error estimate misses
-        the tolerance is redone by :func:`integrate` on
-        :meth:`_outer_array` over the same zeta interval.  Returns the
-        integrals, their errors and whether every redo converged.
+        spans); otherwise at all seven nodes, at their own fractions of
+        each span (:func:`_k7_on_cubic`).  Either way a span's bits do not
+        depend on the other spans of the call.  Spans that miss the
+        tolerance are halved on the second rule
+        (:func:`~liouville.quadrature._bisect`), with no new evaluation of
+        f.  Returns the integrals, their errors and whether every span met
+        the tolerance.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
         h = t.ln_s[i + 1] - t.ln_s[i]
-        width = h if u0 is None else (1.0 - u0) * h
-        ln_delta = p / (p - 1.0) * math.log(self.delta)
-
-        def psi_at(k):  # psi at the knots k
-            return t.ln_i[k] / (p - 1.0) - self.decay * t.ln_s[k] + ln_delta
-
+        psi_k = t.ln_i / (p - 1.0) - self.decay * t.ln_s + p / (p - 1.0) * math.log(self.delta)  # at the knots
         # psi = psi at knot i + (the Hermite's rise over the interval) / (p-1)
         # - k h u: one column of coef per interval, on _hermite_basis
         rise = (t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1])
         coef = np.stack((*(x / (p - 1.0) for x in rise), -self.decay * h))
-        if u0 is None:  # exp(psi) once per knot, read at both ends of its intervals
-            psi_k = psi_at(slice(None))
-            ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)
-            base, lo_end, hi_end = psi_k[i], ends[i], ends[i + 1]
-        else:
-            base = psi_at(i)
+
+        def exp_psi(k, u, psi):  # an overflow names zeta at its node, span by span
+            return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[k]] + h[k] * u).T).T
+
+        def spans(k, a, b):  # the spans [a, b] of the intervals i[k]
+            return _k7_on_cubic(exp_psi, psi_k[i], coef, h, k, a, b)
+
+        if u0 is not None:
+            values, errors, _, ok = _bisect(spans, u0, np.ones(i.size), tol)
+            return values, errors, bool(ok.all())
+        ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)  # read at both ends of its intervals
         values, errors = np.empty(i.size), np.empty(i.size)
         for c in range(0, i.size, _BLOCK):
             part = slice(c, c + _BLOCK)
-            if u0 is None:
-                u = _K7_U[1:-1, None]
-                psi = _K7_BASIS.T @ coef[:, part]
-            else:
-                u = u0[part] + (1.0 - u0[part]) * _K7_U[:, None]
-                hb, cb = _hermite_basis(u), coef[:, part]
-                psi = cb[0] * hb[0] + cb[1] * hb[1] + cb[2] * hb[2] + cb[3] * hb[3]
-            psi += base[part]
-            fx = _exp_checked(  # an overflow names zeta at its node, panel by panel
-                psi.T, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[part]] + h[part] * u).T
-            ).T
-            nodes = (lo_end[part], fx, hi_end[part]) if u0 is None else (fx[0], fx[1:-1], fx[-1])
-            values[part], errors[part] = _k7(*nodes, 0.5 * width[part])
-
-        def outer(zeta: float) -> float:
-            return float(self._outer_array(np.array([zeta]))[0])
-
-        converged = True
-        for k in np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values))):
-            lo, hi = (self.delta * t.s[i[k] : i[k] + 2]).tolist()
-            res = integrate(outer, lo if u0 is None else lo * math.exp(u0[k] * h[k]), hi, tol)
-            values[k], errors[k], converged = res.value, res.abs_error, converged and res.converged
-        return values, errors, converged
+            fx = exp_psi(part, _K7_U[1:-1, None], _K7_BASIS.T @ coef[:, part] + psi_k[i[part]])
+            values[part], errors[part] = _k7(ends[i[part]], fx, ends[i[part] + 1], 0.5 * h[part])
+        miss = np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values)))
+        values[miss], errors[miss], _, ok = _bisect(
+            lambda k, a, b: spans(miss[k], a, b), np.zeros(miss.size), np.ones(miss.size), tol
+        )
+        return values, errors, bool(ok.all())
 
     def outer_converged(self) -> bool:
         """Whether every panel that w rests on met its tolerance: those of

@@ -68,16 +68,17 @@ from .nonlinearity import (
     _LOG_MAX,
     Expression,
     Nonlinearity,
+    _exp_checked,
     _ln_f,
     check_monotone,
     signed_log_eval,  # noqa: F401  (patched by perfbench/tracing.py)
 )
 from .quadrature import (
-    _MAX_LEVEL,
     DEFAULT_TOLERANCE,
     QuadratureResult,
     Tolerance,
     _bisect,
+    _panels,
 )
 
 __all__ = [
@@ -194,11 +195,7 @@ def criterion_integrand(
     def g(z):
         z = np.asarray(z, dtype=float)
         ln_z = np.log(z)
-        out = _ln_f(f, ln_z, z) - s * ln_z
-        bad = np.flatnonzero(out > _LOG_MAX)
-        if bad.size:
-            raise EvalOverflow(f"integrand exceeds double range at z={float(z.flat[bad[0]])!r}")
-        return np.exp(out)
+        return _exp_checked(_ln_f(f, ln_z, z) - s * ln_z, "integrand", z)
 
     return g
 
@@ -370,16 +367,16 @@ def _log_shells(
     r = np.where(r > -np.inf, r, 0.0)  # f vanishes at all three points
 
     def g(v: np.ndarray) -> np.ndarray:
-        # a row holds one panel's nodes (a flat array, scalar-fallback abscissae);
-        # a node by an edge can round into the next shell, the panel's centre not
-        centre = v if v.ndim == 1 else 0.5 * (v[:, :1] + v[:, -1:])
+        # a row holds one panel's nodes; a node by an edge can round into the
+        # next shell, the panel's centre not
+        centre = 0.5 * (v[:, :1] + v[:, -1:])
         out = ln_g(v) - r[np.clip(np.searchsorted(edges, centre, side="right") - 1, 0, count - 1)]
         if (out > _LOG_MAX).any():
             raise EvalOverflow("integrand exceeds double range within a shell")
         return np.exp(out)
 
     shell_tol = Tolerance(rel=min(tol.rel, 1e-12), absolute=0.0)
-    values, errors, panels, converged, _ = _bisect(g, edges[:-1], edges[1:], shell_tol, _MAX_LEVEL)
+    values, errors, panels, converged = _bisect(lambda _, a, b: _panels(g, a, b), edges[:-1], edges[1:], shell_tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = r + np.log(values)
         # the relative quadrature error, plus the log's own rounding

@@ -21,8 +21,7 @@ node-major data: the end values of all panels as two arrays and their
 interior values as five rows.  Its sums are fixed sequences of
 elementwise operations over the mirrored node pairs, so they cost no
 per-panel reduction and no copy of the block into one array.  Such
-callers evaluate the ends only at knots where the integrand is smooth,
-and hand a panel whose estimate misses to :func:`integrate_intervals`.
+callers evaluate the ends only at knots where the integrand is smooth.
 
 Error estimation follows the classic damping recipe: the raw
 ``|high - low|`` difference is tempered by the scale of the integrand's
@@ -41,18 +40,17 @@ which of these happened.
 :func:`integrate_intervals` applies the same rule and the same damped
 estimate to many fixed intervals at once, one panel each, as numpy
 array operations over blocks of panels with one vectorized integrand
-call per block.  Only the intervals whose estimate misses the tolerance
-are redone, one by one, by the scalar adaptive :func:`integrate`.  The
-Fejer rule's sums over a block are einsum reductions (:func:`_rule`),
-which sum each row on its own; :func:`_k7` sums elementwise.  Either
-way a panel's value does not depend on the panels that share its
-block: a panel redone alone, or a dyadic shell next to other shells,
-gets the same bits.  A BLAS product (``@``, ``np.dot``) is faster but,
-under OpenBLAS, sums a row in an order that depends on the rest of the
-block.
-Dyadic shells (in :mod:`liouville.criterion`, in v = ln(1/zeta) and as
-log-values) are refined together, level by level, each level one such
-array pass (see :func:`_bisect`).
+call per block.  The Fejer rule's sums over a block are einsum
+reductions (:func:`_rule`), which sum each row on its own; :func:`_k7`
+sums elementwise.  Either way a panel's value does not depend on the
+panels that share its block: a panel redone alone, or a dyadic shell
+next to other shells, gets the same bits.  A BLAS product (``@``,
+``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
+depends on the rest of the block.  The intervals whose estimate misses,
+on either pair (the dyadic shells of :mod:`liouville.criterion`, the K7
+panels of the caches and the energy check), are halved together on the
+caller's panel rule by :func:`_bisect`, one batched call a level; there
+is no scalar redo.
 """
 
 from __future__ import annotations
@@ -244,15 +242,12 @@ class PanelResults:
     """Per-interval outcome of :func:`integrate_intervals`.
 
     ``values[i]`` and ``abs_errors[i]`` belong to the interval
-    ``[lo[i], hi[i]]``.  ``fallbacks`` counts the intervals that
-    the batched rule could not certify and the scalar :func:`integrate`
-    redid; ``converged`` is False when any of those redone intervals did
-    not converge either.
+    ``[lo[i], hi[i]]``.  ``converged`` is False when any interval still
+    missed its tolerance after the halvings of :func:`_bisect`.
     """
 
     values: np.ndarray
     abs_errors: np.ndarray
-    fallbacks: int
     converged: bool
 
 
@@ -264,8 +259,8 @@ _WA_PAIR[1, list(_LOW_AT)] = _W_LOW
 # Panels per array pass: large enough to amortize numpy call overhead,
 # small enough that the temporaries stay in cache and out of peak memory.
 _CHUNK = 256
-# Bisection levels of the dyadic shells, the depth cap of integrate, and
-# the most open panels of one pass; beyond either, integrate takes over.
+# The depth cap of integrate and of _bisect, and the most open panels of
+# one _bisect pass; beyond either, an interval is left unconverged.
 _MAX_LEVEL = 60
 _MAX_PANELS = 1 << 16
 
@@ -374,53 +369,53 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
 
 
 def _bisect(
-    g_vec: Callable[[np.ndarray], np.ndarray],
+    rule: Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
     lo: np.ndarray,
     hi: np.ndarray,
     tol: Tolerance,
-    levels: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Integrals over the intervals ``[lo[i], hi[i]]``, all at once.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Integrals over the intervals ``[lo[i], hi[i]]``, all at once, on
+    the panel rule ``rule(own, a, b)``: the values and error estimates of
+    the panels ``[a[j], b[j]]`` of the intervals ``own[j]``.
 
     An interval is done once its summed error is within ``tol.bound`` of
-    its summed value, as in :func:`integrate`.  Up to ``levels`` times,
-    each panel of an open interval whose error exceeds an even share of
-    that bound is halved, and all new panels are evaluated together.
-    Intervals still open then (or when no panel can be halved, or more
-    than ``_MAX_PANELS`` panels are open) are redone by the scalar
-    :func:`integrate`.  An empty interval gives 0.  Returns per interval
-    the value, error, panel count and convergence flag, and the number
-    redone.
+    its summed value, as in :func:`integrate`.  Up to ``_MAX_LEVEL``
+    times, each panel of an open interval whose error exceeds an even
+    share of that bound is halved, all new panels in one call of
+    ``rule``.  An interval still open then (or when no panel can be
+    halved, or past ``_MAX_PANELS`` open panels) comes back with the sums
+    of its panels, not converged.  An empty interval gives 0.  Returns
+    per interval the value, error, panel count and convergence flag.
     """
     n = lo.size
     values, errors, converged = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
     own = np.flatnonzero(hi > lo)
     a, b = lo[own], hi[own]
-    v, e = _panels(g_vec, a, b) if own.size else (a, b)
+    v, e = rule(own, a, b) if own.size else (a, b)
     panels = np.bincount(own, minlength=n)
-    for level in range(levels + 1):
+    for level in range(_MAX_LEVEL + 1):
         tv = np.bincount(own, weights=v, minlength=n)
         te = np.bincount(own, weights=e, minlength=n)
         bound = np.maximum(tol.absolute, tol.rel * np.abs(tv))
         ok = (te <= bound)[own]
-        values[own[ok]], errors[own[ok]] = tv[own[ok]], te[own[ok]]
-        a, b, own, v, e = a[~ok], b[~ok], own[~ok], v[~ok], e[~ok]
+        done, todo = own[ok], ~ok
+        values[done], errors[done] = tv[done], te[done]
+        a, b, own, v, e = a[todo], b[todo], own[todo], v[todo], e[todo]
+        if not own.size:
+            return values, errors, panels, converged
         m = 0.5 * (a + b)
         split = (e * np.bincount(own, minlength=n)[own] > bound[own]) & (m > a) & (m < b)
-        if level == levels or not split.any() or own.size > _MAX_PANELS:
+        if level == _MAX_LEVEL or not split.any() or own.size > _MAX_PANELS:
             break
         k, keep = own.size - int(split.sum()), ~split  # the halves go after the k kept panels
         a = np.concatenate((a[keep], a[split], m[split]))
         b = np.concatenate((b[keep], m[split], b[split]))
         own = np.concatenate((own[keep], own[split], own[split]))
-        v, e = (np.concatenate((x[keep], y)) for x, y in zip((v, e), _panels(g_vec, a[k:], b[k:])))
+        v, e = (np.concatenate((x[keep], y)) for x, y in zip((v, e), rule(own[k:], a[k:], b[k:])))
         panels += np.bincount(own[k:], minlength=n)
-    redo = np.flatnonzero(np.bincount(own, minlength=n))  # np.unique would import numpy.ma
-    for i in redo:
-        res = integrate(lambda t: float(g_vec(np.array([t]))[0]), float(lo[i]), float(hi[i]), tol)
-        values[i], errors[i], converged[i] = res.value, res.abs_error, res.converged
-        panels[i] += res.subdivisions
-    return values, errors, panels, converged, int(redo.size)
+    left = np.flatnonzero(np.bincount(own, minlength=n))  # np.unique would import numpy.ma
+    values[left], errors[left], converged[left] = tv[left], te[left], False
+    return values, errors, panels, converged
 
 
 def integrate_intervals(
@@ -429,17 +424,18 @@ def integrate_intervals(
     hi: Sequence[float],
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> PanelResults:
-    """One panel over each interval ``[lo[i], hi[i]]``, all at once.
+    """The integrals over the intervals ``[lo[i], hi[i]]``, all at once.
 
     ``g_vec`` maps an array of abscissae (of any shape) to the integrand
-    values, elementwise.  Every interval gets the rule and the damped
-    error estimate of a single :func:`integrate` step, computed with
-    array operations over blocks of intervals; an interval whose
-    estimate exceeds ``tol.bound`` of its value is redone by
-    :func:`integrate` on a scalar view of ``g_vec``.  The intervals may
-    overlap; one of zero width integrates to 0 without evaluating
-    ``g_vec``.  The ends themselves are never evaluated.  A NaN or
-    infinity at any node raises :class:`QuadratureError`.
+    values, elementwise.  Every interval first gets the rule and the
+    damped error estimate of a single :func:`integrate` step, computed
+    with array operations over blocks of intervals; the panels of an
+    interval whose estimate exceeds ``tol.bound`` of its value are halved
+    on the same batch (:func:`_bisect`), to the depth cap of
+    :func:`integrate`.  The intervals may overlap; one of zero width
+    integrates to 0 without evaluating ``g_vec``.  The ends themselves
+    are never evaluated.  A NaN or infinity at any node raises
+    :class:`QuadratureError`.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -449,8 +445,8 @@ def integrate_intervals(
         raise ValueError("interval ends must be finite")
     if not np.all(hi >= lo):
         raise ValueError("intervals must have hi >= lo")
-    values, errors, _, converged, redone = _bisect(g_vec, lo, hi, tol, levels=0)
-    return PanelResults(values, errors, redone, bool(converged.all()))
+    values, errors, _, converged = _bisect(lambda own, a, b: _panels(g_vec, a, b), lo, hi, tol)
+    return PanelResults(values, errors, bool(converged.all()))
 
 
 def integrate_to_infinity(

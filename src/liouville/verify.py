@@ -40,7 +40,7 @@ delta (:func:`_sampled`).
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
-quadratures, the energy check its redone panels, and the three checks
+quadratures, the energy check its halved panels, and the three checks
 that read w on a grid (supersolution, normalization, energy) the
 profile's table and outer cache fills, which those values rest on.
 
@@ -59,10 +59,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .construct import _K7_BASIS, _K7_U, RadialProfile, _hermite, sup_profile
+from .construct import _K7_BASIS, _K7_U, RadialProfile, _k7_on_cubic, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, _bisect, _finite, _k7, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
@@ -382,15 +382,15 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     reads w at its radius's own knot.  A panel whose estimate misses
     both 1e-10 of its own value and 1e-10 of the smallest positive
     energy at the radii, shared evenly among the grid's 567 panels, is
-    redone by :func:`~liouville.quadrature.integrate_intervals` on the
-    same interpolant.  So every energy is held to about 2e-10, also
-    where the density underflows and no panel can meet 1e-10 of its own
-    value.  Where w underflows to 0 inside the grid (w does not
+    halved, with the others that miss, on its interval's cubic
+    (:func:`~liouville.quadrature._bisect`).  So every energy is held to
+    about 2e-10, also where the density underflows and no panel can meet
+    1e-10 of its own value.  Where w underflows to 0 inside the grid (w does not
     increase, so its positive knots are a prefix), w~ ends at the last
     positive knot: only the radii up to it are reported, with energies
     that do not depend on where w underflows, and ``detail`` says where
     it does and how many radii are dropped; with no radius left there
-    is no ratio to bound, and the check fails.  If a redone panel does
+    is no ratio to bound, and the check fails.  If a halved panel does
     not converge, or the profile's table or outer cache fill did not,
     ``detail`` says so too.
     """
@@ -433,16 +433,11 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], lambda: np.exp(ln_wv[small]))
         return np.exp(ln_d)
 
-    def density(x: np.ndarray) -> np.ndarray:
-        # the same at any x on the knots' span, ln w~ by a knot search (for
-        # a redone panel)
-        return density_at(x, _hermite(x, ln_r, ln_w, slopes))
-
     # ln w~ at the knots, then at the interior K7 nodes of each interval,
     # one row per node: its left knot's value plus its cubic's rise,
     # (Delta ln w, h m0, h m1) on the fixed basis, summed elementwise
     h = np.diff(ln_r)
-    rise = (np.diff(ln_w), h * slopes[:-1], h * slopes[1:])
+    rise = np.stack((np.diff(ln_w), h * slopes[:-1], h * slopes[1:]))
     basis = _K7_BASIS[:3, :, None]
     nodes = np.concatenate((ln_r, (ln_r[:-1] + h * _K7_U[1:-1, None]).ravel()))
     ln_wv = np.concatenate((ln_w, (ln_w[:-1] + (basis[0] * rise[0] + basis[1] * rise[1] + basis[2] * rise[2])).ravel()))
@@ -461,10 +456,13 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     smallest = sums[sums > 0.0][:1].sum()  # the first positive sum, or 0
     tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / (grid.size - 1))
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
-    converged = True
-    if miss.size:
-        redo = integrate_intervals(density, ln_r[miss], ln_r[miss + 1], tol)
-        values[miss], converged = redo.values, redo.converged
+
+    def density_on(k, u, ln_wv):  # at the fractions u of the intervals k; a NaN names ln rho
+        x = (ln_r[k] + h[k] * u).T
+        return _finite(density_at(x, ln_wv.T), x).T
+
+    halves = lambda j, a, b: _k7_on_cubic(density_on, ln_w, rise, h, miss[j], a, b)  # noqa: E731
+    values[miss], _, _, converged = _bisect(halves, np.zeros(miss.size), np.ones(miss.size), tol)
     en = omega * at_radii(values)
     ratios = (en * rs ** (p - n) / np.minimum(ws[at_r][: rs.size], eps) ** (p - 1.0)).tolist()
 
@@ -500,7 +498,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
             + dropped
-            + _unconverged_note(converged and profile.outer_converged())
+            + _unconverged_note(converged.all() and profile.outer_converged())
         ),
     )
 

@@ -474,6 +474,20 @@ def test_cancelling_form_fails_only_the_flux(capsys):
     assert out.count(": PASS") == 4 and "overall: FAIL" in out
 
 
+@pytest.mark.parametrize("n, p", [("5", "1.1"), ("6", "1.2")])
+def test_steep_profile_verifies_promptly(capsys, n, p):
+    # k = 39 and 24: the outer fill misses thousands of spans, and the table
+    # fill its panel [0, s_0] at n = 6; all are halved on the batch.  Only
+    # the flux fails, where I saturates
+    argv = ["verify", "--n", n, "--p", p, "--power", "0.5"]
+    with deadline(5), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    assert code == EXIT_FAIL, err
+    assert "flux_identity: FAIL" in out and "did not converge" not in out
+    assert out.count(": PASS") == 4 and "overall: FAIL" in out
+
+
 @pytest.mark.parametrize("command, walks", [("classify", 1), ("verify", 2), ("construct", 3)])
 def test_leading_term_walks_per_command(capsys, monkeypatch, command, walks):
     # the gate walks the tree once, the profile's table once (for the

@@ -56,7 +56,7 @@ from liouville.construct import _hermite
 import liouville.verify as verify_module
 from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
 
-from conftest import grad_exact, inner_exact, math_twin, partial_span_passes, source_limit, w_exact
+from conftest import deadline, grad_exact, inner_exact, math_twin, partial_span_passes, source_limit, w_exact
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +283,22 @@ def _assert_fill_is_panels(f, params, tol):
 @pytest.mark.parametrize("f, params", _FILL_CASES, ids=_FILL_IDS)
 def test_table_fill_is_integrate_intervals_bit_for_bit(f, params):
     # the K7 fill matches the Fejer panels to tolerance level, not bit for bit
-    assert _assert_fill_is_panels(f, params, _SEG_TOL).fallbacks == 0
+    _assert_fill_is_panels(f, params, _SEG_TOL)
 
 
-def test_table_fill_redoes_missed_panels_as_integrate_panels_does():
+def test_table_fill_redoes_missed_panels_as_integrate_panels_does(monkeypatch):
     # a bump of width 1e-3 in f at z = 1/2 (s = 1) fits inside a knot
-    # interval, so the one-panel rule misses there
+    # interval, so the one-panel rule misses there, and the missed panels
+    # are halved
     f = parse_nonlinearity("z^4*(1+exp(-1e6*(z-0.5)^2))")
-    assert _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL).fallbacks > 0
+    redone = _record(monkeypatch, "_bisect")
+    _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL)
+    assert redone and all(0.4 < lo < hi < 1.6 for lo, hi in redone)
 
 
 def _record(monkeypatch, name):
-    # the intervals handed to construct's integrate or integrate_intervals
+    # the intervals handed to construct's integrate, integrate_intervals or
+    # _bisect
     route, seen = getattr(construct_module, name), []
 
     def recorded(g, lo, hi, tol):
@@ -310,17 +314,27 @@ def test_table_fill_redoes_no_panel(monkeypatch, f, params):
     # L4's estimate meets the tolerance on every panel, and from n = 7 on,
     # where s**(n-1) is past its degree 5, the rule in u**(n-1) meets it on
     # [0, s_0]
-    redone = _record(monkeypatch, "integrate_intervals")
+    redone = _record(monkeypatch, "_bisect")
     construct_module._table_fill(f, params, _SEG_TOL)
     assert redone == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_table_fill_halves_the_origin_panel_below_n7(monkeypatch):
+    # n=6 p=1.2 z^0.5: f(env) varies by k e s_0 = 1.8e-7 over [0, s_0], so
+    # s**5 g(s) is past L4's degree there; the halves take the source term
+    # at s = 0 as 0, with no log(0)
+    redone = _record(monkeypatch, "_bisect")
+    s, _, fill = construct_module._table_fill(Power(0.5), StructureParams(6, 1.2), _SEG_TOL)
+    assert redone == [(0.0, s[0])] and fill.converged
 
 
 @pytest.mark.parametrize("lam, n, p", [(40.0, 3, 2.0), (12.8, 4, 1.5), (6.8, 4, 1.5)])
 def test_table_fill_chases_no_panel_below_the_rounding_of_its_sum(monkeypatch, lam, n, p):
     # a fast-decaying source term falls far below the rounding of the running
-    # sum, and then nears underflow, where the panels' own tolerance sent the
-    # scalar integrate to its depth cap; now only the steep panels where I
-    # still grows are redone, and none of them needs the scalar integrate
+    # sum, and then nears underflow, where the panels' own tolerance would
+    # halve them to the depth cap; only the steep panels where I still grows
+    # are halved, and none of them needs the scalar integrate
     scalar, route = [], quadrature_module.integrate
 
     def recorded(g, a, b, tol):
@@ -328,7 +342,7 @@ def test_table_fill_chases_no_panel_below_the_rounding_of_its_sum(monkeypatch, l
         return route(g, a, b, tol)
 
     monkeypatch.setattr(quadrature_module, "integrate", recorded)
-    redone = _record(monkeypatch, "integrate_intervals")
+    redone = _record(monkeypatch, "_bisect")
     s, _, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
     assert fill.converged and scalar == []
     assert 0 < len(redone) <= 100 and max(hi for _, hi in redone) < 4.0
@@ -758,33 +772,69 @@ def test_values_on_grid_matches_intervals_in_zeta():
     assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 700, 2048, 4095, -2, -1]].tolist()
 
 
-def test_outer_fill_redoes_missed_panels_by_scalar_integrate(monkeypatch, params32):
-    honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
-    kernel = construct_module._k7
+def _forced_misses(monkeypatch, converged=True):
+    # construct's _k7 with the first two panels of every call missing their
+    # bound, but for the calls of construct's _bisect, which halves them; the
+    # (lo, hi) of every _bisect call, and its flags replaced by `converged`
+    kernel, bisect, halving, calls = construct_module._k7, construct_module._bisect, [], []
 
     def missing(f0, inner, f6, h):
-        # the first two panels of every block miss their bound
         values, errors = kernel(f0, inner, f6, h)
-        errors[:2] = np.inf
+        if not halving:
+            errors[:2] = np.inf
         return values, errors
 
+    def halved(rule, lo, hi, tol):
+        calls.append((lo.tolist(), hi.tolist()))
+        halving.append(True)
+        try:
+            values, errors, panels, ok = bisect(rule, lo, hi, tol)
+        finally:
+            halving.pop()
+        return values, errors, panels, np.full(ok.shape, converged)
+
     monkeypatch.setattr(construct_module, "_k7", missing)
-    prof = RadialProfile(Power(4.0), params32, 1.0)
-    redone = _record(monkeypatch, "integrate")
+    monkeypatch.setattr(construct_module, "_bisect", halved)
+    return calls
+
+
+def _scalar_outer(prof, lo, hi):
+    # the scalar integrate of |w'| over [e**lo, e**hi], inside one knot
+    # interval, in x = ln zeta as the fill takes it: in zeta the knots, e**x
+    # rounded, move a span's ends by ulps, some 1e-13 of its width
+    return integrate(lambda x: math.exp(x) * float(prof._outer_array(np.exp([x]))[0]), lo, hi, prof._seg_tol)
+
+
+def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
+    # the first two spans of every block miss: they are halved on their
+    # intervals' own cubics, all in one _bisect call, and agree with the
+    # scalar integrate of _outer_array over the same knot interval
+    honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
+    prof = RadialProfile(Power(4.0), params32, 1.0)  # the table fill is not forced to miss
+    calls = _forced_misses(monkeypatch)
+    for module in (construct_module, quadrature_module):
+        monkeypatch.setattr(module, "integrate", None)
     ws, converged, _ = prof._outer_cache()
-    knots = prof._table.s.tolist()
-    firsts = [i for c in range(0, len(knots) - 1, construct_module._BLOCK) for i in (c, c + 1)]
-    assert redone == [(knots[i], knots[i + 1]) for i in firsts]
-    assert converged
+    knots = prof._table.s
+    firsts = [i for c in range(0, knots.size - 1, construct_module._BLOCK) for i in (c, c + 1)]
+    assert calls == [([0.0] * len(firsts), [1.0] * len(firsts))] and converged
     assert ws.tolist() == pytest.approx(honest.tolist(), rel=1e-13, abs=0.0)
-    # an unconverged redo marks the fill unconverged
-    scalar = construct_module.integrate
-    monkeypatch.setattr(
-        construct_module,
-        "integrate",
-        lambda g, a, b, tol: dataclasses.replace(scalar(g, a, b, tol), converged=False),
-    )
-    assert not RadialProfile(Power(4.0), params32, 1.0).outer_converged()
+    # the same spans, two a pass, so that each is forced to miss
+    spans = np.concatenate([prof._outer_spans(np.array(firsts[c : c + 2]))[0] for c in range(0, len(firsts), 2)])
+    # partial spans: w between knots, the first two of the pass forced to miss
+    rs = np.sqrt(knots[[10, 2000, 5000]] * knots[[11, 2001, 5001]])
+    between = prof.values_on_grid(rs)
+    assert [len(lo) for lo, _ in calls] == [len(firsts)] + [2] * (len(firsts) // 2) + [3]
+    monkeypatch.undo()
+    x = prof._table.ln_s
+    ref = [_scalar_outer(prof, x[i], x[i + 1]).value for i in firsts]
+    assert spans.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
+    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]).value for r, i in zip(rs, [10, 2000, 5000])]
+    assert between == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # an unconverged halving marks the fill unconverged
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    _forced_misses(monkeypatch, converged=False)
+    assert not prof.outer_converged()
 
 
 def _count_k7(monkeypatch, module):
@@ -879,9 +929,21 @@ def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
 def test_outer_fill_redoes_no_panel(monkeypatch, f, params):
     prof = RadialProfile(f, params, 1.0)
-    redone = _record(monkeypatch, "integrate")
+    redone = _record(monkeypatch, "_bisect")
     assert prof._outer_cache()[1]
     assert redone == []
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-3, 1.0, 10.0])
+def test_steep_profile_builds_and_fills_promptly(monkeypatch, eps):
+    # n=3 p=1.05, f = z**(q+1): k = 39, so |w'| falls like zeta**-40 and L4
+    # misses hundreds of outer spans, all halved on their cubics together
+    params = StructureParams(3, 1.05, eps)
+    redone = _record(monkeypatch, "_bisect")
+    with deadline(5):
+        prof = RadialProfile(Power(critical_exponent(params) + 1.0), params, 1.0)
+        assert prof.outer_converged()
+    assert redone
 
 
 def test_outer_integrand_overflow_raises():

@@ -353,7 +353,7 @@ def test_integrand_raises_at_first_bad_point(params32):
     with pytest.raises(DomainError, match=r"f is negative at z=0\.25"):
         g(np.array([0.75, 0.25, 0.125]))
     g = criterion_integrand(Power(2.0), params32)  # z^-2: overflows near 1e-160
-    with pytest.raises(EvalOverflow, match=r"at z=1e-200"):
+    with pytest.raises(EvalOverflow, match=r"integrand exceeds double range at 1e-200"):
         g(np.array([1.0, 1e-200, 1e-300]))
 
 

@@ -380,8 +380,9 @@ def cmd_construct(cfg: RunConfig) -> int:
             "nonlinearity": _describe_f(profile.f),
             "critical_exponent": profile.q,
             "delta": delta,
+            # null where the bound exceeds double range
             "rows": [
-                {"r": r, "w": w, "envelope": e, "bound": b} for r, w, e, b in rows
+                {"r": r, "w": w, "envelope": e, "bound": b if math.isfinite(b) else None} for r, w, e, b in rows
             ],
         }
         text = _json_text(payload)

@@ -86,7 +86,6 @@ from .errors import (
     DeltaSearchError,
     DivergentIntegralError,
     DomainError,
-    EvalOverflow,
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
 from .quadrature import (
@@ -536,8 +535,8 @@ class RadialProfile:
             return float(integrate_intervals(self._source, [0.0], [z], self.tol).values[0])
         if s <= t.s[-1]:
             return math.exp(self._ln_inner(np.float64(z)))
-        edge = self.delta * t.s[-1]
-        return self.delta**self.params.n * t.last + integrate(self._source, edge, z, self.tol).value
+        above = integrate_intervals(self._source, [self.delta * t.s[-1]], [z], self.tol)
+        return self.delta**self.params.n * t.last + float(above.values[0])
 
     def _ln_inner(self, z: np.ndarray) -> np.ndarray:
         # ln I(z) for z > 0: the Hermite inside the cache, the limiting
@@ -798,17 +797,13 @@ def change_of_variables_check(profile: RadialProfile) -> Tuple[QuadratureResult,
 
     ln_eps = math.log(eps)
 
-    def transformed_integrand(zeta: float) -> float:
-        ln_zeta = math.log(zeta)
-        ln_f = float(_ln_f(f, np.array([ln_zeta]), np.array([zeta]))[0])
+    def transformed_integrand(zeta: np.ndarray) -> np.ndarray:
+        ln_zeta = np.log(zeta)
         t = a * (ln_eps - ln_zeta)
-        if ln_f == -math.inf or t <= 0.0:
-            return 0.0
-        lex = t if t >= 700.0 else math.log(math.expm1(t))
-        out = (n - 1) * lex + (a + 1.0) / a * t + ln_f
-        if out > _LOG_MAX:
-            raise EvalOverflow(f"transformed integrand exceeds double range at {zeta!r}")
-        return math.exp(out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lex = np.where(t >= 700.0, t, np.log(np.expm1(np.minimum(t, 700.0))))
+        out = (n - 1) * lex + (a + 1.0) / a * t + _ln_f(f, ln_zeta, zeta)
+        return _exp_checked(np.where(t > 0.0, out, -np.inf), "transformed integrand", zeta)
 
     raw = integrate(transformed_integrand, 0.0, eps, tol)
     factor = a * delta**n / eps
@@ -828,17 +823,24 @@ def decay_bound(profile: RadialProfile, r: float) -> float:
 
     where K is the numeric value of the criterion integral of f plus its
     error estimate, so an unconverged value widens the bound; a divergent
-    f raises before any bound is produced.
+    f raises before any bound is produced.  Where a power in it is past
+    double range (r**-k of a steep profile), the bound is taken in logs,
+    and it is inf only where it exceeds double range itself.
     """
     if math.isnan(r) or r <= 0.0:
         raise DomainError(f"radius must be > 0, got {r!r}")
     params = profile.params
     a = (params.p - 1.0) / (params.n - params.p)
     k = profile.criterion_result()
-    c = a * (a * profile.delta ** params.n * params.eps**profile.q * (k.value + k.abs_error)) ** (
-        1.0 / (params.p - 1.0)
-    )
-    return c * r**-profile.decay
+    mass = k.value + k.abs_error
+    try:
+        c = a * (a * profile.delta ** params.n * params.eps**profile.q * mass) ** (1.0 / (params.p - 1.0))
+        return c * r**-profile.decay
+    except OverflowError:  # as a rule r**-k, where C is small: ln C - k ln r
+        ln_mass = math.log(a * mass) if mass > 0.0 else -math.inf
+    ln_c = (ln_mass + params.n * math.log(profile.delta) + profile.q * math.log(params.eps)) / (params.p - 1.0)
+    ln_bound = math.log(a) + ln_c - profile.decay * math.log(r)
+    return math.inf if ln_bound > _LOG_MAX else math.exp(ln_bound)
 
 
 # The delta search halves delta at most _MAX_HALVINGS times.

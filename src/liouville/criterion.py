@@ -21,7 +21,8 @@ is integrated in v = ln(1/zeta), where the integrand is e**L with
 L = ln f + q v exact at any depth (:meth:`Nonlinearity.log_value`),
 scaled per shell, and comes back as a log-value: no shell underflows
 or overflows, however deep.  A shell whose quadrature did not converge
-makes the verdict inconclusive.
+makes the numeric verdict inconclusive, and leaves a verdict of the
+leading term without a value.
 
 One routine values the integral below any point, :func:`_integral_below`:
 :func:`criterion_value` is it at eps, and the profile's source limit
@@ -400,6 +401,9 @@ def _classify_numeric(
         return [], CriterionVerdict(Verdict.INCONCLUSIVE, "numeric", detail=detail)
 
 
+_UNCERTIFIED = "a shell quadrature did not converge, so the shell values are not certified"
+
+
 def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
     """Verdict of the numeric classifier on the log-valued shells ``results``:
     convergent when the deeper half ends in vanished shells, or when its
@@ -413,10 +417,7 @@ def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
     numeric = functools.partial(CriterionVerdict, method="numeric", shells=tuple(logs))
 
     if not all(r.converged for r in results):
-        return numeric(
-            Verdict.INCONCLUSIVE,
-            detail="a shell quadrature did not converge, so the shell values are not certified",
-        )
+        return numeric(Verdict.INCONCLUSIVE, detail=_UNCERTIFIED)
     if _vanished_tail(gone):
         return numeric(Verdict.CONVERGES, detail="integrand vanishes on the deep shells; remainder taken as zero")
     if any(gone):
@@ -511,11 +512,11 @@ def _integral_below(
     (:func:`_log_shells`; ``shells``, if already computed) plus the
     remainder below them: zero when the deeper half ends in vanished
     shells (:func:`_vanished_tail`), else :func:`_remainder`.
-    ``converged`` says whether every shell converged and the error is
-    within ``tol``.  A leading term that diverges raises
-    :class:`DivergentIntegralError`, and one too close to call, or a
-    refused remainder, :class:`CriterionUndecidedError`; an f without
-    a term is not decided here (see :func:`criterion_value`).
+    ``converged`` says whether the error is within ``tol``.  A leading
+    term that diverges raises :class:`DivergentIntegralError`, and one
+    too close to call, a shell whose quadrature did not converge, or a
+    refused remainder, :class:`CriterionUndecidedError`; an f without a
+    term is not decided here (see :func:`criterion_value`).
     """
     q = critical_exponent(params) if q is None else q
     if term is not None:
@@ -530,12 +531,13 @@ def _integral_below(
             return QuadratureResult(value, 4e-16 * abs(value), 0, True)
 
     results = shells or _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q)
+    if not all(r.converged for r in results):
+        raise CriterionUndecidedError(_UNCERTIFIED)
     value, err, vanished = _totals(results)
     if not _vanished_tail(vanished[len(results) // 2 :]):
         rest, rest_err = _remainder(q, results, ln_top, term)
         value, err = value + rest, err + rest_err
-    converged = all(r.converged for r in results) and err <= tol.bound(value)
-    return QuadratureResult(value, err, sum(r.subdivisions for r in results), converged)
+    return QuadratureResult(value, err, sum(r.subdivisions for r in results), err <= tol.bound(value))
 
 
 def criterion_value(

@@ -1,8 +1,4 @@
-"""Globally adaptive quadrature on a nested pair of open rules.
-
-Three entry points: :func:`integrate` over one interval,
-:func:`integrate_intervals` over many intervals at once, and
-:func:`integrate_to_infinity` over a tail.
+"""Adaptive quadrature: one halving engine on nested pairs of rules.
 
 The workhorse is a 15-node interpolatory rule of Fejer's second kind
 whose odd-indexed nodes form the embedded 7-node rule of the same
@@ -28,29 +24,28 @@ Error estimation follows the classic damping recipe: the raw
 oscillation on the panel, so smooth panels are not absurdly optimistic
 and rough panels are not punished twice.
 
-Subdivision is globally adaptive: the panel with the largest error
-estimate is split first.  Panels that reach the depth cap (or that are
-too narrow, in floating point, for their halves to have distinct nodes)
-are moved to a locked pool; the loop stops when the combined error of
-active and locked panels meets the tolerance, when nothing splittable
-remains, or when the locked pool alone already exceeds the tolerance
-and further work is pointless.  The ``converged`` flag reports honestly
-which of these happened.
+One adaptive loop, :func:`_bisect`, serves every integral: it takes
+many intervals at once, one panel each, on the caller's panel rule.
+:func:`integrate` (one interval), :func:`integrate_intervals` (many,
+such as the dyadic shells of :mod:`liouville.criterion`) and
+:func:`integrate_to_infinity` (a tail, mapped onto (0, 1]) run it on
+the Fejer pair, with one vectorized integrand call per block of panels;
+the caches and the energy check run it on their K7 panels.  Level by
+level, the panels of an interval that misses its tolerance are halved
+where their error exceeds an even share of it, all of them in one call
+of the rule.  A panel no wider than 256 machine epsilons of its
+position is not halved: its halves would evaluate coinciding nodes,
+which may land on a point singularity and make a divergent panel look
+exact.  An
+interval left open by that stop, by the depth cap or by the cap on open
+panels comes back with the sums of its panels and ``converged`` False.
 
-:func:`integrate_intervals` applies the same rule and the same damped
-estimate to many fixed intervals at once, one panel each, as numpy
-array operations over blocks of panels with one vectorized integrand
-call per block.  The Fejer rule's sums over a block are einsum
-reductions (:func:`_rule`), which sum each row on its own; :func:`_k7`
-sums elementwise.  Either way a panel's value does not depend on the
-panels that share its block: a panel redone alone, or a dyadic shell
-next to other shells, gets the same bits.  A BLAS product (``@``,
-``np.dot``) is faster but, under OpenBLAS, sums a row in an order that
-depends on the rest of the block.  The intervals whose estimate misses,
-on either pair (the dyadic shells of :mod:`liouville.criterion`, the K7
-panels of the caches and the energy check), are halved together on the
-caller's panel rule by :func:`_bisect`, one batched call a level; there
-is no scalar redo.
+The Fejer rule's sums over a block are einsum reductions (:func:`_rule`),
+which sum each row on its own; :func:`_k7` sums elementwise.  Either way
+a panel's value does not depend on the panels that share its block: a
+panel redone alone, or a dyadic shell next to other shells, gets the
+same bits.  A BLAS product (``@``, ``np.dot``) is faster but, under
+OpenBLAS, sums a row in an order that depends on the rest of the block.
 """
 
 from __future__ import annotations
@@ -58,7 +53,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +70,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+# _bisect halves no panel narrower than this, relative to its position
 _NARROW = 256 * _EPS
 
 
@@ -142,101 +137,6 @@ _W_LOW = _fejer2(8)[1]
 _LOW_AT = (1, 3, 5, 7, 9, 11, 13)
 
 
-def _panel(g: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """High-rule value and damped error estimate for one panel."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx: List[float] = []
-    for x in _X_HIGH:
-        t = c + h * x
-        v = g(t)
-        if not math.isfinite(v):
-            raise QuadratureError(f"integrand returned {v!r} at x={t!r}")
-        fx.append(v)
-    high = h * math.fsum(w * v for w, v in zip(_W_HIGH, fx))
-    low = h * math.fsum(w * fx[i] for w, i in zip(_W_LOW, _LOW_AT))
-    resabs = h * math.fsum(w * abs(v) for w, v in zip(_W_HIGH, fx))
-    mean = high / (b - a)
-    resasc = h * math.fsum(w * abs(v - mean) for w, v in zip(_W_HIGH, fx))
-    err = abs(high - low)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return high, err
-
-
-def integrate(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    max_intervals: int = 1_000_000,
-) -> QuadratureResult:
-    """Adaptively integrate ``g`` over the finite interval ``[a, b]``.
-
-    The endpoints themselves are never evaluated.  A NaN or infinity at
-    any interior node raises :class:`QuadratureError` immediately.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("integrate requires finite endpoints; use integrate_to_infinity")
-    if b <= a:
-        if b == a:
-            return QuadratureResult(0.0, 0.0, 0, True)
-        raise ValueError(f"empty interval: a={a!r} > b={b!r}")
-
-    v0, e0 = _panel(g, a, b)
-    # heap entries: (-err, serial, a, b, value, err, depth)
-    active: list = [(-e0, 0, a, b, v0, e0, 0)]
-    locked: List[Tuple[float, float]] = []
-    act_v, act_e = v0, e0
-    lok_v, lok_e = 0.0, 0.0
-    count = 1
-    serial = 1
-    converged = False
-
-    while True:
-        total = act_v + lok_v
-        eps_now = tol.bound(total)
-        if act_e + lok_e <= eps_now:
-            # The running sums drift once large panel errors are taken
-            # out of them: accept only what exact sums confirm.
-            act_v = math.fsum(item[4] for item in active)
-            act_e = math.fsum(item[5] for item in active)
-            lok_v = math.fsum(v for v, _ in locked)
-            lok_e = math.fsum(e for _, e in locked)
-            total = act_v + lok_v
-            eps_now = tol.bound(total)
-            if act_e + lok_e <= eps_now:
-                converged = True
-                break
-        if not active or lok_e > eps_now or count + 2 > max_intervals:
-            break
-        _, _, pa, pb, pv, pe, depth = heappop(active)
-        act_v -= pv
-        act_e -= pe
-        m = 0.5 * (pa + pb)
-        # Halves narrower than about 128 ulps would evaluate coinciding
-        # nodes, which may land on a point singularity.
-        if depth >= _MAX_LEVEL or m <= pa or m >= pb or pb - pa <= _NARROW * max(abs(pa), abs(pb)):
-            locked.append((pv, pe))
-            lok_v += pv
-            lok_e += pe
-            continue
-        v1, e1 = _panel(g, pa, m)
-        v2, e2 = _panel(g, m, pb)
-        count += 2
-        heappush(active, (-e1, serial, pa, m, v1, e1, depth + 1))
-        serial += 1
-        heappush(active, (-e2, serial, m, pb, v2, e2, depth + 1))
-        serial += 1
-        act_v += v1 + v2
-        act_e += e1 + e2
-
-    value = math.fsum([item[4] for item in active] + [v for v, _ in locked])
-    error = math.fsum([item[5] for item in active] + [e for _, e in locked])
-    return QuadratureResult(value, error, count, converged)
-
-
 @dataclass(frozen=True, slots=True)
 class PanelResults:
     """Per-interval outcome of :func:`integrate_intervals`.
@@ -259,8 +159,8 @@ _WA_PAIR[1, list(_LOW_AT)] = _W_LOW
 # Panels per array pass: large enough to amortize numpy call overhead,
 # small enough that the temporaries stay in cache and out of peak memory.
 _CHUNK = 256
-# The depth cap of integrate and of _bisect, and the most open panels of
-# one _bisect pass; beyond either, an interval is left unconverged.
+# The depth cap of _bisect, and the most open panels of one _bisect pass;
+# beyond either, an interval is left unconverged.
 _MAX_LEVEL = 60
 _MAX_PANELS = 1 << 16
 
@@ -291,7 +191,8 @@ def _nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray = _XA_HIGH) -> np.ndarray
 def _panels(
     g_vec: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`_panel` for the panels ``[a[i], b[i]]``."""
+    """High-rule values and damped error estimates of the Fejer pair for
+    the panels ``[a[i], b[i]]`` of the integrand ``g_vec``."""
     if a.size > _CHUNK:
         cut = range(_CHUNK, a.size, _CHUNK)
         parts = [_panels(g_vec, x, y) for x, y in zip(np.split(a, cut), np.split(b, cut))]
@@ -379,13 +280,14 @@ def _bisect(
     the panels ``[a[j], b[j]]`` of the intervals ``own[j]``.
 
     An interval is done once its summed error is within ``tol.bound`` of
-    its summed value, as in :func:`integrate`.  Up to ``_MAX_LEVEL``
-    times, each panel of an open interval whose error exceeds an even
-    share of that bound is halved, all new panels in one call of
-    ``rule``.  An interval still open then (or when no panel can be
-    halved, or past ``_MAX_PANELS`` open panels) comes back with the sums
-    of its panels, not converged.  An empty interval gives 0.  Returns
-    per interval the value, error, panel count and convergence flag.
+    its summed value.  Up to ``_MAX_LEVEL`` times, each panel of an open
+    interval whose error exceeds an even share of that bound is halved,
+    all new panels in one call of ``rule``, unless it is narrower than
+    ``_NARROW`` of its position.  An interval still open then (or when no
+    panel can be halved, or past ``_MAX_PANELS`` open panels) comes back
+    with the sums of its panels, not converged.  An empty interval gives
+    0.  Returns per interval the value, error, panel count and
+    convergence flag.
     """
     n = lo.size
     values, errors, converged = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
@@ -404,7 +306,8 @@ def _bisect(
         if not own.size:
             return values, errors, panels, converged
         m = 0.5 * (a + b)
-        split = (e * np.bincount(own, minlength=n)[own] > bound[own]) & (m > a) & (m < b)
+        wide = (b - a > _NARROW * np.maximum(np.abs(a), np.abs(b))) & (m > a) & (m < b)
+        split = (e * np.bincount(own, minlength=n)[own] > bound[own]) & wide
         if level == _MAX_LEVEL or not split.any() or own.size > _MAX_PANELS:
             break
         k, keep = own.size - int(split.sum()), ~split  # the halves go after the k kept panels
@@ -418,6 +321,35 @@ def _bisect(
     return values, errors, panels, converged
 
 
+def _fejer(
+    g_vec: Callable[[np.ndarray], np.ndarray], lo: Sequence[float], hi: Sequence[float], tol: Tolerance
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_bisect` on the Fejer panels of ``g_vec`` over the checked
+    intervals ``[lo[i], hi[i]]``."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise ValueError("lo and hi must be flat sequences of equal length")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("interval ends must be finite; integrate_to_infinity takes a tail")
+    if not np.all(hi >= lo):
+        raise ValueError("intervals must have hi >= lo")
+    return _bisect(lambda own, a, b: _panels(g_vec, a, b), lo, hi, tol)
+
+
+def integrate(
+    g: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tol: Tolerance = DEFAULT_TOLERANCE,
+) -> QuadratureResult:
+    """Adaptively integrate the vectorized ``g`` over the finite interval
+    ``[a, b]``: :func:`integrate_intervals` on the one interval, with the
+    same bits, and its panel count as ``subdivisions``."""
+    values, errors, panels, converged = _fejer(g, [a], [b], tol)
+    return QuadratureResult(float(values[0]), float(errors[0]), int(panels[0]), bool(converged[0]))
+
+
 def integrate_intervals(
     g_vec: Callable[[np.ndarray], np.ndarray],
     lo: Sequence[float],
@@ -427,37 +359,29 @@ def integrate_intervals(
     """The integrals over the intervals ``[lo[i], hi[i]]``, all at once.
 
     ``g_vec`` maps an array of abscissae (of any shape) to the integrand
-    values, elementwise.  Every interval first gets the rule and the
-    damped error estimate of a single :func:`integrate` step, computed
-    with array operations over blocks of intervals; the panels of an
-    interval whose estimate exceeds ``tol.bound`` of its value are halved
-    on the same batch (:func:`_bisect`), to the depth cap of
-    :func:`integrate`.  The intervals may overlap; one of zero width
-    integrates to 0 without evaluating ``g_vec``.  The ends themselves
-    are never evaluated.  A NaN or infinity at any node raises
-    :class:`QuadratureError`.
+    values, elementwise.  Every interval first gets one panel of the
+    Fejer pair, computed with array operations over blocks of intervals;
+    the panels of an interval whose estimate exceeds ``tol.bound`` of its
+    value are halved on the same batch (:func:`_bisect`), to its depth
+    cap and its narrow-panel stop.  The intervals may overlap; one of
+    zero width integrates to 0 without evaluating ``g_vec``.  The ends
+    themselves are never evaluated.  A NaN or infinity at any node
+    raises :class:`QuadratureError`.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError("lo and hi must be flat sequences of equal length")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("interval ends must be finite")
-    if not np.all(hi >= lo):
-        raise ValueError("intervals must have hi >= lo")
-    values, errors, _, converged = _bisect(lambda own, a, b: _panels(g_vec, a, b), lo, hi, tol)
+    values, errors, _, converged = _fejer(g_vec, lo, hi, tol)
     return PanelResults(values, errors, bool(converged.all()))
 
 
 def integrate_to_infinity(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     a: float,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> QuadratureResult:
     """Integrate ``g`` over ``[a, infinity)``.
 
     Uses the rational substitution t = 1/(1 + x - a), which maps the
-    tail onto (0, 1] and keeps polynomially decaying integrands tame.
+    tail onto (0, 1] and keeps polynomially decaying integrands tame;
+    ``g`` is vectorized, as for :func:`integrate`.
     Divergent tails show up as ``converged=False`` with a large error
     estimate rather than as an exception, because the transform cannot
     tell slow convergence from divergence; callers that need a hard
@@ -466,12 +390,9 @@ def integrate_to_infinity(
     if not math.isfinite(a):
         raise ValueError("lower limit must be finite")
 
-    def h(t: float) -> float:
-        x = a + 1.0 / t - 1.0
-        gv = g(x)
-        if gv == 0.0:
-            return 0.0
-        return gv / (t * t)
+    def h(t: np.ndarray) -> np.ndarray:
+        # every node t is above 2**-67 (the depth cap), so t * t is a normal double
+        return g(a + 1.0 / t - 1.0) / (t * t)
 
     return integrate(h, 0.0, 1.0, tol)
 

@@ -19,6 +19,7 @@ import time
 
 import mpmath
 import pytest
+from scipy.integrate import quad
 
 from liouville import Power, PowerLog, RadialProfile, StructureParams
 
@@ -140,6 +141,22 @@ def math_twin(f):
     if isinstance(f, PowerLog):
         return lambda z: z**f.power * _log_factor(z) ** f.mu if z > 0.0 else 0.0
     return _EXPRESSION_TWINS[f.source]
+
+
+def quad_ref(g, a, b, rel=1e-12, exact=False):
+    """An independent reference for the package's quadrature: the integral
+    of the float function ``g`` over [a, b] (b may be inf) and its error
+    estimate.  By QUADPACK's adaptive Gauss-Kronrod rule
+    (``scipy.integrate.quad``) to relative accuracy ``rel``, with
+    ``epsabs=0`` so that no absolute floor lets a small integral through;
+    with ``exact``, by ``mpmath.quad`` at 30 digits on the same function,
+    for comparisons at 1e-13, near QUADPACK's own rounding."""
+    if exact:
+        with mpmath.workdps(30):
+            value, error = mpmath.quad(lambda t: g(float(t)), [a, b], error=True)
+        return float(value), float(error)
+    value, error = quad(g, a, b, epsabs=0.0, epsrel=rel, limit=200)
+    return value, error
 
 
 def source_limit(n: int, p: float, f) -> float:

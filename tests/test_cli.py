@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -472,6 +473,39 @@ def test_cancelling_form_fails_only_the_flux(capsys):
     assert code == EXIT_FAIL, err
     assert "flux_identity: FAIL" in out
     assert out.count(": PASS") == 4 and "overall: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "4", "--p", "1.05", "--power", "1.1"],
+        ["--n", "8", "--p", "1.1", "--power", "0.5"],
+        ["--n", "3", "--p", "1.02", "--power", "1.05"],
+        ["--n", "4", "--p", "1.05", "--eps", "1e-10", "--power", "1.0677966101694916"],
+    ],
+    ids=" ".join,
+)
+def test_steep_profile_constructs(capsys, args):
+    # k = (n-p)/(p-1) is 59, 69, 49 and 59: r**-k is past double range at
+    # the grid's first radii, so the decay bound C r**-k is taken in logs.
+    # It is inf in text and CSV, and null in JSON, only where it exceeds
+    # double range itself; the three formats carry the same rows
+    argv = ["construct", *args, "--grid-points", "12", "--format"]
+    tables = {}
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run(capsys, argv + [fmt])
+        assert code == EXIT_OK, err
+        if fmt == "json":
+            rows = [[row[key] for key in ("r", "w", "envelope", "bound")] for row in json.loads(out)["rows"]]
+            tables[fmt] = [[math.inf if v is None else v for v in row] for row in rows]
+        else:
+            body = out.split("\n", 1)[1] if fmt == "text" else out
+            tables[fmt] = [[float(v) for v in row] for row in list(csv.reader(io.StringIO(body)))[1:]]
+    assert tables["text"] == tables["csv"] == tables["json"]
+    rows = tables["text"]
+    bounds = [b for _, _, _, b in rows]
+    assert len(rows) == 12 and all(w <= b for _, w, _, b in rows)
+    assert bounds == sorted(bounds, reverse=True) and math.isfinite(bounds[-1])
 
 
 @pytest.mark.parametrize("n, p", [("5", "1.1"), ("6", "1.2")])

@@ -44,9 +44,7 @@ from liouville import (
     decay_bound,
     envelope,
     find_delta,
-    integrate,
     integrate_intervals,
-    integrate_to_infinity,
     parse_nonlinearity,
     sup_profile,
 )
@@ -56,7 +54,16 @@ from liouville.construct import _hermite
 import liouville.verify as verify_module
 from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
 
-from conftest import deadline, grad_exact, inner_exact, math_twin, partial_span_passes, source_limit, w_exact
+from conftest import (
+    deadline,
+    grad_exact,
+    inner_exact,
+    math_twin,
+    partial_span_passes,
+    quad_ref,
+    source_limit,
+    w_exact,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +248,10 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
         # the source term by a closed form of f, the scalar reference
         return xi ** (n - 1) * f(env(xi))
 
-    acc = integrate(source, 0.0, zs[0], _SEG_TOL).value
+    acc = quad_ref(source, 0.0, zs[0])[0]
     ref = [acc]
     for a, b in zip(zs, zs[1:]):
-        acc += integrate(source, a, b, _SEG_TOL).value
+        acc += quad_ref(source, a, b)[0]
         ref.append(acc)
     cached = prof.delta**prof.params.n * np.exp(table.ln_i)
     assert cached.tolist() == pytest.approx(ref, rel=1e-10, abs=0.0)
@@ -334,17 +341,10 @@ def test_table_fill_chases_no_panel_below_the_rounding_of_its_sum(monkeypatch, l
     # a fast-decaying source term falls far below the rounding of the running
     # sum, and then nears underflow, where the panels' own tolerance would
     # halve them to the depth cap; only the steep panels where I still grows
-    # are halved, and none of them needs the scalar integrate
-    scalar, route = [], quadrature_module.integrate
-
-    def recorded(g, a, b, tol):
-        scalar.append((a, b))
-        return route(g, a, b, tol)
-
-    monkeypatch.setattr(quadrature_module, "integrate", recorded)
+    # are halved
     redone = _record(monkeypatch, "_bisect")
     s, _, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
-    assert fill.converged and scalar == []
+    assert fill.converged
     assert 0 < len(redone) <= 100 and max(hi for _, hi in redone) < 4.0
 
 
@@ -455,13 +455,13 @@ def _knot_split_integral(prof, a, b):
     gm, whole = _KNOT_INTEGRALS.setdefault(prof, (_scalar_gradient(prof), {}))
     lo, hi = np.searchsorted(knots, a, side="right"), np.searchsorted(knots, b, side="left")
     if lo >= hi:  # no knot inside (a, b)
-        return integrate(gm, a, b, _SEG_TOL).value
-    parts = [integrate(gm, a, knots[lo], _SEG_TOL).value]
+        return quad_ref(gm, a, b)[0]
+    parts = [quad_ref(gm, a, knots[lo])[0]]
     for i in range(lo, hi - 1):
         if i not in whole:
-            whole[i] = integrate(gm, knots[i], knots[i + 1], _SEG_TOL).value
+            whole[i] = quad_ref(gm, knots[i], knots[i + 1])[0]
         parts.append(whole[i])
-    parts.append(integrate(gm, knots[hi - 1], b, _SEG_TOL).value)
+    parts.append(quad_ref(gm, knots[hi - 1], b)[0])
     return math.fsum(parts)
 
 
@@ -488,14 +488,15 @@ def test_values_on_grid_matches_scalar_segments(batched_profile, radii):
         return math.fsum(
             _knot_split_integral(prof, x, y)
             if z_lo <= x and y <= z_hi
-            else integrate(gm, x, y, _SEG_TOL).value
+            else quad_ref(gm, x, y)[0]
             for x, y in zip(cuts, cuts[1:])
         )
 
     rs = [float(r) * prof.delta for r in radii]
     top = max(rs[-1], z_hi)
     ref = [0.0] * len(rs)
-    ref[-1] = segment(rs[-1], top) + integrate_to_infinity(gm, top, _SEG_TOL).value
+    # the tail in x = top * u, for a tail that starts near 1e20
+    ref[-1] = segment(rs[-1], top) + top * quad_ref(lambda u: gm(top * u), 1.0, math.inf)[0]
     for i in range(len(rs) - 2, -1, -1):
         ref[i] = ref[i + 1] + segment(rs[i], rs[i + 1])
     assert prof.values_on_grid(rs) == pytest.approx(ref, rel=1e-10, abs=0.0)
@@ -714,12 +715,11 @@ def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
     gm = prof.gradient_magnitude
     z_lo, z_hi = (prof.delta * prof._table.s[[0, -1]]).tolist()
     rs = [0.0, 1e-3 * z_lo, 0.5 * z_lo]
-    ref = [integrate(gm, r, z_lo, _SEG_TOL).value for r in rs]
+    ref = [quad_ref(gm, r, z_lo)[0] for r in rs]
     assert prof._w_below(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
-    # above it, in x = z_hi * u: the map t = 1/(1 + x - z_hi) of
-    # integrate_to_infinity cannot resolve a tail that starts near 1e20
+    # above it, in x = z_hi * u, for a tail that starts near 1e20
     rs = [z_hi, 3.0 * z_hi]
-    ref = [z_hi * integrate_to_infinity(lambda u: gm(z_hi * u), r / z_hi, _SEG_TOL).value for r in rs]
+    ref = [z_hi * quad_ref(lambda u: gm(z_hi * u), r / z_hi, math.inf)[0] for r in rs]
     assert prof._w_above(np.array(rs)).tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -799,21 +799,19 @@ def _forced_misses(monkeypatch, converged=True):
 
 
 def _scalar_outer(prof, lo, hi):
-    # the scalar integrate of |w'| over [e**lo, e**hi], inside one knot
+    # mpmath's quadrature of |w'| over [e**lo, e**hi], inside one knot
     # interval, in x = ln zeta as the fill takes it: in zeta the knots, e**x
     # rounded, move a span's ends by ulps, some 1e-13 of its width
-    return integrate(lambda x: math.exp(x) * float(prof._outer_array(np.exp([x]))[0]), lo, hi, prof._seg_tol)
+    return quad_ref(lambda x: math.exp(x) * float(prof._outer_array(np.exp([x]))[0]), lo, hi, exact=True)[0]
 
 
 def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
     # the first two spans of every block miss: they are halved on their
-    # intervals' own cubics, all in one _bisect call, and agree with the
-    # scalar integrate of _outer_array over the same knot interval
+    # intervals' own cubics, all in one _bisect call, and agree with
+    # mpmath's quadrature of _outer_array over the same knot interval
     honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
     prof = RadialProfile(Power(4.0), params32, 1.0)  # the table fill is not forced to miss
     calls = _forced_misses(monkeypatch)
-    for module in (construct_module, quadrature_module):
-        monkeypatch.setattr(module, "integrate", None)
     ws, converged, _ = prof._outer_cache()
     knots = prof._table.s
     firsts = [i for c in range(0, knots.size - 1, construct_module._BLOCK) for i in (c, c + 1)]
@@ -827,9 +825,9 @@ def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
     assert [len(lo) for lo, _ in calls] == [len(firsts)] + [2] * (len(firsts) // 2) + [3]
     monkeypatch.undo()
     x = prof._table.ln_s
-    ref = [_scalar_outer(prof, x[i], x[i + 1]).value for i in firsts]
+    ref = [_scalar_outer(prof, x[i], x[i + 1]) for i in firsts]
     assert spans.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
-    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]).value for r, i in zip(rs, [10, 2000, 5000])]
+    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]) for r, i in zip(rs, [10, 2000, 5000])]
     assert between == pytest.approx(ref, rel=1e-13, abs=0.0)
     # an unconverged halving marks the fill unconverged
     prof = RadialProfile(Power(4.0), params32, 1.0)

@@ -30,7 +30,6 @@ from liouville import (
     find_delta,
     flux_identity_check,
     gradient_decay_check,
-    integrate,
     normalization_check,
     parse_nonlinearity,
     supersolution_check,
@@ -40,7 +39,7 @@ from liouville.construct import _hermite
 from liouville.nonlinearity import _ln_f
 from liouville.quadrature import _panels, integrate_intervals
 
-from conftest import deadline, math_twin, partial_span_passes
+from conftest import deadline, math_twin, partial_span_passes, quad_ref
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -117,8 +116,8 @@ class TestFlux:
 )
 def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
     # the flux check integrates all 13 x 4 source windows in one batched
-    # call; each agrees with an adaptive scalar quadrature of the window
-    # within the two error estimates
+    # call; each agrees with QUADPACK's quadrature of the window within
+    # the two error estimates
     prof = RadialProfile(f, StructureParams(n, p), delta)
     batched = verify_module.integrate_intervals
     calls = []
@@ -134,9 +133,8 @@ def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
     g, lo, hi, tol, res = calls[0]
     assert len(lo) == 52 and res.converged
     for a, b, value, error in zip(lo, hi, res.values.tolist(), res.abs_errors.tolist()):
-        ref = integrate(g, a, b, tol)
-        assert ref.converged
-        assert abs(value - ref.value) <= error + ref.abs_error, (a, b)
+        ref, ref_error = quad_ref(lambda t: float(g(np.array([t]))[0]), a, b, tol.rel)
+        assert abs(value - ref) <= error + ref_error, (a, b)
 
 
 # Benchmark inputs whose flux check failed (defects 1.4e-6 to 4.8e-6 at
@@ -296,16 +294,10 @@ def _scalar_energy(profile):
         wv = w_tilde(rho)
         return 0.0 if wv >= eps else rho ** (n - 1) * f(wv)
 
-    # to delta at rel 1e-10, then with an absolute floor of 1e-10 of the
-    # energy at delta shared among the remaining intervals
+    # every interval at rel 1e-10
     edges = [0.0] + grid
-    tol = Tolerance(rel=1e-10, absolute=0.0)
-    inner = [integrate(density, a, b, tol).value for a, b in zip(edges[:379], edges[1:380])]
-    floor = 1e-10 * math.fsum(inner) / 567
-    if floor > 0.0:
-        tol = Tolerance(rel=1e-10, absolute=floor)
-    outer = [integrate(density, a, b, tol).value for a, b in zip(edges[379:-1], edges[380:])]
-    sums = np.cumsum(inner + outer)[378::3]
+    parts = [quad_ref(density, a, b, 1e-10)[0] for a, b in zip(edges[:-1], edges[1:])]
+    sums = np.cumsum(parts)[378::3]
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     energies = [omega * x for x in sums.tolist()]
     ratios = [
@@ -395,7 +387,7 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
 
 def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypatch):
     # the first three panels miss: their halves read ln w~ off their
-    # intervals' cubics, and agree with the scalar integrate of the same
+    # intervals' cubics, and agree with mpmath's quadrature of the same
     # density, ln w~ by a knot search, over the same interval
     kernel, bisect, halved, calls = verify_module._k7, verify_module._bisect, [], []
 
@@ -425,8 +417,7 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
         ln_wv = _hermite(np.array([x]), ln_r, ln_w, slopes)
         return math.exp(3.0 * x + float(_ln_f(instance_profile.f, ln_wv, np.exp(ln_wv))[0]))
 
-    tol = Tolerance(rel=1e-12, absolute=0.0)
-    ref = [integrate(density, ln_r[i], ln_r[i + 1], tol).value for i in range(3)]
+    ref = [quad_ref(density, ln_r[i], ln_r[i + 1], exact=True)[0] for i in range(3)]
     assert values.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 

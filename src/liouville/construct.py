@@ -24,35 +24,35 @@ w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  So the cache is one
 delta-free table in s = xi/delta, built at delta = 1 over sixteen
 decades (eight on each side of s = 1) and on for 40 halvings of the
 envelope, and a :class:`RadialProfile` is that table plus its delta.
-The table holds ln I_1 at the knots and its exact slopes
-s * source(s) / I_1(s) (I' is the source term), so ln I between knots
-is a cubic Hermite with no estimated slopes; and, filled on first use,
-I_1(inf) and w_1 at the same knots.  Substituting zeta = env(xi) makes
+Both the table and the outer cache are taken in x = ln s, on one node
+set: one panel per knot interval on the 7-point Lobatto-Kronrod rule
+K7, with the 4-point Lobatto rule L4 embedded in it as the error
+estimate (Gander and Gautschi's pair; see :mod:`liouville.quadrature`),
+whose end nodes are the knots.  The table integrates s * source(s) in x
+and keeps it at all seven nodes of every panel, so I_1 anywhere inside
+a panel is its left knot's sum plus the integral of the polynomial
+through those seven values: a dot product with the cumulative Lagrange
+weights C_m(u) of the nodes at the fraction u (:func:`_dense_basis`),
+as a Runge-Kutta method's dense output reads its stages.  Filled on
+first use: I_1(inf), and w_1 at the same knots, whose panels have their
+interior nodes where the table's are, so they read I_1 there through
+one fixed matrix of those weights.  Substituting zeta = env(xi) makes
 the source mass beyond the last knot a * eps**q (a = 1/k) times the
 criterion integral below env there, up to a weight within
 (n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
-Both caches fill one panel per knot interval on the 7-point
-Lobatto-Kronrod rule K7, with the 4-point Lobatto rule L4 embedded in it
-as the error estimate (Gander and Gautschi's pair; see
-:mod:`liouville.quadrature`).  Its end nodes are the knots, so each
-knot's value serves both intervals it bounds (and, in the inner table,
-the exact slope there), and each interval adds five interior nodes.  The
-panels go through :func:`~liouville.quadrature._k7` in blocks of
-``_BLOCK``, node-major: the values at the knots as the two end arrays and
-the interior values as five rows, never stacked into one array per
-panel.  From n = 7 on the table's first panel [0, s_0], where
-s**(n-1) is past L4's degree, takes a rule of the weight s**(n-1) on the
-same nodes (:func:`_origin_panel`).  Panels that miss the tolerance are
+Each knot's value serves both intervals it bounds, and each interval
+adds five interior nodes.  The panels of a fill go through
+:func:`~liouville.quadrature._k7` in one call, node-major: the values at
+the knots as the two end arrays and the interior values as five rows,
+never stacked into one array per panel.  The table's
+first panel [0, s_0], in s, takes a rule of the weight s**(n-1) on the
+K7 nodes (:func:`_origin_panel`).  Panels that miss the tolerance are
 halved together on K7 (:func:`~liouville.quadrature._bisect`), with the
-source term taken afresh in the table and on the interval's own cubic in
-the outer cache.  The inner table takes ln x and
-ln(1 + x) at the nodes of its panels, in node-major blocks, from a
-geometry computed on first use: once per process for the panels up to
-the last cache knot, once per a = (p-1)/(n-p) for those past it
-(:func:`_table_fill`).  The outer integral is taken in x = ln zeta,
-where the nodes sit at the same fractions of every knot interval and
-ln I there is the interval's own cubic: one fixed basis, no knot search
-(:meth:`RadialProfile._outer_spans`).
+source term taken afresh in the table and on the dense output in the
+outer cache.  The table takes ln s and ln(1 + s) at the nodes of its
+panels, in node-major blocks, from a geometry computed on first use:
+once per process for the panels up to the last cache knot, once per
+a = (p-1)/(n-p) for those past it (:func:`_table_fill`).
 A profile value then costs one such panel (or a closed form off the
 cache) instead of a nested double integral.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
@@ -133,72 +133,62 @@ def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
 # The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta;
 # the table continues it for _EXTRA_OCTAVES halvings of the envelope, at
 # _HALVING_KNOTS knots a halving.
-_CACHE_NODES = 4096
+_CACHE_NODES = 2048
 _CACHE_SPAN = 1e8
 _EXTRA_OCTAVES = 40
-_HALVING_KNOTS = 32
-# Panels per array pass of the K7 fills: enough to amortize numpy's call
-# overhead, few enough that f's log evaluator keeps its temporaries (48 KiB
-# each here) out of peak memory and under 128 KiB, past which malloc maps
-# fresh pages for every array.
+_HALVING_KNOTS = 16
+# Panels per pass of f's log evaluator in the table fill: enough to amortize
+# numpy's call overhead, few enough that the evaluator keeps its temporaries
+# (48 KiB each here) out of peak memory and under 128 KiB, past which malloc
+# maps fresh pages for every array.
 _BLOCK = 1024
 _LN_TINY = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _NOT_CONVERGED = "the source integral does not converge to tolerance"
 
 
-def _hermite(
-    x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray, i: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
-
-    Each point takes the cubic of its knot interval, ``i`` where the
-    caller has found it, else by a knot search.  The interval index is
-    clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
-    """
-    if i is None:
-        i = np.searchsorted(xs[1:-1], x, side="right")
-    h = xs[i + 1] - xs[i]
-    u = (x - xs[i]) / h
-    d = ys[i + 1] - ys[i]
-    a, b = h * ms[i], h * ms[i + 1]
-    return ys[i] + u * (a + u * (3.0 * d - 2.0 * a - b + u * (a + b - 2.0 * d)))
-
-
-def _hermite_basis(u: np.ndarray) -> np.ndarray:
-    # rows at the fractions u of a knot interval: the weights of y1 - y0,
-    # h * m0 and h * m1 in the cubic Hermite of _hermite less its value y0
-    # at u = 0, and u itself
-    u2 = u * u
-    return np.stack((u2 * (3.0 - 2.0 * u), u * (1.0 - u) ** 2, u2 * (u - 1.0), u))
-
-
-# The K7 nodes as fractions of their panel, and the Hermite basis at the
-# five interior ones
+# The K7 nodes as fractions of their panel
 _K7_U = 0.5 * (1.0 + _XA_K7)
-_K7_BASIS = _hermite_basis(_K7_U[1:-1])
 
 
-def _k7_on_cubic(g: Callable, y0: np.ndarray, coef: np.ndarray, h: np.ndarray, i, a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """K7 values and L4 error estimates (:func:`~liouville.quadrature._k7`)
-    over the spans [a, b], as fractions, of the knot intervals i of width
-    h, of an integrand read off each interval's own cubic: y0 at its left
-    knot plus the rows ``coef`` (one column per interval) on
-    :func:`_hermite_basis`.  ``g(i, u, y)`` is the integrand at the nodes'
-    fractions u, where the cubic is y, one row per node and one column
-    per span.  No knot search, and every sum is elementwise, so a span's
-    bits do not depend on the others."""
-    u = a + (b - a) * _K7_U[:, None]
-    fx = g(i, u, sum(c * x for c, x in zip(coef[:, i], _hermite_basis(u))) + y0[i])
-    return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[i])
+@functools.cache
+def _dense_basis() -> np.ndarray:
+    # The cumulative Lagrange weights of the K7 nodes, C_m(u) = the integral
+    # over [0, u] of node m's Lagrange basis polynomial, u the fraction of
+    # the panel: row k the coefficients of v**k, v = 2u - 1, column m one
+    # node, each from its roots, the other nodes.  C_m(1) is K7's weight of
+    # node m over 2.  Read-only, as one copy serves all.
+    x = _XA_K7.tolist()
+    basis = np.zeros((len(x) + 1, len(x)))
+    for m, xm in enumerate(x):
+        c = np.ones(1)
+        for r in x[:m] + x[m + 1 :]:
+            c = np.convolve(c, [-r, 1.0]) / (xm - r)
+        c = np.concatenate(([0.0], 0.5 * c / np.arange(1, len(x) + 1)))  # its integral in v, over 2
+        c[0] = -c @ (-1.0) ** np.arange(c.size)  # from v = -1
+        basis[:, m] = c
+    basis.flags.writeable = False
+    return basis
 
 
-def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray) -> np.ndarray:
-    # ln of the source term s**(n-1) * f(env(s)) at delta = 1, for s > 0, from
-    # ln s and ln(1 + s); in logs throughout, because far out f(env)
-    # underflows long before the source term does
+@functools.cache
+def _interior_weights() -> np.ndarray:
+    # C_m at the five interior K7 nodes, row m, column j: the one fixed
+    # matrix through which the outer cache reads I_1 at its interior nodes,
+    # which are the table's own.  Read-only, as one copy serves all.
+    v = _XA_K7[1:-1]
+    weights = sum(row[:, None] * v**k for k, row in enumerate(_dense_basis()))
+    weights.flags.writeable = False
+    return weights
+
+
+def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray, power) -> np.ndarray:
+    # ln of s**power * f(env(s)) at delta = 1, for s > 0, from ln s and
+    # ln(1 + s): the source term at power n - 1, the table's integrand in
+    # ln s at power n; in logs throughout, because far out f(env) underflows
+    # long before the source term does
     k = (params.n - params.p) / (params.p - 1.0)
     ln_z = math.log(params.eps) - k * ln_1ps
-    return (params.n - 1) * ln_s + _ln_f(f, ln_z, lambda: np.exp(ln_z))
+    return power * ln_s + _ln_f(f, ln_z, lambda: np.exp(ln_z))
 
 
 def _exp_source(ln: np.ndarray, at) -> np.ndarray:
@@ -210,26 +200,28 @@ def _exp_source(ln: np.ndarray, at) -> np.ndarray:
 def _source_term(f: Nonlinearity, params: StructureParams, xi: np.ndarray, delta: float = 1.0) -> np.ndarray:
     # the source term at scale delta, delta**(n-1) times its value at s = xi/delta
     s = xi / delta
-    return _exp_source(_ln_source(f, params, np.log(s), np.log1p(s)) + (params.n - 1) * math.log(delta), xi)
+    ln = _ln_source(f, params, np.log(s), np.log1p(s), params.n - 1)
+    return _exp_source(ln + (params.n - 1) * math.log(delta), xi)
 
 
-def _fill_nodes(knots: np.ndarray) -> np.ndarray:
-    # the K7 nodes but the left end of the panels [0, s_0], [s_0, s_1], ...
-    # between the knots s, one panel per row: the five interior ones, then
-    # the panel's right end, the knot itself
-    x = _nodes(np.concatenate(([0.0], knots[:-1])), knots, _XA_K7[1:])
-    x[:, -1] = knots
-    return x
+def _panel_nodes(x: np.ndarray) -> np.ndarray:
+    # the K7 nodes but the left end of the panels between the knots x, one
+    # panel per row: the five interior ones, then the panel's right end,
+    # the knot itself
+    nodes = _nodes(x[:-1], x[1:], _XA_K7[1:])
+    nodes[:, -1] = x[1:]
+    return nodes
 
 
-def _node_logs(x: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    # ln x and ln(1 + x) at the fill nodes x (one panel per row), in
-    # node-major blocks of _BLOCK panels: one contiguous (6, panels) pair
-    # per block, each row one node.  Read-only, as one copy serves all.
+def _node_logs(ln_s: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    # ln s and ln(1 + s) at the fill nodes, from their ln s (one panel per
+    # row), in node-major blocks of _BLOCK panels: one contiguous
+    # (6, panels) pair per block, each row one node.  Read-only, as one
+    # copy serves all.
     blocks = []
-    for c in range(0, x.shape[0], _BLOCK):
-        xb = np.ascontiguousarray(x[c : c + _BLOCK].T)
-        pair = (np.log(xb), np.log1p(xb))
+    for c in range(0, ln_s.shape[0], _BLOCK):
+        xb = np.ascontiguousarray(ln_s[c : c + _BLOCK].T)
+        pair = (xb, np.log1p(np.exp(xb)))
         for a in pair:
             a.flags.writeable = False
         blocks.append(pair)
@@ -240,23 +232,24 @@ def _node_logs(x: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
 def _table_geometry() -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
     # What every table shares, built on the first fill: the cache knots,
     # and the :func:`_node_logs` of the panels up to the last cache knot
-    # (4096 panels, 0.4 MB).
+    # (2048 panels, 0.2 MB): the panel [0, s_0] in s, then those in ln s.
     s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
     s.flags.writeable = False
-    return s, _node_logs(_fill_nodes(s))
+    origin = _panel_nodes(np.array([0.0, s[0]]))
+    return s, _node_logs(np.concatenate((np.log(origin), _panel_nodes(np.log(s)))))
 
 
 @functools.lru_cache(maxsize=8)
 def _tail_geometry(a: float) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
     # What every table at a = (p-1)/(n-p) shares: the knots past the cache
-    # and the :func:`_node_logs` of their panels (1280 panels, 0.12 MB).
+    # and the :func:`_node_logs` of their panels (640 panels, 0.06 MB).
     # There ln(1 + s) steps by a ln 2 / _HALVING_KNOTS: env =
     # eps * (1 + s)**(-1/a) halves every _HALVING_KNOTS knots.
     steps = np.arange(1, _HALVING_KNOTS * _EXTRA_OCTAVES + 1)
     ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / _HALVING_KNOTS * steps
     s = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
     s.flags.writeable = False
-    return s, _node_logs(_fill_nodes(np.concatenate((_table_geometry()[0][-1:], s)))[1:])
+    return s, _node_logs(_panel_nodes(np.log(np.concatenate((_table_geometry()[0][-1:], s)))))
 
 
 @functools.cache
@@ -265,94 +258,105 @@ def _origin_rule(n: int) -> np.ndarray:
     # row 0 the weights of the rule interpolating g on all six nodes for the
     # integral over [0, 1] of u**(n-1) g(u), from the moments 1/(n + j) of
     # u**(n-1) in u**j, and row 1 those of the rule on the three L4 nodes
-    # among them; both over u**(n-1), so that they read u**(n-1) g itself.
-    # Where u**-(n-1) overflows, u**(n-1) g underflows first: weight 0.
-    # Read-only, as one copy serves every table at this n.
+    # among them; both over u**n, so that they read u**n g, which is
+    # s * source(s) over s_0**n.  Where u**-n overflows, u**n g underflows
+    # first: weight 0.  Read-only, as one copy serves every table at this n.
     u = _K7_U[1:]
     rule = np.zeros((2, u.size))
     for row, at in zip(rule, (np.arange(u.size), np.array([1, 3, 5]))):
         j = np.arange(at.size)
         row[at] = np.linalg.solve(u[at] ** j[:, None], 1.0 / (n + j))
     with np.errstate(over="ignore", invalid="ignore"):
-        rule *= np.exp(-(n - 1) * np.log(u))
+        rule *= np.exp(-n * np.log(u))
     rule = np.where(np.isfinite(rule), rule, 0.0)
     rule.flags.writeable = False
     return rule
 
 
-def _origin_panel(src: np.ndarray, s0: float, n: int) -> Tuple[float, float]:
+def _origin_panel(src: np.ndarray, n: int) -> Tuple[float, float]:
     """The integral of the source term over [0, s_0] and its error, from
-    the source term ``src`` at that panel's K7 nodes but 0.
+    s * source(s) ``src`` at that panel's K7 nodes but 0.
 
     There the source term is s**(n-1) g(s), with g = f(env) nearly
-    constant (z**a varies by a k s_0 over it, 1e-7 at a = 0.81, k = 13);
-    from n = 7 on s**(n-1) is past L4's degree 5, so L4 cannot confirm
-    the K7 panel.  This rule integrates g against the weight u**(n-1),
-    u = s/s_0, on the panel's own nodes (:func:`_origin_rule`), and its
-    estimate is the difference from the rule on L4's nodes: both follow
-    g up to its cubic term, some 1e-21 of it.
+    constant (z**a varies by a k s_0 over it, 1e-7 at a = 0.81, k = 13),
+    and s**(n-1) is past L4's degree 5 from n = 7 on, so L4 cannot
+    confirm a K7 panel.  This rule integrates g against the weight
+    u**(n-1), u = s/s_0, on the panel's own nodes (:func:`_origin_rule`),
+    and its estimate is the difference from the rule on L4's nodes: both
+    follow g up to its cubic term, some 1e-21 of it.
     """
-    high, low = s0 * (_origin_rule(n) @ src)
+    high, low = _origin_rule(n) @ src
     return high, max(abs(high - low), 50.0 * np.finfo(float).eps * abs(high))
 
 
 def _table_fill(
     f: Nonlinearity, params: StructureParams, tol: Tolerance
 ) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
-    """The knots s of the table at delta = 1, the log of the source term
-    at them, and the integrals of the source term over the panels between
-    0 and them.
+    """The knots s of the table at delta = 1, the integrand s * source(s)
+    in x = ln s at the seven K7 nodes of each panel between them (one row
+    per node, one column per panel), and the integrals of the source term
+    over the panels between 0 and them.
 
-    One K7 panel per knot interval [0, s_0], [s_0, s_1], ..., with L4 as
-    its error estimate (:func:`~liouville.quadrature._k7`, once per block
-    of ``_BLOCK`` panels).  A panel's ends are knots, so the source term
-    is taken once at each knot (and is 0 at s = 0) and at five interior
-    nodes per panel.  The node logs come in node-major blocks, those of
-    the panels up to the last cache knot from :func:`_table_geometry`
-    and those past it, which depend on a = (p-1)/(n-p), from
-    :func:`_tail_geometry`.  Per node the source term is then one
-    multiply-add, f's log evaluator and one exp; each block is read
-    through its transpose, so a NaN, an overflow or a negative f names
-    the first spoiled node panel by panel.  From n = 7 on, the panel
-    [0, s_0] is valued by :func:`_origin_panel` on the same nodes.  A
-    panel whose estimate misses ``tol`` of both its own value and the
+    The first panel, [0, s_0], is valued by :func:`_origin_panel` on its
+    K7 nodes in s; the others, between the knots, are K7 panels in x with
+    L4 as the error estimate (:func:`~liouville.quadrature._k7`, all in
+    one call).  A panel's ends are knots, so the
+    integrand is taken once at each knot and at five interior nodes per
+    panel.  The node logs come in node-major blocks, those of the panels
+    up to the last cache knot from :func:`_table_geometry` and those past
+    it, which depend on a = (p-1)/(n-p), from :func:`_tail_geometry`.
+    Per node the integrand is then one multiply-add, f's log evaluator
+    and one exp, a block of ``_BLOCK`` panels at a time; each block is read
+    through its transpose, so a NaN, an overflow or a negative f names the
+    first spoiled node panel by panel.
+    A panel whose estimate misses ``tol`` of both its own value and the
     rounding of the running sum it joins is halved to ``tol`` of its own
     value (:func:`~liouville.quadrature._bisect`), on K7 panels with the
-    source term taken afresh at all seven nodes (0 at s = 0).
+    integrand taken afresh at all seven nodes (0 at s = 0); its seven
+    values are then scaled to that value, so that the dense output of the
+    panel ends on the running sum.
     """
+    n = params.n
     knots, fixed = _table_geometry()
-    tail, past = _tail_geometry((params.p - 1.0) / (params.n - params.p))
+    tail, past = _tail_geometry((params.p - 1.0) / (n - params.p))
     s = np.concatenate((knots, tail))
-    half = 0.5 * np.diff(s, prepend=0.0)
-    values, errors, ln_at_knots = np.empty(s.size), np.empty(s.size), np.empty(s.size)
-    left, row = np.zeros(1), 0  # the source term at the first panel's left end, s = 0
-    for ln_x, ln_1px in fixed + past:
-        part = slice(row, row + ln_x.shape[1])
-        at = lambda: _fill_nodes(s)[part]  # noqa: E731  (where an error names x)
-        ln = _ln_source(f, params, ln_x.T, ln_1px.T)
-        src = _finite(_exp_source(ln, at), at).T
-        # each panel's left end is the right end of the one before
-        right = src[-1]
-        values[part], errors[part] = _k7(np.concatenate((left, right[:-1])), src[:-1], right, half[part])
-        if row == 0 and params.n >= 7:  # s**(n-1) past L4's degree 5
-            values[0], errors[0] = _origin_panel(src[:, 0], s[0], params.n)
-        ln_at_knots[part], left, row = ln[:, -1], right[-1:], part.stop
+    x = np.log(s)
+    at_nodes, row = np.empty((7, s.size)), 0
+    for ln_s, ln_1ps in fixed + past:
+        part = slice(row, row + ln_s.shape[1])
+        at = lambda: np.exp(ln_s.T)  # noqa: E731  (where an error names s)
+        at_nodes[1:, part] = _finite(_exp_source(_ln_source(f, params, ln_s.T, ln_1ps.T, n), at), at).T
+        row = part.stop
+    # each panel's left end is the right end of the one before, the first's s = 0
+    at_nodes[0] = np.append(0.0, at_nodes[-1, :-1])
+    values, errors = np.empty(s.size), np.empty(s.size)
+    values[1:], errors[1:] = _k7(at_nodes[0, 1:], at_nodes[1:-1, 1:], at_nodes[-1, 1:], 0.5 * np.diff(x))
+    values[0], errors[0] = _origin_panel(at_nodes[1:, 0], n)
     # below the rounding of the running sum, as where the source term nears
     # underflow, no panel's error can move the table, so none is chased there
     floor = np.finfo(float).eps * np.cumsum(values)
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.maximum(np.abs(values), floor))))
 
-    def halves(_, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        x = _nodes(a, b, _XA_K7)
-        x[:, 0], x[:, -1] = a, b
-        ln, inside = np.full(x.shape, -np.inf), x > 0.0
-        ln[inside] = _ln_source(f, params, np.log(x[inside]), np.log1p(x[inside]))
-        src = _finite(_exp_source(ln, x), x).T
+    def halves(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # the first panel's halves in s, with the source term; the others'
+        # in x, with s * source(s)
+        t = _nodes(a, b, _XA_K7)
+        t[:, 0], t[:, -1] = a, b
+        in_s = miss[own] == 0
+        ln_s = t.copy()
+        with np.errstate(divide="ignore"):
+            ln_s[in_s] = np.log(t[in_s])  # -inf at s = 0, where the source term is 0
+        ln = _ln_source(f, params, ln_s, np.log1p(np.exp(ln_s)), np.where(in_s, n - 1.0, n)[:, None])
+        at = lambda: np.exp(ln_s)  # noqa: E731
+        src = _finite(_exp_source(ln, at), at).T
         return _k7(src[0], src[1:-1], src[-1], 0.5 * (b - a))
 
-    lo = np.concatenate(([0.0], s[:-1]))
-    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], s[miss], tol)
-    return s, ln_at_knots, PanelResults(values, errors, bool(converged.all()))
+    lo, hi = np.concatenate(([0.0], x[:-1])), np.concatenate((s[:1], x[1:]))
+    guess = values[miss]
+    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], hi[miss], tol)
+    ratio = np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
+    at_nodes[:, miss] *= ratio
+    return s, at_nodes[:, 1:], PanelResults(values, errors, bool(converged.all()))
 
 
 class _UnitTable:
@@ -362,20 +366,20 @@ class _UnitTable:
     serves every delta.  Its panels are filled by :func:`_table_fill`,
     the fixed ones (up to the last cache knot) on the node logs that
     every table shares.  It holds the knots s (from the first one where
-    I_1 > 0), ln s, ln I_1, the exact slopes d ln I_1 / d ln s =
-    s * source(s) / I_1(s) (the source term as the fill took it at the
-    knots, the panels' end nodes), I_1 at the last knot with the fill's
-    summed error, whether every panel of the fill met its tolerance, the
-    log of the envelope there, and f's leading term (walked once, for the
-    source limit).  Filled on first use:
-    I_1(inf) with its error, the outer cache W_1 (w at delta = 1 at the
-    knots) with the converged flag of its fill and the summed error of
-    its panels, the criterion result, and w_1 and |w_1'| on one fixed
-    set of radii (:meth:`RadialProfile._sample`).
+    I_1 > 0), ln s and the widths h of the knot intervals in it, I_1 and
+    ln I_1 at the knots, and, for each knot interval, the integrand
+    s * source(s) in ln s at the seven K7 nodes of its panel, as the fill
+    took it (:meth:`inner`); I_1 at the last knot with the fill's summed
+    error, whether every panel of the fill met its tolerance, the log of
+    the envelope there, and f's leading term (walked once, for the source
+    limit).  Filled on first use: I_1(inf) with its error, the outer
+    cache W_1 (w at delta = 1 at the knots) with the converged flag of its
+    fill and the summed error of its panels, the criterion result, and
+    w_1 and |w_1'| on one fixed set of radii (:meth:`RadialProfile._sample`).
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
-        s, ln_source, fill = _table_fill(f, params, tol)
+        s, at_nodes, fill = _table_fill(f, params, tol)
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
         self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
@@ -384,31 +388,81 @@ class _UnitTable:
         self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
         self.s = s[keep]
         self.ln_s = np.log(self.s)
-        self.ln_i = np.log(cum[keep])
-        self.slopes = np.exp(self.ln_s + ln_source[keep] - self.ln_i)
+        self.h = np.diff(self.ln_s)
+        self.i = cum[keep]
+        self.ln_i = np.log(self.i)
+        self.at_nodes = at_nodes[:, s.size - self.s.size :]
         self.term = leading_term(f)
         self.limit: Optional[Tuple[float, float]] = None
         self.outer: Optional[Tuple[np.ndarray, bool, float]] = None
         self.criterion: Optional[QuadratureResult] = None
         self.sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
+    def inner(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """I_1 at the fractions u of the knot intervals i (broadcast
+        together): the sum at the interval's left knot plus h times the
+        integral over [0, u] of the polynomial through its panel's seven
+        integrand values, the dot product of those values with the
+        cumulative Lagrange weights C_m(u) (:func:`_dense_basis`).  The
+        polynomial's coefficients in v = 2u - 1 are summed node by node and
+        it is read by Horner's rule, all elementwise, so that a point's
+        bits do not depend on the others, nor on the shape of the call."""
+        g = np.take(self.at_nodes, i, axis=1)
+        basis = _dense_basis().reshape((8, 7) + (1,) * np.ndim(i))
+        coef = basis[:, 0] * g[0]
+        for m in range(1, 7):
+            coef += basis[:, m] * g[m]
+        v = 2.0 * np.asarray(u) - 1.0
+        out = coef[-1] * v
+        for c in coef[-2:0:-1]:
+            out += c
+            out *= v
+        out += coef[0]
+        out *= self.h[i]
+        out += self.i[i]
+        return out
+
+    def interior(self, i: np.ndarray) -> np.ndarray:
+        """I_1 at the five interior K7 nodes of the knot intervals i, one
+        row per node, through the fixed matrix :func:`_interior_weights`.
+        The einsum sums each entry over the seven nodes in order, on its
+        own: a span's bits do not depend on the other spans."""
+        out = np.einsum("mj,mi->ji", _interior_weights(), np.take(self.at_nodes, i, axis=1))
+        out *= self.h[i]
+        out += self.i[i]
+        return out
+
+    def locate(self, ln_s: np.ndarray, i: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The knot interval of each point ln s (``i`` where the caller has
+        found it, else by a knot search, clamped to the intervals) and the
+        point's fraction of it, clamped to [0, 1]."""
+        if i is None:
+            i = np.searchsorted(self.ln_s[1:-1], ln_s, side="right")
+        return i, np.clip((ln_s - self.ln_s[i]) / self.h[i], 0.0, 1.0)
+
+
+def _ln_mass(inner: np.ndarray) -> np.ndarray:
+    # ln I_1 from the dense output; where its weights give I_1 <= 0, next to
+    # the prefix where I_1 underflows, I_1 counts as 0
+    return np.log(inner, out=np.full(np.shape(inner), -np.inf), where=inner > 0.0)
+
 
 class RadialProfile:
     """The constructed profile for one (f, params, delta) triple.
 
     A profile is a :class:`_UnitTable` plus its delta.  Building one
-    fills the table: I at delta = 1 at 4096 log-spaced knots spanning
-    eight decades on each side of s = xi/delta = 1, then 1280 knots over
-    40 further halvings of the envelope (32 a halving), by cumulative
-    K7 increments, with the exact slopes of ln I in ln s (I' is the
-    source term).  Inside the cache ln I is the cubic Hermite through
-    those values and slopes; off it I follows its limiting behaviour: it
-    grows like z**n below the cache (the envelope is flat there) and is
-    taken as saturated at I(inf) above it, where the envelope is 2**-40
-    of its value at the last cache knot.  The first profile value fills
-    the outer cache, w at the same knots: one K7 panel in ln zeta per
-    knot interval, on that interval's cubic, summed down from the closed
-    form at the last knot.
+    fills the table: I at delta = 1 at 2048 log-spaced knots spanning
+    eight decades on each side of s = xi/delta = 1, then 640 knots over
+    40 further halvings of the envelope (16 a halving), by cumulative
+    K7 increments in ln s, with the integrand kept at all seven nodes of
+    every panel.  Inside the cache I is the dense output of those panels
+    (:meth:`_UnitTable.inner`); off it I follows its limiting behaviour:
+    it grows like z**n below the cache (the envelope is flat there) and
+    is taken as saturated at I(inf) above it, where the envelope is
+    2**-40 of its value at the last cache knot.  The first profile value
+    fills the outer cache, w at the same knots: one K7 panel in ln zeta
+    per knot interval, on the table's own nodes, summed down from the
+    closed form at the last knot.
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
     """
@@ -519,7 +573,7 @@ class RadialProfile:
         return self.delta**self.params.n * self._unit_limit()[0]
 
     def inner_integral(self, z: float) -> float:
-        """I(z): the cache's Hermite in range, direct quadrature off
+        """I(z): the table's dense output in range, direct quadrature off
         range (one batched panel below it), and the full limit at z = inf."""
         if math.isnan(z):
             raise DomainError(f"z must be a real number, got {z!r}")
@@ -539,13 +593,13 @@ class RadialProfile:
         return self.delta**self.params.n * t.last + float(above.values[0])
 
     def _ln_inner(self, z: np.ndarray) -> np.ndarray:
-        # ln I(z) for z > 0: the Hermite inside the cache, the limiting
-        # power law z**n below it, saturation at I(inf) above it
+        # ln I(z) for z > 0: the dense output inside the cache, the
+        # limiting power law z**n below it, saturation at I(inf) above it
         t, n = self._table, self.params.n
         s = z / self.delta
         ln_s = np.log(s)
         below = t.ln_i[0] + n * (ln_s - t.ln_s[0])
-        out = np.where(s < t.s[0], below, _hermite(ln_s, t.ln_s, t.ln_i, t.slopes))
+        out = np.where(s < t.s[0], below, _ln_mass(t.inner(*t.locate(ln_s))))
         if (s > t.s[-1]).any():
             out = np.where(s > t.s[-1], math.log(self._unit_limit()[0]), out)
         return out + n * math.log(self.delta)
@@ -610,46 +664,45 @@ class RadialProfile:
 
         One K7 panel per span, with L4 as its error estimate, in x = ln
         zeta, where the integrand is exp(psi), psi = (ln I - (n-1) x)/(p-1)
-        + x.  Between two knots ln I is exactly the Hermite of their
-        interval, so psi is evaluated there with no knot search,
-        node-major.  For whole intervals exp(psi) is taken once at each
-        knot the spans end on, and at the five interior nodes on the basis
-        ``_K7_BASIS`` fixed for all intervals
-        (:func:`~liouville.quadrature._k7`, once per block of ``_BLOCK``
-        spans); otherwise at all seven nodes, at their own fractions of
-        each span (:func:`_k7_on_cubic`).  Either way a span's bits do not
-        depend on the other spans of the call.  Spans that miss the
-        tolerance are halved on the second rule
-        (:func:`~liouville.quadrature._bisect`), with no new evaluation of
-        f.  Returns the integrals, their errors and whether every span met
-        the tolerance.
+        + x.  Inside a knot interval I is the dense output of the table's
+        panel there (:meth:`_UnitTable.inner`), so psi is evaluated with
+        no knot search, node-major.  For whole intervals exp(psi) is taken
+        once at each knot the spans end on, from the table's sums, and at
+        the five interior nodes, which are the table's own, on the weights
+        fixed there (:meth:`_UnitTable.interior`), all spans in one
+        :func:`~liouville.quadrature._k7` call; otherwise at all seven
+        nodes, at their own fractions of each span.  Either way a span's
+        bits do not depend on the other spans of the call.  Spans that
+        miss the tolerance are halved on the second rule
+        (:func:`~liouville.quadrature._bisect`), with no new evaluation
+        of f.  Returns the integrals, their errors and whether every span
+        met the tolerance.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
-        h = t.ln_s[i + 1] - t.ln_s[i]
-        psi_k = t.ln_i / (p - 1.0) - self.decay * t.ln_s + p / (p - 1.0) * math.log(self.delta)  # at the knots
-        # psi = psi at knot i + (the Hermite's rise over the interval) / (p-1)
-        # - k h u: one column of coef per interval, on _hermite_basis
-        rise = (t.ln_i[i + 1] - t.ln_i[i], h * t.slopes[i], h * t.slopes[i + 1])
-        coef = np.stack((*(x / (p - 1.0) for x in rise), -self.decay * h))
+        h, k = t.h[i], self.decay
+        ln_scale = p / (p - 1.0) * math.log(self.delta)
 
-        def exp_psi(k, u, psi):  # an overflow names zeta at its node, span by span
-            return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(t.ln_s[i[k]] + h[k] * u).T).T
+        def exp_psi(j, u, inner):  # at the fractions u of the intervals i[j], where I_1 is inner
+            x = t.ln_s[i[j]] + h[j] * u
+            psi = _ln_mass(inner) / (p - 1.0) - k * x + ln_scale
+            # an overflow names zeta at its node, span by span
+            return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(x).T).T
 
-        def spans(k, a, b):  # the spans [a, b] of the intervals i[k]
-            return _k7_on_cubic(exp_psi, psi_k[i], coef, h, k, a, b)
+        def spans(j, a, b):  # the spans [a, b] of the intervals i[j]
+            u = a + (b - a) * _K7_U[:, None]
+            fx = exp_psi(j, u, t.inner(i[j], u))
+            return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[j])
 
         if u0 is not None:
             values, errors, _, ok = _bisect(spans, u0, np.ones(i.size), tol)
             return values, errors, bool(ok.all())
-        ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)  # read at both ends of its intervals
-        values, errors = np.empty(i.size), np.empty(i.size)
-        for c in range(0, i.size, _BLOCK):
-            part = slice(c, c + _BLOCK)
-            fx = exp_psi(part, _K7_U[1:-1, None], _K7_BASIS.T @ coef[:, part] + psi_k[i[part]])
-            values[part], errors[part] = _k7(ends[i[part]], fx, ends[i[part] + 1], 0.5 * h[part])
+        psi_k = t.ln_i / (p - 1.0) - k * t.ln_s + ln_scale  # at the knots, read at both ends of their intervals
+        ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)
+        fx = exp_psi(slice(None), _K7_U[1:-1, None], t.interior(i))
+        values, errors = _k7(ends[i], fx, ends[i + 1], 0.5 * h)
         miss = np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values)))
         values[miss], errors[miss], _, ok = _bisect(
-            lambda k, a, b: spans(miss[k], a, b), np.zeros(miss.size), np.ones(miss.size), tol
+            lambda j, a, b: spans(miss[j], a, b), np.zeros(miss.size), np.ones(miss.size), tol
         )
         return values, errors, bool(ok.all())
 
@@ -673,9 +726,9 @@ class RadialProfile:
         Inside the cache, w(r) is the outer cache's value at the first
         knot at or above r plus the integral from r to that knot, which
         is a span of the knot interval below it: one panel per radius,
-        all in one :meth:`_outer_spans` pass on the table's own cubics.
+        all in one :meth:`_outer_spans` pass on the table's dense output.
         Off the cache w is closed form.  After the one-time fill of the
-        outer cache (one panel per knot interval, about 5400, shared
+        outer cache (one panel per knot interval, about 2700, shared
         with every rescaled view), m radii cost at most m panels.
         """
         rs = np.array(radii, dtype=float)
@@ -692,7 +745,7 @@ class RadialProfile:
     def _on_grid(self, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         # w at the increasing radii rs >= 0 (for a table that is not empty),
         # which of them lie inside the cache, and for those the knot
-        # interval of their ln s, as _hermite's knot search would find it
+        # interval of their ln s, as the table's knot search would find it
         t = self._table
         ws = self._outer_cache()[0]
         s = rs / self.delta
@@ -707,7 +760,7 @@ class RadialProfile:
         # empty where s is knot j (or rounds onto it in ln s)
         gap = np.flatnonzero(t.s[j] > s)
         i = j[gap] - 1
-        u0 = np.maximum((np.log(s[gap]) - t.ln_s[i]) / (t.ln_s[i + 1] - t.ln_s[i]), 0.0)
+        u0 = np.maximum((np.log(s[gap]) - t.ln_s[i]) / t.h[i], 0.0)
         keep = u0 < 1.0
         gaps = np.zeros(s.size)
         if keep.any():
@@ -725,8 +778,8 @@ class RadialProfile:
         delta**(1/(p-1)) * |w_1'(r/delta)|.  w takes one
         :meth:`_outer_spans` pass, one panel per radius inside the cache,
         as :meth:`values_on_grid` would.  |w'| is (I/r**(n-1))**(1/(p-1))
-        with ln I the Hermite of the interval that pass found, so no knot
-        search, bit for bit what :meth:`_outer_array` gives; off the cache
+        with I the dense output of the interval that pass found, so no
+        knot search, bit for bit what :meth:`_outer_array` gives; off the cache
         it is :meth:`_outer_array`.  The table keeps the sample of the last
         array passed, by identity, so callers pass one read-only array.
         """
@@ -740,7 +793,7 @@ class RadialProfile:
                 dw = np.empty_like(w)
                 r = unit_radii[inside]
                 x = np.log(r)
-                ln_w1 = (_hermite(x, t.ln_s, t.ln_i, t.slopes, i) - (n - 1) * x) / (p - 1.0)
+                ln_w1 = (_ln_mass(t.inner(*t.locate(x, i))) - (n - 1) * x) / (p - 1.0)
                 dw[inside] = _exp_checked(ln_w1, "outer integrand", r)
                 if not inside.all():
                     dw[~inside] = unit._outer_array(unit_radii[~inside])
@@ -885,8 +938,8 @@ def find_delta(
     summed error estimate of the outer cache fill's panels, which w(0)
     sums, and I(inf) plus its error (the table fill's summed error and
     that of the mass beyond the table).  So the certificate holds up to
-    those two errors as estimated, with ln I between the table's knots
-    taken as its cubic Hermite.  It uses the measured source limit
+    those two errors as estimated, with I between the table's knots
+    taken as the dense output of its panels.  It uses the measured source limit
     I(inf), not the looser closed-form criterion constant, which can
     reject scales that are in fact admissible.
 

@@ -380,8 +380,11 @@ def _log_shells(
     values, errors, panels, converged = _bisect(lambda _, a, b: _panels(g, a, b), edges[:-1], edges[1:], shell_tol)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = r + np.log(values)
-        # the relative quadrature error, plus the log's own rounding
-        errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)), 0.0)
+        # the relative quadrature error, plus the log's own rounding and that
+        # of the integrand's: ln f and q v, each about q v at the shell's deep
+        # edge, cancel to the integrand's log
+        cancel = np.abs(q * edges[1:]) * np.finfo(float).eps
+        errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)) + cancel, 0.0)
     columns = (logs.tolist(), errs.tolist(), panels.tolist(), converged.tolist())
     return _LogShells(map(_Shell._make, zip(*columns)), ln_at[::2])
 

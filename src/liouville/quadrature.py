@@ -254,19 +254,52 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
     an integrand that is not negative: the mean is the rule's sum over
     [-1, 1] halved, and the floor 50 eps times the value.  Every sum is a
     fixed sequence of elementwise operations over the mirrored node pairs,
-    so a panel's bits do not depend on the other panels of its block."""
+    so a panel's bits do not depend on the other panels of its block.
+    The sums run in place on a few buffers, in the order of
+
+        s = w0 (f0 + f6) + w1 (f1 + f5) + w2 (f2 + f4) + w3 f3,
+
+    f1 .. f5 the rows of ``inner``, and likewise for the deviations from
+    the mean; IEEE sums and products commute, so this is that formula to
+    the last bit."""
     w0, w1, w2, w3 = _K7_W
     l0, l2 = _L4_W
-    ends, mid = f0 + f6, inner[1] + inner[3]
-    s = w0 * ends + w1 * (inner[0] + inner[4]) + w2 * mid + w3 * inner[2]
-    mean = 0.5 * s
-    dev = np.abs(inner - mean)
-    asc = w0 * (np.abs(f0 - mean) + np.abs(f6 - mean)) + w1 * (dev[0] + dev[4]) + w2 * (dev[1] + dev[3]) + w3 * dev[2]
+    ends, mid = np.add(f0, f6), np.add(inner[1], inner[3])
+    buf = np.add(inner[0], inner[4])
+    buf *= w1
+    s = np.multiply(ends, w0)
+    s += buf
+    s += np.multiply(mid, w2, out=buf)
+    s += np.multiply(inner[2], w3, out=buf)
+    mean = np.multiply(s, 0.5)
+    dev = np.subtract(inner, mean)
+    np.abs(dev, out=dev)
+    asc = np.subtract(f0, mean)
+    np.abs(asc, out=asc)
+    asc += np.abs(np.subtract(f6, mean, out=buf), out=buf)
+    asc *= w0
+    for w, pair in ((w1, (dev[0], dev[4])), (w2, (dev[1], dev[3]))):
+        np.add(*pair, out=buf)
+        buf *= w
+        asc += buf
+    asc += np.multiply(dev[2], w3, out=buf)
     # r = min(1, 200 |K7 - L4| / asc), 0 where asc = 0: all seven values
     # are the mean there, and |K7 - L4|, a few ulps of it, is below the floor
-    r = np.minimum(200.0 * np.abs(s - (l0 * ends + l2 * mid)), asc)
+    ends *= l0
+    mid *= l2
+    ends += mid
+    r = np.subtract(s, ends, out=ends)
+    np.abs(r, out=r)
+    r *= 200.0
+    np.minimum(r, asc, out=r)
     np.divide(r, asc, out=r, where=asc > 0.0)
-    return h * s, h * np.maximum(r * np.sqrt(r) * asc, 50.0 * _EPS * s)
+    err = np.sqrt(r, out=buf)
+    err *= r
+    err *= asc
+    np.maximum(err, np.multiply(s, 50.0 * _EPS, out=mean), out=err)
+    err *= h
+    s *= h
+    return s, err
 
 
 def _bisect(

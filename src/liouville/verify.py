@@ -13,8 +13,9 @@ The five profile checks:
   window [r - h, r + h] must match a fresh quadrature of the source
   term over the same window, the best of h = 1e-2, 1e-3, 1e-4 and 1e-5
   times r within a relative defect of 1e-6.  The flux reads the cached
-  inner integral, its Hermite through the table's sums; the quadrature
-  integrates the source term afresh over the window.
+  inner integral, the dense output of the table's panels between its
+  sums; the quadrature integrates the source term afresh over the
+  window.
 * supersolution: on 200 log-spaced radii over [1e-6, 1e6] * delta the
   envelope must dominate the profile to within 1e-12 and, through
   monotonicity of f, f(env) - f(w) must stay above -1e-10.
@@ -55,11 +56,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .construct import _K7_BASIS, _K7_U, RadialProfile, _k7_on_cubic, sup_profile
+from .construct import _K7_U, RadialProfile, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, _bisect, _finite, _k7, integrate_intervals
@@ -315,6 +316,50 @@ def normalization_check(profile: RadialProfile) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # energy growth
+
+
+def _hermite(
+    x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray, i: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
+
+    Each point takes the cubic of its knot interval, ``i`` where the
+    caller has found it, else by a knot search.  The interval index is
+    clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
+    """
+    if i is None:
+        i = np.searchsorted(xs[1:-1], x, side="right")
+    h = xs[i + 1] - xs[i]
+    u = (x - xs[i]) / h
+    d = ys[i + 1] - ys[i]
+    a, b = h * ms[i], h * ms[i + 1]
+    return ys[i] + u * (a + u * (3.0 * d - 2.0 * a - b + u * (a + b - 2.0 * d)))
+
+
+def _hermite_basis(u: np.ndarray) -> np.ndarray:
+    # rows at the fractions u of a knot interval: the weights of y1 - y0,
+    # h * m0 and h * m1 in the cubic Hermite of _hermite less its value y0
+    # at u = 0, and u itself
+    u2 = u * u
+    return np.stack((u2 * (3.0 - 2.0 * u), u * (1.0 - u) ** 2, u2 * (u - 1.0), u))
+
+
+# the Hermite basis at the five interior K7 nodes
+_K7_BASIS = _hermite_basis(_K7_U[1:-1])
+
+
+def _k7_on_cubic(g: Callable, y0: np.ndarray, coef: np.ndarray, h: np.ndarray, i, a, b) -> Tuple[np.ndarray, np.ndarray]:
+    """K7 values and L4 error estimates (:func:`~liouville.quadrature._k7`)
+    over the spans [a, b], as fractions, of the knot intervals i of width
+    h, of an integrand read off each interval's own cubic: y0 at its left
+    knot plus the rows ``coef`` (one column per interval) on
+    :func:`_hermite_basis`.  ``g(i, u, y)`` is the integrand at the nodes'
+    fractions u, where the cubic is y, one row per node and one column
+    per span.  No knot search, and every sum is elementwise, so a span's
+    bits do not depend on the others."""
+    u = a + (b - a) * _K7_U[:, None]
+    fx = g(i, u, sum(c * x for c, x in zip(coef[:, i], _hermite_basis(u))) + y0[i])
+    return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[i])
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from liouville import (
 )
 import liouville.construct as construct_module
 import liouville.quadrature as quadrature_module
-from liouville.construct import _hermite
+from liouville.verify import _hermite
 import liouville.verify as verify_module
 from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
 
@@ -269,17 +269,30 @@ _FILL_IDS = [f"n{p.n}-p{p.p}-{f!r}" for f, p in _FILL_CASES]
 
 
 def _fill_by_panels(f, params, s, tol):
-    # integrate_intervals of the source term over the panels between 0, s[0],
-    # s[1], ..., with the logs taken at every node
-    edges = np.concatenate(([0.0], s))
-    return integrate_intervals(lambda x: construct_module._source_term(f, params, x), edges[:-1], edges[1:], tol)
+    # integrate_intervals of the source term over [0, s[0]] in s, and of
+    # s * source(s) over the panels between the knots in x = ln s, as the
+    # fill takes them: the knots' ln s are rounded, and each panel in x is
+    # the integral between those rounded ends, which telescope in the sums
+    x = np.log(s)
+    first = integrate_intervals(lambda xi: construct_module._source_term(f, params, xi), [0.0], s[:1], tol)
+    rest = integrate_intervals(
+        lambda y: np.exp(y) * construct_module._source_term(f, params, np.exp(y)), x[:-1], x[1:], tol
+    )
+    return dataclasses.replace(
+        rest,
+        values=np.concatenate((first.values, rest.values)),
+        abs_errors=np.concatenate((first.abs_errors, rest.abs_errors)),
+        converged=first.converged and rest.converged,
+    )
 
 
 def _assert_fill_is_panels(f, params, tol):
     # the K7 fill agrees with the open 15-node panels to tolerance level,
-    # panel by panel and in the cumulative sums that the table holds
+    # panel by panel and in the cumulative sums that the table holds; it
+    # has one panel per knot: 2048 in the cache and 640 past it
     s, _, fill = construct_module._table_fill(f, params, tol)
     ref = _fill_by_panels(f, params, s, tol)
+    assert fill.values.size == s.size == 2048 + 640
     assert fill.converged and ref.converged
     assert np.all(np.abs(fill.values - ref.values) <= 1e-13 * ref.values)
     cum, ref_cum = np.cumsum(fill.values), np.cumsum(ref.values)
@@ -300,12 +313,12 @@ def test_table_fill_redoes_missed_panels_as_integrate_panels_does(monkeypatch):
     f = parse_nonlinearity("z^4*(1+exp(-1e6*(z-0.5)^2))")
     redone = _record(monkeypatch, "_bisect")
     _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL)
-    assert redone and all(0.4 < lo < hi < 1.6 for lo, hi in redone)
+    assert redone and all(0.4 < math.exp(lo) < math.exp(hi) < 1.6 for lo, hi in redone)
 
 
 def _record(monkeypatch, name):
     # the intervals handed to construct's integrate, integrate_intervals or
-    # _bisect
+    # _bisect (the table fill's in x = ln s but [0, s_0], in s)
     route, seen = getattr(construct_module, name), []
 
     def recorded(g, lo, hi, tol):
@@ -327,13 +340,21 @@ def test_table_fill_redoes_no_panel(monkeypatch, f, params):
 
 
 @pytest.mark.filterwarnings("error")
-def test_table_fill_halves_the_origin_panel_below_n7(monkeypatch):
-    # n=6 p=1.2 z^0.5: f(env) varies by k e s_0 = 1.8e-7 over [0, s_0], so
-    # s**5 g(s) is past L4's degree there; the halves take the source term
-    # at s = 0 as 0, with no log(0)
+@pytest.mark.parametrize("n", [3, 6, 8])
+def test_table_fill_takes_the_origin_rule_at_every_n(monkeypatch, n):
+    # p=1.2 z^0.5: f(env) varies by k e s_0 (1.8e-7 at n=6) over [0, s_0],
+    # so s**(n-1) g(s) is past L4's degree there from n = 6 on; the rule of
+    # the weight s**(n-1) meets the tolerance at every n, and agrees with
+    # the integral of s**(n-1) (1+s)**(-k/2) over [0, s_0], the incomplete
+    # beta function B(s_0/(1+s_0); n, k/2 - n)
+    params = StructureParams(n, 1.2)
     redone = _record(monkeypatch, "_bisect")
-    s, _, fill = construct_module._table_fill(Power(0.5), StructureParams(6, 1.2), _SEG_TOL)
-    assert redone == [(0.0, s[0])] and fill.converged
+    s, _, fill = construct_module._table_fill(Power(0.5), params, _SEG_TOL)
+    assert redone == [] and fill.converged
+    with mpmath.workdps(30):
+        s0 = mpmath.mpf(s[0])
+        ref = float(mpmath.betainc(n, 0.5 * (n - 1.2) / 0.2 - n, 0, s0 / (1 + s0)))
+    assert fill.values[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("lam, n, p", [(40.0, 3, 2.0), (12.8, 4, 1.5), (6.8, 4, 1.5)])
@@ -341,11 +362,13 @@ def test_table_fill_chases_no_panel_below_the_rounding_of_its_sum(monkeypatch, l
     # a fast-decaying source term falls far below the rounding of the running
     # sum, and then nears underflow, where the panels' own tolerance would
     # halve them to the depth cap; only the steep panels where I still grows
-    # are halved
+    # are halved (below s = 4.5: at z^6.8, n=4 p=1.5, s * source(s) falls
+    # like e**(-30 ln s), by 0.58 over a knot interval, and L4 misses up to
+    # s = 4.41, where the panels reach 1e-18 of I)
     redone = _record(monkeypatch, "_bisect")
     s, _, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
     assert fill.converged
-    assert 0 < len(redone) <= 100 and max(hi for _, hi in redone) < 4.0
+    assert 0 < len(redone) <= 100 and max(math.exp(hi) for _, hi in redone) < 4.5
 
 
 def _count_points(monkeypatch, name, arg):
@@ -362,17 +385,17 @@ def _count_points(monkeypatch, name, arg):
 
 
 def test_work_per_build_and_outer_fill(monkeypatch, params32):
-    # n=3 p=2: 4096 cache knots and 1280 past it, all 5376 panels K7, each
-    # the source term at its right end and five interior nodes
+    # n=3 p=2: 2048 cache knots and 640 past it, 2688 panels, each the
+    # integrand at its right end and five interior nodes
     points = _count_points(monkeypatch, "_ln_source", 2)
     prof = RadialProfile(Power(4.0), params32, 1.0)
-    assert prof._table.s.size == 4096 + 1280
-    assert sum(points) == 6 * 5376
+    assert prof._table.s.size == 2048 + 640
+    assert sum(points) == 6 * 2688
     # the outer fill: the closed form at the last knot, exp(psi) once per
-    # knot and at five interior nodes of each of the 5375 intervals
+    # knot and at five interior nodes of each of the 2687 intervals
     exps = _count_points(monkeypatch, "_exp_checked", 0)
     prof._outer_cache()
-    assert sum(exps) == 1 + 5376 + 5 * 5375
+    assert sum(exps) == 1 + 2688 + 5 * 2687
 
 
 @dataclasses.dataclass(frozen=True)
@@ -403,9 +426,11 @@ def test_table_fill_refuses_what_the_panels_refuse(params32, cut, bad, error, te
     with pytest.raises(error, match=text) as ours:
         construct_module._table_fill(f, params32, _SEG_TOL)
     # the fill names the first spoiled node in its own order: panel by
-    # panel, the five interior nodes and then the right end
-    x = construct_module._fill_nodes(s).ravel()
-    assert str(ours.value) == text + repr(float(x[-np.log1p(x) < cut][0]))
+    # panel, the five interior nodes and then the right end, [0, s_0] in s
+    # and the others in ln s, at s = e**(ln s)
+    origin = construct_module._panel_nodes(np.array([0.0, s[0]]))
+    ln_s = np.concatenate((np.log(origin), construct_module._panel_nodes(np.log(s)))).ravel()
+    assert str(ours.value) == text + repr(float(np.exp(ln_s[-np.log1p(np.exp(ln_s)) < cut][0])))
 
 
 def test_importing_the_cli_builds_no_table_geometry():
@@ -421,26 +446,36 @@ def test_importing_the_cli_builds_no_table_geometry():
 _KNOT_INTEGRALS = {}
 
 
-def _scalar_gradient(prof):
-    """|w'| inside the cache as a function of one float, in math only: the
-    knot interval by bisect on the knot list, and the cubic Hermite in
-    ln s written out in its four basis functions, an independent check of
-    construct._hermite and of the fixed basis of the outer cache."""
+def _dense_reference(prof):
+    """I_1 inside the cache as a function of ln s, by an independent route
+    to the table's dense output: the knot interval by bisect on the knot
+    list, and the integral of the degree-6 polynomial that numpy fits
+    through the panel's seven integrand values, in v in [-1, 1], once per
+    interval."""
     t = prof._table
-    ln_s, ln_i, slopes = t.ln_s.tolist(), t.ln_i.tolist(), t.slopes.tolist()
+    ln_s, sums, h = t.ln_s.tolist(), t.i.tolist(), t.h.tolist()
+    P, v_k7 = np.polynomial.polynomial, quadrature_module._XA_K7
+    integrals = {}
+
+    def inner(x):
+        i = min(max(bisect.bisect_right(ln_s, x) - 1, 0), len(ln_s) - 2)
+        if i not in integrals:
+            integrals[i] = P.polyint(P.polyfit(v_k7, t.at_nodes[:, i], 6), lbnd=-1.0)
+        v = 2.0 * (x - ln_s[i]) / h[i] - 1.0
+        return sums[i] + 0.5 * h[i] * float(P.polyval(v, integrals[i]))
+
+    return inner
+
+
+def _scalar_gradient(prof):
+    """|w'| inside the cache as a function of one float, in math only but
+    for the dense reference of I_1 (:func:`_dense_reference`)."""
+    inner = _dense_reference(prof)
     n, p, ln_delta = prof.params.n, prof.params.p, math.log(prof.delta)
 
     def gradient(zeta):
         x = math.log(zeta)
-        i = min(max(bisect.bisect_right(ln_s, x - ln_delta) - 1, 0), len(ln_s) - 2)
-        h = ln_s[i + 1] - ln_s[i]
-        u = (x - ln_delta - ln_s[i]) / h
-        ln_inner = (
-            ln_i[i] * (2.0 * u**3 - 3.0 * u**2 + 1.0)
-            + ln_i[i + 1] * (3.0 * u**2 - 2.0 * u**3)
-            + h * slopes[i] * (u**3 - 2.0 * u**2 + u)
-            + h * slopes[i + 1] * (u**3 - u**2)
-        )
+        ln_inner = math.log(inner(x - ln_delta))
         return math.exp((ln_inner + n * ln_delta - (n - 1) * x) / (p - 1.0))
 
     return gradient
@@ -579,7 +614,7 @@ def test_negative_source_is_refused(params32):
 
 
 # ---------------------------------------------------------------------------
-# the exact-slope Hermite between the cache knots
+# the exact-slope Hermite of the energy check's log-log interpolant of w
 
 class TestHermite:
     # ln(1 + e**x) and its exact slope, the logistic function
@@ -630,21 +665,33 @@ def test_inner_integral_between_knots_matches_incomplete_beta(beta_profile):
     prof = beta_profile
     n, b = prof.params.n, prof.decay * prof.f.exponent - prof.params.n
     ln_s = prof._table.ln_s
-    # the quarter and mid points of every knot interval, in ln s
-    zs = np.exp(ln_s[:-1, None] + np.diff(ln_s)[:, None] * [0.25, 0.5]).ravel().tolist()
+    # the quarter and mid points of every 23rd knot interval, in ln s, and
+    # the knots themselves; mpmath's arbitrary-precision context, as its
+    # double-precision one is itself only good to about 3e-12 here
+    at = ln_s[:-1:23, None] + np.diff(ln_s)[::23, None] * [0.0, 0.25, 0.5]
+    zs = np.exp(at).ravel().tolist()
     ours = np.array([prof.inner_integral(z) for z in zs])
-    # mpmath's double-precision context, within 3e-12 of its arbitrary-
-    # precision one here and four times faster
-    exact = np.array([mpmath.fp.betainc(n, b, 0, z / (1.0 + z)) for z in zs])
-    assert np.max(np.abs(ours / exact - 1.0)) <= 1e-10
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.betainc(n, b, 0, mpmath.mpf(z) / (1 + mpmath.mpf(z)))) for z in zs])
+    assert np.max(np.abs(ours / exact - 1.0)) <= 1e-12
 
 
-def test_hermite_of_ln_inner_is_monotone(beta_profile):
+def test_dense_inner_is_nonnegative_and_nondecreasing(beta_profile):
+    # I_1 on a fine grid in ln s, off the dense output of the table's panels
     table = beta_profile._table
     x = np.linspace(table.ln_s[0], table.ln_s[-1], 200_001)
-    y = _hermite(x, table.ln_s, table.ln_i, table.slopes)
-    # rounding of ln I aside, which is about an ulp of it
-    assert np.all(np.diff(y) >= -2.0 * np.spacing(np.abs(y[1:])))
+    y = table.inner(*table.locate(x))
+    # rounding aside, a few ulps of I
+    assert np.all(y >= 0.0)
+    assert np.all(np.diff(y) >= -4.0 * np.spacing(y[1:]))
+
+
+def test_centre_value_of_the_closed_form_instance(params32):
+    # n=3 p=2 z^4: w(0) = 1/6, to 1e-14, and within the error that the
+    # delta search carries for it, the outer fill's summed error
+    w0, error = RadialProfile(Power(4.0), params32, 1.0)._sup()
+    assert abs(w0 - 1.0 / 6.0) <= 1e-14
+    assert abs(w0 - 1.0 / 6.0) <= error
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +771,7 @@ def test_closed_forms_off_the_cache_match_quadrature(batched_profile):
 
 
 # ---------------------------------------------------------------------------
-# the outer cache on the table's cubics against the panels in zeta it replaces
+# the outer cache on the table's dense output against the panels in zeta it replaces
 
 _OUTER_CASES = [
     (Power(4.0), StructureParams(3, 2.0)),
@@ -761,15 +808,15 @@ def test_values_on_grid_matches_intervals_in_zeta():
     prof.profile_value(0.0)
     view = prof.rescaled(2.0**-6)
     knots = view.delta * view._table.s  # exact: the scale is a power of two
-    on = knots[[0, 1, 700, 2048, 4095, -2, -1]]
-    between = np.sqrt(knots[[0, 3, 1500, 4094, -3]] * knots[[1, 4, 1501, 4095, -2]])
+    on = knots[[0, 1, 700, 1024, 2047, -2, -1]]
+    between = np.sqrt(knots[[0, 3, 1500, 2046, -3]] * knots[[1, 4, 1501, 2047, -2]])
     rs = np.sort(np.concatenate((on, between, knots[2000] * (1.0 + np.geomspace(1e-15, 1e-4, 5)))))
     j = np.searchsorted(knots, rs)
     gaps = integrate_intervals(view._outer_array, rs, np.maximum(knots[j], rs), view._seg_tol)
     ref = view._outer_cache()[0][j] + gaps.values
     assert gaps.converged
     assert view.values_on_grid(rs) == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)
-    assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 700, 2048, 4095, -2, -1]].tolist()
+    assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 700, 1024, 2047, -2, -1]].tolist()
 
 
 def _forced_misses(monkeypatch, converged=True):
@@ -806,28 +853,28 @@ def _scalar_outer(prof, lo, hi):
 
 
 def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
-    # the first two spans of every block miss: they are halved on their
-    # intervals' own cubics, all in one _bisect call, and agree with
+    # the first two spans of the fill miss: they are halved on the dense
+    # output of their intervals, in one _bisect call, and agree with
     # mpmath's quadrature of _outer_array over the same knot interval
     honest = RadialProfile(Power(4.0), params32, 1.0)._outer_cache()[0]
     prof = RadialProfile(Power(4.0), params32, 1.0)  # the table fill is not forced to miss
     calls = _forced_misses(monkeypatch)
     ws, converged, _ = prof._outer_cache()
     knots = prof._table.s
-    firsts = [i for c in range(0, knots.size - 1, construct_module._BLOCK) for i in (c, c + 1)]
+    firsts = [0, 1]  # the first two of the fill's one _k7 call
     assert calls == [([0.0] * len(firsts), [1.0] * len(firsts))] and converged
     assert ws.tolist() == pytest.approx(honest.tolist(), rel=1e-13, abs=0.0)
-    # the same spans, two a pass, so that each is forced to miss
-    spans = np.concatenate([prof._outer_spans(np.array(firsts[c : c + 2]))[0] for c in range(0, len(firsts), 2)])
+    # the same spans in a pass of their own, where they are forced to miss again
+    spans = prof._outer_spans(np.array(firsts))[0]
     # partial spans: w between knots, the first two of the pass forced to miss
-    rs = np.sqrt(knots[[10, 2000, 5000]] * knots[[11, 2001, 5001]])
+    rs = np.sqrt(knots[[10, 1000, 2500]] * knots[[11, 1001, 2501]])
     between = prof.values_on_grid(rs)
-    assert [len(lo) for lo, _ in calls] == [len(firsts)] + [2] * (len(firsts) // 2) + [3]
+    assert [len(lo) for lo, _ in calls] == [2, 2, 3]
     monkeypatch.undo()
     x = prof._table.ln_s
     ref = [_scalar_outer(prof, x[i], x[i + 1]) for i in firsts]
     assert spans.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
-    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]) for r, i in zip(rs, [10, 2000, 5000])]
+    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]) for r, i in zip(rs, [10, 1000, 2500])]
     assert between == pytest.approx(ref, rel=1e-13, abs=0.0)
     # an unconverged halving marks the fill unconverged
     prof = RadialProfile(Power(4.0), params32, 1.0)
@@ -848,27 +895,27 @@ def _count_k7(monkeypatch, module):
 
 
 def test_k7_work_per_stage(monkeypatch, params32):
-    # every closed K7 panel goes through _k7, once per block of _BLOCK
-    # panels: the build (4096 + 1280 panels), the outer fill (one fewer),
+    # every closed K7 panel goes through _k7: the build's 2048 + 640 panels
+    # in one call, but [0, s_0], which takes the rule of its weight; the
+    # outer fill's as many, in one call too;
     # one call per values_on_grid, one for the sample the grid checks read
-    # (one panel per radius of the 794 but the 30 that are table knots: in
-    # exact arithmetic every 16th energy knot is one), and one for the
-    # energy check's 567 panels; none through the Fejer pair's _rule
+    # (one panel per radius of the 794: none is a table knot), and one for
+    # the energy check's 567 panels; none through the Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
     rule = quadrature_module._rule
     monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
     prof = RadialProfile(Power(4.0), params32, 1.0)
-    assert (len(built), sum(built)) == (6, 5376)
+    assert (len(built), sum(built)) == (1, 2687)
     built.clear()
     prof._outer_cache()
-    assert (len(built), sum(built)) == (6, 5375)
+    assert (len(built), sum(built)) == (1, 2687)
     for radii in ([0.5], np.geomspace(1e-3, 1e3, 200)):
         built.clear()
         prof.values_on_grid(radii)
         assert len(built) == 1
     built.clear()
     prof._sample(verify_module._unit_sample()[0])
-    assert built == [764]
+    assert built == [794]
     built.clear()
     energy_diagnostic(prof)
     assert (built, checked) == ([], [567])
@@ -879,7 +926,7 @@ def test_k7_work_per_stage(monkeypatch, params32):
 @pytest.mark.filterwarnings("error")
 def test_sample_is_values_on_grid_and_outer_array(f, params):
     # at delta = 1 bit for bit: w by the same spans as values_on_grid, |w'|
-    # on the cubic of the interval that pass found, as _outer_array's knot
+    # on the dense output of the interval that pass found, as _outer_array's knot
     # search finds it.  At delta = 2**-j the sample is the one at delta = 1
     # scaled; the direct evaluation there rounds the logs of delta, zeta
     # and I, which 1/(p-1) amplifies in |w'|
@@ -926,16 +973,19 @@ def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
 
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
 def test_outer_fill_redoes_no_panel(monkeypatch, f, params):
+    # but at n=8 p=1.5 z^0.81, where |w'| falls like zeta**-13 past the
+    # source's saturation, by a factor 1.26 over a knot interval: L4 misses
+    # 962 of its 2687 spans there, all halved together
     prof = RadialProfile(f, params, 1.0)
     redone = _record(monkeypatch, "_bisect")
     assert prof._outer_cache()[1]
-    assert redone == []
+    assert len(redone) == (962 if (params.n, params.p) == (8, 1.5) else 0)
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-3, 1.0, 10.0])
 def test_steep_profile_builds_and_fills_promptly(monkeypatch, eps):
     # n=3 p=1.05, f = z**(q+1): k = 39, so |w'| falls like zeta**-40 and L4
-    # misses hundreds of outer spans, all halved on their cubics together
+    # misses hundreds of outer spans, all halved on their dense output together
     params = StructureParams(3, 1.05, eps)
     redone = _record(monkeypatch, "_bisect")
     with deadline(5):

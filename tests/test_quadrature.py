@@ -344,7 +344,7 @@ def _k7_reference(fx, h):
     return high, np.maximum(np.where((resasc != 0.0) & (err != 0.0), damped, err), 50.0 * _EPS * resabs)
 
 
-# the fixed blocks of these tables (their first 4096 panels) against the reference
+# the K7 panels of these tables (all but [0, s_0]) against the reference
 _K7_TABLES = [
     (Power(4.0), StructureParams(3, 2.0)),
     (Power(40.0), StructureParams(3, 2.0)),
@@ -354,8 +354,34 @@ _K7_TABLES = [
 ]
 
 
+def _k7_formula(f0, inner, f6, h):
+    # _k7 written as one expression per sum, with a fresh array for every
+    # term: the kernel's in-place sums must give these bits
+    (w0, w1, w2, w3), (l0, l2) = _WA_K7L4[0, :4].tolist(), _WA_K7L4[1, [0, 2]].tolist()
+    ends, mid = f0 + f6, inner[1] + inner[3]
+    s = w0 * ends + w1 * (inner[0] + inner[4]) + w2 * mid + w3 * inner[2]
+    mean = 0.5 * s
+    dev = np.abs(inner - mean)
+    asc = w0 * (np.abs(f0 - mean) + np.abs(f6 - mean)) + w1 * (dev[0] + dev[4]) + w2 * (dev[1] + dev[3]) + w3 * dev[2]
+    r = np.minimum(200.0 * np.abs(s - (l0 * ends + l2 * mid)), asc)
+    np.divide(r, asc, out=r, where=asc > 0.0)
+    return h * s, h * np.maximum(r * np.sqrt(r) * asc, 50.0 * _EPS * s)
+
+
 class TestK7:
     """The node-major kernel of the closed pair against the einsum reference."""
+
+    def test_in_place_sums_are_the_formula_bit_for_bit(self):
+        # random panels, panels with zeros, and constant panels (asc = 0)
+        rng = np.random.default_rng(11)
+        fx = rng.lognormal(size=(7, 1024)) * (rng.random((7, 1024)) > 0.1)
+        fx[:, :40] = rng.lognormal(size=40)
+        fx[:, 40:50] = 0.0
+        h = rng.lognormal(size=1024)
+        before = fx.copy()
+        ours, ref = _k7(*_node_major(fx), h), _k7_formula(*_node_major(fx), h)
+        assert ours[0].tolist() == ref[0].tolist() and ours[1].tolist() == ref[1].tolist()
+        assert np.array_equal(fx, before)  # the inputs are not written
 
     def test_panels_do_not_depend_on_their_block(self):
         # bit for bit: a panel alone gets the bits of its column in a block
@@ -377,8 +403,8 @@ class TestK7:
 
         monkeypatch.setattr(construct_module, "_k7", recorded)
         construct_module._table_fill(f, params, Tolerance(rel=1e-12, absolute=0.0))
-        assert sum(fx.shape[0] for fx, _, _ in blocks[:4]) == 4096
-        for fx, h, (value, estimate) in blocks[:4]:
+        assert blocks[0][0].shape[0] == 2048 + 640 - 1
+        for fx, h, (value, estimate) in blocks[:1]:
             ref_value, ref_estimate = _k7_reference(fx, h)
             # the values agree to rounding; the estimates, differences of
             # nearly equal sums, to a few digits where they are not noise

@@ -276,9 +276,10 @@ def _csv_text(header: List[str], rows: List[List[object]]) -> str:
 # classify
 
 
-def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance) -> CriterionVerdict:
-    # classify f with this command's monotonicity setting
-    opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone)
+def _gate(f: Nonlinearity, params: StructureParams, cfg: RunConfig, tol: Tolerance, value: bool) -> CriterionVerdict:
+    # classify f with this command's monotonicity setting, valuing a
+    # convergent f only where the command prints the value
+    opts = ClassifyOptions(check_monotonicity=not cfg.allow_nonmonotone, value=value)
     return classify(f, params, opts, tol)
 
 
@@ -286,7 +287,7 @@ def cmd_classify(cfg: RunConfig) -> int:
     params = StructureParams(cfg.n, cfg.p, cfg.eps)
     q = critical_exponent(params)
     f = _make_f(cfg, q)
-    verdict = _gate(f, params, cfg, _tolerance(cfg))
+    verdict = _gate(f, params, cfg, _tolerance(cfg), value=True)
 
     payload = {
         "schema": "classify-report/v1",
@@ -342,7 +343,7 @@ def _setup_profile(cfg: RunConfig) -> Tuple[Optional[RadialProfile], CriterionVe
     params = StructureParams(cfg.n, cfg.p, cfg.eps)
     f = _make_f(cfg, critical_exponent(params))
     tol = _tolerance(cfg)
-    verdict = _gate(f, params, cfg, tol)
+    verdict = _gate(f, params, cfg, tol, value=False)
     if verdict.verdict is not Verdict.CONVERGES:
         return None, verdict
     if cfg.delta is not None:

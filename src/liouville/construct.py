@@ -74,6 +74,7 @@ import numpy as np
 
 from ._leading import leading_term
 from .criterion import (
+    ClassifyOptions,
     StructureParams,
     Verdict,
     _integral_below,
@@ -311,10 +312,11 @@ def _table_fill(
     first spoiled node panel by panel.
     A panel whose estimate misses ``tol`` of both its own value and the
     rounding of the running sum it joins is halved to ``tol`` of its own
-    value (:func:`~liouville.quadrature._bisect`), on K7 panels with the
-    integrand taken afresh at all seven nodes (0 at s = 0); its seven
-    values are then scaled to that value, so that the dense output of the
-    panel ends on the running sum.
+    value (:func:`~liouville.quadrature._bisect`, from the fill's value
+    and estimate of it), its halves K7 panels with the integrand taken
+    afresh at all seven nodes (0 at s = 0); its seven values are then
+    scaled to that value, so that the dense output of the panel ends on
+    the running sum.
     """
     n = params.n
     knots, fixed = _table_geometry()
@@ -353,7 +355,7 @@ def _table_fill(
 
     lo, hi = np.concatenate(([0.0], x[:-1])), np.concatenate((s[:1], x[1:]))
     guess = values[miss]
-    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], hi[miss], tol)
+    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], hi[miss], tol, (guess, errors[miss]))
     ratio = np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
     at_nodes[:, miss] *= ratio
     return s, at_nodes[:, 1:], PanelResults(values, errors, bool(converged.all()))
@@ -535,6 +537,9 @@ class RadialProfile:
         # that half-width misses the tolerance (small a), subtract the
         # first-order term (n-1) x instead, one more integral below top
         # with exponent q - a; what is left lies within [0, C(n-1, 2) w**2].
+        # Top is 1e-20 and less, where f's leading term is as a rule exact
+        # to the tolerance: each integral is then that term's closed form,
+        # with no shell integrated (_integral_below).
         t = self._table
         if t.limit is None:
             n, tol = self.params.n, self.tol
@@ -674,9 +679,9 @@ class RadialProfile:
         nodes, at their own fractions of each span.  Either way a span's
         bits do not depend on the other spans of the call.  Spans that
         miss the tolerance are halved on the second rule
-        (:func:`~liouville.quadrature._bisect`), with no new evaluation
-        of f.  Returns the integrals, their errors and whether every span
-        met the tolerance.
+        (:func:`~liouville.quadrature._bisect`, which starts from their
+        values and estimates), with no new evaluation of f.  Returns the
+        integrals, their errors and whether every span met the tolerance.
         """
         t, p, tol = self._table, self.params.p, self._seg_tol
         h, k = t.h[i], self.decay
@@ -702,7 +707,11 @@ class RadialProfile:
         values, errors = _k7(ends[i], fx, ends[i + 1], 0.5 * h)
         miss = np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values)))
         values[miss], errors[miss], _, ok = _bisect(
-            lambda j, a, b: spans(miss[j], a, b), np.zeros(miss.size), np.ones(miss.size), tol
+            lambda j, a, b: spans(miss[j], a, b),
+            np.zeros(miss.size),
+            np.ones(miss.size),
+            tol,
+            (values[miss], errors[miss]),
         )
         return values, errors, bool(ok.all())
 
@@ -952,14 +961,16 @@ def find_delta(
     read the scale from its ``delta`` and neither build nor fill
     anything again.
 
-    Divergent f raises :class:`DivergentIntegralError`; an undecided
-    classifier verdict raises :class:`CriterionUndecidedError` unless
-    ``opts.assume_convergent`` is set.
+    Unless ``opts.assume_convergent`` is set, f is first classified, for
+    the verdict only (``ClassifyOptions(value=False)``: the search reads
+    I(inf), not the criterion value).  Divergent f raises
+    :class:`DivergentIntegralError`, and an undecided verdict
+    :class:`CriterionUndecidedError`.
     """
     opts = opts or DeltaSearchOptions()
 
     if not opts.assume_convergent:
-        verdict = classify(f, params, tol=tol)
+        verdict = classify(f, params, ClassifyOptions(value=False), tol)
         if verdict.verdict is Verdict.DIVERGES:
             raise DivergentIntegralError(
                 "the criterion integral diverges: only the zero solution exists, "

@@ -26,8 +26,14 @@ leading term without a value.
 
 One routine values the integral below any point, :func:`_integral_below`:
 :func:`criterion_value` is it at eps, and the profile's source limit
-I(inf) below the envelope's last tabulated value.  Below the shells the
-remainder is the leading term's own integral, in closed form.
+I(inf) below the envelope's last tabulated value.  Where the leading
+term matches f to the tolerance at every shell edge below that point,
+the value is the term's own integral, in closed form, and no shell is
+integrated: so it is for the source limit of the usual forms, whose
+point lies 1e-20 and more below 1.  Otherwise the shells are integrated,
+and below them the remainder is the term's own integral.  A gate that
+reads only the verdict (``ClassifyOptions(value=False)``) integrates
+nothing the verdict does not need.
 
 Honest limits.  Exponents are compared exactly, so an exponent that is
 a float sum a few ulps away from its threshold (z^0.1 * z^0.7 against
@@ -36,7 +42,10 @@ meant.  The remainder's error is the deviation of the deepest shells
 from the leading term, on the assumption that it keeps shrinking below
 them (true eventually for these functions, and checked over the deeper
 half of the shells); a log-log factor deviates slowly, so such values
-carry errors near 1e-2.  Where the walk gives up, the shells alone can
+carry errors near 1e-2.  The closed form from a point rests on the same
+assumption, with the deviation read at the 41 shell edges below it: a
+feature of f narrower than a shell, between two edges, is not seen
+there.  Where the walk gives up, the shells alone can
 certify convergence (vanished deep shells, or a geometric tail bound
 within a quarter of the partial sum, itself a judgement on 40 shells)
 but never divergence.  Their remainder, and that of a term without a
@@ -153,9 +162,11 @@ class CriterionVerdict:
 @dataclass(frozen=True)
 class ClassifyOptions:
     """Options of :func:`classify`: ``check_monotonicity=False`` waives
-    the sampled non-decrease check."""
+    the sampled non-decrease check, and ``value=False`` the value of a
+    convergent verdict, for a gate that reads only the verdict."""
 
     check_monotonicity: bool = True
+    value: bool = True
 
 
 # The integral below a point is _SHELL_COUNT dyadic shells plus the
@@ -220,7 +231,10 @@ def classify(
     inconclusive, never divergent.  The method label names the input's
     route as before: "analytic" for the two families, whose terms are
     their definitions, and "numeric" for expressions.  A convergent
-    verdict whose value cannot be certified comes back without one.
+    verdict whose value cannot be certified comes back without one, and
+    so does every verdict where ``opts.value`` is False: a gate that
+    reads only the verdict integrates nothing the verdict does not need
+    (the numeric route's shells).
 
     Unless waived in ``opts``, f is first probed for non-decrease on
     (0, eps]; a decreasing f raises :class:`MonotonicityError`.
@@ -245,7 +259,7 @@ def classify(
         decided, detail = _verdict(term, q)
         method = "numeric" if isinstance(f, Expression) else "analytic"
         shells, verdict = [], CriterionVerdict(decided, method, detail=detail)
-    if verdict.verdict is not Verdict.CONVERGES:
+    if verdict.verdict is not Verdict.CONVERGES or not opts.value:
         return verdict
     try:
         res = _integral_below(f, params, term, math.log(params.eps), tol, shells)
@@ -336,6 +350,18 @@ class _LogShells(List[_Shell]):
         self.edges = edges
 
 
+def _ln_integrand(f: Nonlinearity, q: float, v: np.ndarray) -> np.ndarray:
+    # L = ln f(e**-v) + q v, the log of the criterion integrand in v = ln(1/zeta)
+    return _ln_f(f, -v, lambda: np.exp(-v)) + q * v
+
+
+def _shell_points(ln_top: float, count: int, first: int = 0) -> np.ndarray:
+    """v = ln(1/zeta) at the edges and midpoints of shells first ..
+    first + count - 1 below top = e**ln_top, in order: every other point,
+    from the first, is an edge."""
+    return 0.5 * _LN2 * np.arange(2 * first, 2 * (first + count) + 1) - ln_top
+
+
 def _log_shells(
     f: Nonlinearity,
     params: StructureParams,
@@ -344,6 +370,7 @@ def _log_shells(
     tol: Tolerance,
     first: int = 0,
     q: Optional[float] = None,
+    ln_at: Optional[np.ndarray] = None,
 ) -> _LogShells:
     """Shells k = first .. first + count - 1 of the criterion integral
     below top = e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
@@ -355,15 +382,14 @@ def _log_shells(
     ``value`` is r_k plus the log of that integral (-inf where it underflows
     at every node, as where f vanishes), ``abs_error`` the error of that log.
     A negative f raises :class:`DomainError`.  ``q`` replaces the critical
-    exponent (the weight of the source limit's first-order term).
+    exponent (the weight of the source limit's first-order term), and
+    ``ln_at`` is L at the edges and midpoints (:func:`_shell_points`)
+    where the caller has evaluated it there already.
     """
     q = critical_exponent(params) if q is None else q
-
-    def ln_g(v: np.ndarray) -> np.ndarray:
-        return _ln_f(f, -v, lambda: np.exp(-v)) + q * v
-
-    at = 0.5 * _LN2 * np.arange(2 * first, 2 * (first + count) + 1) - ln_top
-    edges, ln_at = at[::2], ln_g(at)
+    at = _shell_points(ln_top, count, first)
+    edges = at[::2]
+    ln_at = _ln_integrand(f, q, at) if ln_at is None else ln_at
     r = np.maximum(np.maximum(ln_at[:-1:2], ln_at[1::2]), ln_at[2::2])
     r = np.where(r > -np.inf, r, 0.0)  # f vanishes at all three points
 
@@ -371,7 +397,7 @@ def _log_shells(
         # a row holds one panel's nodes; a node by an edge can round into the
         # next shell, the panel's centre not
         centre = 0.5 * (v[:, :1] + v[:, -1:])
-        out = ln_g(v) - r[np.clip(np.searchsorted(edges, centre, side="right") - 1, 0, count - 1)]
+        out = _ln_integrand(f, q, v) - r[np.clip(np.searchsorted(edges, centre, side="right") - 1, 0, count - 1)]
         if (out > _LOG_MAX).any():
             raise EvalOverflow("integrand exceeds double range within a shell")
         return np.exp(out)
@@ -448,6 +474,50 @@ def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
 _GAMMA_ERROR = 2e-14
 
 
+class _Model(NamedTuple):
+    """The integrand m(u) = C e**(-d u) u**b1 (ln u)**b2 in u = ln(1/zeta),
+    through m(v) = e**ln_m: a leading term's own, or a fitted power's; its
+    integral over u > v is ``tail(*model)``."""
+
+    ln_m: float
+    d: float
+    b1: float
+    b2: float
+    v: float
+
+
+def _term_model(term: Optional[Term], q: float, v: float) -> Optional[_Model]:
+    """The leading term's own integrand (``term``'s c z**a L1**b1 L2**b2
+    times z**-q, in u), through u = v; None where there is no term, or it
+    lies beyond every power, or v <= 1 (ln ln v is not real)."""
+    if term is None or not math.isfinite(term.a) or not v > 1.0:
+        return None
+    d, b1, b2 = term.a - q, term.b1, term.b2
+    ln_m = math.log(term.c) - d * v + (b1 * math.log(v) if b1 else 0.0)
+    ln_m += b2 * math.log(math.log(v)) if b2 else 0.0
+    return _Model(ln_m, d, b1, b2, v)
+
+
+def _deviation(model: _Model, edges: np.ndarray, ln_top: float, deep: int) -> Tuple[float, float, bool]:
+    """How far e**L departs from ``model`` at the shell edges below
+    top = e**ln_top, L as the shells' pass evaluated it there (``edges``,
+    K + 1 of them, edge k at u = k ln 2 - ln_top): the largest relative
+    deviation |e**(L - ln m) - 1| over the ``deep`` deepest edges, the
+    deviation at the middle edge k = K // 2, and whether it holds still
+    below that edge: at the three deepest edges it is at most that at
+    the middle one, or 1e-12, which absorbs the rounding of L."""
+    K = edges.size - 1
+    at = np.concatenate(([K // 2], np.arange(K + 1 - deep, K + 1)))
+    u = _LN2 * at - ln_top
+    ln_m, d, b1, b2, v = model
+    with np.errstate(all="ignore"):
+        ln_model = ln_m - d * (u - v) + (b1 * np.log(u / v) if b1 else 0.0)
+        ln_model = ln_model + (b2 * np.log(np.log(u) / math.log(v)) if b2 else 0.0)
+        dev = np.abs(np.expm1(edges[at] - ln_model))
+    mid = float(dev[0])
+    return float(dev[1:].max()), mid, bool(dev[-3:].max() <= max(mid, 1e-12))
+
+
 def _remainder(q: float, results: _LogShells, ln_top: float, term: Optional[Term]) -> Tuple[float, float]:
     """The criterion integral below the log-shells ``results``, the
     outermost ones below top = e**ln_top, and its error.
@@ -461,38 +531,51 @@ def _remainder(q: float, results: _LogShells, ln_top: float, term: Optional[Term
     is the power z**(q + d) whose shells repeat the ratio 2**-d of the
     two deepest, through the deepest.  The error is rho times the
     remainder, rho the largest relative deviation of e**L from m at the
-    three deepest shell edges (L as the shells' pass evaluated it there).
-    A deviation that grows over the deeper half of the shells refuses the
-    remainder with :class:`CriterionUndecidedError`.
+    three deepest shell edges (:func:`_deviation`).  A deviation that
+    grows over the deeper half of the shells refuses the remainder with
+    :class:`CriterionUndecidedError`.
     """
-    K = len(results)
-    v = K * _LN2 - ln_top
-    value = None
-    if term is not None and math.isfinite(term.a) and v > 1.0:
-        d, b1, b2 = term.a - q, term.b1, term.b2
-        ln_m = math.log(term.c) - d * v + (b1 * math.log(v) if b1 else 0.0)
-        ln_m += b2 * math.log(math.log(v)) if b2 else 0.0
-        value = tail(ln_m, d, b1, b2, v)
+    v = len(results) * _LN2 - ln_top
+    model = _term_model(term, q, v)
+    value = None if model is None else tail(*model)
     if value is None:
         drop = results[-2].value - results[-1].value
         if not 0.0 < drop < math.inf:
             raise CriterionUndecidedError("the deepest shells do not decay, so no remainder can be fitted")
-        d, b1, b2 = drop / _LN2, 0.0, 0.0
-        ln_m = results[-1].value + math.log(d) - drop - math.log(-math.expm1(-drop))
-        value = tail(ln_m, d, b1, b2, v)
-    at = [K // 2, K - 2, K - 1, K]
-    u = _LN2 * np.array(at, dtype=float) - ln_top
-    with np.errstate(all="ignore"):
-        ln_model = ln_m - d * (u - v) + (b1 * np.log(u / v) if b1 else 0.0)
-        ln_model = ln_model + (b2 * np.log(np.log(u) / math.log(v)) if b2 else 0.0)
-        dev = np.abs(np.expm1(results.edges[at] - ln_model))
-    rho = float(dev[1:].max())
-    if not rho <= max(float(dev[0]), 1e-12):
+        d = drop / _LN2
+        model = _Model(results[-1].value + math.log(d) - drop - math.log(-math.expm1(-drop)), d, 0.0, 0.0, v)
+        value = tail(*model)
+    rho, mid, settled = _deviation(model, results.edges, ln_top, 3)
+    if not settled:
         raise CriterionUndecidedError(
             f"the integrand's deviation from its leading term grows over the deep shells "
-            f"(from {float(dev[0]):.3g} to {rho:.3g})"
+            f"(from {mid:.3g} to {rho:.3g})"
         )
     return value, (rho + _GAMMA_ERROR) * value
+
+
+def _closed_form(
+    term: Optional[Term], q: float, ln_top: float, edges: np.ndarray, tol: Tolerance
+) -> Optional[QuadratureResult]:
+    """The leading term's own integral from top = e**ln_top, where it is
+    the criterion integral to ``tol``; None elsewhere.
+
+    The model is :func:`_remainder`'s, through top instead of the deepest
+    shell, and so is the test (:func:`_deviation`), on L at all the
+    shells' edges (``edges``): the deviation must hold still over the
+    deeper half, and the error, rho times the integral, rho the largest
+    deviation at any edge, must be within ``tol``.
+    """
+    model = _term_model(term, q, -ln_top)
+    try:
+        value = None if model is None else tail(*model)
+    except (OverflowError, ValueError):  # past double range or the gamma's domain: the shells decide
+        return None
+    if value is None or not 0.0 < value < math.inf:
+        return None
+    rho, _, settled = _deviation(model, edges, ln_top, edges.size)
+    error = (rho + _GAMMA_ERROR) * value
+    return QuadratureResult(value, error, 0, True) if settled and error <= tol.bound(value) else None
 
 
 def _integral_below(
@@ -510,9 +593,13 @@ def _integral_below(
     by the caller), None where the walk gave up.
 
     Where f is exactly c * z**a (a ``Power``, or such an expression) it
-    is the term's closed form from top.  Otherwise it is the
-    ``_SHELL_COUNT`` log-valued dyadic shells below ``top``
-    (:func:`_log_shells`; ``shells``, if already computed) plus the
+    is the term's closed form from top.  Otherwise L = ln f + q v is
+    taken at the edges and midpoints of the ``_SHELL_COUNT`` dyadic
+    shells below top, in one call of f's log evaluator, and where the
+    term matches f at the edges to ``tol`` (:func:`_closed_form`) the
+    integral is the term's closed form from top.  Elsewhere it is the
+    log-valued shells (:func:`_log_shells`, on those values of L;
+    ``shells``, if already computed, which skip the closed form) plus the
     remainder below them: zero when the deeper half ends in vanished
     shells (:func:`_vanished_tail`), else :func:`_remainder`.
     ``converged`` says whether the error is within ``tol``.  A leading
@@ -533,7 +620,13 @@ def _integral_below(
             value = tail(math.log(term.c) - d * v, d, 0.0, 0.0, v)
             return QuadratureResult(value, 4e-16 * abs(value), 0, True)
 
-    results = shells or _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q)
+    results = shells
+    if not results:
+        ln_at = _ln_integrand(f, q, _shell_points(ln_top, _SHELL_COUNT))
+        closed = _closed_form(term, q, ln_top, ln_at[::2], tol)
+        if closed is not None:
+            return closed
+        results = _log_shells(f, params, ln_top, _SHELL_COUNT, tol, q=q, ln_at=ln_at)
     if not all(r.converged for r in results):
         raise CriterionUndecidedError(_UNCERTIFIED)
     value, err, vanished = _totals(results)

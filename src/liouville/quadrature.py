@@ -36,9 +36,12 @@ where their error exceeds an even share of it, all of them in one call
 of the rule.  A panel no wider than 256 machine epsilons of its
 position is not halved: its halves would evaluate coinciding nodes,
 which may land on a point singularity and make a divergent panel look
-exact.  An
-interval left open by that stop, by the depth cap or by the cap on open
-panels comes back with the sums of its panels and ``converged`` False.
+exact.  An interval whose panels that cannot be halved already carry
+more error than its bound can no longer converge, and stops there; it
+comes back with the sums of its panels and ``converged`` False, as does
+one left open by the depth cap or by the cap on open panels.  A caller
+that has valued every interval as one panel already hands those values
+in as the first level, so none is valued twice.
 
 The Fejer rule's sums over a block are einsum reductions (:func:`_rule`),
 which sum each row on its own; :func:`_k7` sums elementwise.  Either way
@@ -53,7 +56,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -307,27 +310,38 @@ def _bisect(
     lo: np.ndarray,
     hi: np.ndarray,
     tol: Tolerance,
+    first: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrals over the intervals ``[lo[i], hi[i]]``, all at once, on
     the panel rule ``rule(own, a, b)``: the values and error estimates of
     the panels ``[a[j], b[j]]`` of the intervals ``own[j]``.
 
-    An interval is done once its summed error is within ``tol.bound`` of
-    its summed value.  Up to ``_MAX_LEVEL`` times, each panel of an open
-    interval whose error exceeds an even share of that bound is halved,
-    all new panels in one call of ``rule``, unless it is narrower than
-    ``_NARROW`` of its position.  An interval still open then (or when no
-    panel can be halved, or past ``_MAX_PANELS`` open panels) comes back
-    with the sums of its panels, not converged.  An empty interval gives
-    0.  Returns per interval the value, error, panel count and
-    convergence flag.
+    Each interval starts as one panel, valued by ``rule``, or, where the
+    caller has valued every interval as one panel already, by ``first``,
+    those values and errors.  An interval is done once its summed error
+    is within ``tol.bound`` of its summed value.  Up to ``_MAX_LEVEL``
+    times, each panel of an open interval whose error exceeds an even
+    share of that bound is halved, all new panels in one call of
+    ``rule``, unless it cannot be: it is narrower than ``_NARROW`` of its
+    position, or its midpoint rounds onto an end.  An interval whose
+    panels that cannot be halved carry more error than its bound can no
+    longer converge, and comes back at once with the sums of its panels,
+    not converged; so does an interval still open after the last level
+    (or when no panel can be halved, or past ``_MAX_PANELS`` open
+    panels).  An empty interval gives 0.  Returns per interval the
+    value, error, count of the panels ``rule`` valued, and convergence
+    flag.
     """
     n = lo.size
     values, errors, converged = np.zeros(n), np.zeros(n), np.ones(n, dtype=bool)
     own = np.flatnonzero(hi > lo)
     a, b = lo[own], hi[own]
-    v, e = rule(own, a, b) if own.size else (a, b)
-    panels = np.bincount(own, minlength=n)
+    if first is None:
+        v, e = rule(own, a, b) if own.size else (a, b)
+        panels = np.bincount(own, minlength=n)
+    else:
+        v, e = first[0][own], first[1][own]
+        panels = np.zeros(n, dtype=np.int64)
     for level in range(_MAX_LEVEL + 1):
         tv = np.bincount(own, weights=v, minlength=n)
         te = np.bincount(own, weights=e, minlength=n)
@@ -340,6 +354,15 @@ def _bisect(
             return values, errors, panels, converged
         m = 0.5 * (a + b)
         wide = (b - a > _NARROW * np.maximum(np.abs(a), np.abs(b))) & (m > a) & (m < b)
+        if not wide.all():
+            # the panels that cannot be halved keep their errors: past the
+            # bound, the interval can no longer converge
+            stuck = np.bincount(own, weights=np.where(wide, 0.0, e), minlength=n) > bound
+            values[stuck], errors[stuck], converged[stuck] = tv[stuck], te[stuck], False
+            go = ~stuck[own]
+            a, b, own, v, e, m, wide = a[go], b[go], own[go], v[go], e[go], m[go], wide[go]
+            if not own.size:
+                return values, errors, panels, converged
         split = (e * np.bincount(own, minlength=n)[own] > bound[own]) & wide
         if level == _MAX_LEVEL or not split.any() or own.size > _MAX_PANELS:
             break

@@ -428,9 +428,10 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     both 1e-10 of its own value and 1e-10 of the smallest positive
     energy at the radii, shared evenly among the grid's 567 panels, is
     halved, with the others that miss, on its interval's cubic
-    (:func:`~liouville.quadrature._bisect`).  So every energy is held to
-    about 2e-10, also where the density underflows and no panel can meet
-    1e-10 of its own value.  Where w underflows to 0 inside the grid (w does not
+    (:func:`~liouville.quadrature._bisect`, from its K7 value and
+    estimate).  So every energy is held to about 2e-10, also where the
+    density underflows and no panel can meet 1e-10 of its own value.
+    Where w underflows to 0 inside the grid (w does not
     increase, so its positive knots are a prefix), w~ ends at the last
     positive knot: only the radii up to it are reported, with energies
     that do not depend on where w underflows, and ``detail`` says where
@@ -507,7 +508,9 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         return _finite(density_at(x, ln_wv.T), x).T
 
     halves = lambda j, a, b: _k7_on_cubic(density_on, ln_w, rise, h, miss[j], a, b)  # noqa: E731
-    values[miss], _, _, converged = _bisect(halves, np.zeros(miss.size), np.ones(miss.size), tol)
+    values[miss], _, _, converged = _bisect(
+        halves, np.zeros(miss.size), np.ones(miss.size), tol, (values[miss], errors[miss])
+    )
     en = omega * at_radii(values)
     ratios = (en * rs ** (p - n) / np.minimum(ws[at_r][: rs.size], eps) ** (p - 1.0)).tolist()
 

@@ -541,6 +541,42 @@ def test_leading_term_walks_per_command(capsys, monkeypatch, command, walks):
     assert len(calls) == walks
 
 
+_POWERLOG = ["--n", "4", "--p", "2", "--powerlog", "-1.6"]
+_SWEEP = ["sweep", "--n", "4", "--p", "2", "--family", "powerlog", "--start", "-2", "--stop", "-1", "--step", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, passes, code",
+    [
+        (["verify", *_POWERLOG], 0, EXIT_OK),
+        (["construct", *_POWERLOG, "--grid-points", "4"], 1, EXIT_OK),
+        (_SWEEP, 2, EXIT_OK),
+        (["verify", *_UNCERTIFIED_EXPRESSIONS[0]], 1, EXIT_FAIL),
+    ],
+    ids=["verify", "construct", "sweep", "bertrand"],
+)
+def test_shell_passes_per_command(capsys, monkeypatch, argv, passes, code):
+    # the gates value nothing, and the source limit below the table is the
+    # leading term's closed form where that term matches f to tolerance:
+    # the shell passes left are construct's criterion value (the decay
+    # bound's), the sweep's printed values (mu = -2 and -1.5 converge), and
+    # the Bertrand form's source limit, whose log-log factor deviates from
+    # its term by 1e-2 there
+    calls = []
+    shells = criterion._log_shells
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return shells(*args, **kwargs)
+
+    monkeypatch.setattr(criterion, "_log_shells", counted)
+    got, _, err = run(capsys, argv)
+    assert got == code, err
+    assert len(calls) == passes
+    if code == EXIT_FAIL:
+        assert err.startswith("error: the source integral does not converge to tolerance: ")
+
+
 def test_instance_w_column_matches_closed_form(capsys):
     code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--power", "4", "--format", "csv"])
     assert code == EXIT_OK, err

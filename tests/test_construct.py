@@ -321,9 +321,9 @@ def _record(monkeypatch, name):
     # _bisect (the table fill's in x = ln s but [0, s_0], in s)
     route, seen = getattr(construct_module, name), []
 
-    def recorded(g, lo, hi, tol):
+    def recorded(g, lo, hi, tol, *first):
         seen.extend(zip(np.atleast_1d(lo).tolist(), np.atleast_1d(hi).tolist()))
-        return route(g, lo, hi, tol)
+        return route(g, lo, hi, tol, *first)
 
     monkeypatch.setattr(construct_module, name, recorded)
     return seen
@@ -396,6 +396,24 @@ def test_work_per_build_and_outer_fill(monkeypatch, params32):
     exps = _count_points(monkeypatch, "_exp_checked", 0)
     prof._outer_cache()
     assert sum(exps) == 1 + 2688 + 5 * 2687
+
+
+@pytest.mark.parametrize("lam, missed, valued", [(3.5, 91, 182), (3.8, 95, 190)])
+def test_table_redo_values_only_the_halves(monkeypatch, lam, missed, valued):
+    # n=4 p=1.5: L4 misses some panels of the fill; the halving starts from
+    # the fill's values of them, so it values their halves and no more
+    # (from the bare intervals it would value each missed panel once again:
+    # 273 and 285 panels)
+    bisect, seen = construct_module._bisect, []
+
+    def counted(rule, lo, hi, tol, *first):
+        seen.append(lo.size)
+        return bisect(lambda own, a, b: seen.append(a.size) or rule(own, a, b), lo, hi, tol, *first)
+
+    monkeypatch.setattr(construct_module, "_bisect", counted)
+    _, _, fill = construct_module._table_fill(Power(lam), StructureParams(4, 1.5), _SEG_TOL)
+    assert fill.converged
+    assert seen[0] == missed and sum(seen[1:]) == valued
 
 
 @dataclasses.dataclass(frozen=True)
@@ -831,11 +849,11 @@ def _forced_misses(monkeypatch, converged=True):
             errors[:2] = np.inf
         return values, errors
 
-    def halved(rule, lo, hi, tol):
+    def halved(rule, lo, hi, tol, *first):
         calls.append((lo.tolist(), hi.tolist()))
         halving.append(True)
         try:
-            values, errors, panels, ok = bisect(rule, lo, hi, tol)
+            values, errors, panels, ok = bisect(rule, lo, hi, tol, *first)
         finally:
             halving.pop()
         return values, errors, panels, np.full(ok.shape, converged)

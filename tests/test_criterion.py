@@ -9,6 +9,7 @@ Numeric oracles, computed independently before being frozen here:
     K(mu=-3) likewise = 0.556776080278639509
 """
 
+import dataclasses
 import json
 import math
 
@@ -29,6 +30,7 @@ from liouville import (
     Power,
     PowerLog,
     QuadratureResult,
+    RadialProfile,
     StructureParams,
     Tolerance,
     UnsupportedRegimeError,
@@ -41,7 +43,9 @@ from liouville import (
     parse_nonlinearity,
 )
 from liouville._leading import Term, leading_term, ln_scaled_gamma
-from liouville.criterion import _GAMMA_ERROR, _LN2, _classify_numeric, _decide, _log_shells
+import liouville.criterion as criterion_module
+import liouville.nonlinearity as nonlinearity_module
+from liouville.criterion import _GAMMA_ERROR, _LN2, _classify_numeric, _decide, _integral_below, _log_shells
 from liouville.nonlinearity import signed_log_eval
 
 from conftest import critical_log_criterion, quad_ref
@@ -511,6 +515,68 @@ def test_remainder_reads_the_shell_pass_at_its_edges(text, n, p, eps):
     u = _LN2 * np.array(at, dtype=float) - ln_top
     sign, ln_f = f.log_value(-u)
     assert shells.edges[at].tolist() == np.where(sign > 0, ln_f + q * u, -np.inf).tolist()
+
+
+# the benchmark's (n, p) pairs
+_PAIRS = [(3, 2.0), (4, 2.0), (5, 3.0), (4, 1.5), (8, 3.0)]
+
+
+def _source_forms(q):
+    # forms whose leading term is not f itself, but has a closed-form integral
+    return [PowerLog(mu, q) for mu in (-1.001, -1.6, -3.0)] + [
+        parse_nonlinearity(f"z^{q + 0.2!r}*log(e+1/z)^-2"),
+        parse_nonlinearity(f"(z^{q + 0.5!r}+z^{q + 1.5!r})*exp(z)"),
+    ]
+
+
+@pytest.mark.parametrize("form", range(5))
+@pytest.mark.parametrize("n, p", _PAIRS)
+def test_source_limit_takes_the_closed_form_where_the_term_is_exact(monkeypatch, n, p, form):
+    # below the table (top = env(s_end), 1e-20 to 1e-52 here) the leading
+    # term matches f to about 1e-21, so the integral below top is the term's
+    # closed form, no shell valued.  It agrees with the shells plus their
+    # remainder within both carried errors, and I(inf) with the one the
+    # shells give within 1e-15
+    params = StructureParams(n, p)
+    f = _source_forms(critical_exponent(params))[form]
+    prof = RadialProfile(f, params, 1.0)
+    t, tol = prof._table, DEFAULT_TOLERANCE
+    closed = _integral_below(f, params, t.term, t.ln_top, tol)
+    shells = _log_shells(f, params, t.ln_top, 40, tol)
+    ref = _integral_below(f, params, t.term, t.ln_top, tol, shells)
+    assert closed.subdivisions == 0 and closed.converged and ref.subdivisions > 0 and ref.converged
+    assert abs(closed.value - ref.value) <= closed.abs_error + ref.abs_error
+    limit = prof._unit_limit()
+    monkeypatch.setattr(criterion_module, "_closed_form", lambda *args: None)
+    shell_limit = RadialProfile(f, params, 1.0)._unit_limit()
+    assert abs(limit[0] - shell_limit[0]) <= min(1e-15 * shell_limit[0], limit[1] + shell_limit[1])
+
+
+@pytest.mark.parametrize("eps", ["1", "1e-3"])
+def test_classify_reads_f_four_times(capsys, monkeypatch, eps):
+    # the monotonicity probe, L at the shells' edges and midpoints (read by
+    # the closed-form test, which fails at eps, and by the shells alike),
+    # and the two levels of the shells' quadrature
+    calls = []
+    for module in (criterion_module, nonlinearity_module):
+        ln_f = module._ln_f
+        monkeypatch.setattr(module, "_ln_f", lambda *args, ln_f=ln_f: calls.append(1) or ln_f(*args))
+    argv = ["classify", "--n", "4", "--p", "2", "--eps", eps, "--expr", "z^3.6*log(e+1/z)^-2"]
+    assert cli.main(argv) == cli.EXIT_CONVERGES
+    assert "value = " in capsys.readouterr().out
+    assert len(calls) == 4
+
+
+def test_gate_without_a_value(monkeypatch, params32):
+    # a gate that reads only the verdict gets it without the value, and
+    # values nothing: no shell pass for a term-decided f
+    f = parse_nonlinearity("z^3*log(e+1/z)^-2")
+    valued = classify(f, params32)
+    passes, shells = [], criterion_module._log_shells
+    monkeypatch.setattr(criterion_module, "_log_shells", lambda *args, **kw: passes.append(1) or shells(*args, **kw))
+    gate = classify(f, params32, ClassifyOptions(value=False))
+    assert valued.value is not None and valued.abs_error is not None
+    assert gate == dataclasses.replace(valued, value=None, abs_error=None) and passes == []
 
 
 def test_log_shells_do_not_depend_on_their_neighbours(params32):

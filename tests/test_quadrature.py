@@ -116,6 +116,19 @@ class TestIntegrate:
         res = integrate(lambda t: ((t - 0.5) ** 2 + 1e-300) ** -0.5, 0.25, 0.5, tol)
         assert not res.converged
 
+    def test_interval_that_cannot_converge_stops_when_its_panel_cannot_be_halved(self):
+        # 1/|t - 1/2| is not integrable at 1/2: the panel by it keeps an error
+        # near 6.5 at every level, against a bound of 3.6e-11.  At level 43 it
+        # is narrower than _NARROW, and the interval comes back unconverged
+        # there, with 12829 panels; without that stop the panels around it
+        # would be halved on, to 22539.  (Most of the 12829 come from levels
+        # 33 to 43, where the nodes by 1/2 round to few bits and the panels'
+        # estimates are noise that halving does not reduce.)
+        tol = Tolerance(rel=1e-12, absolute=0.0)
+        res = integrate(lambda t: ((t - 0.5) ** 2 + 1e-300) ** -0.5, 0.25, 0.5, tol)
+        assert not res.converged and res.abs_error > 1.0 > 1e10 * tol.bound(res.value)
+        assert res.subdivisions < 13000
+
     def test_is_one_interval_of_integrate_intervals(self):
         # the same engine, the same bits, and the panel count of the interval
         def g(x):
@@ -585,6 +598,35 @@ class TestBatchedShells:
         values, errors, panels, converged = _bisect(rule, lo, hi, TOL)
         assert not converged.any() and panels.tolist() == [1, 1 + 2 + 4]
         assert calls == [[0.5 * _NARROW, 4.0 * _NARROW], [2.0 * _NARROW] * 2, [_NARROW] * 4]
+
+    def test_a_stuck_interval_stops_alone(self):
+        # the interval by the singularity at 1/2 stops once its panel there
+        # cannot be halved; the one beside it in the batch gets the bits it
+        # gets alone, and the stuck one those of integrate
+        tol = Tolerance(rel=1e-12, absolute=0.0)
+        rule = _fejer(lambda t: ((t - 0.5) ** 2 + 1e-300) ** -0.5)
+        both = _bisect(rule, np.array([0.25, 1.0]), np.array([0.5, 2.0]), tol)
+        alone = [_bisect(rule, np.array([lo]), np.array([hi]), tol) for lo, hi in ((0.25, 0.5), (1.0, 2.0))]
+        assert [x.tolist() for x in both] == [np.concatenate(x).tolist() for x in zip(*alone)]
+        assert both[3].tolist() == [False, True] and both[2][0] < 13000
+
+    def test_first_level_from_the_caller(self):
+        # a caller that has valued every interval as one panel passes those
+        # values as level 0: the same bits, and the rule values only halves
+        def g(z):
+            return z**-1.5 * np.exp(np.sin(8.0 * z))
+
+        tol = Tolerance(rel=1e-12, absolute=0.0)
+        hi = 0.5 ** np.arange(8)
+        calls = []
+        rule = lambda own, a, b: calls.append((b - a).tolist()) or _panels(g, a, b)  # noqa: E731
+        fresh = _bisect(rule, 0.5 * hi, hi, tol)
+        first = _panels(g, 0.5 * hi, hi)
+        calls.clear()
+        given = _bisect(rule, 0.5 * hi, hi, tol, first)
+        assert [x.tolist() for x in given[:2]] == [x.tolist() for x in fresh[:2]]
+        assert given[2].tolist() == (fresh[2] - 1).tolist() and given[3].all()
+        assert calls and set(calls[0]) <= set((0.25 * hi).tolist())  # halves, no whole interval
 
     def test_only_the_panels_over_their_share_are_halved(self):
         # a kink is resolved by halving the panels next to it, level by

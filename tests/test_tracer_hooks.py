@@ -41,3 +41,17 @@ def test_tracer_installs_runs_and_uninstalls(capsys):
     names = {rec[0] for rec in tracer.spans}
     assert {"cli.main", "cli.verify", "criterion.classify", "construct.find_delta",
             "verify.verify_profile", "verify.flux_identity", "verify.energy"} <= names
+
+
+def test_tracer_sees_the_gate_and_the_one_valuation(capsys):
+    # construct's gate classifies without valuing, and its decay bound
+    # values the criterion integral once
+    tracer = _tracer()
+    tracer.install(liouville)
+    try:
+        assert cli.main(["construct", "--n", "4", "--p", "2", "--powerlog", "-1.6"]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [rec[0] for rec in tracer.spans]
+    assert "criterion.classify" in names and names.count("criterion.criterion_value") == 1

@@ -331,7 +331,9 @@ def test_energy_matches_scalar_quadrature(f, n, p, delta, monkeypatch):
     energies, ratios, passed = _scalar_energy(prof)
     redone = []
     bisect = verify_module._bisect
-    monkeypatch.setattr(verify_module, "_bisect", lambda rule, lo, hi, tol: redone.append(lo.size) or bisect(rule, lo, hi, tol))
+    monkeypatch.setattr(
+        verify_module, "_bisect", lambda rule, lo, hi, tol, first: redone.append(lo.size) or bisect(rule, lo, hi, tol, first)
+    )
     ed = energy_diagnostic(prof)
     # one panel per knot interval, every one within its bound at once ([]
     # for the zero profile, which has no panel)
@@ -367,11 +369,10 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
         errors[:2] = np.inf
         return values, errors
 
-    def unconverged(rule, lo, hi, tol):
-        # the panels as fractions of their intervals, and the nodes in ln rho
-        # of the first call of the rule, the whole panels
+    def unconverged(rule, lo, hi, tol, first):
+        # the panels as fractions of their intervals
         redone.append((lo.tolist(), hi.tolist()))
-        values, errors, panels, _ = bisect(rule, lo, hi, tol)
+        values, errors, panels, _ = bisect(rule, lo, hi, tol, first)
         return values, errors, panels, np.zeros(lo.size, dtype=bool)
 
     monkeypatch.setattr(verify_module, "_k7", missing)
@@ -392,16 +393,16 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
     kernel, bisect, halved, calls = verify_module._k7, verify_module._bisect, [], []
 
     def missing(f0, inner, f6, h):
-        # the first three panels of the first two calls miss: the check's
-        # own pass, and the first pass of the halving, on the whole panels
+        # the first three panels of the check's own pass miss; the halving
+        # starts from them, and values only their halves
         values, errors = kernel(f0, inner, f6, h)
         calls.append(h.size)
-        if len(calls) <= 2:
+        if len(calls) == 1:
             errors[:3] = np.inf
         return values, errors
 
-    def recorded(rule, lo, hi, tol):
-        halved.append(bisect(rule, lo, hi, tol))
+    def recorded(rule, lo, hi, tol, first):
+        halved.append(bisect(rule, lo, hi, tol, first))
         return halved[-1]
 
     for module in (verify_module, construct_module):
@@ -409,7 +410,7 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
     monkeypatch.setattr(verify_module, "_bisect", recorded)
     energy_diagnostic(instance_profile)
     (values, _, panels, converged), = halved
-    assert calls == [567, 3, 6] and converged.all() and panels.tolist() == [3, 3, 3]
+    assert calls == [567, 6] and converged.all() and panels.tolist() == [2, 2, 2]
     grid, ws, gradients = verify_module._sampled(instance_profile, verify_module._ENERGY)
     ln_r, ln_w, slopes = np.log(grid), np.log(ws), -grid * gradients / ws
 
@@ -516,7 +517,9 @@ def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
     ref = _fejer_energies(prof)
     redone = []
     bisect = verify_module._bisect
-    monkeypatch.setattr(verify_module, "_bisect", lambda rule, lo, hi, tol: redone.append(lo.size) or bisect(rule, lo, hi, tol))
+    monkeypatch.setattr(
+        verify_module, "_bisect", lambda rule, lo, hi, tol, first: redone.append(lo.size) or bisect(rule, lo, hi, tol, first)
+    )
     ed = energy_diagnostic(prof)
     assert redone in ([0], [])
     assert list(ed.energies) == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -558,9 +561,9 @@ def test_grid_checks_report_unconverged_table_fill(params32, monkeypatch):
     honest = [check(RadialProfile(Power(40.0), params32, 1.0)) for check in checks]
     bisect, redone = construct_module._bisect, []
 
-    def unconverged(rule, lo, hi, tol):
+    def unconverged(rule, lo, hi, tol, first):
         redone.append(len(lo))
-        values, errors, panels, _ = bisect(rule, lo, hi, tol)
+        values, errors, panels, _ = bisect(rule, lo, hi, tol, first)
         return values, errors, panels, np.zeros(lo.size, dtype=bool)
 
     monkeypatch.setattr(construct_module, "_bisect", unconverged)

@@ -53,8 +53,12 @@ outer cache.  The table takes ln s and ln(1 + s) at the nodes of its
 panels, in node-major blocks, from a geometry computed on first use:
 once per process for the panels up to the last cache knot, once per
 a = (p-1)/(n-p) for those past it (:func:`_table_fill`).
-A profile value then costs one such panel (or a closed form off the
-cache) instead of a nested double integral.
+The outer cache keeps its integrand at all seven nodes of every panel
+too, so w between knots is their dense output, as I_1 is the table's: a
+profile value costs a dot product of seven values (one adaptive panel
+in an interval whose panel the fill halved, a closed form off the
+cache) instead of a nested double integral.  Below the first knot I
+takes the first panel's rule on [0, s] itself.
 :meth:`RadialProfile.rescaled` gives the profile at another delta on
 the same table, and the delta search builds a single profile.
 
@@ -68,7 +72,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,6 +184,26 @@ def _interior_weights() -> np.ndarray:
     weights = sum(row[:, None] * v**k for k, row in enumerate(_dense_basis()))
     weights.flags.writeable = False
     return weights
+
+
+def _dense(g, u) -> np.ndarray:
+    # The integral over [0, u] of the polynomial through the values g[m]
+    # at the seven K7 nodes of a panel, over the panel's width: the sum of
+    # C_m(u) g[m] (:func:`_dense_basis`), g[m] and u broadcast together.
+    # The polynomial's coefficients in v = 2u - 1 are summed node by node
+    # and it is read by Horner's rule, all elementwise, so that a point's
+    # bits do not depend on the others, nor on the shape of the call.
+    basis = _dense_basis().reshape((8, 7) + (1,) * np.ndim(g[0]))
+    coef = basis[:, 0] * g[0]
+    for m in range(1, 7):
+        coef += basis[:, m] * g[m]
+    v = 2.0 * np.asarray(u) - 1.0
+    out = coef[-1] * v
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= v
+    out += coef[0]
+    return out
 
 
 def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray, power) -> np.ndarray:
@@ -361,6 +385,21 @@ def _table_fill(
     return s, at_nodes[:, 1:], PanelResults(values, errors, bool(converged.all()))
 
 
+class _OuterFill(NamedTuple):
+    """The outer cache at delta = 1 (:meth:`RadialProfile._fill_outer`):
+    w_1 at the knots, whether every panel met its tolerance and their
+    summed error, the integrand zeta |w_1'| in ln zeta at the knots
+    (``ends``) and at the five interior K7 nodes of each knot interval
+    (``inner``, one row per node), and which intervals were halved."""
+
+    ws: np.ndarray
+    converged: bool
+    error: float
+    ends: np.ndarray
+    inner: np.ndarray
+    halved: np.ndarray
+
+
 class _UnitTable:
     """The inner integral at delta = 1, shared by every scale.
 
@@ -375,8 +414,9 @@ class _UnitTable:
     error, whether every panel of the fill met its tolerance, the log of
     the envelope there, and f's leading term (walked once, for the source
     limit).  Filled on first use: I_1(inf) with its error, the outer
-    cache W_1 (w at delta = 1 at the knots) with the converged flag of its
-    fill and the summed error of its panels, the criterion result, and
+    cache (:class:`_OuterFill`: W_1, w at delta = 1 at the knots, with
+    its fill's converged flag, summed error and integrand values), the
+    criterion result, and
     w_1 and |w_1'| on one fixed set of radii (:meth:`RadialProfile._sample`).
     """
 
@@ -396,7 +436,7 @@ class _UnitTable:
         self.at_nodes = at_nodes[:, s.size - self.s.size :]
         self.term = leading_term(f)
         self.limit: Optional[Tuple[float, float]] = None
-        self.outer: Optional[Tuple[np.ndarray, bool, float]] = None
+        self.outer: Optional[_OuterFill] = None
         self.criterion: Optional[QuadratureResult] = None
         self.sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
@@ -404,34 +444,20 @@ class _UnitTable:
         """I_1 at the fractions u of the knot intervals i (broadcast
         together): the sum at the interval's left knot plus h times the
         integral over [0, u] of the polynomial through its panel's seven
-        integrand values, the dot product of those values with the
-        cumulative Lagrange weights C_m(u) (:func:`_dense_basis`).  The
-        polynomial's coefficients in v = 2u - 1 are summed node by node and
-        it is read by Horner's rule, all elementwise, so that a point's
-        bits do not depend on the others, nor on the shape of the call."""
-        g = np.take(self.at_nodes, i, axis=1)
-        basis = _dense_basis().reshape((8, 7) + (1,) * np.ndim(i))
-        coef = basis[:, 0] * g[0]
-        for m in range(1, 7):
-            coef += basis[:, m] * g[m]
-        v = 2.0 * np.asarray(u) - 1.0
-        out = coef[-1] * v
-        for c in coef[-2:0:-1]:
-            out += c
-            out *= v
-        out += coef[0]
+        integrand values (:func:`_dense`)."""
+        out = _dense(np.take(self.at_nodes, i, axis=1), u)
         out *= self.h[i]
         out += self.i[i]
         return out
 
-    def interior(self, i: np.ndarray) -> np.ndarray:
-        """I_1 at the five interior K7 nodes of the knot intervals i, one
+    def interior(self) -> np.ndarray:
+        """I_1 at the five interior K7 nodes of every knot interval, one
         row per node, through the fixed matrix :func:`_interior_weights`.
         The einsum sums each entry over the seven nodes in order, on its
         own: a span's bits do not depend on the other spans."""
-        out = np.einsum("mj,mi->ji", _interior_weights(), np.take(self.at_nodes, i, axis=1))
-        out *= self.h[i]
-        out += self.i[i]
+        out = np.einsum("mj,mi->ji", _interior_weights(), self.at_nodes)
+        out *= self.h
+        out += self.i[:-1]
         return out
 
     def locate(self, ln_s: np.ndarray, i: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -464,7 +490,8 @@ class RadialProfile:
     2**-40 of its value at the last cache knot.  The first profile value
     fills the outer cache, w at the same knots: one K7 panel in ln zeta
     per knot interval, on the table's own nodes, summed down from the
-    closed form at the last knot.
+    closed form at the last knot.  Between the knots w is the dense
+    output of those panels (:meth:`_on_grid`).
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
     """
@@ -578,8 +605,9 @@ class RadialProfile:
         return self.delta**self.params.n * self._unit_limit()[0]
 
     def inner_integral(self, z: float) -> float:
-        """I(z): the table's dense output in range, direct quadrature off
-        range (one batched panel below it), and the full limit at z = inf."""
+        """I(z): the table's dense output in range, below it the table's
+        own rule of the first panel on [0, z] (:meth:`_origin_integral`),
+        above it direct quadrature, and the full limit at z = inf."""
         if math.isnan(z):
             raise DomainError(f"z must be a real number, got {z!r}")
         if z <= 0.0:
@@ -591,11 +619,24 @@ class RadialProfile:
             return 0.0
         s = z / self.delta
         if s < t.s[0]:
-            return float(integrate_intervals(self._source, [0.0], [z], self.tol).values[0])
+            return self._origin_integral(z)[0]
         if s <= t.s[-1]:
             return math.exp(self._ln_inner(np.float64(z)))
         above = integrate_intervals(self._source, [self.delta * t.s[-1]], [z], self.tol)
         return self.delta**self.params.n * t.last + float(above.values[0])
+
+    def _origin_integral(self, z: float) -> Tuple[float, bool]:
+        """I(z) for 0 < z <= delta * s_0, the table's first knot, and
+        whether its error estimate meets the table's tolerance: delta**n
+        times the table's rule of its first panel (:func:`_origin_panel`)
+        on the six K7 nodes of [0, z/delta] but 0, as the fill takes it on
+        [0, s_0]."""
+        n = self.params.n
+        ln_s = np.log(_panel_nodes(np.array([0.0, z / self.delta]))[0])
+        at = lambda: np.exp(ln_s)  # noqa: E731  (where an error names s)
+        src = _finite(_exp_source(_ln_source(self.f, self.params, ln_s, np.log1p(np.exp(ln_s)), n), at), at)
+        value, error = _origin_panel(src, n)
+        return self.delta**n * float(value), bool(error <= self._seg_tol.bound(value))
 
     def _ln_inner(self, z: np.ndarray) -> np.ndarray:
         # ln I(z) for z > 0: the dense output inside the cache, the
@@ -648,71 +689,71 @@ class RadialProfile:
         t = self._table
         if t.outer is None:
             t.outer = self.rescaled(1.0)._fill_outer()
-        ws, converged, error = t.outer
-        p = self.params.p
-        scale = self.delta ** (p / (p - 1.0))
-        return scale * ws, converged, scale * error
+        scale = self.delta ** (self.params.p / (self.params.p - 1.0))
+        return scale * t.outer.ws, t.outer.converged, scale * t.outer.error
 
-    def _fill_outer(self) -> Tuple[np.ndarray, bool, float]:
-        # one panel per whole knot interval (u0 = 0, the fixed basis),
-        # summed down from the closed form at the last knot; that needs
-        # I(inf), so a divergent source raises before the panels.  W[0]
-        # sums every panel, so their summed error bounds that of every W.
-        t = self._table
-        tail = self._w_above(self.delta * t.s[-1:])
-        panels, errors, converged = self._outer_spans(np.arange(t.s.size - 1))
-        return np.cumsum(np.concatenate((tail, panels[::-1])))[::-1], converged, float(errors.sum())
+    def _fill_outer(self) -> _OuterFill:
+        """The outer cache: one K7 panel per knot interval, with L4 as its
+        error estimate, in x = ln zeta, where the integrand is exp(psi),
+        psi = (ln I - (n-1) x)/(p-1) + x, summed down from the closed form
+        at the last knot; that needs I(inf), so a divergent source raises
+        before the panels.  W[0] sums every panel, so their summed error
+        bounds that of every W.
 
-    def _outer_spans(self, i: np.ndarray, u0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray, bool]:
-        """Integrals of |w'| over the spans [u0, 1] of the knot intervals i
-        (over the whole intervals when ``u0`` is None).
-
-        One K7 panel per span, with L4 as its error estimate, in x = ln
-        zeta, where the integrand is exp(psi), psi = (ln I - (n-1) x)/(p-1)
-        + x.  Inside a knot interval I is the dense output of the table's
-        panel there (:meth:`_UnitTable.inner`), so psi is evaluated with
-        no knot search, node-major.  For whole intervals exp(psi) is taken
-        once at each knot the spans end on, from the table's sums, and at
-        the five interior nodes, which are the table's own, on the weights
-        fixed there (:meth:`_UnitTable.interior`), all spans in one
-        :func:`~liouville.quadrature._k7` call; otherwise at all seven
-        nodes, at their own fractions of each span.  Either way a span's
-        bits do not depend on the other spans of the call.  Spans that
-        miss the tolerance are halved on the second rule
-        (:func:`~liouville.quadrature._bisect`, which starts from their
-        values and estimates), with no new evaluation of f.  Returns the
-        integrals, their errors and whether every span met the tolerance.
+        exp(psi) is taken once at each knot, from the table's sums, and at
+        the five interior nodes of each interval, which are the table's
+        own, on the weights fixed there (:meth:`_UnitTable.interior`), all
+        panels in one :func:`~liouville.quadrature._k7` call on slices of
+        those arrays.  Panels that miss the tolerance are halved on the
+        table's dense output (:func:`~liouville.quadrature._bisect`, which
+        starts from their values and estimates), with no new evaluation of
+        f.  The integrand values are kept: w between the knots is their
+        dense output (:meth:`_on_grid`), but in the intervals halved here.
         """
-        t, p, tol = self._table, self.params.p, self._seg_tol
-        h, k = t.h[i], self.decay
-        ln_scale = p / (p - 1.0) * math.log(self.delta)
-
-        def exp_psi(j, u, inner):  # at the fractions u of the intervals i[j], where I_1 is inner
-            x = t.ln_s[i[j]] + h[j] * u
-            psi = _ln_mass(inner) / (p - 1.0) - k * x + ln_scale
-            # an overflow names zeta at its node, span by span
-            return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(x).T).T
-
-        def spans(j, a, b):  # the spans [a, b] of the intervals i[j]
-            u = a + (b - a) * _K7_U[:, None]
-            fx = exp_psi(j, u, t.inner(i[j], u))
-            return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[j])
-
-        if u0 is not None:
-            values, errors, _, ok = _bisect(spans, u0, np.ones(i.size), tol)
-            return values, errors, bool(ok.all())
-        psi_k = t.ln_i / (p - 1.0) - k * t.ln_s + ln_scale  # at the knots, read at both ends of their intervals
-        ends = _exp_checked(psi_k, "outer integrand", self.delta * t.s)
-        fx = exp_psi(slice(None), _K7_U[1:-1, None], t.interior(i))
-        values, errors = _k7(ends[i], fx, ends[i + 1], 0.5 * h)
+        t, tol = self._table, self._seg_tol
+        tail = self._w_above(self.delta * t.s[-1:])
+        ends = self._exp_psi(t.ln_s, t.ln_i)
+        inner = self._exp_psi(t.ln_s[:-1] + t.h * _K7_U[1:-1, None], _ln_mass(t.interior()))
+        values, errors = _k7(ends[:-1], inner, ends[1:], 0.5 * t.h)
         miss = np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values)))
         values[miss], errors[miss], _, ok = _bisect(
-            lambda j, a, b: spans(miss[j], a, b),
-            np.zeros(miss.size),
-            np.ones(miss.size),
-            tol,
-            (values[miss], errors[miss]),
+            self._span_rule(miss), np.zeros(miss.size), np.ones(miss.size), tol, (values[miss], errors[miss])
         )
+        halved = np.zeros(values.size, dtype=bool)
+        halved[miss] = True
+        ws = np.cumsum(np.concatenate((tail, values[::-1])))[::-1]
+        return _OuterFill(ws, bool(ok.all()), float(errors.sum()), ends, inner, halved)
+
+    def _exp_psi(self, x: np.ndarray, ln_mass: np.ndarray) -> np.ndarray:
+        # the outer integrand exp(psi) at x = ln zeta, one row per node, where
+        # ln I_1 is ln_mass; an overflow names zeta at its node, span by span
+        p = self.params.p
+        psi = ln_mass / (p - 1.0) - self.decay * x + p / (p - 1.0) * math.log(self.delta)
+        return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(x).T).T
+
+    def _span_rule(self, i: np.ndarray):
+        # the panel rule of _bisect over the spans [a, b], as fractions, of
+        # the knot intervals i: K7 on the table's dense output at all seven
+        # nodes, node-major, with no knot search; a span's bits do not
+        # depend on the other spans of the call
+        t = self._table
+
+        def spans(j, a, b):
+            h = t.h[i[j]]
+            u = a + (b - a) * _K7_U[:, None]
+            fx = self._exp_psi(t.ln_s[i[j]] + h * u, _ln_mass(t.inner(i[j], u)))
+            return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h)
+
+        return spans
+
+    def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Integrals of |w'| over the spans [u0, 1] of the knot intervals
+        i, one K7 panel each on the table's dense output, halved where it
+        misses the tolerance (:func:`~liouville.quadrature._bisect`); the
+        route of w inside the intervals that the outer fill halved.
+        Returns the integrals, their errors and whether every span met the
+        tolerance."""
+        values, errors, _, ok = _bisect(self._span_rule(i), u0, np.ones(i.size), self._seg_tol)
         return values, errors, bool(ok.all())
 
     def outer_converged(self) -> bool:
@@ -733,12 +774,14 @@ class RadialProfile:
         """Profile values on an increasing grid of radii.
 
         Inside the cache, w(r) is the outer cache's value at the first
-        knot at or above r plus the integral from r to that knot, which
-        is a span of the knot interval below it: one panel per radius,
-        all in one :meth:`_outer_spans` pass on the table's dense output.
-        Off the cache w is closed form.  After the one-time fill of the
-        outer cache (one panel per knot interval, about 2700, shared
-        with every rescaled view), m radii cost at most m panels.
+        knot at or above r plus the integral from r to that knot, over the
+        span of the knot interval below it: the dense output of the outer
+        fill's own seven integrand values there (:meth:`_on_grid`), with
+        no quadrature, but in an interval that the fill halved, where it
+        is one adaptive panel.  Off the cache w is closed form.  After the
+        one-time fill of the outer cache (one panel per knot interval,
+        about 2700, shared with every rescaled view), m radii cost m dot
+        products of seven values.
         """
         rs = np.array(radii, dtype=float)
         if not rs.size:
@@ -752,11 +795,25 @@ class RadialProfile:
         return self._on_grid(rs)[0].tolist()
 
     def _on_grid(self, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # w at the increasing radii rs >= 0 (for a table that is not empty),
-        # which of them lie inside the cache, and for those the knot
-        # interval of their ln s, as the table's knot search would find it
+        """w at the increasing radii rs >= 0 (for a table that is not
+        empty), which of them lie inside the cache, and for those the knot
+        interval of their ln s, as the table's knot search would find it.
+
+        Inside the cache w(r) = W[j] + the integral of zeta |w'| in ln zeta
+        over the span [u0, 1] of knot interval i = j - 1, j the first knot
+        at or above r and u0 the fraction of r in it.  That integral is h
+        times the sum of (C_m(1) - C_m(u0)) g_m over the interval's seven
+        integrand values g_m, as the outer fill took them, scaled by
+        delta**(p/(p-1)) like W.  K7's nodes are symmetric, so C_m(1) -
+        C_m(u0) = C_(6-m)(1 - u0): it is :func:`_dense` on the values in
+        reverse order at 1 - u0, the same sums that read I_1.  In an
+        interval that the fill halved the span is one adaptive panel
+        (:meth:`_outer_spans`) instead.  Every sum is elementwise, so a
+        radius alone has the bits it has in a grid.
+        """
         t = self._table
         ws = self._outer_cache()[0]
+        fill = t.outer
         s = rs / self.delta
         out = np.empty_like(rs)
         below, above = s < t.s[0], s > t.s[-1]
@@ -771,12 +828,19 @@ class RadialProfile:
         i = j[gap] - 1
         u0 = np.maximum((np.log(s[gap]) - t.ln_s[i]) / t.h[i], 0.0)
         keep = u0 < 1.0
-        gaps = np.zeros(s.size)
-        if keep.any():
-            gaps[gap[keep]] = self._outer_spans(i[keep], u0[keep])[0]
-        out[inside] = ws[j] + gaps
+        gap, i, u0 = gap[keep], i[keep], u0[keep]
         interval = np.minimum(j, t.s.size - 2)
-        interval[gap[keep]] = i[keep]
+        interval[gap] = i
+        gaps = np.zeros(s.size)
+        redo = fill.halved[i]
+        if redo.any():
+            gaps[gap[redo]] = self._outer_spans(i[redo], u0[redo])[0]
+            gap, i, u0 = gap[~redo], i[~redo], u0[~redo]
+        span = _dense((fill.ends[i + 1], *fill.inner[::-1, i], fill.ends[i]), 1.0 - u0)
+        span *= t.h[i]
+        span *= self.delta ** (self.params.p / (self.params.p - 1.0))
+        gaps[gap] = span
+        out[inside] = ws[j] + gaps
         return out, inside, interval
 
     def _sample(self, unit_radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -784,12 +848,13 @@ class RadialProfile:
 
         Read at delta = 1 once per table and scaled, as scaling is exact:
         w_delta(r) = delta**(p/(p-1)) * w_1(r/delta) and |w_delta'(r)| =
-        delta**(1/(p-1)) * |w_1'(r/delta)|.  w takes one
-        :meth:`_outer_spans` pass, one panel per radius inside the cache,
-        as :meth:`values_on_grid` would.  |w'| is (I/r**(n-1))**(1/(p-1))
-        with I the dense output of the interval that pass found, so no
-        knot search, bit for bit what :meth:`_outer_array` gives; off the cache
-        it is :meth:`_outer_array`.  The table keeps the sample of the last
+        delta**(1/(p-1)) * |w_1'(r/delta)|.  w is :meth:`_on_grid`, as
+        :meth:`values_on_grid` reads it: inside the cache the dense output
+        of the outer fill's own nodes, with no quadrature but in the
+        intervals that the fill halved.  |w'| is (I/r**(n-1))**(1/(p-1))
+        with I the dense output of the interval that :meth:`_on_grid`
+        found, so no knot search, bit for bit what :meth:`_outer_array`
+        gives; off the cache it is :meth:`_outer_array`.  The table keeps the sample of the last
         array passed, by identity, so callers pass one read-only array.
         """
         t, n, p = self._table, self.params.n, self.params.p

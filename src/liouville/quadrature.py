@@ -36,12 +36,17 @@ where their error exceeds an even share of it, all of them in one call
 of the rule.  A panel no wider than 256 machine epsilons of its
 position is not halved: its halves would evaluate coinciding nodes,
 which may land on a point singularity and make a divergent panel look
-exact.  An interval whose panels that cannot be halved already carry
-more error than its bound can no longer converge, and stops there; it
-comes back with the sums of its panels and ``converged`` False, as does
-one left open by the depth cap or by the cap on open panels.  A caller
-that has valued every interval as one panel already hands those values
-in as the first level, so none is valued twice.
+exact.  Nor is a panel narrower than 2**24 machine epsilons of its
+position whose last three halvings each left at least half its error in
+its two halves: there the estimates are the rounding of the nodes, or a
+singularity that halving does not shrink, and halving on would only
+multiply panels.  An interval whose panels that cannot be halved
+already carry more error than its bound can no longer converge, and
+stops there; it comes back with the sums of its panels and
+``converged`` False, as does one left open by the depth cap or by the
+cap on open panels.  A caller that has valued every interval as one
+panel already hands those values in as the first level, so none is
+valued twice.
 
 The Fejer rule's sums over a block are einsum reductions (:func:`_rule`),
 which sum each row on its own; :func:`_k7` sums elementwise.  Either way
@@ -166,6 +171,17 @@ _CHUNK = 256
 # beyond either, an interval is left unconverged.
 _MAX_LEVEL = 60
 _MAX_PANELS = 1 << 16
+# _bisect halves no panel whose last _STALLS halvings, each of a panel
+# narrower than _RESOLVE of its position, left at least half its error in
+# the two halves: such a panel spans fewer than 2**24 ulps, so that its
+# nodes' offsets keep fewer than 24 bits, and its estimate is as a rule
+# the rounding of its nodes, or a singularity that halving does not
+# shrink.  No panel is that narrow before level _STALL_LEVEL in an
+# interval wider than 2**8 _RESOLVE of its position, so the count starts
+# there, and the common loop, a few levels deep, does not pay for it.
+_RESOLVE = 2.0**24 * _EPS
+_STALL_LEVEL = 8
+_STALLS = 3
 
 
 # The Lobatto-Kronrod pair of Gander and Gautschi, "Adaptive quadrature -
@@ -323,12 +339,15 @@ def _bisect(
     times, each panel of an open interval whose error exceeds an even
     share of that bound is halved, all new panels in one call of
     ``rule``, unless it cannot be: it is narrower than ``_NARROW`` of its
-    position, or its midpoint rounds onto an end.  An interval whose
-    panels that cannot be halved carry more error than its bound can no
-    longer converge, and comes back at once with the sums of its panels,
-    not converged; so does an interval still open after the last level
-    (or when no panel can be halved, or past ``_MAX_PANELS`` open
-    panels).  An empty interval gives 0.  Returns per interval the
+    position, or its midpoint rounds onto an end, or its halving no longer
+    pays: from level ``_STALL_LEVEL`` on, its last ``_STALLS`` halvings
+    were each of a panel narrower than ``_RESOLVE`` of its position, and
+    each left at least half that panel's error in its two halves.  An
+    interval whose panels that cannot be halved carry more error than its
+    bound can no longer converge, and comes back at once with the sums of
+    its panels, not converged; so does an interval still open after the
+    last level (or when no panel can be halved, or past ``_MAX_PANELS``
+    open panels).  An empty interval gives 0.  Returns per interval the
     value, error, count of the panels ``rule`` valued, and convergence
     flag.
     """
@@ -342,6 +361,7 @@ def _bisect(
     else:
         v, e = first[0][own], first[1][own]
         panels = np.zeros(n, dtype=np.int64)
+    stalls = None  # from level _STALL_LEVEL on, per open panel: its halvings in a row that did not pay
     for level in range(_MAX_LEVEL + 1):
         tv = np.bincount(own, weights=v, minlength=n)
         te = np.bincount(own, weights=e, minlength=n)
@@ -352,25 +372,43 @@ def _bisect(
         a, b, own, v, e = a[todo], b[todo], own[todo], v[todo], e[todo]
         if not own.size:
             return values, errors, panels, converged
+        if stalls is not None:
+            stalls = stalls[todo]
+        elif level == _STALL_LEVEL:
+            stalls = np.zeros(own.size, dtype=np.int64)
         m = 0.5 * (a + b)
-        wide = (b - a > _NARROW * np.maximum(np.abs(a), np.abs(b))) & (m > a) & (m < b)
+        pos = np.maximum(np.abs(a), np.abs(b))
+        wide = (b - a > _NARROW * pos) & (m > a) & (m < b)
+        if stalls is not None:
+            wide &= stalls < _STALLS
         if not wide.all():
             # the panels that cannot be halved keep their errors: past the
             # bound, the interval can no longer converge
             stuck = np.bincount(own, weights=np.where(wide, 0.0, e), minlength=n) > bound
             values[stuck], errors[stuck], converged[stuck] = tv[stuck], te[stuck], False
             go = ~stuck[own]
-            a, b, own, v, e, m, wide = a[go], b[go], own[go], v[go], e[go], m[go], wide[go]
+            a, b, own, v, e, m, pos, wide = a[go], b[go], own[go], v[go], e[go], m[go], pos[go], wide[go]
+            if stalls is not None:
+                stalls = stalls[go]
             if not own.size:
                 return values, errors, panels, converged
         split = (e * np.bincount(own, minlength=n)[own] > bound[own]) & wide
         if level == _MAX_LEVEL or not split.any() or own.size > _MAX_PANELS:
             break
         k, keep = own.size - int(split.sum()), ~split  # the halves go after the k kept panels
+        if stalls is not None:
+            fine = (b - a < _RESOLVE * pos)[split]
+            before, after, stalls = e[split], stalls[split] + 1, stalls[keep]
         a = np.concatenate((a[keep], a[split], m[split]))
         b = np.concatenate((b[keep], m[split], b[split]))
         own = np.concatenate((own[keep], own[split], own[split]))
-        v, e = (np.concatenate((x[keep], y)) for x, y in zip((v, e), rule(own[k:], a[k:], b[k:])))
+        hv, he = rule(own[k:], a[k:], b[k:])
+        if stalls is not None:
+            # a halving pays where the two halves carry at most half the
+            # error of their panel, and counts only where that panel was fine
+            after[~fine | (he[: after.size] + he[after.size :] <= 0.5 * before)] = 0
+            stalls = np.concatenate((stalls, after, after))
+        v, e = np.concatenate((v[keep], hv)), np.concatenate((e[keep], he))
         panels += np.bincount(own[k:], minlength=n)
     left = np.flatnonzero(np.bincount(own, minlength=n))  # np.unique would import numpy.ma
     values[left], errors[left], converged[left] = tv[left], te[left], False

@@ -22,7 +22,9 @@ The five profile checks:
 * gradient decay: |w'| along the 41 radii delta * 2**-j, j = 0 .. 40,
   must peak by level 20, then decrease monotonically and end at most
   1e-6; the source integral at the smallest radius must be at most
-  1e-6 too.
+  1e-6 too.  |w'| reads the table's dense output, and that integral,
+  below the table, its rule of the first panel on [0, r]: no
+  quadrature.
 * normalization: on 64 log-spaced radii over [1e-6, 1e6] * delta, w
   must be non-increasing and at most 1e-3 at the far end.
 * energy: at 64 log-spaced radii over [1, 1e3] * delta, the
@@ -41,7 +43,8 @@ delta (:func:`_sampled`).
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
-quadratures, the energy check its halved panels, and the three checks
+quadratures, the energy check its halved panels, the gradient check
+the rule of its source integral, and the three checks
 that read w on a grid (supersolution, normalization, energy) the
 profile's table and outer cache fills, which those values rest on.
 
@@ -268,6 +271,10 @@ def gradient_decay_check(profile: RadialProfile) -> CheckResult:
     but must peak within the first half of the levels, decrease
     monotonically afterwards, and end below ``_DECAY_TOL``; the inner
     integral at the smallest radius must be below ``_DECAY_TOL`` too.
+    That radius lies below the profile's table, where the integral is
+    the table's rule of its first panel, taken on [0, r]
+    (:meth:`~liouville.construct.RadialProfile._origin_integral`);
+    ``detail`` says so when its estimate misses the table's tolerance.
     """
     rs = [profile.delta * 2.0**-j for j in range(_DECAY_LEVELS + 1)]
     vs = profile._outer_array(np.array(rs)).tolist()
@@ -275,7 +282,7 @@ def gradient_decay_check(profile: RadialProfile) -> CheckResult:
     monotone = all(
         vs[i + 1] <= vs[i] * (1.0 + 1e-12) + 1e-300 for i in range(peak, len(vs) - 1)
     )
-    source_end = profile.inner_integral(rs[-1])
+    source_end, converged = profile._origin_integral(rs[-1])
     passed = (peak <= _DECAY_LEVELS // 2 and monotone
               and vs[-1] <= _DECAY_TOL and source_end <= _DECAY_TOL)
     return CheckResult(
@@ -286,6 +293,7 @@ def gradient_decay_check(profile: RadialProfile) -> CheckResult:
         detail=(
             f"peak at level {peak}, terminal gradient {vs[-1]:.3e}, "
             f"terminal source integral {source_end:.3e}"
+            + _unconverged_note(converged)
         ),
     )
 

@@ -18,10 +18,12 @@ import signal
 import time
 
 import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from liouville import Power, PowerLog, RadialProfile, StructureParams
+from liouville import construct, criterion, nonlinearity, quadrature, verify
 
 _ACCEPTANCE_LINES = []
 
@@ -81,18 +83,40 @@ def deadline(seconds: float):
 
 
 def partial_span_passes(monkeypatch):
-    """The panel count of every pass of ``RadialProfile._outer_spans`` over
-    partial spans (w between knots), one entry per pass; the outer cache
-    fill's pass over whole knot intervals is not counted."""
+    """The panel count of every pass of ``RadialProfile._outer_spans``,
+    the adaptive route of w between knots in the intervals that the outer
+    fill halved, one entry per pass."""
     route, passes = RadialProfile._outer_spans, []
 
-    def counted(self, i, u0=None):
-        if u0 is not None:
-            passes.append(i.size)
+    def counted(self, i, u0):
+        passes.append(i.size)
         return route(self, i, u0)
 
     monkeypatch.setattr(RadialProfile, "_outer_spans", counted)
     return passes
+
+
+def work_ledger(monkeypatch):
+    """The numeric work of whatever runs next, one record per call of
+    each kernel, through whichever module calls it: the panels of every
+    ``_k7`` call, the intervals of every ``_bisect`` and every
+    ``integrate_intervals`` call, and the points of every ``_ln_f`` call
+    (f's log evaluator).  A dict of lists, in call order."""
+    ledger = {"_k7": [], "_bisect": [], "integrate_intervals": [], "_ln_f": []}
+    size = {"_k7": lambda f0, *rest: np.size(f0), "_ln_f": lambda f, ln_z, *rest: np.size(ln_z)}
+    for module in (quadrature, nonlinearity, criterion, construct, verify):
+        for name, calls in ledger.items():
+            if name not in vars(module):
+                continue
+            route = getattr(module, name)
+            count = size.get(name, lambda g, lo, *rest: np.size(lo))
+
+            def counted(*args, route=route, calls=calls, count=count, **kwargs):
+                calls.append(int(count(*args)))
+                return route(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return ledger
 
 
 @pytest.fixture(scope="session")

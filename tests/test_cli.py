@@ -24,7 +24,7 @@ from liouville.cli import (
     main,
 )
 
-from conftest import deadline
+from conftest import deadline, work_ledger
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "verify_report.schema.json"
 
@@ -346,6 +346,41 @@ def test_one_outer_fill_per_command(capsys, monkeypatch, argv):
     code, _, err = run(capsys, argv)
     assert code == EXIT_OK, err
     assert len(fills) == 1
+
+
+# The work of one command, kernel by kernel (conftest.work_ledger).  verify:
+# _k7 on the table's 2048 + 640 panels but [0, s_0], on the outer fill's as
+# many, and on the energy check's 567; _bisect on the table's, the outer
+# fill's and the energy check's missed panels (none here) and on the flux
+# check's 52 windows, its one integrate_intervals call; _ln_f on the gate's
+# 256-point monotonicity grid, the table's three node blocks, the flux
+# windows' 52 x 15 nodes, the supersolution check's 200 envelope and 200
+# profile values, the gradient check's six origin nodes and the energy
+# check's 568 + 5 x 567 nodes.  w on the grids and the terminal source
+# integral take no panel.  construct: the same build, then its 200 rows.
+_LEDGERS = [
+    (
+        ["verify", "--n", "3", "--p", "2", "--power", "4"],
+        {
+            "_k7": [2687, 2687, 567],
+            "_bisect": [0, 0, 52, 0],
+            "integrate_intervals": [52],
+            "_ln_f": [256, 6144, 6144, 3840, 780, 400, 6, 3403],
+        },
+    ),
+    (
+        ["construct", "--n", "3", "--p", "2", "--power", "4"],
+        {"_k7": [2687, 2687], "_bisect": [0, 0], "integrate_intervals": [], "_ln_f": [256, 6144, 6144, 3840]},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, work", _LEDGERS, ids=["verify", "construct"])
+def test_work_ledger_per_command(capsys, monkeypatch, argv, work):
+    ledger = work_ledger(monkeypatch)
+    code, _, err = run(capsys, argv)
+    assert code == EXIT_OK, err
+    assert ledger == work
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -694,6 +694,33 @@ def test_inner_integral_between_knots_matches_incomplete_beta(beta_profile):
     assert np.max(np.abs(ours / exact - 1.0)) <= 1e-12
 
 
+_ORIGIN_CASES = [
+    (Power(4.0), StructureParams(3, 2.0)),
+    (Power(5.5), StructureParams(5, 3.0)),
+    (Power(0.81), StructureParams(8, 1.5)),
+]
+
+
+@pytest.mark.parametrize("f, params", _ORIGIN_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _ORIGIN_CASES])
+@pytest.mark.filterwarnings("error")
+def test_inner_integral_below_the_table_takes_its_origin_rule(monkeypatch, f, params):
+    # below the first knot I is the table's rule of its first panel, on
+    # [0, z]: no quadrature, and within 1e-13 of mpmath's, at delta = 1 and
+    # at a view; at the first knot it is the table's first sum, bit for bit.
+    # mpmath integrates in u = xi/z, where the source term over z**(n-1) is
+    # near 1, as its absolute error floor would end it early on I itself
+    prof = RadialProfile(f, params, 1.0)
+    t, n = prof._table, params.n
+    assert prof._origin_integral(t.s[0]) == (t.i[0], True)
+    quadratures = _record(monkeypatch, "integrate_intervals")
+    for view in (prof, prof.rescaled(2.0**-5)):
+        z0 = view.delta * t.s[0]
+        for z in (0.9 * z0, 1e-3 * z0, view.delta * 2.0**-40):
+            scaled = quad_ref(lambda u: float(view._source(np.array([z * u]))[0] / z ** (n - 1)), 0.0, 1.0, exact=True)
+            assert view.inner_integral(z) == pytest.approx(z**n * scaled[0], rel=1e-13, abs=0.0)
+    assert quadratures == []
+
+
 def test_dense_inner_is_nonnegative_and_nondecreasing(beta_profile):
     # I_1 on a fine grid in ln s, off the dense output of the table's panels
     table = beta_profile._table
@@ -741,29 +768,27 @@ def _count_spans(monkeypatch):
     return spans
 
 
-def test_values_on_grid_costs_one_panel_per_radius(monkeypatch, params32):
+def test_values_on_grid_values_no_panel(monkeypatch, params32):
+    # w between knots is the dense output of the outer fill's own nodes:
+    # after the one fill, no span pass, no K7 panel and no halving
     prof = RadialProfile(Power(4.0), params32, 1.0)
     fills, spans = _count_fills(monkeypatch), _count_spans(monkeypatch)
-    # no panel misses its bound here, so nothing reaches the scalar redo
-    # on the outer integrand
     points = []
     outer = prof._outer_array
     monkeypatch.setattr(
         prof, "_outer_array", lambda zeta: points.append(np.size(zeta)) or outer(zeta)
     )
     prof.profile_value(0.0)  # below the cache: closed form, after the fill
-    assert fills == [1.0]
-    assert spans == [prof._table.s.size - 1]
-    spans.clear()
+    assert fills == [1.0] and not prof._table.outer.halved.any()
+    built, halved = _count_k7(monkeypatch, construct_module), _record(monkeypatch, "_bisect")
     prof.values_on_grid(np.geomspace(1e-6, 1e6, 200))  # all inside the cache
-    assert len(spans) == 1 and 0 < spans[0] <= 200
+    assert spans == [] and built == [] and halved == []
     # a view reads the same fill, scaled; off the cache w is closed form
-    spans.clear()
     view = prof.rescaled(0.25)
     assert sup_profile(view) == pytest.approx(0.25**2 * prof.profile_value(0.0), rel=1e-14)
     # w(r) = I(inf) / r above the cache, I(inf) = delta^3 / 3
     assert view.profile_value(1e20) == pytest.approx(0.25**3 / 3e20, rel=1e-9, abs=0.0)
-    assert fills == [1.0] and spans == [] and points == []
+    assert fills == [1.0] and spans == [] and built == [] and points == []
 
 
 def test_delta_limit_check_fills_the_outer_cache_once(monkeypatch, params32):
@@ -881,18 +906,22 @@ def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
     knots = prof._table.s
     firsts = [0, 1]  # the first two of the fill's one _k7 call
     assert calls == [([0.0] * len(firsts), [1.0] * len(firsts))] and converged
+    assert np.flatnonzero(prof._table.outer.halved).tolist() == firsts
     assert ws.tolist() == pytest.approx(honest.tolist(), rel=1e-13, abs=0.0)
     # the same spans in a pass of their own, where they are forced to miss again
-    spans = prof._outer_spans(np.array(firsts))[0]
-    # partial spans: w between knots, the first two of the pass forced to miss
-    rs = np.sqrt(knots[[10, 1000, 2500]] * knots[[11, 1001, 2501]])
+    spans = prof._outer_spans(np.array(firsts), np.zeros(len(firsts)))[0]
+    # w between knots: an adaptive span, the first two of the pass forced to
+    # miss, in the two intervals that the fill halved, and the dense output
+    # of the fill's nodes, with no panel, in the others
+    intervals = [0, 1, 10, 1000, 2500]
+    rs = np.sqrt(knots[intervals] * knots[np.add(intervals, 1)])
     between = prof.values_on_grid(rs)
-    assert [len(lo) for lo, _ in calls] == [2, 2, 3]
+    assert [len(lo) for lo, _ in calls] == [2, 2, 2]
     monkeypatch.undo()
     x = prof._table.ln_s
     ref = [_scalar_outer(prof, x[i], x[i + 1]) for i in firsts]
     assert spans.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
-    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]) for r, i in zip(rs, [10, 1000, 2500])]
+    ref = [ws[i + 1] + _scalar_outer(prof, math.log(r), x[i + 1]) for r, i in zip(rs, intervals)]
     assert between == pytest.approx(ref, rel=1e-13, abs=0.0)
     # an unconverged halving marks the fill unconverged
     prof = RadialProfile(Power(4.0), params32, 1.0)
@@ -915,10 +944,10 @@ def _count_k7(monkeypatch, module):
 def test_k7_work_per_stage(monkeypatch, params32):
     # every closed K7 panel goes through _k7: the build's 2048 + 640 panels
     # in one call, but [0, s_0], which takes the rule of its weight; the
-    # outer fill's as many, in one call too;
-    # one call per values_on_grid, one for the sample the grid checks read
-    # (one panel per radius of the 794: none is a table knot), and one for
-    # the energy check's 567 panels; none through the Fejer pair's _rule
+    # outer fill's as many, in one call too; none for values_on_grid or
+    # for the sample the grid checks read, which are the dense output of
+    # the outer fill's nodes, and one call for the energy check's 567
+    # panels; none through the Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
     rule = quadrature_module._rule
     monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
@@ -927,14 +956,11 @@ def test_k7_work_per_stage(monkeypatch, params32):
     built.clear()
     prof._outer_cache()
     assert (len(built), sum(built)) == (1, 2687)
+    built.clear()
     for radii in ([0.5], np.geomspace(1e-3, 1e3, 200)):
-        built.clear()
         prof.values_on_grid(radii)
-        assert len(built) == 1
-    built.clear()
     prof._sample(verify_module._unit_sample()[0])
-    assert built == [794]
-    built.clear()
+    assert built == []
     energy_diagnostic(prof)
     assert (built, checked) == ([], [567])
     assert ruled == []

@@ -23,7 +23,10 @@ Both must agree to 1e-10 relative.  For the powers, at eps = delta = 1:
   on every 211th point;
 * at p = 2, w on a radius grid against its closed form
   w(r) = [r**(2-n) I(r) + B(2, b2) - B(r/(1+r); 2, b2)] / (n - 2),
-  b2 = k lambda - 2, in 30-digit mpmath, to 1e-12 relative.
+  b2 = k lambda - 2, in 30-digit mpmath, to 1e-12 relative;
+* w between knots, the dense output of the outer fill's nodes, against
+  one adaptive K7 span per radius on the table's dense output, to 1e-13
+  relative, and on two steep cases where the fill halves many spans.
 """
 
 import mpmath
@@ -132,3 +135,26 @@ def test_profile_against_the_closed_form_at_p2(n, p, f):
 
         ref = [float(w(r)) for r in radii]
     assert prof.values_on_grid(radii) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+# where L4 misses on steep spans, the outer fill halves many (962 and 1714
+# here, and 826 to 1071 on the grid's powers at n = 7, 8 and p = 1.5), and
+# w in those intervals keeps its adaptive span
+_HALVING = [
+    pytest.param(8, 1.5, Power(0.81), id="n8-p1.5-z^0.81-halving"),
+    pytest.param(5, 1.1, Power(0.5), id="n5-p1.1-z^0.5-halving"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, p, f", _POWERS + _HALVING)
+def test_w_between_knots_against_adaptive_spans(n, p, f):
+    # w by the dense output of the outer fill's nodes against the route it
+    # replaces, one adaptive K7 span per radius on the table's dense output,
+    # at the quarter and mid points of every 23rd knot interval
+    prof = RadialProfile(f, StructureParams(n, p), 1.0)
+    t = prof._table
+    i = np.repeat(np.arange(0, t.s.size - 1, 23), 2)
+    u0 = np.tile([0.25, 0.5], i.size // 2)
+    ref = prof._outer_cache()[0][i + 1] + prof._outer_spans(i, u0)[0]
+    assert prof.values_on_grid(np.exp(t.ln_s[i] + t.h[i] * u0)) == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)

@@ -34,6 +34,8 @@ from liouville.quadrature import (
     _LOW_AT,
     _MAX_LEVEL,
     _NARROW,
+    _RESOLVE,
+    _STALLS,
     _W_HIGH,
     _W_LOW,
     _WA_K7L4,
@@ -118,16 +120,16 @@ class TestIntegrate:
 
     def test_interval_that_cannot_converge_stops_when_its_panel_cannot_be_halved(self):
         # 1/|t - 1/2| is not integrable at 1/2: the panel by it keeps an error
-        # near 6.5 at every level, against a bound of 3.6e-11.  At level 43 it
-        # is narrower than _NARROW, and the interval comes back unconverged
-        # there, with 12829 panels; without that stop the panels around it
-        # would be halved on, to 22539.  (Most of the 12829 come from levels
-        # 33 to 43, where the nodes by 1/2 round to few bits and the panels'
-        # estimates are noise that halving does not reduce.)
+        # near 6.5 at every level, against a bound of 3.6e-11.  From level 27
+        # it is narrower than _RESOLVE, and after three halvings there that
+        # leave its error where it was, it is not halved again: the interval
+        # comes back unconverged at level 31, with 337 panels, before the
+        # levels where the nodes by 1/2 round to a few bits and the panels'
+        # estimates become noise that the even-share rule would chase.
         tol = Tolerance(rel=1e-12, absolute=0.0)
         res = integrate(lambda t: ((t - 0.5) ** 2 + 1e-300) ** -0.5, 0.25, 0.5, tol)
         assert not res.converged and res.abs_error > 1.0 > 1e10 * tol.bound(res.value)
-        assert res.subdivisions < 13000
+        assert res.subdivisions < 400
 
     def test_is_one_interval_of_integrate_intervals(self):
         # the same engine, the same bits, and the panel count of the interval
@@ -599,6 +601,26 @@ class TestBatchedShells:
         assert not converged.any() and panels.tolist() == [1, 1 + 2 + 4]
         assert calls == [[0.5 * _NARROW, 4.0 * _NARROW], [2.0 * _NARROW] * 2, [_NARROW] * 4]
 
+    def test_a_panel_whose_halving_does_not_pay_is_not_halved(self):
+        # the panel by one end keeps an error of 1 through every halving.  By
+        # 1 + 2**-16 it is narrower than _RESOLVE (2**-28 of its position)
+        # from width 2**-28 on, and after _STALLS halvings there it is not
+        # halved again: the last rule call takes panels of width 2**-31.  By
+        # 0 no panel is narrow against its position, and it is halved to the
+        # depth cap
+        assert _RESOLVE == 2.0**-28 and _STALLS == 3
+        for lo, hi, edge, levels in ((1.0, 1.0 + 2.0**-16, 1.0 + 2.0**-16, 16), (0.0, 2.0**-16, 0.0, _MAX_LEVEL + 1)):
+            widths = []
+
+            def rule(own, a, b):
+                widths.append(float((b - a).min()))
+                return b - a, np.where((a == edge) | (b == edge), 1.0, 0.0)
+
+            values, errors, panels, converged = _bisect(rule, np.array([lo]), np.array([hi]), TOL)
+            assert not converged[0] and errors[0] == 1.0 and values[0] == pytest.approx(hi - lo, rel=1e-15)
+            assert len(widths) == levels and panels[0] == 2 * levels - 1
+            assert widths == [2.0 ** (-16 - k) for k in range(levels)]
+
     def test_a_stuck_interval_stops_alone(self):
         # the interval by the singularity at 1/2 stops once its panel there
         # cannot be halved; the one beside it in the batch gets the bits it
@@ -608,7 +630,7 @@ class TestBatchedShells:
         both = _bisect(rule, np.array([0.25, 1.0]), np.array([0.5, 2.0]), tol)
         alone = [_bisect(rule, np.array([lo]), np.array([hi]), tol) for lo, hi in ((0.25, 0.5), (1.0, 2.0))]
         assert [x.tolist() for x in both] == [np.concatenate(x).tolist() for x in zip(*alone)]
-        assert both[3].tolist() == [False, True] and both[2][0] < 13000
+        assert both[3].tolist() == [False, True] and both[2][0] < 400
 
     def test_first_level_from_the_caller(self):
         # a caller that has valued every interval as one panel passes those

@@ -545,13 +545,28 @@ def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
     checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
     honest = [check(RadialProfile(Power(4.0), params32, 1.0)) for check in checks]
     fill = RadialProfile._fill_outer
-    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: (fill(self)[0], False, fill(self)[2]))
+    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: fill(self)._replace(converged=False))
     prof = RadialProfile(Power(4.0), params32, 1.0)
     assert not prof.outer_converged()
     for check, ok in zip(checks, honest):
         flagged = check(prof)
         assert flagged.detail == ok.detail + "; quadrature did not converge"
         assert (flagged.passed, flagged.worst_residual) == (ok.passed, ok.worst_residual)
+
+
+def test_gradient_check_reports_an_unconverged_source_integral(params32, monkeypatch):
+    # the terminal source integral is the table's rule of its first panel on
+    # [0, r], whose estimate is its gap to the rule on L4's nodes: with the
+    # L4 row perturbed by 1e-6, the estimate misses the table's tolerance,
+    # and the check says so, with the same verdict and residual
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    honest = gradient_decay_check(prof)
+    rule = construct_module._origin_rule
+    monkeypatch.setattr(construct_module, "_origin_rule", lambda n: rule(n) * [[1.0], [1.0 + 1e-6]])
+    flagged = gradient_decay_check(prof)
+    assert not honest.detail.endswith("; quadrature did not converge")
+    assert flagged.detail == honest.detail + "; quadrature did not converge"
+    assert (flagged.passed, flagged.worst_residual) == (honest.passed, honest.worst_residual)
 
 
 def test_grid_checks_report_unconverged_table_fill(params32, monkeypatch):
@@ -685,13 +700,14 @@ def test_sample_radii_hold_every_grid():
     assert radii[at_energy].tolist() == verify_module._unit_energy_grid().tolist()
 
 
-def test_verify_reads_w_in_one_partial_pass(monkeypatch, params32):
-    # a fresh profile: its outer cache fill, then one pass of partial spans
-    # for the sample that the supersolution, normalization and energy
-    # checks share (all of its 794 radii lie between table knots)
+def test_verify_reads_w_with_no_span_pass(monkeypatch, params32):
+    # a fresh profile: its outer cache fill halves no span, so the sample
+    # that the supersolution, normalization and energy checks share (all
+    # of its 794 radii lie between table knots) is the dense output of the
+    # fill's nodes, with no pass of adaptive spans
     passes = partial_span_passes(monkeypatch)
     verify_profile(RadialProfile(Power(4.0), params32, 1.0))
-    assert passes == [794]
+    assert passes == []
 
 
 def test_energy_reads_no_outer_array(monkeypatch, params32):

@@ -19,7 +19,11 @@ problems.  Argparse's own complaints are routed to 13 as well so code
 All output is deterministic: no timestamps, floats rendered with
 ``repr``, JSON keys sorted, LF line endings.  Reports carry a schema
 tag (``verify-report/v1`` and friends); the JSON Schema for the verify
-report ships in ``docs/verify_report.schema.json``.
+report ships in ``docs/verify_report.schema.json``.  Tables whose rows
+hold strings (classify, verify, sweep) go through ``csv.writer``.
+``construct``'s table holds only floats, whose ``repr`` needs no
+quoting, so it is joined directly; it takes the envelope and the decay
+bound in one call each for the whole grid.
 """
 
 from __future__ import annotations
@@ -366,12 +370,13 @@ def cmd_construct(cfg: RunConfig) -> int:
         return _refused(cfg, verdict)
 
     delta = profile.delta
-    radii = [float(r) for r in np.geomspace(cfg.grid_lo * delta, cfg.grid_hi * delta, cfg.grid_points)]
-    ws = profile.values_on_grid(radii)
-    rows = [
-        [r, w, profile.envelope_value(r), decay_bound(profile, r)]
-        for r, w in zip(radii, ws)
-    ]
+    grid = np.geomspace(cfg.grid_lo * delta, cfg.grid_hi * delta, cfg.grid_points)
+    radii = grid.tolist()
+    ws = profile.values_on_grid(grid)
+    # the envelope and the bound take all radii in one call each, and
+    # scalar arithmetic per radius: numpy's array power and logarithms can
+    # differ from libm's in the last bit
+    rows = list(zip(radii, ws, profile.envelope_value(radii), decay_bound(profile, radii)))
 
     if cfg.fmt == "json":
         payload = {
@@ -387,10 +392,11 @@ def cmd_construct(cfg: RunConfig) -> int:
             ],
         }
         text = _json_text(payload)
-    elif cfg.fmt == "csv":
-        text = _csv_text(["r", "w", "envelope", "bound"], rows)
     else:
-        text = f"delta = {delta!r}\n" + _csv_text(["r", "w", "envelope", "bound"], rows)
+        # every field is a float, so no field needs csv's quoting
+        text = "r,w,envelope,bound\n" + "".join([f"{r!r},{w!r},{e!r},{b!r}\n" for r, w, e, b in rows])
+        if cfg.fmt == "text":
+            text = f"delta = {delta!r}\n" + text
     _emit(text, cfg.out)
     return EXIT_OK
 

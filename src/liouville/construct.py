@@ -71,8 +71,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -119,18 +120,37 @@ __all__ = [
 ]
 
 
-def envelope(params: StructureParams, delta: float) -> Callable[[float], float]:
-    """Closure for env(r) = eps * (1 + r/delta)**-k with k = (n-p)/(p-1)."""
+# A radius or a sequence of them, and a value or the list of their values
+Radii = Union[float, Iterable[float]]
+Values = Union[float, List[float]]
+
+
+def _radii(r: Radii, zero_ok: bool) -> Tuple[List[float], bool]:
+    """The radius ``r``, or each of a sequence of them, as floats, and
+    whether ``r`` was a sequence.  A NaN, a negative radius, or 0 unless
+    ``zero_ok``, raises :class:`DomainError`."""
+    many = not isinstance(r, numbers.Real)
+    rs = [float(x) for x in r] if many else [float(r)]
+    for x in rs:
+        if not (x > 0.0 or (zero_ok and x == 0.0)):
+            raise DomainError(f"radius must be {'>=' if zero_ok else '>'} 0, got {x!r}")
+    return rs, many
+
+
+def envelope(params: StructureParams, delta: float) -> Callable[[Radii], Values]:
+    """Closure for env(r) = eps * (1 + r/delta)**-k with k = (n-p)/(p-1).
+    It takes a radius, or a sequence of them and gives a list, each
+    value by the same scalar arithmetic."""
     critical_exponent(params)  # enforces n > p
     if not (math.isfinite(delta) and delta > 0.0):
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
     k = (params.n - params.p) / (params.p - 1.0)
     eps = params.eps
 
-    def env(r: float) -> float:
-        if math.isnan(r) or r < 0.0:
-            raise DomainError(f"radius must be >= 0, got {r!r}")
-        return eps * math.exp(-k * math.log1p(r / delta))
+    def env(r):
+        rs, many = _radii(r, zero_ok=True)
+        values = [eps * math.exp(-k * math.log1p(x / delta)) for x in rs]
+        return values if many else values[0]
 
     return env
 
@@ -550,7 +570,9 @@ class RadialProfile:
 
     # -- envelope ----------------------------------------------------------
 
-    def envelope_value(self, r: float) -> float:
+    def envelope_value(self, r: Radii) -> Values:
+        """env(r) (:func:`envelope`) at a radius, or a list of them at a
+        sequence of radii."""
         return self._env(r)
 
     # -- inner integral ----------------------------------------------------
@@ -940,8 +962,9 @@ def change_of_variables_check(profile: RadialProfile) -> Tuple[QuadratureResult,
     return direct, transformed
 
 
-def decay_bound(profile: RadialProfile, r: float) -> float:
-    """Closed-form upper bound C * r**-k for the profile at radius r.
+def decay_bound(profile: RadialProfile, r: Radii) -> Values:
+    """Closed-form upper bound C * r**-k for the profile at radius r, or
+    a list of them at a sequence of radii.
 
     The constant is fully explicit,
 
@@ -950,24 +973,37 @@ def decay_bound(profile: RadialProfile, r: float) -> float:
 
     where K is the numeric value of the criterion integral of f plus its
     error estimate, so an unconverged value widens the bound; a divergent
-    f raises before any bound is produced.  Where a power in it is past
-    double range (r**-k of a steep profile), the bound is taken in logs,
-    and it is inf only where it exceeds double range itself.
+    f raises before any bound is produced.  K, C and ln C are taken once
+    per call, and each radius costs one scalar power, so a sequence gives
+    the same bits as the same radii one at a time.  Where a power is past
+    double range (r**-k of a steep profile), that radius's bound is taken
+    in logs, and it is inf only where it exceeds double range itself.
     """
-    if math.isnan(r) or r <= 0.0:
-        raise DomainError(f"radius must be > 0, got {r!r}")
+    rs, many = _radii(r, zero_ok=False)
     params = profile.params
     a = (params.p - 1.0) / (params.n - params.p)
     k = profile.criterion_result()
     mass = k.value + k.abs_error
+    decay = profile.decay
     try:
         c = a * (a * profile.delta ** params.n * params.eps**profile.q * mass) ** (1.0 / (params.p - 1.0))
-        return c * r**-profile.decay
-    except OverflowError:  # as a rule r**-k, where C is small: ln C - k ln r
-        ln_mass = math.log(a * mass) if mass > 0.0 else -math.inf
-    ln_c = (ln_mass + params.n * math.log(profile.delta) + profile.q * math.log(params.eps)) / (params.p - 1.0)
-    ln_bound = math.log(a) + ln_c - profile.decay * math.log(r)
-    return math.inf if ln_bound > _LOG_MAX else math.exp(ln_bound)
+    except OverflowError:  # C past double range: every bound in logs
+        c = None
+    ln_mass = math.log(a * mass) if mass > 0.0 else -math.inf
+    ln_inner = ln_mass + params.n * math.log(profile.delta) + profile.q * math.log(params.eps)
+    ln_c = math.log(a) + ln_inner / (params.p - 1.0)
+
+    def at(x: float) -> float:
+        if c is not None:
+            try:
+                return c * x**-decay
+            except OverflowError:  # as a rule r**-k, where C is small: ln C - k ln r
+                pass
+        ln_bound = ln_c - decay * math.log(x)
+        return math.inf if ln_bound > _LOG_MAX else math.exp(ln_bound)
+
+    bounds = [at(x) for x in rs]
+    return bounds if many else bounds[0]
 
 
 # The delta search halves delta at most _MAX_HALVINGS times.

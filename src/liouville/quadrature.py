@@ -78,6 +78,7 @@ __all__ = [
 ]
 
 _EPS = sys.float_info.epsilon
+_ULP_MIN = math.ulp(0.0)  # the least subnormal
 # _bisect halves no panel narrower than this, relative to its position
 _NARROW = 256 * _EPS
 
@@ -253,7 +254,11 @@ def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray,
     damp = (resasc != 0.0) & (err != 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         damped = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.maximum(np.where(damp, damped, err), 50.0 * _EPS * resabs)
+    # the floor, 50 eps resabs, is at least 50 ulps of resabs: 50 times the
+    # least subnormal, one ulp of any subnormal, where 50 eps resabs
+    # underflows; an exact 0 keeps error 0
+    floor = np.maximum(50.0 * _EPS * resabs, 50.0 * np.minimum(resabs, _ULP_MIN))
+    err = np.maximum(np.where(damp, damped, err), floor)
     return high, err
 
 

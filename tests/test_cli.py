@@ -8,6 +8,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from liouville import RadialProfile, cli, construct, criterion
@@ -510,16 +511,15 @@ def test_cancelling_form_fails_only_the_flux(capsys):
     assert out.count(": PASS") == 4 and "overall: FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["--n", "4", "--p", "1.05", "--power", "1.1"],
-        ["--n", "8", "--p", "1.1", "--power", "0.5"],
-        ["--n", "3", "--p", "1.02", "--power", "1.05"],
-        ["--n", "4", "--p", "1.05", "--eps", "1e-10", "--power", "1.0677966101694916"],
-    ],
-    ids=" ".join,
-)
+_STEEP = [
+    ["--n", "4", "--p", "1.05", "--power", "1.1"],
+    ["--n", "8", "--p", "1.1", "--power", "0.5"],
+    ["--n", "3", "--p", "1.02", "--power", "1.05"],
+    ["--n", "4", "--p", "1.05", "--eps", "1e-10", "--power", "1.0677966101694916"],
+]
+
+
+@pytest.mark.parametrize("args", _STEEP, ids=" ".join)
 def test_steep_profile_constructs(capsys, args):
     # k = (n-p)/(p-1) is 59, 69, 49 and 59: r**-k is past double range at
     # the grid's first radii, so the decay bound C r**-k is taken in logs.
@@ -620,6 +620,54 @@ def test_instance_w_column_matches_closed_form(capsys):
     for row in rows:
         r = float(row["r"])
         assert float(row["w"]) == pytest.approx((1.0 + 2.0 * r) / (6.0 * (1.0 + r) ** 2), rel=1e-11, abs=0.0)
+
+
+# construct's table against the scalar route it replaced: the closed-form
+# instance, a form whose leading term is not f itself, and the steep
+# inputs, whose bounds take the log route (inf, and null in JSON, where
+# they exceed double range)
+_TABLE_INPUTS = [["--n", "3", "--p", "2", "--power", "4"], ["--n", "4", "--p", "2", "--powerlog", "-1.6"], *_STEEP]
+
+
+def _table_profile(args):
+    # the profile and the grid radii of construct's table
+    cfg = cli._config(cli._parser().parse_args(["construct", *args]))
+    profile, _ = cli._setup_profile(cfg)
+    return profile, np.geomspace(cfg.grid_lo * profile.delta, cfg.grid_hi * profile.delta, cfg.grid_points).tolist()
+
+
+def _bits(values):
+    return [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("args", _TABLE_INPUTS, ids=" ".join)
+def test_table_columns_match_the_scalar_route(args):
+    profile, radii = _table_profile(args)
+    bounds = construct.decay_bound(profile, radii)
+    assert _bits(bounds) == _bits([construct.decay_bound(profile, r) for r in radii])
+    assert _bits(profile.envelope_value(radii)) == _bits([profile.envelope_value(r) for r in radii])
+    # r**-k is past double range at the first radius of a steep input only,
+    # and so is the bound, but where eps = 1e-10 scales it down
+    steep = args in _STEEP
+    assert (-profile.decay * math.log(radii[0]) > math.log(np.finfo(float).max)) == steep
+    assert (math.inf in bounds) == (steep and "--eps" not in args)
+
+
+@pytest.mark.parametrize("args", _TABLE_INPUTS, ids=" ".join)
+def test_table_text_matches_the_general_writer(capsys, args):
+    profile, radii = _table_profile(args)
+    rows = [
+        [r, w, profile.envelope_value(r), construct.decay_bound(profile, r)]
+        for r, w in zip(radii, profile.values_on_grid(radii))
+    ]
+    table = cli._csv_text(["r", "w", "envelope", "bound"], rows)
+    argv = ["construct", *args, "--format"]
+    assert run(capsys, argv + ["csv"]) == (EXIT_OK, table, "")
+    assert run(capsys, argv + ["text"]) == (EXIT_OK, f"delta = {profile.delta!r}\n" + table, "")
+    code, out, err = run(capsys, argv + ["json"])
+    assert code == EXIT_OK, err
+    bounds = [row["bound"] for row in json.loads(out)["rows"]]
+    assert bounds == [b if math.isfinite(b) else None for *_, b in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import liouville.construct as construct_module
@@ -201,6 +201,9 @@ class TestIntegratePanels:
         ),
     )
     @settings(max_examples=60, deadline=None)
+    # a subnormal integral: its error is floored at ulps of its size, as
+    # 50 eps of it underflows to 0, and QUADPACK's value is 2 ulps away
+    @example(amp=0.0, rate=0.0, freq=0.0, phase=0.0, quad=2.225073858507e-311, points=[0.0, 1.0])
     def test_agrees_with_scalar_within_reported_error(
         self, amp, rate, freq, phase, quad, points
     ):
@@ -212,6 +215,16 @@ class TestIntegratePanels:
         for i, (a, b) in enumerate(zip(edges, edges[1:])):
             ref, ref_error = quad_ref(g, a, b, TOL.rel)
             assert abs(batched.values[i] - ref) <= batched.abs_errors[i] + ref_error
+
+    def test_error_floor_holds_for_subnormal_and_zero_integrals(self):
+        # 50 eps of a subnormal integral underflows, so its error is floored
+        # at 50 ulps instead; an exact 0 keeps error 0, and converges
+        # without halving at a purely relative tolerance
+        tol = Tolerance(rel=1e-10, absolute=0.0)
+        tiny = _consecutive(lambda x: 2.225073858507e-311 * x * x, [0.0, 1.0], tol)
+        assert tiny.abs_errors[0] == 50 * math.ulp(0.0) and tiny.converged
+        zero = integrate(lambda x: 0.0 * x, 0.0, 1.0, tol)
+        assert (zero.value, zero.abs_error, zero.subdivisions, zero.converged) == (0.0, 0.0, 1, True)
 
     def test_endpoint_singularity_is_halved_on_the_batch(self):
         # the open rule never evaluates x = 0; the panels by it are halved on

@@ -11,7 +11,7 @@ import importlib.util
 from pathlib import Path
 
 import liouville
-from liouville import cli
+from liouville import cli, construct, criterion
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -55,3 +55,26 @@ def test_tracer_sees_the_gate_and_the_one_valuation(capsys):
     capsys.readouterr()
     names = [rec[0] for rec in tracer.spans]
     assert "criterion.classify" in names and names.count("criterion.criterion_value") == 1
+
+
+def test_construct_takes_its_bounds_in_one_call(capsys, monkeypatch):
+    # one decay-bound call and one envelope call for the whole table, and
+    # one valuation of the criterion integral
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(cli, "decay_bound")
+    counted(construct.RadialProfile, "envelope_value")
+    counted(construct, "criterion_value")
+    counted(criterion, "criterion_value")
+    assert cli.main(["construct", "--n", "4", "--p", "2", "--powerlog", "-1.6"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 202
+    assert sorted(calls) == ["criterion_value", "decay_bound", "envelope_value"]

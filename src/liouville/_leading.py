@@ -35,14 +35,16 @@ function :func:`ln_scaled_gamma`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Optional
 
+from ._record import tuple_record
 from .nonlinearity import Bin, Call, Euler, Expression, Neg, Nonlinearity, Num, Power, PowerLog, Var
 
 __all__ = ["Term", "leading_term", "ln_scaled_gamma", "tail"]
 
 
-class Term(NamedTuple):
+@tuple_record
+class Term:
     """c * z**a * L1**b1 * L2**b2; a = +-inf with c = +-1 lies beyond
     every power.  ``exact`` when f is exactly c * z**a."""
 

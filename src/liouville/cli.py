@@ -35,11 +35,11 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .construct import (
     DeltaSearchOptions,
     RadialProfile,
@@ -101,8 +101,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Everything one invocation needs, validated and immutable.  Its
     defaults are the command line's: options left unset are None in the
     parsed namespace and take them here."""
@@ -211,7 +210,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _config(ns: argparse.Namespace) -> RunConfig:
     kwargs = {k: v for k, v in vars(ns).items() if v is not None or k in ("out",)}
-    cfg = RunConfig(**{k: v for k, v in kwargs.items() if k in RunConfig.__dataclass_fields__})
+    cfg = RunConfig(**{k: kwargs[k] for k in RunConfig._fields if k in kwargs})
     if cfg.command in ("classify", "construct", "verify"):
         chosen = sum(x is not None for x in (cfg.power, cfg.powerlog, cfg.expr))
         if chosen != 1:

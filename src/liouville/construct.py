@@ -72,12 +72,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._leading import leading_term
+from ._record import Record, tuple_record
 from .criterion import (
     ClassifyOptions,
     StructureParams,
@@ -92,6 +92,7 @@ from .errors import (
     DeltaSearchError,
     DivergentIntegralError,
     DomainError,
+    QuadratureError,
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
 from .quadrature import (
@@ -405,7 +406,8 @@ def _table_fill(
     return s, at_nodes[:, 1:], PanelResults(values, errors, bool(converged.all()))
 
 
-class _OuterFill(NamedTuple):
+@tuple_record
+class _OuterFill:
     """The outer cache at delta = 1 (:meth:`RadialProfile._fill_outer`):
     w_1 at the knots, whether every panel met its tolerance and their
     summed error, the integrand zeta |w_1'| in ln zeta at the knots
@@ -629,7 +631,9 @@ class RadialProfile:
     def inner_integral(self, z: float) -> float:
         """I(z): the table's dense output in range, below it the table's
         own rule of the first panel on [0, z] (:meth:`_origin_integral`),
-        above it direct quadrature, and the full limit at z = inf."""
+        above it direct quadrature, and the full limit at z = inf.  Raises
+        :class:`QuadratureError` when the quadrature above the table
+        misses its tolerance."""
         if math.isnan(z):
             raise DomainError(f"z must be a real number, got {z!r}")
         if z <= 0.0:
@@ -645,6 +649,11 @@ class RadialProfile:
         if s <= t.s[-1]:
             return math.exp(self._ln_inner(np.float64(z)))
         above = integrate_intervals(self._source, [self.delta * t.s[-1]], [z], self.tol)
+        if not above.converged:
+            raise QuadratureError(
+                f"I(z) at z = {z!r} did not converge above the table: "
+                f"{float(above.values[0])!r} +- {float(above.abs_errors[0])!r} past its last knot"
+            )
         return self.delta**self.params.n * t.last + float(above.values[0])
 
     def _origin_integral(self, z: float) -> Tuple[float, bool]:
@@ -1010,8 +1019,7 @@ def decay_bound(profile: RadialProfile, r: Radii) -> Values:
 _MAX_HALVINGS = 60
 
 
-@dataclass(frozen=True)
-class DeltaSearchOptions:
+class DeltaSearchOptions(Record):
     """Delta search controls: the first candidate ``delta0``, and
     ``assume_convergent``, which skips the classifier gate: for callers
     that have classified f already (the CLI does, with its own
@@ -1022,7 +1030,7 @@ class DeltaSearchOptions:
     assume_convergent: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
+        if isinstance(self.delta0, bool) or not (math.isfinite(self.delta0) and self.delta0 > 0.0):
             raise ValueError(f"delta0 must be finite and positive, got {self.delta0!r}")
 
 

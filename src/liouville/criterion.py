@@ -56,16 +56,15 @@ does not model is not in its error.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._leading import Term, leading_term, tail
+from ._record import Record, tuple_record
 from .errors import (
     CriterionUndecidedError,
     DivergentIntegralError,
@@ -103,8 +102,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StructureParams:
+class StructureParams(Record):
     """Structure exponents: space dimension n, operator exponent p, and
     the upper endpoint eps of the criterion integral."""
 
@@ -117,6 +115,9 @@ class StructureParams:
             raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n!r}")
+        for name in ("p", "eps"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "eps", float(self.eps))
         if not (math.isfinite(self.p) and self.p > 1.0):
@@ -141,7 +142,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@tuple_record
 class CriterionVerdict:
     """Outcome of :func:`classify`.
 
@@ -159,7 +160,7 @@ class CriterionVerdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@tuple_record
 class ClassifyOptions:
     """Options of :func:`classify`: ``check_monotonicity=False`` waives
     the sampled non-decrease check, and ``value=False`` the value of a
@@ -264,8 +265,8 @@ def classify(
     try:
         res = _integral_below(f, params, term, math.log(params.eps), tol, shells)
     except (CriterionUndecidedError, EvaluationError) as exc:
-        return dataclasses.replace(verdict, detail=f"{verdict.detail}; no value: {exc}")
-    return dataclasses.replace(verdict, value=res.value, abs_error=res.abs_error)
+        return verdict._replace(detail=f"{verdict.detail}; no value: {exc}")
+    return verdict._replace(value=res.value, abs_error=res.abs_error)
 
 
 # a and q, or a b_i and -1, this close but not equal come from float sums
@@ -309,18 +310,7 @@ def _verdict(term: Term, q: float) -> Tuple[Verdict, str]:
     return Verdict.DIVERGES, "log and log-log exponents -1 at the critical power"
 
 
-class _Shell(NamedTuple):
-    """One log-valued shell of :func:`_log_shells`, with the fields of a
-    :class:`~liouville.quadrature.QuadratureResult`: a plain tuple, which
-    costs a third of that frozen dataclass to build."""
-
-    value: float
-    abs_error: float
-    subdivisions: int
-    converged: bool
-
-
-def _totals(results: Sequence[_Shell]) -> Tuple[float, float, List[bool]]:
+def _totals(results: Sequence[QuadratureResult]) -> Tuple[float, float, List[bool]]:
     """The sum of the log-valued shells ``results`` and its error, and
     which shells count as vanished: zeros of f, and shells more than
     _LN_VANISHED below the log of the sum, under its last binary digit.
@@ -340,12 +330,14 @@ def _vanished_tail(gone: Sequence[bool]) -> bool:
     return bool(gone) and gone[-1] and all(b for a, b in zip(gone, gone[1:]) if a)
 
 
-class _LogShells(List[_Shell]):
-    """The log-valued shells of :func:`_log_shells`, outermost first, and
+class _LogShells(List[QuadratureResult]):
+    """The log-valued shells of :func:`_log_shells` (each a
+    :class:`~liouville.quadrature.QuadratureResult` of the shell's log),
+    outermost first, and
     ``edges``: L at their count + 1 edges, as the pass evaluated it there
     (:func:`_remainder` reads it again)."""
 
-    def __init__(self, shells: Iterable[_Shell], edges: np.ndarray):
+    def __init__(self, shells: Iterable[QuadratureResult], edges: np.ndarray):
         super().__init__(shells)
         self.edges = edges
 
@@ -412,14 +404,14 @@ def _log_shells(
         cancel = np.abs(q * edges[1:]) * np.finfo(float).eps
         errs = np.where(values > 0.0, errors / values + np.spacing(np.abs(logs)) + cancel, 0.0)
     columns = (logs.tolist(), errs.tolist(), panels.tolist(), converged.tolist())
-    return _LogShells(map(_Shell._make, zip(*columns)), ln_at[::2])
+    return _LogShells(map(QuadratureResult._make, zip(*columns)), ln_at[::2])
 
 
 def _classify_numeric(
     f: Nonlinearity,
     params: StructureParams,
     tol: Tolerance,
-) -> Tuple[List[_Shell], CriterionVerdict]:
+) -> Tuple[List[QuadratureResult], CriterionVerdict]:
     """The ``_SHELL_COUNT`` outermost log-valued shells and the verdict on
     them, for an f whose leading term the walk could not find."""
     try:
@@ -433,7 +425,7 @@ def _classify_numeric(
 _UNCERTIFIED = "a shell quadrature did not converge, so the shell values are not certified"
 
 
-def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
+def _decide(results: Sequence[QuadratureResult]) -> CriterionVerdict:
     """Verdict of the numeric classifier on the log-valued shells ``results``:
     convergent when the deeper half ends in vanished shells, or when its
     shell ratios stay below some rho < 1 and the geometric tail bound
@@ -474,7 +466,8 @@ def _decide(results: Sequence[_Shell]) -> CriterionVerdict:
 _GAMMA_ERROR = 2e-14
 
 
-class _Model(NamedTuple):
+@tuple_record
+class _Model:
     """The integrand m(u) = C e**(-d u) u**b1 (ln u)**b2 in u = ln(1/zeta),
     through m(v) = e**ln_m: a leading term's own, or a fitted power's; its
     integral over u > v is ``tail(*model)``."""
@@ -584,7 +577,7 @@ def _integral_below(
     term: Optional[Term],
     ln_top: float,
     tol: Tolerance,
-    shells: Sequence[_Shell] = (),
+    shells: Sequence[QuadratureResult] = (),
     q: Optional[float] = None,
 ) -> QuadratureResult:
     """The integral of f(zeta) * zeta**-(1+q) over (0, top], top = e**ln_top,
@@ -647,7 +640,7 @@ def criterion_value(
     :class:`DivergentIntegralError` for certifiably divergent input and
     :class:`CriterionUndecidedError` when convergence is not certified.
     The shells are log-values, so no eps is too small for them."""
-    shells: List[_Shell] = []
+    shells: List[QuadratureResult] = []
     term = leading_term(f)
     if term is None:
         shells, verdict = _classify_numeric(f, params, tol)

@@ -36,11 +36,11 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._record import Record, tuple_record
 from .errors import DomainError, EvalOverflow, EvaluationError, ParseError
 
 __all__ = [
@@ -77,8 +77,7 @@ class ExprNode:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Num(ExprNode):
+class Num(ExprNode, Record):
     value: float
 
     def __post_init__(self) -> None:
@@ -86,23 +85,19 @@ class Num(ExprNode):
             raise ValueError(f"numeric literal must be finite, got {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Var(ExprNode):
+class Var(ExprNode, Record):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Euler(ExprNode):
+class Euler(ExprNode, Record):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Neg(ExprNode):
+class Neg(ExprNode, Record):
     arg: ExprNode
 
 
-@dataclass(frozen=True, slots=True)
-class Bin(ExprNode):
+class Bin(ExprNode, Record):
     op: str
     left: ExprNode
     right: ExprNode
@@ -112,8 +107,7 @@ class Bin(ExprNode):
             raise ValueError(f"unknown operator {self.op!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Call(ExprNode):
+class Call(ExprNode, Record):
     fn: str
     arg: ExprNode
 
@@ -562,13 +556,14 @@ class Nonlinearity:
         return (np.full(mag.shape, sign) if np.ndim(sign) == 0 else sign), mag
 
 
-@dataclass(frozen=True)
-class Power(Nonlinearity):
+class Power(Nonlinearity, Record):
     """f(z) = z**exponent."""
 
     exponent: float
 
     def __post_init__(self) -> None:
+        if isinstance(self.exponent, bool):
+            raise ValueError(f"exponent must be a real number, got {self.exponent!r}")
         if not math.isfinite(self.exponent):
             raise ValueError(f"exponent must be finite, got {self.exponent!r}")
 
@@ -581,8 +576,7 @@ class Power(Nonlinearity):
         return np.float64(1.0), mag
 
 
-@dataclass(frozen=True)
-class PowerLog(Nonlinearity):
+class PowerLog(Nonlinearity, Record):
     """f(z) = z**power * log(e + 1/z)**mu for z > 0, and f(0) = 0.
 
     The logarithmic factor is computed as log1p(e*z) - log(z), which
@@ -594,6 +588,9 @@ class PowerLog(Nonlinearity):
     power: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "power"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
         if not math.isfinite(self.power):
@@ -605,8 +602,7 @@ class PowerLog(Nonlinearity):
         return np.float64(1.0), np.where(ln_z > _NEG_INF, mag, _NEG_INF)  # f(0) = 0
 
 
-@dataclass(frozen=True)
-class Expression(Nonlinearity):
+class Expression(Nonlinearity, Record):
     """f given by a closed-form expression tree in the variable z."""
 
     root: ExprNode
@@ -641,7 +637,7 @@ def parse_nonlinearity(text: str) -> Expression:
 # monotonicity probe
 
 
-@dataclass(frozen=True, slots=True)
+@tuple_record
 class MonotonicityReport:
     """Outcome of a sampled non-decrease check.
 

@@ -60,11 +60,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import Record, tuple_record
 from .errors import QuadratureError
 
 __all__ = [
@@ -83,8 +83,7 @@ _ULP_MIN = math.ulp(0.0)  # the least subnormal
 _NARROW = 256 * _EPS
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
+class Tolerance(Record):
     """Requested accuracy: ``max(absolute, rel * |value|)``.
 
     Both knobs are explicit; the engine itself has no hidden accuracy
@@ -98,7 +97,7 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("rel", "absolute"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be a finite non-negative number, got {v!r}")
         if self.rel == 0 and self.absolute == 0:
             raise ValueError("rel and absolute cannot both be zero")
@@ -110,7 +109,7 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True, slots=True)
+@tuple_record
 class QuadratureResult:
     """Value with an error estimate and an honest convergence flag.
 
@@ -146,7 +145,7 @@ _W_LOW = _fejer2(8)[1]
 _LOW_AT = (1, 3, 5, 7, 9, 11, 13)
 
 
-@dataclass(frozen=True, slots=True)
+@tuple_record
 class PanelResults:
     """Per-interval outcome of :func:`integrate_intervals`.
 

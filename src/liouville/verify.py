@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from ._record import tuple_record
 from .construct import _K7_U, RadialProfile, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
@@ -84,7 +84,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@tuple_record
 class CheckResult:
     """One verification outcome.
 
@@ -100,7 +100,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@tuple_record
 class VerificationReport:
     checks: Tuple[CheckResult, ...]
     overall: bool
@@ -370,7 +370,7 @@ def _k7_on_cubic(g: Callable, y0: np.ndarray, coef: np.ndarray, h: np.ndarray, i
     return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[i])
 
 
-@dataclass(frozen=True)
+@tuple_record
 class EnergyDiagnostic:
     """Cumulative source energy over balls and its scale-free ratios.
 
@@ -563,7 +563,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
 # behaviour under delta halving
 
 
-@dataclass(frozen=True)
+@tuple_record
 class DeltaLimitReport:
     """sup w under successive halvings of the scale parameter."""
 

@@ -10,9 +10,9 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 """
 
 import bisect
-import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -278,8 +278,7 @@ def _fill_by_panels(f, params, s, tol):
     rest = integrate_intervals(
         lambda y: np.exp(y) * construct_module._source_term(f, params, np.exp(y)), x[:-1], x[1:], tol
     )
-    return dataclasses.replace(
-        rest,
+    return rest._replace(
         values=np.concatenate((first.values, rest.values)),
         abs_errors=np.concatenate((first.abs_errors, rest.abs_errors)),
         converged=first.converged and rest.converged,
@@ -416,7 +415,6 @@ def test_table_redo_values_only_the_halves(monkeypatch, lam, missed, valued):
     assert seen[0] == missed and sum(seen[1:]) == valued
 
 
-@dataclasses.dataclass(frozen=True)
 class _Spoiled(Power):
     # z**exponent, with ln f replaced by `bad` where ln z < cut
     bad: float = math.nan
@@ -451,14 +449,26 @@ def test_table_fill_refuses_what_the_panels_refuse(params32, cut, bad, error, te
     assert str(ours.value) == text + repr(float(np.exp(ln_s[-np.log1p(np.exp(ln_s)) < cut][0])))
 
 
+def _fresh_interpreter(code):
+    # stdout of code run by a new interpreter that imports this package
+    src = os.path.dirname(os.path.dirname(construct_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+    return out.stdout.strip()
+
+
 def test_importing_the_cli_builds_no_table_geometry():
     # the geometry is built on the first table fill, not at import, whose
     # cost every command pays
     code = "import liouville.cli, liouville.construct as c; print(c._table_geometry.cache_info().currsize)"
-    src = os.path.dirname(os.path.dirname(construct_module.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
-    assert out.stdout.strip() == "0"
+    assert _fresh_interpreter(code) == "0"
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    # the records are built without dataclasses, whose per-class code
+    # generation was most of the cost of an import
+    code = "import sys, liouville, liouville.cli; liouville.cli.build_parser(); print('dataclasses' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
 
 
 _KNOT_INTEGRALS = {}
@@ -1295,6 +1305,18 @@ def test_criterion_result_cached(instance_profile):
 def test_repr_mentions_family(instance_profile):
     text = repr(instance_profile)
     assert "delta=1.0" in text
+
+
+def test_inner_integral_above_the_table_raises_when_its_quadrature_misses(instance_profile, monkeypatch):
+    z = 2.0 * instance_profile.delta * float(instance_profile._table.s[-1])
+    honest = instance_profile.inner_integral(z)
+    assert honest == pytest.approx(inner_exact(z), rel=1e-9)
+    batched = construct_module.integrate_intervals
+    monkeypatch.setattr(
+        construct_module, "integrate_intervals", lambda *args, **kw: batched(*args, **kw)._replace(converged=False)
+    )
+    with pytest.raises(QuadratureError, match=re.escape(f"at z = {z!r} did not converge")):
+        instance_profile.inner_integral(z)
 
 
 @given(delta=st.floats(min_value=0.2, max_value=5.0))

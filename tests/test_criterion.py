@@ -9,7 +9,6 @@ Numeric oracles, computed independently before being frozen here:
     K(mu=-3) likewise = 0.556776080278639509
 """
 
-import dataclasses
 import json
 import math
 
@@ -576,7 +575,7 @@ def test_gate_without_a_value(monkeypatch, params32):
     monkeypatch.setattr(criterion_module, "_log_shells", lambda *args, **kw: passes.append(1) or shells(*args, **kw))
     gate = classify(f, params32, ClassifyOptions(value=False))
     assert valued.value is not None and valued.abs_error is not None
-    assert gate == dataclasses.replace(valued, value=None, abs_error=None) and passes == []
+    assert gate == valued._replace(value=None, abs_error=None) and passes == []
 
 
 def test_log_shells_do_not_depend_on_their_neighbours(params32):

@@ -7,7 +7,6 @@ Oracle values (mpmath, 40 digits, frozen before the tests were written):
     ratio(1000) = 0.09692093221050432935   (E(r) r^(p-n) / w(r)^(p-1))
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -83,7 +82,7 @@ class TestFlux:
         batched = verify_module.integrate_intervals
 
         def unconverged(*args, **kwargs):
-            return dataclasses.replace(batched(*args, **kwargs), converged=False)
+            return batched(*args, **kwargs)._replace(converged=False)
 
         monkeypatch.setattr(verify_module, "integrate_intervals", unconverged)
         flagged = flux_identity_check(instance_profile)

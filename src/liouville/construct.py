@@ -24,43 +24,18 @@ w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  So the cache is one
 delta-free table in s = xi/delta, built at delta = 1 over sixteen
 decades (eight on each side of s = 1) and on for 40 halvings of the
 envelope, and a :class:`RadialProfile` is that table plus its delta.
-Both the table and the outer cache are taken in x = ln s, on one node
-set: one panel per knot interval on the 7-point Lobatto-Kronrod rule
-K7, with the 4-point Lobatto rule L4 embedded in it as the error
-estimate (Gander and Gautschi's pair; see :mod:`liouville.quadrature`),
-whose end nodes are the knots.  The table integrates s * source(s) in x
-and keeps it at all seven nodes of every panel, so I_1 anywhere inside
-a panel is its left knot's sum plus the integral of the polynomial
-through those seven values: a dot product with the cumulative Lagrange
-weights C_m(u) of the nodes at the fraction u (:func:`_dense_basis`),
-as a Runge-Kutta method's dense output reads its stages.  Filled on
-first use: I_1(inf), and w_1 at the same knots, whose panels have their
-interior nodes where the table's are, so they read I_1 there through
-one fixed matrix of those weights.  Substituting zeta = env(xi) makes
-the source mass beyond the last knot a * eps**q (a = 1/k) times the
-criterion integral below env there, up to a weight within
-(n-1)/(1 + s_end) of 1, so I_1(inf) needs no quadrature to infinity.
-Each knot's value serves both intervals it bounds, and each interval
-adds five interior nodes.  The panels of a fill go through
-:func:`~liouville.quadrature._k7` in one call, node-major: the values at
-the knots as the two end arrays and the interior values as five rows,
-never stacked into one array per panel.  The table's
-first panel [0, s_0], in s, takes a rule of the weight s**(n-1) on the
-K7 nodes (:func:`_origin_panel`).  Panels that miss the tolerance are
-halved together on K7 (:func:`~liouville.quadrature._bisect`), with the
-source term taken afresh in the table and on the dense output in the
-outer cache.  The table takes ln s and ln(1 + s) at the nodes of its
-panels, in node-major blocks, from a geometry computed on first use:
-once per process for the panels up to the last cache knot, once per
-a = (p-1)/(n-p) for those past it (:func:`_table_fill`).
-The outer cache keeps its integrand at all seven nodes of every panel
-too, so w between knots is their dense output, as I_1 is the table's: a
-profile value costs a dot product of seven values (one adaptive panel
-in an interval whose panel the fill halved, a closed form off the
-cache) instead of a nested double integral.  Below the first knot I
-takes the first panel's rule on [0, s] itself.
-:meth:`RadialProfile.rescaled` gives the profile at another delta on
-the same table, and the delta search builds a single profile.
+The table (I_1) and the outer cache (w_1, filled on first use) are two
+records of K7 panels between the same knots in ln s, with their node
+values kept, so I_1 and w_1 between the knots are dense output
+(:class:`_Panels`, which describes the tiling).  The table's first
+panel [0, s_0], in s, takes a rule of the weight s**(n-1) on the K7
+nodes (:func:`_origin_panel`), and I below the table takes that rule on
+[0, s] itself.  Substituting zeta = env(xi) makes the source mass beyond
+the last knot a * eps**q (a = 1/k) times the criterion integral below
+env there, up to a weight within (n-1)/(1 + s_end) of 1, so I_1(inf)
+needs no quadrature to infinity.  :meth:`RadialProfile.rescaled` gives
+the profile at another delta on the same table, and the delta search
+builds a single profile.
 
 f is read one way, in logs (:meth:`Nonlinearity.log_value`): the source
 term of the table and of every scale, and f at the profile's own values,
@@ -77,7 +52,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._leading import leading_term
-from ._record import Record, tuple_record
+from ._record import Record
 from .criterion import (
     ClassifyOptions,
     StructureParams,
@@ -199,8 +174,7 @@ def _dense_basis() -> np.ndarray:
 @functools.cache
 def _interior_weights() -> np.ndarray:
     # C_m at the five interior K7 nodes, row m, column j: the one fixed
-    # matrix through which the outer cache reads I_1 at its interior nodes,
-    # which are the table's own.  Read-only, as one copy serves all.
+    # matrix of :meth:`_Panels.interior`.  Read-only, as one copy serves all.
     v = _XA_K7[1:-1]
     weights = sum(row[:, None] * v**k for k, row in enumerate(_dense_basis()))
     weights.flags.writeable = False
@@ -210,7 +184,8 @@ def _interior_weights() -> np.ndarray:
 def _dense(g, u) -> np.ndarray:
     # The integral over [0, u] of the polynomial through the values g[m]
     # at the seven K7 nodes of a panel, over the panel's width: the sum of
-    # C_m(u) g[m] (:func:`_dense_basis`), g[m] and u broadcast together.
+    # C_m(u) g[m] (:func:`_dense_basis`), g[m] and u broadcast together;
+    # the dense output of :class:`_Panels`.
     # The polynomial's coefficients in v = 2u - 1 are summed node by node
     # and it is read by Horner's rule, all elementwise, so that a point's
     # bits do not depend on the others, nor on the shape of the call.
@@ -225,6 +200,121 @@ def _dense(g, u) -> np.ndarray:
         out *= v
     out += coef[0]
     return out
+
+
+def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=None, floor: bool = False):
+    """The panels of one fill: their K7 values and L4 estimates
+    (:func:`~liouville.quadrature._k7`, in one call), those that miss
+    their bound redone in place by halving
+    (:func:`~liouville.quadrature._bisect`, from their K7 values and
+    estimates) on the caller's panel rule ``rule(i, a, b)``, the values
+    and errors of the spans [a[j], b[j]] of the panels i[j].
+
+    ``nodes`` is a 7 x N stack of the node values, one row per node and
+    one column per panel, as :class:`_Panels` keeps them, or, where the
+    panels share their end values in one array, the rows (f0, inner, f6)
+    of :func:`~liouville.quadrature._k7`.  ``h`` holds the K7 panels'
+    half-widths.  ``head``, a (value, error) pair, is a first panel that
+    the caller valued by its own rule, with its nodes in the stack's
+    first column.  A panel misses where its error exceeds ``tol.bound``
+    of its value or, with ``floor``, of the rounding of the running sum
+    it joins, if that is larger; ``tol`` may be a function of the
+    panels' values.  A missed panel is halved over its [lo, hi], in the
+    terms of ``rule``, by default the fractions [0, 1], and its column of
+    a stack is scaled to its new value, so that its dense output ends on
+    it.  Returns the values, the errors, the indices of the redone panels
+    and whether every one met its tolerance.
+    """
+    stack = isinstance(nodes, np.ndarray)
+    k = nodes.shape[1] - h.size if stack else 0  # the head's column
+    values, errors = _k7(*((nodes[0, k:], nodes[1:-1, k:], nodes[-1, k:]) if stack else nodes), h)
+    if head is not None:
+        values, errors = np.concatenate(([head[0]], values)), np.concatenate(([head[1]], errors))
+    tol = tol(values) if callable(tol) else tol
+    # below the rounding of the running sum, as where the integrand nears
+    # underflow, no panel's error can move the sums, so none is chased there
+    size = np.maximum(np.abs(values), np.finfo(float).eps * np.cumsum(values)) if floor else np.abs(values)
+    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * size)))
+    guess = values[miss]
+    ends = (np.zeros(miss.size), np.ones(miss.size)) if lo is None else (lo[miss], hi[miss])
+    redo = lambda j, a, b: rule(miss[j], a, b)  # noqa: E731
+    values[miss], errors[miss], _, converged = _bisect(redo, *ends, tol, (guess, errors[miss]))
+    if stack and miss.size:
+        nodes[:, miss] *= np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
+    return values, errors, miss, bool(converged.all())
+
+
+class _Panels:
+    """A tiling of knot intervals by K7 panels, with their node values
+    kept: the record of the table (I_1) and of the outer cache (w_1).
+
+    The knots lie in x = ln s (s = xi/delta at delta = 1), at ``ln_s``,
+    and bound intervals of widths ``h``.  Each interval is one panel of
+    the 7-point Lobatto-Kronrod rule K7, with the 4-point Lobatto rule
+    L4 embedded in it as its error estimate (Gander and Gautschi's pair;
+    see :mod:`liouville.quadrature`), whose end nodes are the knots.  A
+    knot's value then serves both panels it bounds, so each panel adds
+    five interior nodes, and a fill values all its panels in one call,
+    node-major (:func:`_k7_fill`).  ``nodes`` keeps the integrand at all
+    seven nodes of every panel, one row per node and one column per
+    interval, so the integral over part of a panel is a dot product, as
+    a Runge-Kutta method's dense output reads its stages: over the
+    fractions [0, u] of interval i it is h times the sum of C_m(u) g_m
+    over its seven values g_m, C_m the cumulative Lagrange weights of
+    the nodes (:func:`_dense_basis`; :meth:`span`).  K7's nodes are
+    symmetric, so C_m(1) - C_m(u) = C_(6-m)(1 - u): the integral over
+    [u, 1] is the same sum on the values in reverse at 1 - u
+    (:meth:`rest`).  The forward sums at the five interior nodes of every
+    panel come through one fixed matrix of the weights (:meth:`interior`).
+    Every sum is elementwise, so a point's bits do not depend on the
+    other points of a call, nor on its shape.
+
+    ``sums`` holds the running sums of the panels at the knots, forward
+    from the first knot (the table) or in reverse, down from the last
+    (the outer cache).  A panel that missed its tolerance was halved,
+    and its node values scaled to its new value (:func:`_k7_fill`);
+    ``halved`` marks those panels where a reader takes another route in
+    them (the outer cache, :meth:`RadialProfile._outer_spans`), and is
+    None elsewhere.  ``converged`` says whether every panel of the fill
+    met its tolerance, and ``error`` is their summed estimate.
+    """
+
+    def __init__(self, ln_s, h, nodes, sums, converged: bool, error: float, halved=None):
+        self.ln_s, self.h, self.nodes, self.sums = ln_s, h, nodes, sums
+        self.converged, self.error, self.halved = converged, error, halved
+
+    def span(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The integrals over the fractions [0, u] of the knot intervals i
+        (broadcast together)."""
+        out = _dense(np.take(self.nodes, i, axis=1), u)
+        out *= self.h[i]
+        return out
+
+    def rest(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The integrals over the fractions [u, 1] of the knot intervals i
+        (broadcast together)."""
+        out = _dense(np.take(self.nodes[::-1], i, axis=1), 1.0 - u)
+        out *= self.h[i]
+        return out
+
+    def interior(self) -> np.ndarray:
+        """The forward sums at the five interior K7 nodes of every
+        interval, one row per node (for a record summed forward): its left
+        knot's sum plus the integral up to the node, through the fixed
+        matrix :func:`_interior_weights`.  The einsum sums each entry over
+        the seven nodes in order, on its own."""
+        out = np.einsum("mj,mi->ji", _interior_weights(), self.nodes)
+        out *= self.h
+        out += self.sums[:-1]
+        return out
+
+    def locate(self, ln_s: np.ndarray, i: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """The knot interval of each point ln s (``i`` where the caller has
+        found it, else by a knot search, clamped to the intervals) and the
+        point's fraction of it, clamped to [0, 1]."""
+        if i is None:
+            i = np.searchsorted(self.ln_s[1:-1], ln_s, side="right")
+        return i, np.clip((ln_s - self.ln_s[i]) / self.h[i], 0.0, 1.0)
 
 
 def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1ps: np.ndarray, power) -> np.ndarray:
@@ -340,28 +430,21 @@ def _table_fill(
 ) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
     """The knots s of the table at delta = 1, the integrand s * source(s)
     in x = ln s at the seven K7 nodes of each panel between them (one row
-    per node, one column per panel), and the integrals of the source term
-    over the panels between 0 and them.
+    per node, one column per panel; see :class:`_Panels`), and the
+    integrals of the source term over the panels between 0 and them.
 
     The first panel, [0, s_0], is valued by :func:`_origin_panel` on its
-    K7 nodes in s; the others, between the knots, are K7 panels in x with
-    L4 as the error estimate (:func:`~liouville.quadrature._k7`, all in
-    one call).  A panel's ends are knots, so the
-    integrand is taken once at each knot and at five interior nodes per
-    panel.  The node logs come in node-major blocks, those of the panels
-    up to the last cache knot from :func:`_table_geometry` and those past
-    it, which depend on a = (p-1)/(n-p), from :func:`_tail_geometry`.
-    Per node the integrand is then one multiply-add, f's log evaluator
-    and one exp, a block of ``_BLOCK`` panels at a time; each block is read
-    through its transpose, so a NaN, an overflow or a negative f names the
-    first spoiled node panel by panel.
-    A panel whose estimate misses ``tol`` of both its own value and the
-    rounding of the running sum it joins is halved to ``tol`` of its own
-    value (:func:`~liouville.quadrature._bisect`, from the fill's value
-    and estimate of it), its halves K7 panels with the integrand taken
-    afresh at all seven nodes (0 at s = 0); its seven values are then
-    scaled to that value, so that the dense output of the panel ends on
-    the running sum.
+    K7 nodes in s; the others are K7 panels in x (:func:`_k7_fill`).  The
+    node logs come in node-major blocks, those of the panels up to the
+    last cache knot from :func:`_table_geometry` and those past it, which
+    depend on a = (p-1)/(n-p), from :func:`_tail_geometry`.  Per node the
+    integrand is then one multiply-add, f's log evaluator and one exp, a
+    block of ``_BLOCK`` panels at a time; each block is read through its
+    transpose, so a NaN, an overflow or a negative f names the first
+    spoiled node panel by panel.  A panel whose estimate misses ``tol`` of
+    both its own value and the rounding of the running sum it joins is
+    halved to ``tol`` of its own value, its halves K7 panels with the
+    integrand taken afresh at all seven nodes (0 at s = 0).
     """
     n = params.n
     knots, fixed = _table_geometry()
@@ -376,20 +459,13 @@ def _table_fill(
         row = part.stop
     # each panel's left end is the right end of the one before, the first's s = 0
     at_nodes[0] = np.append(0.0, at_nodes[-1, :-1])
-    values, errors = np.empty(s.size), np.empty(s.size)
-    values[1:], errors[1:] = _k7(at_nodes[0, 1:], at_nodes[1:-1, 1:], at_nodes[-1, 1:], 0.5 * np.diff(x))
-    values[0], errors[0] = _origin_panel(at_nodes[1:, 0], n)
-    # below the rounding of the running sum, as where the source term nears
-    # underflow, no panel's error can move the table, so none is chased there
-    floor = np.finfo(float).eps * np.cumsum(values)
-    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.maximum(np.abs(values), floor))))
 
-    def halves(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def halves(i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # the first panel's halves in s, with the source term; the others'
         # in x, with s * source(s)
         t = _nodes(a, b, _XA_K7)
         t[:, 0], t[:, -1] = a, b
-        in_s = miss[own] == 0
+        in_s = i == 0
         ln_s = t.copy()
         with np.errstate(divide="ignore"):
             ln_s[in_s] = np.log(t[in_s])  # -inf at s = 0, where the source term is 0
@@ -399,96 +475,49 @@ def _table_fill(
         return _k7(src[0], src[1:-1], src[-1], 0.5 * (b - a))
 
     lo, hi = np.concatenate(([0.0], x[:-1])), np.concatenate((s[:1], x[1:]))
-    guess = values[miss]
-    values[miss], errors[miss], _, converged = _bisect(halves, lo[miss], hi[miss], tol, (guess, errors[miss]))
-    ratio = np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
-    at_nodes[:, miss] *= ratio
-    return s, at_nodes[:, 1:], PanelResults(values, errors, bool(converged.all()))
+    origin = _origin_panel(at_nodes[1:, 0], n)
+    values, errors, _, converged = _k7_fill(at_nodes, 0.5 * np.diff(x), tol, halves, lo, hi, head=origin, floor=True)
+    return s, at_nodes[:, 1:], PanelResults(values, errors, converged)
 
 
-@tuple_record
-class _OuterFill:
-    """The outer cache at delta = 1 (:meth:`RadialProfile._fill_outer`):
-    w_1 at the knots, whether every panel met its tolerance and their
-    summed error, the integrand zeta |w_1'| in ln zeta at the knots
-    (``ends``) and at the five interior K7 nodes of each knot interval
-    (``inner``, one row per node), and which intervals were halved."""
-
-    ws: np.ndarray
-    converged: bool
-    error: float
-    ends: np.ndarray
-    inner: np.ndarray
-    halved: np.ndarray
-
-
-class _UnitTable:
+class _UnitTable(_Panels):
     """The inner integral at delta = 1, shared by every scale.
 
     I_delta(z) = delta**n * I_1(z/delta), so one table in s = xi/delta
-    serves every delta.  Its panels are filled by :func:`_table_fill`,
-    the fixed ones (up to the last cache knot) on the node logs that
-    every table shares.  It holds the knots s (from the first one where
-    I_1 > 0), ln s and the widths h of the knot intervals in it, I_1 and
-    ln I_1 at the knots, and, for each knot interval, the integrand
-    s * source(s) in ln s at the seven K7 nodes of its panel, as the fill
-    took it (:meth:`inner`); I_1 at the last knot with the fill's summed
-    error, whether every panel of the fill met its tolerance, the log of
-    the envelope there, and f's leading term (walked once, for the source
-    limit).  Filled on first use: I_1(inf) with its error, the outer
-    cache (:class:`_OuterFill`: W_1, w at delta = 1 at the knots, with
-    its fill's converged flag, summed error and integrand values), the
-    criterion result, and
-    w_1 and |w_1'| on one fixed set of radii (:meth:`RadialProfile._sample`).
+    serves every delta.  It is the record (:class:`_Panels`) of the
+    panels of :func:`_table_fill` from the first knot where I_1 > 0 on,
+    with I_1 at the knots as its forward sums; the knots s themselves
+    and ln I_1 there; I_1 at the last knot, the log of the envelope
+    there, and f's leading term (walked once, for the source limit).
+    Filled on first use: I_1(inf) with its error, the outer cache
+    (w_1 at the knots, another record on the same knots; see
+    :meth:`RadialProfile._fill_outer`), the criterion result, and w_1
+    and |w_1'| on one fixed set of radii (:meth:`RadialProfile._sample`).
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
         s, at_nodes, fill = _table_fill(f, params, tol)
         cum = np.cumsum(fill.values)
         keep = cum > 0.0  # the sums never decrease, so this drops a prefix
-        self.last, self.last_error = float(cum[-1]), float(fill.abs_errors.sum())
-        self.converged = fill.converged
+        self.s = s[keep]
+        ln_s = np.log(self.s)
+        nodes = at_nodes[:, s.size - self.s.size :]
+        super().__init__(ln_s, np.diff(ln_s), nodes, cum[keep], fill.converged, float(fill.abs_errors.sum()))
+        self.last = float(cum[-1])
         a = (params.p - 1.0) / (params.n - params.p)
         self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
-        self.s = s[keep]
-        self.ln_s = np.log(self.s)
-        self.h = np.diff(self.ln_s)
-        self.i = cum[keep]
-        self.ln_i = np.log(self.i)
-        self.at_nodes = at_nodes[:, s.size - self.s.size :]
+        self.ln_i = np.log(self.sums)
         self.term = leading_term(f)
         self.limit: Optional[Tuple[float, float]] = None
-        self.outer: Optional[_OuterFill] = None
+        self.outer: Optional[_Panels] = None
         self.criterion: Optional[QuadratureResult] = None
         self.sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     def inner(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         """I_1 at the fractions u of the knot intervals i (broadcast
-        together): the sum at the interval's left knot plus h times the
-        integral over [0, u] of the polynomial through its panel's seven
-        integrand values (:func:`_dense`)."""
-        out = _dense(np.take(self.at_nodes, i, axis=1), u)
-        out *= self.h[i]
-        out += self.i[i]
-        return out
-
-    def interior(self) -> np.ndarray:
-        """I_1 at the five interior K7 nodes of every knot interval, one
-        row per node, through the fixed matrix :func:`_interior_weights`.
-        The einsum sums each entry over the seven nodes in order, on its
-        own: a span's bits do not depend on the other spans."""
-        out = np.einsum("mj,mi->ji", _interior_weights(), self.at_nodes)
-        out *= self.h
-        out += self.i[:-1]
-        return out
-
-    def locate(self, ln_s: np.ndarray, i: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """The knot interval of each point ln s (``i`` where the caller has
-        found it, else by a knot search, clamped to the intervals) and the
-        point's fraction of it, clamped to [0, 1]."""
-        if i is None:
-            i = np.searchsorted(self.ln_s[1:-1], ln_s, side="right")
-        return i, np.clip((ln_s - self.ln_s[i]) / self.h[i], 0.0, 1.0)
+        together): the sum at the interval's left knot plus the dense
+        output of its panel (:meth:`_Panels.span`)."""
+        return self.sums[i] + self.span(i, u)
 
 
 def _ln_mass(inner: np.ndarray) -> np.ndarray:
@@ -503,17 +532,16 @@ class RadialProfile:
     A profile is a :class:`_UnitTable` plus its delta.  Building one
     fills the table: I at delta = 1 at 2048 log-spaced knots spanning
     eight decades on each side of s = xi/delta = 1, then 640 knots over
-    40 further halvings of the envelope (16 a halving), by cumulative
-    K7 increments in ln s, with the integrand kept at all seven nodes of
-    every panel.  Inside the cache I is the dense output of those panels
-    (:meth:`_UnitTable.inner`); off it I follows its limiting behaviour:
-    it grows like z**n below the cache (the envelope is flat there) and
-    is taken as saturated at I(inf) above it, where the envelope is
-    2**-40 of its value at the last cache knot.  The first profile value
-    fills the outer cache, w at the same knots: one K7 panel in ln zeta
-    per knot interval, on the table's own nodes, summed down from the
-    closed form at the last knot.  Between the knots w is the dense
-    output of those panels (:meth:`_on_grid`).
+    40 further halvings of the envelope (16 a halving), as the forward
+    sums of a record of K7 panels (:class:`_Panels`).  Inside the cache
+    I is their dense output (:meth:`_UnitTable.inner`); off it I follows
+    its limiting behaviour: it grows like z**n below the cache (the
+    envelope is flat there) and is taken as saturated at I(inf) above
+    it, where the envelope is 2**-40 of its value at the last cache
+    knot.  The first profile value fills the outer cache, w at the same
+    knots, the reverse sums of a second record, summed down from the
+    closed form at the last knot (:meth:`_fill_outer`); between the
+    knots w is its dense output (:meth:`_on_grid`).
     :meth:`rescaled` gives the profile at any other delta on the same
     table, which it neither copies nor fills again.
     """
@@ -601,7 +629,7 @@ class RadialProfile:
             weight = math.exp((t.ln_top - math.log(self.params.eps)) / self.decay)  # 1/(1+s_end)
             try:
                 rest = _integral_below(self.f, self.params, t.term, t.ln_top, rest_tol)
-                mass, error = scale * rest.value, t.last_error + scale * rest.abs_error
+                mass, error = scale * rest.value, t.error + scale * rest.abs_error
                 half = 0.5 * (n - 1) * weight * mass
                 value, converged = t.last + mass - half, rest.converged
                 if converged and error + half > tol.bound(value):
@@ -714,46 +742,39 @@ class RadialProfile:
         """W at this profile's knots, whether its fill converged, and the
         summed error of its panels.
 
-        The table's W_1, filled once, on first use, at delta = 1, and
+        The table's W_1, filled once, on first use, at delta = 1 and
         scaled, with its error, by delta**(p/(p-1)).
         """
         t = self._table
         if t.outer is None:
             t.outer = self.rescaled(1.0)._fill_outer()
         scale = self.delta ** (self.params.p / (self.params.p - 1.0))
-        return scale * t.outer.ws, t.outer.converged, scale * t.outer.error
+        return scale * t.outer.sums, t.outer.converged, scale * t.outer.error
 
-    def _fill_outer(self) -> _OuterFill:
-        """The outer cache: one K7 panel per knot interval, with L4 as its
-        error estimate, in x = ln zeta, where the integrand is exp(psi),
-        psi = (ln I - (n-1) x)/(p-1) + x, summed down from the closed form
-        at the last knot; that needs I(inf), so a divergent source raises
-        before the panels.  W[0] sums every panel, so their summed error
-        bounds that of every W.
-
-        exp(psi) is taken once at each knot, from the table's sums, and at
-        the five interior nodes of each interval, which are the table's
-        own, on the weights fixed there (:meth:`_UnitTable.interior`), all
-        panels in one :func:`~liouville.quadrature._k7` call on slices of
-        those arrays.  Panels that miss the tolerance are halved on the
-        table's dense output (:func:`~liouville.quadrature._bisect`, which
-        starts from their values and estimates), with no new evaluation of
-        f.  The integrand values are kept: w between the knots is their
-        dense output (:meth:`_on_grid`), but in the intervals halved here.
+    def _fill_outer(self) -> _Panels:
+        """The outer cache: the record (:class:`_Panels`) of one K7 panel
+        per knot interval in x = ln zeta, where the integrand is exp(psi),
+        psi = (ln I - (n-1) x)/(p-1) + x, with W_1 at the knots as its
+        sums in reverse, down from the closed form at the last knot; that
+        needs I(inf), so a divergent source raises before the panels.
+        W[0] sums every panel, so their summed error bounds that of every
+        W.  exp(psi) is taken at the knots from the table's sums, and at
+        the interior nodes, which are the table's own, from
+        :meth:`_Panels.interior`.  Panels that miss the tolerance are
+        halved on the table's dense output (:meth:`_outer_panels`), with
+        no new evaluation of f, and marked ``halved``: w in those
+        intervals takes :meth:`_outer_spans`.
         """
         t, tol = self._table, self._seg_tol
         tail = self._w_above(self.delta * t.s[-1:])
         ends = self._exp_psi(t.ln_s, t.ln_i)
         inner = self._exp_psi(t.ln_s[:-1] + t.h * _K7_U[1:-1, None], _ln_mass(t.interior()))
-        values, errors = _k7(ends[:-1], inner, ends[1:], 0.5 * t.h)
-        miss = np.flatnonzero(errors > np.maximum(tol.absolute, tol.rel * np.abs(values)))
-        values[miss], errors[miss], _, ok = _bisect(
-            self._span_rule(miss), np.zeros(miss.size), np.ones(miss.size), tol, (values[miss], errors[miss])
-        )
+        nodes = np.vstack((ends[:-1], inner, ends[1:]))
+        values, errors, miss, converged = _k7_fill(nodes, 0.5 * t.h, tol, self._outer_panels)
         halved = np.zeros(values.size, dtype=bool)
         halved[miss] = True
         ws = np.cumsum(np.concatenate((tail, values[::-1])))[::-1]
-        return _OuterFill(ws, bool(ok.all()), float(errors.sum()), ends, inner, halved)
+        return _Panels(t.ln_s, t.h, nodes, ws, converged, float(errors.sum()), halved)
 
     def _exp_psi(self, x: np.ndarray, ln_mass: np.ndarray) -> np.ndarray:
         # the outer integrand exp(psi) at x = ln zeta, one row per node, where
@@ -762,20 +783,16 @@ class RadialProfile:
         psi = ln_mass / (p - 1.0) - self.decay * x + p / (p - 1.0) * math.log(self.delta)
         return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(x).T).T
 
-    def _span_rule(self, i: np.ndarray):
-        # the panel rule of _bisect over the spans [a, b], as fractions, of
-        # the knot intervals i: K7 on the table's dense output at all seven
+    def _outer_panels(self, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # K7 values and L4 estimates over the spans [a, b], as fractions, of
+        # the knot intervals i, on the table's dense output at all seven
         # nodes, node-major, with no knot search; a span's bits do not
         # depend on the other spans of the call
         t = self._table
-
-        def spans(j, a, b):
-            h = t.h[i[j]]
-            u = a + (b - a) * _K7_U[:, None]
-            fx = self._exp_psi(t.ln_s[i[j]] + h * u, _ln_mass(t.inner(i[j], u)))
-            return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h)
-
-        return spans
+        h = t.h[i]
+        u = a + (b - a) * _K7_U[:, None]
+        fx = self._exp_psi(t.ln_s[i] + h * u, _ln_mass(t.inner(i, u)))
+        return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h)
 
     def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
         """Integrals of |w'| over the spans [u0, 1] of the knot intervals
@@ -784,7 +801,8 @@ class RadialProfile:
         route of w inside the intervals that the outer fill halved.
         Returns the integrals, their errors and whether every span met the
         tolerance."""
-        values, errors, _, ok = _bisect(self._span_rule(i), u0, np.ones(i.size), self._seg_tol)
+        rule = lambda j, a, b: self._outer_panels(i[j], a, b)  # noqa: E731
+        values, errors, _, ok = _bisect(rule, u0, np.ones(i.size), self._seg_tol)
         return values, errors, bool(ok.all())
 
     def outer_converged(self) -> bool:
@@ -804,15 +822,11 @@ class RadialProfile:
     def values_on_grid(self, radii: Sequence[float]) -> List[float]:
         """Profile values on an increasing grid of radii.
 
-        Inside the cache, w(r) is the outer cache's value at the first
-        knot at or above r plus the integral from r to that knot, over the
-        span of the knot interval below it: the dense output of the outer
-        fill's own seven integrand values there (:meth:`_on_grid`), with
-        no quadrature, but in an interval that the fill halved, where it
-        is one adaptive panel.  Off the cache w is closed form.  After the
-        one-time fill of the outer cache (one panel per knot interval,
-        about 2700, shared with every rescaled view), m radii cost m dot
-        products of seven values.
+        Inside the cache w is the outer cache's dense output
+        (:meth:`_on_grid`), off it closed form.  After the one-time fill
+        of the outer cache (one panel per knot interval, about 2700,
+        shared with every rescaled view), m radii cost m dot products of
+        seven values.
         """
         rs = np.array(radii, dtype=float)
         if not rs.size:
@@ -832,19 +846,15 @@ class RadialProfile:
 
         Inside the cache w(r) = W[j] + the integral of zeta |w'| in ln zeta
         over the span [u0, 1] of knot interval i = j - 1, j the first knot
-        at or above r and u0 the fraction of r in it.  That integral is h
-        times the sum of (C_m(1) - C_m(u0)) g_m over the interval's seven
-        integrand values g_m, as the outer fill took them, scaled by
-        delta**(p/(p-1)) like W.  K7's nodes are symmetric, so C_m(1) -
-        C_m(u0) = C_(6-m)(1 - u0): it is :func:`_dense` on the values in
-        reverse order at 1 - u0, the same sums that read I_1.  In an
-        interval that the fill halved the span is one adaptive panel
-        (:meth:`_outer_spans`) instead.  Every sum is elementwise, so a
-        radius alone has the bits it has in a grid.
+        at or above r and u0 the fraction of r in it: the outer record's
+        dense output (:meth:`_Panels.rest`), scaled by delta**(p/(p-1))
+        like W, but in an interval that the fill halved, where it is one
+        adaptive panel (:meth:`_outer_spans`).  A radius alone has the
+        bits it has in a grid.
         """
         t = self._table
         ws = self._outer_cache()[0]
-        fill = t.outer
+        outer = t.outer
         s = rs / self.delta
         out = np.empty_like(rs)
         below, above = s < t.s[0], s > t.s[-1]
@@ -863,12 +873,11 @@ class RadialProfile:
         interval = np.minimum(j, t.s.size - 2)
         interval[gap] = i
         gaps = np.zeros(s.size)
-        redo = fill.halved[i]
+        redo = outer.halved[i]
         if redo.any():
             gaps[gap[redo]] = self._outer_spans(i[redo], u0[redo])[0]
             gap, i, u0 = gap[~redo], i[~redo], u0[~redo]
-        span = _dense((fill.ends[i + 1], *fill.inner[::-1, i], fill.ends[i]), 1.0 - u0)
-        span *= t.h[i]
+        span = outer.rest(i, u0)
         span *= self.delta ** (self.params.p / (self.params.p - 1.0))
         gaps[gap] = span
         out[inside] = ws[j] + gaps
@@ -880,12 +889,11 @@ class RadialProfile:
         Read at delta = 1 once per table and scaled, as scaling is exact:
         w_delta(r) = delta**(p/(p-1)) * w_1(r/delta) and |w_delta'(r)| =
         delta**(1/(p-1)) * |w_1'(r/delta)|.  w is :meth:`_on_grid`, as
-        :meth:`values_on_grid` reads it: inside the cache the dense output
-        of the outer fill's own nodes, with no quadrature but in the
-        intervals that the fill halved.  |w'| is (I/r**(n-1))**(1/(p-1))
-        with I the dense output of the interval that :meth:`_on_grid`
-        found, so no knot search, bit for bit what :meth:`_outer_array`
-        gives; off the cache it is :meth:`_outer_array`.  The table keeps the sample of the last
+        :meth:`values_on_grid` reads it.  |w'| is (I/r**(n-1))**(1/(p-1))
+        with I the table's dense output in the interval that
+        :meth:`_on_grid` found, so no knot search, bit for bit what
+        :meth:`_outer_array` gives; off the cache it is
+        :meth:`_outer_array`.  The table keeps the sample of the last
         array passed, by identity, so callers pass one read-only array.
         """
         t, n, p = self._table, self.params.n, self.params.p

@@ -7,17 +7,20 @@ integrable endpoint singularities such as ``x**-0.5`` are handled by
 bisection alone, without special-casing.
 
 A second, closed pair serves callers that tile a smooth, non-negative
-integrand with panels between fixed knots (the profile caches of
-:mod:`liouville.construct`, the energy check of :mod:`liouville.verify`):
-the 7-point Kronrod extension K7 of the 4-point Lobatto rule L4 (Gander
-and Gautschi, BIT 40, 2000), whose end nodes are the panel's ends.  A
-knot's value then serves both panels it bounds, so each panel costs five
-new nodes, not fifteen.  These panels go through :func:`_k7`, on
-node-major data: the end values of all panels as two arrays and their
-interior values as five rows.  Its sums are fixed sequences of
-elementwise operations over the mirrored node pairs, so they cost no
-per-panel reduction and no copy of the block into one array.  Such
-callers evaluate the ends only at knots where the integrand is smooth.
+integrand with panels between fixed knots: the 7-point Kronrod
+extension K7 of the 4-point Lobatto rule L4 (Gander and Gautschi, BIT
+40, 2000), whose end nodes are the panel's ends.  A knot's value then
+serves both panels it bounds, so each panel costs five new nodes, not
+fifteen.  These panels go through :func:`_k7`, on node-major data: the
+end values of all panels as two arrays and their interior values as
+five rows.  Its sums are fixed sequences of elementwise operations over
+the mirrored node pairs, so they cost no per-panel reduction and no
+copy of the block into one array.  Such callers evaluate the ends only
+at knots where the integrand is smooth.  Every such tiling (the
+profile's table and outer cache, the energy check) is filled, and its
+missed panels redone, by one routine, :func:`liouville.construct._k7_fill`;
+the tiling and its dense output are described on the record that the
+profile keeps, :class:`liouville.construct._Panels`.
 
 Error estimation follows the classic damping recipe: the raw
 ``|high - low|`` difference is tempered by the scale of the integrand's
@@ -30,10 +33,10 @@ many intervals at once, one panel each, on the caller's panel rule.
 such as the dyadic shells of :mod:`liouville.criterion`) and
 :func:`integrate_to_infinity` (a tail, mapped onto (0, 1]) run it on
 the Fejer pair, with one vectorized integrand call per block of panels;
-the caches and the energy check run it on their K7 panels.  Level by
-level, the panels of an interval that misses its tolerance are halved
-where their error exceeds an even share of it, all of them in one call
-of the rule.  A panel no wider than 256 machine epsilons of its
+the K7 tilings run it through :func:`liouville.construct._k7_fill`.
+Level by level, the panels of an interval that misses its tolerance
+are halved where their error exceeds an even share of it, all of them
+in one call of the rule.  A panel no wider than 256 machine epsilons of its
 position is not halved: its halves would evaluate coinciding nodes,
 which may land on a point singularity and make a divergent panel look
 exact.  Nor is a panel narrower than 2**24 machine epsilons of its

@@ -63,10 +63,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ._record import tuple_record
-from .construct import _K7_U, RadialProfile, sup_profile
+from .construct import _K7_U, RadialProfile, _k7_fill, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _ln_f
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, _bisect, _finite, _k7, integrate_intervals
+from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
 __all__ = [
@@ -424,21 +424,23 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     pass.  The energy density rho**n f(w~) in
     x = ln rho reads f at the interpolant's logs; it is integrated one
     K7 panel per knot interval, with L4 as the error estimate
-    (:func:`~liouville.quadrature._k7`, one call for all panels), so no
-    panel straddles a knot, where the interpolant is only C1, and below
-    the first knot in closed form.  The panels' end nodes are the knots:
-    the density is taken once at each knot, where w~ is w itself, and
-    serves both panels that meet there.  At the five interior nodes of a
+    (:func:`~liouville.construct._k7_fill`, one call for all panels), so
+    no panel straddles a knot, where the interpolant is only C1, and
+    below the first knot in closed form.  The panels' end nodes are the
+    knots: the density is taken once at each knot, where w~ is w itself,
+    and serves both panels that meet there.  At the five interior nodes of a
     panel ln w~ is its interval's own cubic on a basis fixed for all
     intervals, so there is no knot search, and f's log evaluator reads
     the nodes where w~ < eps, at most 3403, in one call.  Each ratio
     reads w at its radius's own knot.  A panel whose estimate misses
     both 1e-10 of its own value and 1e-10 of the smallest positive
     energy at the radii, shared evenly among the grid's 567 panels, is
-    halved, with the others that miss, on its interval's cubic
-    (:func:`~liouville.quadrature._bisect`, from its K7 value and
-    estimate).  So every energy is held to about 2e-10, also where the
-    density underflows and no panel can meet 1e-10 of its own value.
+    halved, with the others that miss, on its interval's cubic.  So each
+    energy is held to about 2e-10 of the integral of f of w~, also where
+    the density underflows and no panel can meet 1e-10 of its own value;
+    that bound is not one on f of w, from which w~ at the interior nodes
+    is off by up to 2.1e-8 relative, and the energies by up to 1.0e-8
+    (n=8 p=3; ROADMAP item 3 integrates f(w) on the profile's nodes).
     Where w underflows to 0 inside the grid (w does not
     increase, so its positive knots are a prefix), w~ ends at the last
     positive knot: only the radii up to it are reported, with energies
@@ -505,20 +507,18 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         # the integrals up to the radii, whose knots end panels 377, 380, ...
         return (head + np.cumsum(panels))[_ENERGY_BELOW - 1 :: _ENERGY_STRIDE]
 
-    values, errors = _k7(ends[:-1], inner, ends[1:], 0.5 * h)
-    sums = at_radii(values)
-    smallest = sums[sums > 0.0][:1].sum()  # the first positive sum, or 0
-    tol = Tolerance(rel=1e-10, absolute=1e-10 * smallest / (grid.size - 1))
-    miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
+    def tolerance(values: np.ndarray) -> Tolerance:
+        # 1e-10 of a panel's value, or of the smallest positive energy at the
+        # radii (the first positive sum, or 0) shared evenly among the panels
+        sums = at_radii(values)
+        return Tolerance(rel=1e-10, absolute=1e-10 * sums[sums > 0.0][:1].sum() / (grid.size - 1))
 
     def density_on(k, u, ln_wv):  # at the fractions u of the intervals k; a NaN names ln rho
         x = (ln_r[k] + h[k] * u).T
         return _finite(density_at(x, ln_wv.T), x).T
 
-    halves = lambda j, a, b: _k7_on_cubic(density_on, ln_w, rise, h, miss[j], a, b)  # noqa: E731
-    values[miss], _, _, converged = _bisect(
-        halves, np.zeros(miss.size), np.ones(miss.size), tol, (values[miss], errors[miss])
-    )
+    halves = functools.partial(_k7_on_cubic, density_on, ln_w, rise, h)
+    values, _, _, converged = _k7_fill((ends[:-1], inner, ends[1:]), 0.5 * h, tolerance, halves)
     en = omega * at_radii(values)
     ratios = (en * rs ** (p - n) / np.minimum(ws[at_r][: rs.size], eps) ** (p - 1.0)).tolist()
 
@@ -554,7 +554,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
             f"energy ratios span a factor {spread:.3g} around the median "
             f"{med:.6g}; monotone growth: {nondecreasing}"
             + dropped
-            + _unconverged_note(converged.all() and profile.outer_converged())
+            + _unconverged_note(converged and profile.outer_converged())
         ),
     )
 

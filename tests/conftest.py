@@ -119,6 +119,22 @@ def work_ledger(monkeypatch):
     return ledger
 
 
+def redone_panels(monkeypatch):
+    """The number of panels that each fill redoes by halving, one entry
+    per call of ``construct._k7_fill``, the fill-and-redo routine of the
+    table, the outer cache and the energy check, in call order."""
+    route, counts = construct._k7_fill, []
+
+    def counted(*args, **kwargs):
+        out = route(*args, **kwargs)
+        counts.append(out[2].size)
+        return out
+
+    for module in (construct, verify):
+        monkeypatch.setattr(module, "_k7_fill", counted)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def params32():
     return StructureParams(3, 2.0)

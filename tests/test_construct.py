@@ -481,14 +481,14 @@ def _dense_reference(prof):
     through the panel's seven integrand values, in v in [-1, 1], once per
     interval."""
     t = prof._table
-    ln_s, sums, h = t.ln_s.tolist(), t.i.tolist(), t.h.tolist()
+    ln_s, sums, h = t.ln_s.tolist(), t.sums.tolist(), t.h.tolist()
     P, v_k7 = np.polynomial.polynomial, quadrature_module._XA_K7
     integrals = {}
 
     def inner(x):
         i = min(max(bisect.bisect_right(ln_s, x) - 1, 0), len(ln_s) - 2)
         if i not in integrals:
-            integrals[i] = P.polyint(P.polyfit(v_k7, t.at_nodes[:, i], 6), lbnd=-1.0)
+            integrals[i] = P.polyint(P.polyfit(v_k7, t.nodes[:, i], 6), lbnd=-1.0)
         v = 2.0 * (x - ln_s[i]) / h[i] - 1.0
         return sums[i] + 0.5 * h[i] * float(P.polyval(v, integrals[i]))
 
@@ -721,7 +721,7 @@ def test_inner_integral_below_the_table_takes_its_origin_rule(monkeypatch, f, pa
     # near 1, as its absolute error floor would end it early on I itself
     prof = RadialProfile(f, params, 1.0)
     t, n = prof._table, params.n
-    assert prof._origin_integral(t.s[0]) == (t.i[0], True)
+    assert prof._origin_integral(t.s[0]) == (t.sums[0], True)
     quadratures = _record(monkeypatch, "integrate_intervals")
     for view in (prof, prof.rescaled(2.0**-5)):
         z0 = view.delta * t.s[0]
@@ -957,7 +957,8 @@ def test_k7_work_per_stage(monkeypatch, params32):
     # outer fill's as many, in one call too; none for values_on_grid or
     # for the sample the grid checks read, which are the dense output of
     # the outer fill's nodes, and one call for the energy check's 567
-    # panels; none through the Fejer pair's _rule
+    # panels, through construct's fill-and-redo routine; none through the
+    # Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
     rule = quadrature_module._rule
     monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
@@ -972,7 +973,7 @@ def test_k7_work_per_stage(monkeypatch, params32):
     prof._sample(verify_module._unit_sample()[0])
     assert built == []
     energy_diagnostic(prof)
-    assert (built, checked) == ([], [567])
+    assert (built, checked) == ([567], [])
     assert ruled == []
 
 
@@ -1023,6 +1024,64 @@ def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
     grid = _unit_energy_grid()
     ws = prof.values_on_grid(grid)
     assert [prof.values_on_grid([r])[0] for r in grid.tolist()] == ws
+
+
+_RECORD_CASES = [(Power(4.0), StructureParams(3, 2.0), 0), (Power(0.81), StructureParams(8, 1.5), 962)]
+
+
+@pytest.mark.parametrize("f, params, halved", _RECORD_CASES, ids=["n3-p2-z^4", "n8-p1.5-z^0.81"])
+def test_panel_records_read_both_directions(f, params, halved):
+    # the table and the outer cache are one record read both ways: over
+    # [0, u] and over [u, 1] of a panel, the second on its values in
+    # reverse at 1 - u, which add up to the panel within 32 ulps (the
+    # polynomial's coefficients in v, summed by Horner's rule, reach some
+    # 17 times the panel's value); a point alone has the bits it has in a
+    # batch; and the outer record's reverse sums are W at delta = 1, bit
+    # for bit.  The second case halves 962 outer spans, whose node values
+    # the fill scaled to their new values
+    prof = RadialProfile(f, params, 1.0)
+    ws = prof._outer_cache()[0]
+    table, outer = prof._table, prof._table.outer
+    assert outer.halved.sum() == halved and table.halved is None
+    assert outer.sums.tolist() == ws.tolist()
+    i = np.repeat(np.arange(table.h.size), 3)
+    u = np.tile([0.1, 0.5, 0.93], table.h.size)
+    for record in (table, outer):
+        whole = record.span(i, 1.0)
+        assert np.all(np.abs(record.span(i, u) + record.rest(i, u) - whole) <= 32.0 * np.spacing(whole))
+        for read in (record.span, record.rest):
+            batch = read(i, u)
+            for k in range(0, i.size, 997):
+                assert read(i[k : k + 1], u[k : k + 1])[0] == batch[k] == float(read(i[k], u[k]))
+
+
+def test_k7_fill_scales_a_redone_panel_to_its_new_value():
+    # e**(40 x) over [0, 1] in four panels: L4 misses the steep ones, which
+    # the rule halves by their panel indices; the columns of a stack are
+    # then scaled so that each panel's dense output ends on its new value,
+    # while the rows of the triple form are left as they are
+    x = np.linspace(0.0, 1.0, 5)
+    width = np.diff(x)
+
+    def values_at(i, u):
+        return np.exp(40.0 * (x[i] + width[i] * u))
+
+    def rule(i, a, b):
+        fx = values_at(i, a + (b - a) * construct_module._K7_U[:, None])
+        return construct_module._k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * width[i])
+
+    tol, panels = Tolerance(rel=1e-12, absolute=0.0), np.arange(4)
+    stack = values_at(panels, construct_module._K7_U[:, None])
+    ends, inner = np.exp(40.0 * x), stack[1:-1].copy()
+    values, _, miss, converged = construct_module._k7_fill(stack, 0.5 * width, tol, rule)
+    exact = (np.exp(40.0 * x[1:]) - np.exp(40.0 * x[:-1])) / 40.0
+    assert converged and miss.size and values == pytest.approx(exact, rel=1e-12, abs=0.0)
+    record = construct_module._Panels(x, width, stack, None, converged, 0.0)
+    assert np.all(np.abs(record.span(panels, 1.0) - values) <= 32.0 * np.spacing(values))
+    triple = (ends[:-1], inner, ends[1:])
+    before = [row.copy() for row in triple]
+    assert construct_module._k7_fill(triple, 0.5 * width, tol, rule)[0].tolist() == values.tolist()
+    assert all((row == old).all() for row, old in zip(triple, before))
 
 
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])

@@ -38,7 +38,7 @@ from liouville.verify import _hermite
 from liouville.nonlinearity import _ln_f
 from liouville.quadrature import _panels, integrate_intervals
 
-from conftest import deadline, math_twin, partial_span_passes, quad_ref
+from conftest import deadline, math_twin, partial_span_passes, quad_ref, redone_panels
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -328,11 +328,7 @@ def _scalar_energy(profile):
 def test_energy_matches_scalar_quadrature(f, n, p, delta, monkeypatch):
     prof = RadialProfile(f, StructureParams(n, p), delta)
     energies, ratios, passed = _scalar_energy(prof)
-    redone = []
-    bisect = verify_module._bisect
-    monkeypatch.setattr(
-        verify_module, "_bisect", lambda rule, lo, hi, tol, first: redone.append(lo.size) or bisect(rule, lo, hi, tol, first)
-    )
+    redone = redone_panels(monkeypatch)
     ed = energy_diagnostic(prof)
     # one panel per knot interval, every one within its bound at once ([]
     # for the zero profile, which has no panel)
@@ -358,12 +354,13 @@ def test_energy_of_a_fast_decaying_f_is_prompt(f, params):
 
 def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     honest = energy_diagnostic(instance_profile)
-    kernel, bisect = verify_module._k7, verify_module._bisect
+    kernel, bisect = construct_module._k7, construct_module._bisect
     redone = []
 
     def missing(f0, inner, f6, h):
-        # the first two panels miss their bound (the halves go through
-        # construct's _k7, which is not patched)
+        # the first two panels of the fill, which runs in construct, miss
+        # their bound (the halves go through verify's _k7, which is not
+        # patched)
         values, errors = kernel(f0, inner, f6, h)
         errors[:2] = np.inf
         return values, errors
@@ -374,8 +371,8 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
         values, errors, panels, _ = bisect(rule, lo, hi, tol, first)
         return values, errors, panels, np.zeros(lo.size, dtype=bool)
 
-    monkeypatch.setattr(verify_module, "_k7", missing)
-    monkeypatch.setattr(verify_module, "_bisect", unconverged)
+    monkeypatch.setattr(construct_module, "_k7", missing)
+    monkeypatch.setattr(construct_module, "_bisect", unconverged)
     flagged = energy_diagnostic(instance_profile)
     assert redone == [([0.0, 0.0], [1.0, 1.0])]
     assert flagged.detail == honest.detail + "; quadrature did not converge"
@@ -389,7 +386,8 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
     # the first three panels miss: their halves read ln w~ off their
     # intervals' cubics, and agree with mpmath's quadrature of the same
     # density, ln w~ by a knot search, over the same interval
-    kernel, bisect, halved, calls = verify_module._k7, verify_module._bisect, [], []
+    instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
+    kernel, bisect, halved, calls = verify_module._k7, construct_module._bisect, [], []
 
     def missing(f0, inner, f6, h):
         # the first three panels of the check's own pass miss; the halving
@@ -406,7 +404,7 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
 
     for module in (verify_module, construct_module):
         monkeypatch.setattr(module, "_k7", missing)
-    monkeypatch.setattr(verify_module, "_bisect", recorded)
+    monkeypatch.setattr(construct_module, "_bisect", recorded)
     energy_diagnostic(instance_profile)
     (values, _, panels, converged), = halved
     assert calls == [567, 6] and converged.all() and panels.tolist() == [2, 2, 2]
@@ -514,11 +512,7 @@ def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
     # intervals of the same w~, with no panel redone
     prof = RadialProfile(f, StructureParams(n, p), delta)
     ref = _fejer_energies(prof)
-    redone = []
-    bisect = verify_module._bisect
-    monkeypatch.setattr(
-        verify_module, "_bisect", lambda rule, lo, hi, tol, first: redone.append(lo.size) or bisect(rule, lo, hi, tol, first)
-    )
+    redone = redone_panels(monkeypatch)
     ed = energy_diagnostic(prof)
     assert redone in ([0], [])
     assert list(ed.energies) == pytest.approx(ref, rel=1e-13, abs=0.0)
@@ -544,7 +538,13 @@ def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
     checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
     honest = [check(RadialProfile(Power(4.0), params32, 1.0)) for check in checks]
     fill = RadialProfile._fill_outer
-    monkeypatch.setattr(RadialProfile, "_fill_outer", lambda self: fill(self)._replace(converged=False))
+
+    def unconverged(self):
+        outer = fill(self)
+        outer.converged = False
+        return outer
+
+    monkeypatch.setattr(RadialProfile, "_fill_outer", unconverged)
     prof = RadialProfile(Power(4.0), params32, 1.0)
     assert not prof.outer_converged()
     for check, ok in zip(checks, honest):

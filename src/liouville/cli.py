@@ -16,6 +16,14 @@ crashed while evaluating, 13 bad command line or other configuration
 problems.  Argparse's own complaints are routed to 13 as well so code
 2 stays unambiguous.
 
+:func:`build_parser` is the one declaration of the interface.  A
+well-formed command line (a subcommand, then exact option strings each
+followed by one value, or a flag) is read from a table of the
+subparsers' own actions, built on the first :func:`main` call
+(:func:`_read`); that takes a few microseconds where argparse's matcher
+takes 50-100.  Everything else, help and every error included, goes to
+argparse, whose text and exit codes it keeps.
+
 All output is deterministic: no timestamps, floats rendered with
 ``repr``, JSON keys sorted, LF line endings.  Reports carry a schema
 tag (``verify-report/v1`` and friends); the JSON Schema for the verify
@@ -85,6 +93,8 @@ EXIT_CONFIG = 13
 _GRID_LO = 1e-6
 _GRID_HI = 1e6
 _GRID_POINTS = 200
+# sweep refuses a range of more rows than this
+_SWEEP_MAX_ROWS = 10_000
 
 _MESSAGES = {
     Verdict.DIVERGES: "Liouville regime: every non-negative solution is identically zero",
@@ -208,8 +218,102 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    kwargs = {k: v for k, v in vars(ns).items() if v is not None or k in ("out",)}
+def _defaults(parser: argparse.ArgumentParser) -> Dict[str, object]:
+    # what parse_args gives a dest that no argument sets: the first
+    # action's default, else the parser's own
+    into: Dict[str, object] = {}
+    for action in parser._actions:
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            into.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        into.setdefault(dest, value)
+    return into
+
+
+def _subcommand(sp: argparse.ArgumentParser, values: Dict[str, object]):
+    # the table of one subparser, with values its namespace before the
+    # subparser's own defaults, or None where it declares an action that
+    # the table does not read (then argparse reads its command lines)
+    options, required = {}, set()
+    for action in sp._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue  # -h is not in the table, so help goes to argparse
+        one = type(action) is argparse._StoreAction and action.nargs is None
+        if not (one or isinstance(action, argparse._StoreConstAction)) or not action.option_strings:
+            return None
+        if isinstance(action.default, str):
+            return None  # parse_args converts a string default by the type
+        convert = sp._registry_get("type", action.type, action.type) if one else None
+        options.update(dict.fromkeys(action.option_strings, (action.dest, convert, action.choices, action.const)))
+        if action.required:
+            required.add(action.dest)
+    if sp._mutually_exclusive_groups:
+        return None
+    # a value may start with a prefix character only where the
+    # subparser's negative-number rule makes it a positional
+    number = None if sp._has_negative_number_optionals else sp._negative_number_matcher.match
+    return options, {**values, **_defaults(sp)}, frozenset(required), sp.prefix_chars, number
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(parser: argparse.ArgumentParser) -> Dict[str, tuple]:
+    """Per subcommand of ``parser``, read from the actions of its
+    subparser: the exact option strings, each with its dest, type
+    converter (None for a flag), choices and const; the namespace of
+    defaults, with the subcommand set; the dests of the required options;
+    the prefix characters and the test by which a value may start with
+    one.  Built once per parser, on the first :func:`main` call."""
+    subs = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    if len(subs) != 1 or not isinstance(subs[0], argparse._SubParsersAction):
+        return {}
+    top, dest = _defaults(parser), subs[0].dest
+    tables = {name: _subcommand(sp, {**top, dest: name}) for name, sp in subs[0].choices.items()}
+    return {name: table for name, table in tables.items() if table is not None}
+
+
+def _read(argv: List[str]) -> Optional[Dict[str, object]]:
+    """``vars(_parser().parse_args(argv))`` for a well-formed command
+    line, read from the option table: a known subcommand, then tokens
+    that are each an exact option string followed by one value that
+    converts (and is among its choices), or a flag, with every required
+    option given.  None for anything else, which ``parse_args`` then
+    reads, so that help, abbreviations, ``--opt=value``, ``--`` and every
+    error keep argparse's text and exit code."""
+    table = _tables(_parser()).get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, values, required, prefix, number = table
+    values, seen = dict(values), set()
+    i, end = 1, len(argv)
+    while i < end:
+        option = options.get(argv[i])
+        if option is None:
+            return None
+        dest, convert, choices, const = option
+        if convert is None:
+            values[dest] = const
+            i += 1
+        else:
+            if i + 1 == end:
+                return None
+            text = argv[i + 1]
+            if text and text[0] in prefix and not (number and number(text)):
+                return None
+            try:
+                value = convert(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values[dest] = value
+            i += 2
+        seen.add(dest)
+    return values if required <= seen else None
+
+
+def _config(args: Dict[str, object]) -> RunConfig:
+    # args: a parsed command line, as vars() of parse_args' namespace
+    kwargs = {k: v for k, v in args.items() if v is not None or k in ("out",)}
     cfg = RunConfig(**{k: kwargs[k] for k in RunConfig._fields if k in kwargs})
     if cfg.command in ("classify", "construct", "verify"):
         chosen = sum(x is not None for x in (cfg.power, cfg.powerlog, cfg.expr))
@@ -218,9 +322,16 @@ def _config(ns: argparse.Namespace) -> RunConfig:
     if cfg.command == "sweep":
         if cfg.step is None or cfg.step <= 0:
             raise CliConfigError("--step must be positive")
+        if not all(map(math.isfinite, (cfg.start, cfg.stop, cfg.step))):
+            raise CliConfigError("--start, --stop and --step must be finite")
+        # counted before any row is made: a tiny step would never end
+        if (cfg.stop - cfg.start) / cfg.step >= _SWEEP_MAX_ROWS:
+            raise CliConfigError(f"--start to --stop by --step makes more than {_SWEEP_MAX_ROWS} rows")
     if cfg.command in ("construct", "verify"):
         if not 0.0 < cfg.grid_lo < cfg.grid_hi:
             raise CliConfigError("need 0 < --grid-min < --grid-max")
+        if not math.isfinite(cfg.grid_hi):
+            raise CliConfigError("--grid-max must be finite")
         if cfg.grid_points < 2:
             raise CliConfigError("--grid-points must be at least 2")
         if cfg.delta is not None and cfg.delta <= 0:
@@ -249,7 +360,7 @@ def _describe_f(f: Nonlinearity) -> Dict[str, object]:
         return {"kind": "power", "exponent": f.exponent}
     if isinstance(f, PowerLog):
         return {"kind": "power_log", "mu": f.mu, "power": f.power}
-    return {"kind": "expression", "source": getattr(f, "source", repr(f))}
+    return {"kind": "expression", "source": f.source}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -292,22 +403,21 @@ def cmd_classify(cfg: RunConfig) -> int:
     f = _make_f(cfg, q)
     verdict = _gate(f, params, cfg, _tolerance(cfg), value=True)
 
-    payload = {
-        "schema": "classify-report/v1",
-        "command": "classify",
-        "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-        "nonlinearity": _describe_f(f),
-        "critical_exponent": q,
-        "verdict": verdict.verdict.value,
-        "method": verdict.method,
-        "value": verdict.value,
-        "abs_error": verdict.abs_error,
-        "slope": None,  # classify-report/v1 keeps the key; no slope is fitted
-        "detail": verdict.detail,
-        "message": _MESSAGES[verdict.verdict],
-    }
-
     if cfg.fmt == "json":
+        payload = {
+            "schema": "classify-report/v1",
+            "command": "classify",
+            "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
+            "nonlinearity": _describe_f(f),
+            "critical_exponent": q,
+            "verdict": verdict.verdict.value,
+            "method": verdict.method,
+            "value": verdict.value,
+            "abs_error": verdict.abs_error,
+            "slope": None,  # classify-report/v1 keeps the key; no slope is fitted
+            "detail": verdict.detail,
+            "message": _MESSAGES[verdict.verdict],
+        }
         text = _json_text(payload)
     elif cfg.fmt == "csv":
         text = _csv_text(
@@ -411,29 +521,28 @@ def cmd_verify(cfg: RunConfig) -> int:
         sys.stderr.write(f"verification check failed to evaluate: {exc}\n")
         return EXIT_CHECK
 
-    payload = {
-        "schema": "verify-report/v1",
-        "command": "verify",
-        "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
-        "nonlinearity": _describe_f(profile.f),
-        "critical_exponent": profile.q,
-        "delta": profile.delta,
-        "tolerance": {"rel": profile.tol.rel, "absolute": profile.tol.absolute},
-        "checks": [
-            {
-                "name": c.name,
-                "grid_size": c.grid_size,
-                # null where the residual is not finite (an infinite spread)
-                "worst_residual": c.worst_residual if math.isfinite(c.worst_residual) else None,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
-        "overall": report.overall,
-    }
-
     if cfg.fmt == "json":
+        payload = {
+            "schema": "verify-report/v1",
+            "command": "verify",
+            "params": {"n": cfg.n, "p": cfg.p, "eps": cfg.eps},
+            "nonlinearity": _describe_f(profile.f),
+            "critical_exponent": profile.q,
+            "delta": profile.delta,
+            "tolerance": {"rel": profile.tol.rel, "absolute": profile.tol.absolute},
+            "checks": [
+                {
+                    "name": c.name,
+                    "grid_size": c.grid_size,
+                    # null where the residual is not finite (an infinite spread)
+                    "worst_residual": c.worst_residual if math.isfinite(c.worst_residual) else None,
+                    "passed": c.passed,
+                    "detail": c.detail,
+                }
+                for c in report.checks
+            ],
+            "overall": report.overall,
+        }
         text = _json_text(payload)
     elif cfg.fmt == "csv":
         text = _csv_text(
@@ -518,8 +627,10 @@ _DISPATCH: Dict[str, Callable[[RunConfig], int]] = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        ns = _parser().parse_args(argv)
-        cfg = _config(ns)
+        args = _read(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            args = vars(_parser().parse_args(argv))
+        cfg = _config(args)
         return _DISPATCH[cfg.command](cfg)
     except UnsupportedRegimeError as exc:
         sys.stderr.write(f"unsupported regime: {exc}\n")

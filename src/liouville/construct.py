@@ -235,11 +235,13 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     # underflow, no panel's error can move the sums, so none is chased there
     size = np.maximum(np.abs(values), np.finfo(float).eps * np.cumsum(values)) if floor else np.abs(values)
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * size)))
+    if not miss.size:
+        return values, errors, miss, True
     guess = values[miss]
     ends = (np.zeros(miss.size), np.ones(miss.size)) if lo is None else (lo[miss], hi[miss])
     redo = lambda j, a, b: rule(miss[j], a, b)  # noqa: E731
     values[miss], errors[miss], _, converged = _bisect(redo, *ends, tol, (guess, errors[miss]))
-    if stack and miss.size:
+    if stack:
         nodes[:, miss] *= np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
     return values, errors, miss, bool(converged.all())
 

@@ -14,7 +14,10 @@ built once per session.
 
 import contextlib
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 
 import mpmath
@@ -61,6 +64,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+def fresh_interpreter(code: str) -> str:
+    """stdout, stripped, of ``code`` run by a new interpreter that imports
+    this package from the source tree under test."""
+    src = os.path.dirname(os.path.dirname(construct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
+    return out.stdout.strip()
 
 
 @contextlib.contextmanager

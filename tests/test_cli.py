@@ -1,5 +1,7 @@
 """End-to-end command line tests, driven through ``main(argv)``."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +12,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liouville import RadialProfile, cli, construct, criterion
+from liouville.errors import CliConfigError
 from liouville.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -25,7 +30,7 @@ from liouville.cli import (
     main,
 )
 
-from conftest import deadline, work_ledger
+from conftest import deadline, fresh_interpreter, work_ledger
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "verify_report.schema.json"
 
@@ -125,6 +130,30 @@ class TestErrorExits:
              "--start", "1", "--stop", "2", "--step", "0"],
         )
         assert code == EXIT_CONFIG
+
+    # each ran until killed before it was refused: a nan start never
+    # passes the stop, and the other two ranges have astronomically many rows
+    @pytest.mark.parametrize(
+        "start, stop, step, message",
+        [
+            ("nan", "3", "0.5", "must be finite"),
+            ("1", "inf", "0.5", "must be finite"),
+            ("1", "3", "1e-300", "more than 10000 rows"),
+        ],
+    )
+    def test_endless_sweep_is_refused(self, capsys, start, stop, step, message):
+        argv = ["sweep", "--n", "4", "--p", "2", "--family", "power",
+                "--start", start, "--stop", stop, "--step", step]
+        with deadline(1.0):
+            code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert message in err
+
+    def test_infinite_grid_bound_is_refused_without_a_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--power", "4", "--grid-max", "inf"])
+        assert (code, out, err) == (EXIT_CONFIG, "", "usage error: --grid-max must be finite\n")
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +380,9 @@ def test_one_outer_fill_per_command(capsys, monkeypatch, argv):
 
 # The work of one command, kernel by kernel (conftest.work_ledger).  verify:
 # _k7 on the table's 2048 + 640 panels but [0, s_0], on the outer fill's as
-# many, and on the energy check's 567; _bisect on the table's, the outer
-# fill's and the energy check's missed panels (none here) and on the flux
-# check's 52 windows, its one integrate_intervals call; _ln_f on the gate's
+# many, and on the energy check's 567; _bisect on the flux check's 52
+# windows, its one integrate_intervals call, and on no fill, since none
+# misses a panel here; _ln_f on the gate's
 # 256-point monotonicity grid, the table's three node blocks, the flux
 # windows' 52 x 15 nodes, the supersolution check's 200 envelope and 200
 # profile values, the gradient check's six origin nodes and the energy
@@ -364,14 +393,14 @@ _LEDGERS = [
         ["verify", "--n", "3", "--p", "2", "--power", "4"],
         {
             "_k7": [2687, 2687, 567],
-            "_bisect": [0, 0, 52, 0],
+            "_bisect": [52],
             "integrate_intervals": [52],
             "_ln_f": [256, 6144, 6144, 3840, 780, 400, 6, 3403],
         },
     ),
     (
         ["construct", "--n", "3", "--p", "2", "--power", "4"],
-        {"_k7": [2687, 2687], "_bisect": [0, 0], "integrate_intervals": [], "_ln_f": [256, 6144, 6144, 3840]},
+        {"_k7": [2687, 2687], "_bisect": [], "integrate_intervals": [], "_ln_f": [256, 6144, 6144, 3840]},
     ),
 ]
 
@@ -401,6 +430,112 @@ def test_parser_is_built_once(capsys, monkeypatch):
         cli._parser.cache_clear()
     assert len(built) == 1
     assert first == second and first[0] == EXIT_CONVERGES
+
+
+# ---------------------------------------------------------------------------
+# the command line: the option table against argparse
+
+
+def test_option_table_is_built_by_the_first_command():
+    # not by the import or build_parser(), whose cost every start pays
+    code = "\n".join([
+        "import contextlib, io, liouville.cli as cli",
+        "cli.build_parser()",
+        "print(cli._tables.cache_info().currsize)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    cli.main(['classify', '--n', '4', '--p', '2', '--power', '2.5'])",
+        "print(cli._tables.cache_info().currsize)",
+    ])
+    assert fresh_interpreter(code).split() == ["0", "1"]
+
+
+_SUBPARSERS = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+# negative decimals, scientific notation, a lone dash, the empty string,
+# nan, words, every choice, and values that argparse takes for options
+_VALUES = ["4", "3", "2", "0", "1.5", "-1.6", "-2", "-.5", "1e-3", "-2.5e0", "2.5E1", "-", "", "nan", "-inf",
+           "z^4", "z ^ 4", "-z ^ 2", "text", "json", "csv", "xml", "power", "powerlog", "--", "-h", "--n"]
+
+
+def _fitting(option, action):
+    # the option with a value of the kind it takes, so that many lines
+    # are well formed
+    if action.nargs == 0:
+        return st.just([option])
+    if action.choices is not None:
+        values = list(action.choices)
+    else:
+        values = {int: ["3", "4", "-2"], float: ["2", "-1.6", "1e-3", ".5"]}.get(action.type, ["z^4", "out.txt"])
+    return st.sampled_from(values).map(lambda v: [option, v])
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from([*_SUBPARSERS] * 3 + ["bogus", "-h", "--help", "--n"]))  # mostly a subcommand
+    sp = _SUBPARSERS.get(command, _SUBPARSERS["verify"])
+    actions = sp._option_string_actions
+    option = st.sampled_from(sorted(actions))
+    value = st.sampled_from(_VALUES)
+    stored = sorted(s for s, a in actions.items() if not isinstance(a, argparse._HelpAction))
+    fitting = lambda s: _fitting(s, actions[s])  # noqa: E731
+    other = st.one_of(
+        st.tuples(option, value).map(list),
+        option.map(lambda s: [s]),
+        st.tuples(option, st.integers(2, 6), value).map(lambda t: [t[0][: t[1]], t[2]]),
+        st.tuples(option, value).map(lambda t: [f"{t[0]}={t[1]}"]),
+        value.map(lambda v: [v]),
+    )
+    pieces = draw(st.lists(st.sampled_from(stored).flatmap(fitting), max_size=6)) + draw(st.lists(other, max_size=2))
+    if draw(st.integers(0, 3)):  # mostly with every required option
+        pieces += [draw(fitting(a.option_strings[0])) for a in sp._actions if a.required]
+    return [command, *(token for p in draw(st.permutations(pieces)) for token in p)]
+
+
+def _bits(namespace):
+    # repr per value: nan equals nan, and 1 differs from 1.0
+    return {k: repr(v) for k, v in namespace.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_command_lines())
+def test_option_table_reads_what_argparse_reads(argv):
+    table = cli._read(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(cli._parser().parse_args(argv))
+    except (CliConfigError, SystemExit):
+        assert table is None
+    else:
+        assert table is None or _bits(table) == _bits(parsed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--n", "4", "--p", "2", "--powerlog", "-2.2"],
+        ["sweep", "--n", "3", "--p", "2", "--family", "powerlog", "--start", "-2", "--stop", "-.5", "--step", "0.5"],
+        ["verify", "--n", "3", "--p", "2", "--expr", "", "--allow-nonmonotone", "--format", "csv", "--out", "x"],
+        ["construct", "--p", "2", "--n", "3", "--n", "4", "--power", "nan"],
+    ],
+    ids=["negative", "negative-range", "flag-and-empty", "repeated"],
+)
+def test_option_table_takes_well_formed_lines(argv):
+    assert _bits(cli._read(argv)) == _bits(vars(cli._parser().parse_args(argv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["classify", "--n", "4", "--p", "2", "--powerlog", "-2.5e0"],
+        ["classify", "--n", "4", "--p", "2", "--expr", "-"],
+        ["classify", "--n", "4", "--p", "2", "--pow", "2"],
+        ["classify", "--n=4", "--p", "2", "--power", "2"],
+        ["classify", "--n", "4", "--p", "2", "--", "--power", "2"],
+    ],
+    ids=["empty", "exponent", "dash", "abbreviation", "equals", "double-dash"],
+)
+def test_option_table_leaves_the_rest_to_argparse(argv):
+    assert cli._read(argv) is None
 
 
 @pytest.mark.parametrize("n, p", [("3", "2"), ("8", "3")])
@@ -631,7 +766,7 @@ _TABLE_INPUTS = [["--n", "3", "--p", "2", "--power", "4"], ["--n", "4", "--p", "
 
 def _table_profile(args):
     # the profile and the grid radii of construct's table
-    cfg = cli._config(cli._parser().parse_args(["construct", *args]))
+    cfg = cli._config(vars(cli._parser().parse_args(["construct", *args])))
     profile, _ = cli._setup_profile(cfg)
     return profile, np.geomspace(cfg.grid_lo * profile.delta, cfg.grid_hi * profile.delta, cfg.grid_points).tolist()
 

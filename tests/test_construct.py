@@ -11,10 +11,7 @@ w_delta(r) = delta^2 w_1(r/delta) for this p.
 
 import bisect
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
@@ -56,6 +53,7 @@ from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagno
 
 from conftest import (
     deadline,
+    fresh_interpreter,
     grad_exact,
     inner_exact,
     math_twin,
@@ -449,26 +447,18 @@ def test_table_fill_refuses_what_the_panels_refuse(params32, cut, bad, error, te
     assert str(ours.value) == text + repr(float(np.exp(ln_s[-np.log1p(np.exp(ln_s)) < cut][0])))
 
 
-def _fresh_interpreter(code):
-    # stdout of code run by a new interpreter that imports this package
-    src = os.path.dirname(os.path.dirname(construct_module.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60)
-    return out.stdout.strip()
-
-
 def test_importing_the_cli_builds_no_table_geometry():
     # the geometry is built on the first table fill, not at import, whose
     # cost every command pays
     code = "import liouville.cli, liouville.construct as c; print(c._table_geometry.cache_info().currsize)"
-    assert _fresh_interpreter(code) == "0"
+    assert fresh_interpreter(code) == "0"
 
 
 def test_importing_the_cli_imports_no_dataclasses():
     # the records are built without dataclasses, whose per-class code
     # generation was most of the cost of an import
     code = "import sys, liouville, liouville.cli; liouville.cli.build_parser(); print('dataclasses' in sys.modules)"
-    assert _fresh_interpreter(code) == "False"
+    assert fresh_interpreter(code) == "False"
 
 
 _KNOT_INTEGRALS = {}

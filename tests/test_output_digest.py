@@ -1,4 +1,5 @@
-"""tools/output_digest.py on a few operations: its lines repeat."""
+"""tools/output_digest.py on a few operations: its lines repeat, and its
+command lines take the route of the CLI that each is there for."""
 
 import importlib.util
 import re
@@ -22,10 +23,39 @@ def test_digest_lines_repeat(monkeypatch):
     tool = _tool()
     cli, workloads = tool.load(ROOT)
     ops = tool.operations(workloads, [11], 40.0)
-    assert ops[-len(tool.STEEP) :] == tool.STEEP
+    assert ops[-len(tool.STEEP) - len(tool.ARGPARSE) :] == tool.STEEP + tool.ARGPARSE
     picked = [next(argv for argv in ops if argv[0] == kind) for kind in ("classify", "verify", "construct", "sweep")]
     picked.append(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--format", "csv"])
     first, second = ([tool.digest(cli.main, argv) for argv in picked] for _ in range(2))
     assert first == second
     for argv, line in zip(picked, first):
         assert re.fullmatch(re.escape(" ".join(argv)) + r"\t\d+\t[0-9a-f]{40}", line)
+
+
+def test_argparse_lines_repeat_with_their_exit_codes(monkeypatch):
+    # help exits 0 through SystemExit; the rest are usage errors but the
+    # = form, which argparse reads
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    cli, _ = tool.load(ROOT)
+    first, second = ([tool.digest(cli.main, argv) for argv in tool.ARGPARSE] for _ in range(2))
+    assert first == second
+    codes = [int(line.split("\t")[1]) for line in first]
+    assert codes == [0 if argv[-1:] == ["--help"] or "--n=4" in argv else 13 for argv in tool.ARGPARSE]
+
+
+def test_workload_lines_take_the_option_table_and_the_rest_argparse(monkeypatch):
+    # every command line of the three workloads at seeds 11-12, and the
+    # steep inputs, is read from the table with no fallback, into what
+    # argparse reads; the fixed argparse lines are left to argparse
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    cli, workloads = tool.load(ROOT)
+    ops = tool.operations(workloads, [11, 12], 40.0)
+    table, rest = ops[: -len(tool.ARGPARSE)], ops[-len(tool.ARGPARSE) :]
+    assert len(table) > 1000
+    for argv in table:
+        read = cli._read(argv)
+        assert read is not None, argv
+        assert read == vars(cli._parser().parse_args(argv)), argv
+    assert all(cli._read(argv) is None for argv in rest)

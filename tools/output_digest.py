@@ -7,9 +7,12 @@ ROOT is a source checkout.  The package is imported from ROOT/src and
 the operations are read from ROOT/perfbench/workloads.py: every CLI
 operation of the three workloads, at each seed, for as many rounds as a
 run of BENCHMARK.json's ``run_seconds`` takes, then a fixed list of
-steep inputs (:data:`STEEP`), whose fills halve many panels.  Each runs
-in-process through ``liouville.cli.main``.  Two checkouts whose digests
-``diff`` equal print the same bytes and exit codes on all of them.
+steep inputs (:data:`STEEP`), whose fills halve many panels, then a
+fixed list of command lines that argparse reads (:data:`ARGPARSE`):
+help, and those that the option table of ``liouville.cli`` leaves to it.
+Each runs in-process through ``liouville.cli.main``.  Two checkouts
+whose digests ``diff`` equal print the same bytes and exit codes on all
+of them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,25 @@ STEEP = [
         ["--n", "10", "--p", "3.5", "--power", "20"],
     )
 ]
+# no command, help, an unknown command, an abbreviation, an = form, a
+# value that does not convert, one that is not a choice, a negative value
+# that argparse takes for an option, a missing required option, an extra
+# argument and a missing value
+_CLASSIFY = ["classify", "--n", "4", "--p", "2"]
+ARGPARSE = [
+    [],
+    ["--help"],
+    *([command, "--help"] for command in ("classify", "construct", "verify", "sweep")),
+    ["bogus", "--n", "4", "--p", "2", "--power", "2"],
+    [*_CLASSIFY, "--pow", "2"],
+    ["classify", "--n=4", "--p", "2", "--power", "2"],
+    ["classify", "--n", "4.0", "--p", "2", "--power", "2"],
+    [*_CLASSIFY, "--power", "2", "--format", "xml"],
+    [*_CLASSIFY, "--powerlog", "-2.5e0"],
+    ["classify", "--n", "4", "--power", "2"],
+    [*_CLASSIFY, "--power", "2", "extra"],
+    [*_CLASSIFY, "--expr"],
+]
 
 
 def load(root: Path):
@@ -61,22 +83,26 @@ def load(root: Path):
 def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str]]:
     """The argv of every CLI operation of each workload at each seed, in
     run order (the scale study calls no CLI and is left out), then
-    :data:`STEEP`."""
+    :data:`STEEP` and :data:`ARGPARSE`."""
     out = []
     for seed in seeds:
         for make in workloads.WORKLOADS.values():
             workload = make(seed)
             out += [op.argv for op in workload.ops(workload.rounds_for(seconds)) if op.kind != "scale-study"]
-    return out + STEEP
+    return out + STEEP + ARGPARSE
 
 
 def digest(main: Callable[[List[str]], int], argv: List[str]) -> str:
     """The line of one operation: argv, exit code and the SHA-1 of its
     stdout, a NUL byte and its stderr.  Warnings show as in a fresh
-    process, once per place that raises them."""
+    process, once per place that raises them.  Help ends in
+    ``SystemExit``, whose code is the line's."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     text = out.getvalue() + "\0" + err.getvalue()
     return f"{' '.join(argv)}\t{code}\t{hashlib.sha1(text.encode()).hexdigest()}"
 

@@ -479,7 +479,11 @@ def cmd_construct(cfg: RunConfig) -> int:
         return _refused(cfg, verdict)
 
     delta = profile.delta
-    grid = np.geomspace(cfg.grid_lo * delta, cfg.grid_hi * delta, cfg.grid_points)
+    top = cfg.grid_hi * delta
+    if not math.isfinite(top):
+        # _config checks --grid-max before the delta search picks delta
+        raise ValueError(f"the grid's end, --grid-max {cfg.grid_hi!r} times delta = {delta!r}, exceeds double range")
+    grid = np.geomspace(cfg.grid_lo * delta, top, cfg.grid_points)
     radii = grid.tolist()
     ws = profile.values_on_grid(grid)
     # the envelope and the bound take all radii in one call each, and

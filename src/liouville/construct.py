@@ -67,6 +67,7 @@ from .errors import (
     DeltaSearchError,
     DivergentIntegralError,
     DomainError,
+    EvalOverflow,
     QuadratureError,
 )
 from .nonlinearity import _LOG_MAX, Nonlinearity, _exp_checked, _ln_f
@@ -653,10 +654,18 @@ class RadialProfile:
             t.limit = value, error
         return t.limit
 
+    def _delta_power(self, k: float) -> float:
+        """delta**k, the scale of a quantity of the unit profile; a forced
+        delta for which it exceeds double range raises :class:`EvalOverflow`."""
+        try:
+            return self.delta**k
+        except OverflowError:
+            raise EvalOverflow(f"delta**{k:.6g} exceeds double range at delta = {self.delta!r}") from None
+
     def inner_limit(self) -> float:
         """I(inf), the total source mass over the half line.  Raises
         :class:`CriterionUndecidedError` when it misses the tolerance."""
-        return self.delta**self.params.n * self._unit_limit()[0]
+        return self._delta_power(self.params.n) * self._unit_limit()[0]
 
     def inner_integral(self, z: float) -> float:
         """I(z): the table's dense output in range, below it the table's
@@ -684,7 +693,7 @@ class RadialProfile:
                 f"I(z) at z = {z!r} did not converge above the table: "
                 f"{float(above.values[0])!r} +- {float(above.abs_errors[0])!r} past its last knot"
             )
-        return self.delta**self.params.n * t.last + float(above.values[0])
+        return self._delta_power(self.params.n) * t.last + float(above.values[0])
 
     def _origin_integral(self, z: float) -> Tuple[float, bool]:
         """I(z) for 0 < z <= delta * s_0, the table's first knot, and
@@ -697,7 +706,7 @@ class RadialProfile:
         at = lambda: np.exp(ln_s)  # noqa: E731  (where an error names s)
         src = _finite(_exp_source(_ln_source(self.f, self.params, ln_s, np.log1p(np.exp(ln_s)), n), at), at)
         value, error = _origin_panel(src, n)
-        return self.delta**n * float(value), bool(error <= self._seg_tol.bound(value))
+        return self._delta_power(n) * float(value), bool(error <= self._seg_tol.bound(value))
 
     def _ln_inner(self, z: np.ndarray) -> np.ndarray:
         # ln I(z) for z > 0: the dense output inside the cache, the
@@ -750,7 +759,7 @@ class RadialProfile:
         t = self._table
         if t.outer is None:
             t.outer = self.rescaled(1.0)._fill_outer()
-        scale = self.delta ** (self.params.p / (self.params.p - 1.0))
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
         return scale * t.outer.sums, t.outer.converged, scale * t.outer.error
 
     def _fill_outer(self) -> _Panels:
@@ -880,7 +889,7 @@ class RadialProfile:
             gaps[gap[redo]] = self._outer_spans(i[redo], u0[redo])[0]
             gap, i, u0 = gap[~redo], i[~redo], u0[~redo]
         span = outer.rest(i, u0)
-        span *= self.delta ** (self.params.p / (self.params.p - 1.0))
+        span *= self._delta_power(self.params.p / (self.params.p - 1.0))
         gaps[gap] = span
         out[inside] = ws[j] + gaps
         return out, inside, interval
@@ -914,7 +923,7 @@ class RadialProfile:
                     dw[~inside] = unit._outer_array(unit_radii[~inside])
             t.sample = unit_radii, w, dw
         _, w, dw = t.sample
-        return self.delta ** (p / (p - 1.0)) * w, self.delta ** (1.0 / (p - 1.0)) * dw
+        return self._delta_power(p / (p - 1.0)) * w, self._delta_power(1.0 / (p - 1.0)) * dw
 
     def _sup(self) -> Tuple[float, float]:
         # sup w = w(0), closed form below the cache's first knot, and the

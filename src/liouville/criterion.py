@@ -524,13 +524,22 @@ def _remainder(q: float, results: _LogShells, ln_top: float, term: Optional[Term
     is the power z**(q + d) whose shells repeat the ratio 2**-d of the
     two deepest, through the deepest.  The error is rho times the
     remainder, rho the largest relative deviation of e**L from m at the
-    three deepest shell edges (:func:`_deviation`).  A deviation that
-    grows over the deeper half of the shells refuses the remainder with
+    three deepest shell edges (:func:`_deviation`).  A fitted power's
+    remainder, the deepest shell times s / (1 - s), s = e**-drop, drop
+    the fall of the log from the next shell, also carries the error of
+    that drop over 1 - s: the two shells' own errors, and how far the drop
+    still moves.  Where its last move from the pair above exceeds what the
+    shells' errors allow, that move is taken again at each deeper shell,
+    shrunk each time by the ratio of its last two moves (a half where that
+    is less): a correction z**s to the power moves it by 2**-s a shell.
+    A move that does not shrink, and a deviation that grows over the
+    deeper half of the shells, refuse the remainder with
     :class:`CriterionUndecidedError`.
     """
     v = len(results) * _LN2 - ln_top
     model = _term_model(term, q, v)
     value = None if model is None else tail(*model)
+    slack = 0.0
     if value is None:
         drop = results[-2].value - results[-1].value
         if not 0.0 < drop < math.inf:
@@ -538,13 +547,24 @@ def _remainder(q: float, results: _LogShells, ln_top: float, term: Optional[Term
         d = drop / _LN2
         model = _Model(results[-1].value + math.log(d) - drop - math.log(-math.expm1(-drop)), d, 0.0, 0.0, v)
         value = tail(*model)
+        a, b, c, _ = (r.value for r in results[-4:])
+        ea, eb, ec, ed = (r.abs_error for r in results[-4:])
+        moves = (a - b) - (b - c), (b - c) - drop
+        ahead = abs(moves[1])
+        if ahead > ea + 2.0 * (eb + ec) + ed:
+            ratio = moves[1] / moves[0] if moves[0] else math.inf
+            if not 0.0 < ratio < 1.0:
+                raise CriterionUndecidedError("the fall of the deepest shells does not settle, so no remainder can be fitted")
+            ratio = max(ratio, 0.5)
+            ahead *= ratio / (1.0 - ratio)
+        slack = (ahead + ec + ed) / -math.expm1(-drop)
     rho, mid, settled = _deviation(model, results.edges, ln_top, 3)
     if not settled:
         raise CriterionUndecidedError(
             f"the integrand's deviation from its leading term grows over the deep shells "
             f"(from {mid:.3g} to {rho:.3g})"
         )
-    return value, (rho + _GAMMA_ERROR) * value
+    return value, (rho + slack + _GAMMA_ERROR) * value
 
 
 def _closed_form(

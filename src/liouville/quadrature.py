@@ -22,10 +22,17 @@ missed panels redone, by one routine, :func:`liouville.construct._k7_fill`;
 the tiling and its dense output are described on the record that the
 profile keeps, :class:`liouville.construct._Panels`.
 
-Error estimation follows the classic damping recipe: the raw
-``|high - low|`` difference is tempered by the scale of the integrand's
-oscillation on the panel, so smooth panels are not absurdly optimistic
-and rough panels are not punished twice.
+A Fejer panel's error is read off the trailing Chebyshev coefficients
+of the degree-14 polynomial through its 15 values (:func:`_rule`): where
+they decay geometrically, in Berntsen and Espelid's form ("Error
+estimation in automatic quadrature routines", ACM TOMS 17, 1991), from
+the last pair and the rate of decay, so a smooth panel is judged by the
+15-node rule whose value it keeps; where they do not, as on a singular
+panel, by the classic damping recipe, the raw ``|high - low|`` difference
+from the embedded 7-node rule tempered by the scale of the integrand's
+oscillation on the panel.  The K7 panels keep that damped recipe on their
+Lobatto pair.  Each Fejer node is placed from its nearer end of the panel
+(:func:`_fejer_nodes`), so no rounding of a panel's centre shifts it.
 
 One adaptive loop, :func:`_bisect`, serves every integral: it takes
 many intervals at once, one panel each, on the caller's panel rule.
@@ -61,6 +68,7 @@ OpenBLAS, sums a row in an order that depends on the rest of the block.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -167,6 +175,8 @@ _XA_HIGH = np.array(_X_HIGH)
 _WA_PAIR = np.zeros((2, _XA_HIGH.size))
 _WA_PAIR[0] = _W_HIGH
 _WA_PAIR[1, list(_LOW_AT)] = _W_LOW
+# K and r_crit of the coefficient estimate of _rule
+_K, _R_CRIT = 10.0, 0.25
 # Panels per array pass: large enough to amortize numpy call overhead,
 # small enough that the temporaries stay in cache and out of peak memory.
 _CHUNK = 256
@@ -202,12 +212,31 @@ _WA_K7L4 = np.array(
 )
 
 
-def _nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray = _XA_HIGH) -> np.ndarray:
-    """The nodes ``x`` (on [-1, 1]; the 15 of the Fejer rule by default)
-    of each panel ``[a[i], b[i]]``, one panel per row."""
+def _nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The nodes ``x`` (on [-1, 1]) of each panel ``[a[i], b[i]]``, one
+    panel per row."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     return c[:, None] + h[:, None] * x
+
+
+# a Fejer node's offset from its nearer end of [-1, 1]
+_LEFT = _XA_HIGH < 0.0
+_OFFSET = np.where(_LEFT, 1.0 + _XA_HIGH, _XA_HIGH - 1.0)
+
+
+def _fejer_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15 nodes of the Fejer rule on each panel ``[a[i], b[i]]``, one
+    panel per row, each from its nearer end: a + h (1 + x) or b - h (1 - x),
+    h the half-width.  Rounding then moves each node by at most half an
+    ulp of its own, independently.  Taken from the centre, every node would
+    also move by the rounding of the centre: the whole panel shifts, and
+    its integral moves by that shift times the difference of the
+    integrand's end values, 4.2e-13 of a panel of a deep criterion shell
+    of z**30 at n=3, p=2 (its centre near 236, the integrand falling
+    e**27-fold per unit)."""
+    h = 0.5 * (b - a)
+    return np.where(_LEFT, a[:, None], b[:, None]) + h[:, None] * _OFFSET
 
 
 def _panels(
@@ -219,7 +248,7 @@ def _panels(
         cut = range(_CHUNK, a.size, _CHUNK)
         parts = [_panels(g_vec, x, y) for x, y in zip(np.split(a, cut), np.split(b, cut))]
         return tuple(np.concatenate(x) for x in zip(*parts))
-    x = _nodes(a, b)
+    x = _fejer_nodes(a, b)
     fx = np.asarray(g_vec(x), dtype=float)
     if fx.shape != x.shape:
         raise ValueError(f"g_vec returned shape {fx.shape}, expected {x.shape}")
@@ -239,29 +268,79 @@ def _finite(fx: np.ndarray, at) -> np.ndarray:
 
 
 def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """High-rule values and damped error estimates of the Fejer pair for
-    panels of half-width ``h`` (and width ``width``) from their integrand
-    values ``fx`` at the 15 nodes ``_XA_HIGH``, one panel per row.
+    """High-rule values and their error estimates for panels of half-width
+    ``h`` (and width ``width``) from their integrand values ``fx`` at the 15
+    nodes ``_XA_HIGH``, one panel per row.
+
+    The estimate reads the trailing Chebyshev coefficients c9 .. c14 of the
+    panel's interpolant (:func:`_chebyshev`) in pairs, as Berntsen and
+    Espelid (ACM TOMS 17, 1991) read pairs of null rules: E1 = |(c13, c14)|,
+    E2 = |(c11, c12)| and E3 = |(c9, c10)|, a pair read as 0 where, times
+    ``h``, it is within the floor below (there it is the values' rounding).
+    Where r = max(E1 / E2, E2 / E3) is below r_crit = ``_R_CRIT`` they decay
+    geometrically, and the error is their K r_crit**(1 - alpha) r**alpha h E1
+    with alpha = 1 and K = ``_K``: K r h E1.  The rule's error is mostly
+    that of T_16, which it integrates wrong by 1/8, and whose coefficient
+    is about r E1.  (With alpha = 2, an outer criterion shell of
+    ``(z^8.14925+z^9.14925)*exp(z)`` at n=5, p=3 passed at one panel, off by
+    1.2e-14 of its value; halved once it is off by 5e-17.)  Where they do
+    not decay, as on a singular panel, the estimate is the damped difference
+    from the embedded 7-node rule: ``|high - low|`` tempered by the scale of
+    the integrand's oscillation on the panel.  Either way it is at least
+    the floor, 50 eps times the integral of ``|f|``.  The values are taken
+    to be good to their rounding; noise above the floor is the caller's.
 
     Each sum is an einsum, which reduces every row on its own: a panel's
     bits do not depend on the other rows of its block (see the module
     docstring)."""
-    pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
-    high = h * pair[:, 0]
-    low = h * pair[:, 1]
+    sums = np.einsum("ij,kj->ki", fx, _rule_rows())
+    high = h * sums[0]
     resabs = h * np.einsum("ij,j->i", np.abs(fx), _WA_PAIR[0])
-    mean = high / width
-    resasc = h * np.einsum("ij,j->i", np.abs(fx - mean[:, None]), _WA_PAIR[0])
-    err = np.abs(high - low)
-    damp = (resasc != 0.0) & (err != 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        damped = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     # the floor, 50 eps resabs, is at least 50 ulps of resabs: 50 times the
     # least subnormal, one ulp of any subnormal, where 50 eps resabs
     # underflows; an exact 0 keeps error 0
     floor = np.maximum(50.0 * _EPS * resabs, 50.0 * np.minimum(resabs, _ULP_MIN))
-    err = np.maximum(np.where(damp, damped, err), floor)
-    return high, err
+    e3, e2, e1 = e = np.hypot(sums[2::2], sums[3::2])
+    e[h * e <= floor] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # r = max(E1 / E2, E2 / E3), where 0 / 0, two pairs at the
+        # rounding, says nothing and x / 0 is no decay
+        r = np.fmax(np.fmax(e1 / e2, e2 / e3), 0.0)
+        decay = r < _R_CRIT
+        err = _K * h * e1 * r
+        if not decay.all():
+            low = h * sums[1]
+            resasc = h * np.einsum("ij,j->i", np.abs(fx - (high / width)[:, None]), _WA_PAIR[0])
+            raw = np.abs(high - low)
+            damped = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
+            err = np.where(decay, err, np.where((resasc != 0.0) & (raw != 0.0), damped, raw))
+    return high, np.maximum(err, floor)
+
+
+@functools.cache
+def _rule_rows() -> np.ndarray:
+    # the rows that _rule sums each panel's values with: the high and the
+    # low rule, then the Chebyshev coefficients c9 .. c14
+    rows = np.concatenate((_WA_PAIR, _chebyshev()[9:]))
+    rows.flags.writeable = False
+    return rows
+
+
+def _chebyshev() -> np.ndarray:
+    """The 15 x 15 matrix that maps a panel's values at the nodes
+    ``_XA_HIGH``, x_k = cos(k pi / 16), k = 1 .. 15, to the Chebyshev
+    coefficients c0 .. c14 of the polynomial of degree 14 through them
+    (one row per coefficient).
+
+    The nodes are the zeros of U_15, on which sin(t) sin((m + 1) t),
+    x = cos(t), are orthogonal: the coefficient of U_m is
+    b_m = sum_k sin(t_k) sin((m + 1) t_k) f_k / 8, and U_m = 2 (T_m +
+    T_(m-2) + ...), its T_0 counted once.  Built in plain Python, once,
+    by :func:`_rule_rows`."""
+    t = [k * math.pi / 16 for k in range(1, 16)]
+    u = [[math.sin(x) * math.sin((m + 1) * x) / 8.0 for x in t] for m in range(15)]
+    rows = [[(1.0 if j == 0 else 2.0) * math.fsum(u[m][k] for m in range(j, 15, 2)) for k in range(15)] for j in range(15)]
+    return np.array(rows)
 
 
 # K7's weights at the end pair, the pairs +-sqrt(2/3) and +-1/sqrt(5), and

@@ -65,7 +65,7 @@ import numpy as np
 from ._record import tuple_record
 from .construct import _K7_U, RadialProfile, _k7_fill, sup_profile
 from .criterion import StructureParams
-from .nonlinearity import Nonlinearity, _ln_f
+from .nonlinearity import Nonlinearity, _exp_checked, _ln_f
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
@@ -137,10 +137,12 @@ _DELTA_THRESHOLD = 1e-3
 
 
 def _flux(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
-    # the radial flux r**(n-1) |w'(r)|**(p-1), in logs
+    # the radial flux r**(n-1) |w'(r)|**(p-1), in logs; past double range
+    # (a large forced delta) it raises EvalOverflow
     n, p = profile.params.n, profile.params.p
     with np.errstate(divide="ignore"):
-        return np.exp((n - 1) * np.log(r) + (p - 1.0) * np.log(profile._outer_array(r)))
+        ln_flux = (n - 1) * np.log(r) + (p - 1.0) * np.log(profile._outer_array(r))
+    return _exp_checked(ln_flux, "flux", r)
 
 
 def _flux_defects(

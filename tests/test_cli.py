@@ -155,6 +155,29 @@ class TestErrorExits:
             code, out, err = run(capsys, ["construct", "--n", "3", "--p", "2", "--power", "4", "--grid-max", "inf"])
         assert (code, out, err) == (EXIT_CONFIG, "", "usage error: --grid-max must be finite\n")
 
+    def test_grid_end_past_double_range_is_refused_without_a_warning(self, capsys):
+        # --grid-max is finite, but times the delta it overflows; numpy's
+        # geomspace warned before the radii were refused
+        argv = ["construct", "--n", "3", "--p", "2", "--power", "4", "--delta", "10", "--grid-max", "1e308"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        want = "error: the grid's end, --grid-max 1e+308 times delta = 10.0, exceeds double range\n"
+        assert (code, out, err) == (EXIT_CONFIG, "", want)
+
+    @pytest.mark.parametrize("command", ["construct", "verify"])
+    def test_delta_past_double_range_is_an_error_not_a_traceback(self, capsys, command):
+        # w scales by delta**(p/(p-1)) = 1e600, and the flux past double range
+        argv = [command, "--n", "3", "--p", "2", "--power", "4", "--delta", "1e300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        want = {
+            "construct": (EXIT_CONFIG, "", "error: delta**2 exceeds double range at delta = 1e+300\n"),
+            "verify": (EXIT_CHECK, "", "verification check failed to evaluate: flux exceeds double range at 1.0100000000000001e+298\n"),
+        }
+        assert (code, out, err) == want[command]
+
 
 # ---------------------------------------------------------------------------
 # construct

@@ -44,7 +44,8 @@ from liouville import (
 from liouville._leading import Term, leading_term, ln_scaled_gamma
 import liouville.criterion as criterion_module
 import liouville.nonlinearity as nonlinearity_module
-from liouville.criterion import _GAMMA_ERROR, _LN2, _classify_numeric, _decide, _integral_below, _log_shells
+import liouville.quadrature as quadrature_module
+from liouville.criterion import _GAMMA_ERROR, _LN2, _SHELL_COUNT, _classify_numeric, _decide, _integral_below, _log_shells
 from liouville.nonlinearity import signed_log_eval
 
 from conftest import critical_log_criterion, quad_ref
@@ -552,10 +553,10 @@ def test_source_limit_takes_the_closed_form_where_the_term_is_exact(monkeypatch,
 
 
 @pytest.mark.parametrize("eps", ["1", "1e-3"])
-def test_classify_reads_f_four_times(capsys, monkeypatch, eps):
+def test_classify_reads_f_three_times(capsys, monkeypatch, eps):
     # the monotonicity probe, L at the shells' edges and midpoints (read by
     # the closed-form test, which fails at eps, and by the shells alike),
-    # and the two levels of the shells' quadrature
+    # and the one level of the shells' quadrature
     calls = []
     for module in (criterion_module, nonlinearity_module):
         ln_f = module._ln_f
@@ -563,7 +564,34 @@ def test_classify_reads_f_four_times(capsys, monkeypatch, eps):
     argv = ["classify", "--n", "4", "--p", "2", "--eps", eps, "--expr", "z^3.6*log(e+1/z)^-2"]
     assert cli.main(argv) == cli.EXIT_CONVERGES
     assert "value = " in capsys.readouterr().out
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+# The convergent numeric forms of the benchmark's classify stream: its five
+# (n, p) pairs, and the six centres of its exponent gaps, 1e-3 to 3, at both
+# ends of their 5% jitter; each exponent is printed to six digits
+_BENCH_PAIRS = ((3, 2.0), (4, 2.0), (5, 3.0), (4, 1.5), (8, 3.0))
+_BENCH_GAPS = [10.0 ** (-3.0 + k * (math.log10(3.0) + 3.0) / 5) * j for k in range(6) for j in (1 / 1.05, 1.05)]
+
+
+@pytest.mark.parametrize("n, p", _BENCH_PAIRS)
+def test_benchmark_forms_take_one_quadrature_level(monkeypatch, n, p):
+    # every shell of expr-log, expr-logpow and expr-mixed is within its
+    # tolerance at one panel: one call of the Fejer rule per shell pass;
+    # but at the two largest gaps expr-mixed halves its one or two
+    # outermost shells once, where e**z and the gap make them steepest
+    calls, rule = [], quadrature_module._rule
+    monkeypatch.setattr(quadrature_module, "_rule", lambda *args: calls.append(1) or rule(*args))
+    params = StructureParams(n, p)
+    q = critical_exponent(params)
+    for gap in _BENCH_GAPS:
+        a = float(format(q + gap, ".6g"))
+        forms = (f"z^{q!r}*log(e+1/z)^{-1.0 - gap:.6g}", f"z^{a:.6g}*log(e+1/z)^-2", f"(z^{a:.6g}+z^{a + 1.0:.6g})*exp(z)")
+        for text in forms:
+            calls.clear()
+            shells = _log_shells(parse_nonlinearity(text), params, 0.0, _SHELL_COUNT, DEFAULT_TOLERANCE)
+            assert all(r.converged for r in shells)
+            assert len(calls) == (2 if text.startswith("(") and gap > 2.0 else 1), text
 
 
 def test_gate_without_a_value(monkeypatch, params32):
@@ -861,6 +889,28 @@ def test_give_up_goes_numeric():
     assert v.verdict is Verdict.CONVERGES and v.method == "numeric"
     assert abs(v.value - 5.507732112146885) <= v.abs_error + 1e-15
     assert classify(f, StructureParams(3, 2.0)).verdict is Verdict.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("text", ["exp(z) - 1", "exp(z) - 1 + z^1.5", "exp(z) - 1 + z^1.2", "log(1+z)", "(1+z)^3-1"])
+def test_fitted_remainder_states_its_error(text):
+    # the walk gives up on each, so the remainder below the 40 shells is a
+    # fitted power, whose fall between the deepest shells still moves by
+    # 2**-s a shell under a correction z**s: 2**-0.2 for z^1.2.  The value
+    # is within the error it states (each term z^a integrates to 1/(a - q))
+    params = StructureParams(4, 1.5)
+    q = mpmath.mpf(critical_exponent(params))
+    with mpmath.workdps(30):
+        exp_m1 = mpmath.nsum(lambda k: 1 / (mpmath.factorial(k) * (k - q)), [1, mpmath.inf])
+        exact = {
+            "exp(z) - 1": exp_m1,
+            "exp(z) - 1 + z^1.5": exp_m1 + 1 / (mpmath.mpf(1.5) - q),
+            "exp(z) - 1 + z^1.2": exp_m1 + 1 / (mpmath.mpf(1.2) - q),
+            "log(1+z)": mpmath.nsum(lambda k: (-1) ** (k + 1) / (k * (k - q)), [1, mpmath.inf]),
+            "(1+z)^3-1": 3 / (1 - q) + 3 / (2 - q) + 1 / (3 - q),
+        }[text]
+    v = classify(parse_nonlinearity(text), params)
+    assert v.verdict is Verdict.CONVERGES and v.method == "numeric"
+    assert abs(v.value - float(exact)) <= v.abs_error
 
 
 _GAMMA_S = [-3.0, -2.5, -2.0, -1.001, -1.0, -0.999, -0.5, -0.001, 0.0, 0.001, 0.5, 1.5, 2.0]

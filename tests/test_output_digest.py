@@ -1,5 +1,6 @@
-"""tools/output_digest.py on a few operations: its lines repeat, and its
-command lines take the route of the CLI that each is there for."""
+"""tools/output_digest.py on a few operations: its lines repeat, its
+command lines take the route of the CLI that each is there for, and its
+--values listings compare field by field."""
 
 import importlib.util
 import re
@@ -59,3 +60,28 @@ def test_workload_lines_take_the_option_table_and_the_rest_argparse(monkeypatch)
         assert read is not None, argv
         assert read == vars(cli._parser().parse_args(argv)), argv
     assert all(cli._read(argv) is None for argv in rest)
+
+
+def test_values_list_each_operation_and_compare_reads_them_field_by_field(monkeypatch):
+    # --values: the exit code and every output line; --compare: each field
+    # that differs between two listings, with its largest relative change
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool()
+    cli, _ = tool.load(ROOT)
+    argv = ["construct", "--n", "3", "--p", "2", "--power", "4", "--format", "csv"]
+    lines = tool.values(cli.main, argv)
+    assert lines[0] == "$ " + " ".join(argv) + "\t0"
+    assert lines[1] == "out\tr,w,envelope,bound" and len(lines) == 202
+    row = lines[2].split("\t")[1].split(",")
+    bumped = ",".join(row[:3] + [repr(float(row[3]) * (1.0 + 2.0**-50))])
+    new = lines[:2] + ["out\t" + bumped] + lines[3:]
+    x, y = float(row[3]), float(bumped.split(",")[3])
+    rel = (y - x) / y
+    assert tool.compare(lines, lines) == []
+    assert tool.compare(lines, new) == [
+        "construct --n 3 --p 2 --power 4 --format csv\t0\tout\tbound\t" + format(rel, ".3g"),
+        "construct\tout\tbound\t1 changes\tlargest " + format(rel, ".3g"),
+    ]
+    old = ["$ classify x\t5", "out\tvalue = 2.0", "out\tdetail = ratio 0.5", "err\tnote"]
+    new = ["$ classify x\t5", "out\tvalue = 2.5", "out\tdetail = ratio 0.5 at most", "err\tnote"]
+    assert tool.compare(old, new)[:2] == ["classify x\t5\tout\tvalue\t0.2", "classify x\t5\tout\tdetail\tinf"]

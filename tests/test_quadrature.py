@@ -12,6 +12,7 @@ Closed forms used below:
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -40,8 +41,10 @@ from liouville.quadrature import (
     _W_LOW,
     _WA_K7L4,
     _WA_PAIR,
+    _XA_HIGH,
     _XA_K7,
     _bisect,
+    _chebyshev,
     _k7,
     _nodes,
     _panels,
@@ -256,6 +259,19 @@ def _random_rows(seed, sign_changing):
     return fx, a, a + rng.lognormal(size=256)
 
 
+def _smooth_rows(seed, sign_changing):
+    # 256 panels of +-exp(beta x + gamma), or cos(beta x + gamma), on
+    # [-1, 1] scaled to [a, b]: smooth rows, some resolved at one panel,
+    # some not; the exponentials negative in part where sign_changing
+    rng = np.random.default_rng(seed)
+    beta = rng.uniform(-40.0, 40.0, (256, 1))
+    gamma = rng.uniform(-2.0, 2.0, (256, 1))
+    sign = rng.choice([-1.0, 1.0], size=(256, 1)) if sign_changing else 1.0
+    fx = np.where(rng.random((256, 1)) < 0.5, sign * np.exp(beta * _XA_HIGH + gamma), np.cos(0.5 * beta * _XA_HIGH + gamma))
+    a = rng.uniform(-2.0, 2.0, 256)
+    return fx, a, a + rng.lognormal(size=256)
+
+
 def _fsum_panel(row, h, width):
     # the Fejer pair and its damped estimate on one panel's 15 values, with
     # every sum exact (math.fsum)
@@ -275,6 +291,8 @@ class TestRule:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("sign_changing", [False, True])
     def test_matches_the_scalar_panel(self, seed, sign_changing):
+        # random values show no decay of their coefficients: the estimate
+        # is the damped one of every row
         fx, a, b = _random_rows(seed, sign_changing)
         high, err = _rule(fx, 0.5 * (b - a), b - a)
         for i, row in enumerate(fx.tolist()):
@@ -300,9 +318,13 @@ class TestRule:
 
     @pytest.mark.parametrize("sign_changing", [False, True])
     def test_fejer_default_is_the_fixed_rule(self, sign_changing):
-        # the default weights give the bits of the rule with the Fejer pair
-        # built in: its own einsums, and a separate copy of the high weights
-        fx, a, b = _random_rows(3, sign_changing)
+        # the bits of the rule written out: the pair's own einsums, a
+        # separate copy of the high weights, the trailing Chebyshev pairs
+        # with those within the floor read as 0, and Berntsen and Espelid's
+        # estimate where they decay, the damped difference elsewhere; on
+        # random rows, then smooth ones
+        rows = zip(_random_rows(3, sign_changing), _smooth_rows(3, sign_changing))
+        fx, a, b = (np.concatenate(x) for x in rows)
         h, width = 0.5 * (b - a), b - a
         pair = np.einsum("ij,kj->ik", fx, _WA_PAIR)
         high, low, w = h * pair[:, 0], h * pair[:, 1], np.array(_W_HIGH)
@@ -310,9 +332,85 @@ class TestRule:
         resasc = h * np.einsum("ij,j->i", np.abs(fx - (high / width)[:, None]), w)
         err = np.abs(high - low)
         damped = np.where((resasc != 0.0) & (err != 0.0), resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5), err)
+        floor = 50.0 * _EPS * resabs
+        c = np.einsum("ij,kj->ik", fx, _chebyshev()[9:])
+        pairs = np.hypot(c[:, [0, 2, 4]], c[:, [1, 3, 5]])  # E3, E2, E1
+        pairs[h[:, None] * pairs <= floor[:, None]] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.nan_to_num(np.fmax(pairs[:, 2] / pairs[:, 1], pairs[:, 1] / pairs[:, 0]), nan=0.0, posinf=np.inf)
+        decay = r < 0.25
+        est = 10.0 * h * pairs[:, 2] * np.where(decay, r, 0.0)
         value, estimate = _rule(fx, h, width)
         assert value.tolist() == high.tolist()
-        assert estimate.tolist() == np.maximum(damped, 50.0 * _EPS * resabs).tolist()
+        assert estimate.tolist() == np.maximum(np.where(decay, est, damped), floor).tolist()
+        # random rows show no decay; the smooth ones take either branch
+        assert not decay[:256].any() and decay[256:].any() and not decay[256:].all()
+
+    def test_chebyshev_matrix_is_the_interpolant(self):
+        # c = M f are the coefficients of the degree-14 polynomial through
+        # the 15 values: T_k at the nodes maps to the unit vector e_k
+        m = _chebyshev()
+        t = np.cos(np.arange(15)[:, None] * np.arccos(_XA_HIGH))
+        assert np.abs(m @ t.T - np.eye(15)).max() <= 1e-14
+        fx = np.random.default_rng(5).normal(size=15)
+        assert m @ fx == pytest.approx(np.polynomial.chebyshev.chebfit(_XA_HIGH, fx, 14), abs=1e-13)
+
+
+def _battery():
+    # one panel on [-1, 1] each, with the integrand, its mpmath twin and its
+    # kinks: smooth integrands that one panel does not resolve, and
+    # near-singular ones (a singularity or a kink just outside or inside the
+    # panel, a steep front); every kink lies within the nodes' span, as one
+    # past the outermost node (0.981) is seen by no rule
+    smooth = [(f"exp({a} x)", lambda x, a=a: np.exp(a * x), lambda t, a=a: mpmath.exp(a * t), ())
+              for a in (1.5, 2, 3, 4, 6, 8, 12, 20, 30, 60)]
+    smooth += [(f"exp(-{a} x)", lambda x, a=a: np.exp(-a * x), lambda t, a=a: mpmath.exp(-a * t), ()) for a in (2, 8, 25)]
+    smooth += [(f"1 / (1 + {a} x^2)", lambda x, a=a: 1.0 / (1.0 + a * x * x), lambda t, a=a: 1 / (1 + a * t * t), (0.0,))
+               for a in (0.5, 1, 2, 5, 25, 100, 1000)]
+    smooth += [(f"cos({a} x + 1)", lambda x, a=a: np.cos(a * x + 1.0), lambda t, a=a: mpmath.cos(a * t + 1), ())
+               for a in (2, 3, 4, 6, 8, 10, 14, 20, 30)]
+    smooth += [(f"(x + 1)^{k}", lambda x, k=k: (x + 1.0) ** k, lambda t, k=k: (t + 1) ** k, ()) for k in (15, 16, 20, 30, 60, 100)]
+    near = []
+    for a in (1e-6, 1e-3, 1e-2, 0.05, 0.3):
+        near += [
+            (f"sqrt(x + 1 + {a})", lambda x, a=a: np.sqrt(x + 1.0 + a), lambda t, a=a: mpmath.sqrt(t + 1 + a), ()),
+            (f"(x + 1 + {a})^-1/2", lambda x, a=a: (x + 1.0 + a) ** -0.5, lambda t, a=a: (t + 1 + a) ** -0.5, ()),
+            (f"log(x + 1 + {a})", lambda x, a=a: np.log(x + 1.0 + a), lambda t, a=a: mpmath.log(t + 1 + a), ()),
+        ]
+    near += [(f"|x - {a}|", lambda x, a=a: np.abs(x - a), lambda t, a=a: abs(t - a), (a,)) for a in (0.0, 0.1, 0.33, 0.5, 0.9)]
+    near += [(f"tanh({a} (x - 0.2))", lambda x, a=a: np.tanh(a * (x - 0.2)), lambda t, a=a: mpmath.tanh(a * (t - 0.2)), (0.2,))
+             for a in (2, 5, 20, 200)]
+    return smooth + near
+
+
+_BATTERY = _battery()
+
+
+class TestEstimate:
+    """The error estimate of one Fejer panel against mpmath."""
+
+    @pytest.mark.parametrize("name, g, g_mp, kinks", _BATTERY, ids=[b[0] for b in _BATTERY])
+    def test_covers_the_error_of_one_panel(self, name, g, g_mp, kinks):
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(g_mp, [-1, *kinks, 1]))
+        value, estimate = _panels(g, np.array([-1.0]), np.array([1.0]))
+        error = abs(float(value[0]) - ref)
+        if error > 1e-15 * abs(ref):
+            assert estimate[0] >= error
+
+    def test_battery_takes_both_branches_and_rows_do_not_depend_on_their_block(self):
+        # the smooth panels that decay are judged by their coefficients, at
+        # far less than the damped difference would say; the block's bits
+        # are those of each panel alone
+        fx = np.array([g(_XA_HIGH) for _, g, _, _ in _BATTERY])
+        one = np.ones(len(_BATTERY))
+        value, estimate = _rule(fx, one, 2.0 * one)
+        alone = [_rule(row[None, :].copy(), one[:1], 2.0 * one[:1]) for row in fx]
+        assert value.tolist() == [float(v[0]) for v, _ in alone]
+        assert estimate.tolist() == [float(e[0]) for _, e in alone]
+        damped = [_fsum_panel(row, 1.0, 2.0)[1] for row in fx.tolist()]
+        tighter = [e < 1e-3 * d for e, d in zip(estimate.tolist(), damped)]
+        assert 10 <= sum(tighter) < len(_BATTERY)
 
 
 class TestLobattoKronrod:

@@ -13,6 +13,15 @@ help, and those that the option table of ``liouville.cli`` leaves to it.
 Each runs in-process through ``liouville.cli.main``.  Two checkouts
 whose digests ``diff`` equal print the same bytes and exit codes on all
 of them.
+
+``--values`` prints each operation's output itself instead of its
+SHA-1, and ``--compare`` reads two such listings of the same operations
+and lists every output line that differs, field by field, with the
+largest relative change of a number in it:
+
+    python3 tools/output_digest.py OLD --seeds 11 --values > old.txt
+    python3 tools/output_digest.py NEW --seeds 11 --values > new.txt
+    python3 tools/output_digest.py --compare old.txt new.txt
 """
 
 from __future__ import annotations
@@ -23,10 +32,12 @@ import hashlib
 import importlib
 import io
 import json
+import math
+import re
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 # verify --format json and construct --format csv where the outer fill
 # halves many spans, or the table fill halves steep panels; then verify
@@ -92,31 +103,123 @@ def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str
     return out + STEEP + ARGPARSE
 
 
-def digest(main: Callable[[List[str]], int], argv: List[str]) -> str:
-    """The line of one operation: argv, exit code and the SHA-1 of its
-    stdout, a NUL byte and its stderr.  Warnings show as in a fresh
-    process, once per place that raises them.  Help ends in
-    ``SystemExit``, whose code is the line's."""
+def _run(main: Callable[[List[str]], int], argv: List[str]) -> Tuple[object, str, str]:
+    """Exit code, stdout and stderr of one operation.  Warnings show as in
+    a fresh process, once per place that raises them.  Help ends in
+    ``SystemExit``, whose code is the operation's."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
-    text = out.getvalue() + "\0" + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(main: Callable[[List[str]], int], argv: List[str]) -> str:
+    """The line of one operation: argv, exit code and the SHA-1 of its
+    stdout, a NUL byte and its stderr."""
+    code, out, err = _run(main, argv)
+    text = out + "\0" + err
     return f"{' '.join(argv)}\t{code}\t{hashlib.sha1(text.encode()).hexdigest()}"
+
+
+def values(main: Callable[[List[str]], int], argv: List[str]) -> List[str]:
+    """The lines of one operation for ``--values``: ``$ argv`` and its exit
+    code, then each line of its stdout after ``out``, and of its stderr
+    after ``err``, tab-separated."""
+    code, out, err = _run(main, argv)
+    head = [f"$ {' '.join(argv)}\t{code}"]
+    return head + [f"out\t{x}" for x in out.splitlines()] + [f"err\t{x}" for x in err.splitlines()]
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
+_KEY = re.compile(r'\s*"?(\w+)"?\s*[:=]')
+
+
+def _operations(lines: Iterable[str]) -> List[Tuple[str, List[str]]]:
+    # a --values listing as (head, output lines) per operation
+    ops: List[Tuple[str, List[str]]] = []
+    for line in lines:
+        if line.startswith("$ "):
+            ops.append((line[2:], []))
+        elif ops:
+            ops[-1][1].append(line)
+    return ops
+
+
+def _relative(old: str, new: str) -> float:
+    # the largest relative change of a number between two texts,
+    # |new - old| / max(|old|, |new|); inf where the text around the
+    # numbers differs, or a number turns non-finite
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            worst = max(worst, abs(y - x) / max(abs(x), abs(y)) if math.isfinite(x + y) else math.inf)
+    return worst
+
+
+def _changes(old: str, new: str, header: Optional[List[str]]) -> List[Tuple[str, float]]:
+    """The fields of two versions of an output line that differ, each with
+    the largest relative change of a number in it: the columns of a CSV
+    row under ``header``, else the key of a ``key = value`` line or of a
+    JSON member, else the line."""
+    a, b = old.split("\t", 1)[1], new.split("\t", 1)[1]
+    if header and a.count(",") == b.count(",") == len(header) - 1:
+        return [(name, _relative(x, y)) for name, x, y in zip(header, a.split(","), b.split(",")) if x != y]
+    key = _KEY.match(a)
+    return [(key.group(1) if key else "line", _relative(a, b))]
+
+
+def compare(old: List[str], new: List[str]) -> List[str]:
+    """The changes between two ``--values`` listings of the same
+    operations: one line per changed field of an output line (the
+    operation, the stream, the field and the largest relative change of a
+    number in it), then per command, stream and field the count of
+    changes and the largest."""
+    out: List[str] = []
+    summary: Dict[Tuple[str, str, str], List[float]] = {}
+    for (head_a, lines_a), (head_b, lines_b) in zip(_operations(old), _operations(new)):
+        command = head_a.split(" ", 1)[0]
+        if head_a != head_b or len(lines_a) != len(lines_b):
+            out.append(f"{head_a}\t->\t{head_b}\t{len(lines_a)} output lines -> {len(lines_b)}")
+            summary.setdefault((command, "-", "operation"), []).append(math.inf)
+            continue
+        header = None
+        for a, b in zip(lines_a, lines_b):
+            if header is None and a.startswith("out\t") and "," in a and not _NUMBER.search(a):
+                header = a.split("\t", 1)[1].split(",")
+            if a != b:
+                stream = a.split("\t", 1)[0]
+                for field, rel in _changes(a, b, header):
+                    out.append(f"{head_a}\t{stream}\t{field}\t{rel:.3g}")
+                    summary.setdefault((command, stream, field), []).append(rel)
+    out += [f"{c}\t{s}\t{f}\t{len(r)} changes\tlargest {max(r):.3g}" for (c, s, f), r in sorted(summary.items())]
+    return out
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("root", type=Path, help="a source checkout of the package")
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("root", type=Path, nargs="?", help="a source checkout of the package")
+    ap.add_argument("--seeds", type=int, nargs="+")
+    ap.add_argument("--values", action="store_true", help="print each operation's output, not its SHA-1")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"), help="compare two --values listings")
     args = ap.parse_args(argv)
+    if args.compare:
+        if args.root or args.seeds or args.values:
+            ap.error("--compare takes no checkout, seeds or --values")
+        old, new = (path.read_text().splitlines() for path in args.compare)
+        print("\n".join(compare(old, new)))
+        return 0
+    if args.root is None or not args.seeds:
+        ap.error("a checkout and --seeds are required")
     root = args.root.resolve()
     cli, workloads = load(root)
     seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
     for ops in operations(workloads, args.seeds, seconds):
-        print(digest(cli.main, ops))
+        print("\n".join(values(cli.main, ops)) if args.values else digest(cli.main, ops))
     return 0
 
 

@@ -23,11 +23,14 @@ Expression grammar (whitespace is insignificant)::
 
 f is evaluated in signed logs: (sign, log-magnitude) pairs from ln z,
 which keep deep power/log compositions meaningful far below the double
-underflow threshold, where the classifier probes shells.  The array
-form is one pass over the tree; the points the scalar rules reject (or
-where a pair overflows) are redone by the scalar form, so it raises what
-the scalar form raises.  ln z = -inf is z = 0.  A call f(z) is exp of
-the pair, exact to about |ln f(z)| ulps: ``Power(2.0)(3.0)`` is
+underflow threshold, where the classifier probes shells.  An expression
+takes one pass over its tree on a whole array, which gives each point
+its pair or its first error in tree order; ln z = -inf is z = 0.  Calls,
+:meth:`Nonlinearity.values` and the log evaluator of the shells and
+fills raise by one rule: the first point in order that fails a check
+raises, with the first check of a call that fails there (the argument,
+f's own rules, f >= 0, the double range).  A call f(z) is exp of the
+pair, exact to about |ln f(z)| ulps: ``Power(2.0)(3.0)`` is
 9.000000000000002.
 """
 
@@ -297,6 +300,10 @@ def to_source(node: ExprNode) -> str:
 # signed-log evaluation
 
 _Signed = Tuple[int, float]  # sign in {-1, 0, 1}; value = sign * exp(mag)
+# a check that fails at some points: where (a mask, or one bool for all of
+# them), the error's class and its message, or a function of a point's
+# flat index that builds it
+_Check = Tuple[np.ndarray, type, object]
 
 
 def _signed_of(x: float) -> _Signed:
@@ -312,99 +319,34 @@ def _literal(node: ExprNode) -> Optional[float]:
     return node.value if isinstance(node, Num) else None
 
 
-def _signed_add(s1: int, m1: float, s2: int, m2: float) -> _Signed:
-    if s1 == 0:
-        return (s2, m2)
-    if s2 == 0:
-        return (s1, m1)
-    if m1 == m2 and s1 != s2:
-        return (0, _NEG_INF)
-    if m1 >= m2:
-        bs, bm, sm = s1, m1, m2
-    else:
-        bs, bm, sm = s2, m2, m1
-    d = sm - bm  # <= 0
-    if s1 == s2:
-        return (s1, bm + math.log1p(math.exp(d)))
-    return (bs, bm + math.log(-math.expm1(d)))
+def _point(x, i: int) -> float:
+    # element i of x flattened, or x where it is one number; x may be a
+    # function that builds it
+    x = np.ravel(x() if callable(x) else x)
+    return float(x[i] if x.size > 1 else x[0])
 
 
-def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
-    """Evaluate at z = exp(ln_z), returning (sign, log of magnitude).
+def _fail(checks: List[_Check], where, error: type, message) -> None:
+    # record a check where it fails at some point
+    if where.any():
+        checks.append((where, error, message))
 
-    The pair ``(0, -inf)`` denotes an exact zero, and ``ln_z = -inf``
-    is z = 0.  Magnitudes are unrestricted; only converting back to a
-    double can overflow.
-    """
-    if isinstance(node, Num):
-        return _signed_of(node.value)
-    if isinstance(node, Var):
-        return (1, ln_z) if ln_z > _NEG_INF else (0, _NEG_INF)
-    if isinstance(node, Euler):
-        return (1, 1.0)
-    if isinstance(node, Neg):
-        s, m = signed_log_eval(node.arg, ln_z)
-        return (-s, m)
-    if isinstance(node, Call):
-        s, m = signed_log_eval(node.arg, ln_z)
-        if node.fn == "log":
-            if s <= 0:
-                raise DomainError("log of a non-positive value")
-            # the argument's log-magnitude is the value of log itself
-            return _signed_of(m)
-        # exp: the new log-magnitude is the argument's value
-        if s == 0:
-            return (1, 0.0)
-        try:
-            x = s * math.exp(m)
-        except OverflowError:
-            if s > 0:
-                raise EvalOverflow("exp argument too large") from None
-            return (1, _NEG_INF)
-        return (1, x)
-    if isinstance(node, Bin):
-        op = node.op
-        if op == "^":
-            s, m = signed_log_eval(node.left, ln_z)
-            es, em = signed_log_eval(node.right, ln_z)
-            e = _literal(node.right)
-            if e is None:
-                if em > _LOG_MAX:
-                    raise EvalOverflow(f"value of magnitude exp({em:.6g}) exceeds double range")
-                e = es * math.exp(em)
-            if s == 0:
-                if e > 0:
-                    return (0, _NEG_INF)
-                if e == 0:
-                    return (1, 0.0)
-                raise DomainError("zero raised to a negative power")
-            if s < 0:
-                if e != math.floor(e):
-                    raise DomainError("negative base with fractional power")
-                sign = 1 if int(e) % 2 == 0 else -1
-            else:
-                sign = 1
-            mag = m * e
-            if math.isnan(mag):  # 0 * inf: base magnitude 1 or exponent 0
-                mag = 0.0
-            return (sign, mag)
-        s1, m1 = signed_log_eval(node.left, ln_z)
-        s2, m2 = signed_log_eval(node.right, ln_z)
-        if op == "+":
-            return _signed_add(s1, m1, s2, m2)
-        if op == "-":
-            return _signed_add(s1, m1, -s2, m2)
-        if op == "*":
-            if s1 == 0 or s2 == 0:
-                return (0, _NEG_INF)
-            return (s1 * s2, m1 + m2)
-        # division
-        if s2 == 0:
-            raise DomainError("division by zero")
-        if s1 == 0:
-            return (0, _NEG_INF)
-        return (s1 * s2, m1 - m2)
-    raise TypeError(f"not an expression node: {node!r}")
+
+def _first_failure(checks: List[_Check], shape) -> Optional[Tuple[int, EvaluationError]]:
+    # the flat index of the first point of the given shape where a check
+    # fails, and the error of the first check that fails there; None if none
+    fails = [np.broadcast_to(where, shape).ravel() for where, _, _ in checks]
+    first = np.flatnonzero(np.logical_or.reduce(fails))
+    if not first.size:
+        return None
+    i = int(first[0])
+    _, error, message = next(check for fail, check in zip(fails, checks) if fail[i])
+    return i, error(message(i) if callable(message) else message)
+
+
+def _raise_first(checks: List[_Check], shape) -> None:
+    if checks and (failure := _first_failure(checks, shape)):
+        raise failure[1]
 
 
 def _positive(s) -> bool:
@@ -412,108 +354,136 @@ def _positive(s) -> bool:
     return not isinstance(s, np.ndarray) and s > 0
 
 
-def _signed_log_array(node: ExprNode, ln_z: np.ndarray, bad: np.ndarray):
-    """Array form of :func:`signed_log_eval`, one pass over the tree.
+def _signed_log_array(node: ExprNode, ln_z: np.ndarray, z_sign, checks: List[_Check]):
+    """Sign and log-magnitude of the tree at z = exp(ln_z), elementwise, in
+    one pass over the tree; ``z_sign`` is 0 where ln z = -inf (z = 0) and
+    1 elsewhere.
 
-    Sets ``bad`` wherever a scalar rule raises or a pair is neither an
-    exact zero ``(0, -inf)`` nor a nonzero sign with a finite magnitude
-    (an overflow); elsewhere the scalar rules reduce to the arithmetic
-    below.  Constant subtrees stay numpy scalars, and so does a sign that
-    is 1 at every point: a log of values above 1, and a power with a
-    literal exponent or a sum of such positive operands, which then skip
-    the sign bookkeeping.
+    Each point gets its value by the rules of a call: ``(0, -inf)`` is an
+    exact zero, also from equal magnitudes of opposite sign, a power with
+    exponent 0 is 1 (0 * inf read as 0), and exp of a negative value past
+    the double range is ``(1, -inf)``.  Or it gets its first error in tree
+    order: the nodes that can fail append their checks to ``checks`` as
+    they go, the log, exp, ^ and / rules, and * and / where the magnitude
+    inf - inf is undetermined, an overflow.  Constant subtrees stay numpy
+    scalars, and so does a sign that is 1 at every point: a log of values
+    above 1, and a power with a literal exponent or a sum of such positive
+    operands, which then skip the sign bookkeeping.
     """
     if isinstance(node, Num):
         s, m = _signed_of(node.value)
         return np.float64(s), np.float64(m)
     if isinstance(node, Var):
-        return np.float64(1.0), ln_z
+        return z_sign, ln_z
     if isinstance(node, Euler):
         return np.float64(1.0), np.float64(1.0)
     if isinstance(node, Neg):
-        s, m = _signed_log_array(node.arg, ln_z, bad)
+        s, m = _signed_log_array(node.arg, ln_z, z_sign, checks)
         return -s, m
     if isinstance(node, Call):
-        s, m = _signed_log_array(node.arg, ln_z, bad)
-        if node.fn == "log":
-            if not _positive(s):
-                bad |= s <= 0
+        s, m = _signed_log_array(node.arg, ln_z, z_sign, checks)
+        if node.fn == "log":  # the argument's log-magnitude is the value of log itself
+            _fail(checks, s <= 0, DomainError, "log of a non-positive value")
             if (m > 0.0).all():
-                s, m = np.float64(1.0), np.log(m)
-            else:
-                s, m = np.sign(m), np.log(np.abs(m))
-        else:
-            s, m = np.float64(1.0), s * np.exp(m)
-    elif isinstance(node, Bin):
-        s1, m1 = _signed_log_array(node.left, ln_z, bad)
-        s2, m2 = _signed_log_array(node.right, ln_z, bad)
-        op = node.op
-        if op == "^":
-            e = _literal(node.right)
-            if e is not None and _positive(s1):
-                s, m = s1, m1 * e
-            else:
-                e = s2 * np.exp(m2) if e is None else e
-                zero = s1 == 0
-                bad |= (m2 > _LOG_MAX) | (zero & (e < 0)) | ((s1 < 0) & (e != np.floor(e)))
-                odd = (s1 < 0) & (np.fmod(e, 2.0) != 0.0)
-                s = np.where(zero & (e > 0), 0.0, np.where(odd, -1.0, 1.0))
-                m = np.where(zero, np.where(e > 0, _NEG_INF, 0.0), m1 * e)
-        elif op == "+" and _positive(s1) and _positive(s2):  # as _signed_add
-            bm = np.maximum(m1, m2)
-            s, m = s1, bm + np.log1p(np.exp(np.minimum(m1, m2) - bm))
-        elif op in "+-":  # as _signed_add
-            s2 = s2 if op == "+" else -s2
-            bm = np.maximum(m1, m2)
-            d = np.minimum(m1, m2) - bm  # <= 0
-            s = np.where((s1 == s2) | (m1 != m2), np.where(m1 >= m2, s1, s2), 0.0)
-            m = bm + np.where(s1 == s2, np.log1p(np.exp(d)), np.log(-np.expm1(d)))
-            s = np.where(s1 == 0, s2, np.where(s2 == 0, s1, s))
-            m = np.where(s1 == 0, m2, np.where(s2 == 0, m1, m))
-        else:  # a zero divisor leaves (0, +inf) or (0, NaN), marked below
-            s, m = s1 * s2, (m1 + m2 if op == "*" else m1 - m2)
-    else:
+                return np.float64(1.0), np.log(m)
+            return np.sign(m), np.log(np.abs(m))
+        # exp: the new log-magnitude is the argument's value, which fails
+        # only where the argument is finite and exp of it is not
+        x = s * np.exp(m)
+        _fail(checks, (x == np.inf) & (m < np.inf), EvalOverflow, "exp argument too large")
+        return np.float64(1.0), x
+    if not isinstance(node, Bin):
         raise TypeError(f"not an expression node: {node!r}")
-    bad |= ~np.isfinite(m) if _positive(s) else ~np.where(s == 0, m == _NEG_INF, np.isfinite(m))
+    s1, m1 = _signed_log_array(node.left, ln_z, z_sign, checks)
+    s2, m2 = _signed_log_array(node.right, ln_z, z_sign, checks)
+    op = node.op
+    if op == "^":
+        e = _literal(node.right)
+        if e is None:
+            big = lambda i: f"value of magnitude exp({_point(m2, i):.6g}) exceeds double range"  # noqa: E731
+            _fail(checks, m2 > _LOG_MAX, EvalOverflow, big)
+            e = s2 * np.exp(m2)
+        elif _positive(s1):
+            return s1, (m1 * e if e else np.zeros_like(m1))
+        zero = s1 == 0
+        _fail(checks, zero & (e < 0), DomainError, "zero raised to a negative power")
+        _fail(checks, (s1 < 0) & (e != np.floor(e)), DomainError, "negative base with fractional power")
+        odd = (s1 < 0) & (np.fmod(e, 2.0) != 0.0)
+        s = np.where(zero & (e > 0), 0.0, np.where(odd, -1.0, 1.0))
+        return s, np.where(e == 0, 0.0, np.where(zero, _NEG_INF, m1 * e))
+    # a sum adds the smaller magnitude to the larger, bm, in logs; fmax
+    # keeps bm where the two are the same infinity, whose difference is NaN
+    if op == "+" and _positive(s1) and _positive(s2):
+        bm = np.maximum(m1, m2)
+        return s1, np.fmax(bm + np.log1p(np.exp(np.minimum(m1, m2) - bm)), bm)
+    if op in "+-":
+        s2 = s2 if op == "+" else -s2
+        same, bm = s1 == s2, np.maximum(m1, m2)
+        d = np.minimum(m1, m2) - bm  # <= 0
+        s = np.where(same | (m1 != m2), np.where(m1 >= m2, s1, s2), 0.0)
+        s = np.where(s1 == 0, s2, np.where(s2 == 0, s1, s))
+        m = np.where(same, np.fmax(bm + np.log1p(np.exp(d)), bm), bm + np.log(-np.expm1(d)))
+        return s, np.where(s == 0, _NEG_INF, np.where(s1 == 0, m2, np.where(s2 == 0, m1, m)))
+    if op == "/":
+        _fail(checks, s2 == 0, DomainError, "division by zero")
+    s, m = s1 * s2, (m1 + m2 if op == "*" else m1 - m2)
+    undetermined = np.isnan(m)
+    if undetermined.any():  # a zero operand makes 0; else inf - inf is an overflow
+        _fail(checks, undetermined & (s != 0), EvalOverflow, "value of magnitude exp(nan) exceeds double range")
+        m = np.where(s == 0, _NEG_INF, m)
     return s, m
+
+
+def signed_log_eval(node: ExprNode, ln_z: float) -> _Signed:
+    """(sign, log of magnitude) of the tree at z = exp(ln_z): the array pass
+    at one point, raising its error."""
+    sign, mag = Expression(node).log_value(np.array([ln_z]))
+    return int(sign[0]), float(mag[0])
 
 
 # ---------------------------------------------------------------------------
 # nonlinearity families
 
 
+def _overflow(checks: List[_Check], x: np.ndarray, what: str, at) -> None:
+    # the check that exp(x) is in the double range; at is where x was taken,
+    # or a function that builds it for the message
+    _fail(checks, x > _LOG_MAX, EvalOverflow, lambda i: f"{what} exceeds double range at {_point(at, i)!r}")
+
+
 def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
-    # exp of a log-domain array, refusing what would overflow a double; at
-    # is where x was taken, or a function that builds it for the message
-    if (x > _LOG_MAX).any():
-        i = np.flatnonzero(x > _LOG_MAX)[0]
-        at = at() if callable(at) else at
-        raise EvalOverflow(f"{what} exceeds double range at {float(at.flat[i])!r}")
+    # exp of a log-domain array, refusing what would overflow a double (at
+    # as in _overflow)
+    checks: List[_Check] = []
+    _overflow(checks, x, what, at)
+    _raise_first(checks, np.shape(x))
     return np.exp(x)
 
 
-def _ln_f(f: "Nonlinearity", ln_z: np.ndarray, at) -> np.ndarray:
-    # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes;
-    # the first point where f is negative raises (at as in _exp_checked)
+def _ln_f(f: "Nonlinearity", ln_z: np.ndarray, at, checks: Optional[List[_Check]] = None) -> np.ndarray:
+    # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes
+    # (at as in _overflow).  f's checks at each point, then f >= 0, are
+    # appended to checks; without checks, the first point that fails raises
+    own = [] if checks is None else checks
     with np.errstate(all="ignore"):
-        sign, ln_f = f._log_value(np.asarray(ln_z, dtype=float))
-    if _positive(sign):
-        return ln_f
-    neg = np.flatnonzero(sign < 0)
-    if neg.size:
-        at = at() if callable(at) else at
-        raise DomainError(f"f is negative at z={float(at.flat[neg[0]])!r}; right-hand sides must be >= 0")
-    return np.where(sign > 0, ln_f, _NEG_INF)
+        sign, ln_f = f._log_value(np.asarray(ln_z, dtype=float), own)
+    if not _positive(sign):
+        negative = lambda i: f"f is negative at z={_point(at, i)!r}; right-hand sides must be >= 0"  # noqa: E731
+        _fail(own, sign < 0, DomainError, negative)
+    if checks is None:
+        _raise_first(own, np.shape(ln_z))
+    return ln_f
 
 
 class Nonlinearity:
     """A function on [0, inf) with checked evaluation.
 
-    A family supplies ``_log_value``, :meth:`log_value` except that a
-    sign equal at every point may be a numpy scalar.  Calls and
-    :meth:`values` are exp of it; an argument below 0, a negative value
-    or one past the double range raises a package error instead of
-    letting NaN or inf leak into quadrature.
+    A family supplies ``_log_value(ln_z, checks)``, :meth:`log_value`
+    except that a sign equal at every point may be a numpy scalar and that
+    the points where its rules fail are appended to ``checks`` in the
+    order a call checks them.  Calls and :meth:`values` are exp of it; an
+    argument below 0, a negative value or one past the double range raises
+    a package error instead of letting NaN or inf leak into quadrature.
     """
 
     __slots__ = ()
@@ -526,33 +496,32 @@ class Nonlinearity:
     def values(self, z: np.ndarray) -> np.ndarray:
         """Array form of calling f: elementwise values of f at ``z``.
 
-        Applies the checks of a call to every element and raises what
-        the first failing call raises.
+        The first point, in order, where a check fails raises, with the
+        error of the first check that fails there in a call's order: the
+        argument, f's own rules, f >= 0, the double range.
         """
         z = np.asarray(z, dtype=float)
-        try:
-            bad = np.flatnonzero(np.isnan(z) | (z < 0.0))
-            if bad.size:
-                raise DomainError(f"argument must be >= 0, got {float(z.flat[bad[0]])!r}")
-            with np.errstate(divide="ignore"):
-                ln_z = np.log(z)
-            ln_f = _ln_f(self, ln_z, z)
-        except EvaluationError:
-            if z.size > 1:  # an earlier point may fail another check: take the calls' order
-                for x in z.flat:
-                    self(float(x))
-            raise
-        return _exp_checked(ln_f, "f", z)
+        checks: List[_Check] = []
+        _fail(checks, np.isnan(z) | (z < 0.0), DomainError, lambda i: f"argument must be >= 0, got {_point(z, i)!r}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_z = np.log(z)
+        ln_f = _ln_f(self, ln_z, z, checks)
+        _overflow(checks, ln_f, "f", z)
+        _raise_first(checks, z.shape)
+        return np.exp(ln_f)
 
     def log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Sign (-1, 0 or 1) and log|f| at z = exp(ln_z), elementwise.
 
         ``ln_z`` is finite, or -inf for z = 0; both arrays have its
         shape.  log|f| is -inf where f vanishes and stays exact far below
-        the double underflow threshold of f itself.
+        the double underflow threshold of f itself.  The first point where
+        f's rules fail raises.
         """
+        checks: List[_Check] = []
         with np.errstate(all="ignore"):
-            sign, mag = self._log_value(np.asarray(ln_z, dtype=float))
+            sign, mag = self._log_value(np.asarray(ln_z, dtype=float), checks)
+        _raise_first(checks, mag.shape)
         return (np.full(mag.shape, sign) if np.ndim(sign) == 0 else sign), mag
 
 
@@ -567,11 +536,11 @@ class Power(Nonlinearity, Record):
         if not math.isfinite(self.exponent):
             raise ValueError(f"exponent must be finite, got {self.exponent!r}")
 
-    def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _log_value(self, ln_z: np.ndarray, checks: List[_Check]) -> Tuple[np.ndarray, np.ndarray]:
         mag = self.exponent * ln_z
         if self.exponent <= 0.0 and (ln_z == _NEG_INF).any():  # 0**exponent
             if self.exponent < 0.0:
-                raise DomainError(f"0 cannot be raised to the power {self.exponent!r}")
+                _fail(checks, ln_z == _NEG_INF, DomainError, f"0 cannot be raised to the power {self.exponent!r}")
             mag = np.where(ln_z == _NEG_INF, 0.0, mag)
         return np.float64(1.0), mag
 
@@ -596,7 +565,7 @@ class PowerLog(Nonlinearity, Record):
         if not math.isfinite(self.power):
             raise ValueError(f"power must be finite, got {self.power!r}")
 
-    def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _log_value(self, ln_z: np.ndarray, checks: List[_Check]) -> Tuple[np.ndarray, np.ndarray]:
         log_factor = np.log1p(math.e * np.exp(ln_z)) - ln_z
         mag = self.power * ln_z + self.mu * np.log(log_factor)
         return np.float64(1.0), np.where(ln_z > _NEG_INF, mag, _NEG_INF)  # f(0) = 0
@@ -614,17 +583,12 @@ class Expression(Nonlinearity, Record):
     def __repr__(self) -> str:  # the tree form is unreadable in test output
         return f"Expression({self.source!r})"
 
-    def _log_value(self, ln_z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # z = 0 is redone by the scalar rules, as is every point the pass marks
-        bad = np.asarray(ln_z == _NEG_INF)
-        s, m = _signed_log_array(self.root, ln_z, bad)
+    def _log_value(self, ln_z: np.ndarray, checks: List[_Check]) -> Tuple[np.ndarray, np.ndarray]:
+        zero = ln_z == _NEG_INF
+        z_sign = np.where(zero, 0.0, 1.0) if zero.any() else np.float64(1.0)
+        s, m = _signed_log_array(self.root, ln_z, z_sign, checks)
         if np.ndim(m) == 0 or m is ln_z:  # a constant, or z itself
             m = np.full(ln_z.shape, m)
-        redo = np.flatnonzero(bad)
-        if redo.size:
-            s = np.full(ln_z.shape, s) if np.ndim(s) == 0 else s
-            for i in redo:  # in order: the first point the scalar rules reject raises
-                s.flat[i], m.flat[i] = signed_log_eval(self.root, float(ln_z.flat[i]))
         return s, m
 
 
@@ -676,35 +640,24 @@ def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
     The grid covers twelve decades below eps.  A decrease smaller than
     ``_MONOTONE_SLACK`` relative to the local magnitude is tolerated so
     that constant functions pass despite rounding.  The outcome, values
-    reported and errors raised are those of a loop of calls.  One pass
-    compares the samples' logs up to the first sample past the double
-    range, whose call then raises; if the pass raises, the loop of calls
-    runs, so a decrease before the failing sample is still reported.
+    reported and errors raised are those of a loop of calls: one pass
+    compares the samples' logs before the first sample where a call
+    fails, then raises that sample's error.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     grid = eps * _MONOTONE_GRID
-    try:
-        mag = _ln_f(f, np.log(grid), grid)
-    except EvaluationError:
-        zs = grid.tolist()
-        lo = f(zs[0])
-        for i in range(1, _MONOTONE_SAMPLES):
-            hi = f(zs[i])
-            if hi < lo - _MONOTONE_SLACK * max(abs(lo), abs(hi), 1.0):
-                return MonotonicityReport(False, zs[i - 1], zs[i], lo, hi)
-            lo = hi
-        raise
-    end = _MONOTONE_SAMPLES
-    if mag.max() > _LOG_MAX:
-        end = int(np.argmax(mag > _LOG_MAX))
-        mag = mag[:end]
+    checks: List[_Check] = []
+    mag = _ln_f(f, np.log(grid), grid, checks)
+    _overflow(checks, mag, "f", grid)
+    end, error = (checks and _first_failure(checks, grid.shape)) or (_MONOTONE_SAMPLES, None)
+    mag = mag[:end]
     if (mag[1:] < mag[:-1]).any():
         falls = _log_decreases(mag)
         if falls.size:
             i = int(falls[0])
             lo, hi = np.exp(mag[i - 1 : i + 1]).tolist()
             return MonotonicityReport(False, float(grid[i - 1]), float(grid[i]), lo, hi)
-    if end < _MONOTONE_SAMPLES:
-        f(float(grid[end]))  # raises
+    if error is not None:
+        raise error
     return MonotonicityReport(True)

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from liouville import Power, PowerLog, RadialProfile, StructureParams
+from liouville import DomainError, EvalOverflow, Power, PowerLog, RadialProfile, StructureParams
 from liouville import construct, criterion, nonlinearity, quadrature, verify
+from liouville.nonlinearity import Bin, Call, Euler, Neg, Num, Var
 
 _ACCEPTANCE_LINES = []
 
@@ -236,3 +237,126 @@ def critical_log_criterion(mu: float) -> float:
         top = mpmath.mpf(2000)
         head = mpmath.quad(lambda v: mpmath.log(mpmath.e + mpmath.exp(v)) ** mu, [0, 1, 10, 100, 1000, top])
         return float(head + top ** (mu + 1) / (-mu - 1))
+
+
+# ---------------------------------------------------------------------------
+# the scalar signed-log rules, point by point: the reference for the array
+# pass over an expression tree
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _signed_of(x):
+    if x == 0.0:
+        return (0, -math.inf)
+    return ((1 if x > 0 else -1), math.log(abs(x)))
+
+
+def _literal(node):
+    # a (negated) number, exact: from its signed log, exp(log(3.0)) != 3.0
+    if isinstance(node, Neg):
+        return None if (x := _literal(node.arg)) is None else -x
+    return node.value if isinstance(node, Num) else None
+
+
+def _signed_add(s1, m1, s2, m2):
+    if s1 == 0:
+        return (s2, m2)
+    if s2 == 0:
+        return (s1, m1)
+    if m1 == m2 and s1 != s2:
+        return (0, -math.inf)
+    if m1 >= m2:
+        bs, bm, sm = s1, m1, m2
+    else:
+        bs, bm, sm = s2, m2, m1
+    d = sm - bm if sm != bm else 0.0  # <= 0; two equal infinite magnitudes add to bm
+    if s1 == s2:
+        return (s1, bm + math.log1p(math.exp(d)))
+    return (bs, bm + math.log(-math.expm1(d)))
+
+
+def _determined(s, m):
+    # a product or quotient of magnitudes inf and -inf has none: an overflow
+    if math.isnan(m):
+        raise EvalOverflow("value of magnitude exp(nan) exceeds double range")
+    return (s, m)
+
+
+def signed_log_oracle(node, ln_z):
+    """(sign, log of magnitude) of an expression tree at z = exp(ln_z), by
+    the scalar rules, or the error of the first rule that fails.
+
+    The pair ``(0, -inf)`` denotes an exact zero, and ``ln_z = -inf``
+    is z = 0.  Magnitudes are unrestricted; only converting back to a
+    double can overflow.
+    """
+    if isinstance(node, Num):
+        return _signed_of(node.value)
+    if isinstance(node, Var):
+        return (1, ln_z) if ln_z > -math.inf else (0, -math.inf)
+    if isinstance(node, Euler):
+        return (1, 1.0)
+    if isinstance(node, Neg):
+        s, m = signed_log_oracle(node.arg, ln_z)
+        return (-s, m)
+    if isinstance(node, Call):
+        s, m = signed_log_oracle(node.arg, ln_z)
+        if node.fn == "log":
+            if s <= 0:
+                raise DomainError("log of a non-positive value")
+            # the argument's log-magnitude is the value of log itself
+            return _signed_of(m)
+        # exp: the new log-magnitude is the argument's value
+        if s == 0:
+            return (1, 0.0)
+        try:
+            x = s * math.exp(m)
+        except OverflowError:
+            if s > 0:
+                raise EvalOverflow("exp argument too large") from None
+            return (1, -math.inf)
+        return (1, x)
+    if isinstance(node, Bin):
+        op = node.op
+        if op == "^":
+            s, m = signed_log_oracle(node.left, ln_z)
+            es, em = signed_log_oracle(node.right, ln_z)
+            e = _literal(node.right)
+            if e is None:
+                if em > _LOG_MAX:
+                    raise EvalOverflow(f"value of magnitude exp({em:.6g}) exceeds double range")
+                e = es * math.exp(em)
+            if s == 0:
+                if e > 0:
+                    return (0, -math.inf)
+                if e == 0:
+                    return (1, 0.0)
+                raise DomainError("zero raised to a negative power")
+            if s < 0:
+                if e != math.floor(e):
+                    raise DomainError("negative base with fractional power")
+                sign = 1 if int(e) % 2 == 0 else -1
+            else:
+                sign = 1
+            mag = m * e
+            if math.isnan(mag):  # 0 * inf: base magnitude 1 or exponent 0
+                mag = 0.0
+            return (sign, mag)
+        s1, m1 = signed_log_oracle(node.left, ln_z)
+        s2, m2 = signed_log_oracle(node.right, ln_z)
+        if op == "+":
+            return _signed_add(s1, m1, s2, m2)
+        if op == "-":
+            return _signed_add(s1, m1, -s2, m2)
+        if op == "*":
+            if s1 == 0 or s2 == 0:
+                return (0, -math.inf)
+            return _determined(s1 * s2, m1 + m2)
+        # division
+        if s2 == 0:
+            raise DomainError("division by zero")
+        if s1 == 0:
+            return (0, -math.inf)
+        return _determined(s1 * s2, m1 - m2)
+    raise TypeError(f"not an expression node: {node!r}")

@@ -131,6 +131,14 @@ class TestErrorExits:
         )
         assert code == EXIT_CONFIG
 
+    def test_sum_of_overflowing_powers_fails_as_one_does(self, capsys):
+        # z^1e308 + z^1e308 adds two infinite log-magnitudes past z = 1: an
+        # overflow there, the monotonicity gate's error for z^1e308 alone
+        base = ["classify", "--n", "3", "--p", "2", "--eps", "10", "--expr"]
+        want = (EXIT_CONFIG, "", "error: f exceeds double range at 1.027459485446179\n")
+        assert run(capsys, base + ["z^1e308"]) == want
+        assert run(capsys, base + ["z^1e308+z^1e308"]) == want
+
     # each ran until killed before it was refused: a nan start never
     # passes the stop, and the other two ranges have astronomically many rows
     @pytest.mark.parametrize(

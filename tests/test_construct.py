@@ -418,8 +418,8 @@ class _Spoiled(Power):
     bad: float = math.nan
     cut: float = -10.0
 
-    def _log_value(self, ln_z):
-        sign, ln_f = super()._log_value(ln_z)
+    def _log_value(self, ln_z, checks):
+        sign, ln_f = super()._log_value(ln_z, checks)
         return sign, np.where(ln_z < self.cut, self.bad, ln_f)
 
 

@@ -46,9 +46,8 @@ import liouville.criterion as criterion_module
 import liouville.nonlinearity as nonlinearity_module
 import liouville.quadrature as quadrature_module
 from liouville.criterion import _GAMMA_ERROR, _LN2, _SHELL_COUNT, _classify_numeric, _decide, _integral_below, _log_shells
-from liouville.nonlinearity import signed_log_eval
 
-from conftest import critical_log_criterion, quad_ref
+from conftest import critical_log_criterion, quad_ref, signed_log_oracle
 
 K_MU_M2 = 1.189883970344349580
 K_MU_M3 = 0.556776080278639509
@@ -373,7 +372,7 @@ def _closure_integrand(f, params):
         return g_powerlog
 
     def g_expr(z):
-        sign, mag = signed_log_eval(f.root, math.log(z))
+        sign, mag = signed_log_oracle(f.root, math.log(z))
         return 0.0 if sign == 0 else math.exp(mag - s * math.log(z))
 
     return g_expr

@@ -23,6 +23,7 @@ from liouville.nonlinearity import (
     _LOG_MAX,
     _MONOTONE_GRID,
     _MONOTONE_SLACK,
+    _ln_f,
     _log_decreases,
     MonotonicityReport,
     Bin,
@@ -35,6 +36,8 @@ from liouville.nonlinearity import (
     signed_log_eval,
     to_source,
 )
+
+from conftest import signed_log_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +352,8 @@ def test_array_values_match_calls(f, z_min):
         (parse_nonlinearity("log(z)"), 0.0, DomainError),
         # negative at 1, before the log of the last point fails
         (parse_nonlinearity("z - 2 + 0*log(z - 0.5)"), 1.0, DomainError),
+        # past the double range at 1e10, before the log of the last point fails
+        (parse_nonlinearity("z^400 + 0*log(z - 0.5)"), 1e10, EvalOverflow),
     ],
     ids=repr,
 )
@@ -360,6 +365,56 @@ def test_array_values_raise_like_calls(f, z, error):
     with pytest.raises(error) as by_array:
         f.values(np.array(zs))
     assert str(by_array.value) == str(by_call.value)
+
+
+@pytest.mark.parametrize(
+    "zs, message",
+    [
+        ([1.0, 0.25], "f is negative at z=1.0; right-hand sides must be >= 0"),
+        ([0.25, 1.0], "log of a non-positive value"),
+    ],
+)
+def test_first_failing_point_raises_in_values_and_ln_f(zs, message):
+    # one rule for values and for the log evaluator of the shells and fills:
+    # the first point in order raises, with the first of its own checks
+    f, z = parse_nonlinearity("log(z - 0.5)"), np.array(zs)
+    with pytest.raises(DomainError) as by_values:
+        f.values(z)
+    with pytest.raises(DomainError) as by_ln_f:
+        _ln_f(f, np.log(z), z)
+    assert str(by_values.value) == str(by_ln_f.value) == message
+
+
+def test_equal_infinite_magnitudes_add_to_that_infinity():
+    # z^1e308 is (1, -inf) below z = 1 and (1, inf) above it, and so is the
+    # sum of two, never NaN: calls, values and the gate fail as for z^1e308
+    f, g = parse_nonlinearity("z^1e308+z^1e308"), parse_nonlinearity("z^1e308")
+    assert f.values(np.array([1e-11, 0.5, 1.0])).tolist() == [0.0, 0.0, 2.0]
+    assert signed_log_oracle(f.root, math.log(1e-11)) == (1, -math.inf)
+    assert signed_log_oracle(f.root, math.log(7.5)) == (1, math.inf)
+    with pytest.raises(EvalOverflow, match=r"^f exceeds double range at 7\.5$"):
+        f(7.5)
+    with pytest.raises(EvalOverflow, match=r"^f exceeds double range at 7\.5$"):
+        f.values(np.array([1.0, 7.5]))
+    with pytest.raises(EvalOverflow) as by_sum:
+        check_monotone(f, 10.0)
+    with pytest.raises(EvalOverflow) as by_power:
+        check_monotone(g, 10.0)
+    assert str(by_sum.value) == str(by_power.value) == "f exceeds double range at 1.027459485446179"
+
+
+@pytest.mark.parametrize("text", ["z^1e308*z^-1e308", "z^1e308/z^1e308"])
+def test_undetermined_magnitude_is_an_overflow(text):
+    # a product or quotient of magnitudes inf and -inf, NaN in logs, is an
+    # overflow at its point, by the array pass and the scalar rules alike;
+    # a zero operand still makes 0
+    f, message = parse_nonlinearity(text), r"^value of magnitude exp\(nan\) exceeds double range$"
+    assert f.values(np.array([1.0])).tolist() == [1.0]
+    with pytest.raises(EvalOverflow, match=message):
+        f.values(np.array([1.0, 7.5]))
+    with pytest.raises(EvalOverflow, match=message):
+        signed_log_oracle(f.root, math.log(7.5))
+    assert parse_nonlinearity("0*z^1e308").values(np.array([7.5])).tolist() == [0.0]
 
 
 # A call is values on one element, so calls and values agree exactly.
@@ -478,30 +533,30 @@ def test_log_value_raises_like_signed_log_eval(text, ln_z, error):
     lns = [-1.0, ln_z, 2.0]
     with pytest.raises(error) as by_scalar:
         for x in lns:
-            signed_log_eval(root, x)
+            signed_log_oracle(root, x)
     with pytest.raises(error) as by_array:
         Expression(root).log_value(np.array(lns))
     assert str(by_array.value) == str(by_scalar.value)
 
 
 def test_log_value_redoes_negative_overflow_of_exp():
-    # exp of a huge negative value is the pair (1, -inf) in the scalar
-    # evaluator; the array form marks it and takes the scalar result
+    # exp of a huge negative value is the pair (1, -inf) by the scalar
+    # rules, and so in the array pass, where it adds nothing to z
     root = parse_expression("exp(-exp(z)) + z")
     sign, mag = Expression(root).log_value(np.array([7.0, 0.0]))
-    assert signed_log_eval(root, 7.0) == (1, 7.0)
+    assert signed_log_oracle(root, 7.0) == (1, 7.0)
     assert sign.tolist() == [1.0, 1.0]
-    assert mag.tolist() == pytest.approx([7.0, signed_log_eval(root, 0.0)[1]], rel=1e-15)
+    assert mag.tolist() == pytest.approx([7.0, signed_log_oracle(root, 0.0)[1]], rel=1e-15)
 
 
 # The array signed-log form uses numpy's exp, log, log1p and expm1, whose
 # results may differ from libm's by an ulp.  _log_spread carries a
 # first-order bound on the resulting difference of the log-magnitude
-# through the tree, along the scalar evaluation, and raises _Unstable
-# where a comparison (a cancellation, a sign, an integer exponent, an
-# overflow) could come out differently.  Points where a scalar rule raises
-# or a pair leaves the finite range are redone by the scalar evaluator,
-# so they agree exactly (_Redone).
+# through the tree, along the scalar rules, and raises _Unstable where a
+# comparison (a cancellation, a sign, an integer exponent, an overflow)
+# could come out differently.  From a point where a rule raises or a pair
+# leaves the finite range (_Redone), both forms go on by the same signs,
+# comparisons and infinities, and the bound is not carried further.
 
 
 class _Redone(Exception):
@@ -515,7 +570,7 @@ def _log_spread(node, x):
             return 0, -math.inf, 0.0
         return (1 if node.value > 0 else -1), math.log(abs(node.value)), 0.0
     if isinstance(node, Var):
-        return 1, x, 0.0
+        return (1, x, 0.0) if x > -math.inf else (0, -math.inf, 0.0)
     if isinstance(node, Euler):
         return 1, 1.0, 0.0
     if isinstance(node, Neg):
@@ -613,22 +668,22 @@ def _log_stable(node, x):
 
 
 _LN_ZS_ST = st.lists(st.floats(-700.0, 70.0), max_size=8).flatmap(
-    lambda xs: st.permutations(xs + [-700.0, 0.0, 69.0])
+    lambda xs: st.permutations(xs + [-700.0, 0.0, 69.0, -math.inf])
 )
 
 
 @given(tree=_trees_upto(4), lns=_LN_ZS_ST)
 @settings(max_examples=300, deadline=None)
 def test_log_value_property(tree, lns):
-    """The array signed-log form gives what signed_log_eval gives, point
-    by point: the same signs and log-magnitudes to 1e-12, or the first
-    failing point's error, type and message."""
+    """The array signed-log form gives what the scalar rules give, point
+    by point, z = 0 among the points: the same signs and log-magnitudes to
+    1e-12, or the first failing point's error, type and message."""
     f = Expression(tree)
     lns = [x for x in lns if _log_stable(tree, x)]
     want = []
     try:
         for x in lns:
-            want.append(signed_log_eval(tree, x))
+            want.append(signed_log_oracle(tree, x))
     except (DomainError, EvalOverflow) as exc:
         with pytest.raises(type(exc)) as by_array:
             f.log_value(np.array(lns))

@@ -7,9 +7,12 @@ ROOT is a source checkout.  The package is imported from ROOT/src and
 the operations are read from ROOT/perfbench/workloads.py: every CLI
 operation of the three workloads, at each seed, for as many rounds as a
 run of BENCHMARK.json's ``run_seconds`` takes, then a fixed list of
-steep inputs (:data:`STEEP`), whose fills halve many panels, then a
-fixed list of command lines that argparse reads (:data:`ARGPARSE`):
-help, and those that the option table of ``liouville.cli`` leaves to it.
+steep inputs (:data:`STEEP`), whose fills halve many panels, then
+``classify`` and ``verify`` on expressions that f's evaluation refuses
+(:data:`EVALUATION`), one for each error of the tree evaluator, a
+negative f and an overflow, then a fixed list of command lines that
+argparse reads (:data:`ARGPARSE`): help, and those that the option table
+of ``liouville.cli`` leaves to it.
 Each runs in-process through ``liouville.cli.main``.  Two checkouts
 whose digests ``diff`` equal print the same bytes and exit codes on all
 of them.
@@ -60,6 +63,23 @@ STEEP = [
         ["--n", "10", "--p", "3.5", "--power", "20"],
     )
 ]
+# classify and verify where f's evaluation fails: on the monotonicity
+# gate's grid in (0, 1], at its first sample or past z = 0.5 or 0.71 with
+# the samples before compared, by each rule of the tree evaluator in turn
+# (log, 0 to a negative power, a negative base to a fractional power,
+# division, exp, a power's exponent past the double range), then where f
+# is negative, and where two equal infinite log-magnitudes add past z = 1
+_FAILING = (
+    ["--expr", "z^3 + 0*log(0.5 - z)"],
+    ["--expr", "(z - z)^-1"],
+    ["--expr", "z^3 + 0*(0.5 - z)^0.5"],
+    ["--expr", "1/(z - z)"],
+    ["--expr", "z^3 + 0*exp(exp(1000*z))"],
+    ["--expr", "z^3 + 0*z^exp(1000*z)"],
+    ["--expr", "z - 2"],
+    ["--eps", "10", "--expr", "z^1e308+z^1e308"],
+)
+EVALUATION = [[command, "--n", "3", "--p", "2", *args] for args in _FAILING for command in ("classify", "verify")]
 # no command, help, an unknown command, an abbreviation, an = form, a
 # value that does not convert, one that is not a choice, a negative value
 # that argparse takes for an option, a missing required option, an extra
@@ -94,13 +114,13 @@ def load(root: Path):
 def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str]]:
     """The argv of every CLI operation of each workload at each seed, in
     run order (the scale study calls no CLI and is left out), then
-    :data:`STEEP` and :data:`ARGPARSE`."""
+    :data:`STEEP`, :data:`EVALUATION` and :data:`ARGPARSE`."""
     out = []
     for seed in seeds:
         for make in workloads.WORKLOADS.values():
             workload = make(seed)
             out += [op.argv for op in workload.ops(workload.rounds_for(seconds)) if op.kind != "scale-study"]
-    return out + STEEP + ARGPARSE
+    return out + STEEP + EVALUATION + ARGPARSE
 
 
 def _run(main: Callable[[List[str]], int], argv: List[str]) -> Tuple[object, str, str]:

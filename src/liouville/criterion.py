@@ -237,8 +237,11 @@ def classify(
     reads only the verdict integrates nothing the verdict does not need
     (the numeric route's shells).
 
-    Unless waived in ``opts``, f is first probed for non-decrease on
-    (0, eps]; a decreasing f raises :class:`MonotonicityError`.
+    Unless waived in ``opts``, f is first checked for non-decrease on
+    (0, eps] by :func:`check_monotone`, which proves it for ``Power`` and
+    ``PowerLog`` from their parameters where it can, with no sample of
+    f, and probes f elsewhere; a decreasing f raises
+    :class:`MonotonicityError`.
     """
     opts = opts or ClassifyOptions()
     q = critical_exponent(params)

@@ -29,9 +29,10 @@ its pair or its first error in tree order; ln z = -inf is z = 0.  Calls,
 :meth:`Nonlinearity.values` and the log evaluator of the shells and
 fills raise by one rule: the first point in order that fails a check
 raises, with the first check of a call that fails there (the argument,
-f's own rules, f >= 0, the double range).  A call f(z) is exp of the
-pair, exact to about |ln f(z)| ulps: ``Power(2.0)(3.0)`` is
-9.000000000000002.
+f's own rules, f >= 0, the double range), and a message that names z;
+:meth:`Nonlinearity.log_value`, given only ln z, names none.  A call
+f(z) is exp of the pair, exact to about |ln f(z)| ulps:
+``Power(2.0)(3.0)`` is 9.000000000000002.
 """
 
 from __future__ import annotations
@@ -460,13 +461,34 @@ def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
     return np.exp(x)
 
 
+# a proof of monotonicity asks ln f(eps), a sum of terms in scalar math, to
+# be below _LOG_MAX by this much of the terms' size and 1: numpy's log may
+# differ from libm's in the last bit, and near the range the probe decides
+_PROOF_MARGIN = 1e-9
+
+
+def _well_in_range(*terms: float) -> bool:
+    # False where the terms are infinite, or of opposite infinities (NaN)
+    return sum(terms) < _LOG_MAX - _PROOF_MARGIN * (1.0 + sum(map(abs, terms)))
+
+
+def _at_point(message, at):
+    # a check's message (as in _Check) followed by the point where it fails
+    return lambda i: f"{message(i) if callable(message) else message} at z={_point(at, i)!r}"
+
+
 def _ln_f(f: "Nonlinearity", ln_z: np.ndarray, at, checks: Optional[List[_Check]] = None) -> np.ndarray:
     # ln f at z = e**ln_z by the log-domain evaluator, -inf where f vanishes
-    # (at as in _overflow).  f's checks at each point, then f >= 0, are
-    # appended to checks; without checks, the first point that fails raises
+    # (at as in _overflow).  f's checks at each point, their messages naming
+    # it, then f >= 0, are appended to checks; without checks, the first
+    # point that fails raises
     own = [] if checks is None else checks
+    start = len(own)
     with np.errstate(all="ignore"):
         sign, ln_f = f._log_value(np.asarray(ln_z, dtype=float), own)
+    for k in range(start, len(own)):
+        where, error, message = own[k]
+        own[k] = (where, error, _at_point(message, at))
     if not _positive(sign):
         negative = lambda i: f"f is negative at z={_point(at, i)!r}; right-hand sides must be >= 0"  # noqa: E731
         _fail(own, sign < 0, DomainError, negative)
@@ -524,6 +546,13 @@ class Nonlinearity:
         _raise_first(checks, mag.shape)
         return (np.full(mag.shape, sign) if np.ndim(sign) == 0 else sign), mag
 
+    def _proven_monotone(self, eps: float) -> bool:
+        """True where f is proven non-decreasing on (0, eps], with ln f(eps)
+        well inside the double range, from the family's parameters alone;
+        :func:`check_monotone` then samples nothing.  The base class proves
+        nothing."""
+        return False
+
 
 class Power(Nonlinearity, Record):
     """f(z) = z**exponent."""
@@ -544,13 +573,19 @@ class Power(Nonlinearity, Record):
             mag = np.where(ln_z == _NEG_INF, 0.0, mag)
         return np.float64(1.0), mag
 
+    def _proven_monotone(self, eps: float) -> bool:
+        # z**a is non-decreasing for a >= 0
+        return self.exponent >= 0.0 and _well_in_range(self.exponent * math.log(eps))
+
 
 class PowerLog(Nonlinearity, Record):
     """f(z) = z**power * log(e + 1/z)**mu for z > 0, and f(0) = 0.
 
-    The logarithmic factor is computed as log1p(e*z) - log(z), which
-    is exact where the naive form e + 1/z would overflow or lose all
-    precision.  The factor is always >= 1, so any real ``mu`` is safe.
+    The logarithmic factor L is computed as log1p(e*z) - log(z) up to
+    z = 1, which is exact where the naive form e + 1/z would overflow or
+    lose all precision, and above it, where those two terms cancel, as
+    1 + log1p(1/(e*z)), whose log is log1p of the second term.  L is
+    always >= 1, so any real ``mu`` is safe.
     """
 
     mu: float
@@ -566,9 +601,22 @@ class PowerLog(Nonlinearity, Record):
             raise ValueError(f"power must be finite, got {self.power!r}")
 
     def _log_value(self, ln_z: np.ndarray, checks: List[_Check]) -> Tuple[np.ndarray, np.ndarray]:
-        log_factor = np.log1p(math.e * np.exp(ln_z)) - ln_z
-        mag = self.power * ln_z + self.mu * np.log(log_factor)
+        ln_factor = np.log(np.log1p(math.e * np.exp(ln_z)) - ln_z)
+        if (above := ln_z > 0.0).any():
+            ln_factor = np.where(above, np.log1p(np.log1p(np.exp(-1.0 - ln_z))), ln_factor)
+        mag = self.power * ln_z + self.mu * ln_factor
         return np.float64(1.0), np.where(ln_z > _NEG_INF, mag, _NEG_INF)  # f(0) = 0
+
+    def _proven_monotone(self, eps: float) -> bool:
+        # d ln f / d ln z = power - mu / ((e z + 1) L), whose factor
+        # 1 / ((e z + 1) L) lies in (0, 1]: at least power - mu where mu > 0,
+        # and power where mu <= 0; f(0) = 0 is below the rest.  ln f(eps) is
+        # at most power ln eps + max(mu, 0) ln L, as ln L >= 0
+        if self.power < max(self.mu, 0.0):
+            return False
+        ln_eps = math.log(eps)
+        ln_factor = math.log(math.log1p(math.e * eps) - ln_eps) if self.mu > 0.0 else 0.0
+        return _well_in_range(self.power * ln_eps, self.mu * ln_factor)
 
 
 class Expression(Nonlinearity, Record):
@@ -635,17 +683,22 @@ def _log_decreases(mag: np.ndarray) -> np.ndarray:
 
 
 def check_monotone(f: Nonlinearity, eps: float) -> MonotonicityReport:
-    """Probe f for non-decrease on a log grid spanning (0, eps].
+    """Check f for non-decrease on (0, eps].
 
-    The grid covers twelve decades below eps.  A decrease smaller than
-    ``_MONOTONE_SLACK`` relative to the local magnitude is tolerated so
-    that constant functions pass despite rounding.  The outcome, values
-    reported and errors raised are those of a loop of calls: one pass
-    compares the samples' logs before the first sample where a call
-    fails, then raises that sample's error.
+    A family whose parameters prove it (``Power`` with exponent >= 0,
+    ``PowerLog`` with power >= max(mu, 0), each with ln f(eps) well
+    inside the double range) passes without a sample.  Everything else is
+    probed on a log grid covering twelve decades below eps.  A decrease
+    smaller than ``_MONOTONE_SLACK`` relative to the local magnitude is
+    tolerated so that constant functions pass despite rounding.  The
+    probe's outcome, values reported and errors raised are those of a
+    loop of calls: one pass compares the samples' logs before the first
+    sample where a call fails, then raises that sample's error.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if f._proven_monotone(eps):
+        return MonotonicityReport(True)
     grid = eps * _MONOTONE_GRID
     checks: List[_Check] = []
     mag = _ln_f(f, np.log(grid), grid, checks)

@@ -309,11 +309,13 @@ def _rule(fx: np.ndarray, h: np.ndarray, width: np.ndarray) -> Tuple[np.ndarray,
         decay = r < _R_CRIT
         err = _K * h * e1 * r
         if not decay.all():
-            low = h * sums[1]
-            resasc = h * np.einsum("ij,j->i", np.abs(fx - (high / width)[:, None]), _WA_PAIR[0])
-            raw = np.abs(high - low)
+            # the damped estimate, on the rows that do not decay only
+            rows = ~decay if decay.any() else slice(None)
+            h, top = h[rows], high[rows]
+            resasc = h * np.einsum("ij,j->i", np.abs(fx[rows] - (top / width[rows])[:, None]), _WA_PAIR[0])
+            raw = np.abs(top - h * sums[1][rows])
             damped = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
-            err = np.where(decay, err, np.where((resasc != 0.0) & (raw != 0.0), damped, raw))
+            err[rows] = np.where((resasc != 0.0) & (raw != 0.0), damped, raw)
     return high, np.maximum(err, floor)
 
 

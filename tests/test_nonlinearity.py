@@ -1,6 +1,7 @@
 """Expression grammar, evaluation, and the nonlinearity families."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -37,7 +38,7 @@ from liouville.nonlinearity import (
     to_source,
 )
 
-from conftest import signed_log_oracle
+from conftest import signed_log_oracle, work_ledger
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +372,13 @@ def test_array_values_raise_like_calls(f, z, error):
     "zs, message",
     [
         ([1.0, 0.25], "f is negative at z=1.0; right-hand sides must be >= 0"),
-        ([0.25, 1.0], "log of a non-positive value"),
+        ([0.25, 1.0], "log of a non-positive value at z=0.25"),
     ],
 )
 def test_first_failing_point_raises_in_values_and_ln_f(zs, message):
     # one rule for values and for the log evaluator of the shells and fills:
-    # the first point in order raises, with the first of its own checks
+    # the first point in order raises, with the first of its own checks,
+    # whose message names the point
     f, z = parse_nonlinearity("log(z - 0.5)"), np.array(zs)
     with pytest.raises(DomainError) as by_values:
         f.values(z)
@@ -407,13 +409,16 @@ def test_equal_infinite_magnitudes_add_to_that_infinity():
 def test_undetermined_magnitude_is_an_overflow(text):
     # a product or quotient of magnitudes inf and -inf, NaN in logs, is an
     # overflow at its point, by the array pass and the scalar rules alike;
-    # a zero operand still makes 0
-    f, message = parse_nonlinearity(text), r"^value of magnitude exp\(nan\) exceeds double range$"
+    # a zero operand still makes 0; the call names the point, the pass on
+    # ln z alone does not
+    f, message = parse_nonlinearity(text), r"^value of magnitude exp\(nan\) exceeds double range"
     assert f.values(np.array([1.0])).tolist() == [1.0]
-    with pytest.raises(EvalOverflow, match=message):
+    with pytest.raises(EvalOverflow, match=message + r" at z=7\.5$"):
         f.values(np.array([1.0, 7.5]))
-    with pytest.raises(EvalOverflow, match=message):
+    with pytest.raises(EvalOverflow, match=message + "$"):
         signed_log_oracle(f.root, math.log(7.5))
+    with pytest.raises(EvalOverflow, match=message + "$"):
+        f.log_value(np.array([0.0, math.log(7.5)]))
     assert parse_nonlinearity("0*z^1e308").values(np.array([7.5])).tolist() == [0.0]
 
 
@@ -502,6 +507,20 @@ def test_powerlog_log_value(f):
     assert mag.ravel().tolist() == pytest.approx(want, rel=1e-14)
     # where f itself is a normal double, the pair is its logarithm
     assert mag[0, 2] == pytest.approx(math.log(f(math.exp(-5.0))), rel=1e-14)
+
+
+def test_powerlog_factor_keeps_its_digits_above_one():
+    # above z = 1, log1p(e z) - ln z would cancel to an ulp of ln z, and
+    # mu times its log is then noise: ln L = log1p(log1p(1/(e z))) there
+    f = PowerLog(-1e6, 0.0)
+    lns = [0.5, 1.0, 5.0, 46.0, 690.0]
+    _, mag = f.log_value(np.array(lns))
+    with mpmath.workdps(40):
+        want = [float(-1e6 * mpmath.log(mpmath.log(mpmath.e + mpmath.exp(-mpmath.mpf(x))))) for x in lns]
+    assert mag.tolist() == pytest.approx(want, rel=1e-14)
+    # so the probe sees f rise to 1 as it does, where it saw a fall of 3.5e-9
+    assert check_monotone(PowerLog(-1e6, 0.0), 1e20) == _check_monotone_by_calls(PowerLog(-1e6, 0.0), 1e20)
+    assert _check_monotone_by_calls(PowerLog(-1e6, 0.0), 1e20).monotone
 
 
 def test_constant_expression_log_value_has_input_shape():
@@ -757,6 +776,76 @@ def _check_monotone_by_calls(f, eps, samples=256, rel_slack=1e-12):
 )
 def test_check_monotone_matches_loop_of_calls(f, eps):
     assert check_monotone(f, eps) == _check_monotone_by_calls(f, eps)
+
+
+# a family's parameter: 0, tiny, moderate, large, negative
+_PARAMETER = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e-13, 0.5, 3.0, 1e3, 1e300, -1e-300, -0.5, -3.0, -1e300]),
+    st.floats(-50.0, 50.0),
+)
+_EPS = st.floats(-300.0, 300.0).map(lambda x: 10.0**x) | st.sampled_from([1e-300, 1.0, 1e300])
+
+
+@given(f=st.builds(Power, _PARAMETER) | st.builds(PowerLog, _PARAMETER, _PARAMETER), eps=_EPS)
+@settings(max_examples=300, deadline=None)
+def test_check_monotone_of_a_family_is_the_probe(f, eps):
+    """Power and PowerLog, proven from their parameters or probed, get what
+    the loop of calls gives: the same report, or its error, type and
+    message."""
+    try:
+        want = _check_monotone_by_calls(f, eps)
+    except (DomainError, EvalOverflow) as exc:
+        with pytest.raises(type(exc)) as got:
+            check_monotone(f, eps)
+        assert str(got.value) == str(exc)
+    else:
+        assert check_monotone(f, eps) == want
+
+
+@pytest.mark.parametrize(
+    "f, eps",
+    [
+        (Power(0.0), 1.0),
+        (Power(4.0), 1e-300),
+        (Power(1e-300), 1e300),
+        (Power(2.0), 1e150),
+        (Power(_LOG_MAX / math.log(1e150) * (1.0 - 1e-6)), 1e150),  # f(eps) near the range, below it by more than the margin
+        (PowerLog(-2.0, 3.0), 1.0),
+        (PowerLog(3.0, 3.0), 10.0),
+        (PowerLog(-1.6, 0.0), 1e300),
+    ],
+    ids=repr,
+)
+def test_proven_family_samples_nothing(monkeypatch, f, eps):
+    ledger = work_ledger(monkeypatch)
+    assert check_monotone(f, eps) == MonotonicityReport(True)
+    assert ledger["_ln_f"] == []
+
+
+@pytest.mark.parametrize(
+    "f, eps",
+    [
+        (PowerLog(10.0, 3.0), 1.0),  # power < mu: the probe's witness pair
+        (Power(-0.5), 1.0),  # a negative exponent: likewise
+        (Power(3.0), 1e300),  # f(eps) past the double range
+        (Power(_LOG_MAX / math.log(1e150) * (1.0 - 1e-12)), 1e150),  # f(eps) inside it, but within the margin
+    ],
+    ids=repr,
+)
+def test_unproven_family_is_probed(monkeypatch, f, eps):
+    # in one pass over the whole grid, with the outcome of the loop of calls
+    # (a non-monotone report's pair and values, or the error)
+    try:
+        want = _check_monotone_by_calls(f, eps)
+    except EvalOverflow as exc:
+        want = exc
+    ledger = work_ledger(monkeypatch)
+    if isinstance(want, EvalOverflow):
+        with pytest.raises(EvalOverflow, match=f"^{re.escape(str(want))}$"):
+            check_monotone(f, eps)
+    else:
+        assert check_monotone(f, eps) == want
+    assert ledger["_ln_f"] == [_MONOTONE_GRID.size]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ run of BENCHMARK.json's ``run_seconds`` takes, then a fixed list of
 steep inputs (:data:`STEEP`), whose fills halve many panels, then
 ``classify`` and ``verify`` on expressions that f's evaluation refuses
 (:data:`EVALUATION`), one for each error of the tree evaluator, a
-negative f and an overflow, then a fixed list of command lines that
+negative f and an overflow, then ``classify`` and ``sweep`` on families
+whose monotonicity the gate proves from their parameters, probes, or
+refuses (:data:`GATE`), then a fixed list of command lines that
 argparse reads (:data:`ARGPARSE`): help, and those that the option table
 of ``liouville.cli`` leaves to it.
 Each runs in-process through ``liouville.cli.main``.  Two checkouts
@@ -80,6 +82,26 @@ _FAILING = (
     ["--eps", "10", "--expr", "z^1e308+z^1e308"],
 )
 EVALUATION = [[command, "--n", "3", "--p", "2", *args] for args in _FAILING for command in ("classify", "verify")]
+# the monotonicity gate on the two families at n=3 p=2 (q = 3): proven at
+# exponent 0 and 1e-300, probed and refused at -0.5, probed where f(eps)
+# is past the double range, proven at a tiny eps, probed and refused where
+# mu = 10 exceeds the power; then sweeps of proven rows, and of one row
+# each proven, at the edge (mu = power) and probed
+_GATING = (
+    ["--power", "0"],
+    ["--power", "1e-300"],
+    ["--power", "-0.5"],
+    ["--eps", "1e300", "--power", "3"],
+    ["--eps", "1e-300", "--powerlog", "-2"],
+    ["--powerlog", "10"],
+)
+_SWEEPS = (
+    ["--family", "power", "--start", "0", "--stop", "1", "--step", "0.25"],
+    ["--family", "powerlog", "--start", "2", "--stop", "4", "--step", "1"],
+)
+GATE = [["classify", "--n", "3", "--p", "2", *args] for args in _GATING] + [
+    ["sweep", "--n", "3", "--p", "2", *args] for args in _SWEEPS
+]
 # no command, help, an unknown command, an abbreviation, an = form, a
 # value that does not convert, one that is not a choice, a negative value
 # that argparse takes for an option, a missing required option, an extra
@@ -114,13 +136,13 @@ def load(root: Path):
 def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str]]:
     """The argv of every CLI operation of each workload at each seed, in
     run order (the scale study calls no CLI and is left out), then
-    :data:`STEEP`, :data:`EVALUATION` and :data:`ARGPARSE`."""
+    :data:`STEEP`, :data:`EVALUATION`, :data:`GATE` and :data:`ARGPARSE`."""
     out = []
     for seed in seeds:
         for make in workloads.WORKLOADS.values():
             workload = make(seed)
             out += [op.argv for op in workload.ops(workload.rounds_for(seconds)) if op.kind != "scale-study"]
-    return out + STEEP + EVALUATION + ARGPARSE
+    return out + STEEP + EVALUATION + GATE + ARGPARSE
 
 
 def _run(main: Callable[[List[str]], int], argv: List[str]) -> Tuple[object, str, str]:

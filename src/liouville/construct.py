@@ -300,15 +300,19 @@ class _Panels:
         out *= self.h[i]
         return out
 
-    def interior(self) -> np.ndarray:
-        """The forward sums at the five interior K7 nodes of every
-        interval, one row per node (for a record summed forward): its left
+    def interior(self, part: slice = slice(None), reverse: bool = False) -> np.ndarray:
+        """The sums at the five interior K7 nodes of the intervals
+        ``part``, one row per node.  For a record summed forward: its left
         knot's sum plus the integral up to the node, through the fixed
-        matrix :func:`_interior_weights`.  The einsum sums each entry over
-        the seven nodes in order, on its own."""
-        out = np.einsum("mj,mi->ji", _interior_weights(), self.nodes)
-        out *= self.h
-        out += self.sums[:-1]
+        matrix :func:`_interior_weights`; for one summed in ``reverse``:
+        its right knot's sum plus the integral from the node, through the
+        same matrix reordered, as :meth:`rest` reads the values in
+        reverse.  The einsum sums each entry over the seven nodes in
+        order, on its own."""
+        weights = _interior_weights()[::-1, ::-1] if reverse else _interior_weights()
+        out = np.einsum("mj,mi->ji", weights, self.nodes[:, part])
+        out *= self.h[part]
+        out += (self.sums[1:] if reverse else self.sums[:-1])[part]
         return out
 
     def locate(self, ln_s: np.ndarray, i: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -495,7 +499,7 @@ class _UnitTable(_Panels):
     Filled on first use: I_1(inf) with its error, the outer cache
     (w_1 at the knots, another record on the same knots; see
     :meth:`RadialProfile._fill_outer`), the criterion result, and w_1
-    and |w_1'| on one fixed set of radii (:meth:`RadialProfile._sample`).
+    on one fixed set of radii (:meth:`RadialProfile._sample`).
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
@@ -514,7 +518,7 @@ class _UnitTable(_Panels):
         self.limit: Optional[Tuple[float, float]] = None
         self.outer: Optional[_Panels] = None
         self.criterion: Optional[QuadratureResult] = None
-        self.sample: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self.sample: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def inner(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         """I_1 at the fractions u of the knot intervals i (broadcast
@@ -848,12 +852,11 @@ class RadialProfile:
             raise ValueError("radii must be strictly increasing")
         if not self._table.s.size:
             return [0.0] * rs.size
-        return self._on_grid(rs)[0].tolist()
+        return self._on_grid(rs).tolist()
 
-    def _on_grid(self, rs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """w at the increasing radii rs >= 0 (for a table that is not
-        empty), which of them lie inside the cache, and for those the knot
-        interval of their ln s, as the table's knot search would find it.
+    def _on_grid(self, rs: np.ndarray) -> np.ndarray:
+        """w at the radii rs >= 0, in any order, each computed on its own
+        (for a table that is not empty).
 
         Inside the cache w(r) = W[j] + the integral of zeta |w'| in ln zeta
         over the span [u0, 1] of knot interval i = j - 1, j the first knot
@@ -861,7 +864,7 @@ class RadialProfile:
         dense output (:meth:`_Panels.rest`), scaled by delta**(p/(p-1))
         like W, but in an interval that the fill halved, where it is one
         adaptive panel (:meth:`_outer_spans`).  A radius alone has the
-        bits it has in a grid.
+        bits it has among others.
         """
         t = self._table
         ws = self._outer_cache()[0]
@@ -881,8 +884,6 @@ class RadialProfile:
         u0 = np.maximum((np.log(s[gap]) - t.ln_s[i]) / t.h[i], 0.0)
         keep = u0 < 1.0
         gap, i, u0 = gap[keep], i[keep], u0[keep]
-        interval = np.minimum(j, t.s.size - 2)
-        interval[gap] = i
         gaps = np.zeros(s.size)
         redo = outer.halved[i]
         if redo.any():
@@ -892,38 +893,50 @@ class RadialProfile:
         span *= self._delta_power(self.params.p / (self.params.p - 1.0))
         gaps[gap] = span
         out[inside] = ws[j] + gaps
-        return out, inside, interval
+        return out
 
-    def _sample(self, unit_radii: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """w and |w'| at the radii delta * unit_radii (increasing, > 0).
+    def _sample(self, unit_radii: np.ndarray) -> np.ndarray:
+        """w at the radii delta * unit_radii (increasing, > 0).
 
         Read at delta = 1 once per table and scaled, as scaling is exact:
-        w_delta(r) = delta**(p/(p-1)) * w_1(r/delta) and |w_delta'(r)| =
-        delta**(1/(p-1)) * |w_1'(r/delta)|.  w is :meth:`_on_grid`, as
-        :meth:`values_on_grid` reads it.  |w'| is (I/r**(n-1))**(1/(p-1))
-        with I the table's dense output in the interval that
-        :meth:`_on_grid` found, so no knot search, bit for bit what
-        :meth:`_outer_array` gives; off the cache it is
-        :meth:`_outer_array`.  The table keeps the sample of the last
-        array passed, by identity, so callers pass one read-only array.
+        w_delta(r) = delta**(p/(p-1)) * w_1(r/delta).  w is
+        :meth:`_on_grid`, as :meth:`values_on_grid` reads it.  The table
+        keeps the sample of the last array passed, by identity, so
+        callers pass one read-only array.
         """
-        t, n, p = self._table, self.params.n, self.params.p
+        t = self._table
         if t.sample is None or t.sample[0] is not unit_radii:
-            unit = self.rescaled(1.0)
-            if not t.s.size:
-                w = dw = np.zeros(unit_radii.size)
-            else:
-                w, inside, i = unit._on_grid(unit_radii)
-                dw = np.empty_like(w)
-                r = unit_radii[inside]
-                x = np.log(r)
-                ln_w1 = (_ln_mass(t.inner(*t.locate(x, i))) - (n - 1) * x) / (p - 1.0)
-                dw[inside] = _exp_checked(ln_w1, "outer integrand", r)
-                if not inside.all():
-                    dw[~inside] = unit._outer_array(unit_radii[~inside])
-            t.sample = unit_radii, w, dw
-        _, w, dw = t.sample
-        return self._delta_power(p / (p - 1.0)) * w, self._delta_power(1.0 / (p - 1.0)) * dw
+            w = self.rescaled(1.0)._on_grid(unit_radii) if t.s.size else np.zeros(unit_radii.size)
+            t.sample = unit_radii, w
+        return self._delta_power(self.params.p / (self.params.p - 1.0)) * t.sample[1]
+
+    def _node_sample(self, lo: float, hi: float) -> Tuple[slice, np.ndarray, np.ndarray]:
+        """The knot intervals of the table that cover the radii [lo, hi] *
+        delta, as a slice, from the last knot at or below lo * delta (or
+        the first knot) to the first at or above hi * delta; and w at
+        their K7 nodes: at their knots, and at their five interior nodes,
+        one row per node.  For a table that is not empty.
+
+        Read at delta = 1 and scaled, as :meth:`_sample` is.  At the knots
+        w is the outer cache W.  At the interior nodes it is the outer
+        record's reverse sums through one fixed matrix
+        (:meth:`_Panels.interior`), but in the intervals that the outer
+        fill halved, where it is :meth:`_on_grid`, as
+        :meth:`values_on_grid` reads w there.
+        """
+        t = self._table
+        self._outer_cache()  # the outer record, filled at delta = 1
+        start = max(int(np.searchsorted(t.s, lo, side="right")) - 1, 0)
+        stop = int(np.searchsorted(t.s, hi))
+        part = slice(start, stop)
+        inner = t.outer.interior(part, reverse=True)
+        halved = np.flatnonzero(t.outer.halved[part])
+        if halved.size:
+            i = start + halved
+            s = np.exp(t.ln_s[i] + t.h[i] * _K7_U[1:-1, None])
+            inner[:, halved] = self.rescaled(1.0)._on_grid(s.ravel()).reshape(s.shape)
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
+        return part, scale * t.outer.sums[start : stop + 1], scale * inner
 
     def _sup(self) -> Tuple[float, float]:
         # sup w = w(0), closed form below the cache's first knot, and the

@@ -389,9 +389,9 @@ def _signed_log_array(node: ExprNode, ln_z: np.ndarray, z_sign, checks: List[_Ch
                 return np.float64(1.0), np.log(m)
             return np.sign(m), np.log(np.abs(m))
         # exp: the new log-magnitude is the argument's value, which fails
-        # only where the argument is finite and exp of it is not
+        # where it is +inf, whether the argument is finite or not
         x = s * np.exp(m)
-        _fail(checks, (x == np.inf) & (m < np.inf), EvalOverflow, "exp argument too large")
+        _fail(checks, x == np.inf, EvalOverflow, "exp argument too large")
         return np.float64(1.0), x
     if not isinstance(node, Bin):
         raise TypeError(f"not an expression node: {node!r}")

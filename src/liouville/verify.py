@@ -30,16 +30,17 @@ The five profile checks:
 * energy: at 64 log-spaced radii over [1, 1e3] * delta, the
   ball-averaged source energy must grow monotonically and its natural
   normalization must stay within a factor 1e3 of its median.  The
-  energy density is integrated one K7 panel per interval of a 568-knot
-  log grid, with shared ends: the density is taken once at each knot,
-  and at five interior nodes per panel on a fixed Hermite basis.  Where
-  w underflows to 0 on the grid, only the radii up to its last positive
-  knot are reported.
+  energy density is integrated one K7 panel per knot interval of the
+  profile's table over [1e-6, 1e3] * delta, with w at the panels' nodes
+  read off the outer cache's record: the density is taken once at each
+  knot, and at five interior nodes per panel.  Where w underflows to 0
+  in that range, only the radii up to its last positive knot are
+  reported.
 
-The supersolution, normalization and energy checks read w (and the
-energy check |w'|) off one sample per profile table, taken at delta = 1
-on the union of their grids in one pass and scaled to the profile's
-delta (:func:`_sampled`).
+The supersolution, normalization and energy checks read w at their
+radii off one sample per profile table, taken at delta = 1 on the union
+of their grids in one pass and scaled to the profile's delta
+(:func:`_sampled`).
 
 A check appends "quadrature did not converge" to its detail when a
 quadrature it rests on did not converge: the flux check its source-side
@@ -58,12 +59,12 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ._record import tuple_record
-from .construct import _K7_U, RadialProfile, _k7_fill, sup_profile
+from .construct import _K7_U, RadialProfile, _k7_fill, _Panels, sup_profile
 from .criterion import StructureParams
 from .nonlinearity import Nonlinearity, _exp_checked, _ln_f
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
@@ -123,10 +124,9 @@ _DECAY_TOL = 1e-6
 _NORM_POINTS = 64
 _NORM_TOL = 1e-3
 _ENERGY_RADII = 64
-# w's knots for the energy check: 63 a decade from 1e-6 * delta, so that
-# the radii are every 3rd knot from the 378th (delta) on
-_ENERGY_STRIDE = 3
-_ENERGY_BELOW = 378
+# the energy check's radii lie over [1, _ENERGY_TO], and its integral runs
+# from _ENERGY_FROM
+_ENERGY_FROM, _ENERGY_TO = 1e-6, 1e3
 _ENERGY_BOUND = 1e3
 _DELTA0 = 1.0
 _DELTA_THRESHOLD = 1e-3
@@ -199,13 +199,13 @@ def flux_identity_check(profile: RadialProfile) -> CheckResult:
 def _unit_sample() -> Tuple[np.ndarray, ...]:
     # the radii at delta = 1 where the grid checks read w, in one sorted
     # array: the union of the supersolution grid, the normalization grid
-    # and the energy knots, about 800 radii; then the positions of those
+    # and the energy radii, about 320 radii; then the positions of those
     # three grids in it.  Read-only, as one copy serves all.  Sorted in
     # Python: numpy's sort maps about 1 MB of code pages on first use.
     grids = (
         np.geomspace(1e-6, 1e6, _SUPER_RADII),
         np.geomspace(1e-6, 1e6, _NORM_POINTS),
-        _unit_energy_grid(),
+        np.geomspace(1.0, _ENERGY_TO, _ENERGY_RADII),
     )
     radii = np.array(sorted(set(np.concatenate(grids).tolist())))
     out = (radii, *(np.searchsorted(radii, g) for g in grids))
@@ -217,14 +217,13 @@ def _unit_sample() -> Tuple[np.ndarray, ...]:
 _SUPER, _NORM, _ENERGY = range(3)
 
 
-def _sampled(profile: RadialProfile, grid: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # one check's radii at the profile's delta, and w and |w'| there: its
-    # slice of the profile's sample, which is read once per table
+def _sampled(profile: RadialProfile, grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    # one check's radii at the profile's delta, and w there: its slice of
+    # the profile's sample, which is read once per table
     # (:meth:`~liouville.construct.RadialProfile._sample`) for all three
     radii, *at = _unit_sample()
-    w, dw = profile._sample(radii)
     i = at[grid]
-    return profile.delta * radii[i], w[i], dw[i]
+    return profile.delta * radii[i], profile._sample(radii)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,7 @@ def supersolution_check(profile: RadialProfile) -> CheckResult:
     needs; it is reported as the worst residual.  w on the grid is its
     slice of the profile's one sample of w (:func:`_sampled`).
     """
-    rs, ws, _ = _sampled(profile, _SUPER)
+    rs, ws = _sampled(profile, _SUPER)
     ln_env = math.log(profile.params.eps) - profile.decay * np.log1p(rs / profile.delta)
     dominated = not (np.exp(ln_env) - ws < -_ENVELOPE_SLACK).any()
     with np.errstate(divide="ignore"):
@@ -309,7 +308,7 @@ def normalization_check(profile: RadialProfile) -> CheckResult:
 
     w on the grid is its slice of the profile's one sample of w
     (:func:`_sampled`)."""
-    rs, ws, _ = _sampled(profile, _NORM)
+    rs, ws = _sampled(profile, _NORM)
     non_increasing = bool((ws[1:] <= ws[:-1] * (1.0 + 1e-12) + 1e-300).all())
     end = float(ws[-1])
     passed = non_increasing and end <= _NORM_TOL
@@ -326,50 +325,6 @@ def normalization_check(profile: RadialProfile) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # energy growth
-
-
-def _hermite(
-    x: np.ndarray, xs: np.ndarray, ys: np.ndarray, ms: np.ndarray, i: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The cubic Hermite interpolant through (xs, ys) with slopes ms, at x.
-
-    Each point takes the cubic of its knot interval, ``i`` where the
-    caller has found it, else by a knot search.  The interval index is
-    clamped, so a point outside [xs[0], xs[-1]] takes the end cubic.
-    """
-    if i is None:
-        i = np.searchsorted(xs[1:-1], x, side="right")
-    h = xs[i + 1] - xs[i]
-    u = (x - xs[i]) / h
-    d = ys[i + 1] - ys[i]
-    a, b = h * ms[i], h * ms[i + 1]
-    return ys[i] + u * (a + u * (3.0 * d - 2.0 * a - b + u * (a + b - 2.0 * d)))
-
-
-def _hermite_basis(u: np.ndarray) -> np.ndarray:
-    # rows at the fractions u of a knot interval: the weights of y1 - y0,
-    # h * m0 and h * m1 in the cubic Hermite of _hermite less its value y0
-    # at u = 0, and u itself
-    u2 = u * u
-    return np.stack((u2 * (3.0 - 2.0 * u), u * (1.0 - u) ** 2, u2 * (u - 1.0), u))
-
-
-# the Hermite basis at the five interior K7 nodes
-_K7_BASIS = _hermite_basis(_K7_U[1:-1])
-
-
-def _k7_on_cubic(g: Callable, y0: np.ndarray, coef: np.ndarray, h: np.ndarray, i, a, b) -> Tuple[np.ndarray, np.ndarray]:
-    """K7 values and L4 error estimates (:func:`~liouville.quadrature._k7`)
-    over the spans [a, b], as fractions, of the knot intervals i of width
-    h, of an integrand read off each interval's own cubic: y0 at its left
-    knot plus the rows ``coef`` (one column per interval) on
-    :func:`_hermite_basis`.  ``g(i, u, y)`` is the integrand at the nodes'
-    fractions u, where the cubic is y, one row per node and one column
-    per span.  No knot search, and every sum is elementwise, so a span's
-    bits do not depend on the others."""
-    u = a + (b - a) * _K7_U[:, None]
-    fx = g(i, u, sum(c * x for c, x in zip(coef[:, i], _hermite_basis(u))) + y0[i])
-    return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[i])
 
 
 @tuple_record
@@ -402,65 +357,49 @@ class EnergyDiagnostic:
         )
 
 
-@functools.cache
-def _unit_energy_grid() -> np.ndarray:
-    # the energy check's knots at delta = 1, which every scale multiplies:
-    # 63 a decade from 1e-6, with the 64 radii, log-spaced over [1, 1e3], as
-    # every 3rd knot from the 378th; read-only, as one copy serves all
-    rs = np.geomspace(1.0, 1e3, _ENERGY_RADII)
-    grid = np.geomspace(1e-6, rs[-1], _ENERGY_BELOW + _ENERGY_STRIDE * (rs.size - 1) + 1)
-    grid[_ENERGY_BELOW::_ENERGY_STRIDE] = rs
-    grid.flags.writeable = False
-    return grid
-
-
 def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     """Energies and ratios of :class:`EnergyDiagnostic` at the radii.
 
-    w is read on a log grid of 63 knots a decade over [1e-6, 1e3] *
-    delta, whose every 3rd knot from delta on is a radius, and
-    interpolated log-log by the cubic Hermite with the exact slopes
-    d ln w / d ln r = -r |w'(r)| / w(r), held constant below the sampled
-    range.  w and |w'| at the knots are the check's slice of the
-    profile's one sample (:func:`_sampled`), which takes both from one
-    pass.  The energy density rho**n f(w~) in
-    x = ln rho reads f at the interpolant's logs; it is integrated one
-    K7 panel per knot interval, with L4 as the error estimate
-    (:func:`~liouville.construct._k7_fill`, one call for all panels), so
-    no panel straddles a knot, where the interpolant is only C1, and
-    below the first knot in closed form.  The panels' end nodes are the
-    knots: the density is taken once at each knot, where w~ is w itself,
-    and serves both panels that meet there.  At the five interior nodes of a
-    panel ln w~ is its interval's own cubic on a basis fixed for all
-    intervals, so there is no knot search, and f's log evaluator reads
-    the nodes where w~ < eps, at most 3403, in one call.  Each ratio
-    reads w at its radius's own knot.  A panel whose estimate misses
-    both 1e-10 of its own value and 1e-10 of the smallest positive
-    energy at the radii, shared evenly among the grid's 567 panels, is
-    halved, with the others that miss, on its interval's cubic.  So each
-    energy is held to about 2e-10 of the integral of f of w~, also where
-    the density underflows and no panel can meet 1e-10 of its own value;
-    that bound is not one on f of w, from which w~ at the interior nodes
-    is off by up to 2.1e-8 relative, and the energies by up to 1.0e-8
-    (n=8 p=3; ROADMAP item 3 integrates f(w) on the profile's nodes).
-    Where w underflows to 0 inside the grid (w does not
-    increase, so its positive knots are a prefix), w~ ends at the last
-    positive knot: only the radii up to it are reported, with energies
-    that do not depend on where w underflows, and ``detail`` says where
-    it does and how many radii are dropped; with no radius left there
-    is no ratio to bound, and the check fails.  If a halved panel does
-    not converge, or the profile's table or outer cache fill did not,
-    ``detail`` says so too.
+    The energy density rho**n f(w) in x = ln rho is integrated one K7
+    panel per knot interval of the profile's table over [1e-6, 1e3] *
+    delta (about 1150 intervals, 128 a decade), with L4 as the error
+    estimate (:func:`~liouville.construct._k7_fill`, one call for all
+    panels), and below the first knot as rho**(n-1) f(w) with w held at
+    its value there.  The table's knots are fixed in s = rho/delta, so
+    they serve every delta, and w at their K7 nodes is read at delta = 1
+    and scaled (:meth:`~liouville.construct.RadialProfile._node_sample`):
+    at the knots it is the outer cache W, and at the five interior nodes
+    of an interval the outer record's dense output, so f's log
+    evaluator reads all the nodes, at most 6919, in one call (at eps
+    where w >= eps, whose density is 0).
+    A panel whose estimate misses both 1e-10 of its own value and 1e-10
+    of the smallest positive energy at the radii, shared evenly among
+    the panels, is halved, with the others that miss, with w read at the
+    halves' nodes as :meth:`~liouville.construct.RadialProfile.values_on_grid`
+    reads it.  So each energy is held to about 2e-10 of the integral of
+    f of w, also where the density underflows and no panel can meet
+    1e-10 of its own value.  The energy at a radius is the running sum
+    of the panels up to the knot below it plus the dense output of the
+    density in its interval (:meth:`~liouville.construct._Panels.span`),
+    and each ratio reads w at its radius from the profile's one sample
+    (:func:`_sampled`).  Where w underflows to 0 inside the range (w
+    does not increase, so its positive knots are a prefix), the panels
+    end at the last positive knot: only the radii up to it are
+    reported, with energies that do not depend on where w underflows,
+    and ``detail`` says where it does and how many radii are dropped;
+    with no radius left there is no ratio to bound, and the check
+    fails.  If a halved panel does not converge, or the profile's table
+    or outer cache fill did not, ``detail`` says so too.
     """
     params = profile.params
     n, p, eps = params.n, params.p, params.eps
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    rs, w_r = _sampled(profile, _ENERGY)
+    t = profile._table
+    if t.s.size:
+        part, w, w_inner = profile._node_sample(_ENERGY_FROM, _ENERGY_TO)
 
-    at_r = slice(_ENERGY_BELOW, None, _ENERGY_STRIDE)
-    grid, ws, gradients = _sampled(profile, _ENERGY)
-    rs = grid[at_r]
-
-    if ws[0] == 0.0:
+    if not t.s.size or w[0] == 0.0:
         # identically zero profile: zero energy at every radius
         zeros = tuple(0.0 for _ in rs)
         return EnergyDiagnostic(
@@ -473,56 +412,58 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
             detail="profile vanishes identically; energy is zero at every radius",
         )
 
-    # log-log Hermite of w over the positive knots, a prefix of the grid (w
-    # does not increase), with the exact slopes d ln w / d ln r = -r |w'| / w;
-    # the radii kept are those up to the last positive knot
-    pos = ws > 0.0
-    m = ws.size if pos.all() else int(pos.argmin())
-    rs = rs[: max(0, (m - 1 - _ENERGY_BELOW) // _ENERGY_STRIDE + 1)]
-    knots, w_k = grid[:m], ws[:m]
-    ln_r, ln_w = np.log(knots), np.log(w_k)
-    slopes = -knots * gradients[:m] / w_k
-    ln_eps = math.log(eps)
+    # the panels end at the last positive knot, and the radii kept are
+    # those up to it
+    pos = w > 0.0
+    m = w.size if pos.all() else int(pos.argmin())
+    x = t.ln_s[part.start : part.start + m] + math.log(profile.delta)
+    h = t.h[part][: m - 1]
+    ln_r = np.log(rs)
+    kept = int(np.searchsorted(ln_r, x[-1], side="right"))
+    rs = rs[:kept]
 
-    def density_at(x: np.ndarray, ln_wv: np.ndarray) -> np.ndarray:
-        # rho**n f(w~) at rho = e**x, from ln w~, where w~ < eps, else 0
-        small = ln_wv < ln_eps
-        ln_d = np.full(x.shape, -np.inf)
-        ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], lambda: np.exp(ln_wv[small]))
-        return np.exp(ln_d)
+    def density(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        # rho**n f(w) at rho = e**x, where 0 < w < eps, else 0 (with f read
+        # at eps there)
+        small = (w > 0.0) & (w < eps)
+        z = np.where(small, w, eps)
+        ln_d = n * x + _ln_f(profile.f, np.log(z), z)
+        return _finite(np.exp(np.where(small, ln_d, -np.inf)), x)
 
-    # ln w~ at the knots, then at the interior K7 nodes of each interval,
-    # one row per node: its left knot's value plus its cubic's rise,
-    # (Delta ln w, h m0, h m1) on the fixed basis, summed elementwise
-    h = np.diff(ln_r)
-    rise = np.stack((np.diff(ln_w), h * slopes[:-1], h * slopes[1:]))
-    basis = _K7_BASIS[:3, :, None]
-    nodes = np.concatenate((ln_r, (ln_r[:-1] + h * _K7_U[1:-1, None]).ravel()))
-    ln_wv = np.concatenate((ln_w, (ln_w[:-1] + (basis[0] * rise[0] + basis[1] * rise[1] + basis[2] * rise[2])).ravel()))
-    at_nodes = _finite(density_at(nodes, ln_wv), nodes)
-    ends, inner = at_nodes[:m], at_nodes[m:].reshape(_K7_BASIS.shape[1], -1)
+    # the density at the knots, then at the interior K7 nodes of each
+    # interval, one row per node
+    inner_x = x[:-1] + h * _K7_U[1:-1, None]
+    at_nodes = density(np.concatenate((x, inner_x.ravel())), np.concatenate((w[:m], w_inner[:, : m - 1].ravel())))
+    ends = at_nodes[:m]
+    nodes = np.vstack((ends[:-1], at_nodes[m:].reshape(inner_x.shape), ends[1:]))
 
-    # below the first knot w~ = w_k[0]: the integral of rho**(n-1) f(w_k[0])
+    # below the first knot w is held at its value there: the integral of
+    # rho**(n-1) f(w)
     head = ends[0] / n
+    # the knot interval of each radius kept, as the record's knot search finds it
+    i = np.searchsorted(x[1:-1], ln_r[:kept], side="right")
 
-    def at_radii(panels: np.ndarray) -> np.ndarray:
-        # the integrals up to the radii, whose knots end panels 377, 380, ...
-        return (head + np.cumsum(panels))[_ENERGY_BELOW - 1 :: _ENERGY_STRIDE]
+    def knot_sums(values: np.ndarray) -> np.ndarray:
+        return np.concatenate(([head], head + np.cumsum(values)))
 
     def tolerance(values: np.ndarray) -> Tolerance:
         # 1e-10 of a panel's value, or of the smallest positive energy at the
-        # radii (the first positive sum, or 0) shared evenly among the panels
-        sums = at_radii(values)
-        return Tolerance(rel=1e-10, absolute=1e-10 * sums[sums > 0.0][:1].sum() / (grid.size - 1))
+        # radii, which the sums at the knots below them bound (the first
+        # positive one, or 0), shared evenly among the range's panels
+        below = knot_sums(values)[i]
+        return Tolerance(rel=1e-10, absolute=1e-10 * below[below > 0.0][:1].sum() / (w.size - 1))
 
-    def density_on(k, u, ln_wv):  # at the fractions u of the intervals k; a NaN names ln rho
-        x = (ln_r[k] + h[k] * u).T
-        return _finite(density_at(x, ln_wv.T), x).T
+    def halves(j: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # K7 values and L4 estimates over the spans [a, b], as fractions, of
+        # the knot intervals j, with w at their nodes as values_on_grid reads it
+        xs = x[j] + h[j] * (a + (b - a) * _K7_U[:, None])
+        fx = density(xs, profile._on_grid(np.exp(xs).ravel()).reshape(xs.shape))
+        return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[j])
 
-    halves = functools.partial(_k7_on_cubic, density_on, ln_w, rise, h)
-    values, _, _, converged = _k7_fill((ends[:-1], inner, ends[1:]), 0.5 * h, tolerance, halves)
-    en = omega * at_radii(values)
-    ratios = (en * rs ** (p - n) / np.minimum(ws[at_r][: rs.size], eps) ** (p - 1.0)).tolist()
+    values, errors, _, converged = _k7_fill(nodes, 0.5 * h, tolerance, halves)
+    record = _Panels(x, h, nodes, knot_sums(values), converged, float(errors.sum()))
+    en = omega * (record.sums[i] + record.span(*record.locate(ln_r[:kept], i)))
+    ratios = (en * rs ** (p - n) / np.minimum(w_r[:kept], eps) ** (p - 1.0)).tolist()
 
     nondecreasing = bool((en[1:] >= en[:-1] * (1.0 - 1e-12) - 1e-300).all())
     positive = [x for x in ratios if x > 0.0]
@@ -540,10 +481,10 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         spread = math.inf
     passed = nondecreasing and spread <= _ENERGY_BOUND
     dropped = ""
-    if m < grid.size:
+    if m < w.size:
         dropped = (
-            f"; w underflows to 0 past r={float(grid[m - 1]):.6g}, "
-            f"so {_ENERGY_RADII - rs.size} of {_ENERGY_RADII} radii are dropped"
+            f"; w underflows to 0 past r={profile.delta * float(t.s[part.start + m - 1]):.6g}, "
+            f"so {_ENERGY_RADII - kept} of {_ENERGY_RADII} radii are dropped"
         )
     return EnergyDiagnostic(
         radii=tuple(rs.tolist()),

@@ -307,15 +307,17 @@ def signed_log_oracle(node, ln_z):
                 raise DomainError("log of a non-positive value")
             # the argument's log-magnitude is the value of log itself
             return _signed_of(m)
-        # exp: the new log-magnitude is the argument's value
+        # exp: the new log-magnitude is the argument's value, which fails
+        # where it is +inf, also where the argument is (math.exp(inf) does
+        # not raise)
         if s == 0:
             return (1, 0.0)
         try:
             x = s * math.exp(m)
         except OverflowError:
-            if s > 0:
-                raise EvalOverflow("exp argument too large") from None
-            return (1, -math.inf)
+            x = s * math.inf
+        if x == math.inf:
+            raise EvalOverflow("exp argument too large")
         return (1, x)
     if isinstance(node, Bin):
         op = node.op

@@ -411,22 +411,22 @@ def test_one_outer_fill_per_command(capsys, monkeypatch, argv):
 
 # The work of one command, kernel by kernel (conftest.work_ledger).  verify:
 # _k7 on the table's 2048 + 640 panels but [0, s_0], on the outer fill's as
-# many, and on the energy check's 567; _bisect on the flux check's 52
+# many, and on the energy check's 1153; _bisect on the flux check's 52
 # windows, its one integrate_intervals call, and on no fill, since none
 # misses a panel here; _ln_f on no monotonicity grid, since the gate proves
 # z^4 non-decreasing from its exponent, then on the table's three node
 # blocks, the flux windows' 52 x 15 nodes, the supersolution check's 200
 # envelope and 200 profile values, the gradient check's six origin nodes
-# and the energy check's 568 + 5 x 567 nodes.  w on the grids and the terminal source
+# and the energy check's 1154 + 5 x 1153 nodes.  w on the grids and the terminal source
 # integral take no panel.  construct: the same build, then its 200 rows.
 _LEDGERS = [
     (
         ["verify", "--n", "3", "--p", "2", "--power", "4"],
         {
-            "_k7": [2687, 2687, 567],
+            "_k7": [2687, 2687, 1153],
             "_bisect": [52],
             "integrate_intervals": [52],
-            "_ln_f": [6144, 6144, 3840, 780, 400, 6, 3403],
+            "_ln_f": [6144, 6144, 3840, 780, 400, 6, 6919],
         },
     ),
     (

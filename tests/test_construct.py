@@ -47,9 +47,8 @@ from liouville import (
 )
 import liouville.construct as construct_module
 import liouville.quadrature as quadrature_module
-from liouville.verify import _hermite
 import liouville.verify as verify_module
-from liouville.verify import _unit_energy_grid, delta_limit_check, energy_diagnostic
+from liouville.verify import delta_limit_check, energy_diagnostic
 
 from conftest import (
     deadline,
@@ -631,44 +630,6 @@ def test_negative_source_is_refused(params32):
         RadialProfile(parse_nonlinearity("z^4-z^3"), params32, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# the exact-slope Hermite of the energy check's log-log interpolant of w
-
-class TestHermite:
-    # ln(1 + e**x) and its exact slope, the logistic function
-    xs = np.linspace(-3.0, 3.0, 25)
-    ys = np.log1p(np.exp(xs))
-    ms = 1.0 / (1.0 + np.exp(-xs))
-
-    def test_interpolates_knots(self):
-        assert _hermite(self.xs, self.xs, self.ys, self.ms) == pytest.approx(self.ys, abs=1e-15)
-
-    def test_monotone_between_knots(self):
-        # uneven knots, but each interval's end slopes within three times
-        # its secant slope: the exact slopes keep the cubics increasing
-        xs = np.array([-3.0, -1.0, 0.0, 2.0, 3.0])
-        ys, ms = np.log1p(np.exp(xs)), 1.0 / (1.0 + np.exp(-xs))
-        vals = _hermite(np.linspace(-3.0, 3.0, 4001), xs, ys, ms)
-        assert np.all(np.diff(vals) >= -1e-14)
-
-    def test_out_of_range_takes_end_cubic(self):
-        # the interval index is clamped: no error, the end cubics extend
-        xs, ys, ms = self.xs, self.ys, self.ms
-        out = _hermite(np.array([xs[0] - 1e-9, xs[-1] + 1e-9]), xs, ys, ms)
-        assert out == pytest.approx([ys[0] - 1e-9 * ms[0], ys[-1] + 1e-9 * ms[-1]], abs=1e-15)
-
-    def test_scalar_matches_array(self):
-        pts = np.linspace(self.xs[0], self.xs[-1], 301)
-        vals = _hermite(pts, self.xs, self.ys, self.ms)
-        # the same arithmetic on a 0-d array: equal to the last bit
-        assert [float(_hermite(np.float64(x), self.xs, self.ys, self.ms)) for x in pts] == vals.tolist()
-        # and a cubic Hermite reproduces the cubic it was fitted to
-        cubic = lambda x: x**3 - 2.0 * x  # noqa: E731
-        assert _hermite(pts, self.xs, cubic(self.xs), 3.0 * self.xs**2 - 2.0) == pytest.approx(
-            cubic(pts), abs=1e-12
-        )
-
-
 # (n, p, lambda): at eps = delta = 1, I(z) = B(z/(1+z); n, k lambda - n)
 _BETA_CASES = [(3, 2.0, 4.0), (3, 2.0, 5.96543), (8, 3.0, 4.35671), (8, 3.0, 6.29058)]
 
@@ -946,7 +907,7 @@ def test_k7_work_per_stage(monkeypatch, params32):
     # in one call, but [0, s_0], which takes the rule of its weight; the
     # outer fill's as many, in one call too; none for values_on_grid or
     # for the sample the grid checks read, which are the dense output of
-    # the outer fill's nodes, and one call for the energy check's 567
+    # the outer fill's nodes, and one call for the energy check's 1153
     # panels, through construct's fill-and-redo routine; none through the
     # Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
@@ -963,29 +924,22 @@ def test_k7_work_per_stage(monkeypatch, params32):
     prof._sample(verify_module._unit_sample()[0])
     assert built == []
     energy_diagnostic(prof)
-    assert (built, checked) == ([567], [])
+    assert (built, checked) == ([1153], [])
     assert ruled == []
 
 
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
 @pytest.mark.filterwarnings("error")
 def test_sample_is_values_on_grid_and_outer_array(f, params):
-    # at delta = 1 bit for bit: w by the same spans as values_on_grid, |w'|
-    # on the dense output of the interval that pass found, as _outer_array's knot
-    # search finds it.  At delta = 2**-j the sample is the one at delta = 1
-    # scaled; the direct evaluation there rounds the logs of delta, zeta
-    # and I, which 1/(p-1) amplifies in |w'|
+    # at delta = 1 bit for bit the w of values_on_grid, by the same spans.
+    # At delta = 2**-j the sample is the one at delta = 1 scaled
     radii = verify_module._unit_sample()[0]
     prof = RadialProfile(f, params, 1.0)
-    w, dw = prof._sample(radii)
-    assert w.tolist() == prof.values_on_grid(radii)
-    assert dw.tolist() == prof._outer_array(radii).tolist()
+    assert prof._sample(radii).tolist() == prof.values_on_grid(radii)
     for j in (1, 5, 20):
         view = prof.rescaled(2.0**-j)
-        rs = view.delta * radii
-        w, dw = view._sample(radii)
-        assert w.tolist() == pytest.approx(view.values_on_grid(rs), rel=1e-14, abs=0.0)
-        assert dw.tolist() == pytest.approx(view._outer_array(rs).tolist(), rel=5e-14 / (params.p - 1.0), abs=0.0)
+        w = view._sample(radii)
+        assert w.tolist() == pytest.approx(view.values_on_grid(view.delta * radii), rel=1e-14, abs=0.0)
 
 
 _VANISHING = [
@@ -998,20 +952,46 @@ _VANISHING = [
 @pytest.mark.parametrize("f, params", _VANISHING, ids=["zero", "power-eps1e-300", "log-eps1e-300"])
 @pytest.mark.filterwarnings("error")
 def test_sample_of_a_vanishing_profile(f, params):
-    # f(env) underflows everywhere, so the table is empty: w and |w'| are 0
-    # at every scale, with no floating-point warning
+    # f(env) underflows everywhere, so the table is empty: w is 0 at every
+    # scale, with no floating-point warning
     radii = verify_module._unit_sample()[0]
     prof = RadialProfile(f, params, 1.0)
     for view in (prof, prof.rescaled(2.0**-7)):
-        w, dw = view._sample(radii)
-        assert not w.any() and not dw.any()
+        assert not view._sample(radii).any()
+
+
+@pytest.mark.parametrize("f, params, halved", [(Power(4.0), StructureParams(3, 2.0), 0),
+                                               (Power(0.81), StructureParams(8, 1.5), 323)],
+                         ids=["n3-p2-z^4", "n8-p1.5-z^0.81"])
+def test_node_sample_is_w_at_the_nodes(f, params, halved):
+    # w at the K7 nodes of the 1153 knot intervals over [1e-6, 1e3]: at the
+    # knots and, in the intervals that the outer fill halved, the bits of
+    # values_on_grid; elsewhere the outer record's reverse sums through the
+    # reordered matrix, within 1e-13 of it.  At delta = 2**-5 it is the
+    # sample at delta = 1 scaled by delta**(p/(p-1))
+    prof = RadialProfile(f, params, 1.0)
+    part, w, inner = prof._node_sample(1e-6, 1e3)
+    t = prof._table
+    assert part.stop - part.start == 1153 and t.s[part.start] <= 1e-6 < t.s[part.start + 1]
+    assert t.s[part.stop - 1] < 1e3 <= t.s[part.stop]
+    assert w.tolist() == prof.values_on_grid(t.s[part.start : part.stop + 1])
+    i = np.arange(part.start, part.stop)
+    s = np.exp(t.ln_s[i] + t.h[i] * construct_module._K7_U[1:-1, None])
+    ref = np.array(prof.values_on_grid(s.T.ravel())).reshape(s.T.shape).T
+    cut = t.outer.halved[i]
+    assert cut.sum() == halved
+    assert inner[:, cut].tolist() == ref[:, cut].tolist()
+    assert inner.ravel().tolist() == pytest.approx(ref.ravel().tolist(), rel=1e-13, abs=0.0)
+    view = prof.rescaled(2.0**-5)
+    scale = (2.0**-5) ** (params.p / (params.p - 1.0))
+    assert [x.tolist() for x in view._node_sample(1e-6, 1e3)[1:]] == [(scale * w).tolist(), (scale * inner).tolist()]
 
 
 def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
     # bit for bit: each span is summed elementwise, so a radius alone gets
-    # the bits of its entry among the energy check's 568 radii
+    # the bits of its entry among the grid checks' 322 radii
     prof = RadialProfile(Power(4.0), params32, 1.0)
-    grid = _unit_energy_grid()
+    grid = verify_module._unit_sample()[0]
     ws = prof.values_on_grid(grid)
     assert [prof.values_on_grid([r])[0] for r in grid.tolist()] == ws
 

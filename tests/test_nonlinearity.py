@@ -545,6 +545,9 @@ def test_log_value_survives_underflow():
         ("(z - z)^-1", 0.0, DomainError),
         ("exp(exp(z))", 7.0, EvalOverflow),
         ("z^exp(1000)", 0.0, EvalOverflow),
+        # exp's argument past the double range, finite or of log-magnitude inf
+        ("exp(z^400)", math.log(7.5), EvalOverflow),
+        ("exp(z^1e308)", math.log(7.5), EvalOverflow),
     ],
 )
 def test_log_value_raises_like_signed_log_eval(text, ln_z, error):

@@ -24,7 +24,7 @@ def test_digest_lines_repeat(monkeypatch):
     tool = _tool()
     cli, workloads = tool.load(ROOT)
     ops = tool.operations(workloads, [11], 40.0)
-    fixed = tool.STEEP + tool.EVALUATION + tool.GATE + tool.ARGPARSE
+    fixed = tool.STEEP + tool.ENERGY + tool.EVALUATION + tool.GATE + tool.ARGPARSE
     assert ops[-len(fixed) :] == fixed
     picked = [next(argv for argv in ops if argv[0] == kind) for kind in ("classify", "verify", "construct", "sweep")]
     picked.append(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--format", "csv"])
@@ -48,9 +48,9 @@ def test_argparse_lines_repeat_with_their_exit_codes(monkeypatch):
 
 def test_workload_lines_take_the_option_table_and_the_rest_argparse(monkeypatch):
     # every command line of the three workloads at seeds 11-12, the steep
-    # inputs, those that f's evaluation refuses and those of the gate, is
-    # read from the table with no fallback, into what argparse reads; the
-    # fixed argparse lines are left to argparse
+    # and energy inputs, those that f's evaluation refuses and those of the
+    # gate, is read from the table with no fallback, into what argparse
+    # reads; the fixed argparse lines are left to argparse
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = _tool()
     cli, workloads = tool.load(ROOT)

@@ -7,8 +7,10 @@ Oracle values (mpmath, 40 digits, frozen before the tests were written):
     ratio(1000) = 0.09692093221050432935   (E(r) r^(p-n) / w(r)^(p-1))
 """
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,7 +36,6 @@ from liouville import (
     supersolution_check,
     verify_profile,
 )
-from liouville.verify import _hermite
 from liouville.nonlinearity import _ln_f
 from liouville.quadrature import _panels, integrate_intervals
 
@@ -261,48 +262,73 @@ class TestEnergy:
         assert chk.name == "energy"
         assert chk.passed
 
+    def test_energies_match_the_closed_form(self, instance_profile):
+        # every energy within 1e-10 of 4 pi times the integral of
+        # rho**2 w(rho)**4 up to its radius, w in closed form, by mpmath
+        ed = energy_diagnostic(instance_profile)
+        with mpmath.workdps(30):
+            edges = [mpmath.mpf(0)] + [mpmath.mpf(r) for r in ed.radii]
+            density = lambda r: r**2 * ((1 + 2 * r) / (6 * (1 + r) ** 2)) ** 4  # noqa: E731
+            parts = [mpmath.quad(density, [a, b]) for a, b in zip(edges[:-1], edges[1:])]
+            exact = [float(4 * mpmath.pi * x) for x in itertools.accumulate(parts)]
+        assert list(ed.energies) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.slow
+def test_energies_match_mpmath_on_w_at_n8_p3():
+    # the verify profile of n=8 p=3 z^6.3*log(e+1/z)^-2: every energy within
+    # 1e-10 of an mpmath quadrature of rho**7 f(w(rho)) up to its radius,
+    # with f in 30 digits and w read by values_on_grid at each point
+    params = StructureParams(8, 3.0)
+    prof = find_delta(parse_nonlinearity("z^6.3*log(e+1/z)^-2"), params)
+    ed = energy_diagnostic(prof)
+    assert len(ed.radii) == 64
+    with mpmath.workdps(30):
+
+        def density(r):
+            w = mpmath.mpf(prof.values_on_grid([float(r)])[0])
+            return r**7 * w**6.3 * mpmath.log(mpmath.e + 1 / w) ** -2
+
+        edges = [mpmath.mpf(0)] + [mpmath.mpf(r) for r in ed.radii]
+        parts = [mpmath.quad(density, [a, b]) for a, b in zip(edges[:-1], edges[1:])]
+        omega = 2 * mpmath.pi**4 / mpmath.gamma(4)
+        exact = [float(omega * x) for x in itertools.accumulate(parts)]
+    assert list(ed.energies) == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
+def _energy_knots(profile):
+    """ln rho at the table's knots that the energy check integrates over,
+    from the last at or below 1e-6 * delta to the first at or above
+    1e3 * delta."""
+    t = profile._table
+    x = t.ln_s + math.log(profile.delta)
+    lo = max(int(np.searchsorted(t.s, 1e-6, side="right")) - 1, 0)
+    return x[lo : int(np.searchsorted(t.s, 1e3)) + 1]
+
 
 def _scalar_energy(profile):
     """The energy diagnostic on the default radii, one adaptive scalar
-    quadrature in rho per knot interval of the interpolant of w:
-    energies, ratios and pass/fail."""
-    rs = [float(r) for r in np.geomspace(profile.delta, 1e3 * profile.delta, 64)]
+    quadrature in ln rho of rho**n f(w) per decade from the check's first
+    knot to delta, and per gap between radii, w read by values_on_grid at
+    each point: energies, ratios and pass/fail."""
+    rs = np.geomspace(profile.delta, 1e3 * profile.delta, 64)
     n, p, eps = profile.params.n, profile.params.p, profile.params.eps
     f = math_twin(profile.f)
-    # 63 knots a decade from 1e-6 * delta; the radii are every 3rd from delta
-    grid = np.geomspace(1e-6 * rs[0], rs[-1], 568)
-    grid[378::3] = rs
-    grid = grid.tolist()
-    ws = profile.values_on_grid(grid)
-    if ws[0] == 0.0:
+    if not profile._table.s.size:
         return [0.0] * 64, [0.0] * 64, True
-    pos = [(g, w) for g, w in zip(grid, ws) if w > 0.0]
-    ln_r = np.log([g for g, _ in pos])
-    ln_w = np.log([w for _, w in pos])
-    # d ln w / d ln r = -r |w'| / w
-    slopes = np.array([-g * profile.gradient_magnitude(g) / w for g, w in pos])
+    x0 = _energy_knots(profile)[0]
 
-    def w_tilde(rho):
-        if rho <= pos[0][0]:
-            return pos[0][1]
-        if rho >= pos[-1][0]:
-            return pos[-1][1]
-        return math.exp(_hermite(np.float64(math.log(rho)), ln_r, ln_w, slopes))
+    def density(t):
+        wv = profile.values_on_grid([math.exp(t)])[0]
+        return 0.0 if wv >= eps else math.exp(n * t) * f(wv)
 
-    def density(rho):
-        wv = w_tilde(rho)
-        return 0.0 if wv >= eps else rho ** (n - 1) * f(wv)
-
-    # every interval at rel 1e-10
-    edges = [0.0] + grid
-    parts = [quad_ref(density, a, b, 1e-10)[0] for a, b in zip(edges[:-1], edges[1:])]
-    sums = np.cumsum(parts)[378::3]
+    # every part at rel 1e-10; below the first knot w is held at its value there
+    edges = [x0] + np.log(profile.delta * np.geomspace(1e-5, 1.0, 6)).tolist() + np.log(rs[1:]).tolist()
+    parts = [density(x0) / n] + [quad_ref(density, a, b, 1e-10)[0] for a, b in zip(edges[:-1], edges[1:])]
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    energies = [omega * x for x in sums.tolist()]
-    ratios = [
-        en * r ** (p - n) / min(w if w > 0.0 else pos[-1][1], eps) ** (p - 1.0)
-        for r, en, w in zip(rs, energies, ws[378::3])
-    ]
+    energies = (omega * np.cumsum(parts)[-64:]).tolist()
+    ws = profile.values_on_grid(rs)
+    ratios = [en * r ** (p - n) / min(w, eps) ** (p - 1.0) for r, en, w in zip(rs.tolist(), energies, ws)]
     grows = all(b >= a * (1.0 - 1e-12) - 1e-300 for a, b in zip(energies, energies[1:]))
     if all(x > 0.0 for x in ratios):
         med = sorted(ratios)[32]
@@ -331,10 +357,11 @@ def test_energy_matches_scalar_quadrature(f, n, p, delta, monkeypatch):
     redone = redone_panels(monkeypatch)
     ed = energy_diagnostic(prof)
     # one panel per knot interval, every one within its bound at once ([]
-    # for the zero profile, which has no panel)
+    # for the zero profile, which has no panel), and every energy within
+    # the check's stated 2e-10 of the integral of f(w)
     assert redone in ([0], [])
-    assert list(ed.energies) == pytest.approx(energies, rel=1e-8, abs=0.0)
-    assert list(ed.ratios) == pytest.approx(ratios, rel=1e-8, abs=0.0)
+    assert list(ed.energies) == pytest.approx(energies, rel=2e-10, abs=0.0)
+    assert list(ed.ratios) == pytest.approx(ratios, rel=2e-10, abs=0.0)
     assert ed.passed == passed
     assert "did not converge" not in ed.detail
 
@@ -377,15 +404,15 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     assert redone == [([0.0, 0.0], [1.0, 1.0])]
     assert flagged.detail == honest.detail + "; quadrature did not converge"
     assert flagged.passed == honest.passed
-    # the two panels redone on the cubic of their intervals agree with their
-    # K7 values
+    # the two panels redone, with w read as values_on_grid reads it, agree
+    # with their K7 values
     assert list(flagged.energies) == pytest.approx(honest.energies, rel=1e-14, abs=0.0)
 
 
-def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypatch):
-    # the first three panels miss: their halves read ln w~ off their
-    # intervals' cubics, and agree with mpmath's quadrature of the same
-    # density, ln w~ by a knot search, over the same interval
+def test_energy_halves_missed_panels_on_w(instance_profile, monkeypatch):
+    # the first three panels miss: their halves read w as values_on_grid
+    # reads it, and agree with mpmath's quadrature of the same density over
+    # the same interval
     instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
     kernel, bisect, halved, calls = verify_module._k7, construct_module._bisect, [], []
 
@@ -407,89 +434,91 @@ def test_energy_halves_missed_panels_on_their_cubics(instance_profile, monkeypat
     monkeypatch.setattr(construct_module, "_bisect", recorded)
     energy_diagnostic(instance_profile)
     (values, _, panels, converged), = halved
-    assert calls == [567, 6] and converged.all() and panels.tolist() == [2, 2, 2]
-    grid, ws, gradients = verify_module._sampled(instance_profile, verify_module._ENERGY)
-    ln_r, ln_w, slopes = np.log(grid), np.log(ws), -grid * gradients / ws
+    assert calls == [1153, 6] and converged.all() and panels.tolist() == [2, 2, 2]
+    x = _energy_knots(instance_profile)
 
-    def density(x):  # rho**3 f(w~), w~ < eps = 1 everywhere
-        ln_wv = _hermite(np.array([x]), ln_r, ln_w, slopes)
-        return math.exp(3.0 * x + float(_ln_f(instance_profile.f, ln_wv, np.exp(ln_wv))[0]))
+    def density(t):  # rho**3 f(w), w < eps = 1 everywhere
+        ln_w = np.log(instance_profile.values_on_grid([math.exp(t)]))
+        return math.exp(3.0 * t + float(_ln_f(instance_profile.f, ln_w, np.exp(ln_w))[0]))
 
-    ref = [quad_ref(density, ln_r[i], ln_r[i + 1], exact=True)[0] for i in range(3)]
+    ref = [quad_ref(density, x[i], x[i + 1], exact=True)[0] for i in range(3)]
     assert values.tolist() == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def _underflowing_profile(n):
-    # eps=1e-10, p=1.05, f = z**(q+1): w underflows to 0 inside the grid
+    # eps=1e-10, p=1.05, f = z**(q+1): w underflows to 0 inside the range
     params = StructureParams(n, 1.05, 1e-10)
     return RadialProfile(Power(critical_exponent(params) + 1.0), params, 1.0)
 
 
-@pytest.mark.parametrize("n, positive, kept", [(3, 405, 9), (4, 358, 0)])
+@pytest.mark.parametrize("n, positive, kept", [(3, 822, 9), (4, 728, 0)])
 def test_energy_stops_at_the_last_positive_knot(n, positive, kept):
     # only the radii up to the last positive knot are reported; with none
     # left there is no ratio to bound, and the check fails
     prof = _underflowing_profile(n)
-    grid = prof.delta * verify_module._unit_energy_grid()
-    assert (np.array(prof.values_on_grid(grid)) > 0.0).sum() == positive
+    knots = np.exp(_energy_knots(prof))
+    assert knots.size == 1154
+    assert (np.array(prof.values_on_grid(knots)) > 0.0).sum() == positive
     ed = energy_diagnostic(prof)
-    assert ed.radii == tuple(grid[378:positive:3].tolist())
+    radii = np.geomspace(1.0, 1e3, 64)
+    assert ed.radii == tuple(radii[:kept].tolist())
+    assert (radii[:kept] <= knots[positive - 1]).all() and (radii[kept:] > knots[positive - 1]).all()
     assert len(ed.energies) == len(ed.ratios) == ed.as_check().grid_size == kept
-    dropped = f"; w underflows to 0 past r={grid[positive - 1]:.6g}, so {64 - kept} of 64 radii are dropped"
+    dropped = f"; w underflows to 0 past r={knots[positive - 1]:.6g}, so {64 - kept} of 64 radii are dropped"
     assert ed.detail.endswith(dropped)
     assert ed.passed == (kept > 0)
 
 
 def test_energy_at_the_kept_radii_does_not_depend_on_where_w_underflows(monkeypatch):
-    # n=3: 164 of the 568 knots are 0; w cut to 0 from knot 390 on keeps the
-    # first 4 of the 9 radii, bit for bit
+    # n=3: 332 of the 1154 knots are 0; w cut to 0 from knot 788 on keeps
+    # the first 4 of the 9 radii, bit for bit
     prof = _underflowing_profile(3)
     ed = energy_diagnostic(prof)
-    sample, energy_knots = prof._sample, verify_module._unit_sample()[3]
+    sample = prof._node_sample
 
-    def cut_sample(radii):
-        w, dw = sample(radii)
-        w[energy_knots[390:]] = 0.0
-        return w, dw
+    def cut_sample(lo, hi):
+        part, w, inner = sample(lo, hi)
+        w[788:] = 0.0
+        return part, w, inner
 
-    monkeypatch.setattr(prof, "_sample", cut_sample)
+    monkeypatch.setattr(prof, "_node_sample", cut_sample)
     cut = energy_diagnostic(prof)
     assert cut.energies == ed.energies[:4]
     assert cut.detail.endswith("so 60 of 64 radii are dropped")
 
 
 def _fejer_energies(profile):
-    """The energies of the diagnostic on the same interpolant w~ of w, one
-    open 15-node Fejer panel per knot interval, the panels that miss the
-    diagnostic's bound redone by integrate_intervals."""
+    """The energies of the diagnostic, one open 15-node Fejer panel per
+    knot interval, the panels that miss the diagnostic's bound redone by
+    integrate_intervals, and one more from the knot below each radius to
+    it, of rho**n f(w), w read by values_on_grid at their nodes."""
     n, eps = profile.params.n, profile.params.eps
-    rs = np.geomspace(profile.delta, 1e3 * profile.delta, 64)
-    grid = np.geomspace(1e-6 * profile.delta, rs[-1], 568)
-    grid[378::3] = rs
-    ws = np.array(profile.values_on_grid(grid))
-    if ws[0] == 0.0:
+    if not profile._table.s.size:
         return [0.0] * 64
-    knots, w_k = grid[ws > 0.0], ws[ws > 0.0]
-    ln_r, ln_w = np.log(knots), np.log(w_k)
-    slopes = -knots * profile._outer_array(knots) / w_k
+    rs = np.geomspace(profile.delta, 1e3 * profile.delta, 64)
+    x = _energy_knots(profile)
 
-    def density(x):
-        ln_wv = _hermite(np.minimum(x, ln_r[-1]), ln_r, ln_w, slopes)
-        small = ln_wv < math.log(eps)
-        ln_d = np.full(x.shape, -np.inf)
-        ln_d[small] = n * x[small] + _ln_f(profile.f, ln_wv[small], np.exp(ln_wv[small]))
+    def density(t):
+        order = np.argsort(t, axis=None)
+        w = np.empty(t.size)
+        w[order] = profile.values_on_grid(np.exp(t.ravel()[order]))
+        w = w.reshape(t.shape)
+        small = (w > 0.0) & (w < eps)
+        ln_d = np.full(t.shape, -np.inf)
+        ln_d[small] = n * t[small] + _ln_f(profile.f, np.log(w[small]), w[small])
         return np.exp(ln_d)
 
-    x = np.log(grid)
     values, errors = _panels(density, x[:-1], x[1:])
     head = density(x[:1])[0] / n
-    sums = (head + np.cumsum(values))[377::3]
+    below = np.searchsorted(x, np.log(rs), side="right") - 1
+    sums = np.concatenate(([head], head + np.cumsum(values)))[below]
     tol = Tolerance(rel=1e-10, absolute=1e-10 * sums[sums > 0.0][:1].sum() / values.size)
     miss = np.flatnonzero(~(errors <= np.maximum(tol.absolute, tol.rel * np.abs(values))))
     if miss.size:
         values[miss] = integrate_intervals(density, x[miss], x[miss + 1], tol).values
+    partial, _ = _panels(density, x[below], np.log(rs))
     omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    return (omega * (head + np.cumsum(values))[377::3]).tolist()
+    return (omega * (np.concatenate(([head], head + np.cumsum(values)))[below] + partial)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -504,12 +533,15 @@ def _fejer_energies(profile):
         (Power(9.8), 4, 1.5, 1.0),
         (Power(40.0), 3, 2.0, 1.0),
         (Power(12.8), 4, 1.5, 1.0),
+        # the outer fill halves 323 of the check's intervals, where w at the
+        # interior nodes is read by _on_grid
+        (Power(0.81), 8, 1.5, 1.0),
     ],
     ids=repr,
 )
 def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
     # the K7 panels on the knots against open 15-node panels over the same
-    # intervals of the same w~, with no panel redone
+    # intervals, with no panel redone
     prof = RadialProfile(f, StructureParams(n, p), delta)
     ref = _fejer_energies(prof)
     redone = redone_panels(monkeypatch)
@@ -519,8 +551,8 @@ def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
 
 
 def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
-    # one K7 panel per knot interval: the density at the 568 knots and at
-    # five interior nodes of each of the 567 intervals, all in one call of
+    # one K7 panel per knot interval: the density at the 1154 knots and at
+    # five interior nodes of each of the 1153 intervals, all in one call of
     # f's log evaluator (w < eps = 1 everywhere)
     instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
     ln_f, sizes = verify_module._ln_f, []
@@ -531,7 +563,7 @@ def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
 
     monkeypatch.setattr(verify_module, "_ln_f", counted)
     energy_diagnostic(instance_profile)
-    assert sizes == [568 + 5 * 567] == [3403]
+    assert sizes == [1154 + 5 * 1153] == [6919]
 
 
 def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):
@@ -693,24 +725,26 @@ def test_sample_radii_hold_every_grid():
     # one strictly increasing array; each check's grid at delta = 1 is its
     # slice, bit for bit
     radii, at_super, at_norm, at_energy = verify_module._unit_sample()
-    assert radii.size == 794 and (np.diff(radii) > 0.0).all()
+    assert radii.size == 322 and (np.diff(radii) > 0.0).all()
     assert radii[at_super].tolist() == np.geomspace(1e-6, 1e6, 200).tolist()
     assert radii[at_norm].tolist() == np.geomspace(1e-6, 1e6, 64).tolist()
-    assert radii[at_energy].tolist() == verify_module._unit_energy_grid().tolist()
+    assert radii[at_energy].tolist() == np.geomspace(1.0, 1e3, 64).tolist()
 
 
 def test_verify_reads_w_with_no_span_pass(monkeypatch, params32):
     # a fresh profile: its outer cache fill halves no span, so the sample
     # that the supersolution, normalization and energy checks share (all
-    # of its 794 radii lie between table knots) is the dense output of the
-    # fill's nodes, with no pass of adaptive spans
+    # of its 322 radii lie between table knots) and w at the energy check's
+    # nodes are the dense output of the fill's nodes, with no pass of
+    # adaptive spans
     passes = partial_span_passes(monkeypatch)
     verify_profile(RadialProfile(Power(4.0), params32, 1.0))
     assert passes == []
 
 
 def test_energy_reads_no_outer_array(monkeypatch, params32):
-    # the slopes of the log-log Hermite come with w in the sample
+    # w at the radii comes from the sample, and at the panels' nodes from
+    # the outer record
     calls, outer = [], RadialProfile._outer_array
     monkeypatch.setattr(RadialProfile, "_outer_array", lambda self, z: calls.append(np.size(z)) or outer(self, z))
     energy_diagnostic(RadialProfile(Power(4.0), params32, 1.0))

@@ -8,7 +8,8 @@ the operations are read from ROOT/perfbench/workloads.py: every CLI
 operation of the three workloads, at each seed, for as many rounds as a
 run of BENCHMARK.json's ``run_seconds`` takes, then a fixed list of
 steep inputs (:data:`STEEP`), whose fills halve many panels, then
-``classify`` and ``verify`` on expressions that f's evaluation refuses
+``verify`` where w crosses eps or underflows inside the energy check's
+range (:data:`ENERGY`), then ``classify`` and ``verify`` on expressions that f's evaluation refuses
 (:data:`EVALUATION`), one for each error of the tree evaluator, a
 negative f and an overflow, then ``classify`` and ``sweep`` on families
 whose monotonicity the gate proves from their parameters, probes, or
@@ -65,6 +66,12 @@ STEEP = [
         ["--n", "10", "--p", "3.5", "--power", "20"],
     )
 ]
+# verify where w exceeds eps on all of the energy check's range (a large
+# forced delta) and on part of it, and where w underflows inside it (STEEP
+# holds the n=4 case of that)
+ENERGY = [
+    ["verify", "--n", "3", "--p", "2", "--power", "4", "--delta", delta, "--format", "json"] for delta in ("1e6", "10")
+] + [["verify", "--n", "3", "--p", "1.05", "--eps", "1e-10", "--power", "1.076923076923077", "--format", "json"]]
 # classify and verify where f's evaluation fails: on the monotonicity
 # gate's grid in (0, 1], at its first sample or past z = 0.5 or 0.71 with
 # the samples before compared, by each rule of the tree evaluator in turn
@@ -136,13 +143,14 @@ def load(root: Path):
 def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str]]:
     """The argv of every CLI operation of each workload at each seed, in
     run order (the scale study calls no CLI and is left out), then
-    :data:`STEEP`, :data:`EVALUATION`, :data:`GATE` and :data:`ARGPARSE`."""
+    :data:`STEEP`, :data:`ENERGY`, :data:`EVALUATION`, :data:`GATE` and
+    :data:`ARGPARSE`."""
     out = []
     for seed in seeds:
         for make in workloads.WORKLOADS.values():
             workload = make(seed)
             out += [op.argv for op in workload.ops(workload.rounds_for(seconds)) if op.kind != "scale-study"]
-    return out + STEEP + EVALUATION + GATE + ARGPARSE
+    return out + STEEP + ENERGY + EVALUATION + GATE + ARGPARSE
 
 
 def _run(main: Callable[[List[str]], int], argv: List[str]) -> Tuple[object, str, str]:

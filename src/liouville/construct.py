@@ -212,23 +212,20 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     and errors of the spans [a[j], b[j]] of the panels i[j].
 
     ``nodes`` is a 7 x N stack of the node values, one row per node and
-    one column per panel, as :class:`_Panels` keeps them, or, where the
-    panels share their end values in one array, the rows (f0, inner, f6)
-    of :func:`~liouville.quadrature._k7`.  ``h`` holds the K7 panels'
-    half-widths.  ``head``, a (value, error) pair, is a first panel that
-    the caller valued by its own rule, with its nodes in the stack's
-    first column.  A panel misses where its error exceeds ``tol.bound``
+    one column per panel, as :class:`_Panels` keeps them.  ``h`` holds
+    the K7 panels' half-widths.  ``head``, a (value, error) pair, is a
+    first panel that the caller valued by its own rule, with its nodes
+    in the stack's first column.  A panel misses where its error exceeds ``tol.bound``
     of its value or, with ``floor``, of the rounding of the running sum
     it joins, if that is larger; ``tol`` may be a function of the
     panels' values.  A missed panel is halved over its [lo, hi], in the
-    terms of ``rule``, by default the fractions [0, 1], and its column of
-    a stack is scaled to its new value, so that its dense output ends on
-    it.  Returns the values, the errors, the indices of the redone panels
-    and whether every one met its tolerance.
+    terms of ``rule``, by default the fractions [0, 1], and its column is
+    scaled to its new value, so that its dense output ends on it.
+    Returns the values, the errors, the indices of the redone panels and
+    whether every one met its tolerance.
     """
-    stack = isinstance(nodes, np.ndarray)
-    k = nodes.shape[1] - h.size if stack else 0  # the head's column
-    values, errors = _k7(*((nodes[0, k:], nodes[1:-1, k:], nodes[-1, k:]) if stack else nodes), h)
+    k = nodes.shape[1] - h.size  # the head's column
+    values, errors = _k7(nodes[0, k:], nodes[1:-1, k:], nodes[-1, k:], h)
     if head is not None:
         values, errors = np.concatenate(([head[0]], values)), np.concatenate(([head[1]], errors))
     tol = tol(values) if callable(tol) else tol
@@ -242,8 +239,7 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     ends = (np.zeros(miss.size), np.ones(miss.size)) if lo is None else (lo[miss], hi[miss])
     redo = lambda j, a, b: rule(miss[j], a, b)  # noqa: E731
     values[miss], errors[miss], _, converged = _bisect(redo, *ends, tol, (guess, errors[miss]))
-    if stack:
-        nodes[:, miss] *= np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
+    nodes[:, miss] *= np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
     return values, errors, miss, bool(converged.all())
 
 
@@ -525,6 +521,23 @@ class _UnitTable(_Panels):
         together): the sum at the interval's left knot plus the dense
         output of its panel (:meth:`_Panels.span`)."""
         return self.sums[i] + self.span(i, u)
+
+    def increment(self, ln_a: np.ndarray, ln_b: np.ndarray) -> np.ndarray:
+        """I_1(b) - I_1(a) for a <= b, from ln a and ln b: the table's own
+        integral over [a, b], its points clamped to the table (0 for a
+        table with no knot interval).  Within one knot interval it is the
+        difference of two dense outputs (:meth:`_Panels.span`); across
+        knots the rest of the first interval (:meth:`_Panels.rest`), the
+        running sums between the two, and the start of the last.  No
+        difference of running sums enters a window that crosses one knot
+        or none."""
+        if not self.h.size:
+            return np.zeros(np.shape(ln_a))
+        ia, ua = self.locate(ln_a)
+        ib, ub = self.locate(ln_b)
+        end = self.span(ib, ub)
+        across = self.rest(ia, ua) + (self.sums[ib] - self.sums[np.minimum(ia + 1, ib)]) + end
+        return np.where(ia == ib, end - self.span(ia, ua), across)
 
 
 def _ln_mass(inner: np.ndarray) -> np.ndarray:

@@ -350,11 +350,11 @@ def _ln_integrand(f: Nonlinearity, q: float, v: np.ndarray) -> np.ndarray:
     return _ln_f(f, -v, lambda: np.exp(-v)) + q * v
 
 
-def _shell_points(ln_top: float, count: int, first: int = 0) -> np.ndarray:
-    """v = ln(1/zeta) at the edges and midpoints of shells first ..
-    first + count - 1 below top = e**ln_top, in order: every other point,
-    from the first, is an edge."""
-    return 0.5 * _LN2 * np.arange(2 * first, 2 * (first + count) + 1) - ln_top
+def _shell_points(ln_top: float, count: int) -> np.ndarray:
+    """v = ln(1/zeta) at the edges and midpoints of shells 0 .. count - 1
+    below top = e**ln_top, in order: every other point, from the first,
+    is an edge."""
+    return 0.5 * _LN2 * np.arange(2 * count + 1) - ln_top
 
 
 def _log_shells(
@@ -363,12 +363,11 @@ def _log_shells(
     ln_top: float,
     count: int,
     tol: Tolerance,
-    first: int = 0,
     q: Optional[float] = None,
     ln_at: Optional[np.ndarray] = None,
 ) -> _LogShells:
-    """Shells k = first .. first + count - 1 of the criterion integral
-    below top = e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
+    """Shells k = 0 .. count - 1 of the criterion integral below top =
+    e**ln_top, each over (top 2**-(k+1), top 2**-k], as logs.
 
     In v = ln(1/zeta), shell k is the integral of e**L, L = ln f(e**-v) + q v
     (:meth:`Nonlinearity.log_value`), over [k ln 2 - ln_top, (k+1) ln 2 - ln_top],
@@ -382,7 +381,7 @@ def _log_shells(
     where the caller has evaluated it there already.
     """
     q = critical_exponent(params) if q is None else q
-    at = _shell_points(ln_top, count, first)
+    at = _shell_points(ln_top, count)
     edges = at[::2]
     ln_at = _ln_integrand(f, q, at) if ln_at is None else ln_at
     r = np.maximum(np.maximum(ln_at[:-1:2], ln_at[1::2]), ln_at[2::2])

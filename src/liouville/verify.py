@@ -10,12 +10,13 @@ The five profile checks:
 
 * flux identity: on 13 log-spaced radii over [1e-2, 1e2] * delta, the
   increment of the radial flux r**(n-1) |w'(r)|**(p-1) across the
-  window [r - h, r + h] must match a fresh quadrature of the source
-  term over the same window, the best of h = 1e-2, 1e-3, 1e-4 and 1e-5
-  times r within a relative defect of 1e-6.  The flux reads the cached
-  inner integral, the dense output of the table's panels between its
-  sums; the quadrature integrates the source term afresh over the
-  window.
+  window [r - h, r + h], h = 1e-3 r, must match a fresh quadrature of
+  the source term over the same window within a relative defect of
+  1e-6.  The flux is I by construction, so its increment is read off
+  the profile's table as the table's own integral over the window: the
+  dense output of its panels, with no running sum between the window's
+  ends where it crosses one knot or none; the quadrature integrates the
+  source term afresh over the window.
 * supersolution: on 200 log-spaced radii over [1e-6, 1e6] * delta the
   envelope must dominate the profile to within 1e-12 and, through
   monotonicity of f, f(env) - f(w) must stay above -1e-10.
@@ -66,7 +67,7 @@ import numpy as np
 from ._record import tuple_record
 from .construct import _K7_U, RadialProfile, _k7_fill, _Panels, sup_profile
 from .criterion import StructureParams
-from .nonlinearity import Nonlinearity, _exp_checked, _ln_f
+from .nonlinearity import Nonlinearity, _ln_f
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, _finite, _k7, integrate_intervals
 from .quadrature import integrate  # noqa: F401  (patched by perfbench/tracing.py)
 
@@ -114,7 +115,7 @@ def _unconverged_note(converged: bool) -> str:
 # The checks' fixed grids, with radii in units of delta, and thresholds,
 # as the module docstring gives them.
 _FLUX_RADII = 13
-_FLUX_H_FACTORS = (1e-2, 1e-3, 1e-4, 1e-5)
+_FLUX_H = 1e-3
 _FLUX_TARGET = 1e-6
 _SUPER_RADII = 200
 _ENVELOPE_SLACK = 1e-12
@@ -136,30 +137,22 @@ _DELTA_THRESHOLD = 1e-3
 # flux identity
 
 
-def _flux(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
-    # the radial flux r**(n-1) |w'(r)|**(p-1), in logs; past double range
-    # (a large forced delta) it raises EvalOverflow
-    n, p = profile.params.n, profile.params.p
-    with np.errstate(divide="ignore"):
-        ln_flux = (n - 1) * np.log(r) + (p - 1.0) * np.log(profile._outer_array(r))
-    return _exp_checked(ln_flux, "flux", r)
-
-
 def _flux_defects(
     profile: RadialProfile, r: np.ndarray, h: np.ndarray
 ) -> Tuple[np.ndarray, bool]:
     # the relative defect of the flux identity over each window
-    # [r[i] - h[i], r[i] + h[i]]: the flux increment across it against a
-    # fresh quadrature of the source term, normalized by the larger of the
-    # two, all windows in one batched pass; and whether every source
-    # quadrature converged.  Second order in h for smooth integrands,
-    # until quadrature noise takes over.
+    # [r[i] - h[i], r[i] + h[i]]: the flux increment across it, which is
+    # I's, read off the profile's table as its own integral over the window
+    # (its part on the table), against a fresh quadrature of the source
+    # term, normalized by the larger of the two, all windows in one
+    # batched pass; and whether every source quadrature converged
     bad = np.flatnonzero(~((0.0 < h) & (h < r)))
     if bad.size:
         i = bad[0]
         raise ValueError(f"need 0 < h < r, got h={float(h[i])!r}, r={float(r[i])!r}")
-    up, down = np.split(_flux(profile, np.concatenate((r + h, r - h))), 2)
-    lhs = up - down
+    ln_delta = math.log(profile.delta)
+    unit = profile._table.increment(np.log(r - h) - ln_delta, np.log(r + h) - ln_delta)
+    lhs = profile._delta_power(profile.params.n) * unit
     rhs = integrate_intervals(profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0))
     den = np.maximum(np.abs(lhs), np.abs(rhs.values))
     with np.errstate(invalid="ignore"):
@@ -170,17 +163,18 @@ def _flux_defects(
 def flux_identity_check(profile: RadialProfile) -> CheckResult:
     """Windowed flux-balance check at each radius.
 
-    The window half-width adapts: each factor of ``_FLUX_H_FACTORS``
-    times r is tried and the smallest residual kept, so the check is not
-    fooled by windows too wide (curvature) or too narrow (cancellation).
+    By construction r**(n-1) |w'|**(p-1) = I(r), so the flux increment
+    across the window [r - h, r + h], h = ``_FLUX_H`` times r, is I's:
+    the table's own integral over the window
+    (:meth:`~liouville.construct._UnitTable.increment`), which must match
+    a fresh quadrature of the source term.  A window this narrow crosses
+    at most one knot, so no difference of running sums enters it.
     ``detail`` says so when a source quadrature did not converge.
     """
     radii = np.geomspace(0.01 * profile.delta, 100.0 * profile.delta, _FLUX_RADII)
-    rs = np.repeat(radii, len(_FLUX_H_FACTORS))
-    defects, converged = _flux_defects(profile, rs, rs * np.tile(_FLUX_H_FACTORS, _FLUX_RADII))
-    best = defects.reshape(_FLUX_RADII, len(_FLUX_H_FACTORS)).min(axis=1)
-    i = int(np.argmax(best))
-    worst, worst_r = (float(best[i]), float(radii[i])) if best[i] > 0.0 else (0.0, None)
+    defects, converged = _flux_defects(profile, radii, _FLUX_H * radii)
+    i = int(np.argmax(defects))
+    worst, worst_r = (float(defects[i]), float(radii[i])) if defects[i] > 0.0 else (0.0, None)
     return CheckResult(
         name="flux_identity",
         grid_size=_FLUX_RADII,
@@ -386,9 +380,10 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     does not increase, so its positive knots are a prefix), the panels
     end at the last positive knot: only the radii up to it are
     reported, with energies that do not depend on where w underflows,
-    and ``detail`` says where it does and how many radii are dropped;
-    with no radius left there is no ratio to bound, and the check
-    fails.  If a halved panel does not converge, or the profile's table
+    and ``detail`` says where it does and how many radii are dropped.
+    With no radius left, or a zero energy at one (as where w >= eps up
+    to it), there is no ratio to bound, and the check fails.  If a
+    halved panel does not converge, or the profile's table
     or outer cache fill did not, ``detail`` says so too.
     """
     params = profile.params
@@ -466,17 +461,10 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     ratios = (en * rs ** (p - n) / np.minimum(w_r[:kept], eps) ** (p - 1.0)).tolist()
 
     nondecreasing = bool((en[1:] >= en[:-1] * (1.0 - 1e-12) - 1e-300).all())
-    positive = [x for x in ratios if x > 0.0]
-    if not ratios:  # w underflows before the first radius: no ratio to bound
-        med = 0.0
-        spread = math.inf
-    elif len(positive) == len(ratios):
+    if ratios and min(ratios) > 0.0:
         med = sorted(ratios)[len(ratios) // 2]
         spread = max(max(ratios) / med, med / min(ratios))
-    elif not positive:
-        med = 0.0
-        spread = 1.0
-    else:
+    else:  # no radius kept, or a zero energy: no ratio to bound
         med = 0.0
         spread = math.inf
     passed = nondecreasing and spread <= _ENERGY_BOUND

@@ -606,13 +606,11 @@ def test_gate_without_a_value(monkeypatch, params32):
 
 
 def test_log_shells_do_not_depend_on_their_neighbours(params32):
-    # the outermost shells of a long pass are those of a short one, and
-    # the rest are those of a pass that starts where the short one ends
+    # the outermost shells of a long pass are those of a short one
     f = parse_nonlinearity("z^3*log(e+1/z)^-2")
     tol = Tolerance(rel=1e-12, absolute=0.0)
     long = _log_shells(f, params32, 0.0, 100, tol)
     assert _log_shells(f, params32, 0.0, 30, tol) == long[:30]
-    assert _log_shells(f, params32, 0.0, 70, tol, first=30) == long[30:]
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ def test_digest_lines_repeat(monkeypatch):
     tool = _tool()
     cli, workloads = tool.load(ROOT)
     ops = tool.operations(workloads, [11], 40.0)
-    fixed = tool.STEEP + tool.ENERGY + tool.EVALUATION + tool.GATE + tool.ARGPARSE
+    fixed = tool.STEEP + tool.ENERGY + tool.FLUX + tool.EVALUATION + tool.GATE + tool.ARGPARSE
     assert ops[-len(fixed) :] == fixed
     picked = [next(argv for argv in ops if argv[0] == kind) for kind in ("classify", "verify", "construct", "sweep")]
     picked.append(["construct", "--n", "3", "--p", "2", "--power", "3.2", "--format", "csv"])
@@ -47,8 +47,8 @@ def test_argparse_lines_repeat_with_their_exit_codes(monkeypatch):
 
 
 def test_workload_lines_take_the_option_table_and_the_rest_argparse(monkeypatch):
-    # every command line of the three workloads at seeds 11-12, the steep
-    # and energy inputs, those that f's evaluation refuses and those of the
+    # every command line of the three workloads at seeds 11-12, the steep,
+    # energy and flux inputs, those that f's evaluation refuses and those of the
     # gate, is read from the table with no fallback, into what argparse
     # reads; the fixed argparse lines are left to argparse
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -87,3 +87,8 @@ def test_values_list_each_operation_and_compare_reads_them_field_by_field(monkey
     old = ["$ classify x\t5", "out\tvalue = 2.0", "out\tdetail = ratio 0.5", "err\tnote"]
     new = ["$ classify x\t5", "out\tvalue = 2.5", "out\tdetail = ratio 0.5 at most", "err\tnote"]
     assert tool.compare(old, new)[:2] == ["classify x\t5\tout\tvalue\t0.2", "classify x\t5\tout\tdetail\tinf"]
+    # a JSON member with a comma and no number is no CSV header: the
+    # member after it keeps its own key
+    old = ["$ verify x\t1", "out\t{", 'out\t  "name": "flux_identity",', 'out\t  "worst_residual": 2.0,']
+    new = old[:3] + ['out\t  "worst_residual": 2.5,']
+    assert tool.compare(old, new)[0] == "verify x\t1\tout\tworst_residual\t0.2"

@@ -59,12 +59,12 @@ class TestFlux:
     def test_residual_small_at_moderate_window(self, instance_profile):
         assert _flux_defect(instance_profile, 1.0, 0.1) < 1e-7
 
-    def test_residual_grows_as_window_shrinks(self, instance_profile):
-        # the increment over a tiny window cancels to the cache noise
-        # floor, so wider windows are syntactically *more* accurate here
-        wide = _flux_defect(instance_profile, 1.0, 1e-1)
-        narrow = _flux_defect(instance_profile, 1.0, 1e-4)
-        assert wide < narrow < 1e-4
+    def test_residual_small_at_every_window_width(self, instance_profile):
+        # the increment is the table's own integral over the window, so it
+        # cancels to no noise floor: a window crossing many knots and one
+        # inside a knot interval (0.018 wide in ln s) both match the source
+        for h in (0.5, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            assert _flux_defect(instance_profile, 1.0, h) < 1e-12, h
 
     def test_window_validation(self, instance_profile):
         with pytest.raises(ValueError):
@@ -90,18 +90,50 @@ class TestFlux:
         assert flagged.detail == honest.detail + "; quadrature did not converge"
         assert (flagged.passed, flagged.worst_residual) == (honest.passed, honest.worst_residual)
 
-    def test_both_window_ends_in_one_call(self, instance_profile, monkeypatch):
-        # the flux at r + h and at r - h in one _outer_array call, with the
-        # bits of one call per end: the evaluation is elementwise
-        r = np.repeat(np.geomspace(0.01, 100.0, 13), 4)
-        h = r * np.tile([1e-2, 1e-3, 1e-4, 1e-5], 13)
-        lhs = verify_module._flux(instance_profile, r + h) - verify_module._flux(instance_profile, r - h)
+    def test_window_increment_is_the_tables_integral(self, instance_profile, monkeypatch):
+        # the flux increment over each window is the table's integral over
+        # it in one call, with no |w'| read: inside a knot interval the
+        # difference of two dense outputs, across knots the rest of the
+        # first, the running sums between and the start of the last, which
+        # agrees with I_1 read at both ends; each window has the bits it
+        # has alone
+        t = instance_profile._table
+        r = np.geomspace(0.01, 100.0, 13)
+        h = np.concatenate((1e-3 * r, 0.5 * r))
+        r = np.concatenate((r, r))
+        a, b = np.log(r - h), np.log(r + h)
+        inc = t.increment(a, b)
+        (ia, ua), (ib, ub) = t.locate(a), t.locate(b)
+        assert (ib - ia <= 1)[:13].all() and (ib - ia > 1)[13:].all()
+        same = ia == ib
+        assert same[:13].any() and (inc[same] == (t.span(ib, ub) - t.span(ia, ua))[same]).all()
+        ends = t.inner(ib, ub)
+        assert np.all(np.abs(inc - (ends - t.inner(ia, ua))) <= 64.0 * np.spacing(ends))
+        assert [float(t.increment(a[k : k + 1], b[k : k + 1])[0]) for k in range(26)] == inc.tolist()
         rhs = integrate_intervals(instance_profile._source, r - h, r + h, Tolerance(rel=1e-13, absolute=0.0)).values
         calls, outer = [], RadialProfile._outer_array
         monkeypatch.setattr(RadialProfile, "_outer_array", lambda self, z: calls.append(z.size) or outer(self, z))
         defects, _ = verify_module._flux_defects(instance_profile, r, h)
-        assert calls == [104]
-        assert defects.tolist() == (np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))).tolist()
+        assert calls == []
+        assert defects.tolist() == (np.abs(inc - rhs) / np.maximum(np.abs(inc), np.abs(rhs))).tolist()
+
+    @pytest.mark.parametrize("s, passed", [(1.0, False), (0.01, False), (1e3, True), (1e-4, True)])
+    def test_a_corrupted_panel_fails_only_inside_a_window(self, params32, s, passed):
+        # one panel of the table with its node values scaled by 1 + 1e-4:
+        # the check fails where a window lies inside it (s = 1 and 0.01 are
+        # radii of the check), and where none does, it reads as the honest
+        # table does
+        prof = RadialProfile(Power(4.0), params32, 1.0)
+        honest = flux_identity_check(prof)
+        t = prof._table
+        i, _ = t.locate(np.array([math.log(s)]))
+        t.nodes[:, i] *= 1.0 + 1e-4
+        corrupted = flux_identity_check(prof)
+        assert honest.passed and corrupted.passed == passed
+        if passed:
+            assert corrupted == honest
+        else:
+            assert corrupted.worst_residual > 1e-5 and f"at r={s!r}" in corrupted.detail
 
 
 @pytest.mark.parametrize(
@@ -115,7 +147,7 @@ class TestFlux:
     ids=repr,
 )
 def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
-    # the flux check integrates all 13 x 4 source windows in one batched
+    # the flux check integrates all 13 source windows in one batched
     # call; each agrees with QUADPACK's quadrature of the window within
     # the two error estimates
     prof = RadialProfile(f, StructureParams(n, p), delta)
@@ -131,7 +163,7 @@ def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
     flux_identity_check(prof)
     assert len(calls) == 1
     g, lo, hi, tol, res = calls[0]
-    assert len(lo) == 52 and res.converged
+    assert len(lo) == 13 and res.converged
     for a, b, value, error in zip(lo, hi, res.values.tolist(), res.abs_errors.tolist()):
         ref, ref_error = quad_ref(lambda t: float(g(np.array([t]))[0]), a, b, tol.rel)
         assert abs(value - ref) <= error + ref_error, (a, b)
@@ -157,6 +189,31 @@ def test_flux_windows_match_scalar_quadrature(f, n, p, delta, monkeypatch):
 def test_flux_identity_passes_on_benchmark_inputs(f, n, p):
     res = flux_identity_check(find_delta(f, StructureParams(n, p)))
     assert res.passed, res.detail
+
+
+# Inputs whose flux check failed (defects 5e-5 to 1.0, most at r = 100)
+# while the increment was the difference of I at the window's ends, which
+# cancels where I saturates
+@pytest.mark.parametrize(
+    "f, params",
+    [
+        (Power(6.31689), StructureParams(8, 3.0)),
+        (parse_nonlinearity("z^6.18633"), StructureParams(8, 3.0)),
+        (Power(40.0), StructureParams(3, 2.0)),
+        (Power(20.0), StructureParams(10, 3.5)),
+        (Power(2.0), StructureParams(4, 1.5)),
+        (parse_nonlinearity("(exp(z)-1)*z^1.0"), StructureParams(4, 1.5)),
+        (parse_nonlinearity("log(1+z)*z^1"), StructureParams(4, 1.5)),
+        (Power(0.5), StructureParams(6, 1.2)),
+        (Power(0.5), StructureParams(5, 1.1)),
+        (Power(critical_exponent(StructureParams(4, 1.05, 1e-10)) + 1.0), StructureParams(4, 1.05, 1e-10)),
+        (Power(critical_exponent(StructureParams(3, 1.05, 1e-10)) + 1.0), StructureParams(3, 1.05, 1e-10)),
+    ],
+    ids=repr,
+)
+def test_flux_identity_passes_where_I_saturates(f, params):
+    res = flux_identity_check(find_delta(f, params))
+    assert res.passed and res.worst_residual <= 1e-7, res.detail
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +390,8 @@ def _scalar_energy(profile):
     if all(x > 0.0 for x in ratios):
         med = sorted(ratios)[32]
         spread = max(max(ratios) / med, med / min(ratios))
-    else:
-        spread = 1.0 if not any(ratios) else math.inf
+    else:  # a zero energy leaves no ratio to bound
+        spread = math.inf
     return energies, ratios, grows and spread <= 1e3
 
 
@@ -686,10 +743,14 @@ class TestVerifyProfile:
             assert ca == cb  # dataclass equality: bit-identical floats
 
     def test_overall_false_when_any_check_fails(self, params32):
+        # at delta = 1e6, w >= eps = 1 up to r = 1e3 delta: every energy is
+        # 0, which leaves no ratio to bound
         rep = verify_profile(RadialProfile(Power(4.0), params32, 1e6))
         assert not rep.overall
         failed = {c.name for c in rep.checks if not c.passed}
-        assert "supersolution" in failed
+        assert {"supersolution", "energy"} <= failed
+        energy = rep.checks[-1]
+        assert energy.worst_residual == math.inf and "around the median 0;" in energy.detail
 
 
 # one input of each family, the expression one with no leading term for

@@ -9,13 +9,14 @@ operation of the three workloads, at each seed, for as many rounds as a
 run of BENCHMARK.json's ``run_seconds`` takes, then a fixed list of
 steep inputs (:data:`STEEP`), whose fills halve many panels, then
 ``verify`` where w crosses eps or underflows inside the energy check's
-range (:data:`ENERGY`), then ``classify`` and ``verify`` on expressions that f's evaluation refuses
-(:data:`EVALUATION`), one for each error of the tree evaluator, a
-negative f and an overflow, then ``classify`` and ``sweep`` on families
-whose monotonicity the gate proves from their parameters, probes, or
-refuses (:data:`GATE`), then a fixed list of command lines that
-argparse reads (:data:`ARGPARSE`): help, and those that the option table
-of ``liouville.cli`` leaves to it.
+range (:data:`ENERGY`), then ``verify`` where the flux check's windows lie
+where I saturates (:data:`FLUX`), then ``classify`` and ``verify`` on
+expressions that f's evaluation refuses (:data:`EVALUATION`), one for
+each error of the tree evaluator, a negative f and an overflow, then
+``classify`` and ``sweep`` on families whose monotonicity the gate
+proves from their parameters, probes, or refuses (:data:`GATE`), then a
+fixed list of command lines that argparse reads (:data:`ARGPARSE`):
+help, and those that the option table of ``liouville.cli`` leaves to it.
 Each runs in-process through ``liouville.cli.main``.  Two checkouts
 whose digests ``diff`` equal print the same bytes and exit codes on all
 of them.
@@ -72,6 +73,19 @@ STEEP = [
 ENERGY = [
     ["verify", "--n", "3", "--p", "2", "--power", "4", "--delta", delta, "--format", "json"] for delta in ("1e6", "10")
 ] + [["verify", "--n", "3", "--p", "1.05", "--eps", "1e-10", "--power", "1.076923076923077", "--format", "json"]]
+# verify where the flux check's windows lie where I saturates, or where
+# the source falls steeply across a panel (STEEP and ENERGY hold the other
+# such inputs); the last input's flux fails there
+_SATURATING = (
+    ["--n", "4", "--p", "1.5", "--power", "2"],
+    ["--n", "4", "--p", "1.5", "--expr", "(exp(z)-1)*z^1.0"],
+    ["--n", "4", "--p", "1.5", "--expr", "log(1+z)*z^1"],
+    ["--n", "6", "--p", "1.2", "--power", "0.5"],
+    ["--n", "8", "--p", "3", "--power", "6.31689"],
+    ["--n", "8", "--p", "3", "--expr", "z^6.18633"],
+    ["--n", "5", "--p", "1.1", "--power", "3.18"],
+)
+FLUX = [["verify", *args, "--format", "json"] for args in _SATURATING]
 # classify and verify where f's evaluation fails: on the monotonicity
 # gate's grid in (0, 1], at its first sample or past z = 0.5 or 0.71 with
 # the samples before compared, by each rule of the tree evaluator in turn
@@ -143,14 +157,14 @@ def load(root: Path):
 def operations(workloads, seeds: Iterable[int], seconds: float) -> List[List[str]]:
     """The argv of every CLI operation of each workload at each seed, in
     run order (the scale study calls no CLI and is left out), then
-    :data:`STEEP`, :data:`ENERGY`, :data:`EVALUATION`, :data:`GATE` and
-    :data:`ARGPARSE`."""
+    :data:`STEEP`, :data:`ENERGY`, :data:`FLUX`, :data:`EVALUATION`,
+    :data:`GATE` and :data:`ARGPARSE`."""
     out = []
     for seed in seeds:
         for make in workloads.WORKLOADS.values():
             workload = make(seed)
             out += [op.argv for op in workload.ops(workload.rounds_for(seconds)) if op.kind != "scale-study"]
-    return out + STEEP + ENERGY + EVALUATION + GATE + ARGPARSE
+    return out + STEEP + ENERGY + FLUX + EVALUATION + GATE + ARGPARSE
 
 
 def _run(main: Callable[[List[str]], int], argv: List[str]) -> Tuple[object, str, str]:
@@ -237,10 +251,13 @@ def compare(old: List[str], new: List[str]) -> List[str]:
             out.append(f"{head_a}\t->\t{head_b}\t{len(lines_a)} output lines -> {len(lines_b)}")
             summary.setdefault((command, "-", "operation"), []).append(math.inf)
             continue
+        # a CSV table's header is its output's first line; a JSON member
+        # with a comma and no number is not one
+        first = lines_a[0] if lines_a else ""
         header = None
+        if first.startswith("out\t") and "," in first and not _NUMBER.search(first):
+            header = first.split("\t", 1)[1].split(",")
         for a, b in zip(lines_a, lines_b):
-            if header is None and a.startswith("out\t") and "," in a and not _NUMBER.search(a):
-                header = a.split("\t", 1)[1].split(",")
             if a != b:
                 stream = a.split("\t", 1)[0]
                 for field, rel in _changes(a, b, header):

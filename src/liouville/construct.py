@@ -194,7 +194,8 @@ def _dense(g, u) -> np.ndarray:
     coef = basis[:, 0] * g[0]
     for m in range(1, 7):
         coef += basis[:, m] * g[m]
-    v = 2.0 * np.asarray(u) - 1.0
+    v = np.multiply(u, 2.0)
+    v -= 1.0
     out = coef[-1] * v
     for c in coef[-2:0:-1]:
         out += c
@@ -211,21 +212,22 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     estimates) on the caller's panel rule ``rule(i, a, b)``, the values
     and errors of the spans [a[j], b[j]] of the panels i[j].
 
-    ``nodes`` is a 7 x N stack of the node values, one row per node and
-    one column per panel, as :class:`_Panels` keeps them.  ``h`` holds
-    the K7 panels' half-widths.  ``head``, a (value, error) pair, is a
-    first panel that the caller valued by its own rule, with its nodes
-    in the stack's first column.  A panel misses where its error exceeds ``tol.bound``
+    ``nodes`` is a 7 x N stack of the node values of the K7 panels, one
+    row per node and one column per panel, as :class:`_Panels` keeps
+    them.  ``h`` holds their half-widths.  ``head``, a (value, error)
+    pair, is a first panel that the caller valued by its own rule; it has
+    no column in the stack, and comes first in what is returned.  A
+    panel misses where its error exceeds ``tol.bound``
     of its value or, with ``floor``, of the rounding of the running sum
     it joins, if that is larger; ``tol`` may be a function of the
     panels' values.  A missed panel is halved over its [lo, hi], in the
-    terms of ``rule``, by default the fractions [0, 1], and its column is
-    scaled to its new value, so that its dense output ends on it.
-    Returns the values, the errors, the indices of the redone panels and
-    whether every one met its tolerance.
+    terms of ``rule``, by default the fractions [0, 1], and its column
+    (the head has none) is scaled to its new value, so that its dense
+    output ends on it.  Returns the values, the errors, the indices of
+    the redone panels and whether every one met its tolerance.
     """
-    k = nodes.shape[1] - h.size  # the head's column
-    values, errors = _k7(nodes[0, k:], nodes[1:-1, k:], nodes[-1, k:], h)
+    values, errors = _k7(nodes[0], nodes[1:-1], nodes[-1], h)
+    k = 0 if head is None else 1  # the index of the stack's first column
     if head is not None:
         values, errors = np.concatenate(([head[0]], values)), np.concatenate(([head[1]], errors))
     tol = tol(values) if callable(tol) else tol
@@ -239,7 +241,9 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     ends = (np.zeros(miss.size), np.ones(miss.size)) if lo is None else (lo[miss], hi[miss])
     redo = lambda j, a, b: rule(miss[j], a, b)  # noqa: E731
     values[miss], errors[miss], _, converged = _bisect(redo, *ends, tol, (guess, errors[miss]))
-    nodes[:, miss] *= np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
+    col = miss >= k
+    ratio = np.divide(values[miss], guess, out=np.ones(miss.size), where=guess > 0.0)
+    nodes[:, miss[col] - k] *= ratio[col]
     return values, errors, miss, bool(converged.all())
 
 
@@ -256,14 +260,18 @@ class _Panels:
     five interior nodes, and a fill values all its panels in one call,
     node-major (:func:`_k7_fill`).  ``nodes`` keeps the integrand at all
     seven nodes of every panel, one row per node and one column per
-    interval, so the integral over part of a panel is a dot product, as
+    interval, in one C-contiguous 7 x N array of its own (a read gathers
+    only the columns it needs; from a strided view numpy would first
+    copy the whole stack), so the integral over part of a panel is a dot
+    product, as
     a Runge-Kutta method's dense output reads its stages: over the
     fractions [0, u] of interval i it is h times the sum of C_m(u) g_m
     over its seven values g_m, C_m the cumulative Lagrange weights of
     the nodes (:func:`_dense_basis`; :meth:`span`).  K7's nodes are
     symmetric, so C_m(1) - C_m(u) = C_(6-m)(1 - u): the integral over
     [u, 1] is the same sum on the values in reverse at 1 - u
-    (:meth:`rest`).  The forward sums at the five interior nodes of every
+    (:meth:`rest`, which takes the columns first and then reverses
+    their rows).  The forward sums at the five interior nodes of every
     panel come through one fixed matrix of the weights (:meth:`interior`).
     Every sum is elementwise, so a point's bits do not depend on the
     other points of a call, nor on its shape.
@@ -291,14 +299,17 @@ class _Panels:
 
     def rest(self, i: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The integrals over the fractions [u, 1] of the knot intervals i
-        (broadcast together)."""
-        out = _dense(np.take(self.nodes[::-1], i, axis=1), 1.0 - u)
+        (broadcast together): their columns, taken first, in reverse."""
+        out = _dense(np.take(self.nodes, i, axis=1)[::-1], 1.0 - u)
         out *= self.h[i]
         return out
 
-    def interior(self, part: slice = slice(None), reverse: bool = False) -> np.ndarray:
+    def interior(
+        self, part: slice = slice(None), reverse: bool = False, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """The sums at the five interior K7 nodes of the intervals
-        ``part``, one row per node.  For a record summed forward: its left
+        ``part``, one row per node, in ``out`` if given.  For a record
+        summed forward: its left
         knot's sum plus the integral up to the node, through the fixed
         matrix :func:`_interior_weights`; for one summed in ``reverse``:
         its right knot's sum plus the integral from the node, through the
@@ -306,7 +317,7 @@ class _Panels:
         reverse.  The einsum sums each entry over the seven nodes in
         order, on its own."""
         weights = _interior_weights()[::-1, ::-1] if reverse else _interior_weights()
-        out = np.einsum("mj,mi->ji", weights, self.nodes[:, part])
+        out = np.einsum("mj,mi->ji", weights, self.nodes[:, part], out=out)
         out *= self.h[part]
         out += (self.sums[1:] if reverse else self.sums[:-1])[part]
         return out
@@ -326,14 +337,20 @@ def _ln_source(f: Nonlinearity, params: StructureParams, ln_s: np.ndarray, ln_1p
     # ln s at power n; in logs throughout, because far out f(env) underflows
     # long before the source term does
     k = (params.n - params.p) / (params.p - 1.0)
-    ln_z = math.log(params.eps) - k * ln_1ps
-    return power * ln_s + _ln_f(f, ln_z, lambda: np.exp(ln_z))
+    ln_z = -k * ln_1ps  # ln eps - k ln(1 + s), with its bits, in one array
+    ln_z += math.log(params.eps)
+    out = power * ln_s
+    out += _ln_f(f, ln_z, lambda: np.exp(ln_z))
+    return out
 
 
 def _exp_source(ln: np.ndarray, at) -> np.ndarray:
-    # the source term from its log (at as in _exp_checked); a subnormal
-    # value has too few digits to resolve, and cannot move a sum
-    return _exp_checked(np.where(ln < _LN_TINY, -np.inf, ln), "source term", at)
+    # the source term from its log, written over it unless it is a number
+    # (at as in _exp_checked); a subnormal value has too few digits to
+    # resolve, and cannot move a sum
+    ln = np.asarray(ln)
+    np.copyto(ln, -np.inf, where=ln < _LN_TINY)
+    return _exp_checked(ln, "source term", at, ln)
 
 
 def _source_term(f: Nonlinearity, params: StructureParams, xi: np.ndarray, delta: float = 1.0) -> np.ndarray:
@@ -437,7 +454,9 @@ def _table_fill(
     integrals of the source term over the panels between 0 and them.
 
     The first panel, [0, s_0], is valued by :func:`_origin_panel` on its
-    K7 nodes in s; the others are K7 panels in x (:func:`_k7_fill`).  The
+    K7 nodes in s, and has no column in the stack, which is allocated
+    once and filled in place; the others are K7 panels in x
+    (:func:`_k7_fill`).  The
     node logs come in node-major blocks, those of the panels up to the
     last cache knot from :func:`_table_geometry` and those past it, which
     depend on a = (p-1)/(n-p), from :func:`_tail_geometry`.  Per node the
@@ -454,33 +473,39 @@ def _table_fill(
     tail, past = _tail_geometry((params.p - 1.0) / (n - params.p))
     s = np.concatenate((knots, tail))
     x = np.log(s)
-    at_nodes, row = np.empty((7, s.size)), 0
+    nodes, origin, col = np.empty((7, s.size - 1)), None, 0
     for ln_s, ln_1ps in fixed + past:
-        part = slice(row, row + ln_s.shape[1])
         at = lambda: np.exp(ln_s.T)  # noqa: E731  (where an error names s)
-        at_nodes[1:, part] = _finite(_exp_source(_ln_source(f, params, ln_s.T, ln_1ps.T, n), at), at).T
-        row = part.stop
-    # each panel's left end is the right end of the one before, the first's s = 0
-    at_nodes[0] = np.append(0.0, at_nodes[-1, :-1])
+        src = _finite(_exp_source(_ln_source(f, params, ln_s.T, ln_1ps.T, n), at), at).T
+        if origin is None:
+            # the first block's first column is the panel [0, s_0], valued
+            # here and kept out of the stack but for its right end
+            origin, nodes[0, 0] = _origin_panel(src[:, 0], n), src[-1, 0]
+            src = src[:, 1:]
+        nodes[1:, col : col + src.shape[1]] = src
+        col += src.shape[1]
+    # each panel's left end is the right end of the one before
+    nodes[0, 1:] = nodes[-1, :-1]
 
     def halves(i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # the first panel's halves in s, with the source term; the others'
         # in x, with s * source(s)
-        t = _nodes(a, b, _XA_K7)
-        t[:, 0], t[:, -1] = a, b
+        ln_s = _nodes(a, b, _XA_K7)
+        ln_s[:, 0], ln_s[:, -1] = a, b
         in_s = i == 0
-        ln_s = t.copy()
         with np.errstate(divide="ignore"):
-            ln_s[in_s] = np.log(t[in_s])  # -inf at s = 0, where the source term is 0
-        ln = _ln_source(f, params, ln_s, np.log1p(np.exp(ln_s)), np.where(in_s, n - 1.0, n)[:, None])
+            ln_s[in_s] = np.log(ln_s[in_s])  # -inf at s = 0, where the source term is 0
+        ln_1ps = np.exp(ln_s)
+        ln = _ln_source(f, params, ln_s, np.log1p(ln_1ps, out=ln_1ps), np.where(in_s, n - 1.0, n)[:, None])
         at = lambda: np.exp(ln_s)  # noqa: E731
         src = _finite(_exp_source(ln, at), at).T
         return _k7(src[0], src[1:-1], src[-1], 0.5 * (b - a))
 
     lo, hi = np.concatenate(([0.0], x[:-1])), np.concatenate((s[:1], x[1:]))
-    origin = _origin_panel(at_nodes[1:, 0], n)
-    values, errors, _, converged = _k7_fill(at_nodes, 0.5 * np.diff(x), tol, halves, lo, hi, head=origin, floor=True)
-    return s, at_nodes[:, 1:], PanelResults(values, errors, converged)
+    h = np.diff(x)
+    h *= 0.5
+    values, errors, _, converged = _k7_fill(nodes, h, tol, halves, lo, hi, head=origin, floor=True)
+    return s, nodes, PanelResults(values, errors, converged)
 
 
 class _UnitTable(_Panels):
@@ -489,7 +514,9 @@ class _UnitTable(_Panels):
     I_delta(z) = delta**n * I_1(z/delta), so one table in s = xi/delta
     serves every delta.  It is the record (:class:`_Panels`) of the
     panels of :func:`_table_fill` from the first knot where I_1 > 0 on,
-    with I_1 at the knots as its forward sums; the knots s themselves
+    with I_1 at the knots as its forward sums, and the fill's stack as
+    its own (a C-contiguous copy of its columns from there only where I_1
+    = 0 on a prefix of panels); the knots s themselves
     and ln I_1 there; I_1 at the last knot, the log of the envelope
     there, and f's leading term (walked once, for the source limit).
     Filled on first use: I_1(inf) with its error, the outer cache
@@ -499,13 +526,15 @@ class _UnitTable(_Panels):
     """
 
     def __init__(self, f: Nonlinearity, params: StructureParams, tol: Tolerance):
-        s, at_nodes, fill = _table_fill(f, params, tol)
+        s, nodes, fill = _table_fill(f, params, tol)
         cum = np.cumsum(fill.values)
-        keep = cum > 0.0  # the sums never decrease, so this drops a prefix
-        self.s = s[keep]
+        # the sums never decrease, so I_1 = 0 is a prefix, which goes; the
+        # stack is the fill's own unless that prefix spans a panel
+        drop = s.size - int(np.count_nonzero(cum > 0.0))
+        self.s = s[drop:]
         ln_s = np.log(self.s)
-        nodes = at_nodes[:, s.size - self.s.size :]
-        super().__init__(ln_s, np.diff(ln_s), nodes, cum[keep], fill.converged, float(fill.abs_errors.sum()))
+        nodes = nodes if not drop else np.ascontiguousarray(nodes[:, drop:])
+        super().__init__(ln_s, np.diff(ln_s), nodes, cum[drop:], fill.converged, float(fill.abs_errors.sum()))
         self.last = float(cum[-1])
         a = (params.p - 1.0) / (params.n - params.p)
         self.ln_top = math.log(params.eps) - math.log1p(s[-1]) / a
@@ -520,7 +549,9 @@ class _UnitTable(_Panels):
         """I_1 at the fractions u of the knot intervals i (broadcast
         together): the sum at the interval's left knot plus the dense
         output of its panel (:meth:`_Panels.span`)."""
-        return self.sums[i] + self.span(i, u)
+        out = self.span(i, u)
+        out += self.sums[i]
+        return out
 
     def increment(self, ln_a: np.ndarray, ln_b: np.ndarray) -> np.ndarray:
         """I_1(b) - I_1(a) for a <= b, from ln a and ln b: the table's own
@@ -541,9 +572,12 @@ class _UnitTable(_Panels):
 
 
 def _ln_mass(inner: np.ndarray) -> np.ndarray:
-    # ln I_1 from the dense output; where its weights give I_1 <= 0, next to
-    # the prefix where I_1 underflows, I_1 counts as 0
-    return np.log(inner, out=np.full(np.shape(inner), -np.inf), where=inner > 0.0)
+    # ln I_1 from the dense output, written over it unless it is a number;
+    # where its weights give I_1 <= 0, next to the prefix where I_1
+    # underflows, I_1 counts as 0
+    out = inner if np.ndim(inner) else None
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(inner, 0.0, out=out), out=out)
 
 
 class RadialProfile:
@@ -773,11 +807,16 @@ class RadialProfile:
         The table's W_1, filled once, on first use, at delta = 1 and
         scaled, with its error, by delta**(p/(p-1)).
         """
+        outer = self._outer()
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
+        return scale * outer.sums, outer.converged, scale * outer.error
+
+    def _outer(self) -> _Panels:
+        # the outer record of the table, at delta = 1, filled on first use
         t = self._table
         if t.outer is None:
             t.outer = self.rescaled(1.0)._fill_outer()
-        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
-        return scale * t.outer.sums, t.outer.converged, scale * t.outer.error
+        return t.outer
 
     def _fill_outer(self) -> _Panels:
         """The outer cache: the record (:class:`_Panels`) of one K7 panel
@@ -788,28 +827,55 @@ class RadialProfile:
         W[0] sums every panel, so their summed error bounds that of every
         W.  exp(psi) is taken at the knots from the table's sums, and at
         the interior nodes, which are the table's own, from
-        :meth:`_Panels.interior`.  Panels that miss the tolerance are
-        halved on the table's dense output (:meth:`_outer_panels`), with
-        no new evaluation of f, and marked ``halved``: w in those
-        intervals takes :meth:`_outer_spans`.
+        :meth:`_Panels.interior` (:meth:`_outer_nodes`).  Panels that miss
+        the tolerance are halved on the table's dense output
+        (:meth:`_outer_panels`), with no new evaluation of f, and marked
+        ``halved``: w in those intervals takes :meth:`_outer_spans`.
         """
         t, tol = self._table, self._seg_tol
         tail = self._w_above(self.delta * t.s[-1:])
-        ends = self._exp_psi(t.ln_s, t.ln_i)
-        inner = self._exp_psi(t.ln_s[:-1] + t.h * _K7_U[1:-1, None], _ln_mass(t.interior()))
-        nodes = np.vstack((ends[:-1], inner, ends[1:]))
+        nodes = self._outer_nodes()
         values, errors, miss, converged = _k7_fill(nodes, 0.5 * t.h, tol, self._outer_panels)
         halved = np.zeros(values.size, dtype=bool)
         halved[miss] = True
         ws = np.cumsum(np.concatenate((tail, values[::-1])))[::-1]
         return _Panels(t.ln_s, t.h, nodes, ws, converged, float(errors.sum()), halved)
 
-    def _exp_psi(self, x: np.ndarray, ln_mass: np.ndarray) -> np.ndarray:
-        # the outer integrand exp(psi) at x = ln zeta, one row per node, where
-        # ln I_1 is ln_mass; an overflow names zeta at its node, span by span
+    def _outer_nodes(self) -> np.ndarray:
+        # exp(psi) at the K7 nodes of every knot interval, in the one stack
+        # that the outer record keeps: at the knots from the table's sums; at
+        # the interior nodes from its dense output, whose rows go from I_1 to
+        # ln I_1, psi and exp(psi) in place, psi row by row on one buffer of
+        # x with a value per interval
+        t = self._table
+        ends = self._exp_psi(self._psi(t.ln_i.copy(), t.ln_s.copy()), lambda: t.ln_s)
+        nodes = np.empty((7, t.h.size))
+        nodes[0], nodes[-1] = ends[:-1], ends[1:]
+        inner = _ln_mass(t.interior(out=nodes[1:-1]))
+        x = np.empty(t.h.size)
+        for psi, u in zip(inner, _K7_U[1:-1]):
+            np.multiply(t.h, u, out=x)
+            x += t.ln_s[:-1]
+            self._psi(psi, x)
+        self._exp_psi(inner, lambda: t.ln_s[:-1] + t.h * _K7_U[1:-1, None])
+        return nodes
+
+    def _psi(self, ln_mass: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # psi, the log of the outer integrand, at x = ln zeta where ln I_1 is
+        # ln_mass, written over ln_mass; x is overwritten too
         p = self.params.p
-        psi = ln_mass / (p - 1.0) - self.decay * x + p / (p - 1.0) * math.log(self.delta)
-        return _exp_checked(psi.T, "outer integrand", lambda: self.delta * np.exp(x).T).T
+        ln_mass /= p - 1.0
+        x *= self.decay
+        ln_mass -= x
+        ln_mass += p / (p - 1.0) * math.log(self.delta)
+        return ln_mass
+
+    def _exp_psi(self, psi: np.ndarray, ln_zeta: Callable[[], np.ndarray]) -> np.ndarray:
+        # the outer integrand exp(psi), written over psi, one row per node;
+        # an overflow names zeta at its node (ln_zeta() builds them), span by
+        # span
+        at = lambda: self.delta * np.exp(ln_zeta()).T  # noqa: E731
+        return _exp_checked(psi.T, "outer integrand", at, psi.T).T
 
     def _outer_panels(self, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # K7 values and L4 estimates over the spans [a, b], as fractions, of
@@ -819,7 +885,11 @@ class RadialProfile:
         t = self._table
         h = t.h[i]
         u = a + (b - a) * _K7_U[:, None]
-        fx = self._exp_psi(t.ln_s[i] + h * u, _ln_mass(t.inner(i, u)))
+        ln_mass = _ln_mass(t.inner(i, u))
+        u *= h  # u becomes x = ln zeta at the nodes
+        u += t.ln_s[i]
+        ln_zeta = lambda: t.ln_s[i] + h * (a + (b - a) * _K7_U[:, None])  # noqa: E731
+        fx = self._exp_psi(self._psi(ln_mass, u), ln_zeta)
         return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h)
 
     def _outer_spans(self, i: np.ndarray, u0: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -880,13 +950,13 @@ class RadialProfile:
         bits it has among others.
         """
         t = self._table
-        ws = self._outer_cache()[0]
-        outer = t.outer
+        outer = self._outer()
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))  # of W, as in _outer_cache
         s = rs / self.delta
         out = np.empty_like(rs)
         below, above = s < t.s[0], s > t.s[-1]
         inside = ~(below | above)
-        out[below] = ws[0] + self._w_below(rs[below])
+        out[below] = scale * outer.sums[0] + self._w_below(rs[below])
         out[above] = self._w_above(rs[above])
         s = s[inside]
         j = np.searchsorted(t.s, s)
@@ -903,9 +973,9 @@ class RadialProfile:
             gaps[gap[redo]] = self._outer_spans(i[redo], u0[redo])[0]
             gap, i, u0 = gap[~redo], i[~redo], u0[~redo]
         span = outer.rest(i, u0)
-        span *= self._delta_power(self.params.p / (self.params.p - 1.0))
+        span *= scale
         gaps[gap] = span
-        out[inside] = ws[j] + gaps
+        out[inside] = scale * outer.sums[j] + gaps
         return out
 
     def _sample(self, unit_radii: np.ndarray) -> np.ndarray:
@@ -937,27 +1007,28 @@ class RadialProfile:
         fill halved, where it is :meth:`_on_grid`, as
         :meth:`values_on_grid` reads w there.
         """
-        t = self._table
-        self._outer_cache()  # the outer record, filled at delta = 1
+        t, outer = self._table, self._outer()
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
         start = max(int(np.searchsorted(t.s, lo, side="right")) - 1, 0)
         stop = int(np.searchsorted(t.s, hi))
         part = slice(start, stop)
-        inner = t.outer.interior(part, reverse=True)
-        halved = np.flatnonzero(t.outer.halved[part])
+        inner = outer.interior(part, reverse=True)
+        halved = np.flatnonzero(outer.halved[part])
         if halved.size:
             i = start + halved
             s = np.exp(t.ln_s[i] + t.h[i] * _K7_U[1:-1, None])
             inner[:, halved] = self.rescaled(1.0)._on_grid(s.ravel()).reshape(s.shape)
-        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
-        return part, scale * t.outer.sums[start : stop + 1], scale * inner
+        inner *= scale
+        return part, scale * outer.sums[start : stop + 1], inner
 
     def _sup(self) -> Tuple[float, float]:
         # sup w = w(0), closed form below the cache's first knot, and the
         # summed error of the outer fill's panels, all of which it sums
         if not self._table.s.size:
             return 0.0, 0.0
-        ws, _, error = self._outer_cache()
-        return float(ws[0] + self._w_below(np.zeros(1))[0]), error
+        outer = self._outer()
+        scale = self._delta_power(self.params.p / (self.params.p - 1.0))
+        return float(scale * outer.sums[0] + self._w_below(np.zeros(1))[0]), scale * outer.error
 
     def gradient_magnitude(self, r: float) -> float:
         """|w'(r)| = (I(r)/r**(n-1))**(1/(p-1)) for r > 0."""

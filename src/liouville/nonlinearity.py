@@ -452,13 +452,13 @@ def _overflow(checks: List[_Check], x: np.ndarray, what: str, at) -> None:
     _fail(checks, x > _LOG_MAX, EvalOverflow, lambda i: f"{what} exceeds double range at {_point(at, i)!r}")
 
 
-def _exp_checked(x: np.ndarray, what: str, at) -> np.ndarray:
+def _exp_checked(x: np.ndarray, what: str, at, out: Optional[np.ndarray] = None) -> np.ndarray:
     # exp of a log-domain array, refusing what would overflow a double (at
-    # as in _overflow)
+    # as in _overflow), in out if given (which may be x itself)
     checks: List[_Check] = []
     _overflow(checks, x, what, at)
     _raise_first(checks, np.shape(x))
-    return np.exp(x)
+    return np.exp(x, out=out)
 
 
 # a proof of monotonicity asks ln f(eps), a sum of terms in scalar math, to

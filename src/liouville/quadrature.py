@@ -217,7 +217,9 @@ def _nodes(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     panel per row."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    return c[:, None] + h[:, None] * x
+    out = h[:, None] * x
+    out += c[:, None]
+    return out
 
 
 # a Fejer node's offset from its nearer end of [-1, 1]
@@ -362,7 +364,8 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
     [-1, 1] halved, and the floor 50 eps times the value.  Every sum is a
     fixed sequence of elementwise operations over the mirrored node pairs,
     so a panel's bits do not depend on the other panels of its block.
-    The sums run in place on a few buffers, in the order of
+    The sums run in place on five buffers of one value per panel, the
+    deviations from the mean a mirrored pair at a time, in the order of
 
         s = w0 (f0 + f6) + w1 (f1 + f5) + w2 (f2 + f4) + w3 f3,
 
@@ -372,35 +375,39 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
     w0, w1, w2, w3 = _K7_W
     l0, l2 = _L4_W
     ends, mid = np.add(f0, f6), np.add(inner[1], inner[3])
-    buf = np.add(inner[0], inner[4])
-    buf *= w1
     s = np.multiply(ends, w0)
+    buf = np.add(inner[0], inner[4], out=ends)
+    buf *= w1
     s += buf
     s += np.multiply(mid, w2, out=buf)
     s += np.multiply(inner[2], w3, out=buf)
     mean = np.multiply(s, 0.5)
-    dev = np.subtract(inner, mean)
-    np.abs(dev, out=dev)
+    # the deviations |f_m - mean|, a mirrored pair at a time, in the two
+    # buffers of the pair sums
+    dev = mid
     asc = np.subtract(f0, mean)
     np.abs(asc, out=asc)
     asc += np.abs(np.subtract(f6, mean, out=buf), out=buf)
     asc *= w0
-    for w, pair in ((w1, (dev[0], dev[4])), (w2, (dev[1], dev[3]))):
-        np.add(*pair, out=buf)
+    for w, (j, k) in ((w1, (0, 4)), (w2, (1, 3))):
+        np.abs(np.subtract(inner[j], mean, out=buf), out=buf)
+        buf += np.abs(np.subtract(inner[k], mean, out=dev), out=dev)
         buf *= w
         asc += buf
-    asc += np.multiply(dev[2], w3, out=buf)
+    np.abs(np.subtract(inner[2], mean, out=buf), out=buf)
+    buf *= w3
+    asc += buf
     # r = min(1, 200 |K7 - L4| / asc), 0 where asc = 0: all seven values
     # are the mean there, and |K7 - L4|, a few ulps of it, is below the floor
-    ends *= l0
-    mid *= l2
-    ends += mid
-    r = np.subtract(s, ends, out=ends)
+    l4 = np.add(f0, f6, out=buf)
+    l4 *= l0
+    l4 += np.multiply(np.add(inner[1], inner[3], out=dev), l2, out=dev)
+    r = np.subtract(s, l4, out=l4)
     np.abs(r, out=r)
     r *= 200.0
     np.minimum(r, asc, out=r)
     np.divide(r, asc, out=r, where=asc > 0.0)
-    err = np.sqrt(r, out=buf)
+    err = np.sqrt(r, out=dev)
     err *= r
     err *= asc
     np.maximum(err, np.multiply(s, 50.0 * _EPS, out=mean), out=err)

@@ -365,7 +365,9 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     at the knots it is the outer cache W, and at the five interior nodes
     of an interval the outer record's dense output, so f's log
     evaluator reads all the nodes, at most 6919, in one call (at eps
-    where w >= eps, whose density is 0).
+    where w >= eps, whose density is 0), and the density goes straight
+    into the node stack of the check's record, with no concatenated
+    copies of the nodes.
     A panel whose estimate misses both 1e-10 of its own value and 1e-10
     of the smallest positive energy at the radii, shared evenly among
     the panels, is halved, with the others that miss, with w read at the
@@ -417,24 +419,41 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     kept = int(np.searchsorted(ln_r, x[-1], side="right"))
     rs = rs[:kept]
 
-    def density(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def density(x: np.ndarray, w: np.ndarray, at) -> np.ndarray:
         # rho**n f(w) at rho = e**x, where 0 < w < eps, else 0 (with f read
-        # at eps there)
+        # at eps there), written over x, the log of the nodes' rho; w is
+        # overwritten with where f is read (at as in _finite)
         small = (w > 0.0) & (w < eps)
-        z = np.where(small, w, eps)
-        ln_d = n * x + _ln_f(profile.f, np.log(z), z)
-        return _finite(np.exp(np.where(small, ln_d, -np.inf)), x)
+        np.copyto(w, eps, where=~small)
+        ln_f = _ln_f(profile.f, np.log(w), w)
+        x *= n
+        x += ln_f
+        np.copyto(x, -np.inf, where=~small)
+        return _finite(np.exp(x, out=x), at)
 
     # the density at the knots, then at the interior K7 nodes of each
-    # interval, one row per node
-    inner_x = x[:-1] + h * _K7_U[1:-1, None]
-    at_nodes = density(np.concatenate((x, inner_x.ravel())), np.concatenate((w[:m], w_inner[:, : m - 1].ravel())))
-    ends = at_nodes[:m]
-    nodes = np.vstack((ends[:-1], at_nodes[m:].reshape(inner_x.shape), ends[1:]))
+    # interval, in one pass over the node stack with one more value in
+    # front: its first m + 5 (m - 1) entries take the knots (knot 0 in
+    # front, the others in row 0) and the interior nodes (rows 1 to 5);
+    # then row 6 takes the knots after the first, and row 0 those before
+    # the last, one entry along
+    flat = np.empty(7 * (m - 1) + 1)
+    nodes = flat[1:].reshape(7, m - 1)
+    ln_rho, w_at = flat[: 6 * m - 5], np.empty(6 * m - 5)
+    ln_rho[:m], w_at[:m] = x, w[:m]
+    w_at[m:].reshape(5, m - 1)[:] = w_inner[:, : m - 1]
+    del w_inner  # copied: f's pass needs only w_at
+    for row, u in zip(nodes[1:-1], _K7_U[1:-1]):
+        np.multiply(h, u, out=row)
+        row += x[:-1]
+    density(ln_rho, w_at, lambda: np.concatenate((x, (x[:-1] + h * _K7_U[1:-1, None]).ravel())))
+    del w_at
+    nodes[-1] = nodes[0]
+    flat[1:m] = flat[: m - 1]
 
     # below the first knot w is held at its value there: the integral of
     # rho**(n-1) f(w)
-    head = ends[0] / n
+    head = flat[0] / n
     # the knot interval of each radius kept, as the record's knot search finds it
     i = np.searchsorted(x[1:-1], ln_r[:kept], side="right")
 
@@ -451,8 +470,9 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
     def halves(j: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # K7 values and L4 estimates over the spans [a, b], as fractions, of
         # the knot intervals j, with w at their nodes as values_on_grid reads it
-        xs = x[j] + h[j] * (a + (b - a) * _K7_U[:, None])
-        fx = density(xs, profile._on_grid(np.exp(xs).ravel()).reshape(xs.shape))
+        ln_rho = lambda: x[j] + h[j] * (a + (b - a) * _K7_U[:, None])  # noqa: E731
+        xs = ln_rho()
+        fx = density(xs, profile._on_grid(np.exp(xs).ravel()).reshape(xs.shape), ln_rho)
         return _k7(fx[0], fx[1:-1], fx[-1], 0.5 * (b - a) * h[j])
 
     values, errors, _, converged = _k7_fill(nodes, 0.5 * h, tolerance, halves)

@@ -19,6 +19,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -130,6 +131,26 @@ def work_ledger(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return ledger
+
+
+def transient_bytes(fn) -> int:
+    """The bytes that ``fn()`` allocates beyond what it keeps: tracemalloc's
+    peak during the call less its traced memory after it, the call's result
+    still held.  A first, untraced call fills whatever the call caches, so
+    the count repeats from run to run (to within a few hundred bytes of
+    Python objects from call to call in one process)."""
+    fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        kept = fn()  # noqa: F841  (held while the memory after the call is read)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - current
 
 
 def redone_panels(monkeypatch):

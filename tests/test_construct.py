@@ -59,6 +59,7 @@ from conftest import (
     partial_span_passes,
     quad_ref,
     source_limit,
+    transient_bytes,
     w_exact,
 )
 
@@ -1023,6 +1024,57 @@ def test_panel_records_read_both_directions(f, params, halved):
             batch = read(i, u)
             for k in range(0, i.size, 997):
                 assert read(i[k : k + 1], u[k : k + 1])[0] == batch[k] == float(read(i[k], u[k]))
+
+
+_STACK_CASES = [(Power(4.0), StructureParams(3, 2.0), 2688), (Power(60.0), StructureParams(3, 2.0, eps=1e-5), 1987)]
+
+
+@pytest.mark.parametrize("f, params, knots", _STACK_CASES, ids=["n3-p2-z^4", "n3-p2-eps1e-5-z^60"])
+def test_records_keep_contiguous_stacks_of_their_own(f, params, knots):
+    # each record keeps its node values in one C-contiguous 7 x N array
+    # with nothing wider behind it, also where the table drops the prefix
+    # of knots where I_1 underflows to 0 (the second case: 701 knots)
+    prof = RadialProfile(f, params, 1.0)
+    prof.profile_value(0.0)  # the outer record
+    table = prof._table
+    assert table.s.size == knots
+    for record in (table, table.outer):
+        assert record.nodes.shape == (7, knots - 1)
+        assert record.nodes.flags.c_contiguous and record.nodes.base is None
+
+
+def test_reads_allocate_only_their_result(instance_profile):
+    # a read of either record gathers the columns it needs: span, rest, the
+    # table's increment and inner_integral allocate less than a tenth of a
+    # node stack (150 KB) beyond what they return, about 2-3 KB.  Reading a
+    # strided view of the stack, or its rows reversed before the columns,
+    # first copies the whole stack: 151 KB a call
+    prof = instance_profile
+    prof.profile_value(0.0)  # the outer record
+    table, outer = prof._table, prof._table.outer
+    i, u = np.array([100, 1500]), np.array([0.3, 0.7])
+    a, b = np.log([1.0, 2.0]), np.log([1.001, 2.5])
+    reads = [
+        lambda: table.span(i, u),
+        lambda: table.rest(i, u),
+        lambda: outer.span(i, u),
+        lambda: outer.rest(i, u),
+        lambda: table.increment(a, b),
+        lambda: prof.inner_integral(1.5),
+    ]
+    for read in reads:
+        assert transient_bytes(read) < table.nodes.nbytes / 10
+
+
+def test_outer_fill_allocates_little_beyond_its_record(instance_profile):
+    # the outer fill writes ln I_1, psi and exp(psi) into the rows of the
+    # stack it keeps: beyond the record it returns it allocates 109 KB
+    # (buffers of one value per knot interval, five of them _k7's), under
+    # the bound of one node stack, 150 KB.  Stacking exp(psi) from (5, N)
+    # temporaries, reading the table's stack through copies of it, took
+    # 408 KB
+    table = instance_profile._table
+    assert transient_bytes(instance_profile._fill_outer) < table.nodes.nbytes
 
 
 def test_k7_fill_scales_a_redone_panel_to_its_new_value():

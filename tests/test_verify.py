@@ -39,7 +39,7 @@ from liouville import (
 from liouville.nonlinearity import _ln_f
 from liouville.quadrature import _panels, integrate_intervals
 
-from conftest import deadline, math_twin, partial_span_passes, quad_ref, redone_panels
+from conftest import deadline, math_twin, partial_span_passes, quad_ref, redone_panels, transient_bytes
 
 E_1000 = 0.03225858147068036243
 RATIO_1000 = 0.09692093221050432935
@@ -621,6 +621,17 @@ def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
     monkeypatch.setattr(verify_module, "_ln_f", counted)
     energy_diagnostic(instance_profile)
     assert sizes == [1154 + 5 * 1153] == [6919]
+
+
+def test_energy_allocates_little_beyond_its_result(instance_profile):
+    # the density goes into the check's node stack in one pass of f over
+    # its 6919 nodes: beyond the diagnostic it returns, the check allocates
+    # 257 KB, under the bound of two of the table's node stacks (301 KB).
+    # Concatenating the nodes' x and w, and stacking the density with
+    # vstack, took 451 KB
+    instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
+    bound = 2 * instance_profile._table.nodes.nbytes
+    assert transient_bytes(lambda: energy_diagnostic(instance_profile)) < bound
 
 
 def test_grid_checks_report_unconverged_outer_fill(params32, monkeypatch):

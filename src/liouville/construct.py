@@ -27,7 +27,11 @@ envelope, and a :class:`RadialProfile` is that table plus its delta.
 The table (I_1) and the outer cache (w_1, filled on first use) are two
 records of K7 panels between the same knots in ln s, with their node
 values kept, so I_1 and w_1 between the knots are dense output
-(:class:`_Panels`, which describes the tiling).  The table's first
+(:class:`_Panels`, which describes the tiling).  The knots are those of
+the coarser of two dyadic levels, 1024 over the sixteen decades and 8
+a halving past them, where no panel there is too steep, and otherwise
+twice as many (:func:`_table_fill`).  The
+table's first
 panel [0, s_0], in s, takes a rule of the weight s**(n-1) on the K7
 nodes (:func:`_origin_panel`), and I below the table takes that rule on
 [0, s] itself.  Substituting zeta = env(xi) makes the source mass beyond
@@ -133,12 +137,16 @@ def envelope(params: StructureParams, delta: float) -> Callable[[Radii], Values]
 
 
 # The inner-integral cache: log-spaced knots over [1/span, span] in s = xi/delta;
-# the table continues it for _EXTRA_OCTAVES halvings of the envelope, at
-# _HALVING_KNOTS knots a halving.
+# the table continues it for _EXTRA_OCTAVES halvings of the envelope.  At
+# knot level 0 the cache has _CACHE_NODES knots and the table _HALVING_KNOTS
+# a halving past it; at level 1 half as many of each.  A table takes level 1
+# where its panels there are no steeper than _STEEP, the most that ln of the
+# integrand of the table or of the outer cache changes across one panel.
 _CACHE_NODES = 2048
 _CACHE_SPAN = 1e8
 _EXTRA_OCTAVES = 40
 _HALVING_KNOTS = 16
+_STEEP = 1.0
 # Panels per pass of f's log evaluator in the table fill: enough to amortize
 # numpy's call overhead, few enough that the evaluator keeps its temporaries
 # (48 KiB each here) out of peak memory and under 128 KiB, past which malloc
@@ -204,9 +212,12 @@ def _dense(g, u) -> np.ndarray:
     return out
 
 
-def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=None, floor: bool = False):
-    """The panels of one fill: their K7 values and L4 estimates
-    (:func:`~liouville.quadrature._k7`, in one call), those that miss
+def _k7_fill(
+    nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=None, floor: bool = False, dense: bool = False
+):
+    """The panels of one fill: their K7 values and error estimates
+    (:func:`~liouville.quadrature._k7`, in one call, with ``dense`` if the
+    estimates are to cover the panels' dense output too), those that miss
     their bound redone in place by halving
     (:func:`~liouville.quadrature._bisect`, from their K7 values and
     estimates) on the caller's panel rule ``rule(i, a, b)``, the values
@@ -226,7 +237,7 @@ def _k7_fill(nodes, h: np.ndarray, tol, rule: Callable, lo=None, hi=None, head=N
     output ends on it.  Returns the values, the errors, the indices of
     the redone panels and whether every one met its tolerance.
     """
-    values, errors = _k7(nodes[0], nodes[1:-1], nodes[-1], h)
+    values, errors = _k7(nodes[0], nodes[1:-1], nodes[-1], h, dense=dense)
     k = 0 if head is None else 1  # the index of the stack's first column
     if head is not None:
         values, errors = np.concatenate(([head[0]], values)), np.concatenate(([head[1]], errors))
@@ -254,8 +265,10 @@ class _Panels:
     The knots lie in x = ln s (s = xi/delta at delta = 1), at ``ln_s``,
     and bound intervals of widths ``h``.  Each interval is one panel of
     the 7-point Lobatto-Kronrod rule K7, with the 4-point Lobatto rule
-    L4 embedded in it as its error estimate (Gander and Gautschi's pair;
-    see :mod:`liouville.quadrature`), whose end nodes are the knots.  A
+    L4 embedded in it (Gander and Gautschi's pair; see
+    :mod:`liouville.quadrature`), whose end nodes are the knots; its error
+    is read off the coefficients of the polynomial through its seven
+    values (:func:`~liouville.quadrature._k7`).  A
     knot's value then serves both panels it bounds, so each panel adds
     five interior nodes, and a fill values all its panels in one call,
     node-major (:func:`_k7_fill`).  ``nodes`` keeps the integrand at all
@@ -385,27 +398,29 @@ def _node_logs(ln_s: np.ndarray) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
 
 
 @functools.cache
-def _table_geometry() -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
-    # What every table shares, built on the first fill: the cache knots,
-    # and the :func:`_node_logs` of the panels up to the last cache knot
-    # (2048 panels, 0.2 MB): the panel [0, s_0] in s, then those in ln s.
-    s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES)
+def _table_geometry(level: int) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+    # What every table at knot level 0 or 1 shares, built on its first
+    # fill: the cache knots, and the :func:`_node_logs` of the panels up to
+    # the last cache knot (2048 panels, 0.2 MB, at level 0): the panel
+    # [0, s_0] in s, then those in ln s.
+    s = np.geomspace(1.0 / _CACHE_SPAN, _CACHE_SPAN, _CACHE_NODES >> level)
     s.flags.writeable = False
     origin = _panel_nodes(np.array([0.0, s[0]]))
     return s, _node_logs(np.concatenate((np.log(origin), _panel_nodes(np.log(s)))))
 
 
 @functools.lru_cache(maxsize=8)
-def _tail_geometry(a: float) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
-    # What every table at a = (p-1)/(n-p) shares: the knots past the cache
-    # and the :func:`_node_logs` of their panels (640 panels, 0.06 MB).
-    # There ln(1 + s) steps by a ln 2 / _HALVING_KNOTS: env =
-    # eps * (1 + s)**(-1/a) halves every _HALVING_KNOTS knots.
-    steps = np.arange(1, _HALVING_KNOTS * _EXTRA_OCTAVES + 1)
-    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / _HALVING_KNOTS * steps
+def _tail_geometry(a: float, level: int) -> Tuple[np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+    # What every table at a = (p-1)/(n-p) and knot level 0 or 1 shares: the
+    # knots past the cache and the :func:`_node_logs` of their panels (640
+    # panels, 0.06 MB, at level 0).  There ln(1 + s) steps by a ln 2 / m,
+    # m = _HALVING_KNOTS >> level: env = eps * (1 + s)**(-1/a) halves every
+    # m knots.
+    m = _HALVING_KNOTS >> level
+    ln_1ps = math.log1p(_CACHE_SPAN) + a * math.log(2.0) / m * np.arange(1, m * _EXTRA_OCTAVES + 1)
     s = np.expm1(ln_1ps[ln_1ps < _LOG_MAX])
     s.flags.writeable = False
-    return s, _node_logs(_panel_nodes(np.log(np.concatenate((_table_geometry()[0][-1:], s)))))
+    return s, _node_logs(_panel_nodes(np.log(np.concatenate((_table_geometry(level)[0][-1:], s)))))
 
 
 @functools.cache
@@ -445,36 +460,25 @@ def _origin_panel(src: np.ndarray, n: int) -> Tuple[float, float]:
     return high, max(abs(high - low), 50.0 * np.finfo(float).eps * abs(high))
 
 
-def _table_fill(
-    f: Nonlinearity, params: StructureParams, tol: Tolerance
-) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
-    """The knots s of the table at delta = 1, the integrand s * source(s)
-    in x = ln s at the seven K7 nodes of each panel between them (one row
-    per node, one column per panel; see :class:`_Panels`), and the
-    integrals of the source term over the panels between 0 and them.
+def _table_nodes(
+    f: Nonlinearity, params: StructureParams, blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...], panels: int
+) -> Tuple[np.ndarray, Tuple[float, float]]:
+    """The integrand of the table at the nodes of its ``panels`` K7 panels
+    in x = ln s, node-major (:class:`_Panels`), and the value and error of
+    its first panel, [0, s_0] in s, which has no column in the stack: that
+    panel is valued by :func:`_origin_panel` on its K7 nodes in s.
 
-    The first panel, [0, s_0], is valued by :func:`_origin_panel` on its
-    K7 nodes in s, and has no column in the stack, which is allocated
-    once and filled in place; the others are K7 panels in x
-    (:func:`_k7_fill`).  The
-    node logs come in node-major blocks, those of the panels up to the
-    last cache knot from :func:`_table_geometry` and those past it, which
-    depend on a = (p-1)/(n-p), from :func:`_tail_geometry`.  Per node the
-    integrand is then one multiply-add, f's log evaluator and one exp, a
-    block of ``_BLOCK`` panels at a time; each block is read through its
-    transpose, so a NaN, an overflow or a negative f names the first
-    spoiled node panel by panel.  A panel whose estimate misses ``tol`` of
-    both its own value and the rounding of the running sum it joins is
-    halved to ``tol`` of its own value, its halves K7 panels with the
-    integrand taken afresh at all seven nodes (0 at s = 0).
+    The node logs come in node-major ``blocks`` (:func:`_node_logs`), from
+    :func:`_table_geometry` and :func:`_tail_geometry`.  The stack is
+    allocated once and filled in place.  Per node the integrand is one
+    multiply-add, f's log evaluator and one exp, a block of ``_BLOCK``
+    panels at a time; each block is read through its transpose, so a NaN,
+    an overflow or a negative f names the first spoiled node panel by
+    panel.
     """
     n = params.n
-    knots, fixed = _table_geometry()
-    tail, past = _tail_geometry((params.p - 1.0) / (n - params.p))
-    s = np.concatenate((knots, tail))
-    x = np.log(s)
-    nodes, origin, col = np.empty((7, s.size - 1)), None, 0
-    for ln_s, ln_1ps in fixed + past:
+    nodes, origin, col = np.empty((7, panels)), None, 0
+    for ln_s, ln_1ps in blocks:
         at = lambda: np.exp(ln_s.T)  # noqa: E731  (where an error names s)
         src = _finite(_exp_source(_ln_source(f, params, ln_s.T, ln_1ps.T, n), at), at).T
         if origin is None:
@@ -486,6 +490,61 @@ def _table_fill(
         col += src.shape[1]
     # each panel's left end is the right end of the one before
     nodes[0, 1:] = nodes[-1, :-1]
+    return nodes, origin
+
+
+def _steep(nodes: np.ndarray) -> bool:
+    """Whether ln of the integrand changes by more than ``_STEEP`` across a
+    panel of the stack ``nodes`` whose two ends are normal numbers (every
+    value is 0 or normal, :func:`_exp_source`)."""
+    ends = nodes[[0, -1]]
+    keep = (ends > 0.0).all(axis=0)
+    ln = np.log(ends[:, keep])
+    return bool((np.abs(ln[1] - ln[0]) > _STEEP).any())
+
+
+def _table_fill(
+    f: Nonlinearity, params: StructureParams, tol: Tolerance
+) -> Tuple[np.ndarray, np.ndarray, PanelResults]:
+    """The knots s of the table at delta = 1, the integrand s * source(s)
+    in x = ln s at the seven K7 nodes of each panel between them (one row
+    per node, one column per panel; see :class:`_Panels`), and the
+    integrals of the source term over the panels between 0 and them.
+
+    The knots are those of level 1 (:func:`_table_geometry`,
+    :func:`_tail_geometry`) where no panel there is steeper than
+    ``_STEEP``, and otherwise those of level 0, which have twice as many
+    panels.  Two bounds decide.  Before any evaluation: ln of the outer
+    cache's integrand changes by at most max(k, p/(p-1)) per unit of ln
+    zeta (ln I grows by at most n per unit, and by at least 0), so by at
+    most that times the widest panel.  After the evaluation at level 1:
+    ln of the table's integrand changes by at most ``_STEEP`` across each
+    panel whose two ends are normal numbers; where it does not, the table
+    is filled again at level 0, once.  Where the integrand changes by a
+    factor e or less across a panel, K7 as a rule meets the tolerance
+    there with no halving, as its estimate
+    (:func:`~liouville.quadrature._k7`), read off its own coefficients,
+    finds.
+
+    A panel whose estimate misses ``tol`` of both its own value and the
+    rounding of the running sum it joins is halved to ``tol`` of its own
+    value, its halves K7 panels with the integrand taken afresh at all
+    seven nodes (0 at s = 0).
+    """
+    n, p = params.n, params.p
+    a = (p - 1.0) / (n - p)
+    slope = max(1.0 / a, p / (p - 1.0))
+    for level in (1, 0):
+        knots, fixed = _table_geometry(level)
+        tail, past = _tail_geometry(a, level)
+        s = np.concatenate((knots, tail))
+        x = np.log(s)
+        h = np.diff(x)
+        if level and slope * h.max() > _STEEP:
+            continue
+        nodes, origin = _table_nodes(f, params, fixed + past, s.size - 1)
+        if not (level and _steep(nodes)):
+            break
 
     def halves(i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # the first panel's halves in s, with the source term; the others'
@@ -502,7 +561,6 @@ def _table_fill(
         return _k7(src[0], src[1:-1], src[-1], 0.5 * (b - a))
 
     lo, hi = np.concatenate(([0.0], x[:-1])), np.concatenate((s[:1], x[1:]))
-    h = np.diff(x)
     h *= 0.5
     values, errors, _, converged = _k7_fill(nodes, h, tol, halves, lo, hi, head=origin, floor=True)
     return s, nodes, PanelResults(values, errors, converged)
@@ -584,10 +642,12 @@ class RadialProfile:
     """The constructed profile for one (f, params, delta) triple.
 
     A profile is a :class:`_UnitTable` plus its delta.  Building one
-    fills the table: I at delta = 1 at 2048 log-spaced knots spanning
-    eight decades on each side of s = xi/delta = 1, then 640 knots over
-    40 further halvings of the envelope (16 a halving), as the forward
-    sums of a record of K7 panels (:class:`_Panels`).  Inside the cache
+    fills the table: I at delta = 1 at 1024 log-spaced knots spanning
+    eight decades on each side of s = xi/delta = 1, then 320 knots over
+    40 further halvings of the envelope (8 a halving), as the forward
+    sums of a record of K7 panels (:class:`_Panels`); where the source
+    or the profile is too steep for panels that wide, at twice as many
+    knots, 2048 and 640 (:func:`_table_fill`).  Inside the cache
     I is their dense output (:meth:`_UnitTable.inner`); off it I follows
     its limiting behaviour: it grows like z**n below the cache (the
     envelope is flat there) and is taken as saturated at I(inf) above
@@ -827,15 +887,18 @@ class RadialProfile:
         W[0] sums every panel, so their summed error bounds that of every
         W.  exp(psi) is taken at the knots from the table's sums, and at
         the interior nodes, which are the table's own, from
-        :meth:`_Panels.interior` (:meth:`_outer_nodes`).  Panels that miss
-        the tolerance are halved on the table's dense output
-        (:meth:`_outer_panels`), with no new evaluation of f, and marked
-        ``halved``: w in those intervals takes :meth:`_outer_spans`.
+        :meth:`_Panels.interior` (:meth:`_outer_nodes`).  w between the
+        knots is the record's dense output, so a panel misses where the
+        estimate of its dense output does (``dense``, :func:`_k7_fill`),
+        too.  Panels that miss the tolerance are halved on the table's
+        dense output (:meth:`_outer_panels`), with no new evaluation of f,
+        and marked ``halved``: w in those intervals takes
+        :meth:`_outer_spans`.
         """
         t, tol = self._table, self._seg_tol
         tail = self._w_above(self.delta * t.s[-1:])
         nodes = self._outer_nodes()
-        values, errors, miss, converged = _k7_fill(nodes, 0.5 * t.h, tol, self._outer_panels)
+        values, errors, miss, converged = _k7_fill(nodes, 0.5 * t.h, tol, self._outer_panels, dense=True)
         halved = np.zeros(values.size, dtype=bool)
         halved[miss] = True
         ws = np.cumsum(np.concatenate((tail, values[::-1])))[::-1]
@@ -878,7 +941,7 @@ class RadialProfile:
         return _exp_checked(psi.T, "outer integrand", at, psi.T).T
 
     def _outer_panels(self, i: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # K7 values and L4 estimates over the spans [a, b], as fractions, of
+        # K7 values and error estimates over the spans [a, b], as fractions, of
         # the knot intervals i, on the table's dense output at all seven
         # nodes, node-major, with no knot search; a span's bits do not
         # depend on the other spans of the call
@@ -922,7 +985,7 @@ class RadialProfile:
 
         Inside the cache w is the outer cache's dense output
         (:meth:`_on_grid`), off it closed form.  After the one-time fill
-        of the outer cache (one panel per knot interval, about 2700,
+        of the outer cache (one panel per knot interval, 1343 or 2687,
         shared with every rescaled view), m radii cost m dot products of
         seven values.
         """

@@ -30,8 +30,10 @@ the last pair and the rate of decay, so a smooth panel is judged by the
 15-node rule whose value it keeps; where they do not, as on a singular
 panel, by the classic damping recipe, the raw ``|high - low|`` difference
 from the embedded 7-node rule tempered by the scale of the integrand's
-oscillation on the panel.  The K7 panels keep that damped recipe on their
-Lobatto pair.  Each Fejer node is placed from its nearer end of the panel
+oscillation on the panel.  A K7 panel is judged likewise by the Legendre
+coefficients of the degree-6 polynomial through its seven values
+(:func:`_k7`), and by the damped recipe on its Lobatto pair where they do
+not decay.  Each Fejer node is placed from its nearer end of the panel
 (:func:`_fejer_nodes`), so no rounding of a panel's centre shifts it.
 
 One adaptive loop, :func:`_bisect`, serves every integral: it takes
@@ -353,41 +355,113 @@ _K7_W = _WA_K7L4[0, :4].tolist()
 _L4_W = _WA_K7L4[1, [0, 2]].tolist()
 
 
-def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """K7 values and damped L4 error estimates of panels of half-width
-    ``h``, from their integrand values: ``f0`` and ``f6`` at the left and
-    right ends, ``inner`` (one row per node, one column per panel) at the
-    five interior nodes ``_XA_K7[1:-1]``.
+@functools.cache
+def _k7_legendre() -> Tuple[Tuple[float, ...], ...]:
+    """The rows that map a K7 panel's values to the Legendre coefficients
+    c2, c4 and c6 of the polynomial of degree 6 through them, each on the
+    sums of the mirrored pairs of nodes, f0 + f6, f1 + f5 and f2 + f4, and
+    on f3: P_k is even for even k.  Solved once, in doubles, from P_k at
+    the nodes, by :func:`_k7` on first use."""
+    x = _XA_K7.tolist()
+    legendre = [[1.0, t] for t in x]
+    for k in range(1, 6):
+        for row, t in zip(legendre, x):
+            row.append(((2 * k + 1) * t * row[k] - k * row[k - 1]) / (k + 1))
+    rows = np.linalg.inv(np.array(legendre))
+    return tuple(tuple(rows[k, :4].tolist()) for k in (2, 4, 6))
 
-    The estimate is that of :func:`_rule` for the pair ``_WA_K7L4``, for
-    an integrand that is not negative: the mean is the rule's sum over
-    [-1, 1] halved, and the floor 50 eps times the value.  Every sum is a
-    fixed sequence of elementwise operations over the mirrored node pairs,
-    so a panel's bits do not depend on the other panels of its block.
-    The sums run in place on five buffers of one value per panel, the
-    deviations from the mean a mirrored pair at a time, in the order of
+
+def _k7(
+    f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray, *, dense: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """K7 values and error estimates of panels of half-width ``h``, from
+    their integrand values: ``f0`` and ``f6`` at the left and right ends,
+    ``inner`` (one row per node, one column per panel) at the five
+    interior nodes ``_XA_K7[1:-1]``.
+
+    The estimate reads K7's own interpolant, as :func:`_rule` reads the
+    Fejer rule's: the Legendre coefficients of the polynomial of degree 6
+    through the seven values (:func:`_k7_legendre`).  K7 is symmetric, so
+    it integrates the odd part of a panel's integrand exactly, as it does
+    every odd P_k: its error is that of the even part, whose coefficients
+    E3 = |c2|, E2 = |c4| and E1 = |c6| it reads, each as 0 where it is
+    within 50 eps of the rule's sum (there it is the values' rounding).
+    Where r = max(E1 / E2, E2 / E3) is below r_crit = ``_R_CRIT`` they
+    decay geometrically, by r every two degrees, and the error is
+    Berntsen and Espelid's K r**alpha h E1, with alpha = 2 and K = ``_K``:
+    K7 is exact to degree 9, so its error is mostly that of P_10, which
+    it integrates wrong by 0.11, and whose coefficient is about r**2 E1.
+    Where they do not decay, the estimate is the damped difference from
+    the embedded L4, on those panels only (:func:`_k7_damped`).  Either
+    way it is at least the floor, 50 eps times the value, as every
+    caller's integrand is not negative.
+
+    With ``dense``, the estimate also covers the panel's dense output, the
+    integral of the polynomial over part of the panel, where the odd terms
+    no longer cancel: that is mostly off by the P_7 term, which the
+    polynomial misses by at most 0.076 of its coefficient over any part,
+    and whose coefficient is about sqrt(r) E1; the estimate is at least
+    sqrt(r) h E1, 13 times that.
+
+    Every sum is a fixed sequence of elementwise operations over the
+    mirrored node pairs, so a panel's bits do not depend on the other
+    panels of its block.  K7's sum runs in place, in the order of
 
         s = w0 (f0 + f6) + w1 (f1 + f5) + w2 (f2 + f4) + w3 f3,
 
-    f1 .. f5 the rows of ``inner``, and likewise for the deviations from
-    the mean; IEEE sums and products commute, so this is that formula to
-    the last bit."""
+    f1 .. f5 the rows of ``inner``, and each coefficient likewise on the
+    same pair sums; IEEE sums and products commute, so this is that
+    formula to the last bit."""
+    # each pair sum, formed in one buffer, goes into K7's sum and the three
+    # coefficients at once, so six buffers of one value per panel serve
+    rows = (_K7_W, *_k7_legendre())
+    pair, term = np.add(f0, f6), np.empty_like(f0)
+    s, c2, c4, c6 = out = [np.multiply(pair, row[0]) for row in rows]
+    for m, (j, k) in enumerate(((0, 4), (1, 3), (2, None)), start=1):
+        x = inner[j] if k is None else np.add(inner[j], inner[k], out=pair)
+        for acc, row in zip(out, rows):
+            acc += np.multiply(x, row[m], out=term)
+    floor = np.multiply(s, 50.0 * _EPS, out=pair)
+    for c in (c2, c4, c6):
+        np.abs(c, out=c)
+        c[c <= floor] = 0.0
+    e3, e2, e1 = c2, c4, c6
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # r = max(E1 / E2, E2 / E3), where 0 / 0, two coefficients at the
+        # rounding, says nothing and x / 0 is no decay
+        r = np.divide(e2, e3, out=e3)
+        r = np.fmax(np.divide(e1, e2, out=e2), r, out=r)
+        np.fmax(r, 0.0, out=r)
+        loose = np.flatnonzero(~(r < _R_CRIT))
+        # K r**2 E1, or max(K r**2, sqrt(r)) E1 with dense; inf * 0 (no
+        # decay) among the loose panels
+        err = np.square(r, out=e2)
+        err *= _K
+        if dense:
+            np.fmax(err, np.sqrt(r, out=r), out=err)
+        err *= e1
+    if loose.size:
+        err[loose] = _k7_damped(f0[loose], inner[:, loose], f6[loose], s[loose])
+    np.maximum(err, floor, out=err)
+    err *= h
+    s *= h
+    return s, err
+
+
+def _k7_damped(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The damped L4 estimate of :func:`_k7` over [-1, 1], for the panels
+    whose values are ``f0``, ``inner`` and ``f6`` and whose K7 sum is
+    ``s``: asc min(1, 200 |K7 - L4| / asc)**1.5, asc the K7 sum of the
+    deviations |f_m - mean|, a mirrored pair at a time, and 0 where asc =
+    0: all seven values are the mean there, and |K7 - L4|, a few ulps of
+    it, is below the floor.  x**1.5 is x sqrt(x)."""
     w0, w1, w2, w3 = _K7_W
     l0, l2 = _L4_W
-    ends, mid = np.add(f0, f6), np.add(inner[1], inner[3])
-    s = np.multiply(ends, w0)
-    buf = np.add(inner[0], inner[4], out=ends)
-    buf *= w1
-    s += buf
-    s += np.multiply(mid, w2, out=buf)
-    s += np.multiply(inner[2], w3, out=buf)
     mean = np.multiply(s, 0.5)
-    # the deviations |f_m - mean|, a mirrored pair at a time, in the two
-    # buffers of the pair sums
-    dev = mid
     asc = np.subtract(f0, mean)
     np.abs(asc, out=asc)
-    asc += np.abs(np.subtract(f6, mean, out=buf), out=buf)
+    buf, dev = np.subtract(f6, mean), np.empty_like(mean)
+    asc += np.abs(buf, out=buf)
     asc *= w0
     for w, (j, k) in ((w1, (0, 4)), (w2, (1, 3))):
         np.abs(np.subtract(inner[j], mean, out=buf), out=buf)
@@ -397,8 +471,6 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
     np.abs(np.subtract(inner[2], mean, out=buf), out=buf)
     buf *= w3
     asc += buf
-    # r = min(1, 200 |K7 - L4| / asc), 0 where asc = 0: all seven values
-    # are the mean there, and |K7 - L4|, a few ulps of it, is below the floor
     l4 = np.add(f0, f6, out=buf)
     l4 *= l0
     l4 += np.multiply(np.add(inner[1], inner[3], out=dev), l2, out=dev)
@@ -410,10 +482,7 @@ def _k7(f0: np.ndarray, inner: np.ndarray, f6: np.ndarray, h: np.ndarray) -> Tup
     err = np.sqrt(r, out=dev)
     err *= r
     err *= asc
-    np.maximum(err, np.multiply(s, 50.0 * _EPS, out=mean), out=err)
-    err *= h
-    s *= h
-    return s, err
+    return err
 
 
 def _bisect(

@@ -356,15 +356,16 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
 
     The energy density rho**n f(w) in x = ln rho is integrated one K7
     panel per knot interval of the profile's table over [1e-6, 1e3] *
-    delta (about 1150 intervals, 128 a decade), with L4 as the error
-    estimate (:func:`~liouville.construct._k7_fill`, one call for all
-    panels), and below the first knot as rho**(n-1) f(w) with w held at
+    delta (577 intervals, 64 a decade, on level-1 knots, and 1153 on
+    level 0), with K7's own estimate
+    (:func:`~liouville.construct._k7_fill`, one call for all panels), and
+    below the first knot as rho**(n-1) f(w) with w held at
     its value there.  The table's knots are fixed in s = rho/delta, so
     they serve every delta, and w at their K7 nodes is read at delta = 1
     and scaled (:meth:`~liouville.construct.RadialProfile._node_sample`):
     at the knots it is the outer cache W, and at the five interior nodes
     of an interval the outer record's dense output, so f's log
-    evaluator reads all the nodes, at most 6919, in one call (at eps
+    evaluator reads all the nodes, 3463 or 6919, in one call (at eps
     where w >= eps, whose density is 0), and the density goes straight
     into the node stack of the check's record, with no concatenated
     copies of the nodes.
@@ -468,7 +469,7 @@ def energy_diagnostic(profile: RadialProfile) -> EnergyDiagnostic:
         return Tolerance(rel=1e-10, absolute=1e-10 * below[below > 0.0][:1].sum() / (w.size - 1))
 
     def halves(j: np.ndarray, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # K7 values and L4 estimates over the spans [a, b], as fractions, of
+        # K7 values and error estimates over the spans [a, b], as fractions, of
         # the knot intervals j, with w at their nodes as values_on_grid reads it
         ln_rho = lambda: x[j] + h[j] * (a + (b - a) * _K7_U[:, None])  # noqa: E731
         xs = ln_rho()

@@ -224,12 +224,22 @@ def quad_ref(g, a, b, rel=1e-12, exact=False):
     (``scipy.integrate.quad``) to relative accuracy ``rel``, with
     ``epsabs=0`` so that no absolute floor lets a small integral through;
     with ``exact``, by ``mpmath.quad`` at 30 digits on the same function,
-    for comparisons at 1e-13, near QUADPACK's own rounding."""
+    for comparisons at 1e-13, near QUADPACK's own rounding.
+
+    Either way the nodes are doubles.  On an interval a few ulps wide they
+    round onto its ends or the few doubles between, each up to an ulp from
+    where it belongs, and the integral moves by up to that ulp times the
+    change of g across the interval, on which g is linear to rounding: the
+    error allows for that, which neither routine's estimate does."""
     if exact:
         with mpmath.workdps(30):
             value, error = mpmath.quad(lambda t: g(float(t)), [a, b], error=True)
-        return float(value), float(error)
-    value, error = quad(g, a, b, epsabs=0.0, epsrel=rel, limit=200)
+        value, error = float(value), float(error)
+    else:
+        value, error = quad(g, a, b, epsabs=0.0, epsrel=rel, limit=200)
+    ulp = math.ulp(max(abs(a), abs(b)))
+    if b - a <= 64.0 * ulp:
+        error += ulp * abs(g(b) - g(a))
     return value, error
 
 

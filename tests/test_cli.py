@@ -410,33 +410,39 @@ def test_one_outer_fill_per_command(capsys, monkeypatch, argv):
 
 
 # The work of one command, kernel by kernel (conftest.work_ledger).  verify:
-# _k7 on the table's 2048 + 640 panels but [0, s_0], on the outer fill's as
-# many, and on the energy check's 1153; _bisect on the flux check's 13
+# _k7 on the table's 1024 + 320 panels but [0, s_0], on the outer fill's as
+# many, and on the energy check's 577; _bisect on the flux check's 13
 # windows, its one integrate_intervals call, and on no fill, since none
 # misses a panel here; _ln_f on no monotonicity grid, since the gate proves
-# z^4 non-decreasing from its exponent, then on the table's three node
+# z^4 non-decreasing from its exponent, then on the table's two node
 # blocks, the flux windows' 13 x 15 nodes, the supersolution check's 200
 # envelope and 200 profile values, the gradient check's six origin nodes
-# and the energy check's 1154 + 5 x 1153 nodes.  w on the grids and the terminal source
-# integral take no panel.  construct: the same build, then its 200 rows.
+# and the energy check's 578 + 5 x 577 nodes.  w on the grids and the
+# terminal source integral take no panel.  construct: the same build, then
+# its 200 rows.  construct at z^40: the table's node blocks on level 1,
+# whose panels are too steep, then its 2048 + 640 panels on level 0.
 _LEDGERS = [
     (
         ["verify", "--n", "3", "--p", "2", "--power", "4"],
         {
-            "_k7": [2687, 2687, 1153],
+            "_k7": [1343, 1343, 577],
             "_bisect": [13],
             "integrate_intervals": [13],
-            "_ln_f": [6144, 6144, 3840, 195, 400, 6, 6919],
+            "_ln_f": [6144, 1920, 195, 400, 6, 3463],
         },
     ),
     (
         ["construct", "--n", "3", "--p", "2", "--power", "4"],
-        {"_k7": [2687, 2687], "_bisect": [], "integrate_intervals": [], "_ln_f": [6144, 6144, 3840]},
+        {"_k7": [1343, 1343], "_bisect": [], "integrate_intervals": [], "_ln_f": [6144, 1920]},
+    ),
+    (
+        ["construct", "--n", "3", "--p", "2", "--power", "40"],
+        {"_k7": [2687, 2687], "_bisect": [], "integrate_intervals": [], "_ln_f": [6144, 1920, 6144, 6144, 3840]},
     ),
 ]
 
 
-@pytest.mark.parametrize("argv, work", _LEDGERS, ids=["verify", "construct"])
+@pytest.mark.parametrize("argv, work", _LEDGERS, ids=["verify", "construct", "construct-level0"])
 def test_work_ledger_per_command(capsys, monkeypatch, argv, work):
     ledger = work_ledger(monkeypatch)
     code, _, err = run(capsys, argv)

@@ -255,15 +255,21 @@ def test_cache_fill_matches_scalar_segments(batched_profile):
     assert cached.tolist() == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
-# The K7 table fill against batched Fejer panels over the same intervals
+# The knots of a table at knot level 0 and at level 1: 2048 and 1024 in
+# the cache, and 640 and 320 past it where all 40 halvings of the envelope
+# stay within double range
+_KNOTS = (2048 + 640, 1024 + 320)
+
+# The K7 table fill against batched Fejer panels over the same intervals,
+# and the knot level of each
 _FILL_CASES = [
-    (Power(4.0), StructureParams(3, 2.0)),
-    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0)),
-    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0)),
-    # small a: all 1280 panels past the cache
-    (Power(0.81), StructureParams(8, 1.5)),
+    (Power(4.0), StructureParams(3, 2.0), 1),
+    (PowerLog(-2.0, 3.0), StructureParams(3, 2.0), 1),
+    (parse_nonlinearity("z^3*log(e+1/z)^-2"), StructureParams(4, 2.0), 1),
+    # small a: all 320 knots past the cache
+    (Power(0.81), StructureParams(8, 1.5), 1),
 ]
-_FILL_IDS = [f"n{p.n}-p{p.p}-{f!r}" for f, p in _FILL_CASES]
+_FILL_IDS = [f"n{p.n}-p{p.p}-{f!r}" for f, p, _ in _FILL_CASES]
 
 
 def _fill_by_panels(f, params, s, tol):
@@ -283,13 +289,13 @@ def _fill_by_panels(f, params, s, tol):
     )
 
 
-def _assert_fill_is_panels(f, params, tol):
+def _assert_fill_is_panels(f, params, tol, level):
     # the K7 fill agrees with the open 15-node panels to tolerance level,
     # panel by panel and in the cumulative sums that the table holds; it
-    # has one panel per knot: 2048 in the cache and 640 past it
+    # has one panel per knot of its level
     s, _, fill = construct_module._table_fill(f, params, tol)
     ref = _fill_by_panels(f, params, s, tol)
-    assert fill.values.size == s.size == 2048 + 640
+    assert fill.values.size == s.size == _KNOTS[level]
     assert fill.converged and ref.converged
     assert np.all(np.abs(fill.values - ref.values) <= 1e-13 * ref.values)
     cum, ref_cum = np.cumsum(fill.values), np.cumsum(ref.values)
@@ -297,10 +303,10 @@ def _assert_fill_is_panels(f, params, tol):
     return fill
 
 
-@pytest.mark.parametrize("f, params", _FILL_CASES, ids=_FILL_IDS)
-def test_table_fill_is_integrate_intervals_bit_for_bit(f, params):
+@pytest.mark.parametrize("f, params, level", _FILL_CASES, ids=_FILL_IDS)
+def test_table_fill_is_integrate_intervals_bit_for_bit(f, params, level):
     # the K7 fill matches the Fejer panels to tolerance level, not bit for bit
-    _assert_fill_is_panels(f, params, _SEG_TOL)
+    _assert_fill_is_panels(f, params, _SEG_TOL, level)
 
 
 def test_table_fill_redoes_missed_panels_as_integrate_panels_does(monkeypatch):
@@ -309,7 +315,7 @@ def test_table_fill_redoes_missed_panels_as_integrate_panels_does(monkeypatch):
     # are halved
     f = parse_nonlinearity("z^4*(1+exp(-1e6*(z-0.5)^2))")
     redone = _record(monkeypatch, "_bisect")
-    _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL)
+    _assert_fill_is_panels(f, StructureParams(3, 2.0), _SEG_TOL, 1)
     assert redone and all(0.4 < math.exp(lo) < math.exp(hi) < 1.6 for lo, hi in redone)
 
 
@@ -326,9 +332,9 @@ def _record(monkeypatch, name):
     return seen
 
 
-@pytest.mark.parametrize("f, params", _FILL_CASES, ids=_FILL_IDS)
-def test_table_fill_redoes_no_panel(monkeypatch, f, params):
-    # L4's estimate meets the tolerance on every panel, and from n = 7 on,
+@pytest.mark.parametrize("f, params, level", _FILL_CASES, ids=_FILL_IDS)
+def test_table_fill_redoes_no_panel(monkeypatch, f, params, level):
+    # K7's estimate meets the tolerance on every panel, and from n = 7 on,
     # where s**(n-1) is past its degree 5, the rule in u**(n-1) meets it on
     # [0, s_0]
     redone = _record(monkeypatch, "_bisect")
@@ -358,14 +364,14 @@ def test_table_fill_takes_the_origin_rule_at_every_n(monkeypatch, n):
 def test_table_fill_chases_no_panel_below_the_rounding_of_its_sum(monkeypatch, lam, n, p):
     # a fast-decaying source term falls far below the rounding of the running
     # sum, and then nears underflow, where the panels' own tolerance would
-    # halve them to the depth cap; only the steep panels where I still grows
-    # are halved (below s = 4.5: at z^6.8, n=4 p=1.5, s * source(s) falls
-    # like e**(-30 ln s), by 0.58 over a knot interval, and L4 misses up to
-    # s = 4.41, where the panels reach 1e-18 of I)
+    # halve them to the depth cap: 943, 643 and 1 panels miss it, up from
+    # s = 5.9, 1.3 and 1.8e10.  K7's estimate meets the tolerance where I
+    # still grows, so no panel is halved
     redone = _record(monkeypatch, "_bisect")
-    s, _, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
-    assert fill.converged
-    assert 0 < len(redone) <= 100 and max(math.exp(hi) for _, hi in redone) < 4.5
+    s, nodes, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
+    assert fill.converged and redone == []
+    values, errors = quadrature_module._k7(nodes[0], nodes[1:-1], nodes[-1], 0.5 * np.diff(np.log(s)))
+    assert np.count_nonzero(errors > _SEG_TOL.rel * values) == {40.0: 943, 12.8: 643, 6.8: 1}[lam]
 
 
 def _count_points(monkeypatch, name, arg):
@@ -381,26 +387,37 @@ def _count_points(monkeypatch, name, arg):
     return sizes
 
 
-def test_work_per_build_and_outer_fill(monkeypatch, params32):
-    # n=3 p=2: 2048 cache knots and 640 past it, 2688 panels, each the
-    # integrand at its right end and five interior nodes
-    points = _count_points(monkeypatch, "_ln_source", 2)
-    prof = RadialProfile(Power(4.0), params32, 1.0)
-    assert prof._table.s.size == 2048 + 640
-    assert sum(points) == 6 * 2688
-    # the outer fill: the closed form at the last knot, exp(psi) once per
-    # knot and at five interior nodes of each of the 2687 intervals
+def _work_per_build_and_outer_fill(monkeypatch, f, params, knots, points):
+    # the table's integrand taken at `points` nodes for a table of `knots`
+    # knots; the outer fill: the closed form at the last knot, exp(psi) once
+    # per knot and at five interior nodes of each interval
+    sizes = _count_points(monkeypatch, "_ln_source", 2)
+    prof = RadialProfile(f, params, 1.0)
+    assert prof._table.s.size == knots
+    assert sum(sizes) == points
     exps = _count_points(monkeypatch, "_exp_checked", 0)
     prof._outer_cache()
-    assert sum(exps) == 1 + 2688 + 5 * 2687
+    assert sum(exps) == 1 + knots + 5 * (knots - 1)
 
 
-@pytest.mark.parametrize("lam, missed, valued", [(3.5, 91, 182), (3.8, 95, 190)])
-def test_table_redo_values_only_the_halves(monkeypatch, lam, missed, valued):
-    # n=4 p=1.5: L4 misses some panels of the fill; the halving starts from
-    # the fill's values of them, so it values their halves and no more
-    # (from the bare intervals it would value each missed panel once again:
-    # 273 and 285 panels)
+def test_work_per_build_and_outer_fill(monkeypatch, params32):
+    # n=3 p=2 z^4: 1024 cache knots and 320 past it, 1344 panels, each the
+    # integrand at its right end and five interior nodes
+    _work_per_build_and_outer_fill(monkeypatch, Power(4.0), params32, 1344, 6 * 1344)
+
+
+def test_work_per_build_on_level_zero_knots(monkeypatch, params32):
+    # z^40 is too steep for those knots: the table is valued on them, then
+    # filled again on 2048 cache knots and 640 past it
+    _work_per_build_and_outer_fill(monkeypatch, Power(40.0), params32, 2688, 6 * (1344 + 2688))
+
+
+@pytest.mark.parametrize("lam, n, p, missed, valued", [(3.18, 5, 1.1, 7, 14), (2.0, 4, 1.05, 5, 10)])
+def test_table_redo_values_only_the_halves(monkeypatch, lam, n, p, missed, valued):
+    # steep sources on level-0 knots: K7 misses some panels of the fill; the
+    # halving starts from the fill's values of them, so it values their
+    # halves and no more (from the bare intervals it would value each missed
+    # panel once again: 21 and 15 panels)
     bisect, seen = construct_module._bisect, []
 
     def counted(rule, lo, hi, tol, *first):
@@ -408,7 +425,7 @@ def test_table_redo_values_only_the_halves(monkeypatch, lam, missed, valued):
         return bisect(lambda own, a, b: seen.append(a.size) or rule(own, a, b), lo, hi, tol, *first)
 
     monkeypatch.setattr(construct_module, "_bisect", counted)
-    _, _, fill = construct_module._table_fill(Power(lam), StructureParams(4, 1.5), _SEG_TOL)
+    _, _, fill = construct_module._table_fill(Power(lam), StructureParams(n, p), _SEG_TOL)
     assert fill.converged
     assert seen[0] == missed and sum(seen[1:]) == valued
 
@@ -701,6 +718,75 @@ def test_centre_value_of_the_closed_form_instance(params32):
     assert abs(w0 - 1.0 / 6.0) <= error
 
 
+# The knots each table gets, and the panels whose nodes it values on the
+# way: level 1 (1024 + 320 knots) where its panels are no steeper than
+# construct._STEEP, else level 0 (2048 + 640).  n=4 p=1.05: k = 59, so ln
+# of the outer integrand may change by 2.1 across a level-1 panel, and the
+# table is filled on level 0 only.  n=3 p=2 z^40 and n=10 p=3.5 z^20: ln of
+# the table's integrand falls by 1.3 and 1.5 across level-1 panels past
+# s = 1, so the table is filled again on level 0
+_LEVEL_CASES = [
+    (Power(4.0), StructureParams(3, 2.0), 1344, [1343]),
+    (Power(5.5), StructureParams(5, 3.0), 1344, [1343]),
+    (PowerLog(-1.6, critical_exponent(StructureParams(8, 3.0))), StructureParams(8, 3.0), 1344, [1343]),
+    (Power(1.1), StructureParams(4, 1.05), 2688, [2687]),
+    (Power(40.0), StructureParams(3, 2.0), 2688, [1343, 2687]),
+    (Power(20.0), StructureParams(10, 3.5), 2688, [1343, 2687]),
+]
+
+
+@pytest.mark.parametrize(
+    "f, params, knots, valued", _LEVEL_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p, *_ in _LEVEL_CASES]
+)
+def test_table_takes_the_coarsest_knot_level_that_holds(monkeypatch, f, params, knots, valued):
+    table_nodes, filled = construct_module._table_nodes, []
+    monkeypatch.setattr(construct_module, "_table_nodes", lambda *args: filled.append(args[3]) or table_nodes(*args))
+    s, _, fill = construct_module._table_fill(f, params, _SEG_TOL)
+    assert s.size == fill.values.size == knots and fill.converged
+    assert filled == valued
+
+
+def test_closed_form_instance_on_level_one_knots(params32):
+    # n=3 p=2 z^4 on 1344 knots: I(inf) = 1/3 within its error, and w(0) =
+    # 1/6 within the outer fill's summed error
+    prof = RadialProfile(Power(4.0), params32, 1.0)
+    assert prof._table.s.size == 1344
+    value, error = prof._unit_limit()
+    assert abs(value - 1.0 / 3.0) <= error < 1e-13
+    w0, error = prof._sup()
+    assert abs(w0 - 1.0 / 6.0) <= error < 1e-13
+
+
+def test_steep_panel_forces_the_fallback(monkeypatch, params32):
+    # n=3 p=2 z^4 with one knot's value of the level-1 fill times 3: ln of
+    # the integrand jumps by ln 3 = 1.1 across the panels on either side of
+    # it, so the table is filled again on level 0, where nothing is patched,
+    # and is that fill; with _STEEP above 1.1 it stays on level 1
+    table_nodes, calls = construct_module._table_nodes, []
+
+    def steep(f, params, blocks, panels):
+        nodes, origin = table_nodes(f, params, blocks, panels)
+        if panels == 1343:
+            nodes[-1, 600] *= 3.0
+            nodes[0, 601] *= 3.0
+        calls.append(panels)
+        return nodes, origin
+
+    monkeypatch.setattr(construct_module, "_table_nodes", steep)
+    s, nodes, fill = construct_module._table_fill(Power(4.0), params32, _SEG_TOL)
+    assert calls == [1343, 2687]
+    monkeypatch.setattr(construct_module, "_table_nodes", table_nodes)
+    monkeypatch.setattr(construct_module, "_STEEP", 0.0)  # level 0 from the start
+    s0, nodes0, fill0 = construct_module._table_fill(Power(4.0), params32, _SEG_TOL)
+    assert s.tolist() == s0.tolist() and fill.values.tolist() == fill0.values.tolist()
+    assert np.array_equal(nodes, nodes0)
+    monkeypatch.setattr(construct_module, "_table_nodes", steep)
+    monkeypatch.setattr(construct_module, "_STEEP", 1.2)
+    calls.clear()
+    assert construct_module._table_fill(Power(4.0), params32, _SEG_TOL)[0].size == 1344
+    assert calls == [1343]
+
+
 # ---------------------------------------------------------------------------
 # the outer cache: work counts
 
@@ -813,15 +899,16 @@ def test_values_on_grid_matches_intervals_in_zeta():
     prof.profile_value(0.0)
     view = prof.rescaled(2.0**-6)
     knots = view.delta * view._table.s  # exact: the scale is a power of two
-    on = knots[[0, 1, 700, 1024, 2047, -2, -1]]
-    between = np.sqrt(knots[[0, 3, 1500, 2046, -3]] * knots[[1, 4, 1501, 2047, -2]])
-    rs = np.sort(np.concatenate((on, between, knots[2000] * (1.0 + np.geomspace(1e-15, 1e-4, 5)))))
+    # knot 1023, the last of the cache on level 1, where this table lies
+    on = knots[[0, 1, 350, 512, 1023, -2, -1]]
+    between = np.sqrt(knots[[0, 3, 750, 1022, -3]] * knots[[1, 4, 751, 1023, -2]])
+    rs = np.sort(np.concatenate((on, between, knots[1000] * (1.0 + np.geomspace(1e-15, 1e-4, 5)))))
     j = np.searchsorted(knots, rs)
     gaps = integrate_intervals(view._outer_array, rs, np.maximum(knots[j], rs), view._seg_tol)
     ref = view._outer_cache()[0][j] + gaps.values
     assert gaps.converged
     assert view.values_on_grid(rs) == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)
-    assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 700, 1024, 2047, -2, -1]].tolist()
+    assert view.values_on_grid(on) == view._outer_cache()[0][[0, 1, 350, 512, 1023, -2, -1]].tolist()
 
 
 def _forced_misses(monkeypatch, converged=True):
@@ -830,8 +917,8 @@ def _forced_misses(monkeypatch, converged=True):
     # (lo, hi) of every _bisect call, and its flags replaced by `converged`
     kernel, bisect, halving, calls = construct_module._k7, construct_module._bisect, [], []
 
-    def missing(f0, inner, f6, h):
-        values, errors = kernel(f0, inner, f6, h)
+    def missing(f0, inner, f6, h, **dense):
+        values, errors = kernel(f0, inner, f6, h, **dense)
         if not halving:
             errors[:2] = np.inf
         return values, errors
@@ -875,7 +962,7 @@ def test_outer_fill_redoes_missed_panels_by_halving(monkeypatch, params32):
     # w between knots: an adaptive span, the first two of the pass forced to
     # miss, in the two intervals that the fill halved, and the dense output
     # of the fill's nodes, with no panel, in the others
-    intervals = [0, 1, 10, 1000, 2500]
+    intervals = [0, 1, 10, 500, 1250]
     rs = np.sqrt(knots[intervals] * knots[np.add(intervals, 1)])
     between = prof.values_on_grid(rs)
     assert [len(lo) for lo, _ in calls] == [2, 2, 2]
@@ -895,37 +982,37 @@ def _count_k7(monkeypatch, module):
     # the panels of every _k7 call from module
     sizes, kernel = [], module._k7
 
-    def counted(f0, inner, f6, h):
+    def counted(f0, inner, f6, h, **dense):
         sizes.append(f0.size)
-        return kernel(f0, inner, f6, h)
+        return kernel(f0, inner, f6, h, **dense)
 
     monkeypatch.setattr(module, "_k7", counted)
     return sizes
 
 
 def test_k7_work_per_stage(monkeypatch, params32):
-    # every closed K7 panel goes through _k7: the build's 2048 + 640 panels
+    # every closed K7 panel goes through _k7: the build's 1024 + 320 panels
     # in one call, but [0, s_0], which takes the rule of its weight; the
     # outer fill's as many, in one call too; none for values_on_grid or
     # for the sample the grid checks read, which are the dense output of
-    # the outer fill's nodes, and one call for the energy check's 1153
+    # the outer fill's nodes, and one call for the energy check's 577
     # panels, through construct's fill-and-redo routine; none through the
     # Fejer pair's _rule
     built, checked, ruled = _count_k7(monkeypatch, construct_module), _count_k7(monkeypatch, verify_module), []
     rule = quadrature_module._rule
     monkeypatch.setattr(quadrature_module, "_rule", lambda fx, *args: ruled.append(fx.shape[0]) or rule(fx, *args))
     prof = RadialProfile(Power(4.0), params32, 1.0)
-    assert (len(built), sum(built)) == (1, 2687)
+    assert (len(built), sum(built)) == (1, 1343)
     built.clear()
     prof._outer_cache()
-    assert (len(built), sum(built)) == (1, 2687)
+    assert (len(built), sum(built)) == (1, 1343)
     built.clear()
     for radii in ([0.5], np.geomspace(1e-3, 1e3, 200)):
         prof.values_on_grid(radii)
     prof._sample(verify_module._unit_sample()[0])
     assert built == []
     energy_diagnostic(prof)
-    assert (built, checked) == ([1153], [])
+    assert (built, checked) == ([577], [])
     assert ruled == []
 
 
@@ -961,19 +1048,21 @@ def test_sample_of_a_vanishing_profile(f, params):
         assert not view._sample(radii).any()
 
 
-@pytest.mark.parametrize("f, params, halved", [(Power(4.0), StructureParams(3, 2.0), 0),
-                                               (Power(0.81), StructureParams(8, 1.5), 323)],
-                         ids=["n3-p2-z^4", "n8-p1.5-z^0.81"])
-def test_node_sample_is_w_at_the_nodes(f, params, halved):
-    # w at the K7 nodes of the 1153 knot intervals over [1e-6, 1e3]: at the
-    # knots and, in the intervals that the outer fill halved, the bits of
-    # values_on_grid; elsewhere the outer record's reverse sums through the
-    # reordered matrix, within 1e-13 of it.  At delta = 2**-5 it is the
-    # sample at delta = 1 scaled by delta**(p/(p-1))
+@pytest.mark.parametrize("f, params, intervals, halved", [(Power(4.0), StructureParams(3, 2.0), 577, 0),
+                                                          (Power(0.81), StructureParams(8, 1.5), 577, 182),
+                                                          (Power(0.5), StructureParams(5, 1.1), 1153, 469)],
+                         ids=["n3-p2-z^4", "n8-p1.5-z^0.81", "n5-p1.1-z^0.5"])
+def test_node_sample_is_w_at_the_nodes(f, params, intervals, halved):
+    # w at the K7 nodes of the knot intervals over [1e-6, 1e3], 577 on
+    # level-1 knots and 1153 on level 0: at the knots and, in the intervals
+    # that the outer fill halved, the bits of values_on_grid; elsewhere the
+    # outer record's reverse sums through the reordered matrix, within 1e-13
+    # of it.  At delta = 2**-5 it is the sample at delta = 1 scaled by
+    # delta**(p/(p-1))
     prof = RadialProfile(f, params, 1.0)
     part, w, inner = prof._node_sample(1e-6, 1e3)
     t = prof._table
-    assert part.stop - part.start == 1153 and t.s[part.start] <= 1e-6 < t.s[part.start + 1]
+    assert part.stop - part.start == intervals and t.s[part.start] <= 1e-6 < t.s[part.start + 1]
     assert t.s[part.stop - 1] < 1e3 <= t.s[part.stop]
     assert w.tolist() == prof.values_on_grid(t.s[part.start : part.stop + 1])
     i = np.arange(part.start, part.stop)
@@ -997,7 +1086,7 @@ def test_values_on_grid_at_one_radius_is_its_entry_in_a_grid(params32):
     assert [prof.values_on_grid([r])[0] for r in grid.tolist()] == ws
 
 
-_RECORD_CASES = [(Power(4.0), StructureParams(3, 2.0), 0), (Power(0.81), StructureParams(8, 1.5), 962)]
+_RECORD_CASES = [(Power(4.0), StructureParams(3, 2.0), 0), (Power(0.81), StructureParams(8, 1.5), 501)]
 
 
 @pytest.mark.parametrize("f, params, halved", _RECORD_CASES, ids=["n3-p2-z^4", "n8-p1.5-z^0.81"])
@@ -1008,7 +1097,7 @@ def test_panel_records_read_both_directions(f, params, halved):
     # polynomial's coefficients in v, summed by Horner's rule, reach some
     # 17 times the panel's value); a point alone has the bits it has in a
     # batch; and the outer record's reverse sums are W at delta = 1, bit
-    # for bit.  The second case halves 962 outer spans, whose node values
+    # for bit.  The second case halves 501 outer spans, whose node values
     # the fill scaled to their new values
     prof = RadialProfile(f, params, 1.0)
     ws = prof._outer_cache()[0]
@@ -1026,14 +1115,14 @@ def test_panel_records_read_both_directions(f, params, halved):
                 assert read(i[k : k + 1], u[k : k + 1])[0] == batch[k] == float(read(i[k], u[k]))
 
 
-_STACK_CASES = [(Power(4.0), StructureParams(3, 2.0), 2688), (Power(60.0), StructureParams(3, 2.0, eps=1e-5), 1987)]
+_STACK_CASES = [(Power(4.0), StructureParams(3, 2.0), 1344), (Power(60.0), StructureParams(3, 2.0, eps=1e-5), 993)]
 
 
 @pytest.mark.parametrize("f, params, knots", _STACK_CASES, ids=["n3-p2-z^4", "n3-p2-eps1e-5-z^60"])
 def test_records_keep_contiguous_stacks_of_their_own(f, params, knots):
     # each record keeps its node values in one C-contiguous 7 x N array
     # with nothing wider behind it, also where the table drops the prefix
-    # of knots where I_1 underflows to 0 (the second case: 701 knots)
+    # of knots where I_1 underflows to 0 (the second case: 351 knots)
     prof = RadialProfile(f, params, 1.0)
     prof.profile_value(0.0)  # the outer record
     table = prof._table
@@ -1046,13 +1135,13 @@ def test_records_keep_contiguous_stacks_of_their_own(f, params, knots):
 def test_reads_allocate_only_their_result(instance_profile):
     # a read of either record gathers the columns it needs: span, rest, the
     # table's increment and inner_integral allocate less than a tenth of a
-    # node stack (150 KB) beyond what they return, about 2-3 KB.  Reading a
-    # strided view of the stack, or its rows reversed before the columns,
-    # first copies the whole stack: 151 KB a call
+    # node stack (75 KB on level-1 knots) beyond what they return, about 2-3
+    # KB.  Reading a strided view of the stack, or its rows reversed before
+    # the columns, first copies the whole stack: 75 KB a call
     prof = instance_profile
     prof.profile_value(0.0)  # the outer record
     table, outer = prof._table, prof._table.outer
-    i, u = np.array([100, 1500]), np.array([0.3, 0.7])
+    i, u = np.array([100, 750]), np.array([0.3, 0.7])
     a, b = np.log([1.0, 2.0]), np.log([1.001, 2.5])
     reads = [
         lambda: table.span(i, u),
@@ -1068,11 +1157,11 @@ def test_reads_allocate_only_their_result(instance_profile):
 
 def test_outer_fill_allocates_little_beyond_its_record(instance_profile):
     # the outer fill writes ln I_1, psi and exp(psi) into the rows of the
-    # stack it keeps: beyond the record it returns it allocates 109 KB
-    # (buffers of one value per knot interval, five of them _k7's), under
-    # the bound of one node stack, 150 KB.  Stacking exp(psi) from (5, N)
-    # temporaries, reading the table's stack through copies of it, took
-    # 408 KB
+    # stack it keeps: beyond the record it returns it allocates 67 KB
+    # (buffers of one value per knot interval, six of them _k7's), under
+    # the bound of one node stack, 75 KB on level-1 knots.  Stacking
+    # exp(psi) from (5, N) temporaries, reading the table's stack through
+    # copies of it, took 2.7 node stacks
     table = instance_profile._table
     assert transient_bytes(instance_profile._fill_outer) < table.nodes.nbytes
 
@@ -1103,12 +1192,15 @@ def test_k7_fill_scales_a_redone_panel_to_its_new_value():
 @pytest.mark.parametrize("f, params", _OUTER_CASES, ids=[f"n{p.n}-p{p.p}-{f!r}" for f, p in _OUTER_CASES])
 def test_outer_fill_redoes_no_panel(monkeypatch, f, params):
     # but at n=8 p=1.5 z^0.81, where |w'| falls like zeta**-13 past the
-    # source's saturation, by a factor 1.26 over a knot interval: L4 misses
-    # 962 of its 2687 spans there, all halved together
+    # source's saturation, by a factor 1.6 over a knot interval on level 1:
+    # K7 meets the tolerance on every span there, but its dense output, the
+    # route of w between the knots, misses on 501 of the 1343 spans, all
+    # halved together (the damped L4 estimate missed on 962 of the 2687
+    # spans of level 0)
     prof = RadialProfile(f, params, 1.0)
     redone = _record(monkeypatch, "_bisect")
     assert prof._outer_cache()[1]
-    assert len(redone) == (962 if (params.n, params.p) == (8, 1.5) else 0)
+    assert len(redone) == (501 if (params.n, params.p) == (8, 1.5) else 0)
 
 
 @pytest.mark.parametrize("eps", [1e-10, 1e-3, 1.0, 10.0])

@@ -34,6 +34,8 @@ import numpy as np
 import pytest
 from scipy import special
 
+import liouville.construct as construct_module
+import liouville.quadrature as quadrature_module
 from liouville import Power, PowerLog, RadialProfile, StructureParams, criterion_value, critical_exponent
 
 from conftest import critical_log_criterion, source_limit
@@ -158,3 +160,79 @@ def test_w_between_knots_against_adaptive_spans(n, p, f):
     u0 = np.tile([0.25, 0.5], i.size // 2)
     ref = prof._outer_cache()[0][i + 1] + prof._outer_spans(i, u0)[0]
     assert prof.values_on_grid(np.exp(t.ln_s[i] + t.h[i] * u0)) == pytest.approx(ref.tolist(), rel=1e-13, abs=0.0)
+
+
+# K7 on the unit panel in long double: its nodes, as fractions of the panel,
+# and its weights over [-1, 1]
+_LD = np.longdouble
+_X_LD = np.array([-1, -np.sqrt(_LD(2) / 3), -1 / np.sqrt(_LD(5)), 0, 1 / np.sqrt(_LD(5)), np.sqrt(_LD(2) / 3), 1])
+_U_LD = (1 + _X_LD) / 2
+_W_LD = np.array([_LD(11) / 210, _LD(72) / 245, _LD(125) / 294, _LD(16) / 35])[[0, 1, 2, 3, 2, 1, 0]]
+
+
+def _k7_error_ld(g, a, b):
+    # K7 on the panels [a, b] of g (long double in and out) less the sum of
+    # K7 on their two halves: K7's error, to some 1e-18 of the panel
+    def k7(lo, hi):
+        return (hi - lo) / 2 * (_W_LD[:, None] * g(lo + (hi - lo) * _U_LD[:, None])).sum(axis=0)
+
+    a, b = a.astype(_LD), b.astype(_LD)
+    m = (a + b) / 2
+    return np.abs(k7(a, b) - (k7(a, m) + k7(m, b)))
+
+
+def _fills(monkeypatch):
+    # the node stack, half-widths and panel ends (lo and hi, None for the
+    # fractions [0, 1]) of each K7 fill, as the fill receives them, before
+    # it redoes any panel
+    fills, route = [], construct_module._k7_fill
+
+    def recorded(nodes, h, tol, rule, lo=None, hi=None, head=None, **kwargs):
+        fills.append((nodes.copy(), h.copy(), lo, hi))
+        return route(nodes, h, tol, rule, lo, hi, head, **kwargs)
+
+    monkeypatch.setattr(construct_module, "_k7_fill", recorded)
+    return fills
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, p, f", _POWERS + _HALVING)
+def test_k7_estimate_bounds_its_error(monkeypatch, n, p, f):
+    # on every panel of the table and of the outer fill whose seven values
+    # are normal numbers, at the knot level the case gets, K7's estimate,
+    # read off its own coefficients, is at least K7's error: its difference
+    # from the sum of K7 on the panel's halves, both on the same integrand
+    # in long double, so that neither carries the rounding of the doubles'
+    # nodes and logs (up to 8e-14 of a panel far out, where ln s is 25).  The
+    # table's integrand is s**n (1+s)**(-k lambda) in x = ln s (eps = 1);
+    # the outer fill's is exp(psi), psi = ln I_1 / (p-1) - k x, with I_1 the
+    # table's dense output, here in long double too
+    fills = _fills(monkeypatch)
+    prof = RadialProfile(f, StructureParams(n, p), 1.0)
+    prof._outer_cache()
+    t, k = prof._table, prof.decay
+    (table, table_h, lo, hi), (outer, outer_h, _, _) = fills
+    assert t.s.size in (1024 + 320, 2048 + 640)
+
+    def source(x):
+        return np.exp(n * x - k * f.exponent * np.log1p(np.exp(x)))
+
+    basis, stack, i = construct_module._dense_basis().astype(_LD), t.nodes.astype(_LD), np.arange(t.h.size)
+
+    def outer_integrand(x):
+        v = 2 * (x - t.ln_s[i]) / t.h[i] - 1
+        coef = basis @ stack
+        dense = coef[-1] * v
+        for c in coef[-2:0:-1]:
+            dense = (dense + c) * v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(np.log(t.sums[i] + t.h[i] * (dense + coef[0])) / (p - 1) - k * x)
+
+    # the table's stack has no column for its first panel, [0, s_0] in s
+    for nodes, h, error in (
+        (table, table_h, _k7_error_ld(source, lo[1:], hi[1:])),
+        (outer, outer_h, _k7_error_ld(outer_integrand, t.ln_s[:-1], t.ln_s[1:])),
+    ):
+        estimate = quadrature_module._k7(nodes[0], nodes[1:-1], nodes[-1], h)[1]
+        normal = (nodes >= np.finfo(float).tiny).all(axis=0)
+        assert normal.any() and np.all(estimate[normal] >= error[normal])

@@ -441,11 +441,11 @@ def test_energy_reports_unconverged_quadrature(instance_profile, monkeypatch):
     kernel, bisect = construct_module._k7, construct_module._bisect
     redone = []
 
-    def missing(f0, inner, f6, h):
+    def missing(f0, inner, f6, h, **dense):
         # the first two panels of the fill, which runs in construct, miss
         # their bound (the halves go through verify's _k7, which is not
         # patched)
-        values, errors = kernel(f0, inner, f6, h)
+        values, errors = kernel(f0, inner, f6, h, **dense)
         errors[:2] = np.inf
         return values, errors
 
@@ -473,10 +473,10 @@ def test_energy_halves_missed_panels_on_w(instance_profile, monkeypatch):
     instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
     kernel, bisect, halved, calls = verify_module._k7, construct_module._bisect, [], []
 
-    def missing(f0, inner, f6, h):
+    def missing(f0, inner, f6, h, **dense):
         # the first three panels of the check's own pass miss; the halving
         # starts from them, and values only their halves
-        values, errors = kernel(f0, inner, f6, h)
+        values, errors = kernel(f0, inner, f6, h, **dense)
         calls.append(h.size)
         if len(calls) == 1:
             errors[:3] = np.inf
@@ -491,7 +491,7 @@ def test_energy_halves_missed_panels_on_w(instance_profile, monkeypatch):
     monkeypatch.setattr(construct_module, "_bisect", recorded)
     energy_diagnostic(instance_profile)
     (values, _, panels, converged), = halved
-    assert calls == [1153, 6] and converged.all() and panels.tolist() == [2, 2, 2]
+    assert calls == [577, 6] and converged.all() and panels.tolist() == [2, 2, 2]
     x = _energy_knots(instance_profile)
 
     def density(t):  # rho**3 f(w), w < eps = 1 everywhere
@@ -556,10 +556,11 @@ def _fejer_energies(profile):
     x = _energy_knots(profile)
 
     def density(t):
-        order = np.argsort(t, axis=None)
-        w = np.empty(t.size)
-        w[order] = profile.values_on_grid(np.exp(t.ravel()[order]))
-        w = w.reshape(t.shape)
+        # the radii in order, once each: a radius within ulps of a knot
+        # (464.16 = 10**(8/3) on level-1 knots) gives a panel whose nodes
+        # coincide
+        radii, at = np.unique(np.exp(t.ravel()), return_inverse=True)
+        w = np.array(profile.values_on_grid(radii))[at].reshape(t.shape)
         small = (w > 0.0) & (w < eps)
         ln_d = np.full(t.shape, -np.inf)
         ln_d[small] = n * t[small] + _ln_f(profile.f, np.log(w[small]), w[small])
@@ -590,9 +591,10 @@ def _fejer_energies(profile):
         (Power(9.8), 4, 1.5, 1.0),
         (Power(40.0), 3, 2.0, 1.0),
         (Power(12.8), 4, 1.5, 1.0),
-        # the outer fill halves 323 of the check's intervals, where w at the
-        # interior nodes is read by _on_grid
         (Power(0.81), 8, 1.5, 1.0),
+        # the outer fill halves 469 of the check's intervals, where w at the
+        # interior nodes is read by _on_grid
+        (Power(0.5), 5, 1.1, 1.0),
     ],
     ids=repr,
 )
@@ -608,8 +610,8 @@ def test_energy_k7_panels_match_fejer_panels(f, n, p, delta, monkeypatch):
 
 
 def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
-    # one K7 panel per knot interval: the density at the 1154 knots and at
-    # five interior nodes of each of the 1153 intervals, all in one call of
+    # one K7 panel per knot interval: the density at the 578 knots and at
+    # five interior nodes of each of the 577 intervals, all in one call of
     # f's log evaluator (w < eps = 1 everywhere)
     instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
     ln_f, sizes = verify_module._ln_f, []
@@ -620,15 +622,15 @@ def test_energy_reads_f_once_at_every_node(instance_profile, monkeypatch):
 
     monkeypatch.setattr(verify_module, "_ln_f", counted)
     energy_diagnostic(instance_profile)
-    assert sizes == [1154 + 5 * 1153] == [6919]
+    assert sizes == [578 + 5 * 577] == [3463]
 
 
 def test_energy_allocates_little_beyond_its_result(instance_profile):
     # the density goes into the check's node stack in one pass of f over
-    # its 6919 nodes: beyond the diagnostic it returns, the check allocates
-    # 257 KB, under the bound of two of the table's node stacks (301 KB).
-    # Concatenating the nodes' x and w, and stacking the density with
-    # vstack, took 451 KB
+    # its 3463 nodes: beyond the diagnostic it returns, the check allocates
+    # 128 KB, under the bound of two of the table's node stacks (150 KB on
+    # level-1 knots).  Concatenating the nodes' x and w, and stacking the
+    # density with vstack, took three node stacks
     instance_profile.profile_value(0.0)  # the outer cache fill is not the check's
     bound = 2 * instance_profile._table.nodes.nbytes
     assert transient_bytes(lambda: energy_diagnostic(instance_profile)) < bound
@@ -669,10 +671,11 @@ def test_gradient_check_reports_an_unconverged_source_integral(params32, monkeyp
 
 
 def test_grid_checks_report_unconverged_table_fill(params32, monkeypatch):
-    # z^40 falls below the rounding of the table's running sum only past the
-    # steep panels where I still grows; those are halved by _bisect
+    # a bump of width 1e-3 in f at z = 1/2 (s = 1) fits inside a knot
+    # interval: the table fill halves the three panels there by _bisect
+    f = parse_nonlinearity("z^4*(1+exp(-1e6*(z-0.5)^2))")
     checks = (supersolution_check, normalization_check, lambda p: energy_diagnostic(p).as_check())
-    honest = [check(RadialProfile(Power(40.0), params32, 1.0)) for check in checks]
+    honest = [check(RadialProfile(f, params32, 1.0)) for check in checks]
     bisect, redone = construct_module._bisect, []
 
     def unconverged(rule, lo, hi, tol, first):
@@ -681,9 +684,9 @@ def test_grid_checks_report_unconverged_table_fill(params32, monkeypatch):
         return values, errors, panels, np.zeros(lo.size, dtype=bool)
 
     monkeypatch.setattr(construct_module, "_bisect", unconverged)
-    prof = RadialProfile(Power(40.0), params32, 1.0)
+    prof = RadialProfile(f, params32, 1.0)
     monkeypatch.undo()
-    assert redone == [85]
+    assert redone == [3]
     assert not prof.outer_converged()
     for check, ok in zip(checks, honest):
         flagged = check(prof)
